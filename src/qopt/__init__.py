@@ -22,7 +22,6 @@ from .accel import (
 from .baselines import (
     attach_rate_bounds,
     gradient_mapping,
-    level_set_diameter_estimate,
     run_frank_wolfe,
     run_pgd,
 )
@@ -50,11 +49,9 @@ from .prox import (
     check_moreau_quasar,
     check_prox_conditioning,
     default_lambda,
-    moreau_gradient,
-    moreau_value,
     solve_prox_subproblem,
 )
-from .sets import Ball, Box, FeasibleSet, Simplex, contains, diameter, lmo, project, set_from_spec
+from .sets import Ball, Box, FeasibleSet, Simplex, set_from_spec
 from .trace import Trace, TraceRow, read_trace, write_trace
 
 __version__ = "0.1.0"
@@ -90,21 +87,14 @@ __all__ = [
     "check_quasar_convexity",
     "check_smoothness",
     "compute_schedule",
-    "contains",
     "default_lambda",
-    "diameter",
     "evaluate",
     "finite_diff_gradient",
     "ftrl_step",
     "gradient_mapping",
-    "level_set_diameter_estimate",
     "line_search_params",
-    "lmo",
     "load_config",
     "make_catalogue_objective",
-    "moreau_gradient",
-    "moreau_value",
-    "project",
     "read_trace",
     "run_accelerated",
     "run_experiment",

@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import InvalidArgumentError, NumericalFailureError, PreconditionError
 from .objectives import OracleCounter
-from .prox import ProxResult, default_lambda, solve_prox_subproblem
-from .sets import as_point
+from .prox import ProxResult, _solve, solve_prox_subproblem
+from .sets import MEMBERSHIP_TOL, as_point
 from .trace import Trace, TraceRow
 
 
@@ -114,24 +114,29 @@ class LineSearchResult:
     exit: str  # "derivative_small" (alpha=1), "no_improvement" (alpha=0), "bisection"
 
 
-def binary_line_search(obj, y, z, params, counter, prox_at_y=None):
+def binary_line_search(obj, y, z, params, counter):
     """Find ``x = alpha y + (1 - alpha) z`` certified by the termination test.
 
-    The envelope oracles ``h`` and ``h_hat`` are realized through fresh prox
-    solves at tolerance ``params.delta1``; the prox result at the returned
-    point is included so callers can reuse it as their next proximal step.
-    ``prox_at_y`` lets the caller pass a prox already computed at ``y``.
+    Validates its inputs: ``y`` and ``z`` must be feasible points of the
+    objective's dimension (within ``MEMBERSHIP_TOL``) and ``params.delta1``
+    must be positive.  The envelope oracles ``h`` and ``h_hat`` are realized
+    through fresh prox solves at tolerance ``params.delta1``; the prox result
+    at the returned point is included so callers can reuse it as their next
+    proximal step.
     """
     y = as_point(y, obj.dimension)
     z = as_point(z, obj.dimension)
     for name, p in (("y", y), ("z", z)):
-        if not obj.feasible_set.contains(p, 1e-9):
+        if not obj.feasible_set.contains(p, MEMBERSHIP_TOL):
             raise PreconditionError(f"line-search endpoint {name} must be feasible")
-    lam = default_lambda(obj)
-    delta = params.delta1
+    if not params.delta1 > 0:
+        raise InvalidArgumentError("line-search tolerance delta1 must be positive")
+    return _line_search(obj, y, z, params, counter, _solve(obj, y, params.delta1, counter))
 
-    if prox_at_y is None:
-        prox_at_y = solve_prox_subproblem(obj, y, lam, delta, counter)
+
+def _line_search(obj, y, z, params, counter, prox_at_y):
+    """Body of :func:`binary_line_search` for trusted endpoints and the prox at ``y``."""
+    delta = params.delta1
     direction = y - z
     h1 = prox_at_y.envelope_value
     hhat1 = float(np.dot(prox_at_y.envelope_gradient, direction))
@@ -140,7 +145,7 @@ def binary_line_search(obj, y, z, params, counter, prox_at_y=None):
     # A degenerate segment has hhat1 = 0 <= epsilon_tilde and returned above.
     assert float(np.dot(direction, direction)) > 0.0
 
-    prox_at_z = solve_prox_subproblem(obj, z, lam, delta, counter)
+    prox_at_z = _solve(obj, z, delta, counter)
     if h1 - prox_at_z.envelope_value >= -params.delta1:
         return LineSearchResult(0.0, z, 0, prox_at_z, "no_improvement")
 
@@ -149,7 +154,7 @@ def binary_line_search(obj, y, z, params, counter, prox_at_y=None):
     iterations = 0
     while True:
         v = alpha * y + (1.0 - alpha) * z
-        prox_v = solve_prox_subproblem(obj, v, lam, delta, counter)
+        prox_v = _solve(obj, v, delta, counter)
         h_alpha = prox_v.envelope_value
         hhat_alpha = float(np.dot(prox_v.envelope_gradient, direction))
         if alpha * hhat_alpha <= params.c * (h1 - h_alpha) + params.epsilon_tilde:
@@ -208,10 +213,10 @@ def run_accelerated(obj, x0, epsilon, counter, keep_iterates=False):
         raise InvalidArgumentError("epsilon must be positive")
     x0 = as_point(x0, obj.dimension)
     set_ = obj.feasible_set
-    if not set_.contains(x0, 1e-9):
+    if not set_.contains(x0, MEMBERSHIP_TOL):
         raise PreconditionError("x0 must be feasible")
     params = compute_schedule(obj.quasar_gamma, obj.smoothness_L, set_.diameter(), epsilon)
-    gamma, L, D, lam, delta = params.gamma, params.L, params.D, params.lam, params.delta
+    gamma, L, D, delta = params.gamma, params.L, params.D, params.delta
     fstar = obj.optimal_value
 
     def gap_of(value):
@@ -231,27 +236,22 @@ def run_accelerated(obj, x0, epsilon, counter, keep_iterates=False):
     iterates = [] if keep_iterates else None
 
     try:
-        prox_y = solve_prox_subproblem(obj, y, lam, delta, counter)
-        rows.append(TraceRow(0, counter.calls, prox_y.f_at_y, gap_of(prox_y.f_at_y),
-                             None, float(np.linalg.norm(y))))
+        prox_y = _solve(obj, y, delta, counter)
+        rows.append(TraceRow(0, counter.calls, prox_y.f_at_y, gap_of(prox_y.f_at_y), None))
         for t in range(1, params.T + 1):
             c = params.A(t - 1) * gamma / params.a(t)
-            result = binary_line_search(
-                obj, y, z, line_search_params(c, delta, L, D), counter, prox_at_y=prox_y
-            )
+            result = _line_search(obj, y, z, line_search_params(c, delta, L, D), counter, prox_y)
             x_t = result.x
-            assert set_.contains(x_t, 1e-9)  # convex combination of feasible points
             prox_x = result.prox
             y_new = prox_x.y
             accumulated = accumulated + (params.a(t) / gamma) * prox_x.envelope_gradient
             z_new = ftrl_step(set_, x0, accumulated)
             # The prox at y_new instruments f(y-hat_t), is reused as the next
             # line search's endpoint oracle, and at t = T is the returned solution.
-            prox_y_new = solve_prox_subproblem(obj, y_new, lam, delta, counter)
+            prox_y_new = _solve(obj, y_new, delta, counter)
             bound = 16.0 * L * D * D / (gamma * gamma * t * t)
             rows.append(TraceRow(t, counter.calls, prox_y_new.f_at_y,
-                                 gap_of(prox_y_new.f_at_y), bound,
-                                 float(np.linalg.norm(y_new))))
+                                 gap_of(prox_y_new.f_at_y), bound))
             if keep_iterates:
                 iterates.append(AccelIterate(t=t, c=c, alpha=result.alpha,
                                              loop_iterations=result.loop_iterations,
@@ -281,7 +281,6 @@ def check_linesearch_certificates(obj, trace, accuracy_factor=1e4):
         raise InvalidArgumentError("trace was not recorded with keep_iterates=True")
     params = trace.header["params"]
     L, D, delta = params["L"], params["D"], params["delta"]
-    lam = 1.0 / (2.0 * L)
     fine = delta / accuracy_factor
     counter = OracleCounter()
     base_budget = math.sqrt(8.0 * L * D * D * delta)
@@ -289,8 +288,8 @@ def check_linesearch_certificates(obj, trace, accuracy_factor=1e4):
     worst_excess = -np.inf
     max_loops = 0
     for it in trace.iterates:
-        at_x = solve_prox_subproblem(obj, it.x, lam, fine, counter)
-        at_y = solve_prox_subproblem(obj, it.y_prev, lam, fine, counter)
+        at_x = solve_prox_subproblem(obj, it.x, fine, counter)
+        at_y = solve_prox_subproblem(obj, it.y_prev, fine, counter)
         lhs = float(np.dot(at_x.envelope_gradient, it.x - it.z_prev))
         lhs -= it.c * (at_y.envelope_value - at_x.envelope_value)
         budget = base_budget + (9.0 + 5.0 * it.c) * delta + 1e-9

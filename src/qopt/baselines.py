@@ -19,14 +19,14 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidArgumentError, PreconditionError
-from .objectives import evaluate, sample_feasible
-from .sets import as_point
+from .objectives import evaluate
+from .sets import FEASIBILITY_TOL, as_point
 from .trace import Trace, TraceRow
 
 
 def _require_feasible(obj, x, name="x"):
     x = as_point(x, obj.dimension)
-    if not obj.feasible_set.contains(x, 1e-9):
+    if not obj.feasible_set.contains(x, FEASIBILITY_TOL):
         raise PreconditionError(f"{name} must be feasible")
     return x
 
@@ -54,10 +54,10 @@ def run_pgd(obj, x0, T, counter):
     rows = []
     for t in range(T):
         f, grad = evaluate(obj, x, counter)
-        rows.append(TraceRow(t, counter.calls, f, gap(f), None, float(np.linalg.norm(x))))
+        rows.append(TraceRow(t, counter.calls, f, gap(f), None))
         x = set_.project(x - eta * grad)
     f, _ = evaluate(obj, x, counter)
-    rows.append(TraceRow(T, counter.calls, f, gap(f), None, float(np.linalg.norm(x))))
+    rows.append(TraceRow(T, counter.calls, f, gap(f), None))
     header = {
         "algorithm": "pgd",
         "objective": obj.name,
@@ -76,11 +76,11 @@ def run_frank_wolfe(obj, x0, T, counter):
     rows = []
     for t in range(T):
         f, grad = evaluate(obj, x, counter)
-        rows.append(TraceRow(t, counter.calls, f, gap(f), None, float(np.linalg.norm(x))))
+        rows.append(TraceRow(t, counter.calls, f, gap(f), None))
         v = set_.lmo(grad)
         x = (t / (t + 2)) * x + (2.0 / (t + 2)) * v
     f, _ = evaluate(obj, x, counter)
-    rows.append(TraceRow(T, counter.calls, f, gap(f), None, float(np.linalg.norm(x))))
+    rows.append(TraceRow(T, counter.calls, f, gap(f), None))
     header = {
         "algorithm": "frank_wolfe",
         "objective": obj.name,
@@ -111,25 +111,6 @@ def attach_rate_bounds(trace, L, gamma, D):
         "L": L, "gamma": gamma, "D": D, "constant": constant,
     }
     return trace
-
-
-def level_set_diameter_estimate(obj, x0, samples=512, seed=0):
-    """Sampled diameter of ``{x feasible : f(x) <= f(x0)}``.
-
-    Always includes ``x0`` itself; capped by the set diameter, which is the
-    conservative bound the harness uses for rate envelopes.
-    """
-    x0 = _require_feasible(obj, x0, "x0")
-    f0 = obj.evaluator(x0)[0]
-    pts = [x0]
-    for p in sample_feasible(obj.feasible_set, samples, seed):
-        if obj.evaluator(p)[0] <= f0:
-            pts.append(p)
-    arr = np.asarray(pts)
-    sq = np.sum(arr * arr, axis=1)
-    dist2 = sq[:, None] + sq[None, :] - 2.0 * (arr @ arr.T)
-    estimate = float(np.sqrt(max(dist2.max(), 0.0)))
-    return min(estimate, obj.feasible_set.diameter())
 
 
 # -- property checks -----------------------------------------------------------

@@ -33,7 +33,7 @@ from .accel import run_accelerated
 from .baselines import attach_rate_bounds, run_frank_wolfe, run_pgd
 from .errors import ConfigError, InvalidArgumentError, NumericalFailureError, PreconditionError
 from .objectives import OracleCounter, make_catalogue_objective
-from .sets import as_point
+from .sets import FEASIBILITY_TOL, as_point
 from .trace import write_trace
 
 ALGORITHMS = ("accelerated", "pgd", "frank_wolfe")
@@ -54,11 +54,6 @@ class ExperimentConfig:
     seed: int
     output_path: Optional[str]
     raw: dict
-
-    def replace(self, **overrides):
-        raw = dict(self.raw)
-        raw.update(overrides)
-        return load_config(raw)
 
 
 def load_config(source):
@@ -152,7 +147,7 @@ def resolve_x0(set_, spec):
         x0 = as_point(spec, set_.dimension)
     except InvalidArgumentError as exc:
         raise ConfigError("x0", str(exc)) from exc
-    if not set_.contains(x0, 1e-9):
+    if not set_.contains(x0, FEASIBILITY_TOL):
         raise ConfigError("x0", "explicit starting point is infeasible")
     return x0
 

@@ -52,30 +52,29 @@ def iteration_cap(L, D, delta):
     return 100 * math.ceil(math.log2(max(L * D * D / delta, 4.0))) + 100
 
 
-def _validate(obj, x, lam, delta):
+def solve_prox_subproblem(obj, x, delta, counter):
+    """Minimize ``f(y) + ||y - x||^2/(2 lam)`` over the feasible set to accuracy delta.
+
+    ``lam`` is fixed at ``1/(2L)`` (:func:`default_lambda`).  Validates its
+    inputs: ``x`` must be a feasible point of the objective's dimension
+    (within ``MEMBERSHIP_TOL``) and ``delta`` must be positive.  Warm starts
+    at ``x`` itself (feasible, within the set diameter of the solution).
+    Raises :class:`NumericalFailureError` carrying the last iterate if the
+    iteration cap is exhausted.
+    """
     x = as_point(x, obj.dimension)
-    expected = default_lambda(obj)
-    if not math.isclose(lam, expected, rel_tol=1e-9):
-        raise InvalidArgumentError(
-            f"prox requires lam = 1/(2 L) = {expected!r}; got {lam!r}"
-        )
     if not delta > 0:
         raise InvalidArgumentError("prox tolerance delta must be positive")
     if not obj.feasible_set.contains(x, MEMBERSHIP_TOL):
         raise PreconditionError("prox query point must be feasible")
-    return x
+    return _solve(obj, x, delta, counter)
 
 
-def solve_prox_subproblem(obj, x, lam, delta, counter):
-    """Minimize ``f(y) + ||y - x||^2/(2 lam)`` over the feasible set to accuracy delta.
-
-    Warm starts at ``x`` itself (feasible, within the set diameter of the
-    solution).  Raises :class:`NumericalFailureError` carrying the last iterate
-    if the iteration cap is exhausted.
-    """
-    x = _validate(obj, x, lam, delta)
+def _solve(obj, x, delta, counter):
+    """Body of :func:`solve_prox_subproblem` for a trusted feasible ``x`` and ``delta > 0``."""
     set_ = obj.feasible_set
     L = obj.smoothness_L
+    lam = default_lambda(obj)
     step = 1.0 / (3.0 * L)
     threshold = math.sqrt(2.0 * L * delta) / 3.0
     cap = iteration_cap(L, set_.diameter(), delta)
@@ -105,20 +104,10 @@ def solve_prox_subproblem(obj, x, lam, delta, counter):
     )
 
 
-def moreau_value(obj, x, lam, delta, counter):
-    """Approximate Moreau envelope value; overestimates the truth by at most delta."""
-    return solve_prox_subproblem(obj, x, lam, delta, counter).envelope_value
-
-
-def moreau_gradient(obj, x, lam, delta, counter):
-    """Approximate Moreau envelope gradient, within ``sqrt(8 L delta)`` of exact."""
-    return solve_prox_subproblem(obj, x, lam, delta, counter).envelope_gradient
-
-
 # -- property checks -----------------------------------------------------------
 
 
-def check_prox_conditioning(obj, x=None, lam=None, samples=10_000, seed=0):
+def check_prox_conditioning(obj, samples=10_000, seed=0):
     """Verify the strong-convexity/smoothness bracket of the prox subproblem.
 
     For feasible secant pairs (u, v), the subproblem gradient satisfies
@@ -127,7 +116,7 @@ def check_prox_conditioning(obj, x=None, lam=None, samples=10_000, seed=0):
     bracket is independent of the prox center, which cancels in differences.
     """
     L = obj.smoothness_L
-    lam = default_lambda(obj) if lam is None else lam
+    lam = default_lambda(obj)
     rng = np.random.default_rng(seed)
     us = obj.feasible_set.sample(rng, samples)
     vs = obj.feasible_set.sample(rng, samples)
@@ -162,13 +151,12 @@ def check_moreau_quasar(obj, grid=2000, delta=1e-12, seed=0):
     """
     if obj.center is None:
         raise PreconditionError("check_moreau_quasar requires a known center")
-    lam = default_lambda(obj)
     counter = OracleCounter()
-    m_star = moreau_value(obj, obj.center, lam, delta, counter)
+    m_star = solve_prox_subproblem(obj, obj.center, delta, counter).envelope_value
     pts = sample_feasible(obj.feasible_set, grid, seed)
     worst = -np.inf
     for x in pts:
-        res = solve_prox_subproblem(obj, x, lam, delta, counter)
+        res = solve_prox_subproblem(obj, x, delta, counter)
         violation = (
             res.envelope_value
             + float(np.dot(res.envelope_gradient, obj.center - x)) / obj.quasar_gamma
@@ -179,16 +167,15 @@ def check_moreau_quasar(obj, grid=2000, delta=1e-12, seed=0):
             "oracle_calls": counter.calls}
 
 
-def check_descent_lemma(obj, x, lam=None, delta=1e-8, counter=None):
+def check_descent_lemma(obj, x, delta=1e-8):
     """Check the approximate-descent inequality of one inexact prox step.
 
     With y the delta-prox of x, the envelope must satisfy
     ``M~(y) - M~(x) <= -||grad M~(x)||^2 / (8 L) + delta``.
     """
-    lam = default_lambda(obj) if lam is None else lam
-    counter = OracleCounter() if counter is None else counter
-    at_x = solve_prox_subproblem(obj, x, lam, delta, counter)
-    at_y = solve_prox_subproblem(obj, at_x.y, lam, delta, counter)
+    counter = OracleCounter()
+    at_x = solve_prox_subproblem(obj, x, delta, counter)
+    at_y = solve_prox_subproblem(obj, at_x.y, delta, counter)
     lhs = at_y.envelope_value - at_x.envelope_value
     rhs = -float(np.dot(at_x.envelope_gradient, at_x.envelope_gradient)) / (
         8.0 * obj.smoothness_L
@@ -202,7 +189,6 @@ def check_envelope_smoothness(obj, samples=200, delta=1e-12, seed=0, min_sep=Non
     The envelope of the ``1/(2L)`` prox is ``2L``-smooth; ratios must stay
     below ``2 L (1 + 1e-6)``.
     """
-    lam = default_lambda(obj)
     D = obj.feasible_set.diameter()
     min_sep = 0.02 * D if min_sep is None else min_sep
     rng = np.random.default_rng(seed)
@@ -215,8 +201,8 @@ def check_envelope_smoothness(obj, samples=200, delta=1e-12, seed=0, min_sep=Non
         sep = float(np.linalg.norm(u - v))
         if sep < min_sep:
             continue
-        gu = moreau_gradient(obj, u, lam, delta, counter)
-        gv = moreau_gradient(obj, v, lam, delta, counter)
+        gu = solve_prox_subproblem(obj, u, delta, counter).envelope_gradient
+        gv = solve_prox_subproblem(obj, v, delta, counter).envelope_gradient
         worst = max(worst, float(np.linalg.norm(gu - gv)) / sep)
         count += 1
     limit = 2.0 * obj.smoothness_L * (1.0 + 1e-6)
@@ -230,13 +216,12 @@ def check_stopping_soundness(obj, samples=50, delta=1e-6, seed=0):
     Re-solving each subproblem at ``delta/100`` must change the achieved
     subproblem value by at most ``delta``.
     """
-    lam = default_lambda(obj)
     counter = OracleCounter()
     pts = sample_feasible(obj.feasible_set, samples, seed)
     worst = 0.0
     for x in pts:
-        coarse = solve_prox_subproblem(obj, x, lam, delta, counter)
-        fine = solve_prox_subproblem(obj, x, lam, delta / 100.0, counter)
+        coarse = solve_prox_subproblem(obj, x, delta, counter)
+        fine = solve_prox_subproblem(obj, x, delta / 100.0, counter)
         worst = max(worst, abs(coarse.envelope_value - fine.envelope_value))
     return {"max_value_shift": worst, "delta": delta, "passed": worst <= delta,
             "samples": len(pts)}
@@ -247,14 +232,13 @@ def check_gradient_error_bound(obj, samples=100, delta=1e-6, seed=0):
 
     The reference gradient uses a near-exact prox (``delta = 1e-14``).
     """
-    lam = default_lambda(obj)
     counter = OracleCounter()
     bound = math.sqrt(8.0 * obj.smoothness_L * delta)
     pts = sample_feasible(obj.feasible_set, samples, seed)
     worst = 0.0
     for x in pts:
-        coarse = moreau_gradient(obj, x, lam, delta, counter)
-        ref = moreau_gradient(obj, x, lam, 1e-14, counter)
+        coarse = solve_prox_subproblem(obj, x, delta, counter).envelope_gradient
+        ref = solve_prox_subproblem(obj, x, 1e-14, counter).envelope_gradient
         worst = max(worst, float(np.linalg.norm(coarse - ref)))
     return {"max_gradient_error": worst, "bound": bound, "passed": worst <= bound,
             "samples": len(pts)}
@@ -262,7 +246,6 @@ def check_gradient_error_bound(obj, samples=100, delta=1e-6, seed=0):
 
 def fit_iteration_constant(obj, samples=50, deltas=(1e-4, 1e-8, 1e-12), seed=0):
     """Report the observed constant C in ``inner_iterations <= C log2(L D^2 / delta)``."""
-    lam = default_lambda(obj)
     D = obj.feasible_set.diameter()
     L = obj.smoothness_L
     counter = OracleCounter()
@@ -270,6 +253,6 @@ def fit_iteration_constant(obj, samples=50, deltas=(1e-4, 1e-8, 1e-12), seed=0):
     for delta in deltas:
         denom = math.log2(max(L * D * D / delta, 4.0))
         for x in sample_feasible(obj.feasible_set, samples, seed):
-            res = solve_prox_subproblem(obj, x, lam, delta, counter)
+            res = solve_prox_subproblem(obj, x, delta, counter)
             worst = max(worst, res.inner_iterations / denom)
     return {"fitted_constant": worst, "samples": samples, "deltas": list(deltas)}

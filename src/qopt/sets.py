@@ -12,8 +12,11 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 
-#: Absolute tolerance used for membership checks throughout the package.
+#: Default tolerance of :meth:`FeasibleSet.contains`; the prox, the line
+#: search, ``run_accelerated`` and objective centers are checked against it.
 MEMBERSHIP_TOL = 1e-10
+#: Tolerance for the start points of the baselines and explicit config ``x0``.
+FEASIBILITY_TOL = 1e-9
 
 
 def as_point(x, dim=None):
@@ -213,29 +216,6 @@ class Simplex(FeasibleSet):
 
     def to_spec(self):
         return {"kind": "simplex", "dimension": self.dimension, "scale": self.scale}
-
-
-# -- module-level operation surface ------------------------------------------
-
-
-def project(set_, x):
-    """Euclidean projection of ``x`` onto ``set_``."""
-    return set_.project(x)
-
-
-def lmo(set_, g):
-    """Exact minimizer of ``<g, v>`` over ``set_`` (vertex for box/simplex)."""
-    return set_.lmo(g)
-
-
-def diameter(set_):
-    """Exact Euclidean diameter of ``set_``."""
-    return set_.diameter()
-
-
-def contains(set_, x, tol=MEMBERSHIP_TOL):
-    """True iff ``x`` is within distance ``tol`` of ``set_``."""
-    return set_.contains(x, tol)
 
 
 def set_from_spec(spec):

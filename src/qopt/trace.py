@@ -22,7 +22,6 @@ class TraceRow:
     f_value: float
     gap: Optional[float]
     bound: Optional[float]
-    iterate_norm: float
 
 
 @dataclass
@@ -102,7 +101,6 @@ def read_trace(path):
                         f_value=float(f),
                         gap=float(gap) if gap else None,
                         bound=float(bound) if bound else None,
-                        iterate_norm=float("nan"),
                     )
                 )
     return Trace(header=header, rows=rows, failure=failure)

@@ -164,11 +164,10 @@ class TestBisectionBody:
         assert res.exit == "bisection"
         assert 1 <= res.loop_iterations <= params.loop_cap
         # Independent oracle: near-exact envelope on a dense alpha grid.
-        lam = 1.0 / (2.0 * obj.smoothness_L)
         grid = np.linspace(0.0, 1.0, 2001)
         probe = OracleCounter()
         g = np.array([
-            solve_prox_subproblem(obj, a * y + (1 - a) * z, lam, 1e-12, probe).envelope_value
+            solve_prox_subproblem(obj, a * y + (1 - a) * z, 1e-12, probe).envelope_value
             for a in grid
         ])
         i = min(max(int(round(res.alpha * 2000)), 1), 1999)
@@ -198,7 +197,7 @@ class TestRunAccelerated:
         bound = math.sqrt(8.0 * quadratic.smoothness_L * params.delta)
         probe = OracleCounter()
         for it in trace.iterates[:20]:
-            res = solve_prox_subproblem(quadratic, it.x, 0.5, params.delta, probe)
+            res = solve_prox_subproblem(quadratic, it.x, params.delta, probe)
             assert np.linalg.norm(res.envelope_gradient) <= bound
 
     def test_example1_moderate_accuracy(self, example1, counter):

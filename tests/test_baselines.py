@@ -8,7 +8,6 @@ from qopt import (
     PreconditionError,
     attach_rate_bounds,
     gradient_mapping,
-    level_set_diameter_estimate,
     make_catalogue_objective,
     run_frank_wolfe,
     run_pgd,
@@ -126,22 +125,6 @@ class TestRateBounds:
         trace.header["algorithm"] = "mystery"
         with pytest.raises(InvalidArgumentError):
             attach_rate_bounds(trace, 1.0, 1.0, 1.0)
-
-
-class TestLevelSetDiameter:
-    def test_full_level_set_on_box(self, quadratic):
-        # Starting at a corner the whole box is inside the level set.
-        est = level_set_diameter_estimate(quadratic, np.array([1.0, 1.0]), samples=2000)
-        assert est <= 2 * np.sqrt(2) + 1e-12
-        assert est >= 0.9 * 2 * np.sqrt(2)
-
-    def test_symmetric_interval(self, example1):
-        est = level_set_diameter_estimate(example1, np.array([5.0]), samples=1001)
-        assert est == pytest.approx(10.0, abs=1e-12)
-
-    def test_at_minimizer(self, example1):
-        est = level_set_diameter_estimate(example1, example1.center, samples=512)
-        assert est == pytest.approx(0.0, abs=1e-12)
 
 
 class TestMappingProperties:

@@ -229,7 +229,7 @@ class TestCLI:
 
     def test_numerical_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         header = {"algorithm": "accelerated", "objective": "quadratic"}
-        rows = [TraceRow(0, 2, 1.0, 1.0, None, 1.0)]
+        rows = [TraceRow(0, 2, 1.0, 1.0, None)]
 
         def exploding(config, output_path=None):
             exc = NumericalFailureError("synthetic blow-up")
@@ -249,7 +249,7 @@ class TestCLI:
             exc = NumericalFailureError("synthetic blow-up")
             exc.partial_trace = Trace(
                 header={"algorithm": "accelerated"},
-                rows=[TraceRow(0, 2, 1.0, 1.0, None, 1.0)],
+                rows=[TraceRow(0, 2, 1.0, 1.0, None)],
                 failure="synthetic blow-up",
             )
             raise exc

@@ -15,8 +15,6 @@ from qopt import (
     check_prox_conditioning,
     default_lambda,
     make_catalogue_objective,
-    moreau_gradient,
-    moreau_value,
     solve_prox_subproblem,
 )
 from qopt.prox import (
@@ -46,7 +44,7 @@ def grid_prox_oracle(x, lam, lo=-1.0, hi=1.0, n=2_000_001):
 
 class TestSolveProx:
     def test_at_minimizer(self, quadratic_1d, counter):
-        res = solve_prox_subproblem(quadratic_1d, np.array([0.0]), 0.5, 1e-10, counter)
+        res = solve_prox_subproblem(quadratic_1d, np.array([0.0]), 1e-10, counter)
         assert res.y[0] == 0.0
         assert res.envelope_value == 0.0
         assert res.envelope_gradient[0] == 0.0
@@ -54,7 +52,7 @@ class TestSolveProx:
     @pytest.mark.parametrize("x,expected_y", [(0.6, 0.4), (0.9, 0.6), (-0.75, -0.5)])
     def test_interior_solutions(self, quadratic_1d, counter, x, expected_y):
         delta = 1e-12
-        res = solve_prox_subproblem(quadratic_1d, np.array([x]), 0.5, delta, counter)
+        res = solve_prox_subproblem(quadratic_1d, np.array([x]), delta, counter)
         # Strong convexity: a delta-minimizer is within sqrt(2 delta / L).
         assert abs(res.y[0] - expected_y) <= math.sqrt(2 * delta)
         assert abs(res.y[0] - grid_prox_oracle(x, 0.5)) <= 2e-5
@@ -63,14 +61,14 @@ class TestSolveProx:
         assert res.envelope_gradient[0] == pytest.approx(2 * (x - expected_y), abs=1e-5)
 
     def test_example_values(self, quadratic_1d, counter):
-        res = solve_prox_subproblem(quadratic_1d, np.array([0.6]), 0.5, 1e-12, counter)
+        res = solve_prox_subproblem(quadratic_1d, np.array([0.6]), 1e-12, counter)
         assert res.envelope_value == pytest.approx(0.12, abs=1e-10)
         assert res.envelope_gradient[0] == pytest.approx(0.4, abs=1e-5)
 
     def test_result_contract(self, example1, counter):
         lam = default_lambda(example1)
         x = np.array([3.7])
-        res = solve_prox_subproblem(example1, x, lam, 1e-9, counter)
+        res = solve_prox_subproblem(example1, x, 1e-9, counter)
         assert example1.feasible_set.contains(res.y)
         np.testing.assert_array_equal(res.envelope_gradient, (x - res.y) / lam)
         D = example1.feasible_set.diameter()
@@ -79,17 +77,13 @@ class TestSolveProx:
         # One oracle call per gradient step plus the final value query.
         assert counter.calls == res.inner_iterations + 1
 
-    def test_lambda_validation(self, quadratic_1d, counter):
-        with pytest.raises(InvalidArgumentError):
-            solve_prox_subproblem(quadratic_1d, np.array([0.0]), 0.4, 1e-8, counter)
-
     def test_delta_validation(self, quadratic_1d, counter):
         with pytest.raises(InvalidArgumentError):
-            solve_prox_subproblem(quadratic_1d, np.array([0.0]), 0.5, 0.0, counter)
+            solve_prox_subproblem(quadratic_1d, np.array([0.0]), 0.0, counter)
 
     def test_infeasible_query_rejected(self, quadratic_1d, counter):
         with pytest.raises(PreconditionError):
-            solve_prox_subproblem(quadratic_1d, np.array([3.0]), 0.5, 1e-8, counter)
+            solve_prox_subproblem(quadratic_1d, np.array([3.0]), 1e-8, counter)
 
     def test_iteration_cap_failure_carries_last_iterate(self, counter):
         # Declaring a wildly optimistic L makes the inner step size huge, so
@@ -103,7 +97,7 @@ class TestSolveProx:
             feasible_set=base.feasible_set,
         )
         with pytest.raises(NumericalFailureError) as excinfo:
-            solve_prox_subproblem(bad, np.array([0.5, 0.5]), default_lambda(bad), 1e-6, counter)
+            solve_prox_subproblem(bad, np.array([0.5, 0.5]), 1e-6, counter)
         assert excinfo.value.last_iterate is not None
         assert bad.feasible_set.contains(excinfo.value.last_iterate)
 
@@ -112,27 +106,26 @@ class TestMoreauOps:
     def test_value_sandwich(self, quadratic_1d, counter):
         delta = 1e-8
         for x in (0.6, -0.2, 0.95):
-            approx = moreau_value(quadratic_1d, np.array([x]), 0.5, delta, counter)
+            approx = solve_prox_subproblem(quadratic_1d, np.array([x]), delta, counter).envelope_value
             exact = clamped_quadratic_envelope(x)
             assert exact - 1e-15 <= approx <= exact + delta + 1e-15
 
     def test_gradient_error_bound(self, quadratic_1d, counter):
         delta = 1e-8
         for x in (0.6, -0.2, 0.95):
-            g = moreau_gradient(quadratic_1d, np.array([x]), 0.5, delta, counter)
+            g = solve_prox_subproblem(quadratic_1d, np.array([x]), delta, counter).envelope_gradient
             assert abs(g[0] - 2 * x / 3) <= math.sqrt(8 * delta)
 
     def test_at_center(self, example1, counter):
-        lam = default_lambda(example1)
         delta = 1e-10
-        value = moreau_value(example1, example1.center, lam, delta, counter)
+        res = solve_prox_subproblem(example1, example1.center, delta, counter)
         fstar = example1.optimal_value
-        assert fstar - 1e-12 <= value <= fstar + delta + 1e-12
-        grad = moreau_gradient(example1, example1.center, lam, delta, counter)
+        assert fstar - 1e-12 <= res.envelope_value <= fstar + delta + 1e-12
+        grad = res.envelope_gradient
         assert np.linalg.norm(grad) <= math.sqrt(8 * example1.smoothness_L * delta)
 
     def test_exactness_limit(self, quadratic_1d, counter):
-        approx = moreau_value(quadratic_1d, np.array([0.6]), 0.5, 1e-14, counter)
+        approx = solve_prox_subproblem(quadratic_1d, np.array([0.6]), 1e-14, counter).envelope_value
         assert approx == pytest.approx(0.12, abs=1e-6)
 
 
@@ -210,7 +203,7 @@ class TestBallSetProx:
             "quadratic", {"set": {"kind": "ball", "center": [2.0, 0.0], "radius": 1.0}}
         )
         x = np.array([1.5, 0.0])
-        res = solve_prox_subproblem(obj, x, 0.5, 1e-10, counter)
+        res = solve_prox_subproblem(obj, x, 1e-10, counter)
         # Subproblem min of 0.5 y^2 + (y - x)^2 along the axis is at y = 1,
         # the ball boundary point closest to the origin.
         assert res.y[0] == pytest.approx(1.0, abs=1e-5)
@@ -224,7 +217,7 @@ class TestBoundaryProxSolutions:
         # the plain gradient norm never vanishes but the mapping norm does.
         obj = make_catalogue_objective("quadratic", {"dim": 1, "shift": [4.0]})
         delta = 1e-10
-        res = solve_prox_subproblem(obj, np.array([1.0]), 0.5, delta, counter)
+        res = solve_prox_subproblem(obj, np.array([1.0]), delta, counter)
         assert res.y[0] == pytest.approx(1.0, abs=1e-9)
         # Subproblem minimum over [-1, 1]: F(y) = 0.5 (y-4)^2 + (y-1)^2 at y=1.
         exact = 0.5 * 9.0
