@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, NumericalFailureError, PreconditionError
 from .objectives import OracleCounter
-from .prox import ProxResult, _solve, solve_prox_subproblem
+from .prox import ProxResult, _ProxConstants, _solve, solve_prox_subproblem
 from .sets import MEMBERSHIP_TOL, as_point
 from .trace import Trace, TraceRow
 
@@ -92,17 +92,34 @@ class LineSearchParams:
     loop_cap: int
 
 
+class _LineSearchConstants:
+    """The ``c``-independent part of :class:`LineSearchParams` for one ``(delta, L, D)``.
+
+    The single source of the ``delta2``, ``epsilon_tilde`` and ``loop_cap``
+    formulas; ``run_accelerated`` builds it once per run.
+    """
+
+    __slots__ = ("delta", "delta2", "loop_cap")
+
+    def __init__(self, delta, L, D):
+        self.delta = delta
+        self.delta2 = math.sqrt(8.0 * L * delta) * D
+        self.loop_cap = math.ceil(math.log2(max(8.0 * L * D * D / delta, 4.0))) + 2
+
+    def params(self, c):
+        return LineSearchParams(
+            c=c,
+            delta1=self.delta,
+            delta2=self.delta2,
+            epsilon_tilde=self.delta2 + (9.0 + 5.0 * c) * self.delta,
+            loop_cap=self.loop_cap,
+        )
+
+
 def line_search_params(c, delta, L, D):
     if c < 0:
         raise InvalidArgumentError("line-search constant c must be nonnegative")
-    delta2 = math.sqrt(8.0 * L * delta) * D
-    return LineSearchParams(
-        c=c,
-        delta1=delta,
-        delta2=delta2,
-        epsilon_tilde=delta2 + (9.0 + 5.0 * c) * delta,
-        loop_cap=math.ceil(math.log2(max(8.0 * L * D * D / delta, 4.0))) + 2,
-    )
+    return _LineSearchConstants(delta, L, D).params(c)
 
 
 @dataclass
@@ -131,12 +148,16 @@ def binary_line_search(obj, y, z, params, counter):
             raise PreconditionError(f"line-search endpoint {name} must be feasible")
     if not params.delta1 > 0:
         raise InvalidArgumentError("line-search tolerance delta1 must be positive")
-    return _line_search(obj, y, z, params, counter, _solve(obj, y, params.delta1, counter))
+    consts = _ProxConstants(obj, params.delta1)
+    return _line_search(obj, y, z, params, counter, _solve(obj, y, consts, counter), consts)
 
 
-def _line_search(obj, y, z, params, counter, prox_at_y):
-    """Body of :func:`binary_line_search` for trusted endpoints and the prox at ``y``."""
-    delta = params.delta1
+def _line_search(obj, y, z, params, counter, prox_at_y, consts):
+    """Body of :func:`binary_line_search` for trusted endpoints and the prox at ``y``.
+
+    ``consts`` is ``_ProxConstants(obj, params.delta1)``; every prox solve of
+    the search uses it.
+    """
     direction = y - z
     h1 = prox_at_y.envelope_value
     hhat1 = float(np.dot(prox_at_y.envelope_gradient, direction))
@@ -145,7 +166,7 @@ def _line_search(obj, y, z, params, counter, prox_at_y):
     # A degenerate segment has hhat1 = 0 <= epsilon_tilde and returned above.
     assert float(np.dot(direction, direction)) > 0.0
 
-    prox_at_z = _solve(obj, z, delta, counter)
+    prox_at_z = _solve(obj, z, consts, counter)
     if h1 - prox_at_z.envelope_value >= -params.delta1:
         return LineSearchResult(0.0, z, 0, prox_at_z, "no_improvement")
 
@@ -154,7 +175,7 @@ def _line_search(obj, y, z, params, counter, prox_at_y):
     iterations = 0
     while True:
         v = alpha * y + (1.0 - alpha) * z
-        prox_v = _solve(obj, v, delta, counter)
+        prox_v = _solve(obj, v, consts, counter)
         h_alpha = prox_v.envelope_value
         hhat_alpha = float(np.dot(prox_v.envelope_gradient, direction))
         if alpha * hhat_alpha <= params.c * (h1 - h_alpha) + params.epsilon_tilde:
@@ -234,13 +255,16 @@ def run_accelerated(obj, x0, epsilon, counter, keep_iterates=False):
     accumulated = np.zeros_like(x0)
     rows = []
     iterates = [] if keep_iterates else None
+    prox_consts = _ProxConstants(obj, delta)
+    search_consts = _LineSearchConstants(delta, L, D)
 
     try:
-        prox_y = _solve(obj, y, delta, counter)
+        prox_y = _solve(obj, y, prox_consts, counter)
         rows.append(TraceRow(0, counter.calls, prox_y.f_at_y, gap_of(prox_y.f_at_y), None))
         for t in range(1, params.T + 1):
             c = params.A(t - 1) * gamma / params.a(t)
-            result = _line_search(obj, y, z, line_search_params(c, delta, L, D), counter, prox_y)
+            result = _line_search(obj, y, z, search_consts.params(c), counter, prox_y,
+                                  prox_consts)
             x_t = result.x
             prox_x = result.prox
             y_new = prox_x.y
@@ -248,7 +272,7 @@ def run_accelerated(obj, x0, epsilon, counter, keep_iterates=False):
             z_new = ftrl_step(set_, x0, accumulated)
             # The prox at y_new instruments f(y-hat_t), is reused as the next
             # line search's endpoint oracle, and at t = T is the returned solution.
-            prox_y_new = _solve(obj, y_new, delta, counter)
+            prox_y_new = _solve(obj, y_new, prox_consts, counter)
             bound = 16.0 * L * D * D / (gamma * gamma * t * t)
             rows.append(TraceRow(t, counter.calls, prox_y_new.f_at_y,
                                  gap_of(prox_y_new.f_at_y), bound))

@@ -91,7 +91,7 @@ class Objective:
 def evaluate(obj, x, counter):
     """Query the oracle: return ``(f(x), grad f(x))`` and count one call."""
     x = as_point(x, obj.dimension)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise InvalidArgumentError("oracle query point must be finite")
     value, grad = obj.evaluator(x)
     counter.increment()

@@ -52,6 +52,24 @@ def iteration_cap(L, D, delta):
     return 100 * math.ceil(math.log2(max(L * D * D / delta, 4.0))) + 100
 
 
+class _ProxConstants:
+    """The parts of a prox solve that depend only on ``(obj, delta)``.
+
+    Built once per accelerated run, or once per public call, and shared by
+    every :func:`_solve` at that tolerance.
+    """
+
+    __slots__ = ("delta", "lam", "step", "threshold", "cap")
+
+    def __init__(self, obj, delta):
+        L = obj.smoothness_L
+        self.delta = delta
+        self.lam = default_lambda(obj)
+        self.step = 1.0 / (3.0 * L)
+        self.threshold = math.sqrt(2.0 * L * delta) / 3.0
+        self.cap = iteration_cap(L, obj.feasible_set.diameter(), delta)
+
+
 def solve_prox_subproblem(obj, x, delta, counter):
     """Minimize ``f(y) + ||y - x||^2/(2 lam)`` over the feasible set to accuracy delta.
 
@@ -67,24 +85,26 @@ def solve_prox_subproblem(obj, x, delta, counter):
         raise InvalidArgumentError("prox tolerance delta must be positive")
     if not obj.feasible_set.contains(x, MEMBERSHIP_TOL):
         raise PreconditionError("prox query point must be feasible")
-    return _solve(obj, x, delta, counter)
+    return _solve(obj, x, _ProxConstants(obj, delta), counter)
 
 
-def _solve(obj, x, delta, counter):
-    """Body of :func:`solve_prox_subproblem` for a trusted feasible ``x`` and ``delta > 0``."""
+def _solve(obj, x, consts, counter):
+    """Body of :func:`solve_prox_subproblem` for a trusted feasible ``x``.
+
+    ``consts`` holds the step, threshold, ``lam`` and iteration cap, built by
+    ``_ProxConstants(obj, delta)`` for a ``delta > 0``.
+    """
     set_ = obj.feasible_set
-    L = obj.smoothness_L
-    lam = default_lambda(obj)
-    step = 1.0 / (3.0 * L)
-    threshold = math.sqrt(2.0 * L * delta) / 3.0
-    cap = iteration_cap(L, set_.diameter(), delta)
+    lam, step, threshold = consts.lam, consts.step, consts.threshold
 
     y = x.copy()
-    for k in range(cap):
+    for k in range(consts.cap):
         _, grad_f = evaluate(obj, y, counter)
         grad_subproblem = grad_f + (y - x) / lam
         y_next = set_.project(y - step * grad_subproblem)
-        mapping_norm = float(np.linalg.norm(y - y_next)) / step
+        d = y - y_next
+        # numpy's own formula for the 2-norm of a 1-D vector, without its wrapper.
+        mapping_norm = math.sqrt(d.dot(d)) / step
         if mapping_norm <= threshold:
             f_next = evaluate(obj, y_next, counter)[0]
             diff = y_next - x
@@ -93,14 +113,15 @@ def _solve(obj, x, delta, counter):
                 envelope_value=f_next + float(np.dot(diff, diff)) / (2.0 * lam),
                 envelope_gradient=(x - y_next) / lam,
                 inner_iterations=k + 1,
-                certified_delta=(9.0 / (2.0 * L)) * mapping_norm**2,
+                certified_delta=(9.0 / (2.0 * obj.smoothness_L)) * mapping_norm**2,
                 f_at_y=f_next,
             )
         y = y_next
     raise NumericalFailureError(
-        f"prox subproblem did not reach tolerance {delta:g} within {cap} iterations",
+        f"prox subproblem did not reach tolerance {consts.delta:g} "
+        f"within {consts.cap} iterations",
         last_iterate=y,
-        diagnostics={"cap": cap, "delta": delta, "threshold": threshold},
+        diagnostics={"cap": consts.cap, "delta": consts.delta, "threshold": threshold},
     )
 
 

@@ -95,7 +95,8 @@ class Box(FeasibleSet):
 
     def project(self, x):
         x = as_point(x, self.dimension)
-        return np.clip(x, self.lower, self.upper)
+        # The same bits as np.clip (NaN propagates), without its Python wrapper.
+        return np.minimum(np.maximum(x, self.lower), self.upper)
 
     def lmo(self, g):
         # Per-coordinate: negative gradient picks the upper face, otherwise the

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import qopt.accel
 from qopt import (
     Box,
     InvalidArgumentError,
@@ -231,3 +232,59 @@ class TestRunAccelerated:
     def test_glm_converges(self, glm, counter):
         trace = run_accelerated(glm, np.array([0.0, 0.0]), 1e-3, counter)
         assert trace.final_gap <= 1e-3
+
+    def test_solver_constants_built_once_per_run(self, example1, monkeypatch):
+        calls = []
+        diameter = Box.diameter
+
+        def counted(self):
+            calls.append(1)
+            return diameter(self)
+
+        monkeypatch.setattr(Box, "diameter", counted)
+        counts, outer = [], []
+        for eps in (1e-2, 1e-3):
+            calls.clear()
+            trace = run_accelerated(example1, np.array([5.0]), eps, OracleCounter())
+            counts.append(len(calls))
+            outer.append(trace.header["params"]["T"])
+        assert outer[0] < outer[1]
+        assert counts[0] == counts[1]
+
+    def test_line_search_params_match_public_builder(self, example1, monkeypatch):
+        recorded = []
+        line_search = qopt.accel._line_search
+
+        def recording(obj, y, z, params, *rest):
+            recorded.append(params)
+            return line_search(obj, y, z, params, *rest)
+
+        monkeypatch.setattr(qopt.accel, "_line_search", recording)
+        trace = run_accelerated(example1, np.array([5.0]), 1e-2, OracleCounter(),
+                                keep_iterates=True)
+        params = trace.header["params"]
+        assert len(recorded) == len(trace.iterates) == params["T"]
+        for it, used in zip(trace.iterates, recorded):
+            assert used == line_search_params(it.c, params["delta"], params["L"], params["D"])
+        with pytest.raises(InvalidArgumentError):
+            line_search_params(-1e-12, params["delta"], params["L"], params["D"])
+
+    def test_nan_gradient_stops_the_run(self, quadratic):
+        # A NaN must propagate through the projection to the oracle's
+        # finiteness check, which stops the run at the next query. Without the
+        # check the prox would still fail, but only at its iteration cap; a
+        # clamping projection would not fail at all.
+        calls = []
+
+        def evaluator(x):
+            calls.append(1)
+            value, grad = quadratic.evaluator(x)
+            return value, grad if len(calls) < 5 else np.full_like(grad, np.nan)
+
+        obj = Objective(name="nan-gradient", evaluator=evaluator,
+                        smoothness_L=quadratic.smoothness_L,
+                        quasar_gamma=quadratic.quasar_gamma,
+                        feasible_set=quadratic.feasible_set)
+        with pytest.raises((InvalidArgumentError, NumericalFailureError)):
+            run_accelerated(obj, np.array([1.0, 1.0]), 1e-2, OracleCounter())
+        assert len(calls) == 5

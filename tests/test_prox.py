@@ -15,6 +15,7 @@ from qopt import (
     check_prox_conditioning,
     default_lambda,
     make_catalogue_objective,
+    run_accelerated,
     solve_prox_subproblem,
 )
 from qopt.prox import (
@@ -96,10 +97,25 @@ class TestSolveProx:
             quasar_gamma=1.0,
             feasible_set=base.feasible_set,
         )
+        delta = 1e-6
         with pytest.raises(NumericalFailureError) as excinfo:
-            solve_prox_subproblem(bad, np.array([0.5, 0.5]), 1e-6, counter)
+            solve_prox_subproblem(bad, np.array([0.5, 0.5]), delta, counter)
         assert excinfo.value.last_iterate is not None
         assert bad.feasible_set.contains(excinfo.value.last_iterate)
+        diagnostics = excinfo.value.diagnostics
+        D = bad.feasible_set.diameter()
+        assert diagnostics["cap"] == iteration_cap(bad.smoothness_L, D, delta)
+        assert diagnostics["delta"] == delta
+        assert diagnostics["threshold"] == math.sqrt(2.0 * bad.smoothness_L * delta) / 3.0
+
+        # The accelerated run shares one set of prox constants across its
+        # solves; the failure must still report that run's tolerance and cap.
+        with pytest.raises(NumericalFailureError) as excinfo:
+            run_accelerated(bad, np.array([0.5, 0.5]), 1e-2, OracleCounter())
+        run_delta = excinfo.value.partial_trace.header["params"]["delta"]
+        run_cap = iteration_cap(bad.smoothness_L, D, run_delta)
+        failure = excinfo.value.partial_trace.failure
+        assert f"tolerance {run_delta:g} within {run_cap} iterations" in failure
 
 
 class TestMoreauOps:

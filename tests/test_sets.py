@@ -65,6 +65,25 @@ class TestProjection:
         ball = Ball([1.0, 0.0], 1.0)
         np.testing.assert_allclose(ball.project([3.0, 0.0]), [2.0, 0.0])
 
+    @pytest.mark.parametrize("dim", [1, 5, 30_000])
+    def test_box_matches_clip_on_random_points(self, dim, rng):
+        lower = rng.uniform(-2.0, 0.0, dim)
+        box = Box(lower, lower + rng.uniform(0.5, 2.0, dim))
+        for _ in range(20):
+            x = rng.uniform(-4.0, 4.0, dim)
+            assert box.project(x).tobytes() == np.clip(x, box.lower, box.upper).tobytes()
+
+    def test_box_matches_clip_on_edge_values(self):
+        # Bounds of +0.0 and -0.0 on both sides, points on a face, signed
+        # zeros, infinities and NaN; np.clip is the reference bit pattern.
+        box = Box([-0.0, 0.0, -1.0, -1.0], [1.0, 1.0, 0.0, -0.0])
+        values = [0.0, -0.0, 1.0, -1.0, 0.5, np.inf, -np.inf, np.nan]
+        for x in itertools.product(values, repeat=4):
+            x = np.array(x)
+            expected = np.clip(x, box.lower, box.upper)
+            assert box.project(x).tobytes() == expected.tobytes()
+            np.testing.assert_array_equal(np.isnan(box.project(x)), np.isnan(x))
+
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidArgumentError):
             Box([-1, -1], [1, 1]).project([1.0, 2.0, 3.0])
