@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidArgumentError, PreconditionError
+from .errors import InvalidArgumentError, NumericalFailureError, PreconditionError
 from .objectives import evaluate
 from .sets import FEASIBILITY_TOL, as_point
 from .trace import Trace, TraceRow
@@ -51,43 +51,53 @@ def run_pgd(obj, x0, T, counter):
     set_ = obj.feasible_set
     eta = 1.0 / obj.smoothness_L
     gap = _gap_fn(obj)
-    rows = []
-    for t in range(T):
-        f, grad = evaluate(obj, x, counter)
-        rows.append(TraceRow(t, counter.calls, f, gap(f), None))
-        x = set_.project(x - eta * grad)
-    f, _ = evaluate(obj, x, counter)
-    rows.append(TraceRow(T, counter.calls, f, gap(f), None))
     header = {
         "algorithm": "pgd",
         "objective": obj.name,
         "set": set_.to_spec(),
         "params": {"T": T, "eta": eta},
-        "x0": as_point(x0).tolist(),
+        "x0": x.tolist(),
     }
+    rows = []
+    try:
+        for t in range(T):
+            f, grad = evaluate(obj, x, counter)
+            rows.append(TraceRow(t, counter.calls, f, gap(f), None))
+            x = set_.project(x - eta * grad)
+        f, _ = evaluate(obj, x, counter)
+        rows.append(TraceRow(T, counter.calls, f, gap(f), None))
+    except NumericalFailureError as exc:
+        exc.partial_trace = Trace(header=header, rows=rows, failure=str(exc))
+        raise
     return Trace(header=header, rows=rows, solution=x)
 
 
 def run_frank_wolfe(obj, x0, T, counter):
-    """T Frank-Wolfe steps with the open-loop schedule ``x <- t/(t+2) x + 2/(t+2) v``."""
-    x = _require_feasible(obj, x0, "x0")
+    """T Frank-Wolfe steps with the open-loop schedule ``x <- t/(t+2) x + 2/(t+2) v``.
+
+    The iterate is updated in place on a private copy of ``x0``.
+    """
+    x = _require_feasible(obj, x0, "x0").copy()
     set_ = obj.feasible_set
     gap = _gap_fn(obj)
-    rows = []
-    for t in range(T):
-        f, grad = evaluate(obj, x, counter)
-        rows.append(TraceRow(t, counter.calls, f, gap(f), None))
-        v = set_.lmo(grad)
-        x = (t / (t + 2)) * x + (2.0 / (t + 2)) * v
-    f, _ = evaluate(obj, x, counter)
-    rows.append(TraceRow(T, counter.calls, f, gap(f), None))
     header = {
         "algorithm": "frank_wolfe",
         "objective": obj.name,
         "set": set_.to_spec(),
         "params": {"T": T},
-        "x0": as_point(x0).tolist(),
+        "x0": x.tolist(),
     }
+    rows = []
+    try:
+        for t in range(T):
+            f, grad = evaluate(obj, x, counter)
+            rows.append(TraceRow(t, counter.calls, f, gap(f), None))
+            set_._step_toward_vertex(x, grad, t / (t + 2), 2.0 / (t + 2))
+        f, _ = evaluate(obj, x, counter)
+        rows.append(TraceRow(T, counter.calls, f, gap(f), None))
+    except NumericalFailureError as exc:
+        exc.partial_trace = Trace(header=header, rows=rows, failure=str(exc))
+        raise
     return Trace(header=header, rows=rows, solution=x)
 
 
@@ -156,11 +166,12 @@ def check_mapping_descent(obj, trials=1000, seed=0, tol=1e-10):
 def check_fw_feasibility_and_weights(obj, x0, T, tol=1e-10, weight_tol=1e-12):
     """Replay Frank-Wolfe checking iterate feasibility and the weight identity.
 
-    The running-average form ``(A_{t-1} x_t + a_t v_t) / A_t`` with
-    ``a_t = 2t + 2`` must match the open-loop form ``t/(t+2) x + 2/(t+2) v``.
+    ``x`` takes the solver's own step, ``set_._step_toward_vertex``; the
+    running-average form ``(A_{t-1} x_t + a_t v_t) / A_t`` with ``a_t = 2t + 2``
+    and the dense vertex ``v_t = lmo(grad)`` must match it.
     """
     set_ = obj.feasible_set
-    x = _require_feasible(obj, x0, "x0")
+    x = _require_feasible(obj, x0, "x0").copy()
     x_avg = x.copy()
     worst_dist = 0.0
     worst_weight = 0.0
@@ -171,7 +182,7 @@ def check_fw_feasibility_and_weights(obj, x0, T, tol=1e-10, weight_tol=1e-12):
         a_t = 2.0 * t + 2.0
         A_t = A_prev + a_t
         assert A_t == (t + 1) * (t + 2)
-        x = (t / (t + 2)) * x + (2.0 / (t + 2)) * v
+        set_._step_toward_vertex(x, grad, t / (t + 2), 2.0 / (t + 2))
         x_avg = (A_prev * x_avg + a_t * v) / A_t
         worst_weight = max(worst_weight, float(np.abs(x - x_avg).max()))
         worst_dist = max(worst_dist, set_.distance(x))

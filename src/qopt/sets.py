@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, NumericalFailureError
 
 #: Default tolerance of :meth:`FeasibleSet.contains`; the prox, the line
 #: search, ``run_accelerated`` and objective centers are checked against it.
@@ -45,6 +45,11 @@ class FeasibleSet:
 
     def lmo(self, g):
         raise NotImplementedError
+
+    def _step_toward_vertex(self, x, g, keep, weight):
+        """Frank-Wolfe step in place on a trusted array: ``x <- keep x + weight lmo(g)``."""
+        x *= keep
+        x += weight * self.lmo(g)
 
     def diameter(self):
         raise NotImplementedError
@@ -186,16 +191,27 @@ class Simplex(FeasibleSet):
         if not scale > 0:
             raise InvalidArgumentError("simplex scale must be positive")
         self.scale = float(scale)
+        self._idx = np.arange(1.0, self.dimension + 1.0)
 
     def project(self, x):
         # Sort-based projection; terminates exactly after one sort and one scan.
+        # The descending cumsum fixes tau's bits; the rest reuses one buffer.
         v = as_point(x, self.dimension)
         u = np.sort(v)[::-1]
         css = np.cumsum(u)
-        idx = np.arange(1, self.dimension + 1)
-        rho = idx[u - (css - self.scale) / idx > 0][-1]
+        buf = css - self.scale
+        buf /= self._idx
+        np.subtract(u, buf, out=buf)
+        active = buf > 0
+        last = int(active[::-1].argmax())
+        if not active[-1 - last]:
+            raise NumericalFailureError(
+                "simplex projection found no active coordinate; the point is not finite "
+                "or too large to project")
+        rho = self.dimension - last
         tau = (css[rho - 1] - self.scale) / rho
-        return np.maximum(v - tau, 0.0)
+        np.subtract(v, tau, out=buf)
+        return np.maximum(buf, 0.0, out=buf)
 
     def lmo(self, g):
         g = as_point(g, self.dimension)
@@ -203,6 +219,12 @@ class Simplex(FeasibleSet):
         # np.argmin returns the first occurrence: ties break to the lowest index.
         out[int(np.argmin(g))] = self.scale
         return out
+
+    def _step_toward_vertex(self, x, g, keep, weight):
+        # The vertex scale * e_i has one nonzero entry; adding weight * 0.0
+        # elsewhere would not change a bit (apart from the sign of a zero).
+        x *= keep
+        x[np.argmin(g)] += weight * self.scale
 
     def diameter(self):
         # Largest pairwise distance between vertices scale * e_i.

@@ -4,8 +4,10 @@ import pytest
 from qopt import (
     Box,
     InvalidArgumentError,
+    NumericalFailureError,
     OracleCounter,
     PreconditionError,
+    Simplex,
     attach_rate_bounds,
     gradient_mapping,
     make_catalogue_objective,
@@ -67,6 +69,16 @@ class TestPGD:
         calls = trace.column("oracle_calls")
         assert np.all(np.diff(calls) > 0)
 
+    def test_projection_failure_keeps_the_rows_so_far(self, counter):
+        obj = make_catalogue_objective("affine_plus_quadratic", {
+            "set": {"kind": "simplex", "dimension": 3}, "a": [1e300, -1e300, 0.0], "q": 0.0})
+        with pytest.raises(NumericalFailureError, match="simplex projection") as info:
+            run_pgd(obj, np.array([1.0, 0.0, 0.0]), 5, counter)
+        partial = info.value.partial_trace
+        assert [row.iteration for row in partial.rows] == [0]
+        assert partial.header["algorithm"] == "pgd"
+        assert "simplex projection" in partial.failure
+
     def test_infeasible_start_rejected(self, example1, counter):
         with pytest.raises(PreconditionError):
             run_pgd(example1, np.array([9.0]), 5, counter)
@@ -94,6 +106,47 @@ class TestFrankWolfe:
             x = (t / (t + 2)) * x + (2 / (t + 2)) * v
         np.testing.assert_allclose(trace.solution, x, atol=1e-15)
 
+    def test_rows_match_dense_vertex_update_bytes(self, rng):
+        # The one-entry simplex step must give the same f values, bit for bit,
+        # as combining x with the dense LMO vertex.
+        obj = make_catalogue_objective("quadratic", {
+            "set": {"kind": "simplex", "dimension": 50}, "shift": rng.normal(size=50).tolist()})
+        x0 = obj.feasible_set.sample(rng)[0]
+        trace = run_frank_wolfe(obj, x0, 200, OracleCounter())
+        x, values = x0.copy(), []
+        for t in range(200):
+            f, grad = obj.evaluator(x)
+            values.append(f)
+            x = (t / (t + 2)) * x + (2.0 / (t + 2)) * obj.feasible_set.lmo(grad)
+        values.append(obj.evaluator(x)[0])
+        assert trace.column("f_value").tobytes() == np.array(values).tobytes()
+        assert trace.solution.tobytes() == x.tobytes()
+
+    def test_caller_x0_untouched(self, counter):
+        obj = simplex_quadratic()
+        x0 = np.array([0.2, 0.3, 0.5])
+        trace = run_frank_wolfe(obj, x0, 10, counter)
+        check_fw_feasibility_and_weights(obj, x0, 10)
+        np.testing.assert_array_equal(x0, [0.2, 0.3, 0.5])
+        assert trace.header["x0"] == [0.2, 0.3, 0.5]
+
+    def test_step_failure_keeps_the_rows_so_far(self, counter, monkeypatch):
+        calls = {"n": 0}
+        step = Simplex._step_toward_vertex
+
+        def failing_third_step(self, x, g, keep, weight):
+            calls["n"] += 1
+            if calls["n"] == 3:
+                raise NumericalFailureError("synthetic step failure")
+            step(self, x, g, keep, weight)
+
+        monkeypatch.setattr(Simplex, "_step_toward_vertex", failing_third_step)
+        with pytest.raises(NumericalFailureError) as info:
+            run_frank_wolfe(simplex_quadratic(), np.array([1.0, 0.0, 0.0]), 10, counter)
+        partial = info.value.partial_trace
+        assert [row.iteration for row in partial.rows] == [0, 1, 2]
+        assert partial.failure == "synthetic step failure"
+
     def test_start_at_interior_optimum_respects_bound(self, counter):
         obj = simplex_quadratic()
         trace = run_frank_wolfe(obj, obj.center, 500, counter)
@@ -109,6 +162,19 @@ class TestFrankWolfe:
         rep = check_fw_feasibility_and_weights(obj, np.array([1.0, 0.0, 0.0]), 500)
         assert rep["passed"]
         assert rep["max_weight_mismatch"] <= 1e-12
+
+    def test_weight_identity_replays_the_solver_step(self, monkeypatch):
+        steps = {"n": 0}
+        step = Simplex._step_toward_vertex
+
+        def counted(self, x, g, keep, weight):
+            steps["n"] += 1
+            step(self, x, g, keep, weight)
+
+        monkeypatch.setattr(Simplex, "_step_toward_vertex", counted)
+        rep = check_fw_feasibility_and_weights(simplex_quadratic(), np.array([1.0, 0.0, 0.0]), 40)
+        assert rep["passed"]
+        assert steps["n"] == 40
 
 
 class TestRateBounds:

@@ -1,9 +1,22 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qopt import ConfigError, NumericalFailureError, load_config, run_experiment, sweep, verify
+import qopt
+from qopt import (
+    ConfigError,
+    NumericalFailureError,
+    available_checks,
+    load_config,
+    run_experiment,
+    sweep,
+    verify,
+)
 from qopt.cli import main
 from qopt.harness import baseline_iterations, build_objective
 from qopt.trace import Trace, TraceRow, read_trace
@@ -264,6 +277,31 @@ class TestCLI:
         assert lines[-2].startswith("-1,")
         assert lines[-1].startswith("# numerical-failure")
 
+    def test_simplex_projection_failure_exits_3_with_rows_flushed(self, tmp_path, capsys):
+        out = tmp_path / "pgd.csv"
+        cfg = self.write_config(tmp_path, {
+            "algorithm": "pgd",
+            "objective": {"name": "affine_plus_quadratic",
+                          "params": {"set": {"kind": "simplex", "dimension": 3},
+                                     "a": [1e300, -1e300, 0.0], "q": 0.0}},
+            "x0": "vertex", "T": 5, "output_path": str(out)})
+        assert main(["run", cfg]) == 3
+        assert "simplex projection" in capsys.readouterr().err
+        lines = out.read_text().splitlines()
+        assert lines[2].startswith("0,1,")
+        assert lines[-2].startswith("-1,")
+        assert lines[-1].startswith("# numerical-failure: simplex projection")
+
+    def test_unprojectable_shift_exits_3(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, {
+            "algorithm": "pgd",
+            "objective": {"name": "quadratic",
+                          "params": {"set": {"kind": "simplex", "dimension": 3},
+                                     "shift": [1e300, 1e300, 1e300]}},
+            "x0": "vertex", "T": 5, "output_path": str(tmp_path / "o.csv")})
+        assert main(["run", cfg]) == 3
+        assert "simplex projection" in capsys.readouterr().err
+
     def test_verify_subcommand(self, capsys):
         assert main(["verify", "--suite", "trace_determinism"]) == 0
         out = capsys.readouterr().out
@@ -275,6 +313,15 @@ class TestCLI:
     def test_verify_list(self, capsys):
         assert main(["verify", "--list"]) == 0
         assert "accelerated_gap:example1" in capsys.readouterr().out
+
+    def test_python_dash_m_entry_point(self):
+        src = str(Path(qopt.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        done = subprocess.run([sys.executable, "-m", "qopt", "verify", "--list"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == available_checks()
 
     def test_sweep_subcommand(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, {"algorithm": "pgd", "objective": "example1",

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from qopt import Ball, Box, InvalidArgumentError, Simplex, set_from_spec
+from qopt import Ball, Box, InvalidArgumentError, NumericalFailureError, Simplex, set_from_spec
 from qopt.sets import as_point
 
 
@@ -15,6 +15,16 @@ def barycentric_grid(dim, scale, steps):
             rest = steps - sum(combo)
             pts.append(np.array(list(combo) + [rest]) * scale / steps)
     return np.array(pts)
+
+
+def sort_projection_reference(v, scale):
+    """The sort/cumsum/``idx[mask][-1]`` simplex projection whose bits are kept."""
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u)
+    idx = np.arange(1, v.shape[0] + 1)
+    rho = idx[u - (css - scale) / idx > 0][-1]
+    tau = (css[rho - 1] - scale) / rho
+    return np.maximum(v - tau, 0.0)
 
 
 class TestProjection:
@@ -84,6 +94,27 @@ class TestProjection:
             assert box.project(x).tobytes() == expected.tobytes()
             np.testing.assert_array_equal(np.isnan(box.project(x)), np.isnan(x))
 
+    @pytest.mark.parametrize("dim", [1, 3, 50, 30_000])
+    @pytest.mark.parametrize("scale", [1.0, 0.3, 7.0])
+    def test_simplex_matches_sort_reference(self, dim, scale, rng):
+        simplex = Simplex(dim, scale)
+        points = [np.zeros(dim), 1e3 * rng.normal(size=dim)]
+        for _ in range(3):
+            points.append(rng.normal(size=dim))
+            points.append(np.round(rng.normal(size=dim), 1))  # many ties
+        for v in points:
+            expected = sort_projection_reference(v, scale)
+            assert simplex.project(v).tobytes() == expected.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_simplex_non_finite_input_is_a_numerical_failure(self):
+        simplex = Simplex(3)
+        for v in ([np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0], [1e300, 1e300, 1e300]):
+            with pytest.raises(NumericalFailureError, match="simplex projection"):
+                simplex.project(np.array(v))
+        np.testing.assert_array_equal(simplex.project(np.array([-np.inf, 0.0, 0.0])),
+                                      [0.0, 0.5, 0.5])
+
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidArgumentError):
             Box([-1, -1], [1, 1]).project([1.0, 2.0, 3.0])
@@ -130,6 +161,27 @@ class TestLMO:
             g = rng.normal(size=dim)
             assert g @ box.lmo(g) <= (box_vertices @ g).min() + 1e-12
             assert g @ simplex.lmo(g) <= (simplex_vertices @ g).min() + 1e-12
+
+
+class TestStepTowardVertex:
+    @pytest.mark.parametrize("set_", [
+        Box([-1.0, -2.0, 0.0], [1.0, 0.5, 3.0]),
+        Ball([0.5, -1.0, 2.0], 1.5),
+        Simplex(3, 2.0),
+        Simplex(50),
+    ], ids=["box", "ball", "simplex3", "simplex50"])
+    def test_matches_dense_vertex_combination(self, set_, rng):
+        d = set_.dimension
+        gradients = [np.zeros(d), np.ones(d), np.round(rng.normal(size=d), 0)]
+        gradients += [rng.normal(size=d) for _ in range(5)]
+        for x in set_.sample(rng, 4):
+            for g in gradients:
+                for t in range(4):
+                    keep, weight = t / (t + 2), 2.0 / (t + 2)
+                    expected = keep * x + weight * set_.lmo(g)
+                    stepped = x.copy()
+                    set_._step_toward_vertex(stepped, g, keep, weight)
+                    assert stepped.tobytes() == expected.tobytes()
 
 
 class TestDiameter:
