@@ -272,7 +272,8 @@ def run_accelerated(obj, x0, epsilon, counter, keep_iterates=False):
             z_new = ftrl_step(set_, x0, accumulated)
             # The prox at y_new instruments f(y-hat_t), is reused as the next
             # line search's endpoint oracle, and at t = T is the returned solution.
-            prox_y_new = _solve(obj, y_new, prox_consts, counter)
+            # y_new is prox_x.y, so prox_x's last oracle query already gave its gradient.
+            prox_y_new = _solve(obj, y_new, prox_consts, counter, prox_x.grad_at_y)
             bound = 16.0 * L * D * D / (gamma * gamma * t * t)
             rows.append(TraceRow(t, counter.calls, prox_y_new.f_at_y,
                                  gap_of(prox_y_new.f_at_y), bound))

@@ -34,7 +34,7 @@ from .baselines import attach_rate_bounds, run_frank_wolfe, run_pgd
 from .errors import ConfigError, InvalidArgumentError, NumericalFailureError, PreconditionError
 from .objectives import OracleCounter, make_catalogue_objective
 from .sets import FEASIBILITY_TOL, as_point
-from .trace import write_trace
+from .trace import Trace, write_trace
 
 ALGORITHMS = ("accelerated", "pgd", "frank_wolfe")
 
@@ -172,12 +172,14 @@ def run_experiment(config, output_path=None):
     """
     if not isinstance(config, ExperimentConfig):
         config = load_config(config)
-    obj = build_objective(config)
-    x0 = resolve_x0(obj.feasible_set, config.x0)
     counter = OracleCounter()
     path = output_path or config.output_path
 
     try:
+        # Building the objective can fail numerically too (an unprojectable
+        # center); that failure flushes a header-only trace.
+        obj = build_objective(config)
+        x0 = resolve_x0(obj.feasible_set, config.x0)
         if config.algorithm == "accelerated":
             trace = run_accelerated(obj, x0, config.epsilon, counter)
         elif config.algorithm == "pgd":
@@ -188,7 +190,9 @@ def run_experiment(config, output_path=None):
         raise ConfigError("x0", str(exc)) from exc
     except NumericalFailureError as exc:
         partial = getattr(exc, "partial_trace", None)
-        if partial is not None and path is not None:
+        if partial is None:
+            partial = Trace(header={}, rows=[], failure=str(exc))
+        if path is not None:
             partial.header["config"] = config.raw
             partial.header["seed"] = config.seed
             write_trace(partial, path)

@@ -40,6 +40,7 @@ class ProxResult:
     inner_iterations: int
     certified_delta: float
     f_at_y: float
+    grad_at_y: np.ndarray
 
 
 def default_lambda(obj):
@@ -88,25 +89,29 @@ def solve_prox_subproblem(obj, x, delta, counter):
     return _solve(obj, x, _ProxConstants(obj, delta), counter)
 
 
-def _solve(obj, x, consts, counter):
+def _solve(obj, x, consts, counter, grad_at_x=None):
     """Body of :func:`solve_prox_subproblem` for a trusted feasible ``x``.
 
     ``consts`` holds the step, threshold, ``lam`` and iteration cap, built by
-    ``_ProxConstants(obj, delta)`` for a ``delta > 0``.
+    ``_ProxConstants(obj, delta)`` for a ``delta > 0``.  A given ``grad_at_x``
+    must be the oracle's gradient at exactly ``x``; the first inner iteration
+    uses it instead of querying the oracle again.
     """
     set_ = obj.feasible_set
     lam, step, threshold = consts.lam, consts.step, consts.threshold
 
     y = x.copy()
+    grad_f = evaluate(obj, y, counter)[1] if grad_at_x is None else grad_at_x
     for k in range(consts.cap):
-        _, grad_f = evaluate(obj, y, counter)
         grad_subproblem = grad_f + (y - x) / lam
         y_next = set_.project(y - step * grad_subproblem)
+        # Every iterate is queried once: its gradient drives the next step or,
+        # at exit, is handed back as ``grad_at_y`` for the caller to reuse.
+        f_next, grad_f = evaluate(obj, y_next, counter)
         d = y - y_next
         # numpy's own formula for the 2-norm of a 1-D vector, without its wrapper.
         mapping_norm = math.sqrt(d.dot(d)) / step
         if mapping_norm <= threshold:
-            f_next = evaluate(obj, y_next, counter)[0]
             diff = y_next - x
             return ProxResult(
                 y=y_next,
@@ -115,6 +120,7 @@ def _solve(obj, x, consts, counter):
                 inner_iterations=k + 1,
                 certified_delta=(9.0 / (2.0 * obj.smoothness_L)) * mapping_norm**2,
                 f_at_y=f_next,
+                grad_at_y=grad_f,
             )
         y = y_next
     raise NumericalFailureError(

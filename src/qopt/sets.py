@@ -198,10 +198,14 @@ class Simplex(FeasibleSet):
         # The descending cumsum fixes tau's bits; the rest reuses one buffer.
         v = as_point(x, self.dimension)
         u = np.sort(v)[::-1]
-        css = np.cumsum(u)
-        buf = css - self.scale
-        buf /= self._idx
-        np.subtract(u, buf, out=buf)
+        # An infinite or overflowing entry makes inf - inf here.  The NaN it
+        # leaves is never active: a -inf entry still projects and anything
+        # else raises below, so numpy's warnings about it are noise.
+        with np.errstate(invalid="ignore", over="ignore"):
+            css = np.cumsum(u)
+            buf = css - self.scale
+            buf /= self._idx
+            np.subtract(u, buf, out=buf)
         active = buf > 0
         last = int(active[::-1].argmax())
         if not active[-1 - last]:

@@ -269,6 +269,34 @@ class TestRunAccelerated:
         with pytest.raises(InvalidArgumentError):
             line_search_params(-1e-12, params["delta"], params["L"], params["D"])
 
+    @pytest.mark.parametrize("name,x0", [("example1", [5.0]), ("quadratic", [1.0, 1.0])])
+    def test_no_prox_solve_repeats_the_previous_query(self, name, x0, monkeypatch):
+        # The prox at y_t reuses the gradient that the prox producing y_t
+        # ended with, so it never re-queries y_t.  (Inside one solve, a
+        # converging step that lands exactly where it started is still
+        # queried again; the quadratic's exact steps do that.)
+        base = make_catalogue_objective(name)
+        queries, starts = [], []
+
+        def audited(x):
+            queries.append(np.array(x, dtype=float).tobytes())
+            return base.evaluator(x)
+
+        solve = qopt.accel._solve
+
+        def recording(*args):
+            starts.append(len(queries))
+            return solve(*args)
+
+        monkeypatch.setattr(qopt.accel, "_solve", recording)
+        obj = Objective(name=name, evaluator=audited, smoothness_L=base.smoothness_L,
+                        quasar_gamma=base.quasar_gamma, feasible_set=base.feasible_set)
+        counter = OracleCounter()
+        trace = run_accelerated(obj, np.array(x0), 1e-2, counter)
+        assert trace.final_oracle_calls == counter.calls == len(queries)
+        repeated = [i for i in starts[1:] if queries[i] == queries[i - 1]]
+        assert repeated == []
+
     def test_nan_gradient_stops_the_run(self, quadratic):
         # A NaN must propagate through the projection to the oracle's
         # finiteness check, which stops the run at the next query. Without the

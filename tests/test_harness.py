@@ -302,6 +302,22 @@ class TestCLI:
         assert main(["run", cfg]) == 3
         assert "simplex projection" in capsys.readouterr().err
 
+    def test_unprojectable_shift_flushes_header_only_trace(self, tmp_path, capsys):
+        raw = {"algorithm": "accelerated",
+               "objective": {"name": "quadratic",
+                             "params": {"set": {"kind": "simplex", "dimension": 3},
+                                        "shift": [1e300, 1e300, 1e300]}},
+               "x0": "vertex", "epsilon": 1e-2, "seed": 4}
+        out = tmp_path / "bad.csv"
+        assert main(["run", self.write_config(tmp_path, raw), "--output", str(out)]) == 3
+        assert out.exists()
+        parsed = read_trace(out)
+        assert parsed.header == {"config": raw, "seed": 4}
+        assert "simplex projection" in parsed.failure
+        assert parsed.rows == []
+        assert out.read_text().splitlines()[1:3] == ["iter,oracle_calls,f,gap,bound",
+                                                     "-1,0,nan,,"]
+
     def test_verify_subcommand(self, capsys):
         assert main(["verify", "--suite", "trace_determinism"]) == 0
         out = capsys.readouterr().out

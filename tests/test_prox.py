@@ -18,7 +18,10 @@ from qopt import (
     run_accelerated,
     solve_prox_subproblem,
 )
+from qopt.objectives import evaluate, sample_feasible
 from qopt.prox import (
+    _ProxConstants,
+    _solve,
     check_envelope_smoothness,
     check_gradient_error_bound,
     check_stopping_soundness,
@@ -116,6 +119,31 @@ class TestSolveProx:
         run_cap = iteration_cap(bad.smoothness_L, D, run_delta)
         failure = excinfo.value.partial_trace.failure
         assert f"tolerance {run_delta:g} within {run_cap} iterations" in failure
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("name,params", [
+        ("example1", {}),
+        ("glm_sigmoid", {}),
+        ("quadratic", {}),
+        ("quadratic", {"set": {"kind": "ball", "center": [2.0, 0.0], "radius": 1.0}}),
+        ("quadratic", {"set": {"kind": "simplex", "dimension": 3}}),
+    ])
+    def test_given_gradient_replaces_the_first_query(self, name, params):
+        obj = make_catalogue_objective(name, params)
+        consts = _ProxConstants(obj, 1e-9)
+        for x in sample_feasible(obj.feasible_set, 5, seed=7):
+            cold_counter, warm_counter = OracleCounter(), OracleCounter()
+            cold = _solve(obj, x, consts, cold_counter)
+            grad_at_x = evaluate(obj, x, OracleCounter())[1]
+            warm = _solve(obj, x, consts, warm_counter, grad_at_x=grad_at_x)
+            assert warm_counter.calls == cold_counter.calls - 1
+            expected = np.asarray(obj.evaluator(cold.y)[1], dtype=float).tobytes()
+            assert cold.grad_at_y.tobytes() == expected
+            for field in ("y", "envelope_value", "envelope_gradient", "f_at_y",
+                          "inner_iterations", "certified_delta", "grad_at_y"):
+                assert (np.asarray(getattr(warm, field)).tobytes()
+                        == np.asarray(getattr(cold, field)).tobytes()), field
 
 
 class TestMoreauOps:

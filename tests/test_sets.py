@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -106,7 +107,6 @@ class TestProjection:
             expected = sort_projection_reference(v, scale)
             assert simplex.project(v).tobytes() == expected.tobytes()
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_simplex_non_finite_input_is_a_numerical_failure(self):
         simplex = Simplex(3)
         for v in ([np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0], [1e300, 1e300, 1e300]):
@@ -114,6 +114,16 @@ class TestProjection:
                 simplex.project(np.array(v))
         np.testing.assert_array_equal(simplex.project(np.array([-np.inf, 0.0, 0.0])),
                                       [0.0, 0.5, 0.5])
+
+    def test_simplex_projection_leaks_no_numpy_warning(self):
+        simplex = Simplex(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for v in ([np.inf, 0.0, 0.0], [1e308, 1e308, 0.0]):
+                with pytest.raises(NumericalFailureError, match="simplex projection"):
+                    simplex.project(np.array(v))
+            np.testing.assert_array_equal(simplex.project(np.array([-np.inf, 0.0, 0.0])),
+                                          [0.0, 0.5, 0.5])
 
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidArgumentError):
