@@ -209,26 +209,23 @@ def ftrl_step(set_, x0, accumulated):
 
 @dataclass
 class AccelIterate:
-    """Per-iteration payload kept for post-hoc certificate checks."""
+    """One outer iteration's line-search inputs and outcome, handed to an observer."""
 
-    t: int
     c: float
-    alpha: float
     loop_iterations: int
     x: np.ndarray
     y_prev: np.ndarray
     z_prev: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
 
 
-def run_accelerated(obj, x0, epsilon, counter, keep_iterates=False):
+def run_accelerated(obj, x0, epsilon, counter, observer=None):
     """Run the accelerated method to target accuracy ``epsilon``.
 
     Returns a :class:`Trace` whose rows record, at every outer iteration, the
     objective value of the current candidate solution (the delta-prox of
     ``y_t``) together with the certified-gap envelope ``16 L D^2 / (gamma t)^2``.
-    The trace ``solution`` is the final candidate.
+    The trace ``solution`` is the final candidate.  A given ``observer`` is
+    called once per outer iteration with that iteration's :class:`AccelIterate`.
     """
     if not epsilon > 0:
         raise InvalidArgumentError("epsilon must be positive")
@@ -254,7 +251,6 @@ def run_accelerated(obj, x0, epsilon, counter, keep_iterates=False):
     z = x0.copy()
     accumulated = np.zeros_like(x0)
     rows = []
-    iterates = [] if keep_iterates else None
     prox_consts = _ProxConstants(obj, delta)
     search_consts = _LineSearchConstants(delta, L, D)
 
@@ -265,7 +261,6 @@ def run_accelerated(obj, x0, epsilon, counter, keep_iterates=False):
             c = params.A(t - 1) * gamma / params.a(t)
             result = _line_search(obj, y, z, search_consts.params(c), counter, prox_y,
                                   prox_consts)
-            x_t = result.x
             prox_x = result.prox
             y_new = prox_x.y
             accumulated = accumulated + (params.a(t) / gamma) * prox_x.envelope_gradient
@@ -277,42 +272,43 @@ def run_accelerated(obj, x0, epsilon, counter, keep_iterates=False):
             bound = 16.0 * L * D * D / (gamma * gamma * t * t)
             rows.append(TraceRow(t, counter.calls, prox_y_new.f_at_y,
                                  gap_of(prox_y_new.f_at_y), bound))
-            if keep_iterates:
-                iterates.append(AccelIterate(t=t, c=c, alpha=result.alpha,
-                                             loop_iterations=result.loop_iterations,
-                                             x=x_t, y_prev=y, z_prev=z,
-                                             y=y_new, z=z_new))
+            if observer is not None:
+                observer(AccelIterate(c, result.loop_iterations, result.x, y, z))
             y, z, prox_y = y_new, z_new, prox_y_new
     except NumericalFailureError as exc:
         exc.partial_trace = Trace(header=header, rows=rows, failure=str(exc))
         raise
 
-    return Trace(header=header, rows=rows, solution=prox_y.y, iterates=iterates)
+    return Trace(header=header, rows=rows, solution=prox_y.y)
 
 
-def check_linesearch_certificates(obj, trace, accuracy_factor=1e4):
-    """Post-hoc audit of every line-search call of an accelerated run.
+#: How many times tighter than the run's delta the certificate audit solves each prox.
+CERTIFICATE_ACCURACY_FACTOR = 1e4
 
-    Re-evaluates the envelope at ``x_t`` and ``y_{t-1}`` with a prox
-    ``accuracy_factor`` times tighter than the run's delta and verifies
+
+def check_linesearch_certificates(obj, x0, epsilon):
+    """Audit every line-search call of the accelerated run from ``x0`` at ``epsilon``.
+
+    Observes the run and re-evaluates the envelope at each ``x_t`` and
+    ``y_{t-1}`` with a prox ``CERTIFICATE_ACCURACY_FACTOR`` times tighter than
+    the run's delta, verifying
 
         <grad M~(x_t), x_t - z_{t-1}> - c (M~(y_{t-1}) - M~(x_t))
             <= sqrt(8 L D^2 delta) + (9 + 5 c) delta + 1e-9,
 
     along with the halving budget ``ceil(log2(8 L D^2 / delta))``.
-    Requires a trace produced with ``keep_iterates=True``.
     """
-    if trace.iterates is None:
-        raise InvalidArgumentError("trace was not recorded with keep_iterates=True")
+    iterates = []
+    trace = run_accelerated(obj, x0, epsilon, OracleCounter(), observer=iterates.append)
     params = trace.header["params"]
     L, D, delta = params["L"], params["D"], params["delta"]
-    fine = delta / accuracy_factor
+    fine = delta / CERTIFICATE_ACCURACY_FACTOR
     counter = OracleCounter()
     base_budget = math.sqrt(8.0 * L * D * D * delta)
     loop_bound = math.ceil(math.log2(max(8.0 * L * D * D / delta, 2.0)))
     worst_excess = -np.inf
     max_loops = 0
-    for it in trace.iterates:
+    for it in iterates:
         at_x = solve_prox_subproblem(obj, it.x, fine, counter)
         at_y = solve_prox_subproblem(obj, it.y_prev, fine, counter)
         lhs = float(np.dot(at_x.envelope_gradient, it.x - it.z_prev))
@@ -324,6 +320,6 @@ def check_linesearch_certificates(obj, trace, accuracy_factor=1e4):
         "max_excess": float(worst_excess),
         "max_loops": max_loops,
         "loop_bound": loop_bound,
-        "calls": len(trace.iterates),
+        "calls": len(iterates),
         "passed": bool(worst_excess <= 0.0 and max_loops <= loop_bound),
     }

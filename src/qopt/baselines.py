@@ -19,9 +19,17 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalFailureError, PreconditionError
-from .objectives import evaluate
+from .objectives import OracleCounter, evaluate
 from .sets import FEASIBILITY_TOL, as_point
 from .trace import Trace, TraceRow
+
+#: The rate-envelope constant of each baseline (see the module docstring).
+RATE_CONSTANTS = {"pgd": 20.0, "frank_wolfe": 6.0}
+#: Slack of the gradient-mapping inequality and descent checks.
+MAPPING_TOL = 1e-10
+#: Frank-Wolfe iterate infeasibility and weight-identity tolerances.
+FW_FEASIBILITY_TOL = 1e-10
+FW_WEIGHT_TOL = 1e-12
 
 
 def _require_feasible(obj, x, name="x"):
@@ -72,10 +80,13 @@ def run_pgd(obj, x0, T, counter):
     return Trace(header=header, rows=rows, solution=x)
 
 
-def run_frank_wolfe(obj, x0, T, counter):
+def run_frank_wolfe(obj, x0, T, counter, observer=None):
     """T Frank-Wolfe steps with the open-loop schedule ``x <- t/(t+2) x + 2/(t+2) v``.
 
-    The iterate is updated in place on a private copy of ``x0``.
+    The iterate is updated in place on a private copy of ``x0``.  A given
+    ``observer`` is called as ``observer(t, x, grad)`` right after the oracle
+    query of each trace row, t = 0..T.  ``x`` is the solver's own array: the
+    next step mutates it in place, so an observer that keeps it must copy it.
     """
     x = _require_feasible(obj, x0, "x0").copy()
     set_ = obj.feasible_set
@@ -89,12 +100,13 @@ def run_frank_wolfe(obj, x0, T, counter):
     }
     rows = []
     try:
-        for t in range(T):
+        for t in range(T + 1):
             f, grad = evaluate(obj, x, counter)
             rows.append(TraceRow(t, counter.calls, f, gap(f), None))
-            set_._step_toward_vertex(x, grad, t / (t + 2), 2.0 / (t + 2))
-        f, _ = evaluate(obj, x, counter)
-        rows.append(TraceRow(T, counter.calls, f, gap(f), None))
+            if observer is not None:
+                observer(t, x, grad)
+            if t < T:
+                set_._step_toward_vertex(x, grad, t / (t + 2), 2.0 / (t + 2))
     except NumericalFailureError as exc:
         exc.partial_trace = Trace(header=header, rows=rows, failure=str(exc))
         raise
@@ -108,12 +120,9 @@ def attach_rate_bounds(trace, L, gamma, D):
     themselves are gamma-free.
     """
     algorithm = trace.header.get("algorithm")
-    if algorithm == "pgd":
-        constant = 20.0
-    elif algorithm == "frank_wolfe":
-        constant = 6.0
-    else:
+    if algorithm not in RATE_CONSTANTS:
         raise InvalidArgumentError(f"no rate envelope for algorithm '{algorithm}'")
+    constant = RATE_CONSTANTS[algorithm]
     for row in trace.rows:
         if row.iteration >= 1:
             row.bound = constant * L * D * D / ((row.iteration + 1) * gamma * gamma)
@@ -126,8 +135,8 @@ def attach_rate_bounds(trace, L, gamma, D):
 # -- property checks -----------------------------------------------------------
 
 
-def check_mapping_inequality(obj, trials=1000, seed=0, tol=1e-10):
-    """For random feasible (x, y): ``<grad f(x), x+ - y> <= <g(x), x+ - y> + tol``."""
+def check_mapping_inequality(obj, trials=1000, seed=0):
+    """For random feasible (x, y): ``<grad f(x), x+ - y> <= <g(x), x+ - y> + MAPPING_TOL``."""
     set_ = obj.feasible_set
     eta = 1.0 / obj.smoothness_L
     rng = np.random.default_rng(seed)
@@ -141,12 +150,12 @@ def check_mapping_inequality(obj, trials=1000, seed=0, tol=1e-10):
         lhs = float(np.dot(grad, x_plus - yref))
         rhs = float(np.dot(mapping, x_plus - yref))
         worst = max(worst, lhs - rhs)
-    return {"max_excess": worst, "tolerance": tol, "passed": worst <= tol,
+    return {"max_excess": worst, "tolerance": MAPPING_TOL, "passed": worst <= MAPPING_TOL,
             "samples": trials}
 
 
-def check_mapping_descent(obj, trials=1000, seed=0, tol=1e-10):
-    """For random feasible x: ``f(x+) - f(x) <= -||g(x)||^2 / (2L) + tol``."""
+def check_mapping_descent(obj, trials=1000, seed=0):
+    """For random feasible x: ``f(x+) - f(x) <= -||g(x)||^2 / (2L) + MAPPING_TOL``."""
     set_ = obj.feasible_set
     L = obj.smoothness_L
     eta = 1.0 / L
@@ -159,37 +168,39 @@ def check_mapping_descent(obj, trials=1000, seed=0, tol=1e-10):
         f_plus = obj.evaluator(x_plus)[0]
         excess = (f_plus - f) + float(np.dot(mapping, mapping)) / (2.0 * L)
         worst = max(worst, excess)
-    return {"max_excess": worst, "tolerance": tol, "passed": worst <= tol,
+    return {"max_excess": worst, "tolerance": MAPPING_TOL, "passed": worst <= MAPPING_TOL,
             "samples": trials}
 
 
-def check_fw_feasibility_and_weights(obj, x0, T, tol=1e-10, weight_tol=1e-12):
-    """Replay Frank-Wolfe checking iterate feasibility and the weight identity.
-
-    ``x`` takes the solver's own step, ``set_._step_toward_vertex``; the
-    running-average form ``(A_{t-1} x_t + a_t v_t) / A_t`` with ``a_t = 2t + 2``
-    and the dense vertex ``v_t = lmo(grad)`` must match it.
+def check_fw_feasibility_and_weights(obj, x0, T):
+    """Observe ``run_frank_wolfe``: each ``x_t`` (t >= 1) must be feasible and equal
+    ``sum_{s<t} a_s v_s / A_t`` with ``a_s = 2s + 2``, ``A_t = t (t+1)`` and the
+    dense vertex ``v_s = lmo(grad f(x_s))``, within the ``FW_*_TOL`` constants.
     """
     set_ = obj.feasible_set
-    x = _require_feasible(obj, x0, "x0").copy()
-    x_avg = x.copy()
+    x_avg = 0.0  # weighted by A_0 = 0; the first update makes it v_0
+    A_prev = 0.0
     worst_dist = 0.0
     worst_weight = 0.0
-    A_prev = 0.0
-    for t in range(T):
-        grad = obj.evaluator(x)[1]
-        v = set_.lmo(grad)
-        a_t = 2.0 * t + 2.0
-        A_t = A_prev + a_t
-        assert A_t == (t + 1) * (t + 2)
-        set_._step_toward_vertex(x, grad, t / (t + 2), 2.0 / (t + 2))
-        x_avg = (A_prev * x_avg + a_t * v) / A_t
-        worst_weight = max(worst_weight, float(np.abs(x - x_avg).max()))
-        worst_dist = max(worst_dist, set_.distance(x))
-        A_prev = A_t
+
+    def observe(t, x, grad):
+        nonlocal x_avg, A_prev, worst_dist, worst_weight
+        if t >= 1:
+            worst_weight = max(worst_weight, float(np.abs(x - x_avg).max()))
+            worst_dist = max(worst_dist, set_.distance(x))
+        if t < T:
+            a_t = 2.0 * t + 2.0
+            A_t = A_prev + a_t
+            assert A_t == (t + 1) * (t + 2)
+            x_avg = (A_prev * x_avg + a_t * set_.lmo(grad)) / A_t
+            A_prev = A_t
+
+    run_frank_wolfe(obj, x0, T, OracleCounter(), observe)
     return {
         "max_infeasibility": worst_dist,
         "max_weight_mismatch": worst_weight,
-        "passed": worst_dist <= tol and worst_weight <= weight_tol,
+        "tolerance": FW_FEASIBILITY_TOL,
+        "weight_tolerance": FW_WEIGHT_TOL,
+        "passed": worst_dist <= FW_FEASIBILITY_TOL and worst_weight <= FW_WEIGHT_TOL,
         "iterations": T,
     }

@@ -241,21 +241,14 @@ def _prox_iteration_budget(seed=0, limit=50.0):
     )
 
 
-def _accel_run(name, epsilon, keep_iterates=False):
+def _accel_instance(name):
     if name == "quadratic_box":
-        obj = make_catalogue_objective("quadratic")
-        x0 = np.array([1.0, 1.0])
-    else:
-        obj = make_catalogue_objective("example1")
-        x0 = np.array([5.0])
-    counter = OracleCounter()
-    trace = run_accelerated(obj, x0, epsilon, counter, keep_iterates=keep_iterates)
-    return obj, trace, counter
+        return make_catalogue_objective("quadratic"), np.array([1.0, 1.0])
+    return make_catalogue_objective("example1"), np.array([5.0])
 
 
 def _linesearch_certificate(name, epsilon=1e-3):
-    obj, trace, _ = _accel_run(name, epsilon, keep_iterates=True)
-    rep = check_linesearch_certificates(obj, trace)
+    rep = check_linesearch_certificates(*_accel_instance(name), epsilon)
     return CheckResult(
         name=f"linesearch_certificate:{name}",
         max_violation=rep["max_excess"],
@@ -267,7 +260,9 @@ def _linesearch_certificate(name, epsilon=1e-3):
 
 
 def _accelerated_gap(name, epsilon):
-    obj, trace, counter = _accel_run(name, epsilon)
+    obj, x0 = _accel_instance(name)
+    counter = OracleCounter()
+    trace = run_accelerated(obj, x0, epsilon, counter)
     params = trace.header["params"]
     budget = 50.0 * params["T"] * math.log2(params["L"] * params["D"] ** 2 / params["delta"])
     gap = trace.column("gap")
@@ -291,47 +286,30 @@ def _accelerated_gap(name, epsilon):
     )
 
 
-def _pgd_mapping_bound(seed=0):
-    worst = -np.inf
-    for name in ("quadratic", "example1", "glm_sigmoid"):
-        obj = make_catalogue_objective(name)
-        rep = baselines.check_mapping_inequality(obj, trials=1000, seed=seed)
-        worst = max(worst, rep["max_excess"])
+def _pgd_mapping(name, check, seed=0):
+    reports = [check(make_catalogue_objective(objective), trials=1000, seed=seed)
+               for objective in ("quadratic", "example1", "glm_sigmoid")]
     return CheckResult(
-        name="pgd_mapping_bound",
-        max_violation=worst,
-        tolerance=1e-10,
-        passed=worst <= 1e-10,
-        samples=3000,
-    )
-
-
-def _pgd_descent_step(seed=0):
-    worst = -np.inf
-    for name in ("quadratic", "example1", "glm_sigmoid"):
-        obj = make_catalogue_objective(name)
-        rep = baselines.check_mapping_descent(obj, trials=1000, seed=seed)
-        worst = max(worst, rep["max_excess"])
-    return CheckResult(
-        name="pgd_descent_step",
-        max_violation=worst,
-        tolerance=1e-10,
-        passed=worst <= 1e-10,
-        samples=3000,
+        name=name,
+        max_violation=max(rep["max_excess"] for rep in reports),
+        tolerance=reports[0]["tolerance"],
+        passed=all(rep["passed"] for rep in reports),
+        samples=sum(rep["samples"] for rep in reports),
     )
 
 
 def _fw_dynamics():
     obj = make_catalogue_objective("quadratic", {"set": {"kind": "simplex", "dimension": 3}})
     rep = baselines.check_fw_feasibility_and_weights(obj, obj.feasible_set.canonical_vertex(), 500)
-    violation = max(rep["max_infeasibility"] - 1e-10, rep["max_weight_mismatch"] - 1e-12)
+    violation = max(rep["max_infeasibility"] - rep["tolerance"],
+                    rep["max_weight_mismatch"] - rep["weight_tolerance"])
     return CheckResult(
         name="fw_dynamics",
         max_violation=violation,
         tolerance=0.0,
         passed=rep["passed"],
         samples=rep["iterations"],
-        note="iterate feasibility and weight-identity replay",
+        note="iterate feasibility and weight identity on the solver's own run",
     )
 
 
@@ -535,8 +513,9 @@ def _registry():
     checks["linesearch_certificate:example1"] = (
         lambda: _linesearch_certificate("example1")
     )
-    checks["pgd_mapping_bound"] = _pgd_mapping_bound
-    checks["pgd_descent_step"] = _pgd_descent_step
+    for name, check in (("pgd_mapping_bound", baselines.check_mapping_inequality),
+                        ("pgd_descent_step", baselines.check_mapping_descent)):
+        checks[name] = lambda n=name, c=check: _pgd_mapping(n, c)
     checks["fw_dynamics"] = _fw_dynamics
     for algorithm in ("pgd", "frank_wolfe"):
         for instance in ("example1", "quadratic_simplex"):

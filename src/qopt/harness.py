@@ -30,10 +30,10 @@ from typing import Optional, Union
 import numpy as np
 
 from .accel import run_accelerated
-from .baselines import attach_rate_bounds, run_frank_wolfe, run_pgd
+from .baselines import RATE_CONSTANTS, attach_rate_bounds, run_frank_wolfe, run_pgd
 from .errors import ConfigError, InvalidArgumentError, NumericalFailureError, PreconditionError
 from .objectives import OracleCounter, make_catalogue_objective
-from .sets import FEASIBILITY_TOL, as_point
+from .sets import FEASIBILITY_TOL, as_point, set_from_spec
 from .trace import Trace, write_trace
 
 ALGORITHMS = ("accelerated", "pgd", "frank_wolfe")
@@ -127,12 +127,16 @@ def load_config(source):
 
 
 def build_objective(config):
+    # Malformed numbers surface as TypeError, ValueError or OverflowError.
     params = dict(config.objective_params)
     if config.set_spec is not None:
-        params["set"] = config.set_spec
+        try:
+            params["set"] = set_from_spec(config.set_spec)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError("set", str(exc)) from exc
     try:
         return make_catalogue_objective(config.objective_name, params)
-    except InvalidArgumentError as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError("objective", str(exc)) from exc
 
 
@@ -156,7 +160,7 @@ def baseline_iterations(config, obj):
     """Resolve T for a baseline: given directly, or converted from epsilon."""
     if config.T is not None:
         return config.T
-    constant = 20.0 if config.algorithm == "pgd" else 6.0
+    constant = RATE_CONSTANTS[config.algorithm]
     L = obj.smoothness_L
     D = obj.feasible_set.diameter()
     gamma = obj.quasar_gamma
@@ -188,6 +192,8 @@ def run_experiment(config, output_path=None):
             trace = run_frank_wolfe(obj, x0, baseline_iterations(config, obj), counter)
     except PreconditionError as exc:
         raise ConfigError("x0", str(exc)) from exc
+    except OverflowError as exc:  # an iteration count derived from epsilon left float range
+        raise ConfigError("epsilon", f"too small: {exc}") from exc
     except NumericalFailureError as exc:
         partial = getattr(exc, "partial_trace", None)
         if partial is None:

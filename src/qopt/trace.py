@@ -9,7 +9,7 @@ round-trip bit-exactly and identical runs produce identical bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -29,7 +29,6 @@ class Trace:
     header: dict
     rows: list
     solution: Optional[np.ndarray] = None
-    iterates: Optional[list] = None
     failure: Optional[str] = None
 
     @property

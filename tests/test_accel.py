@@ -20,7 +20,7 @@ from qopt import (
     run_accelerated,
     solve_prox_subproblem,
 )
-from qopt.accel import LineSearchParams
+from qopt.accel import AccelIterate, LineSearchParams
 
 
 class TestSchedule:
@@ -191,13 +191,14 @@ class TestRunAccelerated:
 
     def test_start_at_center(self, quadratic, counter):
         params = compute_schedule(1.0, 1.0, quadratic.feasible_set.diameter(), 1e-2)
+        iterates = []
         trace = run_accelerated(quadratic, quadratic.center, 1e-2, counter,
-                                keep_iterates=True)
+                                observer=iterates.append)
         assert trace.final_gap <= 1e-2
         # Every envelope gradient stays within the delta-prox error bound.
         bound = math.sqrt(8.0 * quadratic.smoothness_L * params.delta)
         probe = OracleCounter()
-        for it in trace.iterates[:20]:
+        for it in iterates[:20]:
             res = solve_prox_subproblem(quadratic, it.x, params.delta, probe)
             assert np.linalg.norm(res.envelope_gradient) <= bound
 
@@ -217,17 +218,18 @@ class TestRunAccelerated:
         with pytest.raises(PreconditionError):
             run_accelerated(quadratic, np.array([2.0, 0.0]), 1e-2, counter)
 
-    def test_certificates_on_small_run(self, quadratic, counter):
-        trace = run_accelerated(quadratic, np.array([1.0, 1.0]), 1e-2, counter,
-                                keep_iterates=True)
-        rep = check_linesearch_certificates(quadratic, trace)
+    def test_certificates_on_small_run(self, quadratic):
+        rep = check_linesearch_certificates(quadratic, np.array([1.0, 1.0]), 1e-2)
         assert rep["passed"]
         assert rep["max_loops"] <= rep["loop_bound"]
 
-    def test_certificates_require_iterates(self, quadratic, counter):
-        trace = run_accelerated(quadratic, np.array([1.0, 1.0]), 1e-1, counter)
-        with pytest.raises(InvalidArgumentError):
-            check_linesearch_certificates(quadratic, trace)
+    def test_observer_called_once_per_outer_iteration(self, example1, counter):
+        seen = []
+        trace = run_accelerated(example1, np.array([5.0]), 1e-2, counter, observer=seen.append)
+        assert len(seen) == trace.header["params"]["T"] == len(trace.rows) - 1
+        assert all(isinstance(it, AccelIterate) for it in seen)
+        # The observer adds no oracle query.
+        assert trace.final_oracle_calls == counter.calls
 
     def test_glm_converges(self, glm, counter):
         trace = run_accelerated(glm, np.array([0.0, 0.0]), 1e-3, counter)
@@ -260,11 +262,12 @@ class TestRunAccelerated:
             return line_search(obj, y, z, params, *rest)
 
         monkeypatch.setattr(qopt.accel, "_line_search", recording)
+        iterates = []
         trace = run_accelerated(example1, np.array([5.0]), 1e-2, OracleCounter(),
-                                keep_iterates=True)
+                                observer=iterates.append)
         params = trace.header["params"]
-        assert len(recorded) == len(trace.iterates) == params["T"]
-        for it, used in zip(trace.iterates, recorded):
+        assert len(recorded) == len(iterates) == params["T"]
+        for it, used in zip(iterates, recorded):
             assert used == line_search_params(it.c, params["delta"], params["L"], params["D"])
         with pytest.raises(InvalidArgumentError):
             line_search_params(-1e-12, params["delta"], params["L"], params["D"])

@@ -39,7 +39,7 @@ def accel_quad_box():
     obj = make_catalogue_objective("quadratic")
     counter = OracleCounter()
     start = time.perf_counter()
-    trace = run_accelerated(obj, np.array([1.0, 1.0]), 1e-3, counter, keep_iterates=True)
+    trace = run_accelerated(obj, np.array([1.0, 1.0]), 1e-3, counter)
     return obj, trace, counter, time.perf_counter() - start
 
 
@@ -50,14 +50,6 @@ def accel_example1():
     start = time.perf_counter()
     trace = run_accelerated(obj, np.array([5.0]), 1e-4, counter)
     return obj, trace, counter, time.perf_counter() - start
-
-
-@pytest.fixture(scope="module")
-def accel_example1_cert():
-    obj = make_catalogue_objective("example1")
-    counter = OracleCounter()
-    trace = run_accelerated(obj, np.array([5.0]), 1e-3, counter, keep_iterates=True)
-    return obj, trace
 
 
 def baseline_instances():
@@ -144,11 +136,11 @@ def test_criterion_05_prox_descent():
            f"{failures} failures over {total} points (50 per objective)")
 
 
-def test_criterion_06_linesearch_certificates(accel_quad_box, accel_example1_cert):
-    obj_q, trace_q, _, _ = accel_quad_box
-    rep_q = check_linesearch_certificates(obj_q, trace_q)
-    obj_e, trace_e = accel_example1_cert
-    rep_e = check_linesearch_certificates(obj_e, trace_e)
+def test_criterion_06_linesearch_certificates():
+    rep_q = check_linesearch_certificates(make_catalogue_objective("quadratic"),
+                                          np.array([1.0, 1.0]), 1e-3)
+    rep_e = check_linesearch_certificates(make_catalogue_objective("example1"),
+                                          np.array([5.0]), 1e-3)
     ok = rep_q["passed"] and rep_e["passed"]
     report("criterion-6 line-search certificates", bool(ok),
            f"quadratic/box: excess {rep_q['max_excess']:.2e}, loops {rep_q['max_loops']}"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import qopt.baselines
 from qopt import (
     Box,
     InvalidArgumentError,
@@ -175,6 +176,35 @@ class TestFrankWolfe:
         rep = check_fw_feasibility_and_weights(simplex_quadratic(), np.array([1.0, 0.0, 0.0]), 40)
         assert rep["passed"]
         assert steps["n"] == 40
+
+    def test_weight_identity_audits_one_real_run(self, monkeypatch):
+        runs = []
+        run = qopt.baselines.run_frank_wolfe
+
+        def counted(*args, **kwargs):
+            runs.append(args[2])
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(qopt.baselines, "run_frank_wolfe", counted)
+        rep = check_fw_feasibility_and_weights(simplex_quadratic(), np.array([1.0, 0.0, 0.0]), 40)
+        assert runs == [40]
+        assert (rep["tolerance"], rep["weight_tolerance"]) == (1e-10, 1e-12)
+
+    @pytest.mark.parametrize("name", ["quadratic_simplex", "example1"])
+    def test_observer_sees_every_row(self, name, counter):
+        obj = simplex_quadratic() if name == "quadratic_simplex" else make_catalogue_objective(name)
+        x0 = obj.feasible_set.canonical_vertex()
+        seen = []
+
+        def observe(t, x, grad):
+            f, g = obj.evaluator(x)
+            seen.append((t, f))
+            np.testing.assert_array_equal(g, grad)
+
+        trace = run_frank_wolfe(obj, x0, 30, counter, observe)
+        assert [t for t, _ in seen] == list(range(31))
+        assert np.array([f for _, f in seen]).tobytes() == trace.column("f_value").tobytes()
+        assert trace.final_oracle_calls == counter.calls == 31
 
 
 class TestRateBounds:

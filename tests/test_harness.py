@@ -240,6 +240,25 @@ class TestCLI:
         assert main(["run", cfg]) == 2
         assert "algorithm" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,overrides", [
+        ("objective", {"objective": {"name": "quadratic", "params": {"shift": ["a", 1]}}}),
+        ("objective", {"objective": "quadratic", "dim": "x"}),
+        ("set", {"objective": "quadratic",
+                 "set": {"kind": "ball", "center": [0.0, 0.0], "radius": "r"}}),
+        ("set", {"objective": "quadratic",
+                 "set": {"kind": "box", "lower": [0.0, 0.0], "upper": "q"}}),
+        ("epsilon", {"algorithm": "accelerated", "objective": "quadratic", "T": None,
+                     "epsilon": 1e-300}),
+    ])
+    def test_malformed_value_exits_2_naming_the_field(self, field, overrides, tmp_path, capsys):
+        raw = {**PGD_SIMPLEX, "x0": "vertex", **overrides,
+               "output_path": str(tmp_path / "o.csv")}
+        cfg = self.write_config(tmp_path, {k: v for k, v in raw.items() if v is not None})
+        assert main(["run", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"config field '{field}'" in err
+        assert "Traceback" not in err
+
     def test_numerical_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         header = {"algorithm": "accelerated", "objective": "quadratic"}
         rows = [TraceRow(0, 2, 1.0, 1.0, None)]
