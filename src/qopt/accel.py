@@ -25,16 +25,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericalFailureError, PreconditionError
+from .errors import ConfigError, InvalidArgumentError, NumericalFailureError, PreconditionError
 from .objectives import OracleCounter
 from .prox import ProxResult, _ProxConstants, _solve, solve_prox_subproblem
 from .sets import MEMBERSHIP_TOL, as_point
 from .trace import Trace, TraceRow
 
+#: The most iterations an epsilon-derived schedule may ask for, accelerated or
+#: baseline; the catalogue's longest schedule has about 1.1e4.
+MAX_ITERATIONS = 10**7
+
 
 @dataclass(frozen=True)
 class AccelParams:
-    """Resolved schedule for one accelerated run."""
+    """Resolved schedule for one accelerated run.
+
+    ``run_accelerated`` computes ``a(t)`` and ``A(t)`` inline, with the same
+    float expressions in the same order.
+    """
 
     gamma: float
     L: float
@@ -62,6 +70,18 @@ class AccelParams:
         }
 
 
+def iteration_count(estimate, epsilon):
+    """``max(1, ceil(estimate))`` for an iteration count derived from ``epsilon``.
+
+    Raises ``ConfigError("epsilon", ...)`` when the estimate exceeds
+    ``MAX_ITERATIONS`` or is not a number, before any oracle call is made.
+    """
+    if not estimate <= MAX_ITERATIONS:
+        raise ConfigError("epsilon", f"{epsilon!r} is too small: it schedules {estimate:.3g} "
+                                     f"iterations, more than {MAX_ITERATIONS}")
+    return max(1, math.ceil(estimate))
+
+
 def compute_schedule(gamma, L, D, epsilon):
     """Resolve the outer iteration count, inner tolerance, and weights."""
     if not 0.0 < gamma <= 1.0:
@@ -69,8 +89,7 @@ def compute_schedule(gamma, L, D, epsilon):
     for name, v in (("L", L), ("D", D), ("epsilon", epsilon)):
         if not v > 0:
             raise InvalidArgumentError(f"{name} must be positive")
-    T = math.ceil((4.0 / gamma) * math.sqrt(L * D * D / epsilon))
-    T = max(T, 1)
+    T = iteration_count((4.0 / gamma) * math.sqrt(L * D * D / epsilon), epsilon)
     delta = L * D * D / (10.0 * T**6)
     return AccelParams(gamma=gamma, L=L, D=D, epsilon=epsilon,
                        lam=1.0 / (2.0 * L), T=T, delta=delta)
@@ -106,14 +125,12 @@ class _LineSearchConstants:
         self.delta2 = math.sqrt(8.0 * L * delta) * D
         self.loop_cap = math.ceil(math.log2(max(8.0 * L * D * D / delta, 4.0))) + 2
 
+    def epsilon_tilde(self, c):
+        return self.delta2 + (9.0 + 5.0 * c) * self.delta
+
     def params(self, c):
-        return LineSearchParams(
-            c=c,
-            delta1=self.delta,
-            delta2=self.delta2,
-            epsilon_tilde=self.delta2 + (9.0 + 5.0 * c) * self.delta,
-            loop_cap=self.loop_cap,
-        )
+        return LineSearchParams(c=c, delta1=self.delta, delta2=self.delta2,
+                                epsilon_tilde=self.epsilon_tilde(c), loop_cap=self.loop_cap)
 
 
 def line_search_params(c, delta, L, D):
@@ -149,26 +166,32 @@ def binary_line_search(obj, y, z, params, counter):
     if not params.delta1 > 0:
         raise InvalidArgumentError("line-search tolerance delta1 must be positive")
     consts = _ProxConstants(obj, params.delta1)
-    return _line_search(obj, y, z, params, counter, _solve(obj, y, consts, counter), consts)
+    return LineSearchResult(*_line_search(
+        obj, y, z, params.c, params.epsilon_tilde, params.loop_cap, counter,
+        _solve(obj, y, consts, counter), consts))
 
 
-def _line_search(obj, y, z, params, counter, prox_at_y, consts):
+def _line_search(obj, y, z, c, epsilon_tilde, loop_cap, counter, prox_at_y, consts):
     """Body of :func:`binary_line_search` for trusted endpoints and the prox at ``y``.
 
-    ``consts`` is ``_ProxConstants(obj, params.delta1)``; every prox solve of
-    the search uses it.
+    ``c``, ``epsilon_tilde`` and ``loop_cap`` are the fields of a
+    :class:`LineSearchParams` whose ``delta1`` is ``consts.delta``, and
+    ``consts`` is ``_ProxConstants(obj, delta1)``; every prox solve of the
+    search uses it.  Returns the fields of a :class:`LineSearchResult` as a
+    plain tuple.
     """
+    delta1 = consts.delta
     direction = y - z
     h1 = prox_at_y.envelope_value
-    hhat1 = float(np.dot(prox_at_y.envelope_gradient, direction))
-    if hhat1 <= params.epsilon_tilde:
-        return LineSearchResult(1.0, y, 0, prox_at_y, "derivative_small")
+    hhat1 = float(prox_at_y.envelope_gradient.dot(direction))
+    if hhat1 <= epsilon_tilde:
+        return 1.0, y, 0, prox_at_y, "derivative_small"
     # A degenerate segment has hhat1 = 0 <= epsilon_tilde and returned above.
-    assert float(np.dot(direction, direction)) > 0.0
+    assert float(direction.dot(direction)) > 0.0
 
     prox_at_z = _solve(obj, z, consts, counter)
-    if h1 - prox_at_z.envelope_value >= -params.delta1:
-        return LineSearchResult(0.0, z, 0, prox_at_z, "no_improvement")
+    if h1 - prox_at_z.envelope_value >= -delta1:
+        return 0.0, z, 0, prox_at_z, "no_improvement"
 
     lo, hi = 0.0, 1.0
     alpha = 0.5
@@ -177,21 +200,21 @@ def _line_search(obj, y, z, params, counter, prox_at_y, consts):
         v = alpha * y + (1.0 - alpha) * z
         prox_v = _solve(obj, v, consts, counter)
         h_alpha = prox_v.envelope_value
-        hhat_alpha = float(np.dot(prox_v.envelope_gradient, direction))
-        if alpha * hhat_alpha <= params.c * (h1 - h_alpha) + params.epsilon_tilde:
-            return LineSearchResult(alpha, v, iterations, prox_v, "bisection")
-        if h_alpha >= h1 - params.delta1:
+        hhat_alpha = float(prox_v.envelope_gradient.dot(direction))
+        if alpha * hhat_alpha <= c * (h1 - h_alpha) + epsilon_tilde:
+            return alpha, v, iterations, prox_v, "bisection"
+        if h_alpha >= h1 - delta1:
             lo = alpha
         else:
             hi = alpha
         iterations += 1
-        if iterations > params.loop_cap:
+        if iterations > loop_cap:
             raise NumericalFailureError(
                 "binary line search exceeded its halving budget; the declared "
                 "(L, gamma) may not be valid for this objective",
                 last_iterate=v,
                 diagnostics={"lo": lo, "hi": hi, "alpha": alpha,
-                             "loop_cap": params.loop_cap},
+                             "loop_cap": loop_cap},
             )
         alpha = 0.5 * (lo + hi)
 
@@ -204,7 +227,7 @@ def ftrl_step(set_, x0, accumulated):
     """
     x0 = as_point(x0, set_.dimension)
     accumulated = as_point(accumulated, set_.dimension)
-    return set_.project(x0 - accumulated)
+    return set_._project(x0 - accumulated)
 
 
 @dataclass
@@ -236,10 +259,6 @@ def run_accelerated(obj, x0, epsilon, counter, observer=None):
     params = compute_schedule(obj.quasar_gamma, obj.smoothness_L, set_.diameter(), epsilon)
     gamma, L, D, delta = params.gamma, params.L, params.D, params.delta
     fstar = obj.optimal_value
-
-    def gap_of(value):
-        return None if fstar is None else value - fstar
-
     header = {
         "algorithm": "accelerated",
         "objective": obj.name,
@@ -253,28 +272,37 @@ def run_accelerated(obj, x0, epsilon, counter, observer=None):
     rows = []
     prox_consts = _ProxConstants(obj, delta)
     search_consts = _LineSearchConstants(delta, L, D)
+    loop_cap = search_consts.loop_cap
+    project = set_._project
+    # The operands of AccelParams.a/A and of the bound column, evaluated in
+    # the same order, so every weight and row keeps its bits.
+    gamma_sq, a_denom, A_denom = gamma**2, 8.0 * L, 16.0 * L
+    bound_num, gamma_gamma = 16.0 * L * D * D, gamma * gamma
 
     try:
         prox_y = _solve(obj, y, prox_consts, counter)
-        rows.append(TraceRow(0, counter.calls, prox_y.f_at_y, gap_of(prox_y.f_at_y), None))
+        f = prox_y.f_at_y
+        rows.append(TraceRow(0, counter.calls, f, None if fstar is None else f - fstar, None))
         for t in range(1, params.T + 1):
-            c = params.A(t - 1) * gamma / params.a(t)
-            result = _line_search(obj, y, z, search_consts.params(c), counter, prox_y,
-                                  prox_consts)
-            prox_x = result.prox
+            a_t = gamma_sq * t / a_denom
+            c = gamma_sq * (t - 1) * t / A_denom * gamma / a_t
+            _, x_t, loops, prox_x, _ = _line_search(
+                obj, y, z, c, search_consts.epsilon_tilde(c), loop_cap, counter, prox_y,
+                prox_consts)
             y_new = prox_x.y
-            accumulated = accumulated + (params.a(t) / gamma) * prox_x.envelope_gradient
-            z_new = ftrl_step(set_, x0, accumulated)
+            accumulated += (a_t / gamma) * prox_x.envelope_gradient
+            # The FTRL step (ftrl_step) on trusted arrays.
+            z_new = project(x0 - accumulated)
             # The prox at y_new instruments f(y-hat_t), is reused as the next
             # line search's endpoint oracle, and at t = T is the returned solution.
             # y_new is prox_x.y, so prox_x's last oracle query already gave its gradient.
-            prox_y_new = _solve(obj, y_new, prox_consts, counter, prox_x.grad_at_y)
-            bound = 16.0 * L * D * D / (gamma * gamma * t * t)
-            rows.append(TraceRow(t, counter.calls, prox_y_new.f_at_y,
-                                 gap_of(prox_y_new.f_at_y), bound))
+            prox_y = _solve(obj, y_new, prox_consts, counter, prox_x.grad_at_y)
+            f = prox_y.f_at_y
+            rows.append(TraceRow(t, counter.calls, f, None if fstar is None else f - fstar,
+                                 bound_num / (gamma_gamma * t * t)))
             if observer is not None:
-                observer(AccelIterate(c, result.loop_iterations, result.x, y, z))
-            y, z, prox_y = y_new, z_new, prox_y_new
+                observer(AccelIterate(c, loops, x_t, y, z))
+            y, z = y_new, z_new
     except NumericalFailureError as exc:
         exc.partial_trace = Trace(header=header, rows=rows, failure=str(exc))
         raise

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,7 +28,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .accel import run_accelerated
+from .accel import iteration_count, run_accelerated
 from .baselines import RATE_CONSTANTS, attach_rate_bounds, run_frank_wolfe, run_pgd
 from .errors import ConfigError, InvalidArgumentError, NumericalFailureError, PreconditionError
 from .objectives import OracleCounter, make_catalogue_objective
@@ -164,7 +163,8 @@ def baseline_iterations(config, obj):
     L = obj.smoothness_L
     D = obj.feasible_set.diameter()
     gamma = obj.quasar_gamma
-    return max(1, math.ceil(constant * L * D * D / (gamma * gamma * config.epsilon) - 1.0))
+    return iteration_count(constant * L * D * D / (gamma * gamma * config.epsilon) - 1.0,
+                           config.epsilon)
 
 
 def run_experiment(config, output_path=None):
@@ -192,7 +192,7 @@ def run_experiment(config, output_path=None):
             trace = run_frank_wolfe(obj, x0, baseline_iterations(config, obj), counter)
     except PreconditionError as exc:
         raise ConfigError("x0", str(exc)) from exc
-    except OverflowError as exc:  # an iteration count derived from epsilon left float range
+    except OverflowError as exc:  # a schedule constant derived from epsilon left float range
         raise ConfigError("epsilon", f"too small: {exc}") from exc
     except NumericalFailureError as exc:
         partial = getattr(exc, "partial_trace", None)

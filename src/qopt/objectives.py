@@ -27,13 +27,14 @@ Catalogue entries
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import InvalidArgumentError, PreconditionError
+from .errors import InvalidArgumentError, NumericalFailureError, PreconditionError
 from .sets import MEMBERSHIP_TOL, Box, FeasibleSet, as_point, set_from_spec
 
 
@@ -44,9 +45,6 @@ class OracleCounter:
 
     def __init__(self):
         self.calls = 0
-
-    def increment(self, n=1):
-        self.calls += n
 
     def reset(self):
         self.calls = 0
@@ -89,13 +87,21 @@ class Objective:
 
 
 def evaluate(obj, x, counter):
-    """Query the oracle: return ``(f(x), grad f(x))`` and count one call."""
+    """Query the oracle: return ``(f(x), grad f(x))`` and count one call.
+
+    A non-finite value is a :class:`NumericalFailureError` naming the
+    objective; the gradient is not scanned, so the check costs one scalar test.
+    """
     x = as_point(x, obj.dimension)
     if not np.isfinite(x).all():
         raise InvalidArgumentError("oracle query point must be finite")
     value, grad = obj.evaluator(x)
-    counter.increment()
-    return float(value), np.asarray(grad, dtype=float)
+    counter.calls += 1
+    value = float(value)
+    if not math.isfinite(value):
+        raise NumericalFailureError(
+            f"oracle of objective '{obj.name}' returned the non-finite value {value}")
+    return value, np.asarray(grad, dtype=float)
 
 
 def finite_diff_gradient(obj, x, h):

@@ -97,31 +97,35 @@ def _solve(obj, x, consts, counter, grad_at_x=None):
     must be the oracle's gradient at exactly ``x``; the first inner iteration
     uses it instead of querying the oracle again.
     """
-    set_ = obj.feasible_set
+    project = obj.feasible_set._project
     lam, step, threshold = consts.lam, consts.step, consts.threshold
 
-    y = x.copy()
+    # ``y`` is never written in place, so it starts as ``x`` itself.  While it
+    # is, ``(y - x) / lam`` is exactly +0.0 (``x`` is finite), so the first
+    # iteration, where most warm-started solves stop, adds the scalar instead.
+    y = x
     grad_f = evaluate(obj, y, counter)[1] if grad_at_x is None else grad_at_x
     for k in range(consts.cap):
-        grad_subproblem = grad_f + (y - x) / lam
-        y_next = set_.project(y - step * grad_subproblem)
+        grad_subproblem = grad_f + ((y - x) / lam if k else 0.0)
+        y_next = project(y - step * grad_subproblem)
         # Every iterate is queried once: its gradient drives the next step or,
         # at exit, is handed back as ``grad_at_y`` for the caller to reuse.
         f_next, grad_f = evaluate(obj, y_next, counter)
         d = y - y_next
         # numpy's own formula for the 2-norm of a 1-D vector, without its wrapper.
-        mapping_norm = math.sqrt(d.dot(d)) / step
+        sq = d.dot(d)
+        mapping_norm = math.sqrt(sq) / step
         if mapping_norm <= threshold:
-            diff = y_next - x
+            # The envelope needs x - y_next (negating it changes no bit of its
+            # squared norm); at k = 0, y is x, so d already is it.
+            if k:
+                d = x - y_next
+                sq = d.dot(d)
+            # Fields in order: y, envelope_value, envelope_gradient,
+            # inner_iterations, certified_delta, f_at_y, grad_at_y.
             return ProxResult(
-                y=y_next,
-                envelope_value=f_next + float(np.dot(diff, diff)) / (2.0 * lam),
-                envelope_gradient=(x - y_next) / lam,
-                inner_iterations=k + 1,
-                certified_delta=(9.0 / (2.0 * obj.smoothness_L)) * mapping_norm**2,
-                f_at_y=f_next,
-                grad_at_y=grad_f,
-            )
+                y_next, f_next + float(sq) / (2.0 * lam), d / lam,
+                k + 1, (9.0 / (2.0 * obj.smoothness_L)) * mapping_norm**2, f_next, grad_f)
         y = y_next
     raise NumericalFailureError(
         f"prox subproblem did not reach tolerance {consts.delta:g} "

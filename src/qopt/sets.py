@@ -41,6 +41,11 @@ class FeasibleSet:
 
     # -- oracles -----------------------------------------------------------
     def project(self, x):
+        """Euclidean projection of ``x`` onto the set, as a new array."""
+        return self._project(as_point(x, self.dimension))
+
+    def _project(self, x):
+        """Body of :meth:`project` for a trusted 1-D float64 array of the set's dimension."""
         raise NotImplementedError
 
     def lmo(self, g):
@@ -98,8 +103,7 @@ class Box(FeasibleSet):
         self.lower = lower
         self.upper = upper
 
-    def project(self, x):
-        x = as_point(x, self.dimension)
+    def _project(self, x):
         # The same bits as np.clip (NaN propagates), without its Python wrapper.
         return np.minimum(np.maximum(x, self.lower), self.upper)
 
@@ -142,8 +146,7 @@ class Ball(FeasibleSet):
         self.center = center
         self.radius = float(radius)
 
-    def project(self, x):
-        x = as_point(x, self.dimension)
+    def _project(self, x):
         delta = x - self.center
         norm = np.linalg.norm(delta)
         if norm <= self.radius:
@@ -193,10 +196,9 @@ class Simplex(FeasibleSet):
         self.scale = float(scale)
         self._idx = np.arange(1.0, self.dimension + 1.0)
 
-    def project(self, x):
+    def _project(self, v):
         # Sort-based projection; terminates exactly after one sort and one scan.
         # The descending cumsum fixes tau's bits; the rest reuses one buffer.
-        v = as_point(x, self.dimension)
         u = np.sort(v)[::-1]
         # An infinite or overflowing entry makes inf - inf here.  The NaN it
         # leaves is never active: a -inf entry still projects and anything

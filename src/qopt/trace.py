@@ -58,10 +58,14 @@ def trace_csv_lines(trace):
     lines = ["# " + json.dumps(trace.header, sort_keys=True)]
     lines.append("iter,oracle_calls,f,gap,bound")
     for row in trace.rows:
-        lines.append(
-            f"{row.iteration},{row.oracle_calls},{format_float(row.f_value)},"
-            f"{_cell(row.gap)},{_cell(row.bound)}"
-        )
+        gap, bound = row.gap, row.bound
+        # One format per row; "%.17g" is format_float's form.
+        if gap is not None and bound is not None:
+            lines.append("%d,%d,%.17g,%.17g,%.17g"
+                         % (row.iteration, row.oracle_calls, row.f_value, gap, bound))
+        else:
+            lines.append("%d,%d,%.17g,%s,%s" % (row.iteration, row.oracle_calls, row.f_value,
+                                                _cell(gap), _cell(bound)))
     if trace.failure is not None:
         # Failure marker row: negative iteration index, NaN objective value.
         calls = trace.final_oracle_calls

@@ -6,6 +6,7 @@ import pytest
 import qopt.accel
 from qopt import (
     Box,
+    ConfigError,
     InvalidArgumentError,
     NumericalFailureError,
     Objective,
@@ -20,7 +21,7 @@ from qopt import (
     run_accelerated,
     solve_prox_subproblem,
 )
-from qopt.accel import AccelIterate, LineSearchParams
+from qopt.accel import MAX_ITERATIONS, AccelIterate, LineSearchParams
 
 
 class TestSchedule:
@@ -50,6 +51,19 @@ class TestSchedule:
         for bad in [(-0.1, 1, 1, 1), (1.5, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0)]:
             with pytest.raises(InvalidArgumentError):
                 compute_schedule(*bad)
+
+    def test_unreachable_epsilon_names_epsilon(self, quadratic, counter):
+        # 4 sqrt(8 / eps) outer iterations: ~1.13e51 at eps = 1e-100.
+        for eps in (1e-100, 5e-324):
+            with pytest.raises(ConfigError) as excinfo:
+                compute_schedule(1.0, 1.0, 2.0 * math.sqrt(2.0), eps)
+            assert excinfo.value.field == "epsilon"
+        with pytest.raises(ConfigError):
+            run_accelerated(quadratic, np.array([1.0, 1.0]), 1e-100, counter)
+        assert counter.calls == 0
+        # The largest count stays allowed: 4 sqrt(8 / eps) = MAX_ITERATIONS.
+        assert compute_schedule(1.0, 1.0, 2.0 * math.sqrt(2.0),
+                                128.0 / MAX_ITERATIONS**2).T <= MAX_ITERATIONS
 
 
 class TestFtrlStep:
@@ -257,9 +271,10 @@ class TestRunAccelerated:
         recorded = []
         line_search = qopt.accel._line_search
 
-        def recording(obj, y, z, params, *rest):
-            recorded.append(params)
-            return line_search(obj, y, z, params, *rest)
+        def recording(obj, y, z, c, epsilon_tilde, loop_cap, counter, prox_at_y, consts):
+            recorded.append((c, consts.delta, epsilon_tilde, loop_cap))
+            return line_search(obj, y, z, c, epsilon_tilde, loop_cap, counter, prox_at_y,
+                               consts)
 
         monkeypatch.setattr(qopt.accel, "_line_search", recording)
         iterates = []
@@ -268,7 +283,8 @@ class TestRunAccelerated:
         params = trace.header["params"]
         assert len(recorded) == len(iterates) == params["T"]
         for it, used in zip(iterates, recorded):
-            assert used == line_search_params(it.c, params["delta"], params["L"], params["D"])
+            built = line_search_params(it.c, params["delta"], params["L"], params["D"])
+            assert used == (built.c, built.delta1, built.epsilon_tilde, built.loop_cap)
         with pytest.raises(InvalidArgumentError):
             line_search_params(-1e-12, params["delta"], params["L"], params["D"])
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -160,6 +161,32 @@ class TestRunExperiment:
                                    output_path=tmp_path / f"{rule}.csv")
             assert trace.rows[0].f_value == pytest.approx(
                 0.5 * float(np.dot(expected, expected)), abs=1e-15)
+
+
+SIMPLEX50 = {"name": "quadratic", "params": {"set": {"kind": "simplex", "dimension": 50}}}
+
+
+@pytest.mark.parametrize("config,sha256,calls", [
+    ({"algorithm": "accelerated", "objective": "example1", "x0": [5.0], "epsilon": 1e-3},
+     "52d51b1ad6ed06d4999096051bd32e03584eb38a28662ab89267f25995bf220e", 4984),
+    ({"algorithm": "accelerated", "objective": {"name": "quadratic", "params": {"dim": 5}},
+      "x0": [1.0] * 5, "epsilon": 1e-3},
+     "014e925462d69f66dcc7a8cfe2021ef95db64bf8b038a80c41669bacd5d0b549", 618),
+    ({"algorithm": "accelerated", "objective": "glm_sigmoid", "x0": [0.0, 0.0], "epsilon": 1e-3},
+     "b82679f4b4d69f26693b984a8d9fc135f1dbc97a55529d3aab4f789015223385", 2084),
+    ({"algorithm": "frank_wolfe", "objective": SIMPLEX50, "x0": "vertex", "T": 200},
+     "e0950336d535ccc659f0e223d434a85e46491401c07a9d4b5a6ac16a2be4dcb6", 201),
+    ({"algorithm": "pgd", "objective": SIMPLEX50, "x0": "vertex", "T": 200},
+     "432f90b59366bbb8d89e91efc93be61d0ccf7eb00322c0d06c10dac766f24878", 201),
+], ids=["accel_example1", "accel_quadratic_d5", "accel_glm_sigmoid", "fw_simplex50",
+        "pgd_simplex50"])
+def test_golden_trace_bytes(config, sha256, calls, tmp_path):
+    # Pinned from the solvers before the accelerated loop's trusted-path rewrite;
+    # a speed-up must leave every byte and every oracle count as it was.
+    path = tmp_path / "trace.csv"
+    trace = run_experiment(load_config(config), output_path=path)
+    assert trace.final_oracle_calls == calls
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
 
 class TestSweep:
@@ -336,6 +363,44 @@ class TestCLI:
         assert parsed.rows == []
         assert out.read_text().splitlines()[1:3] == ["iter,oracle_calls,f,gap,bound",
                                                      "-1,0,nan,,"]
+
+    @pytest.mark.parametrize("raw", [
+        {"algorithm": "accelerated",
+         "objective": {"name": "quadratic", "params": {"shift": [1e300, 1e300]}},
+         "x0": "vertex", "epsilon": 1e-2},
+        {"algorithm": "frank_wolfe",
+         "objective": {"name": "quadratic",
+                       "params": {"set": {"kind": "simplex", "dimension": 3, "scale": 1e308}}},
+         "x0": "vertex", "T": 5},
+    ], ids=["accelerated_shift", "frank_wolfe_scale"])
+    def test_non_finite_oracle_value_exits_3(self, raw, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert main(["run", self.write_config(tmp_path, raw), "--output", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "oracle of objective 'quadratic' returned the non-finite value inf" in err
+        assert "Traceback" not in err
+        parsed = read_trace(out)
+        assert parsed.header["algorithm"] == raw["algorithm"]
+        assert parsed.header["config"] == raw
+        assert "non-finite value" in parsed.failure
+        assert out.read_text().splitlines()[-2].startswith("-1,")
+
+    @pytest.mark.parametrize("raw", [
+        {"algorithm": "accelerated", "objective": "quadratic", "x0": "vertex", "epsilon": 1e-100},
+        {"algorithm": "pgd", "objective": "quadratic", "x0": "vertex", "epsilon": 1e-300},
+    ], ids=["accelerated", "pgd"])
+    def test_unreachable_epsilon_exits_2_before_any_oracle_call(self, raw, tmp_path, capsys,
+                                                                 monkeypatch):
+        def no_query(*args):
+            raise AssertionError("the oracle was queried")
+
+        for module in ("qopt.prox", "qopt.baselines"):
+            monkeypatch.setattr(f"{module}.evaluate", no_query)
+        out = tmp_path / "o.csv"
+        assert main(["run", self.write_config(tmp_path, raw), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config field 'epsilon'" in err and "is too small" in err
+        assert not out.exists()
 
     def test_verify_subcommand(self, capsys):
         assert main(["verify", "--suite", "trace_determinism"]) == 0

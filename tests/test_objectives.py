@@ -5,6 +5,7 @@ import pytest
 from qopt import (
     Box,
     InvalidArgumentError,
+    NumericalFailureError,
     Objective,
     OracleCounter,
     PreconditionError,
@@ -59,6 +60,14 @@ class TestEvaluate:
         with pytest.raises(InvalidArgumentError):
             evaluate(quadratic, np.array([np.inf, 0.0]), counter)
         assert counter.calls == 0
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_value_is_a_numerical_failure(self, value, counter):
+        obj = Objective(name="blows_up", evaluator=lambda x: (value, np.zeros(1)),
+                        smoothness_L=1.0, quasar_gamma=1.0, feasible_set=Box([-1.0], [1.0]))
+        with pytest.raises(NumericalFailureError, match="objective 'blows_up'"):
+            evaluate(obj, np.array([0.5]), counter)
+        assert counter.calls == 1  # the oracle was queried
 
     def test_dimension_mismatch(self, quadratic, counter):
         with pytest.raises(InvalidArgumentError):
