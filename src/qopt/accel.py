@@ -295,8 +295,9 @@ def run_accelerated(obj, x0, epsilon, counter, observer=None):
             z_new = project(x0 - accumulated)
             # The prox at y_new instruments f(y-hat_t), is reused as the next
             # line search's endpoint oracle, and at t = T is the returned solution.
-            # y_new is prox_x.y, so prox_x's last oracle query already gave its gradient.
-            prox_y = _solve(obj, y_new, prox_consts, counter, prox_x.grad_at_y)
+            # y_new is prox_x.y, so prox_x already holds the oracle's answer there.
+            prox_y = _solve(obj, y_new, prox_consts, counter,
+                            (prox_x.f_at_y, prox_x.grad_at_y))
             f = prox_y.f_at_y
             rows.append(TraceRow(t, counter.calls, f, None if fstar is None else f - fstar,
                                  bound_num / (gamma_gamma * t * t)))

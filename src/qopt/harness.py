@@ -14,13 +14,14 @@ Config format (JSON)::
     }
 
 The env var ``QOPT_SEED`` overrides ``seed``.  Identical config + seed yields
-byte-identical trace files.
+byte-identical trace files at a fixed BLAS thread count (see the README).
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -167,6 +168,20 @@ def baseline_iterations(config, obj):
                            config.epsilon)
 
 
+def _require_representable_scale(obj):
+    """Reject an objective whose ``16 L D^2`` leaves float range, before any oracle call.
+
+    ``16 L D^2`` is the largest multiple of ``L D^2`` an accelerated run forms
+    (its bound column; the line search's budget uses ``8 L D^2``).  The set
+    is named when its diameter alone overflows, otherwise the objective's ``L``.
+    """
+    L, D = obj.smoothness_L, obj.feasible_set.diameter()
+    if not math.isfinite(16.0 * L * D * D):
+        field = "objective" if math.isfinite(16.0 * D * D) else "set"
+        raise ConfigError(field, f"16 L D^2 overflows float range (L = {L!r}, diameter "
+                                 f"D = {D!r}); rescale the problem")
+
+
 def run_experiment(config, output_path=None):
     """Run one configured experiment; write its trace CSV when a path is known.
 
@@ -180,16 +195,20 @@ def run_experiment(config, output_path=None):
     path = output_path or config.output_path
 
     try:
-        # Building the objective can fail numerically too (an unprojectable
-        # center); that failure flushes a header-only trace.
-        obj = build_objective(config)
-        x0 = resolve_x0(obj.feasible_set, config.x0)
-        if config.algorithm == "accelerated":
-            trace = run_accelerated(obj, x0, config.epsilon, counter)
-        elif config.algorithm == "pgd":
-            trace = run_pgd(obj, x0, baseline_iterations(config, obj), counter)
-        else:
-            trace = run_frank_wolfe(obj, x0, baseline_iterations(config, obj), counter)
+        # ``evaluate`` turns an overflowing oracle value into exit 3, so numpy's
+        # own overflow warnings are silenced, once per run.
+        with np.errstate(over="ignore", invalid="ignore"):
+            # Building the objective can fail numerically too (an unprojectable
+            # center); that failure flushes a header-only trace.
+            obj = build_objective(config)
+            x0 = resolve_x0(obj.feasible_set, config.x0)
+            if config.algorithm == "accelerated":
+                _require_representable_scale(obj)
+                trace = run_accelerated(obj, x0, config.epsilon, counter)
+            elif config.algorithm == "pgd":
+                trace = run_pgd(obj, x0, baseline_iterations(config, obj), counter)
+            else:
+                trace = run_frank_wolfe(obj, x0, baseline_iterations(config, obj), counter)
     except PreconditionError as exc:
         raise ConfigError("x0", str(exc)) from exc
     except OverflowError as exc:  # a schedule constant derived from epsilon left float range

@@ -89,13 +89,13 @@ def solve_prox_subproblem(obj, x, delta, counter):
     return _solve(obj, x, _ProxConstants(obj, delta), counter)
 
 
-def _solve(obj, x, consts, counter, grad_at_x=None):
+def _solve(obj, x, consts, counter, at_x=None):
     """Body of :func:`solve_prox_subproblem` for a trusted feasible ``x``.
 
     ``consts`` holds the step, threshold, ``lam`` and iteration cap, built by
-    ``_ProxConstants(obj, delta)`` for a ``delta > 0``.  A given ``grad_at_x``
-    must be the oracle's gradient at exactly ``x``; the first inner iteration
-    uses it instead of querying the oracle again.
+    ``_ProxConstants(obj, delta)`` for a ``delta > 0``.  A given ``at_x`` must
+    be the oracle's ``(value, gradient)`` at exactly ``x``; the solve uses it
+    instead of querying the oracle at ``x`` again.
     """
     project = obj.feasible_set._project
     lam, step, threshold = consts.lam, consts.step, consts.threshold
@@ -104,16 +104,21 @@ def _solve(obj, x, consts, counter, grad_at_x=None):
     # is, ``(y - x) / lam`` is exactly +0.0 (``x`` is finite), so the first
     # iteration, where most warm-started solves stop, adds the scalar instead.
     y = x
-    grad_f = evaluate(obj, y, counter)[1] if grad_at_x is None else grad_at_x
+    f_y, grad_f = evaluate(obj, x, counter) if at_x is None else at_x
     for k in range(consts.cap):
         grad_subproblem = grad_f + ((y - x) / lam if k else 0.0)
         y_next = project(y - step * grad_subproblem)
-        # Every iterate is queried once: its gradient drives the next step or,
-        # at exit, is handed back as ``grad_at_y`` for the caller to reuse.
-        f_next, grad_f = evaluate(obj, y_next, counter)
         d = y - y_next
         # numpy's own formula for the 2-norm of a 1-D vector, without its wrapper.
         sq = d.dot(d)
+        # A step that lands bit for bit where it started has the oracle's
+        # answer already: keep it, and the zero mapping norm ends the solve.
+        # Comparing bytes keeps a +-0.0 flip or an underflowed ``sq`` on the
+        # query path; a NaN ``sq`` reaches ``evaluate``'s finite-point check.
+        if sq != 0.0 or y_next.tobytes() != y.tobytes():
+            # Every other iterate is queried once: its gradient drives the next
+            # step or, at exit, is handed back as ``grad_at_y`` for reuse.
+            f_y, grad_f = evaluate(obj, y_next, counter)
         mapping_norm = math.sqrt(sq) / step
         if mapping_norm <= threshold:
             # The envelope needs x - y_next (negating it changes no bit of its
@@ -124,8 +129,8 @@ def _solve(obj, x, consts, counter, grad_at_x=None):
             # Fields in order: y, envelope_value, envelope_gradient,
             # inner_iterations, certified_delta, f_at_y, grad_at_y.
             return ProxResult(
-                y_next, f_next + float(sq) / (2.0 * lam), d / lam,
-                k + 1, (9.0 / (2.0 * obj.smoothness_L)) * mapping_norm**2, f_next, grad_f)
+                y_next, f_y + float(sq) / (2.0 * lam), d / lam,
+                k + 1, (9.0 / (2.0 * obj.smoothness_L)) * mapping_norm**2, f_y, grad_f)
         y = y_next
     raise NumericalFailureError(
         f"prox subproblem did not reach tolerance {consts.delta:g} "

@@ -234,7 +234,7 @@ class Simplex(FeasibleSet):
 
     def diameter(self):
         # Largest pairwise distance between vertices scale * e_i.
-        return self.scale * np.sqrt(2.0)
+        return float(self.scale * np.sqrt(2.0))
 
     def center_point(self):
         return np.full(self.dimension, self.scale / self.dimension)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -166,27 +167,46 @@ class TestRunExperiment:
 SIMPLEX50 = {"name": "quadratic", "params": {"set": {"kind": "simplex", "dimension": 50}}}
 
 
-@pytest.mark.parametrize("config,sha256,calls", [
+def _without_oracle_calls(trace_bytes):
+    """The trace with its ``oracle_calls`` column dropped from the table rows."""
+    lines = trace_bytes.decode().split("\n")
+    kept = [line if not line or line.startswith("#")
+            else ",".join(cell for i, cell in enumerate(line.split(",")) if i != 1)
+            for line in lines]
+    return "\n".join(kept).encode()
+
+
+@pytest.mark.parametrize("config,sha256,calls,sha256_without_calls", [
     ({"algorithm": "accelerated", "objective": "example1", "x0": [5.0], "epsilon": 1e-3},
-     "52d51b1ad6ed06d4999096051bd32e03584eb38a28662ab89267f25995bf220e", 4984),
+     "57379f31e3889633d103f74d503be1de1bc2e3a9d5ec5a5ca916eb6966b28379", 3370,
+     "112d15f8f4191a1783a20cfee9ac043ff1397b1cbb3cff4ec424a353c4d5cbed"),
     ({"algorithm": "accelerated", "objective": {"name": "quadratic", "params": {"dim": 5}},
       "x0": [1.0] * 5, "epsilon": 1e-3},
-     "014e925462d69f66dcc7a8cfe2021ef95db64bf8b038a80c41669bacd5d0b549", 618),
+     "d050a8f36c1b10a2209283e6ec27b0bb831c5c7a143f3f739a8a08984d3fcbb0", 583,
+     "3d079857de584684e9f4bf7b51525995a37e7a58d6546989d680efe4e1e8532b"),
     ({"algorithm": "accelerated", "objective": "glm_sigmoid", "x0": [0.0, 0.0], "epsilon": 1e-3},
-     "b82679f4b4d69f26693b984a8d9fc135f1dbc97a55529d3aab4f789015223385", 2084),
+     "7a6bba3183cd099a0b2de5a513a7b08d907637b71632ed76877a542b148a5aac", 1535,
+     "5df585ecee43e896a384a095eba542f91193dbf667f5a0556807487cd468fd41"),
     ({"algorithm": "frank_wolfe", "objective": SIMPLEX50, "x0": "vertex", "T": 200},
-     "e0950336d535ccc659f0e223d434a85e46491401c07a9d4b5a6ac16a2be4dcb6", 201),
+     "e0950336d535ccc659f0e223d434a85e46491401c07a9d4b5a6ac16a2be4dcb6", 201,
+     "9959a7a64997c3ed69d7f1a13d71a93bf8de3a027f822707495ef35789898522"),
     ({"algorithm": "pgd", "objective": SIMPLEX50, "x0": "vertex", "T": 200},
-     "432f90b59366bbb8d89e91efc93be61d0ccf7eb00322c0d06c10dac766f24878", 201),
+     "432f90b59366bbb8d89e91efc93be61d0ccf7eb00322c0d06c10dac766f24878", 201,
+     "911c81a314597685c09fe61981fd906971a84af30fbe8548db331e1f8438a435"),
 ], ids=["accel_example1", "accel_quadratic_d5", "accel_glm_sigmoid", "fw_simplex50",
         "pgd_simplex50"])
-def test_golden_trace_bytes(config, sha256, calls, tmp_path):
-    # Pinned from the solvers before the accelerated loop's trusted-path rewrite;
-    # a speed-up must leave every byte and every oracle count as it was.
+def test_golden_trace_bytes(config, sha256, calls, sha256_without_calls, tmp_path):
+    # Pinned before the accelerated loop's trusted-path rewrite.  A speed-up
+    # must leave every byte and oracle count as it was, with one exception: a
+    # prox step that lands where it started no longer queries the oracle, so
+    # the accelerated traces' oracle_calls column fell.  Their sha256 without
+    # that column is still the one pinned before that change.
     path = tmp_path / "trace.csv"
     trace = run_experiment(load_config(config), output_path=path)
     assert trace.final_oracle_calls == calls
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+    trace_bytes = path.read_bytes()
+    assert hashlib.sha256(trace_bytes).hexdigest() == sha256
+    assert hashlib.sha256(_without_oracle_calls(trace_bytes)).hexdigest() == sha256_without_calls
 
 
 class TestSweep:
@@ -400,6 +420,29 @@ class TestCLI:
         assert main(["run", self.write_config(tmp_path, raw), "--output", str(out)]) == 2
         err = capsys.readouterr().err
         assert "config field 'epsilon'" in err and "is too small" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("objective,field", [
+        ({"name": "quadratic",
+          "params": {"set": {"kind": "simplex", "dimension": 2, "scale": 5e153}}}, "set"),
+        ({"name": "affine_plus_quadratic", "params": {"q": 1e307}}, "objective"),
+    ], ids=["simplex_scale", "large_L"])
+    def test_overflowing_scale_exits_2_naming_its_source(self, objective, field, tmp_path,
+                                                         capsys, monkeypatch):
+        # 16 L D^2 and 8 L D^2 overflow while L D^2 does not; a huge epsilon
+        # keeps T = 1, so the schedule itself is not what fails.
+        def no_query(*args):
+            raise AssertionError("the oracle was queried")
+
+        monkeypatch.setattr("qopt.prox.evaluate", no_query)
+        raw = {"algorithm": "accelerated", "objective": objective, "epsilon": 1e300}
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", self.write_config(tmp_path, raw), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config field '{field}'" in err and "16 L D^2 overflows" in err
+        assert caught == [] and "Warning" not in err
         assert not out.exists()
 
     def test_verify_subcommand(self, capsys):

@@ -135,8 +135,8 @@ class TestWarmStart:
         for x in sample_feasible(obj.feasible_set, 5, seed=7):
             cold_counter, warm_counter = OracleCounter(), OracleCounter()
             cold = _solve(obj, x, consts, cold_counter)
-            grad_at_x = evaluate(obj, x, OracleCounter())[1]
-            warm = _solve(obj, x, consts, warm_counter, grad_at_x=grad_at_x)
+            at_x = evaluate(obj, x, OracleCounter())
+            warm = _solve(obj, x, consts, warm_counter, at_x=at_x)
             assert warm_counter.calls == cold_counter.calls - 1
             expected = np.asarray(obj.evaluator(cold.y)[1], dtype=float).tobytes()
             assert cold.grad_at_y.tobytes() == expected
@@ -144,6 +144,50 @@ class TestWarmStart:
                           "inner_iterations", "certified_delta", "grad_at_y"):
                 assert (np.asarray(getattr(warm, field)).tobytes()
                         == np.asarray(getattr(cold, field)).tobytes()), field
+
+
+class TestFixedPoint:
+    # At the quadratic's interior minimizer the gradient is exactly zero, so
+    # the first inner step lands bit for bit where it started.
+    @pytest.mark.parametrize("shift", [[0.0, 0.0], [0.25, -0.5]])
+    def test_warm_solve_makes_no_query(self, shift):
+        obj = make_catalogue_objective("quadratic", {"shift": shift})
+        x = obj.center
+        f, grad = evaluate(obj, x, OracleCounter())
+        counter = OracleCounter()
+        res = _solve(obj, x, _ProxConstants(obj, 1e-9), counter, at_x=(f, grad))
+        assert counter.calls == 0
+        assert res.inner_iterations == 1
+        assert res.certified_delta == 0.0
+        assert res.y.tobytes() == x.tobytes()
+        assert np.float64(res.f_at_y).tobytes() == np.float64(f).tobytes()
+        assert res.grad_at_y.tobytes() == grad.tobytes()
+
+    @pytest.mark.parametrize("shift", [[0.0, 0.0], [0.25, -0.5]])
+    def test_public_solve_costs_one_call(self, shift):
+        obj = make_catalogue_objective("quadratic", {"shift": shift})
+        counter = OracleCounter()
+        res = solve_prox_subproblem(obj, obj.center, 1e-9, counter)
+        assert counter.calls == res.inner_iterations == 1
+        assert res.certified_delta == 0.0
+
+    def test_signed_zero_flip_is_queried(self):
+        # Projecting onto [0, 1] turns -0.0 into +0.0: the step's squared
+        # norm is 0, but its bytes moved, so the oracle is asked at +0.0.
+        base = make_catalogue_objective(
+            "quadratic", {"set": {"kind": "box", "lower": [0.0], "upper": [1.0]}})
+        queries = []
+
+        def audited(x):
+            queries.append(np.array(x, dtype=float).tobytes())
+            return base.evaluator(x)
+
+        obj = Objective(name="quadratic", evaluator=audited, smoothness_L=1.0,
+                        quasar_gamma=1.0, feasible_set=base.feasible_set)
+        res = solve_prox_subproblem(obj, np.array([-0.0]), 1e-9, OracleCounter())
+        positive_zero = np.array([0.0]).tobytes()
+        assert queries == [np.array([-0.0]).tobytes(), positive_zero]
+        assert res.y.tobytes() == res.grad_at_y.tobytes() == positive_zero
 
 
 class TestMoreauOps:

@@ -208,6 +208,13 @@ class TestDiameter:
             )
             assert Simplex(dim, scale).diameter() == pytest.approx(best, rel=1e-15)
 
+    @pytest.mark.parametrize("set_", [Box([-1, -1], [1, 1]), Ball([3.0], 0.25),
+                                      Simplex(3, 5e153)], ids=["box", "ball", "simplex"])
+    def test_is_a_python_float(self, set_):
+        # Schedule constants built from D then overflow to inf in plain float
+        # arithmetic, without a numpy warning.
+        assert type(set_.diameter()) is float
+
 
 class TestContains:
     def test_examples(self):
