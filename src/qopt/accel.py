@@ -91,6 +91,9 @@ def compute_schedule(gamma, L, D, epsilon):
             raise InvalidArgumentError(f"{name} must be positive")
     T = iteration_count((4.0 / gamma) * math.sqrt(L * D * D / epsilon), epsilon)
     delta = L * D * D / (10.0 * T**6)
+    if not delta > 0.0:
+        raise ConfigError("epsilon", f"{epsilon!r} is too small: its inner tolerance "
+                                     f"L D^2 / (10 T^6) with T = {T} underflows to 0")
     return AccelParams(gamma=gamma, L=L, D=D, epsilon=epsilon,
                        lam=1.0 / (2.0 * L), T=T, delta=delta)
 

@@ -161,6 +161,7 @@ def baseline_iterations(config, obj):
     if config.T is not None:
         return config.T
     constant = RATE_CONSTANTS[config.algorithm]
+    _require_representable_scale(obj, constant)
     L = obj.smoothness_L
     D = obj.feasible_set.diameter()
     gamma = obj.quasar_gamma
@@ -168,18 +169,20 @@ def baseline_iterations(config, obj):
                            config.epsilon)
 
 
-def _require_representable_scale(obj):
-    """Reject an objective whose ``16 L D^2`` leaves float range, before any oracle call.
+def _require_representable_scale(obj, multiple):
+    """Reject an objective whose ``multiple * L D^2`` leaves float range, before any oracle call.
 
-    ``16 L D^2`` is the largest multiple of ``L D^2`` an accelerated run forms
-    (its bound column; the line search's budget uses ``8 L D^2``).  The set
-    is named when its diameter alone overflows, otherwise the objective's ``L``.
+    ``multiple`` is the largest multiple of ``L D^2`` the run forms: 16 for an
+    accelerated run (its bound column; the line search's budget uses
+    ``8 L D^2``), and the rate constant for a baseline whose ``T`` comes from
+    ``epsilon``.  The set is named when its diameter alone overflows,
+    otherwise the objective's ``L``.
     """
     L, D = obj.smoothness_L, obj.feasible_set.diameter()
-    if not math.isfinite(16.0 * L * D * D):
-        field = "objective" if math.isfinite(16.0 * D * D) else "set"
-        raise ConfigError(field, f"16 L D^2 overflows float range (L = {L!r}, diameter "
-                                 f"D = {D!r}); rescale the problem")
+    if not math.isfinite(multiple * L * D * D):
+        field = "objective" if math.isfinite(multiple * D * D) else "set"
+        raise ConfigError(field, f"{multiple:g} L D^2 overflows float range (L = {L!r}, "
+                                 f"diameter D = {D!r}); rescale the problem")
 
 
 def run_experiment(config, output_path=None):
@@ -203,7 +206,7 @@ def run_experiment(config, output_path=None):
             obj = build_objective(config)
             x0 = resolve_x0(obj.feasible_set, config.x0)
             if config.algorithm == "accelerated":
-                _require_representable_scale(obj)
+                _require_representable_scale(obj, 16.0)
                 trace = run_accelerated(obj, x0, config.epsilon, counter)
             elif config.algorithm == "pgd":
                 trace = run_pgd(obj, x0, baseline_iterations(config, obj), counter)

@@ -152,8 +152,9 @@ def check_quasar_convexity(obj, samples, gamma=None, seed=0):
 def check_smoothness(obj, samples, seed=0):
     """Measure the largest gradient secant ratio over sampled feasible pairs.
 
-    The ratio must not exceed ``obj.smoothness_L * (1 + 1e-6)`` for the
-    declared constant to be considered valid.
+    The ratio must not exceed ``obj.smoothness_L * (1 + rtol)`` for the
+    declared constant to be considered valid; the report's ``tolerance`` is
+    that absolute slack, ``obj.smoothness_L * rtol``.
     """
     if samples < 2:
         raise InvalidArgumentError("check_smoothness needs at least two samples")
@@ -174,8 +175,10 @@ def check_smoothness(obj, samples, seed=0):
         gv = obj.evaluator(v)[1]
         worst = max(worst, float(np.linalg.norm(gu - gv)) / sep)
         count += 1
-    limit = obj.smoothness_L * (1.0 + 1e-6)
-    return {"max_secant_ratio": worst, "limit": limit, "passed": worst <= limit, "samples": count}
+    rtol = 1e-6
+    limit = obj.smoothness_L * (1.0 + rtol)
+    return {"max_secant_ratio": worst, "limit": limit, "tolerance": obj.smoothness_L * rtol,
+            "passed": worst <= limit, "samples": count}
 
 
 # -- catalogue ---------------------------------------------------------------

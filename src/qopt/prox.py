@@ -150,6 +150,8 @@ def check_prox_conditioning(obj, samples=10_000, seed=0):
     ``L ||u-v||^2 <= <grad F(u) - grad F(v), u - v> <= 3 L ||u-v||^2``
     whenever the declared L really bounds the objective's curvature.  The
     bracket is independent of the prox center, which cancels in differences.
+    Each end gets relative slack ``rtol``; the report's ``tolerance`` is the
+    absolute slack at the upper end, ``3 L rtol``.
     """
     L = obj.smoothness_L
     lam = default_lambda(obj)
@@ -167,12 +169,14 @@ def check_prox_conditioning(obj, samples=10_000, seed=0):
         ratio = float(np.dot(gu - gv, u - v)) / sep2
         lo, hi = min(lo, ratio), max(hi, ratio)
         count += 1
-    passed = lo >= L * (1.0 - 1e-8) and hi <= 3.0 * L * (1.0 + 1e-8)
+    rtol = 1e-8
+    passed = lo >= L * (1.0 - rtol) and hi <= 3.0 * L * (1.0 + rtol)
     return {
         "min_ratio": lo,
         "max_ratio": hi,
         "lower": L,
         "upper": 3.0 * L,
+        "tolerance": 3.0 * L * rtol,
         "passed": bool(passed),
         "samples": count,
     }
@@ -223,7 +227,8 @@ def check_envelope_smoothness(obj, samples=200, delta=1e-12, seed=0, min_sep=Non
     """Measure secant ratios of the near-exact envelope gradient.
 
     The envelope of the ``1/(2L)`` prox is ``2L``-smooth; ratios must stay
-    below ``2 L (1 + 1e-6)``.
+    below ``2 L (1 + rtol)``, and the report's ``tolerance`` is that absolute
+    slack, ``2 L rtol``.
     """
     D = obj.feasible_set.diameter()
     min_sep = 0.02 * D if min_sep is None else min_sep
@@ -241,9 +246,10 @@ def check_envelope_smoothness(obj, samples=200, delta=1e-12, seed=0, min_sep=Non
         gv = solve_prox_subproblem(obj, v, delta, counter).envelope_gradient
         worst = max(worst, float(np.linalg.norm(gu - gv)) / sep)
         count += 1
-    limit = 2.0 * obj.smoothness_L * (1.0 + 1e-6)
-    return {"max_secant_ratio": worst, "limit": limit, "passed": worst <= limit,
-            "samples": count}
+    rtol = 1e-6
+    limit = 2.0 * obj.smoothness_L * (1.0 + rtol)
+    return {"max_secant_ratio": worst, "limit": limit, "tolerance": 2.0 * obj.smoothness_L * rtol,
+            "passed": worst <= limit, "samples": count}
 
 
 def check_stopping_soundness(obj, samples=50, delta=1e-6, seed=0):

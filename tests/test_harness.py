@@ -408,7 +408,12 @@ class TestCLI:
     @pytest.mark.parametrize("raw", [
         {"algorithm": "accelerated", "objective": "quadratic", "x0": "vertex", "epsilon": 1e-100},
         {"algorithm": "pgd", "objective": "quadratic", "x0": "vertex", "epsilon": 1e-300},
-    ], ids=["accelerated", "pgd"])
+        # T stays representable, but delta = L D^2 / (10 T^6) underflows to 0.
+        {"algorithm": "accelerated",
+         "objective": {"name": "quadratic",
+                       "params": {"set": {"kind": "simplex", "dimension": 2, "scale": 1e-150}}},
+         "x0": "vertex", "epsilon": 1e-310},
+    ], ids=["accelerated", "pgd", "accelerated_delta_underflow"])
     def test_unreachable_epsilon_exits_2_before_any_oracle_call(self, raw, tmp_path, capsys,
                                                                  monkeypatch):
         def no_query(*args):
@@ -422,26 +427,35 @@ class TestCLI:
         assert "config field 'epsilon'" in err and "is too small" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("objective,field", [
-        ({"name": "quadratic",
-          "params": {"set": {"kind": "simplex", "dimension": 2, "scale": 5e153}}}, "set"),
-        ({"name": "affine_plus_quadratic", "params": {"q": 1e307}}, "objective"),
-    ], ids=["simplex_scale", "large_L"])
-    def test_overflowing_scale_exits_2_naming_its_source(self, objective, field, tmp_path,
-                                                         capsys, monkeypatch):
-        # 16 L D^2 and 8 L D^2 overflow while L D^2 does not; a huge epsilon
-        # keeps T = 1, so the schedule itself is not what fails.
+    # A baseline's multiple is its rate constant; it forms one only when its T
+    # comes from epsilon.
+    @pytest.mark.parametrize("algorithm,multiple,objective,field", [
+        pytest.param(algorithm, multiple, objective, field,
+                     id=source if algorithm == "accelerated" else f"{algorithm}_{source}")
+        for algorithm, multiple in (("accelerated", 16), ("pgd", 20), ("frank_wolfe", 6))
+        for source, objective, field in (
+            ("simplex_scale",
+             {"name": "quadratic",
+              "params": {"set": {"kind": "simplex", "dimension": 2, "scale": 5e153}}}, "set"),
+            ("large_L", {"name": "affine_plus_quadratic", "params": {"q": 1e307}}, "objective"),
+        )
+    ])
+    def test_overflowing_scale_exits_2_naming_its_source(self, algorithm, multiple, objective,
+                                                         field, tmp_path, capsys, monkeypatch):
+        # The run's largest multiple of L D^2 overflows while L D^2 does not;
+        # a huge epsilon keeps T = 1, so the schedule itself is not what fails.
         def no_query(*args):
             raise AssertionError("the oracle was queried")
 
-        monkeypatch.setattr("qopt.prox.evaluate", no_query)
-        raw = {"algorithm": "accelerated", "objective": objective, "epsilon": 1e300}
+        for module in ("qopt.prox", "qopt.baselines"):
+            monkeypatch.setattr(f"{module}.evaluate", no_query)
+        raw = {"algorithm": algorithm, "objective": objective, "epsilon": 1e300}
         out = tmp_path / "o.csv"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main(["run", self.write_config(tmp_path, raw), "--output", str(out)]) == 2
         err = capsys.readouterr().err
-        assert f"config field '{field}'" in err and "16 L D^2 overflows" in err
+        assert f"config field '{field}'" in err and f"{multiple} L D^2 overflows" in err
         assert caught == [] and "Warning" not in err
         assert not out.exists()
 
