@@ -54,7 +54,12 @@ def _gap_fn(obj):
 
 
 def run_pgd(obj, x0, T, counter):
-    """T steps of ``x <- proj(x - grad f(x) / L)``; records f at every iterate."""
+    """T steps of ``x <- proj(x - grad f(x) / L)``; records f at every iterate.
+
+    A step that lands bit for bit where it started would repeat forever: the
+    oracle and the projection are pure.  The run then stops querying and
+    fills rows ``t+1 .. T`` with that row's values and call count.
+    """
     x = _require_feasible(obj, x0, "x0")
     set_ = obj.feasible_set
     eta = 1.0 / obj.smoothness_L
@@ -71,7 +76,14 @@ def run_pgd(obj, x0, T, counter):
         for t in range(T):
             f, grad = evaluate(obj, x, counter)
             rows.append(TraceRow(t, counter.calls, f, gap(f), None))
-            x = set_.project(x - eta * grad)
+            # x - eta * grad is a fresh float64 array of the set's dimension.
+            x_next = set_._project(x - eta * grad)
+            # Bits, not ==: a sign flip of a zero or a sub-ulp move still queries.
+            if np.array_equal(x_next.view(np.int64), x.view(np.int64)):
+                rows.extend(TraceRow(s, counter.calls, f, gap(f), None)
+                            for s in range(t + 1, T + 1))
+                return Trace(header=header, rows=rows, solution=x_next)
+            x = x_next
         f, _ = evaluate(obj, x, counter)
         rows.append(TraceRow(T, counter.calls, f, gap(f), None))
     except NumericalFailureError as exc:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .accel import iteration_count, run_accelerated
 from .baselines import RATE_CONSTANTS, attach_rate_bounds, run_frank_wolfe, run_pgd
-from .errors import ConfigError, InvalidArgumentError, NumericalFailureError, PreconditionError
+from .errors import ConfigError, NumericalFailureError, PreconditionError
 from .objectives import OracleCounter, make_catalogue_objective
 from .sets import FEASIBILITY_TOL, as_point, set_from_spec
 from .trace import Trace, write_trace
@@ -76,7 +76,10 @@ def load_config(source):
     if isinstance(objective, str):
         name, params = objective, {}
     elif isinstance(objective, dict) and "name" in objective:
-        name, params = objective["name"], dict(objective.get("params", {}))
+        name, params = objective["name"], objective.get("params", {})
+        if not isinstance(params, dict):
+            raise ConfigError("objective", "params must be a mapping")
+        params = dict(params)
     else:
         raise ConfigError("objective", "expected a name or {'name': ..., 'params': {...}}")
 
@@ -149,8 +152,10 @@ def resolve_x0(set_, spec):
         raise ConfigError("x0", f"unknown rule '{spec}'")
     try:
         x0 = as_point(spec, set_.dimension)
-    except InvalidArgumentError as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError("x0", str(exc)) from exc
+    if not np.isfinite(x0).all():
+        raise ConfigError("x0", "explicit starting point must be finite")
     if not set_.contains(x0, FEASIBILITY_TOL):
         raise ConfigError("x0", "explicit starting point is infeasible")
     return x0

@@ -97,6 +97,8 @@ class Box(FeasibleSet):
     def __init__(self, lower, upper):
         lower = as_point(lower)
         upper = as_point(upper, lower.shape[0])
+        if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
+            raise InvalidArgumentError("box bounds must be finite")
         if not np.all(lower < upper):
             raise InvalidArgumentError("box requires lower[i] < upper[i] for every i")
         super().__init__(lower.shape[0])
@@ -140,8 +142,10 @@ class Ball(FeasibleSet):
 
     def __init__(self, center, radius):
         center = as_point(center)
-        if not radius > 0:
-            raise InvalidArgumentError("ball radius must be positive")
+        if not np.isfinite(center).all():
+            raise InvalidArgumentError("ball center must be finite")
+        if not 0 < radius < np.inf:
+            raise InvalidArgumentError("ball radius must be positive and finite")
         super().__init__(center.shape[0])
         self.center = center
         self.radius = float(radius)
@@ -191,8 +195,8 @@ class Simplex(FeasibleSet):
 
     def __init__(self, dimension, scale=1.0):
         super().__init__(dimension)
-        if not scale > 0:
-            raise InvalidArgumentError("simplex scale must be positive")
+        if not 0 < scale < np.inf:
+            raise InvalidArgumentError("simplex scale must be positive and finite")
         self.scale = float(scale)
         self._idx = np.arange(1.0, self.dimension + 1.0)
 

@@ -1,7 +1,25 @@
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from qopt import OracleCounter, make_catalogue_objective
+
+_HYPOTHESIS_HOME = pytest.StashKey[tempfile.TemporaryDirectory]()
+
+
+def pytest_configure(config):
+    # Hypothesis's pytest plugin caches the constants of local modules under
+    # its home directory, ./.hypothesis by default, while collecting; keep
+    # that cache out of the checkout, in a directory removed after the session.
+    home = config.stash[_HYPOTHESIS_HOME] = tempfile.TemporaryDirectory()
+    set_hypothesis_home_dir(home.name)
+
+
+def pytest_unconfigure(config):
+    set_hypothesis_home_dir(None)
+    config.stash[_HYPOTHESIS_HOME].cleanup()
 
 
 @pytest.fixture

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,10 +22,70 @@ from qopt.baselines import (
     check_mapping_descent,
     check_mapping_inequality,
 )
+from qopt.trace import Trace, TraceRow, trace_csv_lines
 
 
 def simplex_quadratic():
     return make_catalogue_objective("quadratic", {"set": {"kind": "simplex", "dimension": 3}})
+
+
+def dense_pgd(obj, x0, T):
+    """The reference loop: T steps of ``x <- proj(x - grad f(x) / L)``, one query per row.
+
+    Also returns the queries up to the first step that lands bit for bit where
+    it started (``T + 1`` when no step does).
+    """
+    x = np.asarray(x0, dtype=float)
+    eta = 1.0 / obj.smoothness_L
+    fstar = obj.optimal_value
+    rows, fixed_at = [], None
+    for t in range(T + 1):
+        f, grad = obj.evaluator(x)
+        f = float(f)
+        rows.append(TraceRow(t, t + 1, f, None if fstar is None else f - fstar, None))
+        if t < T:
+            x_next = obj.feasible_set.project(x - eta * grad)
+            if fixed_at is None and x_next.tobytes() == x.tobytes():
+                fixed_at = t + 1
+            x = x_next
+    return Trace(header={}, rows=rows, solution=x), fixed_at or T + 1
+
+
+def csv_rows(trace, with_calls=True):
+    """The trace's CSV table rows, optionally without the oracle_calls column."""
+    rows = trace_csv_lines(trace)[2:]
+    if with_calls:
+        return rows
+    return [",".join(cell for i, cell in enumerate(row.split(",")) if i != 1) for row in rows]
+
+
+def simplex_draw(seed, dim):
+    e = np.random.default_rng(seed).standard_exponential(dim)
+    return e / e.sum()
+
+
+def _simplex(dim):
+    return {"set": {"kind": "simplex", "dimension": dim}}
+
+
+# (objective, params, x0, T): every run reaches a bit-exact fixed point before T.
+FIXED_POINT_RUNS = {
+    "simplex30000_seed1": ("quadratic", _simplex(30_000), simplex_draw(1, 30_000), 20),
+    "simplex30000_seed2": ("quadratic", _simplex(30_000), simplex_draw(2, 30_000), 20),
+    "example1_x5": ("example1", {}, [5.0], 300),
+    "example1_xm3": ("example1", {}, [-3.3], 200),
+    "glm_sigmoid": ("glm_sigmoid", {}, [0.0, 0.0], 300),
+    "box5": ("quadratic", {"dim": 5, "shift": [2.0, -0.3, 0.1, 5.0, -1.5]},
+             [1.0, -1.0, 0.0, 0.5, 1.0], 50),
+    "ball": ("quadratic", {"shift": [3.0, 1.0],
+                           "set": {"kind": "ball", "center": [0.5, -0.5], "radius": 1.0}},
+             [0.5, 0.5], 50),
+    "simplex50": ("quadratic", _simplex(50), np.eye(50)[0], 200),
+    "affine_plus_quadratic": ("affine_plus_quadratic", {"dim": 3, "a": [0.3, -0.2, 0.05],
+                                                        "q": 0.7}, [0.0, 0.0, 0.0], 50),
+    # The first step turns each -0.0 into +0.0: equal under ==, different bits.
+    "negative_zero": ("quadratic", {"dim": 3}, [-0.0, -0.0, 0.0], 10),
+}
 
 
 class TestGradientMapping:
@@ -63,12 +125,42 @@ class TestPGD:
         assert np.all(f == f[0])
 
     def test_monotone_descent_and_counting(self, example1, counter):
+        # The iterate stops moving at t = 128; later rows reuse that row.
         trace = run_pgd(example1, np.array([5.0]), 200, counter)
         f = trace.column("f_value")
         assert np.all(np.diff(f) <= 4e-16 * np.maximum(1.0, np.abs(f[:-1])))
-        assert counter.calls == 201
+        assert len(trace.rows) == 201
+        assert counter.calls == trace.final_oracle_calls == 129
         calls = trace.column("oracle_calls")
-        assert np.all(np.diff(calls) > 0)
+        np.testing.assert_array_equal(calls[:129], np.arange(1, 130))
+        assert np.all(calls[129:] == 129)
+
+    @pytest.mark.parametrize("name", FIXED_POINT_RUNS)
+    def test_fixed_point_exit_matches_the_dense_loop(self, name):
+        objective, params, x0, T = FIXED_POINT_RUNS[name]
+        base = make_catalogue_objective(objective, params)
+        x0 = np.array(x0, dtype=float)
+        queries = []
+
+        def audited(x):
+            queries.append(np.array(x, dtype=float).tobytes())
+            return base.evaluator(x)
+
+        counter = OracleCounter()
+        trace = run_pgd(dataclasses.replace(base, evaluator=audited), x0, T, counter)
+        reference, calls = dense_pgd(base, x0, T)
+        assert csv_rows(trace, with_calls=False) == csv_rows(reference, with_calls=False)
+        assert trace.solution.tobytes() == reference.solution.tobytes()
+        assert trace.final_oracle_calls == counter.calls == len(queries) == calls < T + 1
+        repeated = [i for i in range(1, len(queries)) if queries[i] == queries[i - 1]]
+        assert repeated == []
+
+    def test_run_without_a_fixed_point_keeps_every_query(self, example1, counter):
+        trace = run_pgd(example1, np.array([5.0]), 100, counter)
+        reference, calls = dense_pgd(example1, [5.0], 100)
+        assert counter.calls == trace.final_oracle_calls == calls == 101
+        assert csv_rows(trace) == csv_rows(reference)
+        assert trace.solution.tobytes() == reference.solution.tobytes()
 
     def test_projection_failure_keeps_the_rows_so_far(self, counter):
         obj = make_catalogue_objective("affine_plus_quadratic", {

@@ -191,16 +191,18 @@ def _without_oracle_calls(trace_bytes):
      "e0950336d535ccc659f0e223d434a85e46491401c07a9d4b5a6ac16a2be4dcb6", 201,
      "9959a7a64997c3ed69d7f1a13d71a93bf8de3a027f822707495ef35789898522"),
     ({"algorithm": "pgd", "objective": SIMPLEX50, "x0": "vertex", "T": 200},
-     "432f90b59366bbb8d89e91efc93be61d0ccf7eb00322c0d06c10dac766f24878", 201,
+     "08ed33faf33989d0217f25aac6f4d57c5d5a81c1c4d90de2c60f390975422986", 2,
      "911c81a314597685c09fe61981fd906971a84af30fbe8548db331e1f8438a435"),
 ], ids=["accel_example1", "accel_quadratic_d5", "accel_glm_sigmoid", "fw_simplex50",
         "pgd_simplex50"])
 def test_golden_trace_bytes(config, sha256, calls, sha256_without_calls, tmp_path):
     # Pinned before the accelerated loop's trusted-path rewrite.  A speed-up
-    # must leave every byte and oracle count as it was, with one exception: a
-    # prox step that lands where it started no longer queries the oracle, so
-    # the accelerated traces' oracle_calls column fell.  Their sha256 without
-    # that column is still the one pinned before that change.
+    # must leave every byte and oracle count as it was, with two exceptions,
+    # both exits at a bit-exact fixed point: a prox step that lands where it
+    # started no longer queries the oracle, and neither does a PGD step that
+    # lands where it started (later rows repeat its values).  So the
+    # oracle_calls column fell in the accelerated and PGD traces; their sha256
+    # without that column is still the one pinned before those changes.
     path = tmp_path / "trace.csv"
     trace = run_experiment(load_config(config), output_path=path)
     assert trace.final_oracle_calls == calls
@@ -296,6 +298,12 @@ class TestCLI:
                  "set": {"kind": "box", "lower": [0.0, 0.0], "upper": "q"}}),
         ("epsilon", {"algorithm": "accelerated", "objective": "quadratic", "T": None,
                      "epsilon": 1e-300}),
+        ("set", {"algorithm": "frank_wolfe", "objective": "quadratic",
+                 "set": {"kind": "ball", "center": [float("nan"), 0.0], "radius": 1.0}}),
+        ("set", {"objective": "quadratic",
+                 "set": {"kind": "ball", "center": [0.0, 0.0], "radius": float("inf")}}),
+        ("objective", {"objective": {"name": "quadratic", "params": [1]}}),
+        ("x0", {"x0": ["a", "b"]}),
     ])
     def test_malformed_value_exits_2_naming_the_field(self, field, overrides, tmp_path, capsys):
         raw = {**PGD_SIMPLEX, "x0": "vertex", **overrides,

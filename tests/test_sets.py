@@ -283,6 +283,22 @@ class TestConstructionAndSpec:
         with pytest.raises(InvalidArgumentError):
             Simplex(0)
 
+    @pytest.mark.parametrize("build", [
+        lambda: Box([-np.inf, 0.0], [1.0, 1.0]),
+        lambda: Box([0.0, 0.0], [1.0, np.inf]),
+        lambda: Box([np.nan, 0.0], [1.0, 1.0]),
+        lambda: Ball([np.nan, 0.0], 1.0),
+        lambda: Ball([0.0, np.inf], 1.0),
+        lambda: Ball([0.0, 0.0], np.inf),
+        lambda: Ball([0.0, 0.0], np.nan),
+        lambda: Simplex(3, np.inf),
+        lambda: Simplex(3, np.nan),
+    ], ids=["box_lower_inf", "box_upper_inf", "box_nan", "ball_center_nan", "ball_center_inf",
+            "ball_radius_inf", "ball_radius_nan", "simplex_scale_inf", "simplex_scale_nan"])
+    def test_non_finite_parameters_rejected(self, build):
+        with pytest.raises(InvalidArgumentError):
+            build()
+
     def test_spec_round_trip(self):
         for set_ in (Box([-1, 0], [1, 2]), Ball([1.0, 2.0], 3.0), Simplex(4, 2.0)):
             clone = set_from_spec(set_.to_spec())
