@@ -10,13 +10,11 @@ problems.
 
 from .accel import (
     AccelParams,
-    LineSearchParams,
     LineSearchResult,
     binary_line_search,
     check_linesearch_certificates,
     compute_schedule,
     ftrl_step,
-    line_search_params,
     run_accelerated,
 )
 from .baselines import (
@@ -66,7 +64,6 @@ __all__ = [
     "ExperimentConfig",
     "FeasibleSet",
     "InvalidArgumentError",
-    "LineSearchParams",
     "LineSearchResult",
     "NumericalFailureError",
     "Objective",
@@ -92,7 +89,6 @@ __all__ = [
     "finite_diff_gradient",
     "ftrl_step",
     "gradient_mapping",
-    "line_search_params",
     "load_config",
     "make_catalogue_objective",
     "read_trace",

@@ -21,7 +21,7 @@ and ``A_t = gamma^2 t (t+1) / (16 L)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -38,11 +38,7 @@ MAX_ITERATIONS = 10**7
 
 @dataclass(frozen=True)
 class AccelParams:
-    """Resolved schedule for one accelerated run.
-
-    ``run_accelerated`` computes ``a(t)`` and ``A(t)`` inline, with the same
-    float expressions in the same order.
-    """
+    """Resolved schedule for one accelerated run; the trace header records its fields."""
 
     gamma: float
     L: float
@@ -51,23 +47,6 @@ class AccelParams:
     lam: float
     T: int
     delta: float
-
-    def a(self, t):
-        return self.gamma**2 * t / (8.0 * self.L)
-
-    def A(self, t):
-        return self.gamma**2 * t * (t + 1) / (16.0 * self.L)
-
-    def as_dict(self):
-        return {
-            "gamma": self.gamma,
-            "L": self.L,
-            "D": self.D,
-            "epsilon": self.epsilon,
-            "lam": self.lam,
-            "T": self.T,
-            "delta": self.delta,
-        }
 
 
 def iteration_count(estimate, epsilon):
@@ -98,27 +77,14 @@ def compute_schedule(gamma, L, D, epsilon):
                        lam=1.0 / (2.0 * L), T=T, delta=delta)
 
 
-@dataclass(frozen=True)
-class LineSearchParams:
-    """Noise model and target constant for one binary-search call.
-
-    ``delta1`` bounds the envelope value error, ``delta2`` the directional
-    derivative error (the uniform bound ``sqrt(8 L delta) * D``), and the
-    termination slack is ``epsilon_tilde = delta2 + (9 + 5 c) delta1``.
-    """
-
-    c: float
-    delta1: float
-    delta2: float
-    epsilon_tilde: float
-    loop_cap: int
-
-
 class _LineSearchConstants:
-    """The ``c``-independent part of :class:`LineSearchParams` for one ``(delta, L, D)``.
+    """Noise model and halving budget of the line search for one ``(delta, L, D)``.
 
-    The single source of the ``delta2``, ``epsilon_tilde`` and ``loop_cap``
-    formulas; ``run_accelerated`` builds it once per run.
+    ``delta`` bounds the envelope value error and ``delta2`` the directional
+    derivative error (the uniform bound ``sqrt(8 L delta) * D``); the
+    termination slack is ``epsilon_tilde(c) = delta2 + (9 + 5 c) delta``.  The
+    single source of these formulas and of ``loop_cap``; ``run_accelerated``
+    builds it once per run.
     """
 
     __slots__ = ("delta", "delta2", "loop_cap")
@@ -131,16 +97,6 @@ class _LineSearchConstants:
     def epsilon_tilde(self, c):
         return self.delta2 + (9.0 + 5.0 * c) * self.delta
 
-    def params(self, c):
-        return LineSearchParams(c=c, delta1=self.delta, delta2=self.delta2,
-                                epsilon_tilde=self.epsilon_tilde(c), loop_cap=self.loop_cap)
-
-
-def line_search_params(c, delta, L, D):
-    if c < 0:
-        raise InvalidArgumentError("line-search constant c must be nonnegative")
-    return _LineSearchConstants(delta, L, D).params(c)
-
 
 @dataclass
 class LineSearchResult:
@@ -151,37 +107,41 @@ class LineSearchResult:
     exit: str  # "derivative_small" (alpha=1), "no_improvement" (alpha=0), "bisection"
 
 
-def binary_line_search(obj, y, z, params, counter):
+def binary_line_search(obj, y, z, c, delta, counter):
     """Find ``x = alpha y + (1 - alpha) z`` certified by the termination test.
 
-    Validates its inputs: ``y`` and ``z`` must be feasible points of the
-    objective's dimension (within ``MEMBERSHIP_TOL``) and ``params.delta1``
-    must be positive.  The envelope oracles ``h`` and ``h_hat`` are realized
-    through fresh prox solves at tolerance ``params.delta1``; the prox result
-    at the returned point is included so callers can reuse it as their next
-    proximal step.
+    Validates its inputs before any oracle call: ``y`` and ``z`` must be
+    feasible points of the objective's dimension (within ``MEMBERSHIP_TOL``),
+    ``c`` nonnegative and ``delta`` positive.  The termination slack
+    ``epsilon_tilde(c)`` and the halving budget come from
+    ``_LineSearchConstants(delta, L, D)``.  The envelope oracles ``h`` and
+    ``h_hat`` are realized through fresh prox solves at tolerance ``delta``;
+    the prox result at the returned point is included so callers can reuse it
+    as their next proximal step.
     """
     y = as_point(y, obj.dimension)
     z = as_point(z, obj.dimension)
     for name, p in (("y", y), ("z", z)):
         if not obj.feasible_set.contains(p, MEMBERSHIP_TOL):
             raise PreconditionError(f"line-search endpoint {name} must be feasible")
-    if not params.delta1 > 0:
-        raise InvalidArgumentError("line-search tolerance delta1 must be positive")
-    consts = _ProxConstants(obj, params.delta1)
+    if not c >= 0:
+        raise InvalidArgumentError("line-search constant c must be nonnegative")
+    if not delta > 0:
+        raise InvalidArgumentError("line-search tolerance delta must be positive")
+    search = _LineSearchConstants(delta, obj.smoothness_L, obj.feasible_set.diameter())
+    consts = _ProxConstants(obj, delta)
     return LineSearchResult(*_line_search(
-        obj, y, z, params.c, params.epsilon_tilde, params.loop_cap, counter,
+        obj, y, z, c, search.epsilon_tilde(c), search.loop_cap, counter,
         _solve(obj, y, consts, counter), consts))
 
 
 def _line_search(obj, y, z, c, epsilon_tilde, loop_cap, counter, prox_at_y, consts):
     """Body of :func:`binary_line_search` for trusted endpoints and the prox at ``y``.
 
-    ``c``, ``epsilon_tilde`` and ``loop_cap`` are the fields of a
-    :class:`LineSearchParams` whose ``delta1`` is ``consts.delta``, and
-    ``consts`` is ``_ProxConstants(obj, delta1)``; every prox solve of the
-    search uses it.  Returns the fields of a :class:`LineSearchResult` as a
-    plain tuple.
+    ``epsilon_tilde`` and ``loop_cap`` come from the
+    :class:`_LineSearchConstants` of ``consts.delta``, and ``consts`` is
+    ``_ProxConstants(obj, delta)``; every prox solve of the search uses it.
+    Returns the fields of a :class:`LineSearchResult` as a plain tuple.
     """
     delta1 = consts.delta
     direction = y - z
@@ -266,7 +226,7 @@ def run_accelerated(obj, x0, epsilon, counter, observer=None):
         "algorithm": "accelerated",
         "objective": obj.name,
         "set": set_.to_spec(),
-        "params": params.as_dict(),
+        "params": asdict(params),
         "x0": x0.tolist(),
     }
     y = x0.copy()
@@ -277,8 +237,10 @@ def run_accelerated(obj, x0, epsilon, counter, observer=None):
     search_consts = _LineSearchConstants(delta, L, D)
     loop_cap = search_consts.loop_cap
     project = set_._project
-    # The operands of AccelParams.a/A and of the bound column, evaluated in
-    # the same order, so every weight and row keeps its bits.
+    # The weights a_t = gamma^2 t / (8 L) and A_{t-1} = gamma^2 (t-1) t / (16 L),
+    # the coupling c_t = gamma A_{t-1} / a_t and the bound 16 L D^2 / (gamma t)^2
+    # have their one source below; changing the order of an operation changes
+    # the bits of every trace.
     gamma_sq, a_denom, A_denom = gamma**2, 8.0 * L, 16.0 * L
     bound_num, gamma_gamma = 16.0 * L * D * D, gamma * gamma
 

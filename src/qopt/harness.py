@@ -33,7 +33,7 @@ from .accel import iteration_count, run_accelerated
 from .baselines import RATE_CONSTANTS, attach_rate_bounds, run_frank_wolfe, run_pgd
 from .errors import ConfigError, NumericalFailureError, PreconditionError
 from .objectives import OracleCounter, make_catalogue_objective
-from .sets import FEASIBILITY_TOL, as_point, set_from_spec
+from .sets import FEASIBILITY_TOL, as_point, is_int, set_from_spec
 from .trace import Trace, write_trace
 
 ALGORITHMS = ("accelerated", "pgd", "frank_wolfe")
@@ -91,9 +91,10 @@ def load_config(source):
 
     epsilon = raw.get("epsilon")
     T = raw.get("T")
-    if epsilon is not None and not (isinstance(epsilon, (int, float)) and epsilon > 0):
-        raise ConfigError("epsilon", "must be a positive number")
-    if T is not None and not (isinstance(T, int) and T >= 1):
+    if epsilon is not None and (isinstance(epsilon, bool) or not isinstance(epsilon, (int, float))
+                                or not 0 < epsilon < math.inf):
+        raise ConfigError("epsilon", "must be a positive finite number")
+    if T is not None and not (is_int(T) and T >= 1):
         raise ConfigError("T", "must be a positive integer")
     if algorithm == "accelerated":
         if epsilon is None:
@@ -108,7 +109,7 @@ def load_config(source):
     env_seed = os.environ.get("QOPT_SEED")
     if env_seed is not None:
         seed = int(env_seed)
-    if not isinstance(seed, int):
+    if not is_int(seed):
         raise ConfigError("seed", "must be an integer")
 
     x0 = raw.get("x0", "vertex")

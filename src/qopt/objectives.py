@@ -35,7 +35,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import InvalidArgumentError, NumericalFailureError, PreconditionError
-from .sets import MEMBERSHIP_TOL, Box, FeasibleSet, as_point, set_from_spec
+from .sets import MEMBERSHIP_TOL, Box, FeasibleSet, as_point, is_int, set_from_spec
 
 
 class OracleCounter:
@@ -44,9 +44,6 @@ class OracleCounter:
     __slots__ = ("calls",)
 
     def __init__(self):
-        self.calls = 0
-
-    def reset(self):
         self.calls = 0
 
     def __repr__(self):
@@ -233,13 +230,20 @@ def _check_param_keys(name, params, allowed):
         raise InvalidArgumentError(f"objective '{name}' got unknown params {sorted(extra)}")
 
 
+def _dim_param(name, params):
+    dim = params.get("dim", 2)
+    if not is_int(dim):
+        raise InvalidArgumentError(f"objective '{name}' param dim must be an integer, got {dim!r}")
+    return int(dim)
+
+
 def make_catalogue_objective(name, params=None):
     """Build a fully populated catalogue objective by name."""
     params = dict(params or {})
 
     if name == "quadratic":
         _check_param_keys(name, params, ("dim", "set", "shift"))
-        dim = int(params.get("dim", 2))
+        dim = _dim_param(name, params)
         set_ = _resolve_set(params, Box([-1.0] * dim, [1.0] * dim))
         dim = set_.dimension
         shift = as_point(params.get("shift", np.zeros(dim)), dim)
@@ -262,7 +266,7 @@ def make_catalogue_objective(name, params=None):
 
     if name == "affine_plus_quadratic":
         _check_param_keys(name, params, ("dim", "set", "a", "q"))
-        dim = int(params.get("dim", 2))
+        dim = _dim_param(name, params)
         set_ = _resolve_set(params, Box([-1.0] * dim, [1.0] * dim))
         dim = set_.dimension
         a = as_point(params.get("a", np.ones(dim)), dim)

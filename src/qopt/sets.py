@@ -8,6 +8,8 @@ are pure.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalFailureError
@@ -17,6 +19,11 @@ from .errors import InvalidArgumentError, NumericalFailureError
 MEMBERSHIP_TOL = 1e-10
 #: Tolerance for the start points of the baselines and explicit config ``x0``.
 FEASIBILITY_TOL = 1e-9
+
+
+def is_int(value):
+    """True for a Python or numpy integer; a bool or an integral float is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def as_point(x, dim=None):
@@ -35,9 +42,10 @@ class FeasibleSet:
     kind = "abstract"
 
     def __init__(self, dimension):
+        if not (is_int(dimension) and dimension >= 1):
+            raise InvalidArgumentError(
+                f"set dimension must be a positive integer, got {dimension!r}")
         self.dimension = int(dimension)
-        if self.dimension < 1:
-            raise InvalidArgumentError("set dimension must be a positive integer")
 
     # -- oracles -----------------------------------------------------------
     def project(self, x):

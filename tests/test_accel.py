@@ -16,12 +16,11 @@ from qopt import (
     check_linesearch_certificates,
     compute_schedule,
     ftrl_step,
-    line_search_params,
     make_catalogue_objective,
     run_accelerated,
     solve_prox_subproblem,
 )
-from qopt.accel import MAX_ITERATIONS, AccelIterate, LineSearchParams
+from qopt.accel import MAX_ITERATIONS, AccelIterate, _LineSearchConstants
 
 
 class TestSchedule:
@@ -34,18 +33,6 @@ class TestSchedule:
 
     def test_boundary_single_iteration(self):
         assert compute_schedule(1.0, 1.0, 1.0, 16.0).T == 1
-
-    def test_first_weights(self):
-        params = compute_schedule(1.0, 1.0, 1.0, 1.0)
-        assert params.a(1) == 0.125
-        assert params.A(1) == 0.125
-
-    def test_weight_recurrence_and_coupling(self):
-        params = compute_schedule(0.5, 2.0, 3.0, 1e-2)
-        for t in range(1, 1000):
-            assert params.A(t) - params.A(t - 1) == pytest.approx(params.a(t), rel=1e-12)
-            assert params.A(t) / (8 * params.L) >= params.a(t) ** 2 / (2 * params.gamma**2) - 1e-18
-        assert params.A(0) == 0.0
 
     def test_invalid_inputs(self):
         for bad in [(-0.1, 1, 1, 1), (1.5, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0)]:
@@ -92,8 +79,7 @@ def quadratic_envelope_along(y, z, alphas):
 class TestBinaryLineSearch:
     def test_degenerate_segment_returns_one(self, quadratic, counter):
         y = np.array([0.5, -0.5])
-        params = line_search_params(1.0, 1e-10, 1.0, quadratic.feasible_set.diameter())
-        res = binary_line_search(quadratic, y, y.copy(), params, counter)
+        res = binary_line_search(quadratic, y, y.copy(), 1.0, 1e-10, counter)
         assert res.alpha == 1.0 and res.exit == "derivative_small"
         np.testing.assert_array_equal(res.x, y)
         assert res.loop_iterations == 0
@@ -101,8 +87,7 @@ class TestBinaryLineSearch:
     def test_no_improvement_returns_zero(self, quadratic, counter):
         # z sits at the minimizer, y far away: the y end has higher envelope.
         y, z = np.array([1.0, 1.0]), np.array([0.0, 0.0])
-        params = line_search_params(1.0, 1e-10, 1.0, quadratic.feasible_set.diameter())
-        res = binary_line_search(quadratic, y, z, params, counter)
+        res = binary_line_search(quadratic, y, z, 1.0, 1e-10, counter)
         assert res.alpha == 0.0 and res.exit == "no_improvement"
         np.testing.assert_array_equal(res.x, z)
 
@@ -111,39 +96,46 @@ class TestBinaryLineSearch:
         # Interior dip between the endpoints, lower value at the y end.
         y, z = np.array([0.2, -0.3]), np.array([1.0, 1.0])
         delta = 1e-12
-        params = line_search_params(c, delta, 1.0, quadratic.feasible_set.diameter())
-        res = binary_line_search(quadratic, y, z, params, counter)
+        res = binary_line_search(quadratic, y, z, c, delta, counter)
+        search = _LineSearchConstants(delta, 1.0, quadratic.feasible_set.diameter())
         alphas = np.linspace(0.0, 1.0, 100_001)
         g = quadratic_envelope_along(y, z, alphas)
         i = int(round(res.alpha * 100_000))
         i = min(max(i, 1), 100_000 - 1)
         g_prime = (g[i + 1] - g[i - 1]) / (2e-5)
-        assert res.alpha * g_prime <= c * (g[100_000] - g[i]) + params.epsilon_tilde + 1e-6
-        assert res.loop_iterations <= params.loop_cap
+        assert res.alpha * g_prime <= c * (g[100_000] - g[i]) + search.epsilon_tilde(c) + 1e-6
+        assert res.loop_iterations <= search.loop_cap
 
     def test_returned_point_is_convex_combination(self, quadratic, counter):
         y, z = np.array([0.2, -0.3]), np.array([1.0, 1.0])
-        params = line_search_params(0.5, 1e-10, 1.0, quadratic.feasible_set.diameter())
-        res = binary_line_search(quadratic, y, z, params, counter)
+        res = binary_line_search(quadratic, y, z, 0.5, 1e-10, counter)
         np.testing.assert_allclose(res.x, res.alpha * y + (1 - res.alpha) * z, atol=1e-15)
         assert quadratic.feasible_set.contains(res.x, 1e-12)
 
     def test_infeasible_endpoints_rejected(self, quadratic, counter):
-        params = line_search_params(0.0, 1e-8, 1.0, quadratic.feasible_set.diameter())
         with pytest.raises(PreconditionError):
             binary_line_search(quadratic, np.array([2.0, 0.0]), np.array([0.0, 0.0]),
-                               params, counter)
+                               0.0, 1e-8, counter)
         with pytest.raises(PreconditionError):
             binary_line_search(quadratic, np.array([0.0, 0.0]), np.array([0.0, 2.0]),
-                               params, counter)
+                               0.0, 1e-8, counter)
+
+    @pytest.mark.parametrize("c,delta", [(-1e-12, 1e-10), (math.nan, 1e-10), (1.0, 0.0),
+                                         (1.0, math.nan)])
+    def test_invalid_constants_rejected_before_any_oracle_call(self, quadratic, counter,
+                                                               c, delta):
+        y, z = np.array([0.2, -0.3]), np.array([1.0, 1.0])
+        with pytest.raises(InvalidArgumentError):
+            binary_line_search(quadratic, y, z, c, delta, counter)
+        assert counter.calls == 0
 
     def test_loop_cap_failure(self, quadratic, counter):
         # White-box: a zero halving budget on a segment that enters the loop.
         y, z = np.array([0.2, -0.3]), np.array([1.0, 1.0])
-        params = LineSearchParams(c=0.0, delta1=1e-10, delta2=0.0,
-                                  epsilon_tilde=-1.0, loop_cap=0)
+        consts = qopt.accel._ProxConstants(quadratic, 1e-10)
+        prox_at_y = qopt.accel._solve(quadratic, y, consts, counter)
         with pytest.raises(NumericalFailureError) as excinfo:
-            binary_line_search(quadratic, y, z, params, counter)
+            qopt.accel._line_search(quadratic, y, z, 0.0, -1.0, 0, counter, prox_at_y, consts)
         assert "loop_cap" in excinfo.value.diagnostics
 
 
@@ -173,11 +165,10 @@ class TestBisectionBody:
         obj = double_well_objective()
         y, z = np.array([-1.2]), np.array([1.45])
         delta = 1e-10
-        params = line_search_params(0.0, delta, obj.smoothness_L,
-                                    obj.feasible_set.diameter())
-        res = binary_line_search(obj, y, z, params, counter)
+        res = binary_line_search(obj, y, z, 0.0, delta, counter)
+        search = _LineSearchConstants(delta, obj.smoothness_L, obj.feasible_set.diameter())
         assert res.exit == "bisection"
-        assert 1 <= res.loop_iterations <= params.loop_cap
+        assert 1 <= res.loop_iterations <= search.loop_cap
         # Independent oracle: near-exact envelope on a dense alpha grid.
         grid = np.linspace(0.0, 1.0, 2001)
         probe = OracleCounter()
@@ -187,7 +178,7 @@ class TestBisectionBody:
         ])
         i = min(max(int(round(res.alpha * 2000)), 1), 1999)
         g_prime = (g[i + 1] - g[i - 1]) / (2 * 5e-4)
-        assert res.alpha * g_prime <= params.epsilon_tilde + 5e-3  # grid slack
+        assert res.alpha * g_prime <= search.epsilon_tilde(0.0) + 5e-3  # grid slack
 
 
 class TestRunAccelerated:
@@ -282,11 +273,21 @@ class TestRunAccelerated:
                                 observer=iterates.append)
         params = trace.header["params"]
         assert len(recorded) == len(iterates) == params["T"]
+        built = _LineSearchConstants(params["delta"], params["L"], params["D"])
         for it, used in zip(iterates, recorded):
-            built = line_search_params(it.c, params["delta"], params["L"], params["D"])
-            assert used == (built.c, built.delta1, built.epsilon_tilde, built.loop_cap)
-        with pytest.raises(InvalidArgumentError):
-            line_search_params(-1e-12, params["delta"], params["L"], params["D"])
+            assert used == (it.c, built.delta, built.epsilon_tilde(it.c), built.loop_cap)
+
+    def test_coupling_constant_follows_the_weights(self, example1):
+        # c_t = gamma A_{t-1} / a_t with a_t = gamma^2 t / (8 L) and
+        # A_t = gamma^2 t (t+1) / (16 L) is gamma (t-1) / 2 up to rounding.
+        iterates = []
+        trace = run_accelerated(example1, np.array([5.0]), 1e-3, OracleCounter(),
+                                observer=iterates.append)
+        gamma = trace.header["params"]["gamma"]
+        assert len(iterates) == trace.header["params"]["T"] > 1
+        assert iterates[0].c == 0.0
+        for t, it in enumerate(iterates, start=1):
+            assert it.c == pytest.approx(gamma * (t - 1) / 2.0, rel=1e-14)
 
     @pytest.mark.parametrize("name,x0,eps", [
         ("example1", [5.0], 1e-2), ("quadratic", [1.0, 1.0], 1e-2), ("example1", [5.0], 1e-4),

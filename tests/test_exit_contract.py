@@ -2,7 +2,8 @@
 
 ``qopt run`` must end in 0 (a trace that round-trips through ``read_trace``),
 2 (a config error) or 3 (a trace with the failure marker), and raise nothing:
-exit 1 is reserved for failed verification checks.
+exit 1 is reserved for failed verification checks.  A number that is
+non-finite, boolean or, where an integer is due, non-integral ends in 2.
 """
 
 import json
@@ -22,6 +23,7 @@ CONTRACT = settings(derandomize=True, database=None, deadline=None, max_examples
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 WRONG_TYPE = st.sampled_from(["a", [1.0], {"x": 1.0}, None, True])
+NON_INTEGRAL = st.floats(-50.0, 50.0).filter(lambda v: not v.is_integer())
 
 
 def _floats(lo, hi, n):
@@ -84,6 +86,25 @@ def malformed(draw):
     return raw
 
 
+@st.composite
+def bad_number(draw):
+    """A well-formed config with ``epsilon``, ``T``, ``seed``, ``dim`` or ``dimension``
+    made non-finite, boolean or, for the integer fields, non-integral."""
+    raw = draw(well_formed())
+    params = raw["objective"]["params"]
+    slots = [(raw, "seed"), (raw, "epsilon" if raw["algorithm"] == "accelerated" else "T")]
+    if "dim" in params:
+        slots += [(params, "dim"), (raw, "dim")]
+    if params.get("set", {}).get("kind") == "simplex":
+        slots.append((params["set"], "dimension"))
+    node, key = draw(st.sampled_from(slots))
+    values = st.one_of(NON_FINITE, st.booleans())
+    if key != "epsilon":
+        values = st.one_of(values, NON_INTEGRAL)
+    node[key] = draw(values)
+    return raw
+
+
 def run_cli(raw):
     """``qopt run`` on ``raw``, with the contract's trace checks; returns the exit code."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -112,3 +133,9 @@ def test_well_formed_config_exits_0(raw):
 @given(malformed())
 def test_malformed_config_exits_0_2_or_3(raw):
     assert run_cli(raw) in (0, 2, 3)
+
+
+@CONTRACT
+@given(bad_number())
+def test_non_finite_boolean_or_fractional_number_exits_2(raw):
+    assert run_cli(raw) == 2

@@ -304,6 +304,15 @@ class TestCLI:
                  "set": {"kind": "ball", "center": [0.0, 0.0], "radius": float("inf")}}),
         ("objective", {"objective": {"name": "quadratic", "params": [1]}}),
         ("x0", {"x0": ["a", "b"]}),
+        ("epsilon", {"algorithm": "accelerated", "objective": "quadratic", "T": None,
+                     "epsilon": float("inf")}),
+        ("epsilon", {"algorithm": "accelerated", "objective": "quadratic", "T": None,
+                     "epsilon": True}),
+        ("T", {"T": True}),
+        ("seed", {"seed": True}),
+        ("set", {"objective": "quadratic", "set": {"kind": "simplex", "dimension": 2.5}}),
+        ("objective", {"objective": {"name": "quadratic", "params": {"dim": 2.7}}}),
+        ("objective", {"objective": "quadratic", "dim": 2.7}),
     ])
     def test_malformed_value_exits_2_naming_the_field(self, field, overrides, tmp_path, capsys):
         raw = {**PGD_SIMPLEX, "x0": "vertex", **overrides,

@@ -51,8 +51,6 @@ class TestEvaluate:
         for expected in range(1, 6):
             evaluate(example1, np.array([0.5]), counter)
             assert counter.calls == expected
-        counter.reset()
-        assert counter.calls == 0
 
     def test_nonfinite_rejected(self, quadratic, counter):
         with pytest.raises(InvalidArgumentError):
@@ -212,6 +210,17 @@ class TestCatalogue:
     def test_unknown_params_rejected(self):
         with pytest.raises(InvalidArgumentError):
             make_catalogue_objective("example1", {"set": {"kind": "box"}})
+
+    @pytest.mark.parametrize("name", ["quadratic", "affine_plus_quadratic"])
+    @pytest.mark.parametrize("dim", [2.7, 2.0, True, "2"],
+                             ids=["fraction", "integral_float", "bool", "string"])
+    def test_non_integer_dim_rejected(self, name, dim):
+        with pytest.raises(InvalidArgumentError, match="dim"):
+            make_catalogue_objective(name, {"dim": dim})
+
+    @pytest.mark.parametrize("name", ["quadratic", "affine_plus_quadratic"])
+    def test_numpy_integer_dim_accepted(self, name):
+        assert make_catalogue_objective(name, {"dim": np.int64(3)}).dimension == 3
 
     def test_every_entry_passes_declared_smoothness(self):
         for name in ("quadratic", "affine_plus_quadratic", "example1",

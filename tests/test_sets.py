@@ -299,6 +299,19 @@ class TestConstructionAndSpec:
         with pytest.raises(InvalidArgumentError):
             build()
 
+    @pytest.mark.parametrize("dimension", [2.5, 3.0, True, np.bool_(True), "3", None],
+                             ids=["fraction", "integral_float", "bool", "numpy_bool", "string",
+                                  "none"])
+    def test_non_integer_dimension_rejected(self, dimension):
+        with pytest.raises(InvalidArgumentError):
+            Simplex(dimension)
+        with pytest.raises(InvalidArgumentError):
+            set_from_spec({"kind": "simplex", "dimension": dimension})
+
+    def test_numpy_integer_dimension_accepted(self):
+        simplex = Simplex(np.int64(3))
+        assert simplex.dimension == 3 and type(simplex.dimension) is int
+
     def test_spec_round_trip(self):
         for set_ in (Box([-1, 0], [1, 2]), Ball([1.0, 2.0], 3.0), Simplex(4, 2.0)):
             clone = set_from_spec(set_.to_spec())

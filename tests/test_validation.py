@@ -16,7 +16,6 @@ from qopt import (
     OracleCounter,
     PreconditionError,
     binary_line_search,
-    line_search_params,
     run_accelerated,
     run_frank_wolfe,
     run_pgd,
@@ -39,15 +38,14 @@ def rejects(entry, obj, x, tmp_path, capsys):
             assert "config field 'x0'" in capsys.readouterr().err
         return code == 2
 
-    params = line_search_params(1.0, 1e-10, obj.smoothness_L, obj.feasible_set.diameter())
     calls = {
         "run_pgd": lambda: run_pgd(obj, x, 3, OracleCounter()),
         "run_frank_wolfe": lambda: run_frank_wolfe(obj, x, 3, OracleCounter()),
         "run_accelerated": lambda: run_accelerated(obj, x, 1e-1, OracleCounter()),
         "binary_line_search y":
-            lambda: binary_line_search(obj, x, obj.center, params, OracleCounter()),
+            lambda: binary_line_search(obj, x, obj.center, 1.0, 1e-10, OracleCounter()),
         "binary_line_search z":
-            lambda: binary_line_search(obj, obj.center, x, params, OracleCounter()),
+            lambda: binary_line_search(obj, obj.center, x, 1.0, 1e-10, OracleCounter()),
     }
     try:
         calls[entry]()
