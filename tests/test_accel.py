@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -23,6 +24,49 @@ from qopt import (
 from qopt.accel import MAX_ITERATIONS, AccelIterate, _LineSearchConstants
 
 
+def run_recording_weights(obj, x0, epsilon, monkeypatch):
+    """Run the accelerated method and read back the weight ``a_t`` it used.
+
+    The FTRL argument is ``x0 - sum_s (a_s / gamma) grad M~(x_s)``, so each
+    weight is recovered from the change of that argument between iterations
+    and the envelope gradient the line search ended with.  Only iterations
+    whose change is at least 1e-6 of ``|x0|`` are returned, where the rounding
+    of ``x0 - (x0 - sum)`` leaves the recovered weight accurate to ~1e-10.
+    Returns the trace, the observed iterates and ``{t: a_t}``.
+    """
+    grads, args = [], []
+    line_search = qopt.accel._line_search
+
+    def recording_search(*a):
+        out = line_search(*a)
+        grads.append(out[3].envelope_gradient.copy())
+        return out
+
+    project = obj.feasible_set._project
+
+    def recording_project(v):
+        # The prox solver projects through the same set; keep the FTRL step only.
+        if sys._getframe(1).f_code is run_accelerated.__code__:
+            args.append(v.copy())
+        return project(v)
+
+    monkeypatch.setattr(qopt.accel, "_line_search", recording_search)
+    monkeypatch.setattr(obj.feasible_set, "_project", recording_project)
+    iterates = []
+    trace = run_accelerated(obj, x0, epsilon, OracleCounter(), observer=iterates.append)
+    gamma = trace.header["params"]["gamma"]
+    assert len(grads) == len(args) == len(iterates) == trace.header["params"]["T"]
+    weights, previous = {}, np.zeros_like(x0)
+    floor = 1e-6 * max(1.0, float(np.max(np.abs(x0))))
+    for t, (g, arg) in enumerate(zip(grads, args), start=1):
+        step = (x0 - arg) - previous
+        i = int(np.argmax(np.abs(step)))
+        if abs(step[i]) >= floor:
+            weights[t] = gamma * step[i] / g[i]
+        previous = x0 - arg
+    return trace, iterates, weights
+
+
 class TestSchedule:
     def test_reference_iteration_count(self):
         # gamma=1, L=1, box [-1,1]^2 so D^2 = 8, eps=1e-3: 4*sqrt(8000) = 357.77.
@@ -33,6 +77,37 @@ class TestSchedule:
 
     def test_boundary_single_iteration(self):
         assert compute_schedule(1.0, 1.0, 1.0, 16.0).T == 1
+
+    def test_first_weights(self, quadratic, monkeypatch):
+        # gamma = L = 1: a_1 = gamma^2 / (8 L) and A_1 = a_1 are both 1/8; A_1 is
+        # read from the coupling c_2 = gamma A_1 / a_2.
+        trace, iterates, weights = run_recording_weights(
+            quadratic, np.array([1.0, 1.0]), 1e-2, monkeypatch)
+        params = trace.header["params"]
+        assert params["gamma"] == 1.0 and params["L"] == 1.0
+        assert weights[1] == pytest.approx(0.125, rel=1e-12)
+        A_1 = iterates[1].c * weights[2] / params["gamma"]
+        assert A_1 == pytest.approx(0.125, rel=1e-12)
+
+    def test_weight_recurrence_and_coupling(self, example1, monkeypatch):
+        # A_{t-1} = c_t a_t / gamma from the run's coupling constants; the
+        # weights must satisfy A_t - A_{t-1} = a_t, A_0 = 0 and the coupling
+        # condition A_t / (8 L) >= a_t^2 / (2 gamma^2) of the analysis.
+        trace, iterates, weights = run_recording_weights(
+            example1, np.array([5.0]), 1e-2, monkeypatch)
+        params = trace.header["params"]
+        gamma, L = params["gamma"], params["L"]
+        assert iterates[0].c == 0.0
+        checked = 0
+        for t in range(1, params["T"]):
+            if t not in weights or t + 1 not in weights:
+                continue
+            A_prev = iterates[t - 1].c * weights[t] / gamma
+            A_t = iterates[t].c * weights[t + 1] / gamma
+            assert A_t - A_prev == pytest.approx(weights[t], rel=1e-8)
+            assert A_t / (8 * L) >= weights[t] ** 2 / (2 * gamma**2) * (1 - 1e-8)
+            checked += 1
+        assert checked >= 40
 
     def test_invalid_inputs(self):
         for bad in [(-0.1, 1, 1, 1), (1.5, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0)]:
