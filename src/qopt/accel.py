@@ -212,6 +212,13 @@ def run_accelerated(obj, x0, epsilon, counter, observer=None):
     ``y_t``) together with the certified-gap envelope ``16 L D^2 / (gamma t)^2``.
     The trace ``solution`` is the final candidate.  A given ``observer`` is
     called once per outer iteration with that iteration's :class:`AccelIterate`.
+
+    Once a prox lands bit for bit where it started, with no oracle query, every
+    later iteration repeats it exactly.  The loop then stops querying and
+    solving: each remaining row repeats that row's ``f``, ``gap`` and
+    ``oracle_calls`` with its own bound, and the observer still gets one
+    ``AccelIterate(c_t, 0, y, y, z)`` per remaining ``t``, all sharing the
+    frozen ``y`` and ``z`` arrays.
     """
     if not epsilon > 0:
         raise InvalidArgumentError("epsilon must be positive")
@@ -247,25 +254,40 @@ def run_accelerated(obj, x0, epsilon, counter, observer=None):
     try:
         prox_y = _solve(obj, y, prox_consts, counter)
         f = prox_y.f_at_y
-        rows.append(TraceRow(0, counter.calls, f, None if fstar is None else f - fstar, None))
+        gap = None if fstar is None else f - fstar
+        rows.append(TraceRow(0, counter.calls, f, gap, None))
+        frozen = False
         for t in range(1, params.T + 1):
             a_t = gamma_sq * t / a_denom
             c = gamma_sq * (t - 1) * t / A_denom * gamma / a_t
-            _, x_t, loops, prox_x, _ = _line_search(
-                obj, y, z, c, search_consts.epsilon_tilde(c), loop_cap, counter, prox_y,
-                prox_consts)
-            y_new = prox_x.y
-            accumulated += (a_t / gamma) * prox_x.envelope_gradient
-            # The FTRL step (ftrl_step) on trusted arrays.
-            z_new = project(x0 - accumulated)
-            # The prox at y_new instruments f(y-hat_t), is reused as the next
-            # line search's endpoint oracle, and at t = T is the returned solution.
-            # y_new is prox_x.y, so prox_x already holds the oracle's answer there.
-            prox_y = _solve(obj, y_new, prox_consts, counter,
-                            (prox_x.f_at_y, prox_x.grad_at_y))
-            f = prox_y.f_at_y
-            rows.append(TraceRow(t, counter.calls, f, None if fstar is None else f - fstar,
-                                 bound_num / (gamma_gamma * t * t)))
+            if frozen:
+                # y_new, z_new are y, z and the line search would return y.
+                loops, x_t = 0, y
+            else:
+                _, x_t, loops, prox_x, _ = _line_search(
+                    obj, y, z, c, search_consts.epsilon_tilde(c), loop_cap, counter, prox_y,
+                    prox_consts)
+                y_new = prox_x.y
+                accumulated += (a_t / gamma) * prox_x.envelope_gradient
+                # The FTRL step (ftrl_step) on trusted arrays.
+                z_new = project(x0 - accumulated)
+                # The prox at y_new instruments f(y-hat_t), is reused as the next
+                # line search's endpoint oracle, and at t = T is the returned
+                # solution.  y_new is prox_x.y, so prox_x already holds the
+                # oracle's answer there.
+                prox_y = _solve(obj, y_new, prox_consts, counter,
+                                (prox_x.f_at_y, prox_x.grad_at_y))
+                f = prox_y.f_at_y
+                gap = None if fstar is None else f - fstar
+                # A prox whose first step lands bit for bit on its centre y_new
+                # made no query, and its envelope gradient is exactly +0.0.
+                # Every later iteration then repeats: the line search exits at
+                # alpha = 1 (hhat1 = 0), accumulated and so z_new keep their
+                # bits, and the next prox is this one again, from the same
+                # point and the same oracle answer.  Only t, c and the bound
+                # change, so the loop stops querying, projecting and solving.
+                frozen = prox_y.inner_iterations == 1 and prox_y.y.tobytes() == y_new.tobytes()
+            rows.append(TraceRow(t, counter.calls, f, gap, bound_num / (gamma_gamma * t * t)))
             if observer is not None:
                 observer(AccelIterate(c, loops, x_t, y, z))
             y, z = y_new, z_new

@@ -35,7 +35,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import InvalidArgumentError, NumericalFailureError, PreconditionError
-from .sets import MEMBERSHIP_TOL, Box, FeasibleSet, as_point, is_int, set_from_spec
+from .sets import MEMBERSHIP_TOL, Box, FeasibleSet, _dot, as_point, is_int, set_from_spec
 
 
 class OracleCounter:
@@ -250,7 +250,7 @@ def make_catalogue_objective(name, params=None):
 
         def evaluator(x, _b=shift):
             d = x - _b
-            return 0.5 * float(np.dot(d, d)), d
+            return 0.5 * float(_dot(d, d)), d
 
         center = set_.project(shift)
         return Objective(
@@ -275,7 +275,7 @@ def make_catalogue_objective(name, params=None):
             raise InvalidArgumentError("quadratic coefficient q must be nonnegative")
 
         def evaluator(x, _a=a, _q=q):
-            return float(np.dot(_a, x)) + 0.5 * _q * float(np.dot(x, x)), _a + _q * x
+            return float(_dot(_a, x)) + 0.5 * _q * float(_dot(x, x)), _a + _q * x
 
         # The constrained minimizer is the projection of the unconstrained one
         # when q > 0; for a pure affine objective it is an LMO vertex.

@@ -8,6 +8,7 @@ are pure.
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -19,11 +20,37 @@ from .errors import InvalidArgumentError, NumericalFailureError
 MEMBERSHIP_TOL = 1e-10
 #: Tolerance for the start points of the baselines and explicit config ``x0``.
 FEASIBILITY_TOL = 1e-9
+#: Longest vector :func:`_dot` hands to one BLAS call.  The OpenBLAS bundled
+#: with numpy splits a dot product across threads above 10,000 entries, and
+#: the split changes the summation order with the thread count.
+DOT_CHUNK = 10_000
 
 
 def is_int(value):
     """True for a Python or numpy integer; a bool or an integral float is not one."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _dot(u, v):
+    """``u.dot(v)`` for 1-D float64 arrays, in an order fixed by the length alone.
+
+    Up to ``DOT_CHUNK`` entries this is one ``u.dot(v)`` call, bit for bit.
+    Above that it sums the dots of consecutive ``DOT_CHUNK``-entry chunks in
+    order, so the result does not depend on the BLAS thread count.
+    """
+    n = u.shape[0]
+    if n <= DOT_CHUNK:
+        return u.dot(v)
+    total = u[:DOT_CHUNK].dot(v[:DOT_CHUNK])
+    for i in range(DOT_CHUNK, n, DOT_CHUNK):
+        total += u[i:i + DOT_CHUNK].dot(v[i:i + DOT_CHUNK])
+    return total
+
+
+def _norm(v):
+    """2-norm of a 1-D float64 array: ``np.linalg.norm(v)`` bit for bit up to
+    ``DOT_CHUNK`` entries, and independent of the BLAS thread count above."""
+    return math.sqrt(_dot(v, v))
 
 
 def as_point(x, dim=None):
@@ -70,7 +97,7 @@ class FeasibleSet:
     def distance(self, x):
         """Euclidean distance from ``x`` to the set."""
         x = as_point(x, self.dimension)
-        return float(np.linalg.norm(self.project(x) - x))
+        return _norm(self.project(x) - x)
 
     def contains(self, x, tol=MEMBERSHIP_TOL):
         if tol < 0:
@@ -125,7 +152,7 @@ class Box(FeasibleSet):
         return np.where(g < 0, self.upper, self.lower).astype(float)
 
     def diameter(self):
-        return float(np.linalg.norm(self.upper - self.lower))
+        return _norm(self.upper - self.lower)
 
     def center_point(self):
         return 0.5 * (self.lower + self.upper)
@@ -160,14 +187,14 @@ class Ball(FeasibleSet):
 
     def _project(self, x):
         delta = x - self.center
-        norm = np.linalg.norm(delta)
+        norm = _norm(delta)
         if norm <= self.radius:
             return x.copy()
         return self.center + (self.radius / norm) * delta
 
     def lmo(self, g):
         g = as_point(g, self.dimension)
-        norm = np.linalg.norm(g)
+        norm = _norm(g)
         if norm == 0.0:
             out = self.center.copy()
             out[0] += self.radius
@@ -179,7 +206,7 @@ class Ball(FeasibleSet):
 
     def distance(self, x):
         x = as_point(x, self.dimension)
-        return max(0.0, float(np.linalg.norm(x - self.center)) - self.radius)
+        return max(0.0, _norm(x - self.center) - self.radius)
 
     def center_point(self):
         return self.center.copy()

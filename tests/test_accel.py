@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -22,6 +23,7 @@ from qopt import (
     solve_prox_subproblem,
 )
 from qopt.accel import MAX_ITERATIONS, AccelIterate, _LineSearchConstants
+from qopt.trace import Trace, TraceRow, trace_csv_lines
 
 
 def run_recording_weights(obj, x0, epsilon, monkeypatch):
@@ -407,3 +409,120 @@ class TestRunAccelerated:
         with pytest.raises((InvalidArgumentError, NumericalFailureError)):
             run_accelerated(obj, np.array([1.0, 1.0]), 1e-2, OracleCounter())
         assert len(calls) == 5
+
+
+def dense_accelerated(obj, x0, epsilon, counter, observer=None):
+    """The reference loop: every outer iteration searches, steps FTRL and solves a prox.
+
+    The loop of ``run_accelerated`` without its fixed-point exit, on the same
+    private bodies and with the same float expressions.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    set_ = obj.feasible_set
+    params = compute_schedule(obj.quasar_gamma, obj.smoothness_L, set_.diameter(), epsilon)
+    gamma, L, D, delta = params.gamma, params.L, params.D, params.delta
+    fstar = obj.optimal_value
+    header = {"algorithm": "accelerated", "objective": obj.name, "set": set_.to_spec(),
+              "params": dataclasses.asdict(params), "x0": x0.tolist()}
+    y, z = x0.copy(), x0.copy()
+    accumulated = np.zeros_like(x0)
+    prox_consts = qopt.accel._ProxConstants(obj, delta)
+    search = _LineSearchConstants(delta, L, D)
+    prox_y = qopt.accel._solve(obj, y, prox_consts, counter)
+    f = prox_y.f_at_y
+    rows = [TraceRow(0, counter.calls, f, None if fstar is None else f - fstar, None)]
+    for t in range(1, params.T + 1):
+        a_t = gamma**2 * t / (8.0 * L)
+        c = gamma**2 * (t - 1) * t / (16.0 * L) * gamma / a_t
+        _, x_t, loops, prox_x, _ = qopt.accel._line_search(
+            obj, y, z, c, search.epsilon_tilde(c), search.loop_cap, counter, prox_y,
+            prox_consts)
+        y_new = prox_x.y
+        accumulated += (a_t / gamma) * prox_x.envelope_gradient
+        z_new = set_._project(x0 - accumulated)
+        prox_y = qopt.accel._solve(obj, y_new, prox_consts, counter,
+                                   (prox_x.f_at_y, prox_x.grad_at_y))
+        f = prox_y.f_at_y
+        rows.append(TraceRow(t, counter.calls, f, None if fstar is None else f - fstar,
+                             16.0 * L * D * D / (gamma * gamma * t * t)))
+        if observer is not None:
+            observer(AccelIterate(c, loops, x_t, y, z))
+        y, z = y_new, z_new
+    return Trace(header=header, rows=rows, solution=prox_y.y)
+
+
+def recording(records):
+    """An observer that keeps each iterate's ``c``, loop count and point bytes."""
+    def observe(it):
+        records.append((it.c, it.loop_iterations, it.x.tobytes(), it.y_prev.tobytes(),
+                        it.z_prev.tobytes()))
+    return observe
+
+
+def round_trip_objective():
+    """A prox from 0 that leaves and returns to exactly 0, querying 3 times on the way.
+
+    With L = 1 on [0, 1] the first inner step from 0 clips to 1, the second
+    lands just above 0 and the third clips back to 0 with a mapping norm below
+    the threshold at eps 1e-2.  So every outer iteration repeats its state but
+    still makes 3 oracle calls.
+    """
+    def evaluator(x):
+        v = float(x[0])
+        return v, np.array([-6.0 if v == 0.0 else 0.999999 if v == 1.0 else 1.0])
+
+    return Objective(name="round_trip", evaluator=evaluator, smoothness_L=1.0,
+                     quasar_gamma=1.0, feasible_set=Box([0.0], [1.0]))
+
+
+# name: (catalogue entry, params, x0, line searches run at eps 1e-4)
+FIXED_POINT_RUNS = {
+    "example1-from-5": ("example1", {}, [5.0], 1861),
+    "example1-from-neg3.3": ("example1", {}, [-3.3], 1845),
+    "quadratic-d5": ("quadratic", {"dim": 5}, [1.0, -0.0, 1.0, -0.0, 1.0], 1789),
+    "quadratic-d2": ("quadratic", {"dim": 2}, [1.0, -0.0], 1132),
+    "glm-from-origin": ("glm_sigmoid", {}, [0.0, 0.0], 326),
+    "glm-from-corner": ("glm_sigmoid", {}, [-2.0, 2.0], 306),
+}
+
+
+class TestFixedPointExit:
+    @pytest.mark.parametrize("name", FIXED_POINT_RUNS)
+    def test_matches_the_dense_loop(self, name, monkeypatch):
+        # The quadratic runs never freeze (searches == T) and carry a -0.0 in x0.
+        objective, params, x0, searches = FIXED_POINT_RUNS[name]
+        obj = make_catalogue_objective(objective, params)
+        x0 = np.array(x0)
+        expected, dense_counter = [], OracleCounter()
+        reference = dense_accelerated(obj, x0, 1e-4, dense_counter, recording(expected))
+
+        searched = []
+        line_search = qopt.accel._line_search
+
+        def counting(*args):
+            searched.append(1)
+            return line_search(*args)
+
+        monkeypatch.setattr(qopt.accel, "_line_search", counting)
+        seen, counter = [], OracleCounter()
+        trace = run_accelerated(obj, x0, 1e-4, counter, recording(seen))
+        T = trace.header["params"]["T"]
+        assert trace_csv_lines(trace) == trace_csv_lines(reference)
+        assert trace.solution.tobytes() == reference.solution.tobytes()
+        assert counter.calls == dense_counter.calls == trace.final_oracle_calls
+        assert len(searched) == searches <= T
+        # One observer call per outer iteration, each equal to the dense loop's
+        # (c, loop_iterations and the bytes of x, y_prev and z_prev).
+        assert len(seen) == T
+        assert seen == expected
+        assert all(loops == 0 for _, loops, *_ in seen[searches:])
+
+    def test_no_exit_while_the_prox_at_the_fixed_point_queries(self):
+        # y, z and the envelope gradient (+0.0) repeat from t = 1, but each
+        # prox at y still makes 3 oracle calls, so no row may be filled.
+        obj = round_trip_objective()
+        reference = dense_accelerated(obj, [0.0], 1e-2, OracleCounter())
+        trace = run_accelerated(obj, np.array([0.0]), 1e-2, OracleCounter())
+        assert trace_csv_lines(trace) == trace_csv_lines(reference)
+        calls = trace.column("oracle_calls")
+        assert np.all(np.diff(calls) == 3)

@@ -211,6 +211,41 @@ def test_golden_trace_bytes(config, sha256, calls, sha256_without_calls, tmp_pat
     assert hashlib.sha256(_without_oracle_calls(trace_bytes)).hexdigest() == sha256_without_calls
 
 
+def _module_env(**overrides):
+    """The environment of a ``python -m qopt`` subprocess that imports this checkout."""
+    src = str(Path(qopt.__file__).resolve().parent.parent)
+    return {**os.environ, **overrides, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
+@pytest.mark.parametrize("set_spec", [
+    {"kind": "simplex", "dimension": 30_000},
+    {"kind": "ball", "center": [0.0] * 30_000, "radius": 1.0},
+    {"kind": "box", "lower": [-1.0] * 30_000, "upper": [1.0] * 30_000},
+], ids=["simplex", "ball", "box"])
+def test_trace_bytes_do_not_depend_on_the_blas_thread_count(set_spec, tmp_path):
+    # OpenBLAS splits a dot product of more than 10,000 entries across threads,
+    # which changes its last bits with the thread count; the evaluators and
+    # the sets' norms (the box diameter is in the bound column) sum fixed
+    # 10,000-entry chunks in order instead.
+    n = 30_000
+    shift = [(-1.0) ** i * (1 + i % 7) / n for i in range(n)]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "algorithm": "frank_wolfe", "x0": "vertex", "T": 200,
+        "objective": {"name": "quadratic", "params": {"set": set_spec, "shift": shift}}}))
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"trace_{threads}.csv"
+        done = subprocess.run(
+            [sys.executable, "-m", "qopt", "run", str(config), "--output", str(out)],
+            capture_output=True, text=True, env=_module_env(OPENBLAS_NUM_THREADS=threads),
+            timeout=120)
+        assert done.returncode == 0, done.stderr
+        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert digests[0] == digests[1]
+
+
 class TestSweep:
     def test_empty_grid_rejected(self, tmp_path):
         with pytest.raises(ConfigError) as excinfo:
@@ -321,6 +356,44 @@ class TestCLI:
         assert main(["run", cfg]) == 2
         err = capsys.readouterr().err
         assert f"config field '{field}'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", ""])
+    def test_non_integer_env_seed_exits_2(self, value, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("QOPT_SEED", value)
+        cfg = self.write_config(tmp_path, PGD_SIMPLEX)
+        assert main(["run", cfg, "--output", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "config field 'seed'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]", b"\xff{}"],
+                             ids=["missing", "malformed", "not-an-object", "not-utf8"])
+    def test_unreadable_config_file_exits_2(self, command, content, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        elif content is not None:
+            path.write_text(content)
+        if command == "run":
+            argv = ["run", str(path), "--output", str(tmp_path / "o.csv")]
+        else:
+            grid = tmp_path / "grid.json"
+            grid.write_text(json.dumps({"T": [1]}))
+            argv = ["sweep", str(path), "--grid", str(grid), "--out-dir", str(tmp_path / "s")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "config field 'config'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("output", ["missing/o.csv", "."], ids=["no-such-directory",
+                                                                   "a-directory"])
+    def test_unwritable_output_exits_2(self, output, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, PGD_SIMPLEX)
+        assert main(["run", cfg, "--output", str(tmp_path / output)]) == 2
+        err = capsys.readouterr().err
+        assert "config field 'output_path'" in err
         assert "Traceback" not in err
 
     def test_numerical_failure_exits_3(self, tmp_path, monkeypatch, capsys):
@@ -489,11 +562,8 @@ class TestCLI:
         assert "accelerated_gap:example1" in capsys.readouterr().out
 
     def test_python_dash_m_entry_point(self):
-        src = str(Path(qopt.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
         done = subprocess.run([sys.executable, "-m", "qopt", "verify", "--list"],
-                              capture_output=True, text=True, env=env, timeout=60)
+                              capture_output=True, text=True, env=_module_env(), timeout=60)
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == available_checks()
 
@@ -505,6 +575,17 @@ class TestCLI:
         out_dir = tmp_path / "sweep"
         assert main(["sweep", cfg, "--grid", str(grid), "--out-dir", str(out_dir)]) == 0
         assert (out_dir / "summary.json").exists()
+
+    def test_sweep_uncreatable_out_dir_exits_2(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, PGD_SIMPLEX)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"T": [1]}))
+        (tmp_path / "a_file").write_text("")
+        out_dir = tmp_path / "a_file" / "sweep"
+        assert main(["sweep", cfg, "--grid", str(grid), "--out-dir", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert "config field 'out_dir'" in err
+        assert "Traceback" not in err
 
     def test_sweep_bad_grid_path(self, tmp_path):
         cfg = self.write_config(tmp_path, PGD_SIMPLEX)
