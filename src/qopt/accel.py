@@ -326,7 +326,9 @@ def check_linesearch_certificates(obj, x0, epsilon):
     max_loops = 0
     for it in iterates:
         at_x = solve_prox_subproblem(obj, it.x, fine, counter)
-        at_y = solve_prox_subproblem(obj, it.y_prev, fine, counter)
+        # A derivative_small exit, and every filled iterate, hands x_t = y_{t-1}
+        # itself; the solve is pure, so one serves both endpoints.
+        at_y = at_x if it.x is it.y_prev else solve_prox_subproblem(obj, it.y_prev, fine, counter)
         lhs = float(np.dot(at_x.envelope_gradient, it.x - it.z_prev))
         lhs -= it.c * (at_y.envelope_value - at_x.envelope_value)
         budget = base_budget + (9.0 + 5.0 * it.c) * delta + 1e-9

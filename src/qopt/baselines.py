@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalFailureError, PreconditionError
-from .objectives import OracleCounter, evaluate
+from .objectives import OracleCounter, evaluate, sample_pairs
 from .sets import FEASIBILITY_TOL, as_point
 from .trace import Trace, TraceRow
 
@@ -147,15 +147,12 @@ def attach_rate_bounds(trace, L, gamma, D):
 # -- property checks -----------------------------------------------------------
 
 
-def check_mapping_inequality(obj, trials=1000, seed=0):
+def check_mapping_inequality(obj, trials):
     """For random feasible (x, y): ``<grad f(x), x+ - y> <= <g(x), x+ - y> + MAPPING_TOL``."""
     set_ = obj.feasible_set
     eta = 1.0 / obj.smoothness_L
-    rng = np.random.default_rng(seed)
-    xs = set_.sample(rng, trials)
-    ys = set_.sample(rng, trials)
     worst = -np.inf
-    for x, yref in zip(xs, ys):
+    for x, yref in zip(*sample_pairs(set_, trials)):
         grad = obj.evaluator(x)[1]
         x_plus = set_.project(x - eta * grad)
         mapping = (x - x_plus) / eta
@@ -166,14 +163,13 @@ def check_mapping_inequality(obj, trials=1000, seed=0):
             "samples": trials}
 
 
-def check_mapping_descent(obj, trials=1000, seed=0):
+def check_mapping_descent(obj, trials):
     """For random feasible x: ``f(x+) - f(x) <= -||g(x)||^2 / (2L) + MAPPING_TOL``."""
     set_ = obj.feasible_set
     L = obj.smoothness_L
     eta = 1.0 / L
-    rng = np.random.default_rng(seed)
     worst = -np.inf
-    for x in set_.sample(rng, trials):
+    for x in set_.sample(np.random.default_rng(0), trials):
         f, grad = obj.evaluator(x)
         x_plus = set_.project(x - eta * grad)
         mapping = (x - x_plus) / eta

@@ -24,7 +24,7 @@ import numpy as np
 from . import baselines, prox
 from .accel import check_linesearch_certificates, run_accelerated
 from .errors import ConfigError
-from .harness import load_config, run_experiment, sweep
+from .harness import load_config, resolve_x0, run_experiment, sweep
 from .objectives import (
     CATALOGUE_NAMES,
     OracleCounter,
@@ -173,7 +173,7 @@ def _prox_conditioning(name):
 
 def _moreau_smoothness(name):
     obj = make_catalogue_objective(name)
-    rep = prox.check_envelope_smoothness(obj, samples=200, delta=1e-12)
+    rep = prox.check_envelope_smoothness(obj, samples=200)
     return CheckResult(
         name=f"moreau_smoothness:{name}",
         max_violation=rep["max_secant_ratio"] - 2.0 * obj.smoothness_L,
@@ -186,7 +186,7 @@ def _moreau_smoothness(name):
 
 def _moreau_quasar(name, tol):
     obj = make_catalogue_objective(name)
-    rep = prox.check_moreau_quasar(obj, grid=2000, delta=1e-12)
+    rep = prox.check_moreau_quasar(obj, grid=2000)
     return CheckResult(
         name=f"moreau_quasar:{name}",
         max_violation=rep["max_violation"],
@@ -202,7 +202,7 @@ def _prox_descent(name):
     failures = 0
     pts = sample_feasible(obj.feasible_set, 50)
     for x in pts:
-        rep = prox.check_descent_lemma(obj, x, delta=1e-8)
+        rep = prox.check_descent_lemma(obj, x)
         worst = max(worst, rep["slack"])
         failures += 0 if rep["passed"] else 1
     return CheckResult(
@@ -217,7 +217,7 @@ def _prox_descent(name):
 
 def _prox_stopping(name):
     obj = make_catalogue_objective(name)
-    rep = prox.check_stopping_soundness(obj, samples=50, delta=1e-6)
+    rep = prox.check_stopping_soundness(obj, samples=50)
     return CheckResult(
         name=f"prox_stopping:{name}",
         max_violation=rep["max_value_shift"] - rep["delta"],
@@ -230,7 +230,7 @@ def _prox_stopping(name):
 
 def _prox_gradient_error(name):
     obj = make_catalogue_objective(name)
-    rep = prox.check_gradient_error_bound(obj, samples=100, delta=1e-6)
+    rep = prox.check_gradient_error_bound(obj, samples=100)
     return CheckResult(
         name=f"prox_gradient_error:{name}",
         max_violation=rep["max_gradient_error"] - rep["bound"],
@@ -257,14 +257,22 @@ def _prox_iteration_budget():
     )
 
 
-def _accel_instance(name):
-    if name == "quadratic_box":
-        return make_catalogue_objective("quadratic"), np.array([1.0, 1.0])
-    return make_catalogue_objective("example1"), np.array([5.0])
+#: The solver runs the checks audit: catalogue objective, its params, and x0.
+_INSTANCES = {
+    "quadratic_box": ("quadratic", {}, [1.0, 1.0]),
+    "example1": ("example1", {}, [5.0]),
+    "quadratic_simplex": ("quadratic", {"set": {"kind": "simplex", "dimension": 3}}, "vertex"),
+}
+
+
+def _instance(name):
+    objective, params, x0 = _INSTANCES[name]
+    obj = make_catalogue_objective(objective, params)
+    return obj, resolve_x0(obj.feasible_set, x0)
 
 
 def _linesearch_certificate(name):
-    rep = check_linesearch_certificates(*_accel_instance(name), 1e-3)
+    rep = check_linesearch_certificates(*_instance(name), 1e-3)
     return CheckResult(
         name=f"linesearch_certificate:{name}",
         max_violation=rep["max_excess"],
@@ -276,7 +284,7 @@ def _linesearch_certificate(name):
 
 
 def _accelerated_gap(name, epsilon):
-    obj, x0 = _accel_instance(name)
+    obj, x0 = _instance(name)
     counter = OracleCounter()
     trace = run_accelerated(obj, x0, epsilon, counter)
     params = trace.header["params"]
@@ -316,8 +324,7 @@ def _pgd_mapping(name, check):
 
 
 def _fw_dynamics():
-    obj = make_catalogue_objective("quadratic", {"set": {"kind": "simplex", "dimension": 3}})
-    rep = baselines.check_fw_feasibility_and_weights(obj, obj.feasible_set.canonical_vertex(), 500)
+    rep = baselines.check_fw_feasibility_and_weights(*_instance("quadratic_simplex"), 500)
     violation = max(rep["max_infeasibility"] - rep["tolerance"],
                     rep["max_weight_mismatch"] - rep["weight_tolerance"])
     return CheckResult(
@@ -330,18 +337,8 @@ def _fw_dynamics():
     )
 
 
-def _rate_instance(kind):
-    if kind.endswith("example1"):
-        obj = make_catalogue_objective("example1")
-        x0 = np.array([5.0])
-    else:
-        obj = make_catalogue_objective("quadratic", {"set": {"kind": "simplex", "dimension": 3}})
-        x0 = obj.feasible_set.canonical_vertex()
-    return obj, x0
-
-
 def _rate_envelope(algorithm, instance):
-    obj, x0 = _rate_instance(instance)
+    obj, x0 = _instance(instance)
     T = 10_000
     counter = OracleCounter()
     runner = baselines.run_pgd if algorithm == "pgd" else baselines.run_frank_wolfe

@@ -8,11 +8,13 @@ Config format (JSON)::
       "set": {...},                # optional override where the objective allows it
       "x0": "vertex" | "center" | [..],
       "epsilon": 1e-3,             # required for accelerated
-      "T": 1000,                   # baselines take exactly one of epsilon/T
+      "T": 1000,                   # baselines take exactly one of epsilon/T, T <= 10^7
       "seed": 0,
-      "output_path": "trace.csv"
+      "output_path": "trace.csv",
+      "dim": 2                     # optional shorthand for the objective's dim param
     }
 
+Any other key, top-level or beside ``name`` and ``params``, is a config error.
 The env var ``QOPT_SEED`` overrides ``seed``.  Identical config + seed yields
 byte-identical trace files; an accelerated run above 10,000 dimensions does so
 only at a fixed BLAS thread count (see the README).
@@ -30,7 +32,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .accel import iteration_count, run_accelerated
+from .accel import MAX_ITERATIONS, iteration_count, run_accelerated
 from .baselines import RATE_CONSTANTS, attach_rate_bounds, run_frank_wolfe, run_pgd
 from .errors import ConfigError, NumericalFailureError, PreconditionError
 from .objectives import OracleCounter, make_catalogue_objective
@@ -38,6 +40,9 @@ from .sets import FEASIBILITY_TOL, as_point, is_int, set_from_spec
 from .trace import Trace, write_trace
 
 ALGORITHMS = ("accelerated", "pgd", "frank_wolfe")
+#: Every top-level config key; ``dim`` is shorthand for the objective's ``dim`` param.
+_CONFIG_KEYS = ("algorithm", "objective", "set", "x0", "epsilon", "T", "seed", "output_path",
+               "dim")
 
 #: Rows with a smaller gap are dropped from log-log fits (log of ~0 is noise).
 GAP_FIT_FLOOR = 1e-13
@@ -70,6 +75,10 @@ def load_config(source):
     else:
         raw = dict(source)
 
+    # A misspelt key would otherwise run silently with the default it meant to replace.
+    for key in raw:
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(key, f"unknown config key; expected one of {_CONFIG_KEYS}")
     if "algorithm" not in raw:
         raise ConfigError("algorithm", "missing")
     algorithm = raw["algorithm"]
@@ -82,6 +91,9 @@ def load_config(source):
     if isinstance(objective, str):
         name, params = objective, {}
     elif isinstance(objective, dict) and "name" in objective:
+        for key in objective:
+            if key not in ("name", "params"):
+                raise ConfigError("objective", f"unknown key {key!r}; expected 'name' and 'params'")
         name, params = objective["name"], objective.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError("objective", "params must be a mapping")
@@ -100,8 +112,8 @@ def load_config(source):
     if epsilon is not None and (isinstance(epsilon, bool) or not isinstance(epsilon, (int, float))
                                 or not 0 < epsilon < math.inf):
         raise ConfigError("epsilon", "must be a positive finite number")
-    if T is not None and not (is_int(T) and T >= 1):
-        raise ConfigError("T", "must be a positive integer")
+    if T is not None and not (is_int(T) and 1 <= T <= MAX_ITERATIONS):
+        raise ConfigError("T", f"must be a positive integer no larger than {MAX_ITERATIONS}")
     if algorithm == "accelerated":
         if epsilon is None:
             raise ConfigError("epsilon", "required for the accelerated algorithm")
@@ -124,6 +136,9 @@ def load_config(source):
     x0 = raw.get("x0", "vertex")
     if not (isinstance(x0, (list, str))):
         raise ConfigError("x0", "expected 'vertex', 'center', or an explicit vector")
+    output_path = raw.get("output_path")
+    if output_path is not None and not isinstance(output_path, str):
+        raise ConfigError("output_path", "expected a file path string")
 
     return ExperimentConfig(
         algorithm=algorithm,
@@ -134,7 +149,7 @@ def load_config(source):
         epsilon=epsilon,
         T=T,
         seed=seed,
-        output_path=raw.get("output_path"),
+        output_path=output_path,
         raw=raw,
     )
 

@@ -125,7 +125,13 @@ def sample_feasible(set_, n, seed=0):
     return set_.sample(rng, n)
 
 
-def check_quasar_convexity(obj, samples, gamma=None, seed=0):
+def sample_pairs(set_, n):
+    """Two seeded draws of ``n`` feasible points from one generator: the pairs of a secant check."""
+    rng = np.random.default_rng(0)
+    return set_.sample(rng, n), set_.sample(rng, n)
+
+
+def check_quasar_convexity(obj, samples, gamma=None):
     """Measure the worst quasar-convexity violation on sampled feasible points.
 
     The violation at ``x`` is ``f(x) + (1/gamma) * <grad f(x), x* - x> - f(x*)``;
@@ -135,7 +141,7 @@ def check_quasar_convexity(obj, samples, gamma=None, seed=0):
         raise PreconditionError("check_quasar_convexity requires a known center")
     gamma = obj.quasar_gamma if gamma is None else gamma
     fstar = obj.evaluator(obj.center)[0]
-    pts = sample_feasible(obj.feasible_set, samples, seed)
+    pts = sample_feasible(obj.feasible_set, samples)
     worst = -np.inf
     argmax = pts[0]
     for x in pts:
@@ -146,7 +152,7 @@ def check_quasar_convexity(obj, samples, gamma=None, seed=0):
     return {"max_violation": float(worst), "argmax": np.asarray(argmax), "samples": len(pts)}
 
 
-def check_smoothness(obj, samples, seed=0):
+def check_smoothness(obj, samples):
     """Measure the largest gradient secant ratio over sampled feasible pairs.
 
     The ratio must not exceed ``obj.smoothness_L * (1 + rtol)`` for the
@@ -160,8 +166,7 @@ def check_smoothness(obj, samples, seed=0):
         pts = set_.grid(samples)
         pairs = zip(pts[:-1], pts[1:])
     else:
-        rng = np.random.default_rng(seed)
-        pairs = zip(set_.sample(rng, samples), set_.sample(rng, samples))
+        pairs = zip(*sample_pairs(set_, samples))
     worst = 0.0
     count = 0
     for u, v in pairs:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalFailureError, PreconditionError
-from .objectives import OracleCounter, evaluate, sample_feasible
+from .objectives import OracleCounter, evaluate, sample_feasible, sample_pairs
 from .sets import MEMBERSHIP_TOL, as_point
 
 
@@ -143,7 +143,7 @@ def _solve(obj, x, consts, counter, at_x=None):
 # -- property checks -----------------------------------------------------------
 
 
-def check_prox_conditioning(obj, samples=10_000, seed=0):
+def check_prox_conditioning(obj, samples):
     """Verify the strong-convexity/smoothness bracket of the prox subproblem.
 
     For feasible secant pairs (u, v), the subproblem gradient satisfies
@@ -155,12 +155,9 @@ def check_prox_conditioning(obj, samples=10_000, seed=0):
     """
     L = obj.smoothness_L
     lam = default_lambda(obj)
-    rng = np.random.default_rng(seed)
-    us = obj.feasible_set.sample(rng, samples)
-    vs = obj.feasible_set.sample(rng, samples)
     lo, hi = np.inf, -np.inf
     count = 0
-    for u, v in zip(us, vs):
+    for u, v in zip(*sample_pairs(obj.feasible_set, samples)):
         sep2 = float(np.dot(u - v, u - v))
         if sep2 < 1e-18:
             continue
@@ -182,7 +179,7 @@ def check_prox_conditioning(obj, samples=10_000, seed=0):
     }
 
 
-def check_moreau_quasar(obj, grid=2000, delta=1e-12, seed=0):
+def check_moreau_quasar(obj, grid):
     """Measure the worst quasar-convexity violation of the (near-exact) envelope.
 
     Runs the prox at high accuracy as a stand-in for the exact envelope and
@@ -191,9 +188,10 @@ def check_moreau_quasar(obj, grid=2000, delta=1e-12, seed=0):
     """
     if obj.center is None:
         raise PreconditionError("check_moreau_quasar requires a known center")
+    delta = 1e-12
     counter = OracleCounter()
     m_star = solve_prox_subproblem(obj, obj.center, delta, counter).envelope_value
-    pts = sample_feasible(obj.feasible_set, grid, seed)
+    pts = sample_feasible(obj.feasible_set, grid)
     worst = -np.inf
     for x in pts:
         res = solve_prox_subproblem(obj, x, delta, counter)
@@ -207,12 +205,13 @@ def check_moreau_quasar(obj, grid=2000, delta=1e-12, seed=0):
             "oracle_calls": counter.calls}
 
 
-def check_descent_lemma(obj, x, delta=1e-8):
+def check_descent_lemma(obj, x):
     """Check the approximate-descent inequality of one inexact prox step.
 
     With y the delta-prox of x, the envelope must satisfy
     ``M~(y) - M~(x) <= -||grad M~(x)||^2 / (8 L) + delta``.
     """
+    delta = 1e-8
     counter = OracleCounter()
     at_x = solve_prox_subproblem(obj, x, delta, counter)
     at_y = solve_prox_subproblem(obj, at_x.y, delta, counter)
@@ -223,22 +222,19 @@ def check_descent_lemma(obj, x, delta=1e-8):
     return {"lhs": lhs, "rhs": rhs, "slack": lhs - rhs, "passed": bool(lhs <= rhs)}
 
 
-def check_envelope_smoothness(obj, samples=200, delta=1e-12, seed=0, min_sep=None):
+def check_envelope_smoothness(obj, samples):
     """Measure secant ratios of the near-exact envelope gradient.
 
     The envelope of the ``1/(2L)`` prox is ``2L``-smooth; ratios must stay
     below ``2 L (1 + rtol)``, and the report's ``tolerance`` is that absolute
     slack, ``2 L rtol``.
     """
-    D = obj.feasible_set.diameter()
-    min_sep = 0.02 * D if min_sep is None else min_sep
-    rng = np.random.default_rng(seed)
-    us = obj.feasible_set.sample(rng, samples)
-    vs = obj.feasible_set.sample(rng, samples)
+    delta = 1e-12
+    min_sep = 0.02 * obj.feasible_set.diameter()
     counter = OracleCounter()
     worst = 0.0
     count = 0
-    for u, v in zip(us, vs):
+    for u, v in zip(*sample_pairs(obj.feasible_set, samples)):
         sep = float(np.linalg.norm(u - v))
         if sep < min_sep:
             continue
@@ -252,14 +248,15 @@ def check_envelope_smoothness(obj, samples=200, delta=1e-12, seed=0, min_sep=Non
             "passed": worst <= limit, "samples": count}
 
 
-def check_stopping_soundness(obj, samples=50, delta=1e-6, seed=0):
+def check_stopping_soundness(obj, samples):
     """Empirical certificate of delta-optimality of the stopping rule.
 
     Re-solving each subproblem at ``delta/100`` must change the achieved
     subproblem value by at most ``delta``.
     """
+    delta = 1e-6
     counter = OracleCounter()
-    pts = sample_feasible(obj.feasible_set, samples, seed)
+    pts = sample_feasible(obj.feasible_set, samples)
     worst = 0.0
     for x in pts:
         coarse = solve_prox_subproblem(obj, x, delta, counter)
@@ -269,14 +266,15 @@ def check_stopping_soundness(obj, samples=50, delta=1e-6, seed=0):
             "samples": len(pts)}
 
 
-def check_gradient_error_bound(obj, samples=100, delta=1e-6, seed=0):
+def check_gradient_error_bound(obj, samples):
     """Check ``||grad M~_delta(x) - grad M~_ref(x)|| <= sqrt(8 L delta)``.
 
     The reference gradient uses a near-exact prox (``delta = 1e-14``).
     """
+    delta = 1e-6
     counter = OracleCounter()
     bound = math.sqrt(8.0 * obj.smoothness_L * delta)
-    pts = sample_feasible(obj.feasible_set, samples, seed)
+    pts = sample_feasible(obj.feasible_set, samples)
     worst = 0.0
     for x in pts:
         coarse = solve_prox_subproblem(obj, x, delta, counter).envelope_gradient
@@ -286,15 +284,16 @@ def check_gradient_error_bound(obj, samples=100, delta=1e-6, seed=0):
             "samples": len(pts)}
 
 
-def fit_iteration_constant(obj, samples=50, deltas=(1e-4, 1e-8, 1e-12), seed=0):
+def fit_iteration_constant(obj, samples):
     """Report the observed constant C in ``inner_iterations <= C log2(L D^2 / delta)``."""
+    deltas = (1e-4, 1e-8, 1e-12)
     D = obj.feasible_set.diameter()
     L = obj.smoothness_L
     counter = OracleCounter()
     worst = 0.0
     for delta in deltas:
         denom = math.log2(max(L * D * D / delta, 4.0))
-        for x in sample_feasible(obj.feasible_set, samples, seed):
+        for x in sample_feasible(obj.feasible_set, samples):
             res = solve_prox_subproblem(obj, x, delta, counter)
             worst = max(worst, res.inner_iterations / denom)
     return {"fitted_constant": worst, "samples": samples, "deltas": list(deltas)}

@@ -305,6 +305,38 @@ class TestRunAccelerated:
         assert rep["passed"]
         assert rep["max_loops"] <= rep["loop_bound"]
 
+    @pytest.mark.parametrize("name,x0", [("quadratic", [1.0, 1.0]), ("example1", [5.0])])
+    def test_certificate_audit_solves_once_where_x_is_y_prev(self, name, x0, monkeypatch):
+        obj, x0 = make_catalogue_objective(name), np.array(x0)
+        iterates = []
+        trace = run_accelerated(obj, x0, 1e-3, OracleCounter(), observer=iterates.append)
+        params = trace.header["params"]
+        L, D, delta = params["L"], params["D"], params["delta"]
+        fine = delta / qopt.accel.CERTIFICATE_ACCURACY_FACTOR
+        # The reference audit: two fine solves per iterate, whatever x_t is.
+        worst = -np.inf
+        for it in iterates:
+            at_x = solve_prox_subproblem(obj, it.x, fine, OracleCounter())
+            at_y = solve_prox_subproblem(obj, it.y_prev, fine, OracleCounter())
+            lhs = float(np.dot(at_x.envelope_gradient, it.x - it.z_prev))
+            lhs -= it.c * (at_y.envelope_value - at_x.envelope_value)
+            budget = math.sqrt(8.0 * L * D * D * delta) + (9.0 + 5.0 * it.c) * delta + 1e-9
+            worst = max(worst, lhs - budget)
+        loop_bound = math.ceil(math.log2(max(8.0 * L * D * D / delta, 2.0)))
+        max_loops = max(it.loop_iterations for it in iterates)
+        reference = {"max_excess": float(worst), "max_loops": max_loops,
+                     "loop_bound": loop_bound, "calls": len(iterates),
+                     "passed": bool(worst <= 0.0 and max_loops <= loop_bound)}
+
+        solves = []
+        solve = qopt.accel.solve_prox_subproblem
+        monkeypatch.setattr(qopt.accel, "solve_prox_subproblem",
+                            lambda *args: solves.append(args) or solve(*args))
+        assert check_linesearch_certificates(obj, x0, 1e-3) == reference
+        moved = sum(it.x is not it.y_prev for it in iterates)
+        assert moved < len(iterates)
+        assert len(solves) == len(iterates) + moved
+
     def test_observer_called_once_per_outer_iteration(self, example1, counter):
         seen = []
         trace = run_accelerated(example1, np.array([5.0]), 1e-2, counter, observer=seen.append)

@@ -70,7 +70,7 @@ def test_criterion_05_prox_descent():
         obj = make_catalogue_objective(name)
         for x in sample_feasible(obj.feasible_set, 50, seed=11):
             total += 1
-            if not check_descent_lemma(obj, x, delta=1e-8)["passed"]:
+            if not check_descent_lemma(obj, x)["passed"]:
                 failures += 1
     report("criterion-5 prox descent inequality", failures == 0,
            f"{failures} failures over {total} points (50 per objective)")

@@ -348,6 +348,10 @@ class TestCLI:
         ("set", {"objective": "quadratic", "set": {"kind": "simplex", "dimension": 2.5}}),
         ("objective", {"objective": {"name": "quadratic", "params": {"dim": 2.7}}}),
         ("objective", {"objective": "quadratic", "dim": 2.7}),
+        ("T", {"T": 10**30}),
+        ("x_0", {"x_0": [4.0]}),
+        ("Tt", {"Tt": 3}),
+        ("objective", {"objective": {"name": "quadratic", "param": {"dim": 2}}}),
     ])
     def test_malformed_value_exits_2_naming_the_field(self, field, overrides, tmp_path, capsys):
         raw = {**PGD_SIMPLEX, "x0": "vertex", **overrides,
@@ -357,6 +361,31 @@ class TestCLI:
         err = capsys.readouterr().err
         assert f"config field '{field}'" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("field,overrides", [
+        ("T", {"T": 10**7 + 1}),
+        ("output_path", {"output_path": True}),
+        ("output_path", {"output_path": 5}),
+        ("Tt", {"Tt": 3}),
+        ("objective", {"objective": {"name": "quadratic", "param": {"dim": 2}}}),
+    ])
+    def test_rejected_by_load_config(self, field, overrides):
+        # Rejected while the config is read, before any objective exists to query.
+        with pytest.raises(ConfigError) as excinfo:
+            load_config({**PGD_SIMPLEX, **overrides})
+        assert excinfo.value.field == field
+
+    @pytest.mark.parametrize("output_path", [True, 5])
+    def test_non_string_output_path_exits_2(self, output_path, tmp_path):
+        # In a subprocess: opening True or 5 writes to, then closes, that file
+        # descriptor, which in-process would be pytest's own stdout.
+        cfg = self.write_config(tmp_path, {**PGD_SIMPLEX, "output_path": output_path})
+        done = subprocess.run([sys.executable, "-m", "qopt", "run", cfg], capture_output=True,
+                              text=True, env=_module_env(), timeout=60)
+        assert done.returncode == 2, done.stderr
+        assert "config field 'output_path'" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert done.stdout == ""
 
     @pytest.mark.parametrize("value", ["abc", "1.5", ""])
     def test_non_integer_env_seed_exits_2(self, value, tmp_path, monkeypatch, capsys):
@@ -553,6 +582,17 @@ class TestCLI:
         assert main(["verify", "--suite", "trace_determinism"]) == 0
         out = capsys.readouterr().out
         assert "overall: PASS" in out
+
+    def test_property_check_stdout_is_pinned(self, capsys):
+        # The sampled property checks, their sample sizes, seeds and
+        # tolerances, as `qopt verify` prints them: any change to what they
+        # draw or how they report shows up as a changed line.
+        suite = ("quasar_certificate,smoothness,prox_conditioning,moreau_smoothness,"
+                 "moreau_quasar,prox_descent,prox_stopping,prox_gradient_error,"
+                 "prox_iteration_budget,pgd_mapping_bound,pgd_descent_step")
+        assert main(["verify", "--suite", suite]) == 0
+        golden = Path(__file__).parent / "data" / "verify_property_checks.txt"
+        assert capsys.readouterr().out == golden.read_text()
 
     def test_verify_unknown_suite(self, capsys):
         assert main(["verify", "--suite", "bogus"]) == 2

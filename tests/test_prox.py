@@ -241,11 +241,11 @@ class TestConditioning:
 
 class TestEnvelopeProperties:
     def test_envelope_quasar_convexity(self, example1):
-        rep = check_moreau_quasar(example1, grid=400, delta=1e-12)
+        rep = check_moreau_quasar(example1, grid=400)
         assert rep["max_violation"] <= 1e-6
 
     def test_envelope_quasar_quadratic(self, quadratic):
-        rep = check_moreau_quasar(quadratic, grid=400, delta=1e-12)
+        rep = check_moreau_quasar(quadratic, grid=400)
         assert rep["max_violation"] <= 1e-8
 
     def test_envelope_requires_center(self, quadratic):
@@ -261,12 +261,12 @@ class TestEnvelopeProperties:
         assert rep["passed"]
 
     def test_descent_inequality_at_interior_point(self, quadratic_1d):
-        rep = check_descent_lemma(quadratic_1d, np.array([0.9]), delta=1e-8)
+        rep = check_descent_lemma(quadratic_1d, np.array([0.9]))
         assert rep["passed"]
         assert rep["slack"] < -1e-4  # strict descent away from the solution
 
     def test_descent_at_center(self, quadratic_1d):
-        rep = check_descent_lemma(quadratic_1d, np.array([0.0]), delta=1e-8)
+        rep = check_descent_lemma(quadratic_1d, np.array([0.0]))
         assert rep["passed"]
         assert abs(rep["lhs"]) <= 1e-8
 
@@ -274,14 +274,14 @@ class TestEnvelopeProperties:
         rng = np.random.default_rng(3)
         for _ in range(10):
             x = np.array([rng.uniform(-5, 5)])
-            assert check_descent_lemma(example1, x, delta=1e-8)["passed"]
+            assert check_descent_lemma(example1, x)["passed"]
 
     def test_stopping_soundness(self, example1):
-        rep = check_stopping_soundness(example1, samples=20, delta=1e-6)
+        rep = check_stopping_soundness(example1, samples=20)
         assert rep["passed"]
 
     def test_gradient_error_bound_property(self, example1):
-        rep = check_gradient_error_bound(example1, samples=30, delta=1e-6)
+        rep = check_gradient_error_bound(example1, samples=30)
         assert rep["passed"]
 
 
