@@ -324,10 +324,14 @@ def check_linesearch_certificates(obj, x0, epsilon):
     loop_bound = math.ceil(math.log2(max(8.0 * L * D * D / delta, 2.0)))
     worst_excess = -np.inf
     max_loops = 0
+    prev_x = at_x = None
     for it in iterates:
-        at_x = solve_prox_subproblem(obj, it.x, fine, counter)
-        # A derivative_small exit, and every filled iterate, hands x_t = y_{t-1}
-        # itself; the solve is pure, so one serves both endpoints.
+        # The solve is pure, so one serves every use of the same array: the
+        # filled iterates after the fixed-point exit share one frozen x_t, and
+        # a derivative_small exit, like every filled iterate, hands
+        # x_t = y_{t-1} itself.
+        if it.x is not prev_x:
+            prev_x, at_x = it.x, solve_prox_subproblem(obj, it.x, fine, counter)
         at_y = at_x if it.x is it.y_prev else solve_prox_subproblem(obj, it.y_prev, fine, counter)
         lhs = float(np.dot(at_x.envelope_gradient, it.x - it.z_prev))
         lhs -= it.c * (at_y.envelope_value - at_x.envelope_value)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalFailureError, PreconditionError
-from .objectives import OracleCounter, evaluate, sample_pairs
+from .objectives import OracleCounter, _query, evaluate, sample_pairs
 from .sets import FEASIBILITY_TOL, as_point
 from .trace import Trace, TraceRow
 
@@ -99,6 +99,11 @@ def run_frank_wolfe(obj, x0, T, counter, observer=None):
     ``observer`` is called as ``observer(t, x, grad)`` right after the oracle
     query of each trace row, t = 0..T.  ``x`` is the solver's own array: the
     next step mutates it in place, so an observer that keeps it must copy it.
+
+    Only ``x0`` is validated.  Each step mixes the iterate with a vertex, and
+    every vertex is finite: a simplex or box vertex always is, and the ball
+    LMO raises :class:`NumericalFailureError` on a non-finite gradient.  So
+    the loop queries its iterate through the trusted ``_query``.
     """
     x = _require_feasible(obj, x0, "x0").copy()
     set_ = obj.feasible_set
@@ -113,7 +118,7 @@ def run_frank_wolfe(obj, x0, T, counter, observer=None):
     rows = []
     try:
         for t in range(T + 1):
-            f, grad = evaluate(obj, x, counter)
+            f, grad = _query(obj, x, counter)
             rows.append(TraceRow(t, counter.calls, f, gap(f), None))
             if observer is not None:
                 observer(t, x, grad)

@@ -86,12 +86,21 @@ class Objective:
 def evaluate(obj, x, counter):
     """Query the oracle: return ``(f(x), grad f(x))`` and count one call.
 
-    A non-finite value is a :class:`NumericalFailureError` naming the
-    objective; the gradient is not scanned, so the check costs one scalar test.
+    ``x`` must be a finite point of the objective's dimension.  A non-finite
+    value is a :class:`NumericalFailureError` naming the objective; the
+    gradient is not scanned, so the check costs one scalar test.
     """
     x = as_point(x, obj.dimension)
-    if not np.isfinite(x).all():
+    # A finite sum of squares proves every entry finite; only a NaN, an
+    # infinity or an overflowing square sends the check to the entrywise scan.
+    if not (_dot(x, x) < math.inf or np.isfinite(x).all()):
         raise InvalidArgumentError("oracle query point must be finite")
+    return _query(obj, x, counter)
+
+
+def _query(obj, x, counter):
+    """Body of :func:`evaluate` for a trusted point: a finite 1-D float64
+    array of the objective's dimension."""
     value, grad = obj.evaluator(x)
     counter.calls += 1
     value = float(value)

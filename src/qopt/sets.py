@@ -53,6 +53,21 @@ def _norm(v):
     return math.sqrt(_dot(v, v))
 
 
+def _scaled_norm(v):
+    """``(m, u, ||u||)`` with ``v = m u`` and ``||v|| = m ||u||``.
+
+    This is ``(1.0, v, _norm(v))`` unless the sum of squares overflows while
+    every entry is finite; then ``m = max|v|``, and ``||u|| <= sqrt(d)`` is
+    finite.  A NaN or infinite entry leaves ``(1.0, v, nan or inf)``.
+    """
+    norm = _norm(v)
+    if norm == math.inf and np.isfinite(v).all():
+        m = float(np.abs(v).max())
+        u = v / m
+        return m, u, _norm(u)
+    return 1.0, v, norm
+
+
 def as_point(x, dim=None):
     """Coerce ``x`` to a 1-D float64 array, optionally checking its dimension."""
     p = np.asarray(x, dtype=float)
@@ -184,21 +199,28 @@ class Ball(FeasibleSet):
         super().__init__(center.shape[0])
         self.center = center
         self.radius = float(radius)
+        # Every point, and so every LMO vertex, must have finite coordinates.
+        if not float(np.abs(center).max()) + self.radius < math.inf:
+            raise InvalidArgumentError(
+                "ball coordinates overflow: max|center| + radius is not finite")
 
     def _project(self, x):
-        delta = x - self.center
-        norm = _norm(delta)
-        if norm <= self.radius:
+        scale, delta, norm = _scaled_norm(x - self.center)
+        if scale * norm <= self.radius:
             return x.copy()
         return self.center + (self.radius / norm) * delta
 
     def lmo(self, g):
+        """``center - radius g / ||g||``; a NaN or infinite entry in ``g`` is a
+        :class:`NumericalFailureError`, since the vertex would be NaN."""
         g = as_point(g, self.dimension)
-        norm = _norm(g)
+        _, g, norm = _scaled_norm(g)
         if norm == 0.0:
             out = self.center.copy()
             out[0] += self.radius
             return out
+        if not norm < math.inf:
+            raise NumericalFailureError("ball LMO direction is not finite")
         return self.center - (self.radius / norm) * g
 
     def diameter(self):
@@ -206,7 +228,8 @@ class Ball(FeasibleSet):
 
     def distance(self, x):
         x = as_point(x, self.dimension)
-        return max(0.0, _norm(x - self.center) - self.radius)
+        scale, _, norm = _scaled_norm(x - self.center)
+        return max(0.0, scale * norm - self.radius)
 
     def center_point(self):
         return self.center.copy()
@@ -269,7 +292,7 @@ class Simplex(FeasibleSet):
         # The vertex scale * e_i has one nonzero entry; adding weight * 0.0
         # elsewhere would not change a bit (apart from the sign of a zero).
         x *= keep
-        x[np.argmin(g)] += weight * self.scale
+        x[g.argmin()] += weight * self.scale
 
     def diameter(self):
         # Largest pairwise distance between vertices scale * e_i.

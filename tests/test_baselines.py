@@ -22,6 +22,7 @@ from qopt.baselines import (
     check_mapping_descent,
     check_mapping_inequality,
 )
+from qopt.objectives import evaluate
 from qopt.trace import Trace, TraceRow, trace_csv_lines
 
 
@@ -49,6 +50,60 @@ def dense_pgd(obj, x0, T):
                 fixed_at = t + 1
             x = x_next
     return Trace(header={}, rows=rows, solution=x), fixed_at or T + 1
+
+
+def dense_frank_wolfe(obj, x0, T, counter, observer=None):
+    """The reference loop: every row queries through the public ``evaluate``,
+    which coerces and scans the iterate again."""
+    x = qopt.baselines._require_feasible(obj, x0, "x0").copy()
+    set_ = obj.feasible_set
+    fstar = obj.optimal_value
+    header = {"algorithm": "frank_wolfe", "objective": obj.name, "set": set_.to_spec(),
+              "params": {"T": T}, "x0": x.tolist()}
+    rows = []
+    for t in range(T + 1):
+        f, grad = evaluate(obj, x, counter)
+        rows.append(TraceRow(t, counter.calls, f, None if fstar is None else f - fstar, None))
+        if observer is not None:
+            observer(t, x, grad)
+        if t < T:
+            set_._step_toward_vertex(x, grad, t / (t + 2), 2.0 / (t + 2))
+    return Trace(header=header, rows=rows, solution=x)
+
+
+def finite_queries_only(obj):
+    """``obj`` with an evaluator that fails the test when queried at a non-finite point."""
+    evaluator = obj.evaluator
+
+    def checked(x):
+        assert np.isfinite(x).all(), f"oracle queried at a non-finite point {x}"
+        return evaluator(x)
+
+    return dataclasses.replace(obj, evaluator=checked)
+
+
+def fw_instance(kind, n):
+    """A Frank-Wolfe problem on an ``n``-dim simplex, box or ball, and a start
+    point with a ``-0.0`` entry."""
+    rng = np.random.default_rng(n)
+    x0 = np.zeros(n)
+    x0[-1] = -0.0
+    if kind == "simplex":
+        set_ = {"kind": "simplex", "dimension": n}
+        x0[0] = 1.0
+        obj = make_catalogue_objective("quadratic", {
+            "set": set_, "shift": rng.normal(size=n).tolist()})
+    elif kind == "box":
+        set_ = {"kind": "box", "lower": [-1.0] * n, "upper": [1.0] * n}
+        x0[0] = 0.5
+        obj = make_catalogue_objective("affine_plus_quadratic", {
+            "set": set_, "a": rng.normal(size=n).tolist(), "q": 0.5})
+    else:
+        set_ = {"kind": "ball", "center": [0.0] * n, "radius": 1.0}
+        x0[0] = 0.5
+        obj = make_catalogue_objective("quadratic", {
+            "set": set_, "shift": (2.0 * rng.normal(size=n)).tolist()})
+    return obj, x0
 
 
 def csv_rows(trace, with_calls=True):
@@ -297,6 +352,39 @@ class TestFrankWolfe:
         assert [t for t, _ in seen] == list(range(31))
         assert np.array([f for _, f in seen]).tobytes() == trace.column("f_value").tobytes()
         assert trace.final_oracle_calls == counter.calls == 31
+
+    @pytest.mark.parametrize("n", [2, 3, 30_000])
+    @pytest.mark.parametrize("kind", ["simplex", "box", "ball"])
+    def test_trusted_loop_matches_the_validating_loop(self, kind, n):
+        # The loop queries its own iterate without evaluate's coercion and
+        # scan: every byte, observer argument and oracle count stays the same.
+        obj, x0 = fw_instance(kind, n)
+        T = 30 if n > 3 else 60
+
+        def recording(seen):
+            return lambda t, x, grad: seen.append((t, x.tobytes(), grad.tobytes()))
+
+        expected, dense_counter = [], OracleCounter()
+        reference = dense_frank_wolfe(obj, x0, T, dense_counter, recording(expected))
+        seen, counter = [], OracleCounter()
+        trace = run_frank_wolfe(finite_queries_only(obj), x0, T, counter, recording(seen))
+        assert trace_csv_lines(trace) == trace_csv_lines(reference)
+        assert trace.solution.tobytes() == reference.solution.tobytes()
+        assert seen == expected
+        assert counter.calls == dense_counter.calls == trace.final_oracle_calls == T + 1
+        assert np.signbit(trace.header["x0"][-1])
+
+    def test_infinite_gradient_on_a_ball_is_a_numerical_failure(self, counter):
+        # f(x0) = 1.5e308 is finite but grad f(x0) = (inf, 0): the ball's
+        # vertex would be NaN, so the step fails before any further query.
+        obj = finite_queries_only(make_catalogue_objective("affine_plus_quadratic", {
+            "dim": 2, "a": [1e308, 0.0], "q": 1e308,
+            "set": {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0}}))
+        with np.errstate(over="ignore"), pytest.raises(
+                NumericalFailureError, match="ball LMO direction is not finite") as info:
+            run_frank_wolfe(obj, np.array([1.0, 0.0]), 5, counter)
+        assert [row.iteration for row in info.value.partial_trace.rows] == [0]
+        assert counter.calls == 1
 
 
 class TestRateBounds:

@@ -524,6 +524,44 @@ class TestCLI:
         assert "non-finite value" in parsed.failure
         assert out.read_text().splitlines()[-2].startswith("-1,")
 
+    def test_frank_wolfe_on_a_ball_whose_squared_gradient_overflows(self, tmp_path, capsys):
+        # ||a||^2 overflows; the LMO vertex, and so the declared center, is
+        # still -a / ||a||, so the run reaches the true minimum -sqrt(2) 1e200.
+        out = tmp_path / "o.csv"
+        cfg = self.write_config(tmp_path, {
+            "algorithm": "frank_wolfe",
+            "objective": {"name": "affine_plus_quadratic",
+                          "params": {"dim": 2, "a": [1e200, 1e200], "q": 0.0,
+                                     "set": {"kind": "ball", "center": [0.0, 0.0],
+                                             "radius": 1.0}}},
+            "x0": [0.6, 0.0], "T": 5})
+        assert main(["run", cfg, "--output", str(out)]) == 0
+        trace = read_trace(out)
+        assert trace.rows[0].gap == pytest.approx((0.6 + np.sqrt(2.0)) * 1e200, rel=1e-15)
+        assert trace.rows[-1].f_value == pytest.approx(-np.sqrt(2.0) * 1e200, rel=1e-15)
+        assert trace.rows[-1].gap == 0.0
+        assert "Warning" not in capsys.readouterr().err
+
+    def test_frank_wolfe_on_a_ball_with_an_infinite_gradient_exits_3(self, tmp_path, capsys):
+        # f(x0) = 1.5e308 is finite but grad f(x0) = (inf, 0): the ball's
+        # vertex would be NaN, so the run fails after its first row.
+        out = tmp_path / "o.csv"
+        cfg = self.write_config(tmp_path, {
+            "algorithm": "frank_wolfe",
+            "objective": {"name": "affine_plus_quadratic",
+                          "params": {"dim": 2, "a": [1e308, 0.0], "q": 1e308,
+                                     "set": {"kind": "ball", "center": [0.0, 0.0],
+                                             "radius": 1.0}}},
+            "x0": [1.0, 0.0], "T": 5})
+        assert main(["run", cfg, "--output", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "ball LMO direction is not finite" in err and "Traceback" not in err
+        trace = read_trace(out)
+        assert [row.iteration for row in trace.rows] == [0]
+        assert trace.rows[0].f_value == 1.5e308
+        assert "ball LMO direction is not finite" in trace.failure
+        assert out.read_text().splitlines()[-2].startswith("-1,1,")
+
     @pytest.mark.parametrize("raw", [
         {"algorithm": "accelerated", "objective": "quadratic", "x0": "vertex", "epsilon": 1e-100},
         {"algorithm": "pgd", "objective": "quadratic", "x0": "vertex", "epsilon": 1e-300},
@@ -538,8 +576,8 @@ class TestCLI:
         def no_query(*args):
             raise AssertionError("the oracle was queried")
 
-        for module in ("qopt.prox", "qopt.baselines"):
-            monkeypatch.setattr(f"{module}.evaluate", no_query)
+        for name in ("qopt.prox.evaluate", "qopt.baselines.evaluate", "qopt.baselines._query"):
+            monkeypatch.setattr(name, no_query)
         out = tmp_path / "o.csv"
         assert main(["run", self.write_config(tmp_path, raw), "--output", str(out)]) == 2
         err = capsys.readouterr().err
@@ -566,8 +604,8 @@ class TestCLI:
         def no_query(*args):
             raise AssertionError("the oracle was queried")
 
-        for module in ("qopt.prox", "qopt.baselines"):
-            monkeypatch.setattr(f"{module}.evaluate", no_query)
+        for name in ("qopt.prox.evaluate", "qopt.baselines.evaluate", "qopt.baselines._query"):
+            monkeypatch.setattr(name, no_query)
         raw = {"algorithm": algorithm, "objective": objective, "epsilon": 1e300}
         out = tmp_path / "o.csv"
         with warnings.catch_warnings(record=True) as caught:

@@ -59,6 +59,16 @@ class TestEvaluate:
             evaluate(quadratic, np.array([np.inf, 0.0]), counter)
         assert counter.calls == 0
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in dot")
+    def test_finite_point_whose_squares_overflow_is_queried(self, counter):
+        # The sum of squares overflows (numpy reports it), so the check falls
+        # back to the entrywise scan, which finds every entry finite.
+        obj = Objective("sum", lambda x: (float(x.sum()), np.ones_like(x)), 1.0, 1.0,
+                        Box([-1.0, -1.0], [1.0, 1.0]))
+        f, grad = evaluate(obj, np.array([1e200, -1e200]), counter)
+        assert f == 0.0 and counter.calls == 1
+        np.testing.assert_array_equal(grad, [1.0, 1.0])
+
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     def test_non_finite_value_is_a_numerical_failure(self, value, counter):
         obj = Objective(name="blows_up", evaluator=lambda x: (value, np.zeros(1)),

@@ -76,6 +76,15 @@ class TestProjection:
         ball = Ball([1.0, 0.0], 1.0)
         np.testing.assert_allclose(ball.project([3.0, 0.0]), [2.0, 0.0])
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in dot")
+    def test_ball_projection_when_the_squared_norm_overflows(self):
+        # ||x - c||^2 overflows while x - c is finite (numpy reports it); the
+        # direction is kept.
+        np.testing.assert_allclose(Ball([0.0, 0.0], 1.0).project([1e200, 1e200]),
+                                   [np.sqrt(0.5), np.sqrt(0.5)], rtol=1e-15)
+        np.testing.assert_allclose(Ball([1.0, 2.0], 2.0).project([1.5e308, 2.0]), [3.0, 2.0],
+                                   rtol=1e-15)
+
     @pytest.mark.parametrize("dim", [1, 5, 30_000])
     def test_box_matches_clip_on_random_points(self, dim, rng):
         lower = rng.uniform(-2.0, 0.0, dim)
@@ -148,6 +157,30 @@ class TestLMO:
         theta = np.linspace(0, 2 * np.pi, 100_000)
         boundary_values = 2.0 * (g[0] * np.cos(theta) + g[1] * np.sin(theta))
         assert float(g @ v) <= boundary_values.min() + 1e-8
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in dot")
+    def test_ball_when_the_squared_norm_overflows(self):
+        ball = Ball([0.0, 0.0], 1.0)
+        for g in ([1e200, 1e200], [1.5e308, 1.5e308]):
+            np.testing.assert_allclose(ball.lmo(g), [-np.sqrt(0.5), -np.sqrt(0.5)], rtol=1e-15)
+        np.testing.assert_allclose(Ball([1.0, -1.0], 2.0).lmo([0.0, -1e300]), [1.0, 1.0],
+                                   rtol=1e-15)
+
+    def test_ball_keeps_the_unscaled_bits(self, rng):
+        # Rescaling happens only on overflow: every other vertex and
+        # projection is the plain formula, bit for bit.
+        ball = Ball([0.5, -1.0, 2.0], 1.5)
+        for g in rng.normal(size=(50, 3)) * 10.0 ** rng.integers(-150, 150, size=(50, 1)):
+            assert ball.lmo(g).tobytes() == (ball.center - (1.5 / np.linalg.norm(g)) * g).tobytes()
+            delta = g - ball.center
+            expected = ball.center + (1.5 / np.linalg.norm(delta)) * delta
+            assert ball.project(g).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("g", [[np.nan, 0.0], [np.inf, 0.0], [1.0, -np.inf]])
+    def test_ball_non_finite_direction_is_a_numerical_failure(self, g):
+        # The vertex center - r g / ||g|| would be NaN.
+        with pytest.raises(NumericalFailureError, match="ball LMO direction is not finite"):
+            Ball([0.0, 0.0], 1.0).lmo(g)
 
     def test_tie_break_lowest_index(self):
         v = Simplex(4).lmo([1.0, 0.0, 0.0, 2.0])
@@ -229,6 +262,14 @@ class TestContains:
                 x = rng.normal(scale=2.0, size=2 if set_.kind != "simplex" else 3)
                 assert set_.contains(set_.project(x))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in dot")
+    def test_ball_distance_when_the_squared_norm_overflows(self):
+        ball = Ball([0.0, 0.0], 1.0)
+        assert ball.distance([1e200, 1e200]) == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
+        assert not ball.contains([1e200, 1e200])
+        # Past the largest float the distance itself overflows.
+        assert ball.distance([1.5e308, 1.5e308]) == np.inf
+
     def test_negative_tolerance_rejected(self):
         with pytest.raises(InvalidArgumentError):
             Box([-1], [1]).contains([0.0], tol=-1e-3)
@@ -293,8 +334,11 @@ class TestConstructionAndSpec:
         lambda: Ball([0.0, 0.0], np.nan),
         lambda: Simplex(3, np.inf),
         lambda: Simplex(3, np.nan),
+        # Finite parameters, but the point center + radius e_1 is not.
+        lambda: Ball([1e308, 0.0], 1e308),
     ], ids=["box_lower_inf", "box_upper_inf", "box_nan", "ball_center_nan", "ball_center_inf",
-            "ball_radius_inf", "ball_radius_nan", "simplex_scale_inf", "simplex_scale_nan"])
+            "ball_radius_inf", "ball_radius_nan", "simplex_scale_inf", "simplex_scale_nan",
+            "ball_coordinates_overflow"])
     def test_non_finite_parameters_rejected(self, build):
         with pytest.raises(InvalidArgumentError):
             build()
