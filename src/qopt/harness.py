@@ -191,7 +191,6 @@ def baseline_iterations(config, obj):
     if config.T is not None:
         return config.T
     constant = RATE_CONSTANTS[config.algorithm]
-    _require_representable_scale(obj, constant)
     L = obj.smoothness_L
     D = obj.feasible_set.diameter()
     gamma = obj.quasar_gamma
@@ -204,9 +203,9 @@ def _require_representable_scale(obj, multiple):
 
     ``multiple`` is the largest multiple of ``L D^2`` the run forms: 16 for an
     accelerated run (its bound column; the line search's budget uses
-    ``8 L D^2``), and the rate constant for a baseline whose ``T`` comes from
-    ``epsilon``.  The set is named when its diameter alone overflows,
-    otherwise the objective's ``L``.
+    ``8 L D^2``), and the rate constant for a baseline (its bound column, and
+    its ``T`` when that comes from ``epsilon``).  The set is named when its
+    diameter alone overflows, otherwise the objective's ``L``.
     """
     L, D = obj.smoothness_L, obj.feasible_set.diameter()
     if not math.isfinite(multiple * L * D * D):
@@ -238,10 +237,10 @@ def run_experiment(config, output_path=None):
             if config.algorithm == "accelerated":
                 _require_representable_scale(obj, 16.0)
                 trace = run_accelerated(obj, x0, config.epsilon, counter)
-            elif config.algorithm == "pgd":
-                trace = run_pgd(obj, x0, baseline_iterations(config, obj), counter)
             else:
-                trace = run_frank_wolfe(obj, x0, baseline_iterations(config, obj), counter)
+                _require_representable_scale(obj, RATE_CONSTANTS[config.algorithm])
+                run = run_pgd if config.algorithm == "pgd" else run_frank_wolfe
+                trace = run(obj, x0, baseline_iterations(config, obj), counter)
     except PreconditionError as exc:
         raise ConfigError("x0", str(exc)) from exc
     except OverflowError as exc:  # a schedule constant derived from epsilon left float range

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import InvalidArgumentError, NumericalFailureError, PreconditionError
 from .sets import MEMBERSHIP_TOL, Box, FeasibleSet, _dot, as_point, is_int, set_from_spec
@@ -207,6 +206,11 @@ CATALOGUE_NAMES = (
 EXAMPLE1_L = 1.8857
 FIG1_L = 1.9057
 GLM_L = 0.46
+# Interior global minimizer of ``fig1_counterexample`` (-0x1.2b7f416b5bf58p-3),
+# frozen from ``scipy.optimize.brentq(slope, -0.5, 0.0, xtol=1e-14)``, where
+# ``slope(v)`` is the entry's derivative at ``v``; it changes sign once on
+# [-0.5, 0].  The tests re-derive the root when scipy is installed.
+FIG1_CENTER = -0.14623881443867037
 # Measured over a 161x161 grid of the box: the worst sampled quasar ratio is
 # about 0.638; 0.55 leaves margin for off-grid points.
 GLM_GAMMA = 0.55
@@ -335,12 +339,7 @@ def make_catalogue_objective(name, params=None):
             grad += (v - _x0) / _lam
             return value, np.array([grad])
 
-        def slope(v):
-            return evaluator(np.array([v]))[1][0]
-
-        # Interior global minimizer; the bracket is fixed by the known sign
-        # change of the derivative on [-0.5, 0].
-        center = np.array([brentq(slope, -0.5, 0.0, xtol=1e-14)])
+        center = np.array([FIG1_CENTER])
         return Objective(
             name="fig1_counterexample",
             evaluator=evaluator,

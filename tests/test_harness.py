@@ -193,8 +193,12 @@ def _without_oracle_calls(trace_bytes):
     ({"algorithm": "pgd", "objective": SIMPLEX50, "x0": "vertex", "T": 200},
      "08ed33faf33989d0217f25aac6f4d57c5d5a81c1c4d90de2c60f390975422986", 2,
      "911c81a314597685c09fe61981fd906971a84af30fbe8548db331e1f8438a435"),
+    # PGD settles on fig1's minimizer, so the gap column reads its optimal_value.
+    ({"algorithm": "pgd", "objective": "fig1_counterexample", "x0": [5.0], "T": 200},
+     "356adf382c36a4ce5dbec5ce930229ae4e610ea08850b885d3533a5489ddf344", 52,
+     "94ed9d1e9ffe1d8ac79c01b7da9c717fe780ca05b2638bdd9df757038e07e5c0"),
 ], ids=["accel_example1", "accel_quadratic_d5", "accel_glm_sigmoid", "fw_simplex50",
-        "pgd_simplex50"])
+        "pgd_simplex50", "pgd_fig1"])
 def test_golden_trace_bytes(config, sha256, calls, sha256_without_calls, tmp_path):
     # Pinned before the accelerated loop's trusted-path rewrite.  A speed-up
     # must leave every byte and oracle count as it was, with two exceptions,
@@ -507,9 +511,11 @@ class TestCLI:
         {"algorithm": "accelerated",
          "objective": {"name": "quadratic", "params": {"shift": [1e300, 1e300]}},
          "x0": "vertex", "epsilon": 1e-2},
+        # The vertex 1e150 e_1 lies 1e300 from the shift; 6 L D^2 stays finite.
         {"algorithm": "frank_wolfe",
          "objective": {"name": "quadratic",
-                       "params": {"set": {"kind": "simplex", "dimension": 3, "scale": 1e308}}},
+                       "params": {"set": {"kind": "simplex", "dimension": 3, "scale": 1e150},
+                                  "shift": [-1e300, 0.0, 0.0]}},
          "x0": "vertex", "T": 5},
     ], ids=["accelerated_shift", "frank_wolfe_scale"])
     def test_non_finite_oracle_value_exits_3(self, raw, tmp_path, capsys):
@@ -543,13 +549,14 @@ class TestCLI:
         assert "Warning" not in capsys.readouterr().err
 
     def test_frank_wolfe_on_a_ball_with_an_infinite_gradient_exits_3(self, tmp_path, capsys):
-        # f(x0) = 1.5e308 is finite but grad f(x0) = (inf, 0): the ball's
-        # vertex would be NaN, so the run fails after its first row.
+        # f(x0) = 1.785e308 is finite but grad f(x0) = (inf, 0): the ball's
+        # vertex would be NaN, so the run fails after its first row.  6 L D^2
+        # = 1.2e308 is finite, so the run starts.
         out = tmp_path / "o.csv"
         cfg = self.write_config(tmp_path, {
             "algorithm": "frank_wolfe",
             "objective": {"name": "affine_plus_quadratic",
-                          "params": {"dim": 2, "a": [1e308, 0.0], "q": 1e308,
+                          "params": {"dim": 2, "a": [1.76e308, 0.0], "q": 5e306,
                                      "set": {"kind": "ball", "center": [0.0, 0.0],
                                              "radius": 1.0}}},
             "x0": [1.0, 0.0], "T": 5})
@@ -558,7 +565,7 @@ class TestCLI:
         assert "ball LMO direction is not finite" in err and "Traceback" not in err
         trace = read_trace(out)
         assert [row.iteration for row in trace.rows] == [0]
-        assert trace.rows[0].f_value == 1.5e308
+        assert trace.rows[0].f_value == 1.785e308
         assert "ball LMO direction is not finite" in trace.failure
         assert out.read_text().splitlines()[-2].startswith("-1,1,")
 
@@ -584,29 +591,51 @@ class TestCLI:
         assert "config field 'epsilon'" in err and "is too small" in err
         assert not out.exists()
 
-    # A baseline's multiple is its rate constant; it forms one only when its T
-    # comes from epsilon.
-    @pytest.mark.parametrize("algorithm,multiple,objective,field", [
-        pytest.param(algorithm, multiple, objective, field,
+    # A baseline's multiple is its rate constant, which its bound column uses
+    # whether T is given or comes from epsilon.  Without the check a baseline
+    # given T would write inf in every bound cell and exit 0.
+    @pytest.mark.parametrize("algorithm,multiple,objective,field,budget", [
+        pytest.param(algorithm, multiple, objective, field, budget,
                      id=source if algorithm == "accelerated" else f"{algorithm}_{source}")
         for algorithm, multiple in (("accelerated", 16), ("pgd", 20), ("frank_wolfe", 6))
-        for source, objective, field in (
+        for source, objective, field, budget in (
             ("simplex_scale",
              {"name": "quadratic",
-              "params": {"set": {"kind": "simplex", "dimension": 2, "scale": 5e153}}}, "set"),
-            ("large_L", {"name": "affine_plus_quadratic", "params": {"q": 1e307}}, "objective"),
+              "params": {"set": {"kind": "simplex", "dimension": 2, "scale": 5e153}}}, "set",
+             {"epsilon": 1e300}),
+            ("large_L", {"name": "affine_plus_quadratic", "params": {"q": 1e307}}, "objective",
+             {"epsilon": 1e300}),
+            ("large_L_given_T",
+             {"name": "affine_plus_quadratic", "params": {"q": 1e308, "a": [1, 1]}}, "objective",
+             {"T": 5}),
+            ("box_bounds_given_T",
+             {"name": "quadratic",
+              "params": {"set": {"kind": "box", "lower": [-1e154, -1e154],
+                                 "upper": [1e154, 1e154]}}}, "set", {"T": 5}),
+            ("simplex_scale_given_T",
+             {"name": "quadratic",
+              "params": {"set": {"kind": "simplex", "dimension": 3, "scale": 1e308}}}, "set",
+             {"T": 5}),
+            ("ball_large_L_given_T",
+             {"name": "affine_plus_quadratic",
+              "params": {"dim": 2, "a": [1e308, 0.0], "q": 1e308,
+                         "set": {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0}}},
+             "objective", {"T": 5}),
         )
+        if algorithm != "accelerated" or "T" not in budget
     ])
     def test_overflowing_scale_exits_2_naming_its_source(self, algorithm, multiple, objective,
-                                                         field, tmp_path, capsys, monkeypatch):
+                                                         field, budget, tmp_path, capsys,
+                                                         monkeypatch):
         # The run's largest multiple of L D^2 overflows while L D^2 does not;
-        # a huge epsilon keeps T = 1, so the schedule itself is not what fails.
+        # where T comes from epsilon, a huge epsilon keeps T = 1, so the
+        # schedule itself is not what fails.
         def no_query(*args):
             raise AssertionError("the oracle was queried")
 
         for name in ("qopt.prox.evaluate", "qopt.baselines.evaluate", "qopt.baselines._query"):
             monkeypatch.setattr(name, no_query)
-        raw = {"algorithm": algorithm, "objective": objective, "epsilon": 1e300}
+        raw = {"algorithm": algorithm, "objective": objective, **budget}
         out = tmp_path / "o.csv"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -644,6 +673,27 @@ class TestCLI:
                               capture_output=True, text=True, env=_module_env(), timeout=60)
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == available_checks()
+
+    def test_cli_does_not_import_scipy(self):
+        # qopt needs only numpy at run time: a `python -m qopt verify --list`
+        # run, probed from inside its own process, loads no scipy module.
+        probe = (
+            "import runpy, sys\n"
+            "sys.argv = ['qopt', 'verify', '--list']\n"
+            "try:\n"
+            "    runpy.run_module('qopt', run_name='__main__', alter_sys=True)\n"
+            "    code = 0\n"
+            "except SystemExit as exc:\n"
+            "    code = exc.code\n"
+            "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+            "print('scipy modules:', loaded, file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env=_module_env(), timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == available_checks()
+        assert "scipy modules: []" in done.stderr
 
     def test_sweep_subcommand(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, {"algorithm": "pgd", "objective": "example1",

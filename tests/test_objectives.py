@@ -190,6 +190,21 @@ class TestCatalogue:
         second = (f(-2 + h) - 2 * f(-2.0) + f(-2 - h)) / h**2
         assert second < 0.0
 
+    def test_counterexample_center_is_a_root_of_the_derivative(self, fig1):
+        # The center is a frozen literal; the derivative changes sign across it.
+        slope = lambda v: fig1.evaluator(np.array([v]))[1][0]
+        (c,) = fig1.center
+        assert c == float.fromhex("-0x1.2b7f416b5bf58p-3")
+        assert slope(c - 1e-13) < 0.0 < slope(c + 1e-13)
+        assert abs(slope(c)) <= 1e-15
+
+    def test_counterexample_center_matches_brentq(self, fig1):
+        # The literal is the root brentq finds on the bracket [-0.5, 0].
+        brentq = pytest.importorskip("scipy.optimize").brentq
+        slope = lambda v: fig1.evaluator(np.array([v]))[1][0]
+        root = brentq(slope, -0.5, 0.0, xtol=1e-14)
+        assert root.hex() == fig1.center[0].hex()
+
     def test_counterexample_center_is_global_minimum(self, fig1):
         grid = np.linspace(-5, 5, 20_001)
         values = [fig1.evaluator(np.array([v]))[0] for v in grid]
