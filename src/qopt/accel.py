@@ -29,7 +29,7 @@ from .errors import ConfigError, InvalidArgumentError, NumericalFailureError, Pr
 from .objectives import OracleCounter
 from .prox import ProxResult, _ProxConstants, _solve, solve_prox_subproblem
 from .sets import MEMBERSHIP_TOL, as_point
-from .trace import Trace, TraceRow
+from .trace import TraceRecorder, TraceRow
 
 #: The most iterations an epsilon-derived schedule may ask for, accelerated or
 #: baseline; the catalogue's longest schedule has about 1.1e4.
@@ -228,18 +228,9 @@ def run_accelerated(obj, x0, epsilon, counter, observer=None):
         raise PreconditionError("x0 must be feasible")
     params = compute_schedule(obj.quasar_gamma, obj.smoothness_L, set_.diameter(), epsilon)
     gamma, L, D, delta = params.gamma, params.L, params.D, params.delta
-    fstar = obj.optimal_value
-    header = {
-        "algorithm": "accelerated",
-        "objective": obj.name,
-        "set": set_.to_spec(),
-        "params": asdict(params),
-        "x0": x0.tolist(),
-    }
     y = x0.copy()
     z = x0.copy()
     accumulated = np.zeros_like(x0)
-    rows = []
     prox_consts = _ProxConstants(obj, delta)
     search_consts = _LineSearchConstants(delta, L, D)
     loop_cap = search_consts.loop_cap
@@ -251,10 +242,11 @@ def run_accelerated(obj, x0, epsilon, counter, observer=None):
     gamma_sq, a_denom, A_denom = gamma**2, 8.0 * L, 16.0 * L
     bound_num, gamma_gamma = 16.0 * L * D * D, gamma * gamma
 
-    try:
+    with TraceRecorder("accelerated", obj, asdict(params), x0) as rec:
+        rows = rec.rows
         prox_y = _solve(obj, y, prox_consts, counter)
         f = prox_y.f_at_y
-        gap = None if fstar is None else f - fstar
+        gap = rec.gap(f)
         rows.append(TraceRow(0, counter.calls, f, gap, None))
         frozen = False
         for t in range(1, params.T + 1):
@@ -278,7 +270,7 @@ def run_accelerated(obj, x0, epsilon, counter, observer=None):
                 prox_y = _solve(obj, y_new, prox_consts, counter,
                                 (prox_x.f_at_y, prox_x.grad_at_y))
                 f = prox_y.f_at_y
-                gap = None if fstar is None else f - fstar
+                gap = rec.gap(f)
                 # A prox whose first step lands bit for bit on its centre y_new
                 # made no query, and its envelope gradient is exactly +0.0.
                 # Every later iteration then repeats: the line search exits at
@@ -291,11 +283,7 @@ def run_accelerated(obj, x0, epsilon, counter, observer=None):
             if observer is not None:
                 observer(AccelIterate(c, loops, x_t, y, z))
             y, z = y_new, z_new
-    except NumericalFailureError as exc:
-        exc.partial_trace = Trace(header=header, rows=rows, failure=str(exc))
-        raise
-
-    return Trace(header=header, rows=rows, solution=prox_y.y)
+    return rec.trace(prox_y.y)
 
 
 #: How many times tighter than the run's delta the certificate audit solves each prox.

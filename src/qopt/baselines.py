@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericalFailureError, PreconditionError
+from .errors import InvalidArgumentError, PreconditionError
 from .objectives import OracleCounter, _query, evaluate, sample_pairs
 from .sets import FEASIBILITY_TOL, as_point
-from .trace import Trace, TraceRow
+from .trace import TraceRecorder, TraceRow
 
 #: The rate-envelope constant of each baseline (see the module docstring).
 RATE_CONSTANTS = {"pgd": 20.0, "frank_wolfe": 6.0}
@@ -48,11 +48,6 @@ def gradient_mapping(obj, x, eta, counter):
     return (x - obj.feasible_set.project(x - eta * grad)) / eta
 
 
-def _gap_fn(obj):
-    fstar = obj.optimal_value
-    return (lambda v: None) if fstar is None else (lambda v: v - fstar)
-
-
 def run_pgd(obj, x0, T, counter):
     """T steps of ``x <- proj(x - grad f(x) / L)``; records f at every iterate.
 
@@ -63,33 +58,23 @@ def run_pgd(obj, x0, T, counter):
     x = _require_feasible(obj, x0, "x0")
     set_ = obj.feasible_set
     eta = 1.0 / obj.smoothness_L
-    gap = _gap_fn(obj)
-    header = {
-        "algorithm": "pgd",
-        "objective": obj.name,
-        "set": set_.to_spec(),
-        "params": {"T": T, "eta": eta},
-        "x0": x.tolist(),
-    }
-    rows = []
-    try:
+    with TraceRecorder("pgd", obj, {"T": T, "eta": eta}, x) as rec:
+        rows = rec.rows
         for t in range(T):
             f, grad = evaluate(obj, x, counter)
-            rows.append(TraceRow(t, counter.calls, f, gap(f), None))
+            gap = rec.gap(f)
+            rows.append(TraceRow(t, counter.calls, f, gap, None))
             # x - eta * grad is a fresh float64 array of the set's dimension.
             x_next = set_._project(x - eta * grad)
             # Bits, not ==: a sign flip of a zero or a sub-ulp move still queries.
             if np.array_equal(x_next.view(np.int64), x.view(np.int64)):
-                rows.extend(TraceRow(s, counter.calls, f, gap(f), None)
+                rows.extend(TraceRow(s, counter.calls, f, gap, None)
                             for s in range(t + 1, T + 1))
-                return Trace(header=header, rows=rows, solution=x_next)
+                return rec.trace(x_next)
             x = x_next
         f, _ = evaluate(obj, x, counter)
-        rows.append(TraceRow(T, counter.calls, f, gap(f), None))
-    except NumericalFailureError as exc:
-        exc.partial_trace = Trace(header=header, rows=rows, failure=str(exc))
-        raise
-    return Trace(header=header, rows=rows, solution=x)
+        rows.append(TraceRow(T, counter.calls, f, rec.gap(f), None))
+    return rec.trace(x)
 
 
 def run_frank_wolfe(obj, x0, T, counter, observer=None):
@@ -107,27 +92,15 @@ def run_frank_wolfe(obj, x0, T, counter, observer=None):
     """
     x = _require_feasible(obj, x0, "x0").copy()
     set_ = obj.feasible_set
-    gap = _gap_fn(obj)
-    header = {
-        "algorithm": "frank_wolfe",
-        "objective": obj.name,
-        "set": set_.to_spec(),
-        "params": {"T": T},
-        "x0": x.tolist(),
-    }
-    rows = []
-    try:
+    with TraceRecorder("frank_wolfe", obj, {"T": T}, x) as rec:
         for t in range(T + 1):
             f, grad = _query(obj, x, counter)
-            rows.append(TraceRow(t, counter.calls, f, gap(f), None))
+            rec.rows.append(TraceRow(t, counter.calls, f, rec.gap(f), None))
             if observer is not None:
                 observer(t, x, grad)
             if t < T:
                 set_._step_toward_vertex(x, grad, t / (t + 2), 2.0 / (t + 2))
-    except NumericalFailureError as exc:
-        exc.partial_trace = Trace(header=header, rows=rows, failure=str(exc))
-        raise
-    return Trace(header=header, rows=rows, solution=x)
+    return rec.trace(x)
 
 
 def attach_rate_bounds(trace, L, gamma, D):

@@ -205,9 +205,13 @@ class Ball(FeasibleSet):
                 "ball coordinates overflow: max|center| + radius is not finite")
 
     def _project(self, x):
+        """An ``x - center`` that is not finite is a :class:`NumericalFailureError`."""
         scale, delta, norm = _scaled_norm(x - self.center)
         if scale * norm <= self.radius:
             return x.copy()
+        if not norm < math.inf:
+            raise NumericalFailureError(
+                "ball projection of a point that is not finite, or too far from the center")
         return self.center + (self.radius / norm) * delta
 
     def lmo(self, g):
@@ -229,7 +233,9 @@ class Ball(FeasibleSet):
     def distance(self, x):
         x = as_point(x, self.dimension)
         scale, _, norm = _scaled_norm(x - self.center)
-        return max(0.0, scale * norm - self.radius)
+        # max keeps its first argument unless the second is larger, so a NaN
+        # distance stays NaN and a NaN point is no member.
+        return max(scale * norm - self.radius, 0.0)
 
     def center_point(self):
         return self.center.copy()

@@ -9,10 +9,13 @@ round-trip bit-exactly and identical runs produce identical bytes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+
+from .errors import NumericalFailureError
 
 
 @dataclass
@@ -43,6 +46,38 @@ class Trace:
         """Extract a column as a float array; missing entries become NaN."""
         vals = [getattr(r, name) for r in self.rows]
         return np.array([np.nan if v is None else v for v in vals], dtype=float)
+
+
+class TraceRecorder:
+    """The one source of every solver's trace header and gap.  Solvers append
+    :class:`TraceRow` objects to ``rows``; as a context manager the recorder
+    attaches them to a :class:`NumericalFailureError` as ``partial_trace``."""
+
+    def __init__(self, algorithm, obj, params, x0):
+        self.header = {"algorithm": algorithm, "objective": obj.name,
+                       "set": obj.feasible_set.to_spec(), "params": params, "x0": x0.tolist()}
+        self.rows = []
+        self._fstar = obj.optimal_value
+
+    def gap(self, f):
+        """``f - f*`` (``None`` without a declared ``f*``); a non-finite gap is a failure."""
+        if self._fstar is None:
+            return None
+        gap = f - self._fstar
+        if not -math.inf < gap < math.inf:
+            raise NumericalFailureError(f"gap f - f* of objective '{self.header['objective']}' "
+                                        f"is not finite: f = {f!r}, f* = {self._fstar!r}")
+        return gap
+
+    def trace(self, solution):
+        return Trace(self.header, self.rows, solution)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if isinstance(exc, NumericalFailureError):
+            exc.partial_trace = Trace(self.header, self.rows, failure=str(exc))
 
 
 def format_float(value):

@@ -375,15 +375,18 @@ class TestFrankWolfe:
         assert np.signbit(trace.header["x0"][-1])
 
     def test_infinite_gradient_on_a_ball_is_a_numerical_failure(self, counter):
-        # f(x0) = 1.5e308 is finite but grad f(x0) = (inf, 0): the ball's
-        # vertex would be NaN, so the step fails before any further query.
+        # f(x0) = 1.21125e308 and its gap 1.71125e308 are finite, but
+        # grad f(x0) = (inf, 0): the ball's vertex would be NaN, so the step
+        # fails before any further query.
         obj = finite_queries_only(make_catalogue_objective("affine_plus_quadratic", {
             "dim": 2, "a": [1e308, 0.0], "q": 1e308,
             "set": {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0}}))
         with np.errstate(over="ignore"), pytest.raises(
                 NumericalFailureError, match="ball LMO direction is not finite") as info:
-            run_frank_wolfe(obj, np.array([1.0, 0.0]), 5, counter)
-        assert [row.iteration for row in info.value.partial_trace.rows] == [0]
+            run_frank_wolfe(obj, np.array([0.85, 0.0]), 5, counter)
+        rows = info.value.partial_trace.rows
+        assert [row.iteration for row in rows] == [0]
+        assert rows[0].gap == pytest.approx(1.71125e308, rel=1e-15)
         assert counter.calls == 1
 
 

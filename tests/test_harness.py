@@ -549,25 +549,69 @@ class TestCLI:
         assert "Warning" not in capsys.readouterr().err
 
     def test_frank_wolfe_on_a_ball_with_an_infinite_gradient_exits_3(self, tmp_path, capsys):
-        # f(x0) = 1.785e308 is finite but grad f(x0) = (inf, 0): the ball's
-        # vertex would be NaN, so the run fails after its first row.  6 L D^2
-        # = 1.2e308 is finite, so the run starts.
+        # f(x0) = 1.75e308 and its gap 3.66e307 are finite, but
+        # grad f(x0) = (inf, 0): the ball's vertex would be NaN, so the run
+        # fails after its first row.  6 L D^2 = 4.8e306 is finite, so the run
+        # starts.
         out = tmp_path / "o.csv"
         cfg = self.write_config(tmp_path, {
             "algorithm": "frank_wolfe",
             "objective": {"name": "affine_plus_quadratic",
-                          "params": {"dim": 2, "a": [1.76e308, 0.0], "q": 5e306,
-                                     "set": {"kind": "ball", "center": [0.0, 0.0],
-                                             "radius": 1.0}}},
+                          "params": {"dim": 2, "a": [1.65e308, 0.0], "q": 2e307,
+                                     "set": {"kind": "ball", "center": [0.9, 0.0],
+                                             "radius": 0.1}}},
             "x0": [1.0, 0.0], "T": 5})
         assert main(["run", cfg, "--output", str(out)]) == 3
         err = capsys.readouterr().err
         assert "ball LMO direction is not finite" in err and "Traceback" not in err
         trace = read_trace(out)
         assert [row.iteration for row in trace.rows] == [0]
-        assert trace.rows[0].f_value == 1.785e308
+        assert trace.rows[0].f_value == 1.75e308
+        assert trace.rows[0].gap == pytest.approx(3.66e307, rel=1e-15)
         assert "ball LMO direction is not finite" in trace.failure
         assert out.read_text().splitlines()[-2].startswith("-1,1,")
+
+    @pytest.mark.parametrize("algorithm", ["pgd", "frank_wolfe"])
+    def test_overflowing_gap_exits_3(self, algorithm, tmp_path, capsys):
+        # f(x0) = 1.5e308 and f* = -1.5e308 are finite, but their difference
+        # is not: the run fails at row 0 instead of writing an inf gap.
+        out = tmp_path / "o.csv"
+        cfg = self.write_config(tmp_path, {
+            "algorithm": algorithm,
+            "objective": {"name": "affine_plus_quadratic",
+                          "params": {"dim": 2, "a": [1.5e308, 0.0], "q": 0.0}},
+            "x0": [1.0, 0.0], "T": 3})
+        assert main(["run", cfg, "--output", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "gap f - f* of objective 'affine_plus_quadratic' is not finite" in err
+        assert "Traceback" not in err
+        trace = read_trace(out)
+        assert trace.header["algorithm"] == algorithm
+        assert trace.rows == []
+        assert trace.failure.startswith("gap f - f* of objective")
+        assert out.read_text().splitlines()[-2] == "-1,0,nan,,"
+
+    @pytest.mark.parametrize("algorithm,budget", [("accelerated", {"epsilon": 1e-2}),
+                                                  ("pgd", {"T": 3}), ("frank_wolfe", {"T": 3})],
+                             ids=["accelerated", "pgd", "frank_wolfe"])
+    def test_unprojectable_ball_center_exits_3(self, algorithm, budget, tmp_path, capsys):
+        # -a / q = (-inf, 0): its projection onto the ball would be a NaN
+        # center, so building the objective fails and a header-only trace is
+        # flushed.
+        raw = {"algorithm": algorithm,
+               "objective": {"name": "affine_plus_quadratic",
+                             "params": {"dim": 2, "a": [1e308, 0.0], "q": 1e-300,
+                                        "set": {"kind": "ball", "center": [0.0, 0.0],
+                                                "radius": 1.0}}},
+               "x0": [1.0, 0.0], **budget}
+        out = tmp_path / "o.csv"
+        assert main(["run", self.write_config(tmp_path, raw), "--output", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "ball projection" in err and "Traceback" not in err
+        parsed = read_trace(out)
+        assert parsed.header == {"config": raw, "seed": 0}
+        assert parsed.rows == []
+        assert "ball projection" in parsed.failure
 
     @pytest.mark.parametrize("raw", [
         {"algorithm": "accelerated", "objective": "quadratic", "x0": "vertex", "epsilon": 1e-100},
@@ -660,6 +704,16 @@ class TestCLI:
         assert main(["verify", "--suite", suite]) == 0
         golden = Path(__file__).parent / "data" / "verify_property_checks.txt"
         assert capsys.readouterr().out == golden.read_text()
+
+    def test_pinned_property_rows_agree_with_the_pinned_verify_table(self):
+        # tests/data/verify_stdout.txt is the whole `qopt verify` stdout, which
+        # CI compares byte for byte; the sampled rows pinned above must be the
+        # same rows, up to the column widths.
+        data = Path(__file__).parent / "data"
+        table = {" ".join(line.split())
+                 for line in (data / "verify_stdout.txt").read_text().splitlines()}
+        sampled = (data / "verify_property_checks.txt").read_text().splitlines()
+        assert all(" ".join(line.split()) in table for line in sampled)
 
     def test_verify_unknown_suite(self, capsys):
         assert main(["verify", "--suite", "bogus"]) == 2

@@ -124,6 +124,16 @@ class TestProjection:
         np.testing.assert_array_equal(simplex.project(np.array([-np.inf, 0.0, 0.0])),
                                       [0.0, 0.5, 0.5])
 
+    def test_ball_non_finite_input_is_a_numerical_failure(self):
+        ball = Ball([0.0, 0.0], 1.0)
+        for v in ([np.nan, 0.0], [-np.inf, 0.0], [np.inf, np.inf], [0.5, np.nan]):
+            with pytest.raises(NumericalFailureError, match="ball projection"):
+                ball.project(np.array(v))
+        # x - center overflows although x is finite.
+        with np.errstate(over="ignore"), pytest.raises(NumericalFailureError,
+                                                       match="ball projection"):
+            Ball([-1e308, 0.0], 1.0).project(np.array([1e308, 0.0]))
+
     def test_simplex_projection_leaks_no_numpy_warning(self):
         simplex = Simplex(3)
         with warnings.catch_warnings():
@@ -269,6 +279,13 @@ class TestContains:
         assert not ball.contains([1e200, 1e200])
         # Past the largest float the distance itself overflows.
         assert ball.distance([1.5e308, 1.5e308]) == np.inf
+
+    def test_nan_point_is_not_in_a_ball(self):
+        ball = Ball([0.0, 0.0], 1.0)
+        for x in ([np.nan, 0.0], [0.0, np.nan], [np.nan, np.nan]):
+            assert np.isnan(ball.distance(x))
+            assert not ball.contains(x)
+            assert not ball.contains(x, tol=1e300)
 
     def test_negative_tolerance_rejected(self):
         with pytest.raises(InvalidArgumentError):
