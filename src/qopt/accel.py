@@ -143,10 +143,10 @@ def _line_search(obj, y, z, c, epsilon_tilde, loop_cap, counter, prox_at_y, cons
     ``_ProxConstants(obj, delta)``; every prox solve of the search uses it.
     Returns the fields of a :class:`LineSearchResult` as a plain tuple.
     """
-    delta1 = consts.delta
+    delta1, dot = consts.delta, consts.dot
     direction = y - z
     h1 = prox_at_y.envelope_value
-    hhat1 = float(prox_at_y.envelope_gradient.dot(direction))
+    hhat1 = float(dot(prox_at_y.envelope_gradient, direction))
     if hhat1 <= epsilon_tilde:
         return 1.0, y, 0, prox_at_y, "derivative_small"
     # A degenerate segment has hhat1 = 0 <= epsilon_tilde and returned above.
@@ -163,7 +163,7 @@ def _line_search(obj, y, z, c, epsilon_tilde, loop_cap, counter, prox_at_y, cons
         v = alpha * y + (1.0 - alpha) * z
         prox_v = _solve(obj, v, consts, counter)
         h_alpha = prox_v.envelope_value
-        hhat_alpha = float(prox_v.envelope_gradient.dot(direction))
+        hhat_alpha = float(dot(prox_v.envelope_gradient, direction))
         if alpha * hhat_alpha <= c * (h1 - h_alpha) + epsilon_tilde:
             return alpha, v, iterations, prox_v, "bisection"
         if h_alpha >= h1 - delta1:
@@ -214,9 +214,9 @@ def run_accelerated(obj, x0, epsilon, counter, observer=None):
     called once per outer iteration with that iteration's :class:`AccelIterate`.
 
     Once a prox lands bit for bit where it started, with no oracle query, every
-    later iteration repeats it exactly.  The loop then stops querying and
-    solving: each remaining row repeats that row's ``f``, ``gap`` and
-    ``oracle_calls`` with its own bound, and the observer still gets one
+    later iteration repeats it exactly.  The loop then ends, appending the
+    remaining rows in one step: each repeats that row's ``f``, ``gap`` and
+    ``oracle_calls`` with its own bound.  A given observer still gets one
     ``AccelIterate(c_t, 0, y, y, z)`` per remaining ``t``, all sharing the
     frozen ``y`` and ``z`` arrays.
     """
@@ -242,47 +242,52 @@ def run_accelerated(obj, x0, epsilon, counter, observer=None):
     gamma_sq, a_denom, A_denom = gamma**2, 8.0 * L, 16.0 * L
     bound_num, gamma_gamma = 16.0 * L * D * D, gamma * gamma
 
-    with TraceRecorder("accelerated", obj, asdict(params), x0) as rec:
+    with TraceRecorder("accelerated", obj, asdict(params), x0, counter) as rec:
         rows = rec.rows
         prox_y = _solve(obj, y, prox_consts, counter)
         f = prox_y.f_at_y
         gap = rec.gap(f)
         rows.append(TraceRow(0, counter.calls, f, gap, None))
-        frozen = False
-        for t in range(1, params.T + 1):
+        T = params.T
+        for t in range(1, T + 1):
             a_t = gamma_sq * t / a_denom
             c = gamma_sq * (t - 1) * t / A_denom * gamma / a_t
-            if frozen:
-                # y_new, z_new are y, z and the line search would return y.
-                loops, x_t = 0, y
-            else:
-                _, x_t, loops, prox_x, _ = _line_search(
-                    obj, y, z, c, search_consts.epsilon_tilde(c), loop_cap, counter, prox_y,
-                    prox_consts)
-                y_new = prox_x.y
-                accumulated += (a_t / gamma) * prox_x.envelope_gradient
-                # The FTRL step (ftrl_step) on trusted arrays.
-                z_new = project(x0 - accumulated)
-                # The prox at y_new instruments f(y-hat_t), is reused as the next
-                # line search's endpoint oracle, and at t = T is the returned
-                # solution.  y_new is prox_x.y, so prox_x already holds the
-                # oracle's answer there.
-                prox_y = _solve(obj, y_new, prox_consts, counter,
-                                (prox_x.f_at_y, prox_x.grad_at_y))
-                f = prox_y.f_at_y
-                gap = rec.gap(f)
-                # A prox whose first step lands bit for bit on its centre y_new
-                # made no query, and its envelope gradient is exactly +0.0.
-                # Every later iteration then repeats: the line search exits at
-                # alpha = 1 (hhat1 = 0), accumulated and so z_new keep their
-                # bits, and the next prox is this one again, from the same
-                # point and the same oracle answer.  Only t, c and the bound
-                # change, so the loop stops querying, projecting and solving.
-                frozen = prox_y.inner_iterations == 1 and prox_y.y.tobytes() == y_new.tobytes()
+            _, x_t, loops, prox_x, _ = _line_search(
+                obj, y, z, c, search_consts.epsilon_tilde(c), loop_cap, counter, prox_y,
+                prox_consts)
+            y_new = prox_x.y
+            accumulated += (a_t / gamma) * prox_x.envelope_gradient
+            # The FTRL step (ftrl_step) on trusted arrays.
+            z_new = project(x0 - accumulated)
+            # The prox at y_new instruments f(y-hat_t), is reused as the next
+            # line search's endpoint oracle, and at t = T is the returned
+            # solution.  y_new is prox_x.y, so prox_x already holds the
+            # oracle's answer there.
+            prox_y = _solve(obj, y_new, prox_consts, counter, (prox_x.f_at_y, prox_x.grad_at_y))
+            f = prox_y.f_at_y
+            gap = rec.gap(f)
             rows.append(TraceRow(t, counter.calls, f, gap, bound_num / (gamma_gamma * t * t)))
             if observer is not None:
                 observer(AccelIterate(c, loops, x_t, y, z))
             y, z = y_new, z_new
+            # A prox whose first step lands bit for bit on its centre y_new
+            # made no query, and its envelope gradient is exactly +0.0.  Every
+            # later iteration then repeats: the line search exits at alpha = 1
+            # (hhat1 = 0), accumulated and so z_new keep their bits, and the
+            # next prox is this one again, from the same point and the same
+            # oracle answer.  Only t, c and the bound change, so the rest of
+            # the run is written in one step.
+            if prox_y.inner_iterations == 1 and prox_y.y.tobytes() == y.tobytes():
+                calls = counter.calls
+                rows.extend([TraceRow(s, calls, f, gap, bound_num / (gamma_gamma * s * s))
+                             for s in range(t + 1, T + 1)])
+                if observer is not None:
+                    for s in range(t + 1, T + 1):
+                        a_s = gamma_sq * s / a_denom
+                        # The line search would return y: x_s = y_{s-1} = y.
+                        observer(AccelIterate(gamma_sq * (s - 1) * s / A_denom * gamma / a_s,
+                                              0, y, y, z))
+                break
     return rec.trace(prox_y.y)
 
 

@@ -16,11 +16,13 @@ appearing in the PGD analysis).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import InvalidArgumentError, PreconditionError
+from .errors import InvalidArgumentError, NumericalFailureError, PreconditionError
 from .objectives import OracleCounter, _query, evaluate, sample_pairs
-from .sets import FEASIBILITY_TOL, as_point
+from .sets import FEASIBILITY_TOL, _dot, as_point
 from .trace import TraceRecorder, TraceRow
 
 #: The rate-envelope constant of each baseline (see the module docstring).
@@ -54,14 +56,18 @@ def run_pgd(obj, x0, T, counter):
     A step that lands bit for bit where it started would repeat forever: the
     oracle and the projection are pure.  The run then stops querying and
     fills rows ``t+1 .. T`` with that row's values and call count.
+
+    Only ``x0`` goes through :func:`evaluate`; later iterates go to ``_query``
+    once shown finite.  A box clip or a ball projection can turn a NaN step
+    into a NaN point, which raises :class:`NumericalFailureError`.
     """
     x = _require_feasible(obj, x0, "x0")
     set_ = obj.feasible_set
     eta = 1.0 / obj.smoothness_L
-    with TraceRecorder("pgd", obj, {"T": T, "eta": eta}, x) as rec:
+    with TraceRecorder("pgd", obj, {"T": T, "eta": eta}, x, counter) as rec:
         rows = rec.rows
+        f, grad = evaluate(obj, x, counter)
         for t in range(T):
-            f, grad = evaluate(obj, x, counter)
             gap = rec.gap(f)
             rows.append(TraceRow(t, counter.calls, f, gap, None))
             # x - eta * grad is a fresh float64 array of the set's dimension.
@@ -71,8 +77,13 @@ def run_pgd(obj, x0, T, counter):
                 rows.extend(TraceRow(s, counter.calls, f, gap, None)
                             for s in range(t + 1, T + 1))
                 return rec.trace(x_next)
+            # A finite sum of squares proves every entry finite.
+            if not (_dot(x_next, x_next) < math.inf or np.isfinite(x_next).all()):
+                raise NumericalFailureError(
+                    f"PGD step on objective '{obj.name}' left the finite points "
+                    f"(is its gradient finite?)", last_iterate=x)
             x = x_next
-        f, _ = evaluate(obj, x, counter)
+            f, grad = _query(obj, x, counter)
         rows.append(TraceRow(T, counter.calls, f, rec.gap(f), None))
     return rec.trace(x)
 
@@ -92,7 +103,7 @@ def run_frank_wolfe(obj, x0, T, counter, observer=None):
     """
     x = _require_feasible(obj, x0, "x0").copy()
     set_ = obj.feasible_set
-    with TraceRecorder("frank_wolfe", obj, {"T": T}, x) as rec:
+    with TraceRecorder("frank_wolfe", obj, {"T": T}, x, counter) as rec:
         for t in range(T + 1):
             f, grad = _query(obj, x, counter)
             rec.rows.append(TraceRow(t, counter.calls, f, rec.gap(f), None))

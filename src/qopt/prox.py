@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalFailureError, PreconditionError
-from .objectives import OracleCounter, evaluate, sample_feasible, sample_pairs
-from .sets import MEMBERSHIP_TOL, as_point
+from .objectives import OracleCounter, _query, evaluate, sample_feasible, sample_pairs
+from .sets import DOT_CHUNK, MEMBERSHIP_TOL, _dot, as_point
 
 
 @dataclass
@@ -57,10 +57,12 @@ class _ProxConstants:
     """The parts of a prox solve that depend only on ``(obj, delta)``.
 
     Built once per accelerated run, or once per public call, and shared by
-    every :func:`_solve` at that tolerance.
+    every :func:`_solve` at that tolerance.  ``dot`` is the chunked
+    ``sets._dot`` above ``DOT_CHUNK`` entries, so no result depends on the
+    BLAS thread count, and a plain ``ndarray.dot`` below.
     """
 
-    __slots__ = ("delta", "lam", "step", "threshold", "cap")
+    __slots__ = ("delta", "lam", "step", "threshold", "cap", "dot")
 
     def __init__(self, obj, delta):
         L = obj.smoothness_L
@@ -69,6 +71,7 @@ class _ProxConstants:
         self.step = 1.0 / (3.0 * L)
         self.threshold = math.sqrt(2.0 * L * delta) / 3.0
         self.cap = iteration_cap(L, obj.feasible_set.diameter(), delta)
+        self.dot = _dot if obj.dimension > DOT_CHUNK else np.ndarray.dot
 
 
 def solve_prox_subproblem(obj, x, delta, counter):
@@ -95,10 +98,12 @@ def _solve(obj, x, consts, counter, at_x=None):
     ``consts`` holds the step, threshold, ``lam`` and iteration cap, built by
     ``_ProxConstants(obj, delta)`` for a ``delta > 0``.  A given ``at_x`` must
     be the oracle's ``(value, gradient)`` at exactly ``x``; the solve uses it
-    instead of querying the oracle at ``x`` again.
+    instead of querying the oracle at ``x`` again.  Only ``x`` goes through
+    :func:`evaluate`; the solve's own iterates go to ``_query``, and a step to
+    a non-finite point raises :class:`NumericalFailureError`.
     """
     project = obj.feasible_set._project
-    lam, step, threshold = consts.lam, consts.step, consts.threshold
+    lam, step, threshold, dot = consts.lam, consts.step, consts.threshold, consts.dot
 
     # ``y`` is never written in place, so it starts as ``x`` itself.  While it
     # is, ``(y - x) / lam`` is exactly +0.0 (``x`` is finite), so the first
@@ -110,22 +115,28 @@ def _solve(obj, x, consts, counter, at_x=None):
         y_next = project(y - step * grad_subproblem)
         d = y - y_next
         # numpy's own formula for the 2-norm of a 1-D vector, without its wrapper.
-        sq = d.dot(d)
+        sq = dot(d, d)
         # A step that lands bit for bit where it started has the oracle's
         # answer already: keep it, and the zero mapping norm ends the solve.
         # Comparing bytes keeps a +-0.0 flip or an underflowed ``sq`` on the
-        # query path; a NaN ``sq`` reaches ``evaluate``'s finite-point check.
+        # query path; a NaN ``sq`` differs from 0.0 and reaches the finite test.
         if sq != 0.0 or y_next.tobytes() != y.tobytes():
+            # ``y`` is finite, so a finite ``sq`` proves ``y_next`` finite; only
+            # a NaN, an infinity or an overflowing square is scanned.
+            if not (sq < math.inf or np.isfinite(y_next).all()):
+                raise NumericalFailureError(
+                    f"prox step on objective '{obj.name}' left the finite points "
+                    f"(is its gradient finite?)", last_iterate=y)
             # Every other iterate is queried once: its gradient drives the next
             # step or, at exit, is handed back as ``grad_at_y`` for reuse.
-            f_y, grad_f = evaluate(obj, y_next, counter)
+            f_y, grad_f = _query(obj, y_next, counter)
         mapping_norm = math.sqrt(sq) / step
         if mapping_norm <= threshold:
             # The envelope needs x - y_next (negating it changes no bit of its
             # squared norm); at k = 0, y is x, so d already is it.
             if k:
                 d = x - y_next
-                sq = d.dot(d)
+                sq = dot(d, d)
             # Fields in order: y, envelope_value, envelope_gradient,
             # inner_iterations, certified_delta, f_at_y, grad_at_y.
             return ProxResult(

@@ -33,6 +33,9 @@ class Trace:
     rows: list
     solution: Optional[np.ndarray] = None
     failure: Optional[str] = None
+    #: Oracle calls a failed run made, which its failure marker row reports;
+    #: ``None`` stands for the last row's count.
+    failure_calls: Optional[int] = None
 
     @property
     def final_gap(self):
@@ -51,13 +54,15 @@ class Trace:
 class TraceRecorder:
     """The one source of every solver's trace header and gap.  Solvers append
     :class:`TraceRow` objects to ``rows``; as a context manager the recorder
-    attaches them to a :class:`NumericalFailureError` as ``partial_trace``."""
+    attaches them to a :class:`NumericalFailureError` as ``partial_trace``,
+    with the calls ``counter`` holds at the failure."""
 
-    def __init__(self, algorithm, obj, params, x0):
+    def __init__(self, algorithm, obj, params, x0, counter):
         self.header = {"algorithm": algorithm, "objective": obj.name,
                        "set": obj.feasible_set.to_spec(), "params": params, "x0": x0.tolist()}
         self.rows = []
         self._fstar = obj.optimal_value
+        self._counter = counter
 
     def gap(self, f):
         """``f - f*`` (``None`` without a declared ``f*``); a non-finite gap is a failure."""
@@ -77,7 +82,8 @@ class TraceRecorder:
 
     def __exit__(self, exc_type, exc, tb):
         if isinstance(exc, NumericalFailureError):
-            exc.partial_trace = Trace(self.header, self.rows, failure=str(exc))
+            exc.partial_trace = Trace(self.header, self.rows, failure=str(exc),
+                                      failure_calls=self._counter.calls)
 
 
 def format_float(value):
@@ -85,25 +91,26 @@ def format_float(value):
     return "%.17g" % value
 
 
-def _cell(value):
-    return "" if value is None else format_float(value)
-
-
 def trace_csv_lines(trace):
     lines = ["# " + json.dumps(trace.header, sort_keys=True)]
     lines.append("iter,oracle_calls,f,gap,bound")
+    append = lines.append
+    # The ",calls,f,gap," part of the last row, and the values it was made
+    # from.  A row with the same count and the same f and gap objects reuses
+    # it: identity, never ==, since -0.0 == 0.0 and nan != nan.
+    middle, calls, f, gap = None, None, None, None
     for row in trace.rows:
-        gap, bound = row.gap, row.bound
-        # One format per row; "%.17g" is format_float's form.
-        if gap is not None and bound is not None:
-            lines.append("%d,%d,%.17g,%.17g,%.17g"
-                         % (row.iteration, row.oracle_calls, row.f_value, gap, bound))
-        else:
-            lines.append("%d,%d,%.17g,%s,%s" % (row.iteration, row.oracle_calls, row.f_value,
-                                                _cell(gap), _cell(bound)))
+        if row.oracle_calls != calls or row.f_value is not f or row.gap is not gap:
+            calls, f, gap = row.oracle_calls, row.f_value, row.gap
+            # "%.17g" is format_float's form.
+            middle = (",%d,%.17g,%.17g," % (calls, f, gap) if gap is not None
+                      else ",%d,%.17g,," % (calls, f))
+        bound = row.bound
+        append("%d%s%.17g" % (row.iteration, middle, bound) if bound is not None
+               else "%d%s" % (row.iteration, middle))
     if trace.failure is not None:
         # Failure marker row: negative iteration index, NaN objective value.
-        calls = trace.final_oracle_calls
+        calls = trace.final_oracle_calls if trace.failure_calls is None else trace.failure_calls
         lines.append(f"-1,{calls},nan,,")
         lines.append("# numerical-failure: " + trace.failure)
     return lines
@@ -120,7 +127,7 @@ def read_trace(path):
     """Parse a trace CSV back into a :class:`Trace` (rows and header only)."""
     header = {}
     rows = []
-    failure = None
+    failure = failure_calls = None
     with open(path) as fh:
         for line in fh:
             line = line.rstrip("\n")
@@ -131,6 +138,7 @@ def read_trace(path):
             elif line and not line.startswith("iter,"):
                 it, calls, f, gap, bound = line.split(",")
                 if int(it) < 0:
+                    failure_calls = int(calls)
                     continue
                 rows.append(
                     TraceRow(
@@ -141,4 +149,4 @@ def read_trace(path):
                         bound=float(bound) if bound else None,
                     )
                 )
-    return Trace(header=header, rows=rows, failure=failure)
+    return Trace(header=header, rows=rows, failure=failure, failure_calls=failure_calls)

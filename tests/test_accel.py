@@ -428,10 +428,10 @@ class TestRunAccelerated:
         assert repeated == []
 
     def test_nan_gradient_stops_the_run(self, quadratic):
-        # A NaN must propagate through the projection to the oracle's
-        # finiteness check, which stops the run at the next query. Without the
-        # check the prox would still fail, but only at its iteration cap; a
-        # clamping projection would not fail at all.
+        # A NaN gradient must propagate through the projection to the prox
+        # step's finite test, which stops the run before the next query with
+        # the rows so far. Without the test the prox would still fail, but
+        # only at its iteration cap; a clamping projection would not fail at all.
         calls = []
 
         def evaluator(x):
@@ -439,13 +439,16 @@ class TestRunAccelerated:
             value, grad = quadratic.evaluator(x)
             return value, grad if len(calls) < 5 else np.full_like(grad, np.nan)
 
-        obj = Objective(name="nan-gradient", evaluator=evaluator,
-                        smoothness_L=quadratic.smoothness_L,
-                        quasar_gamma=quadratic.quasar_gamma,
-                        feasible_set=quadratic.feasible_set)
-        with pytest.raises((InvalidArgumentError, NumericalFailureError)):
+        obj = dataclasses.replace(quadratic, name="nan-gradient", evaluator=evaluator)
+        with pytest.raises(NumericalFailureError, match="'nan-gradient' left the finite") as info:
             run_accelerated(obj, np.array([1.0, 1.0]), 1e-2, OracleCounter())
         assert len(calls) == 5
+        assert np.isfinite(info.value.last_iterate).all()
+        clean = run_accelerated(quadratic, np.array([1.0, 1.0]), 1e-2, OracleCounter())
+        partial = info.value.partial_trace
+        # The rows written before the fifth query, the one that returned NaN.
+        assert partial.rows == [row for row in clean.rows if row.oracle_calls < 5] != []
+        assert partial.failure_calls == 5
 
 
 def dense_accelerated(obj, x0, epsilon, counter, observer=None):
@@ -553,6 +556,19 @@ class TestFixedPointExit:
         assert len(seen) == T
         assert seen == expected
         assert all(loops == 0 for _, loops, *_ in seen[searches:])
+
+    @pytest.mark.parametrize("name", FIXED_POINT_RUNS)
+    def test_observer_changes_no_byte(self, name):
+        # The frozen tail is written in one step, and replayed to an observer
+        # only when one is given.
+        objective, params, x0, searches = FIXED_POINT_RUNS[name]
+        obj = make_catalogue_objective(objective, params)
+        seen = []
+        observed = run_accelerated(obj, np.array(x0), 1e-4, OracleCounter(), seen.append)
+        plain = run_accelerated(obj, np.array(x0), 1e-4, OracleCounter())
+        assert trace_csv_lines(plain) == trace_csv_lines(observed)
+        assert plain.solution.tobytes() == observed.solution.tobytes()
+        assert len(seen) == plain.header["params"]["T"] >= searches
 
     def test_no_exit_while_the_prox_at_the_fixed_point_queries(self):
         # y, z and the envelope gradient (+0.0) repeat from t = 1, but each

@@ -227,6 +227,27 @@ class TestPGD:
         assert partial.header["algorithm"] == "pgd"
         assert "simplex projection" in partial.failure
 
+    def test_nan_gradient_stops_the_run(self, counter):
+        # The box clip keeps a NaN step, so the step's finite test must stop
+        # the run before it queries the NaN point, with the rows so far.
+        base = make_catalogue_objective("example1")
+        calls = []
+
+        def evaluator(x):
+            calls.append(1)
+            value, grad = base.evaluator(x)
+            return value, grad if len(calls) < 3 else np.full_like(grad, np.nan)
+
+        obj = dataclasses.replace(base, name="nan-gradient", evaluator=evaluator)
+        with pytest.raises(NumericalFailureError, match="'nan-gradient' left the finite") as info:
+            run_pgd(obj, np.array([5.0]), 10, counter)
+        assert len(calls) == counter.calls == 3
+        assert np.isfinite(info.value.last_iterate).all()
+        partial = info.value.partial_trace
+        clean = run_pgd(base, np.array([5.0]), 10, OracleCounter())
+        assert partial.rows == clean.rows[:3]
+        assert partial.failure_calls == 3
+
     def test_infeasible_start_rejected(self, example1, counter):
         with pytest.raises(PreconditionError):
             run_pgd(example1, np.array([9.0]), 5, counter)

@@ -222,21 +222,26 @@ def _module_env(**overrides):
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
 
 
-@pytest.mark.parametrize("set_spec", [
-    {"kind": "simplex", "dimension": 30_000},
-    {"kind": "ball", "center": [0.0] * 30_000, "radius": 1.0},
-    {"kind": "box", "lower": [-1.0] * 30_000, "upper": [1.0] * 30_000},
-], ids=["simplex", "ball", "box"])
-def test_trace_bytes_do_not_depend_on_the_blas_thread_count(set_spec, tmp_path):
+FRANK_WOLFE_200 = {"algorithm": "frank_wolfe", "T": 200}
+
+
+@pytest.mark.parametrize("run,set_spec", [
+    (FRANK_WOLFE_200, {"kind": "simplex", "dimension": 30_000}),
+    (FRANK_WOLFE_200, {"kind": "ball", "center": [0.0] * 30_000, "radius": 1.0}),
+    (FRANK_WOLFE_200, {"kind": "box", "lower": [-1.0] * 30_000, "upper": [1.0] * 30_000}),
+    ({"algorithm": "accelerated", "epsilon": 1e-2}, {"kind": "simplex", "dimension": 30_000}),
+], ids=["simplex", "ball", "box", "accelerated_simplex"])
+def test_trace_bytes_do_not_depend_on_the_blas_thread_count(run, set_spec, tmp_path):
     # OpenBLAS splits a dot product of more than 10,000 entries across threads,
-    # which changes its last bits with the thread count; the evaluators and
-    # the sets' norms (the box diameter is in the bound column) sum fixed
+    # which changes its last bits with the thread count; the evaluators, the
+    # sets' norms (the box diameter is in the bound column), the prox's step
+    # norms and the line search's directional derivatives sum fixed
     # 10,000-entry chunks in order instead.
     n = 30_000
     shift = [(-1.0) ** i * (1 + i % 7) / n for i in range(n)]
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
-        "algorithm": "frank_wolfe", "x0": "vertex", "T": 200,
+        **run, "x0": "vertex",
         "objective": {"name": "quadratic", "params": {"set": set_spec, "shift": shift}}}))
     digests = []
     for threads in ("1", "2"):
@@ -589,7 +594,9 @@ class TestCLI:
         assert trace.header["algorithm"] == algorithm
         assert trace.rows == []
         assert trace.failure.startswith("gap f - f* of objective")
-        assert out.read_text().splitlines()[-2] == "-1,0,nan,,"
+        # The marker carries the one query the run made, not the last row's count.
+        assert trace.failure_calls == 1
+        assert out.read_text().splitlines()[-2] == "-1,1,nan,,"
 
     @pytest.mark.parametrize("algorithm,budget", [("accelerated", {"epsilon": 1e-2}),
                                                   ("pgd", {"T": 3}), ("frank_wolfe", {"T": 3})],

@@ -1,8 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import qopt.accel
+import qopt.prox
 from qopt import (
     Box,
     InvalidArgumentError,
@@ -20,6 +23,7 @@ from qopt import (
 )
 from qopt.objectives import evaluate, sample_feasible
 from qopt.prox import (
+    ProxResult,
     _ProxConstants,
     _solve,
     check_envelope_smoothness,
@@ -27,6 +31,7 @@ from qopt.prox import (
     check_stopping_soundness,
     iteration_cap,
 )
+from qopt.trace import trace_csv_lines
 
 
 def clamped_quadratic_envelope(x):
@@ -312,3 +317,64 @@ class TestBoundaryProxSolutions:
         assert exact - 1e-12 <= res.envelope_value <= exact + delta + 1e-12
         raw_gradient_norm = abs(obj.evaluator(res.y)[1][0] + (res.y[0] - 1.0) / 0.5)
         assert raw_gradient_norm > 1.0  # interior criterion would never fire
+
+
+def solve_through_evaluate(obj, x, consts, counter, at_x=None):
+    """The reference solve: ``_solve`` with every query through ``evaluate``."""
+    project = obj.feasible_set._project
+    lam, step, threshold = consts.lam, consts.step, consts.threshold
+    y = x
+    f_y, grad_f = evaluate(obj, x, counter) if at_x is None else at_x
+    for k in range(consts.cap):
+        grad_subproblem = grad_f + ((y - x) / lam if k else 0.0)
+        y_next = project(y - step * grad_subproblem)
+        d = y - y_next
+        sq = d.dot(d)
+        if sq != 0.0 or y_next.tobytes() != y.tobytes():
+            f_y, grad_f = evaluate(obj, y_next, counter)
+        mapping_norm = math.sqrt(sq) / step
+        if mapping_norm <= threshold:
+            if k:
+                d = x - y_next
+                sq = d.dot(d)
+            return ProxResult(y_next, f_y + float(sq) / (2.0 * lam), d / lam, k + 1,
+                              (9.0 / (2.0 * obj.smoothness_L)) * mapping_norm**2, f_y, grad_f)
+        y = y_next
+    raise NumericalFailureError("the reference solve reached its iteration cap")
+
+
+class TestTrustedQueries:
+    @pytest.mark.parametrize("name,params,x0", [
+        ("example1", {}, [5.0]),
+        ("quadratic", {"dim": 5}, [1.0, -0.0, 1.0, -0.0, 1.0]),
+        ("glm_sigmoid", {}, [-2.0, 2.0]),
+    ], ids=["example1", "quadratic-d5", "glm_sigmoid"])
+    def test_solve_asks_the_evaluator_what_the_evaluate_loop_asks(self, name, params, x0,
+                                                                   monkeypatch):
+        # A whole accelerated run, so the solve sees every kind of centre: the
+        # start, line-search endpoints and midpoints, and warm-started proxes.
+        base = make_catalogue_objective(name, params)
+        checked = []
+
+        def spied_evaluate(obj, x, counter):
+            checked.append(1)
+            return evaluate(obj, x, counter)
+
+        monkeypatch.setattr(qopt.prox, "evaluate", spied_evaluate)
+
+        def audited_run(solve):
+            queries = []
+
+            def audited(x):
+                queries.append((x.dtype.str, x.shape, x.tobytes()))
+                return base.evaluator(x)
+
+            monkeypatch.setattr(qopt.accel, "_solve", solve)
+            obj = dataclasses.replace(base, evaluator=audited)
+            trace = run_accelerated(obj, np.array(x0), 1e-4, OracleCounter())
+            return queries, trace_csv_lines(trace), trace.solution.tobytes()
+
+        trusted = audited_run(_solve)
+        assert audited_run(solve_through_evaluate) == trusted
+        # Only the solves' centres went through evaluate.
+        assert 0 < len(checked) < len(trusted[0])

@@ -13,6 +13,7 @@ from qopt import (
     run_frank_wolfe,
     run_pgd,
 )
+from qopt.trace import Trace, TraceRow, format_float, trace_csv_lines
 
 # One short run per solver on example1 from x0 = 5.
 SOLVERS = {
@@ -58,6 +59,7 @@ def test_failure_keeps_the_header_and_the_rows_written_before_it(solver, k):
     assert sorted(partial.header) == ["algorithm", "objective", "params", "set", "x0"]
     assert partial.header["algorithm"] == solver
     assert partial.failure == f"synthetic failure at query {k}"
+    assert partial.failure_calls == k - 1
     assert partial.solution is None
 
 
@@ -81,3 +83,36 @@ def test_overflowing_gap_is_a_numerical_failure(solver):
     # Row 0 is not written: its gap cell would read inf.
     assert info.value.partial_trace.rows == []
     assert str(info.value).endswith("f* = -1e+308")
+
+
+def test_csv_rows_match_a_per_row_reference():
+    # Rows that share their call count and their f and gap objects share one
+    # formatted prefix; equal values in other objects, and a sign flip of a
+    # zero, are formatted on their own.
+    zero, negative_zero, nan = 0.0, -0.0, float("nan")
+    a, b = float("0.1"), float("0.1")
+    assert a is not b
+    rows = [
+        TraceRow(0, 3, zero, zero, None),
+        TraceRow(1, 3, negative_zero, negative_zero, 1.0),
+        TraceRow(2, 3, zero, negative_zero, 0.5),
+        TraceRow(3, 3, zero, negative_zero, 0.25),
+        TraceRow(4, 3, nan, None, 0.125),
+        TraceRow(5, 3, nan, None, None),
+        TraceRow(6, 3, float("nan"), None, 0.0625),
+        TraceRow(7, 4, a, a, 2.0),
+        TraceRow(8, 4, b, b, 3.0),
+        TraceRow(9, 5, b, b, 3.0),
+        TraceRow(10, 5, b, None, -0.0),
+        TraceRow(11, 5, b, b, None),
+    ]
+
+    def cell(value):
+        return "" if value is None else format_float(value)
+
+    expected = [f"{r.iteration},{r.oracle_calls},{format_float(r.f_value)},{cell(r.gap)},"
+                f"{cell(r.bound)}" for r in rows]
+    lines = trace_csv_lines(Trace(header={}, rows=rows, failure="stop", failure_calls=6))
+    assert lines[1:] == ["iter,oracle_calls,f,gap,bound", *expected, "-1,6,nan,,",
+                         "# numerical-failure: stop"]
+    assert lines[3:5] == ["1,3,-0,-0,1", "2,3,0,-0,0.5"]
