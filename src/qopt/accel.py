@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ConfigError, InvalidArgumentError, NumericalFailureError, PreconditionError
 from .objectives import OracleCounter
 from .prox import ProxResult, _ProxConstants, _solve, solve_prox_subproblem
-from .sets import MEMBERSHIP_TOL, as_point
+from .sets import MEMBERSHIP_TOL, _dot, as_point
 from .trace import TraceRecorder, TraceRow
 
 #: The most iterations an epsilon-derived schedule may ask for, accelerated or
@@ -143,10 +143,10 @@ def _line_search(obj, y, z, c, epsilon_tilde, loop_cap, counter, prox_at_y, cons
     ``_ProxConstants(obj, delta)``; every prox solve of the search uses it.
     Returns the fields of a :class:`LineSearchResult` as a plain tuple.
     """
-    delta1, dot = consts.delta, consts.dot
+    delta1 = consts.delta
     direction = y - z
     h1 = prox_at_y.envelope_value
-    hhat1 = float(dot(prox_at_y.envelope_gradient, direction))
+    hhat1 = float(_dot(prox_at_y.envelope_gradient, direction))
     if hhat1 <= epsilon_tilde:
         return 1.0, y, 0, prox_at_y, "derivative_small"
     # A degenerate segment has hhat1 = 0 <= epsilon_tilde and returned above.
@@ -163,7 +163,7 @@ def _line_search(obj, y, z, c, epsilon_tilde, loop_cap, counter, prox_at_y, cons
         v = alpha * y + (1.0 - alpha) * z
         prox_v = _solve(obj, v, consts, counter)
         h_alpha = prox_v.envelope_value
-        hhat_alpha = float(dot(prox_v.envelope_gradient, direction))
+        hhat_alpha = float(_dot(prox_v.envelope_gradient, direction))
         if alpha * hhat_alpha <= c * (h1 - h_alpha) + epsilon_tilde:
             return alpha, v, iterations, prox_v, "bisection"
         if h_alpha >= h1 - delta1:
@@ -237,10 +237,18 @@ def run_accelerated(obj, x0, epsilon, counter, observer=None):
     project = set_._project
     # The weights a_t = gamma^2 t / (8 L) and A_{t-1} = gamma^2 (t-1) t / (16 L),
     # the coupling c_t = gamma A_{t-1} / a_t and the bound 16 L D^2 / (gamma t)^2
-    # have their one source below; changing the order of an operation changes
-    # the bits of every trace.
+    # have their one source here, for the loop and the frozen tail alike;
+    # changing the order of an operation changes the bits of every trace.
     gamma_sq, a_denom, A_denom = gamma**2, 8.0 * L, 16.0 * L
     bound_num, gamma_gamma = 16.0 * L * D * D, gamma * gamma
+
+    def weights(t):
+        """The weight a_t and the coupling c_t of outer iteration t."""
+        a_t = gamma_sq * t / a_denom
+        return a_t, gamma_sq * (t - 1) * t / A_denom * gamma / a_t
+
+    def bound(t):
+        return bound_num / (gamma_gamma * t * t)
 
     with TraceRecorder("accelerated", obj, asdict(params), x0, counter) as rec:
         rows = rec.rows
@@ -250,8 +258,7 @@ def run_accelerated(obj, x0, epsilon, counter, observer=None):
         rows.append(TraceRow(0, counter.calls, f, gap, None))
         T = params.T
         for t in range(1, T + 1):
-            a_t = gamma_sq * t / a_denom
-            c = gamma_sq * (t - 1) * t / A_denom * gamma / a_t
+            a_t, c = weights(t)
             _, x_t, loops, prox_x, _ = _line_search(
                 obj, y, z, c, search_consts.epsilon_tilde(c), loop_cap, counter, prox_y,
                 prox_consts)
@@ -266,7 +273,7 @@ def run_accelerated(obj, x0, epsilon, counter, observer=None):
             prox_y = _solve(obj, y_new, prox_consts, counter, (prox_x.f_at_y, prox_x.grad_at_y))
             f = prox_y.f_at_y
             gap = rec.gap(f)
-            rows.append(TraceRow(t, counter.calls, f, gap, bound_num / (gamma_gamma * t * t)))
+            rows.append(TraceRow(t, counter.calls, f, gap, bound(t)))
             if observer is not None:
                 observer(AccelIterate(c, loops, x_t, y, z))
             y, z = y_new, z_new
@@ -279,14 +286,11 @@ def run_accelerated(obj, x0, epsilon, counter, observer=None):
             # the run is written in one step.
             if prox_y.inner_iterations == 1 and prox_y.y.tobytes() == y.tobytes():
                 calls = counter.calls
-                rows.extend([TraceRow(s, calls, f, gap, bound_num / (gamma_gamma * s * s))
-                             for s in range(t + 1, T + 1)])
+                rows.extend([TraceRow(s, calls, f, gap, bound(s)) for s in range(t + 1, T + 1)])
                 if observer is not None:
                     for s in range(t + 1, T + 1):
-                        a_s = gamma_sq * s / a_denom
                         # The line search would return y: x_s = y_{s-1} = y.
-                        observer(AccelIterate(gamma_sq * (s - 1) * s / A_denom * gamma / a_s,
-                                              0, y, y, z))
+                        observer(AccelIterate(weights(s)[1], 0, y, y, z))
                 break
     return rec.trace(prox_y.y)
 

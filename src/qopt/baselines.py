@@ -16,13 +16,11 @@ appearing in the PGD analysis).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalFailureError, PreconditionError
 from .objectives import OracleCounter, _query, evaluate, sample_pairs
-from .sets import FEASIBILITY_TOL, _dot, as_point
+from .sets import FEASIBILITY_TOL, _is_finite_point, as_point
 from .trace import TraceRecorder, TraceRow
 
 #: The rate-envelope constant of each baseline (see the module docstring).
@@ -77,8 +75,7 @@ def run_pgd(obj, x0, T, counter):
                 rows.extend(TraceRow(s, counter.calls, f, gap, None)
                             for s in range(t + 1, T + 1))
                 return rec.trace(x_next)
-            # A finite sum of squares proves every entry finite.
-            if not (_dot(x_next, x_next) < math.inf or np.isfinite(x_next).all()):
+            if not _is_finite_point(x_next):
                 raise NumericalFailureError(
                     f"PGD step on objective '{obj.name}' left the finite points "
                     f"(is its gradient finite?)", last_iterate=x)

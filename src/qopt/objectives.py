@@ -34,7 +34,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalFailureError, PreconditionError
-from .sets import MEMBERSHIP_TOL, Box, FeasibleSet, _dot, as_point, is_int, set_from_spec
+from .sets import (MEMBERSHIP_TOL, Box, FeasibleSet, _dot, _is_finite_point, as_point, is_int,
+                   set_from_spec)
 
 
 class OracleCounter:
@@ -90,9 +91,7 @@ def evaluate(obj, x, counter):
     gradient is not scanned, so the check costs one scalar test.
     """
     x = as_point(x, obj.dimension)
-    # A finite sum of squares proves every entry finite; only a NaN, an
-    # infinity or an overflowing square sends the check to the entrywise scan.
-    if not (_dot(x, x) < math.inf or np.isfinite(x).all()):
+    if not _is_finite_point(x):
         raise InvalidArgumentError("oracle query point must be finite")
     return _query(obj, x, counter)
 

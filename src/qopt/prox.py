@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, NumericalFailureError, PreconditionError
 from .objectives import OracleCounter, _query, evaluate, sample_feasible, sample_pairs
-from .sets import DOT_CHUNK, MEMBERSHIP_TOL, _dot, as_point
+from .sets import MEMBERSHIP_TOL, _dot, as_point
 
 
 @dataclass
@@ -57,12 +57,10 @@ class _ProxConstants:
     """The parts of a prox solve that depend only on ``(obj, delta)``.
 
     Built once per accelerated run, or once per public call, and shared by
-    every :func:`_solve` at that tolerance.  ``dot`` is the chunked
-    ``sets._dot`` above ``DOT_CHUNK`` entries, so no result depends on the
-    BLAS thread count, and a plain ``ndarray.dot`` below.
+    every :func:`_solve` at that tolerance.
     """
 
-    __slots__ = ("delta", "lam", "step", "threshold", "cap", "dot")
+    __slots__ = ("delta", "lam", "step", "threshold", "cap")
 
     def __init__(self, obj, delta):
         L = obj.smoothness_L
@@ -71,7 +69,6 @@ class _ProxConstants:
         self.step = 1.0 / (3.0 * L)
         self.threshold = math.sqrt(2.0 * L * delta) / 3.0
         self.cap = iteration_cap(L, obj.feasible_set.diameter(), delta)
-        self.dot = _dot if obj.dimension > DOT_CHUNK else np.ndarray.dot
 
 
 def solve_prox_subproblem(obj, x, delta, counter):
@@ -103,7 +100,7 @@ def _solve(obj, x, consts, counter, at_x=None):
     a non-finite point raises :class:`NumericalFailureError`.
     """
     project = obj.feasible_set._project
-    lam, step, threshold, dot = consts.lam, consts.step, consts.threshold, consts.dot
+    lam, step, threshold = consts.lam, consts.step, consts.threshold
 
     # ``y`` is never written in place, so it starts as ``x`` itself.  While it
     # is, ``(y - x) / lam`` is exactly +0.0 (``x`` is finite), so the first
@@ -114,8 +111,8 @@ def _solve(obj, x, consts, counter, at_x=None):
         grad_subproblem = grad_f + ((y - x) / lam if k else 0.0)
         y_next = project(y - step * grad_subproblem)
         d = y - y_next
-        # numpy's own formula for the 2-norm of a 1-D vector, without its wrapper.
-        sq = dot(d, d)
+        # The squared step norm, summed in an order fixed by the dimension alone.
+        sq = _dot(d, d)
         # A step that lands bit for bit where it started has the oracle's
         # answer already: keep it, and the zero mapping norm ends the solve.
         # Comparing bytes keeps a +-0.0 flip or an underflowed ``sq`` on the
@@ -136,7 +133,7 @@ def _solve(obj, x, consts, counter, at_x=None):
             # squared norm); at k = 0, y is x, so d already is it.
             if k:
                 d = x - y_next
-                sq = dot(d, d)
+                sq = _dot(d, d)
             # Fields in order: y, envelope_value, envelope_gradient,
             # inner_iterations, certified_delta, f_at_y, grad_at_y.
             return ProxResult(

@@ -47,6 +47,15 @@ def _dot(u, v):
     return total
 
 
+def _is_finite_point(x):
+    """True when every entry of the 1-D float64 array ``x`` is finite.
+
+    A finite sum of squares proves every entry finite, so only a NaN, an
+    infinity or an overflowing square sends the test to the entrywise scan.
+    """
+    return _dot(x, x) < math.inf or bool(np.isfinite(x).all())
+
+
 def _norm(v):
     """2-norm of a 1-D float64 array: ``np.linalg.norm(v)`` bit for bit up to
     ``DOT_CHUNK`` entries, and independent of the BLAS thread count above."""
