@@ -264,8 +264,13 @@ def make_catalogue_objective(name, params=None):
         set_ = _resolve_set(params, Box([-1.0] * dim, [1.0] * dim))
         dim = set_.dimension
         shift = as_point(params.get("shift", np.zeros(dim)), dim)
+        # A shift whose every entry has the bits of +0.0 is subtracted as one
+        # 0-d zero: the same IEEE x - (+0.0) per entry, without reading a
+        # dim-long array.  A -0.0 entry keeps the array, since -0.0 - (-0.0)
+        # is +0.0 but -0.0 - (+0.0) is -0.0.
+        subtrahend = shift if shift.view(np.int64).any() else np.zeros(())
 
-        def evaluator(x, _b=shift):
+        def evaluator(x, _b=subtrahend):
             d = x - _b
             return 0.5 * float(_dot(d, d)), d
 

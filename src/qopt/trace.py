@@ -91,8 +91,31 @@ def format_float(value):
     return "%.17g" % value
 
 
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
+def _header_json(value, memo):
+    """``json.dumps(value, sort_keys=True)`` byte for byte, encoding each
+    all-float list once per ``memo`` (a header holds an explicit ``x0`` twice).
+
+    Two lists share a text only when every entry is exactly a ``float`` and
+    the float64 bits are equal: equal bits give an equal ``repr``, where
+    ``==`` would merge ``0.0`` with ``-0.0`` and ``1`` with ``1.0``.
+    """
+    if type(value) is dict and all(type(key) is str for key in value):
+        return "{%s}" % ", ".join("%s: %s" % (_encode(key), _header_json(value[key], memo))
+                                  for key in sorted(value))
+    if type(value) is list and all(type(v) is float for v in value):
+        bits = np.array(value).tobytes()
+        text = memo.get(bits)
+        if text is None:
+            text = memo[bits] = _encode(value)
+        return text
+    return _encode(value)
+
+
 def trace_csv_lines(trace):
-    lines = ["# " + json.dumps(trace.header, sort_keys=True)]
+    lines = ["# " + _header_json(trace.header, {})]
     lines.append("iter,oracle_calls,f,gap,bound")
     append = lines.append
     # The ",calls,f,gap," part of the last row, and the values it was made

@@ -165,6 +165,11 @@ class TestRunExperiment:
 
 
 SIMPLEX50 = {"name": "quadratic", "params": {"set": {"kind": "simplex", "dimension": 50}}}
+SIMPLEX30K = {"name": "quadratic", "params": {"set": {"kind": "simplex", "dimension": 30_000}}}
+# An explicit all-float point, so the header carries the same 30,000 floats
+# twice: as config.x0 and as the resolved x0.
+_exponential = np.random.default_rng(18).standard_exponential(30_000)
+SIMPLEX30K_X0 = (_exponential / _exponential.sum()).tolist()
 
 
 def _without_oracle_calls(trace_bytes):
@@ -197,8 +202,16 @@ def _without_oracle_calls(trace_bytes):
     ({"algorithm": "pgd", "objective": "fig1_counterexample", "x0": [5.0], "T": 200},
      "356adf382c36a4ce5dbec5ce930229ae4e610ea08850b885d3533a5489ddf344", 52,
      "94ed9d1e9ffe1d8ac79c01b7da9c717fe780ca05b2638bdd9df757038e07e5c0"),
+    # Above DOT_CHUNK, pinned before the zero-shift oracle path and the
+    # shared header text: the oracle, the sets' norms and the header's x0.
+    ({"algorithm": "frank_wolfe", "objective": SIMPLEX30K, "x0": SIMPLEX30K_X0, "T": 200},
+     "0a761e4f36b22a5faa416240187e68abf3230452733604cc6f971ff3486e817a", 201,
+     "116aab2bcdc83e9e86b65575d154011f4c61c89843c7c0954234478beca4cd20"),
+    ({"algorithm": "pgd", "objective": SIMPLEX30K, "x0": SIMPLEX30K_X0, "T": 200},
+     "f6e9d9cc94fcebe4cd42cd3bcbc8b46c31db9217156dc67351ce0973e8a5d70c", 2,
+     "c7a91bf7f2428cf18722aeb361f4986d10e0db50c74a1e250b6b33ba894968ad"),
 ], ids=["accel_example1", "accel_quadratic_d5", "accel_glm_sigmoid", "fw_simplex50",
-        "pgd_simplex50", "pgd_fig1"])
+        "pgd_simplex50", "pgd_fig1", "fw_simplex30k", "pgd_simplex30k"])
 def test_golden_trace_bytes(config, sha256, calls, sha256_without_calls, tmp_path):
     # Pinned before the accelerated loop's trusted-path rewrite.  A speed-up
     # must leave every byte and oracle count as it was, with two exceptions,

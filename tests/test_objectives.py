@@ -15,6 +15,7 @@ from qopt import (
     finite_diff_gradient,
     make_catalogue_objective,
 )
+from qopt.sets import _dot
 
 mp.mp.dps = 40
 
@@ -217,6 +218,28 @@ class TestCatalogue:
         )
         np.testing.assert_allclose(obj.center, [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
         assert obj.smoothness_L == 1.0 and obj.quasar_gamma == 1.0
+
+    @pytest.mark.parametrize("dim", [5, 30_000])
+    @pytest.mark.parametrize("shift_kind", ["zeros", "negative_zero_entry", "nonzero"])
+    def test_quadratic_matches_the_array_shift_reference(self, dim, shift_kind):
+        # An all-+0.0 shift is subtracted as one 0-d zero; a -0.0 entry must
+        # keep the array, since -0.0 - (-0.0) is +0.0 but -0.0 - (+0.0) is -0.0.
+        rng = np.random.default_rng(dim)
+        shift = {"zeros": np.zeros(dim),
+                 "negative_zero_entry": np.array([0.0, -0.0] + [0.0] * (dim - 2)),
+                 "nonzero": rng.standard_normal(dim)}[shift_kind]
+        x = rng.standard_normal(dim)
+        x[:4] = [0.0, -0.0, 5e-324, -2.5e-310]
+        obj = make_catalogue_objective("quadratic", {"dim": dim, "shift": shift})
+        d = x - shift
+        expected = 0.5 * float(_dot(d, d))
+        value, grad = obj.evaluator(x)
+        assert np.float64(value).tobytes() == np.float64(expected).tobytes()
+        assert grad.dtype == np.float64 and grad.shape == (dim,)
+        assert grad.tobytes() == d.tobytes()
+        # Frank-Wolfe scales its iterate in place before taking argmin(grad).
+        assert not np.shares_memory(grad, x)
+        assert np.array(obj.params["shift"]).tobytes() == shift.tobytes()
 
     def test_affine_center_is_lmo_vertex(self):
         obj = make_catalogue_objective("affine_plus_quadratic", {"a": [1.0, -1.0], "q": 0.0})

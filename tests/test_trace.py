@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import json
 
 import numpy as np
 import pytest
@@ -116,3 +118,44 @@ def test_csv_rows_match_a_per_row_reference():
     assert lines[1:] == ["iter,oracle_calls,f,gap,bound", *expected, "-1,6,nan,,",
                          "# numerical-failure: stop"]
     assert lines[3:5] == ["1,3,-0,-0,1", "2,3,0,-0,0.5"]
+
+
+_LONG = np.random.default_rng(7).standard_normal(30_000).tolist()
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("header", [
+    {"algorithm": "pgd", "config": {"algorithm": "pgd", "x0": [1, 0], "T": 5},
+     "params": {"step_size": 1.0}, "seed": None, "x0": [1.0, 0.0]},
+    {"config": {"x0": [-0.0, 0.0]}, "x0": [0.0, 0.0], "y": [0.0, -0.0], "z": [-0.0, 0.0]},
+    {"config": {"epsilon": _NAN, "x0": [_INF, -_INF, _NAN]}, "seed": 0,
+     "x0": [_INF, -_INF, _NAN], "y": [_NAN, _INF, -_INF]},
+    {"a": [True, False], "b": [1.0, 0.0], "c": [1, 0], "d": [False, True]},
+    {"a": [np.float64(0.1), np.float64(-0.0)], "b": [0.1, -0.0], "c": [np.float64(0.1), -0.0]},
+    {"a": {"b": {"c": [0.5, 0.25], "d": {}}, "e": [[0.5, 0.25]]}, "f": [0.5, 0.25],
+     "g": ({"h": 1.0},), "i": []},
+    {"é": [1.0], "ключ": {"ü": 2, "\u2028": "\u00e9\"\\"}, "\U0001f600": "ok", "b": "é"},
+    {"params": {2: [1.0], 1: [1.0]}, "x0": [1.0]},
+    {1: [1.0], 0: "zero", 0.5: True},
+    {},
+    {"config": {"x0": _LONG}, "x0": list(_LONG), "y": [*_LONG[:-1], -_LONG[-1]],
+     "z": [1.0] * 29_999 + [1], "w": [1.0] * 30_000},
+], ids=["ints_beside_floats", "signed_zeros", "nan_and_infinity", "bools", "np_float64",
+        "nested", "non_ascii", "non_str_keys", "non_str_top_level_keys", "empty",
+        "long_equal_lists"])
+def test_header_line_is_json_dumps_sorted(header):
+    line = trace_csv_lines(Trace(header=header, rows=[]))[0]
+    assert line == "# " + json.dumps(header, sort_keys=True)
+
+
+def test_header_encoding_leaves_no_garbage_cycle():
+    # A memo caught in a reference cycle would outlive the call until the
+    # next collection: with collection off, nothing may be left to collect.
+    header = {"config": {"x0": _LONG}, "params": {"shift": [0.0] * 30_000}, "x0": list(_LONG)}
+    gc.collect()
+    gc.disable()
+    try:
+        trace_csv_lines(Trace(header=header, rows=[]))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
