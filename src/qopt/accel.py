@@ -77,27 +77,6 @@ def compute_schedule(gamma, L, D, epsilon):
                        lam=1.0 / (2.0 * L), T=T, delta=delta)
 
 
-class _LineSearchConstants:
-    """Noise model and halving budget of the line search for one ``(delta, L, D)``.
-
-    ``delta`` bounds the envelope value error and ``delta2`` the directional
-    derivative error (the uniform bound ``sqrt(8 L delta) * D``); the
-    termination slack is ``epsilon_tilde(c) = delta2 + (9 + 5 c) delta``.  The
-    single source of these formulas and of ``loop_cap``; ``run_accelerated``
-    builds it once per run.
-    """
-
-    __slots__ = ("delta", "delta2", "loop_cap")
-
-    def __init__(self, delta, L, D):
-        self.delta = delta
-        self.delta2 = math.sqrt(8.0 * L * delta) * D
-        self.loop_cap = math.ceil(math.log2(max(8.0 * L * D * D / delta, 4.0))) + 2
-
-    def epsilon_tilde(self, c):
-        return self.delta2 + (9.0 + 5.0 * c) * self.delta
-
-
 @dataclass
 class LineSearchResult:
     alpha: float
@@ -112,9 +91,9 @@ def binary_line_search(obj, y, z, c, delta, counter):
 
     Validates its inputs before any oracle call: ``y`` and ``z`` must be
     feasible points of the objective's dimension (within ``MEMBERSHIP_TOL``),
-    ``c`` nonnegative and ``delta`` positive.  The termination slack
-    ``epsilon_tilde(c)`` and the halving budget come from
-    ``_LineSearchConstants(delta, L, D)``.  The envelope oracles ``h`` and
+    ``c`` nonnegative, and ``_ProxConstants(obj, delta)`` checks ``delta``.
+    The termination slack ``epsilon_tilde(c)`` and the halving budget come
+    from those constants.  The envelope oracles ``h`` and
     ``h_hat`` are realized through fresh prox solves at tolerance ``delta``;
     the prox result at the returned point is included so callers can reuse it
     as their next proximal step.
@@ -126,24 +105,21 @@ def binary_line_search(obj, y, z, c, delta, counter):
             raise PreconditionError(f"line-search endpoint {name} must be feasible")
     if not c >= 0:
         raise InvalidArgumentError("line-search constant c must be nonnegative")
-    if not delta > 0:
-        raise InvalidArgumentError("line-search tolerance delta must be positive")
-    search = _LineSearchConstants(delta, obj.smoothness_L, obj.feasible_set.diameter())
     consts = _ProxConstants(obj, delta)
     return LineSearchResult(*_line_search(
-        obj, y, z, c, search.epsilon_tilde(c), search.loop_cap, counter,
-        _solve(obj, y, consts, counter), consts))
+        obj, y, z, c, counter, _solve(obj, y, consts, counter), consts))
 
 
-def _line_search(obj, y, z, c, epsilon_tilde, loop_cap, counter, prox_at_y, consts):
+def _line_search(obj, y, z, c, counter, prox_at_y, consts):
     """Body of :func:`binary_line_search` for trusted endpoints and the prox at ``y``.
 
-    ``epsilon_tilde`` and ``loop_cap`` come from the
-    :class:`_LineSearchConstants` of ``consts.delta``, and ``consts`` is
-    ``_ProxConstants(obj, delta)``; every prox solve of the search uses it.
-    Returns the fields of a :class:`LineSearchResult` as a plain tuple.
+    ``consts`` is ``_ProxConstants(obj, delta)``: it gives the termination
+    slack ``epsilon_tilde(c)`` and the halving budget, and every prox solve of
+    the search uses it.  Returns the fields of a :class:`LineSearchResult` as
+    a plain tuple.
     """
     delta1 = consts.delta
+    epsilon_tilde = consts.epsilon_tilde(c)
     direction = y - z
     h1 = prox_at_y.envelope_value
     hhat1 = float(_dot(prox_at_y.envelope_gradient, direction))
@@ -171,13 +147,13 @@ def _line_search(obj, y, z, c, epsilon_tilde, loop_cap, counter, prox_at_y, cons
         else:
             hi = alpha
         iterations += 1
-        if iterations > loop_cap:
+        if iterations > consts.loop_cap:
             raise NumericalFailureError(
                 "binary line search exceeded its halving budget; the declared "
                 "(L, gamma) may not be valid for this objective",
                 last_iterate=v,
                 diagnostics={"lo": lo, "hi": hi, "alpha": alpha,
-                             "loop_cap": loop_cap},
+                             "loop_cap": consts.loop_cap},
             )
         alpha = 0.5 * (lo + hi)
 
@@ -231,9 +207,7 @@ def run_accelerated(obj, x0, epsilon, counter, observer=None):
     y = x0.copy()
     z = x0.copy()
     accumulated = np.zeros_like(x0)
-    prox_consts = _ProxConstants(obj, delta)
-    search_consts = _LineSearchConstants(delta, L, D)
-    loop_cap = search_consts.loop_cap
+    consts = _ProxConstants(obj, delta)
     project = set_._project
     # The weights a_t = gamma^2 t / (8 L) and A_{t-1} = gamma^2 (t-1) t / (16 L),
     # the coupling c_t = gamma A_{t-1} / a_t and the bound 16 L D^2 / (gamma t)^2
@@ -252,16 +226,14 @@ def run_accelerated(obj, x0, epsilon, counter, observer=None):
 
     with TraceRecorder("accelerated", obj, asdict(params), x0, counter) as rec:
         rows = rec.rows
-        prox_y = _solve(obj, y, prox_consts, counter)
+        prox_y = _solve(obj, y, consts, counter)
         f = prox_y.f_at_y
         gap = rec.gap(f)
         rows.append(TraceRow(0, counter.calls, f, gap, None))
         T = params.T
         for t in range(1, T + 1):
             a_t, c = weights(t)
-            _, x_t, loops, prox_x, _ = _line_search(
-                obj, y, z, c, search_consts.epsilon_tilde(c), loop_cap, counter, prox_y,
-                prox_consts)
+            _, x_t, loops, prox_x, _ = _line_search(obj, y, z, c, counter, prox_y, consts)
             y_new = prox_x.y
             accumulated += (a_t / gamma) * prox_x.envelope_gradient
             # The FTRL step (ftrl_step) on trusted arrays.
@@ -270,7 +242,7 @@ def run_accelerated(obj, x0, epsilon, counter, observer=None):
             # line search's endpoint oracle, and at t = T is the returned
             # solution.  y_new is prox_x.y, so prox_x already holds the
             # oracle's answer there.
-            prox_y = _solve(obj, y_new, prox_consts, counter, (prox_x.f_at_y, prox_x.grad_at_y))
+            prox_y = _solve(obj, y_new, consts, counter, (prox_x.f_at_y, prox_x.grad_at_y))
             f = prox_y.f_at_y
             gap = rec.gap(f)
             rows.append(TraceRow(t, counter.calls, f, gap, bound(t)))

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import tempfile
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -35,8 +36,6 @@ from .objectives import (
     make_catalogue_objective,
     sample_feasible,
 )
-
-SMOOTH_NAMES = CATALOGUE_NAMES  # every entry declares an L to certify
 
 #: How far a recorded gap may exceed its rate bound (baselines and accelerated).
 _BOUND_SLACK = 1e-9
@@ -449,7 +448,7 @@ def _trace_determinism():
             p1, p2 = f"{tmp}/{i}_a.csv", f"{tmp}/{i}_b.csv"
             run_experiment(load_config(config), output_path=p1)
             run_experiment(load_config(config), output_path=p2)
-            same &= open(p1, "rb").read() == open(p2, "rb").read()
+            same &= Path(p1).read_bytes() == Path(p2).read_bytes()
     return CheckResult(
         name="trace_determinism",
         max_violation=0.0 if same else 1.0,
@@ -514,7 +513,7 @@ def _registry():
             )
     checks["quasar_counterexample:fig1_counterexample"] = _quasar_counterexample
     checks["counterexample_construction:fig1_counterexample"] = _counterexample_construction
-    for name in SMOOTH_NAMES:
+    for name in CATALOGUE_NAMES:  # every entry declares an L to certify
         checks[f"smoothness:{name}"] = lambda n=name: _smoothness(n)
         checks[f"gradient_consistency:{name}"] = lambda n=name: _gradient_consistency(n)
     for name in ("quadratic", "example1"):

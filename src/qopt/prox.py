@@ -54,21 +54,39 @@ def iteration_cap(L, D, delta):
 
 
 class _ProxConstants:
-    """The parts of a prox solve that depend only on ``(obj, delta)``.
+    """Everything the prox solve and the line search derive from ``(obj, delta)``.
 
-    Built once per accelerated run, or once per public call, and shared by
-    every :func:`_solve` at that tolerance.
+    The solve's step, stopping threshold and iteration cap; and the line
+    search's noise model: a delta-prox envelope value is off by at most
+    ``delta``, its directional derivative along a feasible segment by at most
+    ``delta2 = sqrt(8 L delta) * D``, so the termination slack is
+    ``epsilon_tilde(c)``, and ``loop_cap`` is the halving budget.  Built once
+    per accelerated run, or once per public call.  Rejects a ``delta`` that is
+    not positive and finite, or so small that ``8 L D^2 / delta`` overflows.
     """
 
-    __slots__ = ("delta", "lam", "step", "threshold", "cap")
+    __slots__ = ("delta", "lam", "step", "threshold", "cap", "delta2", "loop_cap")
 
     def __init__(self, obj, delta):
         L = obj.smoothness_L
+        D = obj.feasible_set.diameter()
+        if not 0.0 < delta < math.inf:
+            raise InvalidArgumentError("tolerance delta must be positive and finite, "
+                                       f"got {delta!r}")
+        ratio = 8.0 * L * D * D / delta
+        if not ratio < math.inf:
+            raise InvalidArgumentError(f"8 L D^2 / delta overflows for delta {delta!r}, "
+                                       f"L {L!r} and diameter D {D!r}")
         self.delta = delta
         self.lam = default_lambda(obj)
         self.step = 1.0 / (3.0 * L)
         self.threshold = math.sqrt(2.0 * L * delta) / 3.0
-        self.cap = iteration_cap(L, obj.feasible_set.diameter(), delta)
+        self.cap = iteration_cap(L, D, delta)
+        self.delta2 = math.sqrt(8.0 * L * delta) * D
+        self.loop_cap = math.ceil(math.log2(max(ratio, 4.0))) + 2
+
+    def epsilon_tilde(self, c):
+        return self.delta2 + (9.0 + 5.0 * c) * self.delta
 
 
 def solve_prox_subproblem(obj, x, delta, counter):
@@ -76,24 +94,23 @@ def solve_prox_subproblem(obj, x, delta, counter):
 
     ``lam`` is fixed at ``1/(2L)`` (:func:`default_lambda`).  Validates its
     inputs: ``x`` must be a feasible point of the objective's dimension
-    (within ``MEMBERSHIP_TOL``) and ``delta`` must be positive.  Warm starts
-    at ``x`` itself (feasible, within the set diameter of the solution).
-    Raises :class:`NumericalFailureError` carrying the last iterate if the
-    iteration cap is exhausted.
+    (within ``MEMBERSHIP_TOL``), and :class:`_ProxConstants` checks ``delta``.
+    Warm starts at ``x`` itself (feasible, within the set diameter of the
+    solution).  Raises :class:`NumericalFailureError` carrying the last
+    iterate if the iteration cap is exhausted.
     """
     x = as_point(x, obj.dimension)
-    if not delta > 0:
-        raise InvalidArgumentError("prox tolerance delta must be positive")
+    consts = _ProxConstants(obj, delta)
     if not obj.feasible_set.contains(x, MEMBERSHIP_TOL):
         raise PreconditionError("prox query point must be feasible")
-    return _solve(obj, x, _ProxConstants(obj, delta), counter)
+    return _solve(obj, x, consts, counter)
 
 
 def _solve(obj, x, consts, counter, at_x=None):
     """Body of :func:`solve_prox_subproblem` for a trusted feasible ``x``.
 
-    ``consts`` holds the step, threshold, ``lam`` and iteration cap, built by
-    ``_ProxConstants(obj, delta)`` for a ``delta > 0``.  A given ``at_x`` must
+    ``consts`` is the :class:`_ProxConstants` of ``(obj, delta)``; the solve
+    reads its step, threshold, ``lam`` and iteration cap.  A given ``at_x`` must
     be the oracle's ``(value, gradient)`` at exactly ``x``; the solve uses it
     instead of querying the oracle at ``x`` again.  Only ``x`` goes through
     :func:`evaluate`; the solve's own iterates go to ``_query``, and a step to

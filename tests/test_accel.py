@@ -22,7 +22,8 @@ from qopt import (
     run_accelerated,
     solve_prox_subproblem,
 )
-from qopt.accel import MAX_ITERATIONS, AccelIterate, _LineSearchConstants
+from qopt.accel import MAX_ITERATIONS, AccelIterate
+from qopt.prox import _ProxConstants
 from qopt.trace import Trace, TraceRow, trace_csv_lines
 
 
@@ -174,7 +175,7 @@ class TestBinaryLineSearch:
         y, z = np.array([0.2, -0.3]), np.array([1.0, 1.0])
         delta = 1e-12
         res = binary_line_search(quadratic, y, z, c, delta, counter)
-        search = _LineSearchConstants(delta, 1.0, quadratic.feasible_set.diameter())
+        search = _ProxConstants(quadratic, delta)
         alphas = np.linspace(0.0, 1.0, 100_001)
         g = quadratic_envelope_along(y, z, alphas)
         i = int(round(res.alpha * 100_000))
@@ -206,14 +207,37 @@ class TestBinaryLineSearch:
             binary_line_search(quadratic, y, z, c, delta, counter)
         assert counter.calls == 0
 
-    def test_loop_cap_failure(self, quadratic, counter):
-        # White-box: a zero halving budget on a segment that enters the loop.
-        y, z = np.array([0.2, -0.3]), np.array([1.0, 1.0])
-        consts = qopt.accel._ProxConstants(quadratic, 1e-10)
-        prox_at_y = qopt.accel._solve(quadratic, y, consts, counter)
+    def test_loop_cap_failure(self, counter):
+        # White-box: a zero halving budget on a segment that enters the
+        # bisection (TestBisectionBody certifies it after at least one halving).
+        obj = double_well_objective()
+        y, z = np.array([-1.2]), np.array([1.45])
+        consts = _ProxConstants(obj, 1e-10)
+        consts.loop_cap = 0
+        prox_at_y = qopt.accel._solve(obj, y, consts, counter)
         with pytest.raises(NumericalFailureError) as excinfo:
-            qopt.accel._line_search(quadratic, y, z, 0.0, -1.0, 0, counter, prox_at_y, consts)
-        assert "loop_cap" in excinfo.value.diagnostics
+            qopt.accel._line_search(obj, y, z, 0.0, counter, prox_at_y, consts)
+        assert excinfo.value.diagnostics["loop_cap"] == 0
+
+
+@pytest.mark.parametrize("name,params", [
+    ("example1", {}),
+    ("quadratic", {"dim": 3, "set": {"kind": "ball", "center": [0.3, -0.2, 0.1], "radius": 0.7}}),
+    ("quadratic", {"dim": 4, "set": {"kind": "simplex", "dimension": 4, "scale": 2.5}}),
+], ids=["box", "ball", "simplex"])
+@pytest.mark.parametrize("delta", [1e-14, 3.7e-9, 1e-4, 0.5, 1e3])
+def test_line_search_constants_are_the_paper_expressions(name, params, delta):
+    # The noise model of the line search, bit for bit: the directional
+    # derivative error sqrt(8 L delta) D, the halving budget and the slack.
+    obj = make_catalogue_objective(name, params)
+    L, D = obj.smoothness_L, obj.feasible_set.diameter()
+    consts = _ProxConstants(obj, delta)
+    delta2 = math.sqrt(8.0 * L * delta) * D
+    assert consts.delta == delta
+    assert consts.delta2.hex() == delta2.hex()
+    assert consts.loop_cap == math.ceil(math.log2(max(8.0 * L * D * D / delta, 4.0))) + 2
+    for c in (0.0, 0.5, 3.0):
+        assert consts.epsilon_tilde(c).hex() == (delta2 + (9.0 + 5.0 * c) * delta).hex()
 
 
 def double_well_objective():
@@ -243,7 +267,7 @@ class TestBisectionBody:
         y, z = np.array([-1.2]), np.array([1.45])
         delta = 1e-10
         res = binary_line_search(obj, y, z, 0.0, delta, counter)
-        search = _LineSearchConstants(delta, obj.smoothness_L, obj.feasible_set.diameter())
+        search = _ProxConstants(obj, delta)
         assert res.exit == "bisection"
         assert 1 <= res.loop_iterations <= search.loop_cap
         # Independent oracle: near-exact envelope on a dense alpha grid.
@@ -373,13 +397,14 @@ class TestRunAccelerated:
         assert counts[0] == counts[1]
 
     def test_line_search_params_match_public_builder(self, example1, monkeypatch):
+        # Every search of a run gets that iteration's c and one constants
+        # object, equal to a fresh _ProxConstants at the schedule's delta.
         recorded = []
         line_search = qopt.accel._line_search
 
-        def recording(obj, y, z, c, epsilon_tilde, loop_cap, counter, prox_at_y, consts):
-            recorded.append((c, consts.delta, epsilon_tilde, loop_cap))
-            return line_search(obj, y, z, c, epsilon_tilde, loop_cap, counter, prox_at_y,
-                               consts)
+        def recording(obj, y, z, c, counter, prox_at_y, consts):
+            recorded.append((c, consts))
+            return line_search(obj, y, z, c, counter, prox_at_y, consts)
 
         monkeypatch.setattr(qopt.accel, "_line_search", recording)
         iterates = []
@@ -387,9 +412,12 @@ class TestRunAccelerated:
                                 observer=iterates.append)
         params = trace.header["params"]
         assert len(recorded) == len(iterates) == params["T"]
-        built = _LineSearchConstants(params["delta"], params["L"], params["D"])
-        for it, used in zip(iterates, recorded):
-            assert used == (it.c, built.delta, built.epsilon_tilde(it.c), built.loop_cap)
+        assert [c for c, _ in recorded] == [it.c for it in iterates]
+        used = recorded[0][1]
+        assert all(consts is used for _, consts in recorded)
+        built = _ProxConstants(example1, params["delta"])
+        assert ([getattr(used, k) for k in _ProxConstants.__slots__]
+                == [getattr(built, k) for k in _ProxConstants.__slots__])
 
     def test_coupling_constant_follows_the_weights(self, example1):
         # c_t = gamma A_{t-1} / a_t with a_t = gamma^2 t / (8 L) and
@@ -466,21 +494,19 @@ def dense_accelerated(obj, x0, epsilon, counter, observer=None):
               "params": dataclasses.asdict(params), "x0": x0.tolist()}
     y, z = x0.copy(), x0.copy()
     accumulated = np.zeros_like(x0)
-    prox_consts = qopt.accel._ProxConstants(obj, delta)
-    search = _LineSearchConstants(delta, L, D)
-    prox_y = qopt.accel._solve(obj, y, prox_consts, counter)
+    consts = _ProxConstants(obj, delta)
+    prox_y = qopt.accel._solve(obj, y, consts, counter)
     f = prox_y.f_at_y
     rows = [TraceRow(0, counter.calls, f, None if fstar is None else f - fstar, None)]
     for t in range(1, params.T + 1):
         a_t = gamma**2 * t / (8.0 * L)
         c = gamma**2 * (t - 1) * t / (16.0 * L) * gamma / a_t
-        _, x_t, loops, prox_x, _ = qopt.accel._line_search(
-            obj, y, z, c, search.epsilon_tilde(c), search.loop_cap, counter, prox_y,
-            prox_consts)
+        _, x_t, loops, prox_x, _ = qopt.accel._line_search(obj, y, z, c, counter, prox_y,
+                                                           consts)
         y_new = prox_x.y
         accumulated += (a_t / gamma) * prox_x.envelope_gradient
         z_new = set_._project(x0 - accumulated)
-        prox_y = qopt.accel._solve(obj, y_new, prox_consts, counter,
+        prox_y = qopt.accel._solve(obj, y_new, consts, counter,
                                    (prox_x.f_at_y, prox_x.grad_at_y))
         f = prox_y.f_at_y
         rows.append(TraceRow(t, counter.calls, f, None if fstar is None else f - fstar,

@@ -210,8 +210,13 @@ def _without_oracle_calls(trace_bytes):
     ({"algorithm": "pgd", "objective": SIMPLEX30K, "x0": SIMPLEX30K_X0, "T": 200},
      "f6e9d9cc94fcebe4cd42cd3bcbc8b46c31db9217156dc67351ce0973e8a5d70c", 2,
      "c7a91bf7f2428cf18722aeb361f4986d10e0db50c74a1e250b6b33ba894968ad"),
+    # Pinned before the line search's constants moved into _ProxConstants:
+    # its directional derivatives reduce through the chunked _dot here.
+    ({"algorithm": "accelerated", "objective": SIMPLEX30K, "x0": SIMPLEX30K_X0, "epsilon": 1e-3},
+     "f65fb2bc88bee370e4bdf258099edbd1068b935ee8f8189a86b89d50f864511a", 100,
+     "72580865a5b9d497d87d87441a0c9da971c447e35ae7c2fb22fdb41336fd785e"),
 ], ids=["accel_example1", "accel_quadratic_d5", "accel_glm_sigmoid", "fw_simplex50",
-        "pgd_simplex50", "pgd_fig1", "fw_simplex30k", "pgd_simplex30k"])
+        "pgd_simplex50", "pgd_fig1", "fw_simplex30k", "pgd_simplex30k", "accel_simplex30k"])
 def test_golden_trace_bytes(config, sha256, calls, sha256_without_calls, tmp_path):
     # Pinned before the accelerated loop's trusted-path rewrite.  A speed-up
     # must leave every byte and oracle count as it was, with two exceptions,

@@ -7,18 +7,21 @@ a solver loop are not re-checked.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from qopt import (
     FeasibleSet,
+    InvalidArgumentError,
     OracleCounter,
     PreconditionError,
     binary_line_search,
     run_accelerated,
     run_frank_wolfe,
     run_pgd,
+    solve_prox_subproblem,
 )
 from qopt.cli import main
 from qopt.sets import FEASIBILITY_TOL, MEMBERSHIP_TOL
@@ -86,3 +89,18 @@ def test_accelerated_checks_membership_only_at_x0(example1, monkeypatch):
         outer.append(trace.header["params"]["T"])
     assert outer[0] < outer[1]
     assert counts == [1, 1]
+
+
+@pytest.mark.parametrize("delta", [5e-324, 1e-310, math.inf, math.nan])
+@pytest.mark.parametrize("entry", ["solve_prox_subproblem", "binary_line_search"])
+def test_extreme_delta_rejected_before_any_oracle_call(quadratic, entry, delta):
+    # A subnormal delta overflows 8 L D^2 / delta, and so the iteration cap
+    # and the halving budget; an infinite delta would certify anything.
+    counter = OracleCounter()
+    y, z = np.array([0.2, -0.3]), np.array([1.0, 1.0])
+    with pytest.raises(InvalidArgumentError, match="delta"):
+        if entry == "solve_prox_subproblem":
+            solve_prox_subproblem(quadratic, y, delta, counter)
+        else:
+            binary_line_search(quadratic, y, z, 1.0, delta, counter)
+    assert counter.calls == 0
