@@ -170,6 +170,10 @@ SIMPLEX30K = {"name": "quadratic", "params": {"set": {"kind": "simplex", "dimens
 # twice: as config.x0 and as the resolved x0.
 _exponential = np.random.default_rng(18).standard_exponential(30_000)
 SIMPLEX30K_X0 = (_exponential / _exponential.sum()).tolist()
+# A shifted minimizer inside the unit disc, so Frank-Wolfe from an off-axis x0
+# leaves the line through the origin.
+BALL_QUADRATIC = {"name": "quadratic", "params": {
+    "set": {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0}, "shift": [0.25, -0.5]}}
 
 
 def _without_oracle_calls(trace_bytes):
@@ -215,8 +219,17 @@ def _without_oracle_calls(trace_bytes):
     ({"algorithm": "accelerated", "objective": SIMPLEX30K, "x0": SIMPLEX30K_X0, "epsilon": 1e-3},
      "f65fb2bc88bee370e4bdf258099edbd1068b935ee8f8189a86b89d50f864511a", 100,
      "72580865a5b9d497d87d87441a0c9da971c447e35ae7c2fb22fdb41336fd785e"),
+    # Pinned before Frank-Wolfe stepped through the trusted FeasibleSet._lmo:
+    # the box and ball vertex steps, which the simplex goldens do not reach.
+    ({"algorithm": "frank_wolfe", "objective": "example1", "x0": [5.0], "T": 200},
+     "9b69df963168b0c65a19011b63efdbfe440a387a6adbe3d442754447b8f24513", 201,
+     "3b1069b971de8eabd4540f18f80cbf8ca8627e358301dd02cf2ecffede75e5fb"),
+    ({"algorithm": "frank_wolfe", "objective": BALL_QUADRATIC, "x0": [0.6, 0.3], "T": 200},
+     "dffabedad55d64247ec837f944dfd7b6303dfa797e3db93b204c90ffc02cf9cb", 201,
+     "8a4ec7ade79a7e0bbac029d44949d6c763a93d3d6b5d7753ed1d22109128fce2"),
 ], ids=["accel_example1", "accel_quadratic_d5", "accel_glm_sigmoid", "fw_simplex50",
-        "pgd_simplex50", "pgd_fig1", "fw_simplex30k", "pgd_simplex30k", "accel_simplex30k"])
+        "pgd_simplex50", "pgd_fig1", "fw_simplex30k", "pgd_simplex30k", "accel_simplex30k",
+        "fw_example1", "fw_ball"])
 def test_golden_trace_bytes(config, sha256, calls, sha256_without_calls, tmp_path):
     # Pinned before the accelerated loop's trusted-path rewrite.  A speed-up
     # must leave every byte and oracle count as it was, with two exceptions,
