@@ -27,7 +27,8 @@ import numpy as np
 
 from .errors import ConfigError, InvalidArgumentError, NumericalFailureError, PreconditionError
 from .objectives import OracleCounter
-from .prox import ProxResult, _ProxConstants, _solve, solve_prox_subproblem
+# perfbench/tracing.py wraps solve_prox_subproblem under this module's name too.
+from .prox import ProxResult, _ProxConstants, _solve, solve_prox_subproblem  # noqa: F401
 from .sets import MEMBERSHIP_TOL, _dot, as_point
 from .trace import TraceRecorder, TraceRow
 
@@ -287,7 +288,7 @@ def check_linesearch_certificates(obj, x0, epsilon):
     trace = run_accelerated(obj, x0, epsilon, OracleCounter(), observer=iterates.append)
     params = trace.header["params"]
     L, D, delta = params["L"], params["D"], params["delta"]
-    fine = delta / CERTIFICATE_ACCURACY_FACTOR
+    fine = _ProxConstants(obj, delta / CERTIFICATE_ACCURACY_FACTOR)
     counter = OracleCounter()
     base_budget = math.sqrt(8.0 * L * D * D * delta)
     loop_bound = math.ceil(math.log2(max(8.0 * L * D * D / delta, 2.0)))
@@ -300,8 +301,8 @@ def check_linesearch_certificates(obj, x0, epsilon):
         # a derivative_small exit, like every filled iterate, hands
         # x_t = y_{t-1} itself.
         if it.x is not prev_x:
-            prev_x, at_x = it.x, solve_prox_subproblem(obj, it.x, fine, counter)
-        at_y = at_x if it.x is it.y_prev else solve_prox_subproblem(obj, it.y_prev, fine, counter)
+            prev_x, at_x = it.x, _solve(obj, it.x, fine, counter)
+        at_y = at_x if it.x is it.y_prev else _solve(obj, it.y_prev, fine, counter)
         lhs = float(np.dot(at_x.envelope_gradient, it.x - it.z_prev))
         lhs -= it.c * (at_y.envelope_value - at_x.envelope_value)
         budget = base_budget + (9.0 + 5.0 * it.c) * delta + 1e-9

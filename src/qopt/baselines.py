@@ -134,34 +134,45 @@ def attach_rate_bounds(trace, L, gamma, D):
 
 
 def check_mapping_inequality(obj, trials):
-    """For random feasible (x, y): ``<grad f(x), x+ - y> <= <g(x), x+ - y> + MAPPING_TOL``."""
+    """For random feasible (x, y): ``<grad f(x), x+ - y> <= <g(x), x+ - y> + MAPPING_TOL``.
+
+    A NaN excess is reported as the worst and fails the check.
+    """
     set_ = obj.feasible_set
+    evaluator = obj.evaluator
     eta = 1.0 / obj.smoothness_L
     worst = -np.inf
     for x, yref in zip(*sample_pairs(set_, trials)):
-        grad = obj.evaluator(x)[1]
-        x_plus = set_.project(x - eta * grad)
+        grad = evaluator(x)[1]
+        x_plus = set_._project(x - eta * grad)
         mapping = (x - x_plus) / eta
         lhs = float(np.dot(grad, x_plus - yref))
         rhs = float(np.dot(mapping, x_plus - yref))
-        worst = max(worst, lhs - rhs)
+        excess = lhs - rhs
+        if excess > worst or excess != excess:
+            worst = excess
     return {"max_excess": worst, "tolerance": MAPPING_TOL, "passed": worst <= MAPPING_TOL,
             "samples": trials}
 
 
 def check_mapping_descent(obj, trials):
-    """For random feasible x: ``f(x+) - f(x) <= -||g(x)||^2 / (2L) + MAPPING_TOL``."""
+    """For random feasible x: ``f(x+) - f(x) <= -||g(x)||^2 / (2L) + MAPPING_TOL``.
+
+    A NaN excess is reported as the worst and fails the check.
+    """
     set_ = obj.feasible_set
+    evaluator = obj.evaluator
     L = obj.smoothness_L
     eta = 1.0 / L
     worst = -np.inf
     for x in set_.sample(np.random.default_rng(0), trials):
-        f, grad = obj.evaluator(x)
-        x_plus = set_.project(x - eta * grad)
+        f, grad = evaluator(x)
+        x_plus = set_._project(x - eta * grad)
         mapping = (x - x_plus) / eta
-        f_plus = obj.evaluator(x_plus)[0]
+        f_plus = evaluator(x_plus)[0]
         excess = (f_plus - f) + float(np.dot(mapping, mapping)) / (2.0 * L)
-        worst = max(worst, excess)
+        if excess > worst or excess != excess:
+            worst = excess
     return {"max_excess": worst, "tolerance": MAPPING_TOL, "passed": worst <= MAPPING_TOL,
             "samples": trials}
 
@@ -186,7 +197,7 @@ def check_fw_feasibility_and_weights(obj, x0, T):
             a_t = 2.0 * t + 2.0
             A_t = A_prev + a_t
             assert A_t == (t + 1) * (t + 2)
-            x_avg = (A_prev * x_avg + a_t * set_.lmo(grad)) / A_t
+            x_avg = (A_prev * x_avg + a_t * set_._lmo(grad)) / A_t
             A_prev = A_t
 
     run_frank_wolfe(obj, x0, T, OracleCounter(), observe)

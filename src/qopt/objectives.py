@@ -34,8 +34,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalFailureError, PreconditionError
-from .sets import (MEMBERSHIP_TOL, Box, FeasibleSet, _dot, _is_finite_point, as_point, is_int,
-                   set_from_spec)
+from .sets import (MEMBERSHIP_TOL, Box, FeasibleSet, _dot, _is_finite_point, _norm, as_point,
+                   is_int, set_from_spec)
 
 
 class OracleCounter:
@@ -142,20 +142,35 @@ def check_quasar_convexity(obj, samples, gamma=None):
     """Measure the worst quasar-convexity violation on sampled feasible points.
 
     The violation at ``x`` is ``f(x) + (1/gamma) * <grad f(x), x* - x> - f(x*)``;
-    nonpositive values certify the inequality on the sample.
+    nonpositive values certify the inequality on the sample.  A NaN violation
+    is reported as the worst.
+    """
+    gamma = obj.quasar_gamma if gamma is None else gamma
+    (worst,), count = _worst_quasar_violations(obj, samples, (gamma,))
+    return {"max_violation": float(worst), "samples": count}
+
+
+def _worst_quasar_violations(obj, samples, gammas):
+    """The worst quasar violation at each of ``gammas`` from one pass over the sample.
+
+    Queries the evaluator once at the center and once per sample point, and
+    returns ``(worst per gamma, number of points)``.  The first NaN violation
+    at a gamma stays its worst.
     """
     if obj.center is None:
         raise PreconditionError("check_quasar_convexity requires a known center")
-    gamma = obj.quasar_gamma if gamma is None else gamma
-    fstar = obj.evaluator(obj.center)[0]
+    evaluator, center = obj.evaluator, obj.center
+    fstar = evaluator(center)[0]
     pts = sample_feasible(obj.feasible_set, samples)
-    worst = -np.inf
+    worst = [-np.inf] * len(gammas)
     for x in pts:
-        fx, gx = obj.evaluator(x)
-        violation = fx + float(np.dot(gx, obj.center - x)) / gamma - fstar
-        if violation > worst:
-            worst = violation
-    return {"max_violation": float(worst), "samples": len(pts)}
+        fx, gx = evaluator(x)
+        inner = float(np.dot(gx, center - x))
+        for i, gamma in enumerate(gammas):
+            violation = fx + inner / gamma - fstar
+            if violation > worst[i] or violation != violation:
+                worst[i] = violation
+    return worst, len(pts)
 
 
 def check_smoothness(obj, samples):
@@ -163,26 +178,39 @@ def check_smoothness(obj, samples):
 
     The ratio must not exceed ``obj.smoothness_L * (1 + rtol)`` for the
     declared constant to be considered valid; the report's ``tolerance`` is
-    that absolute slack, ``obj.smoothness_L * rtol``.
+    that absolute slack, ``obj.smoothness_L * rtol``.  A NaN ratio is reported
+    as the worst and fails the check.
     """
     if samples < 2:
         raise InvalidArgumentError("check_smoothness needs at least two samples")
     set_ = obj.feasible_set
-    if isinstance(set_, Box) and set_.dimension == 1:
-        pts = set_.grid(samples)
-        pairs = zip(pts[:-1], pts[1:])
-    else:
-        pairs = zip(*sample_pairs(set_, samples))
+    evaluator = obj.evaluator
     worst = 0.0
     count = 0
-    for u, v in pairs:
-        sep = float(np.linalg.norm(u - v))
-        if sep < 1e-12:
-            continue
-        gu = obj.evaluator(u)[1]
-        gv = obj.evaluator(v)[1]
-        worst = max(worst, float(np.linalg.norm(gu - gv)) / sep)
-        count += 1
+    if isinstance(set_, Box) and set_.dimension == 1:
+        # Consecutive grid pairs share a point: each point is queried once and
+        # its gradient carried on to the next pair.
+        pts = set_.grid(samples)
+        u = pts[0]
+        gu = evaluator(u)[1]
+        for v in pts[1:]:
+            gv = evaluator(v)[1]
+            sep = _norm(u - v)
+            if not sep < 1e-12:
+                ratio = _norm(gu - gv) / sep
+                if ratio > worst or ratio != ratio:
+                    worst = ratio
+                count += 1
+            u, gu = v, gv
+    else:
+        for u, v in zip(*sample_pairs(set_, samples)):
+            sep = _norm(u - v)
+            if sep < 1e-12:
+                continue
+            ratio = _norm(evaluator(u)[1] - evaluator(v)[1]) / sep
+            if ratio > worst or ratio != ratio:
+                worst = ratio
+            count += 1
     rtol = 1e-6
     limit = obj.smoothness_L * (1.0 + rtol)
     return {"max_secant_ratio": worst, "limit": limit, "tolerance": obj.smoothness_L * rtol,

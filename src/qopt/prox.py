@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, NumericalFailureError, PreconditionError
 from .objectives import OracleCounter, _query, evaluate, sample_feasible, sample_pairs
-from .sets import MEMBERSHIP_TOL, _dot, as_point
+from .sets import MEMBERSHIP_TOL, _dot, _norm, as_point
 
 
 @dataclass
@@ -99,11 +99,18 @@ def solve_prox_subproblem(obj, x, delta, counter):
     solution).  Raises :class:`NumericalFailureError` carrying the last
     iterate if the iteration cap is exhausted.
     """
+    x, consts = _checked(obj, x, delta)
+    return _solve(obj, x, consts, counter)
+
+
+def _checked(obj, x, delta):
+    """The public prox inputs validated: ``x`` as a feasible 1-D float64 point,
+    and the :class:`_ProxConstants` of ``(obj, delta)``."""
     x = as_point(x, obj.dimension)
     consts = _ProxConstants(obj, delta)
     if not obj.feasible_set.contains(x, MEMBERSHIP_TOL):
         raise PreconditionError("prox query point must be feasible")
-    return _solve(obj, x, consts, counter)
+    return x, consts
 
 
 def _solve(obj, x, consts, counter, at_x=None):
@@ -176,20 +183,26 @@ def check_prox_conditioning(obj, samples):
     whenever the declared L really bounds the objective's curvature.  The
     bracket is independent of the prox center, which cancels in differences.
     Each end gets relative slack ``rtol``; the report's ``tolerance`` is the
-    absolute slack at the upper end, ``3 L rtol``.
+    absolute slack at the upper end, ``3 L rtol``.  A NaN ratio is reported at
+    both ends and fails the check.
     """
     L = obj.smoothness_L
     lam = default_lambda(obj)
+    evaluator = obj.evaluator
     lo, hi = np.inf, -np.inf
     count = 0
     for u, v in zip(*sample_pairs(obj.feasible_set, samples)):
-        sep2 = float(np.dot(u - v, u - v))
+        d = u - v
+        sep2 = float(np.dot(d, d))
         if sep2 < 1e-18:
             continue
-        gu = obj.evaluator(u)[1] + u / lam
-        gv = obj.evaluator(v)[1] + v / lam
-        ratio = float(np.dot(gu - gv, u - v)) / sep2
-        lo, hi = min(lo, ratio), max(hi, ratio)
+        gu = evaluator(u)[1] + u / lam
+        gv = evaluator(v)[1] + v / lam
+        ratio = float(np.dot(gu - gv, d)) / sep2
+        if ratio < lo or ratio != ratio:
+            lo = ratio
+        if ratio > hi or ratio != ratio:
+            hi = ratio
         count += 1
     rtol = 1e-8
     passed = lo >= L * (1.0 - rtol) and hi <= 3.0 * L * (1.0 + rtol)
@@ -204,28 +217,36 @@ def check_prox_conditioning(obj, samples):
     }
 
 
+# The envelope checks below solve at the points the sets sample, or at a
+# solve's own output, so they build the constants of each delta once and call
+# the trusted _solve; the public entry points keep validating.
+
+
 def check_moreau_quasar(obj, grid):
     """Measure the worst quasar-convexity violation of the (near-exact) envelope.
 
     Runs the prox at high accuracy as a stand-in for the exact envelope and
     evaluates ``M(x) + (1/gamma) <grad M(x), x* - x> - M(x*)`` over sampled
-    feasible points.
+    feasible points.  A NaN violation is reported as the worst.
     """
     if obj.center is None:
         raise PreconditionError("check_moreau_quasar requires a known center")
     delta = 1e-12
+    consts = _ProxConstants(obj, delta)
     counter = OracleCounter()
-    m_star = solve_prox_subproblem(obj, obj.center, delta, counter).envelope_value
+    center, gamma = obj.center, obj.quasar_gamma
+    m_star = _solve(obj, center, consts, counter).envelope_value
     pts = sample_feasible(obj.feasible_set, grid)
     worst = -np.inf
     for x in pts:
-        res = solve_prox_subproblem(obj, x, delta, counter)
+        res = _solve(obj, x, consts, counter)
         violation = (
             res.envelope_value
-            + float(np.dot(res.envelope_gradient, obj.center - x)) / obj.quasar_gamma
+            + float(np.dot(res.envelope_gradient, center - x)) / gamma
             - m_star
         )
-        worst = max(worst, violation)
+        if violation > worst or violation != violation:
+            worst = violation
     return {"max_violation": float(worst), "samples": len(pts), "delta": delta,
             "oracle_calls": counter.calls}
 
@@ -237,9 +258,11 @@ def check_descent_lemma(obj, x):
     ``M~(y) - M~(x) <= -||grad M~(x)||^2 / (8 L) + delta``.
     """
     delta = 1e-8
+    x, consts = _checked(obj, x, delta)
     counter = OracleCounter()
-    at_x = solve_prox_subproblem(obj, x, delta, counter)
-    at_y = solve_prox_subproblem(obj, at_x.y, delta, counter)
+    at_x = _solve(obj, x, consts, counter)
+    # The solve at x ended on the oracle's answer at y.
+    at_y = _solve(obj, at_x.y, consts, counter, (at_x.f_at_y, at_x.grad_at_y))
     lhs = at_y.envelope_value - at_x.envelope_value
     rhs = -float(np.dot(at_x.envelope_gradient, at_x.envelope_gradient)) / (
         8.0 * obj.smoothness_L
@@ -252,20 +275,22 @@ def check_envelope_smoothness(obj, samples):
 
     The envelope of the ``1/(2L)`` prox is ``2L``-smooth; ratios must stay
     below ``2 L (1 + rtol)``, and the report's ``tolerance`` is that absolute
-    slack, ``2 L rtol``.
+    slack, ``2 L rtol``.  A NaN ratio is reported as the worst.
     """
-    delta = 1e-12
+    consts = _ProxConstants(obj, 1e-12)
     min_sep = 0.02 * obj.feasible_set.diameter()
     counter = OracleCounter()
     worst = 0.0
     count = 0
     for u, v in zip(*sample_pairs(obj.feasible_set, samples)):
-        sep = float(np.linalg.norm(u - v))
+        sep = _norm(u - v)
         if sep < min_sep:
             continue
-        gu = solve_prox_subproblem(obj, u, delta, counter).envelope_gradient
-        gv = solve_prox_subproblem(obj, v, delta, counter).envelope_gradient
-        worst = max(worst, float(np.linalg.norm(gu - gv)) / sep)
+        gu = _solve(obj, u, consts, counter).envelope_gradient
+        gv = _solve(obj, v, consts, counter).envelope_gradient
+        ratio = _norm(gu - gv) / sep
+        if ratio > worst or ratio != ratio:
+            worst = ratio
         count += 1
     rtol = 1e-6
     limit = 2.0 * obj.smoothness_L * (1.0 + rtol)
@@ -280,12 +305,14 @@ def check_stopping_soundness(obj, samples):
     subproblem value by at most ``delta``.
     """
     delta = 1e-6
+    coarse_consts = _ProxConstants(obj, delta)
+    fine_consts = _ProxConstants(obj, delta / 100.0)
     counter = OracleCounter()
     pts = sample_feasible(obj.feasible_set, samples)
     worst = 0.0
     for x in pts:
-        coarse = solve_prox_subproblem(obj, x, delta, counter)
-        fine = solve_prox_subproblem(obj, x, delta / 100.0, counter)
+        coarse = _solve(obj, x, coarse_consts, counter)
+        fine = _solve(obj, x, fine_consts, counter)
         worst = max(worst, abs(coarse.envelope_value - fine.envelope_value))
     return {"max_value_shift": worst, "delta": delta, "passed": worst <= delta,
             "samples": len(pts)}
@@ -297,14 +324,16 @@ def check_gradient_error_bound(obj, samples):
     The reference gradient uses a near-exact prox (``delta = 1e-14``).
     """
     delta = 1e-6
+    coarse_consts = _ProxConstants(obj, delta)
+    ref_consts = _ProxConstants(obj, 1e-14)
     counter = OracleCounter()
     bound = math.sqrt(8.0 * obj.smoothness_L * delta)
     pts = sample_feasible(obj.feasible_set, samples)
     worst = 0.0
     for x in pts:
-        coarse = solve_prox_subproblem(obj, x, delta, counter).envelope_gradient
-        ref = solve_prox_subproblem(obj, x, 1e-14, counter).envelope_gradient
-        worst = max(worst, float(np.linalg.norm(coarse - ref)))
+        coarse = _solve(obj, x, coarse_consts, counter).envelope_gradient
+        ref = _solve(obj, x, ref_consts, counter).envelope_gradient
+        worst = max(worst, _norm(coarse - ref))
     return {"max_gradient_error": worst, "bound": bound, "passed": worst <= bound,
             "samples": len(pts)}
 
@@ -315,10 +344,12 @@ def fit_iteration_constant(obj, samples):
     D = obj.feasible_set.diameter()
     L = obj.smoothness_L
     counter = OracleCounter()
+    pts = sample_feasible(obj.feasible_set, samples)
     worst = 0.0
     for delta in deltas:
+        consts = _ProxConstants(obj, delta)
         denom = math.log2(max(L * D * D / delta, 4.0))
-        for x in sample_feasible(obj.feasible_set, samples):
-            res = solve_prox_subproblem(obj, x, delta, counter)
+        for x in pts:
+            res = _solve(obj, x, consts, counter)
             worst = max(worst, res.inner_iterations / denom)
     return {"fitted_constant": worst, "samples": samples, "deltas": list(deltas)}

@@ -108,12 +108,17 @@ class FeasibleSet:
         raise NotImplementedError
 
     def lmo(self, g):
+        """A vertex minimizing ``<g, v>`` over the set, as a new array."""
+        return self._lmo(as_point(g, self.dimension))
+
+    def _lmo(self, g):
+        """Body of :meth:`lmo` for a trusted 1-D float64 array of the set's dimension."""
         raise NotImplementedError
 
     def _step_toward_vertex(self, x, g, keep, weight):
-        """Frank-Wolfe step in place on a trusted array: ``x <- keep x + weight lmo(g)``."""
+        """Frank-Wolfe step in place on trusted arrays: ``x <- keep x + weight lmo(g)``."""
         x *= keep
-        x += weight * self.lmo(g)
+        x += weight * self._lmo(g)
 
     def diameter(self):
         raise NotImplementedError
@@ -168,12 +173,11 @@ class Box(FeasibleSet):
         # The same bits as np.clip (NaN propagates), without its Python wrapper.
         return np.minimum(np.maximum(x, self.lower), self.upper)
 
-    def lmo(self, g):
+    def _lmo(self, g):
         # Per-coordinate: negative gradient picks the upper face, otherwise the
         # lower face; zero entries therefore fall back to the lower corner,
         # which makes lmo(0) the canonical first vertex.
-        g = as_point(g, self.dimension)
-        return np.where(g < 0, self.upper, self.lower).astype(float)
+        return np.where(g < 0, self.upper, self.lower)
 
     def diameter(self):
         return _norm(self.upper - self.lower)
@@ -223,10 +227,9 @@ class Ball(FeasibleSet):
                 "ball projection of a point that is not finite, or too far from the center")
         return self.center + (self.radius / norm) * delta
 
-    def lmo(self, g):
+    def _lmo(self, g):
         """``center - radius g / ||g||``; a NaN or infinite entry in ``g`` is a
         :class:`NumericalFailureError`, since the vertex would be NaN."""
-        g = as_point(g, self.dimension)
         _, g, norm = _scaled_norm(g)
         if norm == 0.0:
             out = self.center.copy()
@@ -296,8 +299,7 @@ class Simplex(FeasibleSet):
         np.subtract(v, tau, out=buf)
         return np.maximum(buf, 0.0, out=buf)
 
-    def lmo(self, g):
-        g = as_point(g, self.dimension)
+    def _lmo(self, g):
         out = np.zeros(self.dimension)
         # np.argmin returns the first occurrence: ties break to the lowest index.
         out[int(np.argmin(g))] = self.scale

@@ -353,12 +353,14 @@ class TestRunAccelerated:
                      "passed": bool(worst <= 0.0 and max_loops <= loop_bound)}
 
         solves = []
-        solve = qopt.accel.solve_prox_subproblem
-        monkeypatch.setattr(qopt.accel, "solve_prox_subproblem",
+        solve = qopt.accel._solve
+        monkeypatch.setattr(qopt.accel, "_solve",
                             lambda *args: solves.append(args) or solve(*args))
         assert check_linesearch_certificates(obj, x0, 1e-3) == reference
-        # One solve per new x_t array (the filled iterates share one) and one
-        # per y_{t-1} that is not x_t itself.
+        # The audit's solves are the ones at the fine delta: one per new x_t
+        # array (the filled iterates share one) and one per y_{t-1} that is
+        # not x_t itself.
+        solves = [args for args in solves if args[2].delta == fine]
         new_x = 1 + sum(it.x is not prev.x for prev, it in zip(iterates, iterates[1:]))
         moved = sum(it.x is not it.y_prev for it in iterates)
         assert moved < len(iterates)
