@@ -150,7 +150,10 @@ def _gradient_consistency(name):
     for x in pts:
         grad = evaluate(obj, x, counter)[1]
         fd = finite_diff_gradient(obj, x, 1e-5)
-        worst = max(worst, _norm(fd - grad))
+        # A NaN difference (a NaN value at x +- h) is reported and fails.
+        error = _norm(fd - grad)
+        if error > worst or error != error:
+            worst = error
     tol = 1e-6
     return CheckResult(
         name=f"gradient_consistency:{name}",

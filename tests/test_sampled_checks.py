@@ -494,3 +494,22 @@ def test_nan_is_no_counterexample_violation(monkeypatch):
     result = qopt.checks._quasar_counterexample()
     assert math.isnan(result.max_violation)
     assert result.passed is False
+
+
+def test_nan_finite_difference_fails_gradient_consistency(monkeypatch):
+    # NaN only just right of one grid point, so every queried point is finite
+    # and only the finite difference at that point, x + 1e-5, meets the NaN.
+    quadratic = make_catalogue_objective("quadratic", {"dim": 1})
+    inner = quadratic.evaluator
+    left = sample_feasible(quadratic.feasible_set, 100)[74, 0]
+
+    def evaluator(x):
+        if left < x[0] < left + 2e-5:
+            return math.nan, np.array([math.nan])
+        return inner(x)
+
+    poisoned = dataclasses.replace(quadratic, evaluator=evaluator)
+    monkeypatch.setattr(qopt.checks, "make_catalogue_objective", lambda name: poisoned)
+    result = qopt.checks._gradient_consistency("quadratic")
+    assert math.isnan(result.max_violation)
+    assert result.passed is False
