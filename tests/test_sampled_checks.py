@@ -496,6 +496,18 @@ def test_nan_is_no_counterexample_violation(monkeypatch):
     assert result.passed is False
 
 
+@pytest.mark.parametrize("worst", [[math.nan, 0.3, 0.2], [0.3, math.nan, 0.2],
+                                   [0.3, 0.2, math.nan]], ids=["first", "second", "third"])
+def test_nan_at_any_gamma_fails_the_counterexample(worst, monkeypatch):
+    # An infinite value with a huge gradient can make one gamma's violation
+    # NaN and leave the others finite.
+    monkeypatch.setattr(qopt.checks, "_worst_quasar_violations",
+                        lambda obj, samples, gammas: (worst, samples))
+    result = qopt.checks._quasar_counterexample()
+    assert math.isnan(result.max_violation)
+    assert result.passed is False
+
+
 def test_nan_finite_difference_fails_gradient_consistency(monkeypatch):
     # NaN only just right of one grid point, so every queried point is finite
     # and only the finite difference at that point, x + 1e-5, meets the NaN.
