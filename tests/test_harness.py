@@ -227,9 +227,18 @@ def _without_oracle_calls(trace_bytes):
     ({"algorithm": "frank_wolfe", "objective": BALL_QUADRATIC, "x0": [0.6, 0.3], "T": 200},
      "dffabedad55d64247ec837f944dfd7b6303dfa797e3db93b204c90ffc02cf9cb", 201,
      "8a4ec7ade79a7e0bbac029d44949d6c763a93d3d6b5d7753ed1d22109128fce2"),
+    # Pinned before the trace became columns: long frozen tails, which the
+    # writer formats as one segment (10,987 rows frozen after 1,861, and
+    # 2,792 rows frozen after 326).
+    ({"algorithm": "accelerated", "objective": "example1", "x0": [5.0], "epsilon": 1e-4},
+     "afaac8f558d1179ffeb1285b961c3883ae32f5832aad47005171902552449322", 3605,
+     "6245bf019ffbb9d99aa5fd45658b30a289fa5e1a456bfa15d173d0b6e8343d2b"),
+    ({"algorithm": "accelerated", "objective": "glm_sigmoid", "x0": [0.0, 0.0], "epsilon": 1e-4},
+     "8da0ca83704dcd58dffd28270016a06afc7a11a0bb7ec301b4aa5d91bf7f2d7f", 1979,
+     "430fa768afc39e5fe3c11cb0e652e944c6c52c9eca34c51d69d0c1e5233558b6"),
 ], ids=["accel_example1", "accel_quadratic_d5", "accel_glm_sigmoid", "fw_simplex50",
         "pgd_simplex50", "pgd_fig1", "fw_simplex30k", "pgd_simplex30k", "accel_simplex30k",
-        "fw_example1", "fw_ball"])
+        "fw_example1", "fw_ball", "accel_example1_eps1e-4", "accel_glm_sigmoid_eps1e-4"])
 def test_golden_trace_bytes(config, sha256, calls, sha256_without_calls, tmp_path):
     # Pinned before the accelerated loop's trusted-path rewrite.  A speed-up
     # must leave every byte and oracle count as it was, with two exceptions,
@@ -348,6 +357,15 @@ class TestCLI:
         assert main(["run", cfg]) == 0
         assert (tmp_path / "out.csv").exists()
         assert "oracle_calls" in capsys.readouterr().out
+
+    def test_run_command_summary_line(self, tmp_path, capsys):
+        # Pinned before the summary read the trace's columns.
+        cfg = self.write_config(tmp_path, {"algorithm": "accelerated", "objective": "glm_sigmoid",
+                                           "x0": [0.0, 0.0], "epsilon": 1e-4})
+        out = tmp_path / "glm.csv"
+        assert main(["run", cfg, "--output", str(out)]) == 0
+        assert capsys.readouterr().out == (f"wrote {out}: 2792 rows, oracle_calls=1979, "
+                                           f"f=2.46519033e-32, gap=2.46519e-32\n")
 
     def test_run_output_flag_overrides(self, tmp_path):
         cfg = self.write_config(tmp_path, PGD_SIMPLEX)
