@@ -30,7 +30,7 @@ from .objectives import OracleCounter
 # perfbench/tracing.py wraps solve_prox_subproblem under this module's name too.
 from .prox import ProxResult, _ProxConstants, _solve, solve_prox_subproblem  # noqa: F401
 from .sets import MEMBERSHIP_TOL, _dot, as_point
-from .trace import TraceRecorder, TraceRow
+from .trace import TraceRecorder
 
 #: The most iterations an epsilon-derived schedule may ask for, accelerated or
 #: baseline; the catalogue's longest schedule has about 1.1e4.
@@ -222,15 +222,15 @@ def run_accelerated(obj, x0, epsilon, counter, observer=None):
         a_t = gamma_sq * t / a_denom
         return a_t, gamma_sq * (t - 1) * t / A_denom * gamma / a_t
 
-    def bound(t):
+    def bounds(t):
+        """The bound of each iteration in the float array ``t``.  The array
+        operations are the scalar ones in the same order, and an integer below
+        2^53 converts to float exactly, so every bit matches a per-row bound."""
         return bound_num / (gamma_gamma * t * t)
 
-    with TraceRecorder("accelerated", obj, asdict(params), x0, counter) as rec:
-        rows = rec.rows
+    with TraceRecorder("accelerated", obj, asdict(params), x0, counter, bounds) as rec:
         prox_y = _solve(obj, y, consts, counter)
-        f = prox_y.f_at_y
-        gap = rec.gap(f)
-        rows.append(TraceRow(0, counter.calls, f, gap, None))
+        rec.record(prox_y.f_at_y)
         T = params.T
         for t in range(1, T + 1):
             a_t, c = weights(t)
@@ -244,9 +244,7 @@ def run_accelerated(obj, x0, epsilon, counter, observer=None):
             # solution.  y_new is prox_x.y, so prox_x already holds the
             # oracle's answer there.
             prox_y = _solve(obj, y_new, consts, counter, (prox_x.f_at_y, prox_x.grad_at_y))
-            f = prox_y.f_at_y
-            gap = rec.gap(f)
-            rows.append(TraceRow(t, counter.calls, f, gap, bound(t)))
+            rec.record(prox_y.f_at_y)
             if observer is not None:
                 observer(AccelIterate(c, loops, x_t, y, z))
             y, z = y_new, z_new
@@ -256,10 +254,9 @@ def run_accelerated(obj, x0, epsilon, counter, observer=None):
             # (hhat1 = 0), accumulated and so z_new keep their bits, and the
             # next prox is this one again, from the same point and the same
             # oracle answer.  Only t, c and the bound change, so the rest of
-            # the run is written in one step.
+            # the run is filled in one step.
             if prox_y.inner_iterations == 1 and prox_y.y.tobytes() == y.tobytes():
-                calls = counter.calls
-                rows.extend([TraceRow(s, calls, f, gap, bound(s)) for s in range(t + 1, T + 1)])
+                rec.fill(T)
                 if observer is not None:
                     for s in range(t + 1, T + 1):
                         # The line search would return y: x_s = y_{s-1} = y.

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import InvalidArgumentError, NumericalFailureError, PreconditionError
 from .objectives import OracleCounter, _query, evaluate, sample_pairs
 from .sets import FEASIBILITY_TOL, _is_finite_point, as_point
-from .trace import TraceRecorder, TraceRow
+from .trace import TraceRecorder
 
 #: The rate-envelope constant of each baseline (see the module docstring).
 RATE_CONSTANTS = {"pgd": 20.0, "frank_wolfe": 6.0}
@@ -63,17 +63,14 @@ def run_pgd(obj, x0, T, counter):
     set_ = obj.feasible_set
     eta = 1.0 / obj.smoothness_L
     with TraceRecorder("pgd", obj, {"T": T, "eta": eta}, x, counter) as rec:
-        rows = rec.rows
         f, grad = evaluate(obj, x, counter)
         for t in range(T):
-            gap = rec.gap(f)
-            rows.append(TraceRow(t, counter.calls, f, gap, None))
+            rec.record(f)
             # x - eta * grad is a fresh float64 array of the set's dimension.
             x_next = set_._project(x - eta * grad)
             # Bits, not ==: a sign flip of a zero or a sub-ulp move still queries.
             if np.array_equal(x_next.view(np.int64), x.view(np.int64)):
-                rows.extend(TraceRow(s, counter.calls, f, gap, None)
-                            for s in range(t + 1, T + 1))
+                rec.fill(T)
                 return rec.trace(x_next)
             if not _is_finite_point(x_next):
                 raise NumericalFailureError(
@@ -81,7 +78,7 @@ def run_pgd(obj, x0, T, counter):
                     f"(is its gradient finite?)", last_iterate=x)
             x = x_next
             f, grad = _query(obj, x, counter)
-        rows.append(TraceRow(T, counter.calls, f, rec.gap(f), None))
+        rec.record(f)
     return rec.trace(x)
 
 
@@ -93,21 +90,23 @@ def run_frank_wolfe(obj, x0, T, counter, observer=None):
     query of each trace row, t = 0..T.  ``x`` is the solver's own array: the
     next step mutates it in place, so an observer that keeps it must copy it.
 
-    Only ``x0`` is validated.  Each step mixes the iterate with a vertex, and
-    every vertex is finite: a simplex or box vertex always is, and the ball
-    LMO raises :class:`NumericalFailureError` on a non-finite gradient.  So
-    the loop queries its iterate through the trusted ``_query``.
+    Only ``x0`` is validated, and only its query goes through
+    :func:`evaluate`.  Each step mixes the iterate with a vertex, and every
+    vertex is finite: a simplex or box vertex always is, and the ball LMO
+    raises :class:`NumericalFailureError` on a non-finite gradient.  So the
+    loop queries its later iterates through the trusted ``_query``.
     """
     x = _require_feasible(obj, x0, "x0").copy()
     set_ = obj.feasible_set
     with TraceRecorder("frank_wolfe", obj, {"T": T}, x, counter) as rec:
+        f, grad = evaluate(obj, x, counter)
         for t in range(T + 1):
-            f, grad = _query(obj, x, counter)
-            rec.rows.append(TraceRow(t, counter.calls, f, rec.gap(f), None))
+            rec.record(f)
             if observer is not None:
                 observer(t, x, grad)
             if t < T:
                 set_._step_toward_vertex(x, grad, t / (t + 2), 2.0 / (t + 2))
+                f, grad = _query(obj, x, counter)
     return rec.trace(x)
 
 
@@ -121,9 +120,12 @@ def attach_rate_bounds(trace, L, gamma, D):
     if algorithm not in RATE_CONSTANTS:
         raise InvalidArgumentError(f"no rate envelope for algorithm '{algorithm}'")
     constant = RATE_CONSTANTS[algorithm]
-    for row in trace.rows:
-        if row.iteration >= 1:
-            row.bound = constant * L * D * D / ((row.iteration + 1) * gamma * gamma)
+    iteration = np.asarray(trace.iteration, dtype=np.int64)
+    # One array expression, in the scalar form's order: every bit matches.
+    bound = (constant * L * D * D / ((iteration + 1) * gamma * gamma)).tolist()
+    for i in np.flatnonzero(iteration < 1).tolist():
+        bound[i] = trace.bound[i]
+    trace.bound = bound
     trace.header.setdefault("params", {})["bound_constants"] = {
         "L": L, "gamma": gamma, "D": D, "constant": constant,
     }

@@ -313,7 +313,7 @@ def _accelerated_gap(name, epsilon):
         max_violation=trace.final_gap - epsilon,
         tolerance=0.0,
         passed=bool(ok),
-        samples=len(trace.rows),
+        samples=len(trace.iteration),
         note=f"final gap {trace.final_gap:.2e} <= {epsilon:g}; "
              f"oracle calls {counter.calls} <= {budget:.0f}",
     )

@@ -26,10 +26,10 @@ def _cmd_run(args):
     if path is None:
         raise ConfigError("output_path", "missing (set it in the config or pass --output)")
     trace = run_experiment(config, output_path=path)
-    last = trace.rows[-1]
-    gap_part = "" if last.gap is None else f", gap={last.gap:.6g}"
-    print(f"wrote {path}: {len(trace.rows)} rows, oracle_calls={last.oracle_calls}, "
-          f"f={last.f_value:.9g}{gap_part}")
+    gap = trace.final_gap
+    gap_part = "" if gap is None else f", gap={gap:.6g}"
+    print(f"wrote {path}: {len(trace.iteration)} rows, oracle_calls={trace.final_oracle_calls}, "
+          f"f={trace.f_value[-1]:.9g}{gap_part}")
     return EXIT_OK
 
 

@@ -248,7 +248,7 @@ def run_experiment(config, output_path=None):
     except NumericalFailureError as exc:
         partial = getattr(exc, "partial_trace", None)
         if partial is None:
-            partial = Trace(header={}, rows=[], failure=str(exc))
+            partial = Trace(header={}, failure=str(exc))
         if path is not None:
             partial.header["config"] = config.raw
             partial.header["seed"] = config.seed
@@ -287,12 +287,8 @@ def fit_loglog(xs, ys):
 
 
 def _gap_fit_points(trace):
-    pts = [
-        (row.iteration, row.gap)
-        for row in trace.rows
-        if row.iteration >= 1 and row.gap is not None and row.gap > GAP_FIT_FLOOR
-    ]
-    return pts
+    return [(t, gap) for t, gap in zip(trace.iteration, trace.gap)
+            if t >= 1 and gap is not None and gap > GAP_FIT_FLOOR]
 
 
 def sweep(config, grid, out_dir):
@@ -343,7 +339,7 @@ def sweep(config, grid, out_dir):
                 "algorithm": config.algorithm,
                 "final_gap": trace.final_gap,
                 "oracle_calls": trace.final_oracle_calls,
-                "rows": len(trace.rows),
+                "rows": len(trace.iteration),
             }
         )
         gap_points.extend(_gap_fit_points(trace))

@@ -88,12 +88,20 @@ def evaluate(obj, x, counter):
 
     ``x`` must be a finite point of the objective's dimension.  A non-finite
     value is a :class:`NumericalFailureError` naming the objective; the
-    gradient is not scanned, so the check costs one scalar test.
+    gradient is not scanned, so the check costs one scalar test.  A gradient
+    that is not a vector of the objective's dimension is an
+    :class:`InvalidArgumentError`.  The solvers send their first query here
+    and later ones to the unchecked ``_query``.
     """
     x = as_point(x, obj.dimension)
     if not _is_finite_point(x):
         raise InvalidArgumentError("oracle query point must be finite")
-    return _query(obj, x, counter)
+    value, grad = _query(obj, x, counter)
+    if grad.shape != (obj.dimension,):
+        raise InvalidArgumentError(
+            f"gradient of objective '{obj.name}' has shape {grad.shape}, "
+            f"expected ({obj.dimension},)")
+    return value, grad
 
 
 def _query(obj, x, counter):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -29,38 +29,64 @@ class TraceRow:
 
 @dataclass
 class Trace:
+    """A run's header and its rows, held as five columns of one entry per row.
+
+    The columns are named like the fields of :class:`TraceRow`; an empty
+    ``gap`` or ``bound`` cell is ``None``.  ``rows`` builds the rows as
+    :class:`TraceRow` objects from the columns on each access.
+    """
+
     header: dict
-    rows: list
+    iteration: list = field(default_factory=list)
+    oracle_calls: list = field(default_factory=list)
+    f_value: list = field(default_factory=list)
+    gap: list = field(default_factory=list)
+    bound: list = field(default_factory=list)
     solution: Optional[np.ndarray] = None
     failure: Optional[str] = None
     #: Oracle calls a failed run made, which its failure marker row reports;
     #: ``None`` stands for the last row's count.
     failure_calls: Optional[int] = None
+    #: The first row of a fixed-point fill, from which on every row holds the
+    #: same ``oracle_calls``, ``f_value`` and ``gap`` objects, so the writer
+    #: formats their text once; ``None`` for no fill.
+    _fill: Optional[int] = field(default=None, repr=False, compare=False)
+
+    @property
+    def rows(self):
+        return list(map(TraceRow, self.iteration, self.oracle_calls, self.f_value,
+                        self.gap, self.bound))
 
     @property
     def final_gap(self):
-        return self.rows[-1].gap if self.rows else None
+        return self.gap[-1] if self.gap else None
 
     @property
     def final_oracle_calls(self):
-        return self.rows[-1].oracle_calls if self.rows else 0
+        return self.oracle_calls[-1] if self.oracle_calls else 0
 
     def column(self, name):
-        """Extract a column as a float array; missing entries become NaN."""
-        vals = [getattr(r, name) for r in self.rows]
-        return np.array([np.nan if v is None else v for v in vals], dtype=float)
+        """A column as a float array; empty cells become NaN."""
+        return np.array(getattr(self, name), dtype=float)
 
 
 class TraceRecorder:
-    """The one source of every solver's trace header and gap.  Solvers append
-    :class:`TraceRow` objects to ``rows``; as a context manager the recorder
-    attaches them to a :class:`NumericalFailureError` as ``partial_trace``,
-    with the calls ``counter`` holds at the failure."""
+    """The one source of every solver's trace header, gap and columns.
 
-    def __init__(self, algorithm, obj, params, x0, counter):
+    Solvers :meth:`record` each computed row and :meth:`fill` the rest of a
+    run at a fixed point.  A given ``bound`` maps the iterations ``1..n-1``,
+    as a float array, to their bound cells; row 0 has none.  As a context
+    manager the recorder attaches the rows to a
+    :class:`NumericalFailureError` as ``partial_trace``, with the calls
+    ``counter`` holds at the failure.
+    """
+
+    def __init__(self, algorithm, obj, params, x0, counter, bound=None):
         self.header = {"algorithm": algorithm, "objective": obj.name,
                        "set": obj.feasible_set.to_spec(), "params": params, "x0": x0.tolist()}
-        self.rows = []
+        self._calls, self._f, self._gap = [], [], []
+        self._fill = None
+        self._bound = bound
         self._fstar = obj.optimal_value
         self._counter = counter
 
@@ -74,16 +100,36 @@ class TraceRecorder:
                                         f"is not finite: f = {f!r}, f* = {self._fstar!r}")
         return gap
 
-    def trace(self, solution):
-        return Trace(self.header, self.rows, solution)
+    def record(self, f):
+        """Append the next row: the counter's calls, ``f`` and its gap."""
+        gap = self.gap(f)
+        self._calls.append(self._counter.calls)
+        self._f.append(f)
+        self._gap.append(gap)
+
+    def fill(self, T):
+        """Append the rows up to iteration ``T``, each repeating the last row's values."""
+        n = len(self._calls)
+        self._fill = n
+        repeats = T + 1 - n
+        self._calls += [self._calls[-1]] * repeats
+        self._f += [self._f[-1]] * repeats
+        self._gap += [self._gap[-1]] * repeats
+
+    def trace(self, solution=None, failure=None, failure_calls=None):
+        n = len(self._calls)
+        bound = [None] * n
+        if self._bound is not None and n > 1:
+            bound[1:] = self._bound(np.arange(1.0, n)).tolist()
+        return Trace(self.header, list(range(n)), self._calls, self._f, self._gap, bound,
+                     solution, failure, failure_calls, self._fill)
 
     def __enter__(self):
         return self
 
     def __exit__(self, exc_type, exc, tb):
         if isinstance(exc, NumericalFailureError):
-            exc.partial_trace = Trace(self.header, self.rows, failure=str(exc),
-                                      failure_calls=self._counter.calls)
+            exc.partial_trace = self.trace(failure=str(exc), failure_calls=self._counter.calls)
 
 
 def format_float(value):
@@ -114,62 +160,98 @@ def _header_json(value, memo):
     return _encode(value)
 
 
-def trace_csv_lines(trace):
-    lines = ["# " + _header_json(trace.header, {})]
-    lines.append("iter,oracle_calls,f,gap,bound")
-    append = lines.append
-    # The ",calls,f,gap," part of the last row, and the values it was made
-    # from.  A row with the same count and the same f and gap objects reuses
-    # it: identity, never ==, since -0.0 == 0.0 and nan != nan.
-    middle, calls, f, gap = None, None, None, None
-    for row in trace.rows:
-        if row.oracle_calls != calls or row.f_value is not f or row.gap is not gap:
-            calls, f, gap = row.oracle_calls, row.f_value, row.gap
-            # "%.17g" is format_float's form.
-            middle = (",%d,%.17g,%.17g," % (calls, f, gap) if gap is not None
-                      else ",%d,%.17g,," % (calls, f))
-        bound = row.bound
-        append("%d%s%.17g" % (row.iteration, middle, bound) if bound is not None
-               else "%d%s" % (row.iteration, middle))
+#: The most rows one ``%`` operation formats, which bounds the text held at once.
+_CHUNK_ROWS = 1024
+
+
+def _is_empty(cells):
+    """A bool array: which of ``cells`` are empty (``None``)."""
+    empty = cells.count(None)
+    if empty == 0 or empty == len(cells):
+        return np.full(len(cells), empty > 0)
+    if cells[:empty].count(None) == empty:  # leading empty cells, as in row 0
+        return np.arange(len(cells)) < empty
+    return np.equal(np.array(cells, dtype=object), None)
+
+
+def _formatted(row_format, columns, start, stop):
+    """Rows ``start..stop-1`` of ``columns`` through ``row_format``, one ``%`` a chunk."""
+    width = len(columns)
+    for lo in range(start, stop, _CHUNK_ROWS):
+        hi = min(lo + _CHUNK_ROWS, stop)
+        cells = [None] * (width * (hi - lo))
+        for j, column in enumerate(columns):
+            cells[j::width] = column[lo:hi]
+        yield row_format * (hi - lo) % tuple(cells)
+
+
+def _csv_chunks(trace):
+    """The CSV text of ``trace``, a segment of rows at a time.
+
+    A segment is a run of rows with the same empty cells, on one side of the
+    start of the fill.  A fill's rows share one ``,calls,f,gap,`` text, so
+    only their iteration and bound cells are formatted per row.
+    """
+    yield "# %s\niter,oracle_calls,f,gap,bound\n" % _header_json(trace.header, {})
+    n = len(trace.iteration)
+    fill = n if trace._fill is None else trace._fill
+    empty = 2 * _is_empty(trace.gap) + _is_empty(trace.bound)
+    edges = np.flatnonzero(empty[1:] != empty[:-1]) + 1
+    edges = sorted({0, fill, n, *edges.tolist()})
+    for start, stop in zip(edges, edges[1:]):
+        gap_empty, bound_empty = empty[start] >= 2, empty[start] % 2 == 1
+        # "%.17g" is format_float's form.
+        if start < fill:
+            row_format = "%d,%d,%.17g," + ("," if gap_empty else "%.17g,")
+            columns = [trace.iteration, trace.oracle_calls, trace.f_value]
+            if not gap_empty:
+                columns.append(trace.gap)
+        else:
+            calls, f, gap = trace.oracle_calls[start], trace.f_value[start], trace.gap[start]
+            row_format = "%d" + (",%d,%.17g,," % (calls, f) if gap is None
+                                 else ",%d,%.17g,%.17g," % (calls, f, gap))
+            columns = [trace.iteration]
+        if bound_empty:
+            row_format += "\n"
+        else:
+            row_format += "%.17g\n"
+            columns.append(trace.bound)
+        yield from _formatted(row_format, columns, start, stop)
     if trace.failure is not None:
         # Failure marker row: negative iteration index, NaN objective value.
         calls = trace.final_oracle_calls if trace.failure_calls is None else trace.failure_calls
-        lines.append(f"-1,{calls},nan,,")
-        lines.append("# numerical-failure: " + trace.failure)
-    return lines
+        yield f"-1,{calls},nan,,\n# numerical-failure: {trace.failure}\n"
+
+
+def trace_csv_lines(trace):
+    """The lines of the trace CSV that :func:`write_trace` writes."""
+    return "".join(_csv_chunks(trace)).split("\n")[:-1]
 
 
 def write_trace(trace, path):
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(trace_csv_lines(trace)))
-        fh.write("\n")
+        fh.writelines(_csv_chunks(trace))
     return path
 
 
 def read_trace(path):
-    """Parse a trace CSV back into a :class:`Trace` (rows and header only)."""
-    header = {}
-    rows = []
-    failure = failure_calls = None
+    """Parse a trace CSV back into a :class:`Trace` (columns and header only)."""
+    trace = Trace({})
     with open(path) as fh:
         for line in fh:
             line = line.rstrip("\n")
             if line.startswith("# numerical-failure: "):
-                failure = line[len("# numerical-failure: "):]
+                trace.failure = line[len("# numerical-failure: "):]
             elif line.startswith("# "):
-                header = json.loads(line[2:])
+                trace.header = json.loads(line[2:])
             elif line and not line.startswith("iter,"):
                 it, calls, f, gap, bound = line.split(",")
                 if int(it) < 0:
-                    failure_calls = int(calls)
+                    trace.failure_calls = int(calls)
                     continue
-                rows.append(
-                    TraceRow(
-                        iteration=int(it),
-                        oracle_calls=int(calls),
-                        f_value=float(f),
-                        gap=float(gap) if gap else None,
-                        bound=float(bound) if bound else None,
-                    )
-                )
-    return Trace(header=header, rows=rows, failure=failure, failure_calls=failure_calls)
+                trace.iteration.append(int(it))
+                trace.oracle_calls.append(int(calls))
+                trace.f_value.append(float(f))
+                trace.gap.append(float(gap) if gap else None)
+                trace.bound.append(float(bound) if bound else None)
+    return trace

@@ -24,7 +24,7 @@ from qopt import (
 )
 from qopt.accel import MAX_ITERATIONS, AccelIterate
 from qopt.prox import _ProxConstants
-from qopt.trace import Trace, TraceRow, trace_csv_lines
+from qopt.trace import Trace, trace_csv_lines
 
 
 def run_recording_weights(obj, x0, epsilon, monkeypatch):
@@ -499,7 +499,7 @@ def dense_accelerated(obj, x0, epsilon, counter, observer=None):
     consts = _ProxConstants(obj, delta)
     prox_y = qopt.accel._solve(obj, y, consts, counter)
     f = prox_y.f_at_y
-    rows = [TraceRow(0, counter.calls, f, None if fstar is None else f - fstar, None)]
+    rows = [(0, counter.calls, f, None if fstar is None else f - fstar, None)]
     for t in range(1, params.T + 1):
         a_t = gamma**2 * t / (8.0 * L)
         c = gamma**2 * (t - 1) * t / (16.0 * L) * gamma / a_t
@@ -511,12 +511,12 @@ def dense_accelerated(obj, x0, epsilon, counter, observer=None):
         prox_y = qopt.accel._solve(obj, y_new, consts, counter,
                                    (prox_x.f_at_y, prox_x.grad_at_y))
         f = prox_y.f_at_y
-        rows.append(TraceRow(t, counter.calls, f, None if fstar is None else f - fstar,
-                             16.0 * L * D * D / (gamma * gamma * t * t)))
+        rows.append((t, counter.calls, f, None if fstar is None else f - fstar,
+                     16.0 * L * D * D / (gamma * gamma * t * t)))
         if observer is not None:
             observer(AccelIterate(c, loops, x_t, y, z))
         y, z = y_new, z_new
-    return Trace(header=header, rows=rows, solution=prox_y.y)
+    return Trace(header, *map(list, zip(*rows)), solution=prox_y.y)
 
 
 def recording(records):

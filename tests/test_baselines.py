@@ -23,7 +23,7 @@ from qopt.baselines import (
     check_mapping_inequality,
 )
 from qopt.objectives import evaluate
-from qopt.trace import Trace, TraceRow, trace_csv_lines
+from qopt.trace import Trace, trace_csv_lines
 
 
 def simplex_quadratic():
@@ -43,13 +43,13 @@ def dense_pgd(obj, x0, T):
     for t in range(T + 1):
         f, grad = obj.evaluator(x)
         f = float(f)
-        rows.append(TraceRow(t, t + 1, f, None if fstar is None else f - fstar, None))
+        rows.append((t, t + 1, f, None if fstar is None else f - fstar, None))
         if t < T:
             x_next = obj.feasible_set.project(x - eta * grad)
             if fixed_at is None and x_next.tobytes() == x.tobytes():
                 fixed_at = t + 1
             x = x_next
-    return Trace(header={}, rows=rows, solution=x), fixed_at or T + 1
+    return Trace({}, *map(list, zip(*rows)), solution=x), fixed_at or T + 1
 
 
 def dense_frank_wolfe(obj, x0, T, counter, observer=None):
@@ -63,12 +63,12 @@ def dense_frank_wolfe(obj, x0, T, counter, observer=None):
     rows = []
     for t in range(T + 1):
         f, grad = evaluate(obj, x, counter)
-        rows.append(TraceRow(t, counter.calls, f, None if fstar is None else f - fstar, None))
+        rows.append((t, counter.calls, f, None if fstar is None else f - fstar, None))
         if observer is not None:
             observer(t, x, grad)
         if t < T:
             set_._step_toward_vertex(x, grad, t / (t + 2), 2.0 / (t + 2))
-    return Trace(header=header, rows=rows, solution=x)
+    return Trace(header, *map(list, zip(*rows)), solution=x)
 
 
 def finite_queries_only(obj):

@@ -21,7 +21,7 @@ from qopt import (
 )
 from qopt.cli import main
 from qopt.harness import baseline_iterations, build_objective
-from qopt.trace import Trace, TraceRow, read_trace
+from qopt.trace import Trace, read_trace
 
 PGD_SIMPLEX = {
     "algorithm": "pgd",
@@ -485,11 +485,11 @@ class TestCLI:
 
     def test_numerical_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         header = {"algorithm": "accelerated", "objective": "quadratic"}
-        rows = [TraceRow(0, 2, 1.0, 1.0, None)]
 
         def exploding(config, output_path=None):
             exc = NumericalFailureError("synthetic blow-up")
-            exc.partial_trace = Trace(header=header, rows=rows, failure="synthetic blow-up")
+            exc.partial_trace = Trace(header, [0], [2], [1.0], [1.0], [None],
+                                      failure="synthetic blow-up")
             raise exc
 
         monkeypatch.setattr("qopt.cli.run_experiment", exploding)
@@ -503,11 +503,8 @@ class TestCLI:
 
         def exploding(obj, x0, epsilon, counter):
             exc = NumericalFailureError("synthetic blow-up")
-            exc.partial_trace = Trace(
-                header={"algorithm": "accelerated"},
-                rows=[TraceRow(0, 2, 1.0, 1.0, None)],
-                failure="synthetic blow-up",
-            )
+            exc.partial_trace = Trace({"algorithm": "accelerated"}, [0], [2], [1.0], [1.0], [None],
+                                      failure="synthetic blow-up")
             raise exc
 
         monkeypatch.setattr(harness, "run_accelerated", exploding)

@@ -14,6 +14,9 @@ from qopt import (
     evaluate,
     finite_diff_gradient,
     make_catalogue_objective,
+    run_accelerated,
+    run_frank_wolfe,
+    run_pgd,
 )
 from qopt.sets import _dot
 
@@ -52,6 +55,23 @@ class TestEvaluate:
         for expected in range(1, 6):
             evaluate(example1, np.array([0.5]), counter)
             assert counter.calls == expected
+
+    @pytest.mark.parametrize("solver", ["frank_wolfe", "pgd", "accelerated"])
+    def test_wrong_gradient_length_stops_every_solver(self, solver):
+        # A 1-entry gradient on a 2-dim box broadcasts silently in each
+        # solver's step; the first query rejects it before any row is written.
+        obj = Objective(name="short_gradient",
+                        evaluator=lambda x: (float(x[0] ** 2), np.array([2.0 * x[0]])),
+                        smoothness_L=2.0, quasar_gamma=1.0,
+                        feasible_set=Box([-1.0, -1.0], [1.0, 1.0]))
+        x0, counter = np.array([0.5, 0.5]), OracleCounter()
+        run = {"frank_wolfe": lambda: run_frank_wolfe(obj, x0, 3, counter),
+               "pgd": lambda: run_pgd(obj, x0, 3, counter),
+               "accelerated": lambda: run_accelerated(obj, x0, 0.1, counter)}[solver]
+        with pytest.raises(InvalidArgumentError, match=r"^gradient of objective "
+                           r"'short_gradient' has shape \(1,\), expected \(2,\)$"):
+            run()
+        assert counter.calls == 1
 
     def test_nonfinite_rejected(self, quadratic, counter):
         with pytest.raises(InvalidArgumentError):

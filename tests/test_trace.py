@@ -10,10 +10,13 @@ from qopt import (
     NumericalFailureError,
     Objective,
     OracleCounter,
+    attach_rate_bounds,
     make_catalogue_objective,
+    read_trace,
     run_accelerated,
     run_frank_wolfe,
     run_pgd,
+    write_trace,
 )
 from qopt.trace import Trace, TraceRow, format_float, trace_csv_lines
 
@@ -87,10 +90,36 @@ def test_overflowing_gap_is_a_numerical_failure(solver):
     assert str(info.value).endswith("f* = -1e+308")
 
 
+def reference_csv_lines(trace):
+    """The per-row writer the segment writer replaced, kept as its reference.
+
+    A row with the same count and the same f and gap objects as the row before
+    reuses its ",calls,f,gap," text: identity, never ==, since -0.0 == 0.0
+    and nan != nan.
+    """
+    lines = ["# " + json.dumps(trace.header, sort_keys=True)]
+    lines.append("iter,oracle_calls,f,gap,bound")
+    append = lines.append
+    middle, calls, f, gap = None, None, None, None
+    for row in trace.rows:
+        if row.oracle_calls != calls or row.f_value is not f or row.gap is not gap:
+            calls, f, gap = row.oracle_calls, row.f_value, row.gap
+            middle = (",%d,%.17g,%.17g," % (calls, f, gap) if gap is not None
+                      else ",%d,%.17g,," % (calls, f))
+        bound = row.bound
+        append("%d%s%.17g" % (row.iteration, middle, bound) if bound is not None
+               else "%d%s" % (row.iteration, middle))
+    if trace.failure is not None:
+        calls = trace.final_oracle_calls if trace.failure_calls is None else trace.failure_calls
+        lines.append(f"-1,{calls},nan,,")
+        lines.append("# numerical-failure: " + trace.failure)
+    return lines
+
+
 def test_csv_rows_match_a_per_row_reference():
-    # Rows that share their call count and their f and gap objects share one
-    # formatted prefix; equal values in other objects, and a sign flip of a
-    # zero, are formatted on their own.
+    # Signed zeros, NaN f values, equal values in distinct objects and empty
+    # cells in every position: the segments split wherever the empty cells
+    # change, and each cell is formatted on its own.
     zero, negative_zero, nan = 0.0, -0.0, float("nan")
     a, b = float("0.1"), float("0.1")
     assert a is not b
@@ -114,10 +143,101 @@ def test_csv_rows_match_a_per_row_reference():
 
     expected = [f"{r.iteration},{r.oracle_calls},{format_float(r.f_value)},{cell(r.gap)},"
                 f"{cell(r.bound)}" for r in rows]
-    lines = trace_csv_lines(Trace(header={}, rows=rows, failure="stop", failure_calls=6))
+    trace = Trace({}, *map(list, zip(*map(dataclasses.astuple, rows))), failure="stop",
+                  failure_calls=6)
+    assert trace.rows == rows
+    lines = trace_csv_lines(trace)
     assert lines[1:] == ["iter,oracle_calls,f,gap,bound", *expected, "-1,6,nan,,",
                          "# numerical-failure: stop"]
     assert lines[3:5] == ["1,3,-0,-0,1", "2,3,0,-0,0.5"]
+    assert lines == reference_csv_lines(trace)
+
+
+def without_fstar(name):
+    return dataclasses.replace(make_catalogue_objective(name), optimal_value=None)
+
+
+# Traces whose bytes the segment writer must leave as the per-row writer made them.
+REFERENCE_TRACES = {
+    # Fills: 10,987 rows frozen after 1,861; a PGD fill before and after its
+    # bounds are attached; fills with an empty gap column.
+    "accelerated_example1_fill": lambda: run_accelerated(
+        make_catalogue_objective("example1"), np.array([5.0]), 1e-4, OracleCounter()),
+    "accelerated_glm_fill_no_fstar": lambda: run_accelerated(
+        without_fstar("glm_sigmoid"), np.array([0.0, 0.0]), 1e-4, OracleCounter()),
+    "pgd_fig1_fill": lambda: run_pgd(
+        make_catalogue_objective("fig1_counterexample"), np.array([5.0]), 200, OracleCounter()),
+    "pgd_fig1_fill_bounds": lambda: bounded(run_pgd(
+        make_catalogue_objective("fig1_counterexample"), np.array([5.0]), 200, OracleCounter())),
+    "pgd_fig1_fill_no_fstar": lambda: run_pgd(
+        without_fstar("fig1_counterexample"), np.array([5.0]), 200, OracleCounter()),
+    # No fill: every row computed, with and without the attached bounds.
+    "accelerated_quadratic": lambda: run_accelerated(
+        make_catalogue_objective("quadratic"), np.array([1.0, -0.0]), 1e-3, OracleCounter()),
+    "frank_wolfe_example1": lambda: run_frank_wolfe(
+        make_catalogue_objective("example1"), np.array([5.0]), 200, OracleCounter()),
+    "frank_wolfe_example1_bounds": lambda: bounded(run_frank_wolfe(
+        make_catalogue_objective("example1"), np.array([5.0]), 200, OracleCounter())),
+    "pgd_example1_bounds": lambda: bounded(run_pgd(
+        make_catalogue_objective("example1"), np.array([5.0]), 200, OracleCounter())),
+}
+
+
+def bounded(trace):
+    obj = make_catalogue_objective(trace.header["objective"])
+    return attach_rate_bounds(trace, obj.smoothness_L, obj.quasar_gamma,
+                              obj.feasible_set.diameter())
+
+
+@pytest.mark.parametrize("name", REFERENCE_TRACES)
+def test_solver_traces_match_the_per_row_reference(name, tmp_path):
+    trace = REFERENCE_TRACES[name]()
+    expected = reference_csv_lines(trace)
+    assert trace_csv_lines(trace) == expected
+    path = write_trace(trace, tmp_path / "trace.csv")
+    text = "\n".join(expected) + "\n"
+    assert path.read_bytes() == text.encode()
+    # The reader fills the columns without the fill's start; the writer
+    # formats the same rows a segment at a time instead and writes the same bytes.
+    parsed = read_trace(path)
+    assert parsed.rows == trace.rows
+    assert write_trace(parsed, tmp_path / "again.csv").read_bytes() == text.encode()
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_partial_traces_match_the_per_row_reference(solver):
+    obj = make_catalogue_objective("example1")
+    total = SOLVERS[solver](obj, OracleCounter()).final_oracle_calls
+    for k in (1, 2, total // 2, total):
+        with pytest.raises(NumericalFailureError) as info:
+            SOLVERS[solver](failing_at(obj, k), OracleCounter())
+        partial = info.value.partial_trace
+        assert trace_csv_lines(partial) == reference_csv_lines(partial)
+        assert trace_csv_lines(partial)[-2:] == [f"-1,{k - 1},nan,,",
+                                                 f"# numerical-failure: synthetic failure at "
+                                                 f"query {k}"]
+
+
+@pytest.mark.parametrize("name", REFERENCE_TRACES)
+def test_columns_match_the_per_row_arrays(name):
+    trace = REFERENCE_TRACES[name]()
+    for column in ("iteration", "oracle_calls", "f_value", "gap", "bound"):
+        values = [getattr(row, column) for row in trace.rows]
+        expected = np.array([np.nan if v is None else v for v in values], dtype=float)
+        assert trace.column(column).tobytes() == expected.tobytes()
+
+
+def test_vectorized_bounds_match_the_scalar_bound():
+    trace = REFERENCE_TRACES["accelerated_example1_fill"]()
+    params = trace.header["params"]
+    bound_num, gamma_gamma = 16.0 * params["L"] * params["D"] * params["D"], params["gamma"] ** 2
+
+    def bound(t):
+        return bound_num / (gamma_gamma * t * t)
+
+    assert params["T"] == trace.iteration[-1] == 10_986
+    assert trace.bound[0] is None
+    assert [b.hex() for b in trace.bound[1:]] == [bound(s).hex() for s in trace.iteration[1:]]
 
 
 _LONG = np.random.default_rng(7).standard_normal(30_000).tolist()
@@ -144,7 +264,7 @@ _NAN, _INF = float("nan"), float("inf")
         "nested", "non_ascii", "non_str_keys", "non_str_top_level_keys", "empty",
         "long_equal_lists"])
 def test_header_line_is_json_dumps_sorted(header):
-    line = trace_csv_lines(Trace(header=header, rows=[]))[0]
+    line = trace_csv_lines(Trace(header))[0]
     assert line == "# " + json.dumps(header, sort_keys=True)
 
 
@@ -155,7 +275,7 @@ def test_header_encoding_leaves_no_garbage_cycle():
     gc.collect()
     gc.disable()
     try:
-        trace_csv_lines(Trace(header=header, rows=[]))
+        trace_csv_lines(Trace(header))
         assert gc.collect() == 0
     finally:
         gc.enable()
