@@ -71,7 +71,7 @@ class Trace:
 
 
 class TraceRecorder:
-    """The one source of every solver's trace header, gap and columns.
+    """The one source of every solver's trace header, gaps and columns.
 
     Solvers :meth:`record` each computed row and :meth:`fill` the rest of a
     run at a fixed point.  A given ``bound`` maps the iterations ``1..n-1``,
@@ -90,19 +90,19 @@ class TraceRecorder:
         self._fstar = obj.optimal_value
         self._counter = counter
 
-    def gap(self, f):
-        """``f - f*`` (``None`` without a declared ``f*``); a non-finite gap is a failure."""
-        if self._fstar is None:
-            return None
-        gap = f - self._fstar
-        if not -math.inf < gap < math.inf:
-            raise NumericalFailureError(f"gap f - f* of objective '{self.header['objective']}' "
-                                        f"is not finite: f = {f!r}, f* = {self._fstar!r}")
-        return gap
-
     def record(self, f):
-        """Append the next row: the counter's calls, ``f`` and its gap."""
-        gap = self.gap(f)
+        """Append the next row: the counter's calls, ``f`` and its gap ``f - f*``.
+
+        The gap is ``None`` without a declared ``f*``.  A non-finite gap is a
+        failure, raised before the row is appended.
+        """
+        gap = None
+        if self._fstar is not None:
+            gap = f - self._fstar
+            if not -math.inf < gap < math.inf:
+                raise NumericalFailureError(
+                    f"gap f - f* of objective '{self.header['objective']}' "
+                    f"is not finite: f = {f!r}, f* = {self._fstar!r}")
         self._calls.append(self._counter.calls)
         self._f.append(f)
         self._gap.append(gap)
