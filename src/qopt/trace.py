@@ -208,7 +208,7 @@ def _csv_chunks(trace):
                 columns.append(trace.gap)
         else:
             calls, f, gap = trace.oracle_calls[start], trace.f_value[start], trace.gap[start]
-            row_format = "%d" + (",%d,%.17g,," % (calls, f) if gap is None
+            row_format = "%d" + (",%d,%.17g,," % (calls, f) if gap_empty
                                  else ",%d,%.17g,%.17g," % (calls, f, gap))
             columns = [trace.iteration]
         if bound_empty:
