@@ -197,8 +197,8 @@ def test_solver_traces_match_the_per_row_reference(name, tmp_path):
     path = write_trace(trace, tmp_path / "trace.csv")
     text = "\n".join(expected) + "\n"
     assert path.read_bytes() == text.encode()
-    # The reader fills the columns without the fill's start; the writer
-    # formats the same rows a segment at a time instead and writes the same bytes.
+    # A trace read back carries no fill mark, so its filled rows go through
+    # the other segments' formats: the bytes must not change.
     parsed = read_trace(path)
     assert parsed.rows == trace.rows
     assert write_trace(parsed, tmp_path / "again.csv").read_bytes() == text.encode()
