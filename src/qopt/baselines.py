@@ -79,16 +79,20 @@ def run_pgd(obj, x0, T, counter):
             x = x_next
             f, grad = _query(obj, x, counter)
         rec.record(f)
-    return rec.trace(x)
+    # With no step taken, x is still the caller's x0: the solution is a copy.
+    return rec.trace(x if T > 0 else x.copy())
 
 
 def run_frank_wolfe(obj, x0, T, counter, observer=None):
     """T Frank-Wolfe steps with the open-loop schedule ``x <- t/(t+2) x + 2/(t+2) v``.
 
-    The iterate is updated in place on a private copy of ``x0``.  A given
-    ``observer`` is called as ``observer(t, x, grad)`` right after the oracle
-    query of each trace row, t = 0..T.  ``x`` is the solver's own array: the
-    next step mutates it in place, so an observer that keeps it must copy it.
+    Each step builds the next iterate as a new array, and no array handed to
+    the oracle or returned by it is written again.  A given ``observer`` is
+    called as ``observer(t, x, grad)`` right after the oracle query of each
+    trace row, t = 0..T, and may keep ``x`` and ``grad`` without copying them;
+    it must not write them.  ``grad`` may be ``x`` itself (the zero-shift
+    ``quadratic`` returns its query point), and ``x`` at t = 0 may be the
+    caller's ``x0``.
 
     Only ``x0`` is validated, and only its query goes through
     :func:`evaluate`.  Each step mixes the iterate with a vertex, and every
@@ -96,7 +100,7 @@ def run_frank_wolfe(obj, x0, T, counter, observer=None):
     raises :class:`NumericalFailureError` on a non-finite gradient.  So the
     loop queries its later iterates through the trusted ``_query``.
     """
-    x = _require_feasible(obj, x0, "x0").copy()
+    x = _require_feasible(obj, x0, "x0")
     set_ = obj.feasible_set
     with TraceRecorder("frank_wolfe", obj, {"T": T}, x, counter) as rec:
         f, grad = evaluate(obj, x, counter)
@@ -105,9 +109,10 @@ def run_frank_wolfe(obj, x0, T, counter, observer=None):
             if observer is not None:
                 observer(t, x, grad)
             if t < T:
-                set_._step_toward_vertex(x, grad, t / (t + 2), 2.0 / (t + 2))
+                x = set_._step_toward_vertex(x, grad, t / (t + 2), 2.0 / (t + 2))
                 f, grad = _query(obj, x, counter)
-    return rec.trace(x)
+    # With no step taken, x is still the caller's x0: the solution is a copy.
+    return rec.trace(x if T > 0 else x.copy())
 
 
 def attach_rate_bounds(trace, L, gamma, D):

@@ -8,7 +8,9 @@ Numerical certification routines (`check_quasar_convexity`,
 
 Catalogue entries
 -----------------
-``quadratic``                isotropic quadratic ``0.5 * ||x - shift||^2``.
+``quadratic``                isotropic quadratic ``0.5 * ||x - shift||^2``;
+                             with a zero shift the gradient is the query
+                             array itself.
 ``affine_plus_quadratic``    ``<a, x> + 0.5 * q * ||x||^2`` (``q = 0`` gives an
                              affine objective).
 ``example1``                 the 1-D sixth-root objective
@@ -92,6 +94,11 @@ def evaluate(obj, x, counter):
     that is not a vector of the objective's dimension is an
     :class:`InvalidArgumentError`.  The solvers send their first query here
     and later ones to the unchecked ``_query``.
+
+    The gradient may be ``x`` itself, as the zero-shift ``quadratic`` returns
+    it: a caller that writes to ``x`` afterwards must copy the gradient first.
+    No solver or check in this package writes a queried point or a returned
+    gradient.
     """
     x = as_point(x, obj.dimension)
     if not _is_finite_point(x):
@@ -299,15 +306,18 @@ def make_catalogue_objective(name, params=None):
         set_ = _resolve_set(params, Box([-1.0] * dim, [1.0] * dim))
         dim = set_.dimension
         shift = as_point(params.get("shift", np.zeros(dim)), dim)
-        # A shift whose every entry has the bits of +0.0 is subtracted as one
-        # 0-d zero: the same IEEE x - (+0.0) per entry, without reading a
-        # dim-long array.  A -0.0 entry keeps the array, since -0.0 - (-0.0)
-        # is +0.0 but -0.0 - (+0.0) is -0.0.
-        subtrahend = shift if shift.view(np.int64).any() else np.zeros(())
-
-        def evaluator(x, _b=subtrahend):
-            d = x - _b
-            return 0.5 * float(_dot(d, d)), d
+        if shift.view(np.int64).any():
+            def evaluator(x, _b=shift):
+                d = x - _b
+                return 0.5 * float(_dot(d, d)), d
+        else:
+            # Every shift entry has the bits of +0.0, and x - (+0.0) has the
+            # bits of x, -0.0 included (a -0.0 shift entry keeps the
+            # subtraction: -0.0 - (-0.0) is +0.0).  So the gradient is the
+            # query point itself, which no solver writes.  It is not a
+            # read-only view: numpy's argmin copies a non-writeable array.
+            def evaluator(x):
+                return 0.5 * float(_dot(x, x)), x
 
         center = set_.project(shift)
         return Objective(

@@ -116,9 +116,18 @@ class FeasibleSet:
         raise NotImplementedError
 
     def _step_toward_vertex(self, x, g, keep, weight):
-        """Frank-Wolfe step in place on trusted arrays: ``x <- keep x + weight lmo(g)``."""
-        x *= keep
-        x += weight * self._lmo(g)
+        """Frank-Wolfe step on trusted arrays: ``keep x + weight lmo(g)`` as a new array.
+
+        ``x`` and ``g`` are only read, so ``g`` may be ``x`` itself, as the
+        zero-shift ``quadratic`` hands back.  The result has the bits of
+        ``keep * x + weight * lmo(g)``; only the temporaries differ.
+        """
+        y = keep * x
+        # The LMO's vertex is a new array: scale it in place, not into a copy.
+        v = self._lmo(g)
+        v *= weight
+        y += v
+        return y
 
     def diameter(self):
         raise NotImplementedError
@@ -306,10 +315,16 @@ class Simplex(FeasibleSet):
         return out
 
     def _step_toward_vertex(self, x, g, keep, weight):
-        # The vertex scale * e_i has one nonzero entry; adding weight * 0.0
-        # elsewhere would not change a bit (apart from the sign of a zero).
-        x *= keep
-        x[g.argmin()] += weight * self.scale
+        """Frank-Wolfe step on trusted arrays: ``keep x + weight scale e_i`` as a
+        new array, with ``i = argmin(g)``.
+
+        ``x`` and ``g`` are only read, so ``g`` may be ``x`` itself.  The vertex
+        ``scale e_i`` has one nonzero entry; adding ``weight * 0.0`` elsewhere
+        would not change a bit (apart from the sign of a zero).
+        """
+        y = x * keep
+        y[g.argmin()] += weight * self.scale
+        return y
 
     def diameter(self):
         # Largest pairwise distance between vertices scale * e_i.

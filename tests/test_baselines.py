@@ -55,7 +55,7 @@ def dense_pgd(obj, x0, T):
 def dense_frank_wolfe(obj, x0, T, counter, observer=None):
     """The reference loop: every row queries through the public ``evaluate``,
     which coerces and scans the iterate again."""
-    x = qopt.baselines._require_feasible(obj, x0, "x0").copy()
+    x = qopt.baselines._require_feasible(obj, x0, "x0")
     set_ = obj.feasible_set
     fstar = obj.optimal_value
     header = {"algorithm": "frank_wolfe", "objective": obj.name, "set": set_.to_spec(),
@@ -67,7 +67,7 @@ def dense_frank_wolfe(obj, x0, T, counter, observer=None):
         if observer is not None:
             observer(t, x, grad)
         if t < T:
-            set_._step_toward_vertex(x, grad, t / (t + 2), 2.0 / (t + 2))
+            x = set_._step_toward_vertex(x, grad, t / (t + 2), 2.0 / (t + 2))
     return Trace(header, *map(list, zip(*rows)), solution=x)
 
 
@@ -307,7 +307,7 @@ class TestFrankWolfe:
             calls["n"] += 1
             if calls["n"] == 3:
                 raise NumericalFailureError("synthetic step failure")
-            step(self, x, g, keep, weight)
+            return step(self, x, g, keep, weight)
 
         monkeypatch.setattr(Simplex, "_step_toward_vertex", failing_third_step)
         with pytest.raises(NumericalFailureError) as info:
@@ -338,7 +338,7 @@ class TestFrankWolfe:
 
         def counted(self, x, g, keep, weight):
             steps["n"] += 1
-            step(self, x, g, keep, weight)
+            return step(self, x, g, keep, weight)
 
         monkeypatch.setattr(Simplex, "_step_toward_vertex", counted)
         rep = check_fw_feasibility_and_weights(simplex_quadratic(), np.array([1.0, 0.0, 0.0]), 40)

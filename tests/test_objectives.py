@@ -1,3 +1,5 @@
+import dataclasses
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -17,8 +19,11 @@ from qopt import (
     run_accelerated,
     run_frank_wolfe,
     run_pgd,
+    solve_prox_subproblem,
 )
+from qopt.baselines import check_fw_feasibility_and_weights
 from qopt.sets import _dot
+from qopt.trace import trace_csv_lines
 
 mp.mp.dps = 40
 
@@ -242,8 +247,10 @@ class TestCatalogue:
     @pytest.mark.parametrize("dim", [5, 30_000])
     @pytest.mark.parametrize("shift_kind", ["zeros", "negative_zero_entry", "nonzero"])
     def test_quadratic_matches_the_array_shift_reference(self, dim, shift_kind):
-        # An all-+0.0 shift is subtracted as one 0-d zero; a -0.0 entry must
-        # keep the array, since -0.0 - (-0.0) is +0.0 but -0.0 - (+0.0) is -0.0.
+        # An all-+0.0 shift hands back x itself as the gradient; a -0.0 entry
+        # must keep the array, since -0.0 - (-0.0) is +0.0 but -0.0 - (+0.0)
+        # is -0.0.  TestOracleArraysAreNeverWritten pins that no solver
+        # writes the gradient, and so the point, it shares.
         rng = np.random.default_rng(dim)
         shift = {"zeros": np.zeros(dim),
                  "negative_zero_entry": np.array([0.0, -0.0] + [0.0] * (dim - 2)),
@@ -257,8 +264,6 @@ class TestCatalogue:
         assert np.float64(value).tobytes() == np.float64(expected).tobytes()
         assert grad.dtype == np.float64 and grad.shape == (dim,)
         assert grad.tobytes() == d.tobytes()
-        # Frank-Wolfe scales its iterate in place before taking argmin(grad).
-        assert not np.shares_memory(grad, x)
         assert np.array(obj.params["shift"]).tobytes() == shift.tobytes()
 
     def test_affine_center_is_lmo_vertex(self):
@@ -302,6 +307,92 @@ class TestCatalogue:
             obj = make_catalogue_objective(name)
             rep = check_quasar_convexity(obj, 4_000)
             assert rep["max_violation"] <= 1e-9, name
+
+
+def read_only_oracle(obj):
+    """``obj`` with an evaluator that marks each query point and each gradient
+    it returns read-only: a later write to either raises ValueError."""
+    evaluator = obj.evaluator
+
+    def frozen(x):
+        x.setflags(write=False)
+        value, grad = evaluator(x)
+        grad.setflags(write=False)
+        return value, grad
+
+    return dataclasses.replace(obj, evaluator=frozen)
+
+
+def quadratic_on(kind, n, shifted):
+    """The catalogue quadratic on an ``n``-dim simplex, box or ball, with a zero
+    shift, whose gradient is the query point itself, or a seeded random one."""
+    set_ = {"simplex": {"kind": "simplex", "dimension": n},
+            "box": {"kind": "box", "lower": [-1.0] * n, "upper": [1.0] * n},
+            "ball": {"kind": "ball", "center": [0.5] * n, "radius": 1.0}}[kind]
+    shift = np.random.default_rng(n).normal(size=n) if shifted else np.zeros(n)
+    return make_catalogue_objective("quadratic", {"set": set_, "shift": shift})
+
+
+class TestOracleArraysAreNeverWritten:
+    """No solver or check writes an array it handed to the oracle or got back
+    from it, so an oracle may return its query point as the gradient."""
+
+    @pytest.mark.parametrize("kind,n,shifted", [
+        ("simplex", 3, False), ("simplex", 3, True), ("simplex", 30_000, False),
+        ("box", 3, False), ("box", 3, True), ("ball", 3, False), ("ball", 3, True),
+    ])
+    def test_baselines(self, kind, n, shifted):
+        obj = quadratic_on(kind, n, shifted)
+        x0 = obj.feasible_set.canonical_vertex()
+        T = 30 if n > 3 else 60
+        for solver in (run_frank_wolfe, run_pgd):
+            # The frozen run must also be the same run, byte for byte.
+            frozen = solver(read_only_oracle(obj), x0.copy(), T, OracleCounter())
+            plain = solver(obj, x0.copy(), T, OracleCounter())
+            assert trace_csv_lines(frozen) == trace_csv_lines(plain)
+            assert frozen.solution.tobytes() == plain.solution.tobytes()
+
+    @pytest.mark.parametrize("name", ["quadratic", "quadratic_simplex", "example1",
+                                      "glm_sigmoid"])
+    def test_accelerated_and_prox(self, name):
+        obj = (quadratic_on("simplex", 3, False) if name == "quadratic_simplex"
+               else make_catalogue_objective(name))
+        frozen = read_only_oracle(obj)
+        x0 = obj.feasible_set.canonical_vertex()
+        epsilon = 1e-2
+        assert (trace_csv_lines(run_accelerated(frozen, x0.copy(), epsilon, OracleCounter()))
+                == trace_csv_lines(run_accelerated(obj, x0.copy(), epsilon, OracleCounter())))
+        for x in obj.feasible_set.sample(np.random.default_rng(0), 3):
+            res = solve_prox_subproblem(frozen, x.copy(), 1e-10, OracleCounter())
+            assert res.y.tobytes() == solve_prox_subproblem(
+                obj, x.copy(), 1e-10, OracleCounter()).y.tobytes()
+
+    @pytest.mark.parametrize("n", [3, 30_000])
+    def test_frank_wolfe_weight_check(self, n):
+        obj = quadratic_on("simplex", n, False)
+        x0 = obj.feasible_set.canonical_vertex()
+        T = 30 if n > 3 else 200
+        assert (check_fw_feasibility_and_weights(read_only_oracle(obj), x0, T)
+                == check_fw_feasibility_and_weights(obj, x0, T))
+
+    @pytest.mark.parametrize("solver", ["pgd", "frank_wolfe", "accelerated"])
+    def test_caller_x0_is_never_written_nor_returned(self, solver):
+        # Frank-Wolfe and PGD query the caller's x0 itself; the trace solution
+        # must still be a separate array, also when no step is taken (T = 0).
+        obj = quadratic_on("simplex", 3, False)
+        if solver == "accelerated":
+            runs = [lambda x0: run_accelerated(obj, x0, 1e-3, OracleCounter())]
+        else:
+            run = {"pgd": run_pgd, "frank_wolfe": run_frank_wolfe}[solver]
+            runs = [lambda x0, T=T: run(obj, x0, T, OracleCounter()) for T in (0, 1, 25)]
+        for run_from in runs:
+            x0 = np.array([0.2, 0.3, 0.5])
+            x0_bytes = x0.tobytes()
+            trace = run_from(x0)
+            assert x0.tobytes() == x0_bytes
+            assert trace.header["x0"] == [0.2, 0.3, 0.5]
+            assert trace.solution is not x0
+            assert not np.shares_memory(trace.solution, x0)
 
 
 class TestObjectiveValidation:

@@ -228,13 +228,16 @@ class TestStepTowardVertex:
         gradients = [np.zeros(d), np.ones(d), np.round(rng.normal(size=d), 0)]
         gradients += [rng.normal(size=d) for _ in range(5)]
         for x in set_.sample(rng, 4):
-            for g in gradients:
+            # The last gradient is x itself, as the zero-shift quadratic returns.
+            for g in gradients + [x]:
                 for t in range(4):
                     keep, weight = t / (t + 2), 2.0 / (t + 2)
                     expected = keep * x + weight * set_.lmo(g)
-                    stepped = x.copy()
-                    set_._step_toward_vertex(stepped, g, keep, weight)
+                    x_bytes, g_bytes = x.tobytes(), g.tobytes()
+                    stepped = set_._step_toward_vertex(x, g, keep, weight)
                     assert stepped.tobytes() == expected.tobytes()
+                    assert not np.shares_memory(stepped, x)
+                    assert (x.tobytes(), g.tobytes()) == (x_bytes, g_bytes)
 
 
 class TestDiameter:
