@@ -12,7 +12,6 @@ from .accel import (
     AccelParams,
     LineSearchResult,
     binary_line_search,
-    check_linesearch_certificates,
     compute_schedule,
     ftrl_step,
     run_accelerated,
@@ -35,17 +34,12 @@ from .objectives import (
     CATALOGUE_NAMES,
     Objective,
     OracleCounter,
-    check_quasar_convexity,
-    check_smoothness,
     evaluate,
     finite_diff_gradient,
     make_catalogue_objective,
 )
 from .prox import (
     ProxResult,
-    check_descent_lemma,
-    check_moreau_quasar,
-    check_prox_conditioning,
     default_lambda,
     solve_prox_subproblem,
 )
@@ -77,12 +71,6 @@ __all__ = [
     "attach_rate_bounds",
     "available_checks",
     "binary_line_search",
-    "check_descent_lemma",
-    "check_linesearch_certificates",
-    "check_moreau_quasar",
-    "check_prox_conditioning",
-    "check_quasar_convexity",
-    "check_smoothness",
     "compute_schedule",
     "default_lambda",
     "evaluate",

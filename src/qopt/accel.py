@@ -26,7 +26,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ConfigError, InvalidArgumentError, NumericalFailureError, PreconditionError
-from .objectives import OracleCounter
 # perfbench/tracing.py wraps solve_prox_subproblem under this module's name too.
 from .prox import ProxResult, _ProxConstants, _solve, solve_prox_subproblem  # noqa: F401
 from .sets import MEMBERSHIP_TOL, _dot, as_point
@@ -263,52 +262,3 @@ def run_accelerated(obj, x0, epsilon, counter, observer=None):
                         observer(AccelIterate(weights(s)[1], 0, y, y, z))
                 break
     return rec.trace(prox_y.y)
-
-
-#: How many times tighter than the run's delta the certificate audit solves each prox.
-CERTIFICATE_ACCURACY_FACTOR = 1e4
-
-
-def check_linesearch_certificates(obj, x0, epsilon):
-    """Audit every line-search call of the accelerated run from ``x0`` at ``epsilon``.
-
-    Observes the run and re-evaluates the envelope at each ``x_t`` and
-    ``y_{t-1}`` with a prox ``CERTIFICATE_ACCURACY_FACTOR`` times tighter than
-    the run's delta, verifying
-
-        <grad M~(x_t), x_t - z_{t-1}> - c (M~(y_{t-1}) - M~(x_t))
-            <= sqrt(8 L D^2 delta) + (9 + 5 c) delta + 1e-9,
-
-    along with the halving budget ``ceil(log2(8 L D^2 / delta))``.
-    """
-    iterates = []
-    trace = run_accelerated(obj, x0, epsilon, OracleCounter(), observer=iterates.append)
-    params = trace.header["params"]
-    L, D, delta = params["L"], params["D"], params["delta"]
-    fine = _ProxConstants(obj, delta / CERTIFICATE_ACCURACY_FACTOR)
-    counter = OracleCounter()
-    base_budget = math.sqrt(8.0 * L * D * D * delta)
-    loop_bound = math.ceil(math.log2(max(8.0 * L * D * D / delta, 2.0)))
-    worst_excess = -np.inf
-    max_loops = 0
-    prev_x = at_x = None
-    for it in iterates:
-        # The solve is pure, so one serves every use of the same array: the
-        # filled iterates after the fixed-point exit share one frozen x_t, and
-        # a derivative_small exit, like every filled iterate, hands
-        # x_t = y_{t-1} itself.
-        if it.x is not prev_x:
-            prev_x, at_x = it.x, _solve(obj, it.x, fine, counter)
-        at_y = at_x if it.x is it.y_prev else _solve(obj, it.y_prev, fine, counter)
-        lhs = float(np.dot(at_x.envelope_gradient, it.x - it.z_prev))
-        lhs -= it.c * (at_y.envelope_value - at_x.envelope_value)
-        budget = base_budget + (9.0 + 5.0 * it.c) * delta + 1e-9
-        worst_excess = max(worst_excess, lhs - budget)
-        max_loops = max(max_loops, it.loop_iterations)
-    return {
-        "max_excess": float(worst_excess),
-        "max_loops": max_loops,
-        "loop_bound": loop_bound,
-        "calls": len(iterates),
-        "passed": bool(worst_excess <= 0.0 and max_loops <= loop_bound),
-    }

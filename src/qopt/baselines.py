@@ -19,17 +19,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalFailureError, PreconditionError
-from .objectives import OracleCounter, _query, evaluate, sample_pairs
+from .objectives import _query, evaluate
 from .sets import FEASIBILITY_TOL, _is_finite_point, as_point
 from .trace import TraceRecorder
 
 #: The rate-envelope constant of each baseline (see the module docstring).
 RATE_CONSTANTS = {"pgd": 20.0, "frank_wolfe": 6.0}
-#: Slack of the gradient-mapping inequality and descent checks.
-MAPPING_TOL = 1e-10
-#: Frank-Wolfe iterate infeasibility and weight-identity tolerances.
-FW_FEASIBILITY_TOL = 1e-10
-FW_WEIGHT_TOL = 1e-12
 
 
 def _require_feasible(obj, x, name="x"):
@@ -135,84 +130,3 @@ def attach_rate_bounds(trace, L, gamma, D):
         "L": L, "gamma": gamma, "D": D, "constant": constant,
     }
     return trace
-
-
-# -- property checks -----------------------------------------------------------
-
-
-def check_mapping_inequality(obj, trials):
-    """For random feasible (x, y): ``<grad f(x), x+ - y> <= <g(x), x+ - y> + MAPPING_TOL``.
-
-    A NaN excess is reported as the worst and fails the check.
-    """
-    set_ = obj.feasible_set
-    evaluator = obj.evaluator
-    eta = 1.0 / obj.smoothness_L
-    worst = -np.inf
-    for x, yref in zip(*sample_pairs(set_, trials)):
-        grad = evaluator(x)[1]
-        x_plus = set_._project(x - eta * grad)
-        mapping = (x - x_plus) / eta
-        lhs = float(np.dot(grad, x_plus - yref))
-        rhs = float(np.dot(mapping, x_plus - yref))
-        excess = lhs - rhs
-        if excess > worst or excess != excess:
-            worst = excess
-    return {"max_excess": worst, "tolerance": MAPPING_TOL, "passed": worst <= MAPPING_TOL,
-            "samples": trials}
-
-
-def check_mapping_descent(obj, trials):
-    """For random feasible x: ``f(x+) - f(x) <= -||g(x)||^2 / (2L) + MAPPING_TOL``.
-
-    A NaN excess is reported as the worst and fails the check.
-    """
-    set_ = obj.feasible_set
-    evaluator = obj.evaluator
-    L = obj.smoothness_L
-    eta = 1.0 / L
-    worst = -np.inf
-    for x in set_.sample(np.random.default_rng(0), trials):
-        f, grad = evaluator(x)
-        x_plus = set_._project(x - eta * grad)
-        mapping = (x - x_plus) / eta
-        f_plus = evaluator(x_plus)[0]
-        excess = (f_plus - f) + float(np.dot(mapping, mapping)) / (2.0 * L)
-        if excess > worst or excess != excess:
-            worst = excess
-    return {"max_excess": worst, "tolerance": MAPPING_TOL, "passed": worst <= MAPPING_TOL,
-            "samples": trials}
-
-
-def check_fw_feasibility_and_weights(obj, x0, T):
-    """Observe ``run_frank_wolfe``: each ``x_t`` (t >= 1) must be feasible and equal
-    ``sum_{s<t} a_s v_s / A_t`` with ``a_s = 2s + 2``, ``A_t = t (t+1)`` and the
-    dense vertex ``v_s = lmo(grad f(x_s))``, within the ``FW_*_TOL`` constants.
-    """
-    set_ = obj.feasible_set
-    x_avg = 0.0  # weighted by A_0 = 0; the first update makes it v_0
-    A_prev = 0.0
-    worst_dist = 0.0
-    worst_weight = 0.0
-
-    def observe(t, x, grad):
-        nonlocal x_avg, A_prev, worst_dist, worst_weight
-        if t >= 1:
-            worst_weight = max(worst_weight, float(np.abs(x - x_avg).max()))
-            worst_dist = max(worst_dist, set_.distance(x))
-        if t < T:
-            a_t = 2.0 * t + 2.0
-            A_t = A_prev + a_t
-            assert A_t == (t + 1) * (t + 2)
-            x_avg = (A_prev * x_avg + a_t * set_._lmo(grad)) / A_t
-            A_prev = A_t
-
-    run_frank_wolfe(obj, x0, T, OracleCounter(), observe)
-    return {
-        "max_infeasibility": worst_dist,
-        "max_weight_mismatch": worst_weight,
-        "tolerance": FW_FEASIBILITY_TOL,
-        "weight_tolerance": FW_WEIGHT_TOL,
-        "passed": worst_dist <= FW_FEASIBILITY_TOL and worst_weight <= FW_WEIGHT_TOL,
-        "iterations": T,
-    }

@@ -1,16 +1,22 @@
 """Registered property checks: the empirical certification suite.
 
-Each check runs one verifiable statement about the implementation on the
-catalogue at a fixed tolerance and reports the measured worst violation.
-``verify`` aggregates them into a :class:`VerificationReport`; the CLI renders
-the report as a table and sets the exit code from ``report.overall``.
+Each check is one function that runs one verifiable statement about the
+implementation at its fixed tolerances and returns a :class:`CheckResult`
+with the measured worst violation.  ``verify`` runs the checks of the ordered
+table ``_CHECKS`` and aggregates them into a :class:`VerificationReport`; the
+CLI renders the report as a table and sets the exit code from
+``report.overall``.
+
+A check that certifies one objective takes it as an :class:`Objective` or as
+a catalogue name, built when the check runs; sample counts default to the
+registered ones.  A NaN sample fails every check: the first NaN violation,
+ratio or excess becomes the reported worst (:func:`_worst`).
 
 The counterexample check uses expected-failure semantics: it passes exactly
 when every gamma it tries shows a strictly positive quasar violation.
 
-Every tolerance, window and budget of a certified claim is typed here once, or
-read from the property function that applies it; the acceptance suite runs
-these checks rather than restating them.
+Every tolerance, window and budget of a certified claim is typed here once;
+the acceptance suite runs these checks rather than restating them.
 """
 
 from __future__ import annotations
@@ -22,22 +28,19 @@ from pathlib import Path
 
 import numpy as np
 
-from . import baselines, prox
-from .accel import check_linesearch_certificates, run_accelerated
-from .errors import ConfigError
+from . import baselines
+from .accel import run_accelerated
+from .errors import ConfigError, InvalidArgumentError, PreconditionError
 from .harness import load_config, resolve_x0, run_experiment, sweep
 from .objectives import (
     CATALOGUE_NAMES,
     OracleCounter,
-    _worst_quasar_violations,
-    check_quasar_convexity,
-    check_smoothness,
     evaluate,
     finite_diff_gradient,
     make_catalogue_objective,
-    sample_feasible,
 )
-from .sets import _norm
+from .prox import _ProxConstants, _checked, _solve, default_lambda
+from .sets import Box, _norm
 
 #: How far a recorded gap may exceed its rate bound (baselines and accelerated).
 _BOUND_SLACK = 1e-9
@@ -48,6 +51,13 @@ _PGD_MONOTONE_RTOL = 4e-16
 #: The constant C of the oracle budgets: ``C log2(L D^2 / delta)`` inner
 #: iterations per prox solve, ``C T log2(L D^2 / delta)`` calls per accelerated run.
 _ITERATION_CONSTANT = 50.0
+#: Slack of the gradient-mapping inequality and descent checks.
+MAPPING_TOL = 1e-10
+#: Frank-Wolfe iterate infeasibility and weight-identity tolerances.
+FW_FEASIBILITY_TOL = 1e-10
+FW_WEIGHT_TOL = 1e-12
+#: How many times tighter than the run's delta the line-search audit solves each prox.
+CERTIFICATE_ACCURACY_FACTOR = 1e4
 
 
 @dataclass
@@ -69,43 +79,102 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
 
-# -- individual checks ---------------------------------------------------------
+# -- sampling and reduction ----------------------------------------------------
 
 
-def _quasar_certificate(name):
-    obj = make_catalogue_objective(name)
-    rep = check_quasar_convexity(obj, 10_000)
+def sample_feasible(set_, n, seed=0):
+    """Sample check points: a deterministic grid in 1-D boxes, seeded uniform draws otherwise."""
+    if isinstance(set_, Box) and set_.dimension == 1:
+        return set_.grid(n)
+    rng = np.random.default_rng(seed)
+    return set_.sample(rng, n)
+
+
+def sample_pairs(set_, n):
+    """Two seeded draws of ``n`` feasible points from one generator: the pairs of a secant check."""
+    rng = np.random.default_rng(0)
+    return set_.sample(rng, n), set_.sample(rng, n)
+
+
+def _worst(worst, value):
+    """``value`` if it is larger than ``worst`` or NaN, else ``worst``: the
+    running maximum of a check, where the first NaN stays the worst."""
+    return value if value > worst or value != value else worst
+
+
+def _objective(obj):
+    """The objective a check certifies: ``obj`` itself, or the catalogue entry it names."""
+    return make_catalogue_objective(obj) if isinstance(obj, str) else obj
+
+
+#: The solver runs the checks audit: catalogue objective, its params, and x0.
+_INSTANCES = {
+    "quadratic_box": ("quadratic", {}, [1.0, 1.0]),
+    "example1": ("example1", {}, [5.0]),
+    "quadratic_simplex": ("quadratic", {"set": {"kind": "simplex", "dimension": 3}}, "vertex"),
+}
+
+
+def _instance(instance):
+    """``(objective, x0)`` of an ``_INSTANCES`` name, or the given pair itself."""
+    if not isinstance(instance, str):
+        return instance
+    objective, params, x0 = _INSTANCES[instance]
+    obj = make_catalogue_objective(objective, params)
+    return obj, resolve_x0(obj.feasible_set, x0)
+
+
+# -- declared constants of the catalogue ---------------------------------------
+
+
+def _worst_quasar_violations(obj, samples, gammas):
+    """The worst quasar violation ``f(x) + <grad f(x), x* - x>/gamma - f(x*)`` at
+    each of ``gammas`` from one pass over ``samples`` feasible points.
+
+    Queries the evaluator once at the center and once per sample point, and
+    returns ``(worst per gamma, number of points)``.
+    """
+    if obj.center is None:
+        raise PreconditionError("a quasar check requires a known center")
+    evaluator, center = obj.evaluator, obj.center
+    fstar = evaluator(center)[0]
+    pts = sample_feasible(obj.feasible_set, samples)
+    worst = [-np.inf] * len(gammas)
+    for x in pts:
+        fx, gx = evaluator(x)
+        inner = float(np.dot(gx, center - x))
+        for i, gamma in enumerate(gammas):
+            worst[i] = _worst(worst[i], fx + inner / gamma - fstar)
+    return worst, len(pts)
+
+
+def quasar_certificate(obj, samples=10_000):
+    """The declared gamma holds: the worst quasar violation is at most 1e-9."""
+    obj = _objective(obj)
+    (worst,), count = _worst_quasar_violations(obj, samples, (obj.quasar_gamma,))
+    worst = float(worst)
     tol = 1e-9
-    return CheckResult(
-        name=f"quasar_certificate:{name}",
-        max_violation=rep["max_violation"],
-        tolerance=tol,
-        passed=rep["max_violation"] <= tol,
-        samples=rep["samples"],
-    )
+    return CheckResult(f"quasar_certificate:{obj.name}", worst, tol, worst <= tol, count)
 
 
-def _quasar_counterexample():
-    obj = make_catalogue_objective("fig1_counterexample")
-    # Expected failure: certification must detect a strictly positive
-    # violation at every gamma, so the smallest of the three is reported.  A
-    # NaN is no violation: it is reported, and fails the check.
-    worst, count = _worst_quasar_violations(obj, 10_000, (0.1, 0.5, 1.0))
+def quasar_counterexample(obj, samples=10_000):
+    """Expected failure: every gamma in {0.1, 0.5, 1} shows a positive violation.
+
+    The least of the three worst violations is reported; a NaN is no
+    violation: it is reported, and fails the check.
+    """
+    obj = _objective(obj)
+    worst, count = _worst_quasar_violations(obj, samples, (0.1, 0.5, 1.0))
     least = worst[0]
     for violation in worst[1:]:
-        if violation < least or violation != violation:
-            least = violation
-    return CheckResult(
-        name="quasar_counterexample:fig1_counterexample",
-        max_violation=float(least),
-        tolerance=0.0,
-        passed=least > 0.0,
-        samples=3 * count,
-        note="passes iff every gamma in {0.1, 0.5, 1} violates",
-    )
+        least = -_worst(-least, -violation)
+    return CheckResult(f"quasar_counterexample:{obj.name}", float(least), 0.0, least > 0.0,
+                       3 * count, "passes iff every gamma in {0.1, 0.5, 1} violates")
 
 
-def _counterexample_construction():
+def counterexample_construction():
+    """``fig1_counterexample`` is stationary at x = -2 with negative curvature
+    there, and its regularization centre agrees with -12.23 to two decimals."""
     obj = make_catalogue_objective("fig1_counterexample")
     x0 = obj.params["x0"]
     at_minus2 = np.array([-2.0])
@@ -129,170 +198,290 @@ def _counterexample_construction():
     )
 
 
-def _smoothness(name):
-    obj = make_catalogue_objective(name)
-    rep = check_smoothness(obj, 10_000 if obj.dimension == 1 else 2_000)
-    return CheckResult(
-        name=f"smoothness:{name}",
-        max_violation=rep["max_secant_ratio"] - obj.smoothness_L,
-        tolerance=rep["tolerance"],
-        passed=rep["passed"],
-        samples=rep["samples"],
-        note=f"max ratio {rep['max_secant_ratio']:.6f} vs L={obj.smoothness_L}",
-    )
+def smoothness(obj, samples=None):
+    """The declared L bounds every gradient secant ratio, within relative 1e-6.
 
-
-def _gradient_consistency(name):
-    obj = make_catalogue_objective(name)
+    Samples consecutive pairs of a ``samples``-point grid in 1-D boxes (each
+    point queried once, its gradient carried on to the next pair), and
+    ``samples`` seeded pairs otherwise; by default 10,000 in 1-D and 2,000
+    otherwise.
+    """
+    obj = _objective(obj)
+    set_ = obj.feasible_set
+    if samples is None:
+        samples = 10_000 if obj.dimension == 1 else 2_000
+    if samples < 2:
+        raise InvalidArgumentError("the smoothness check needs at least two samples")
+    evaluator = obj.evaluator
     worst = 0.0
-    pts = sample_feasible(obj.feasible_set, 100)
+    count = 0
+    if isinstance(set_, Box) and set_.dimension == 1:
+        pts = set_.grid(samples)
+        u = pts[0]
+        gu = evaluator(u)[1]
+        for v in pts[1:]:
+            gv = evaluator(v)[1]
+            sep = _norm(u - v)
+            if not sep < 1e-12:
+                worst = _worst(worst, _norm(gu - gv) / sep)
+                count += 1
+            u, gu = v, gv
+    else:
+        for u, v in zip(*sample_pairs(set_, samples)):
+            sep = _norm(u - v)
+            if sep < 1e-12:
+                continue
+            worst = _worst(worst, _norm(evaluator(u)[1] - evaluator(v)[1]) / sep)
+            count += 1
+    L = obj.smoothness_L
+    rtol = 1e-6
+    return CheckResult(f"smoothness:{obj.name}", worst - L, L * rtol, worst <= L * (1.0 + rtol),
+                       count, f"max ratio {worst:.6f} vs L={L}")
+
+
+def gradient_consistency(obj, samples=100):
+    """The oracle's gradient is within 1e-6 of central differences (h = 1e-5)."""
+    obj = _objective(obj)
+    worst = 0.0
+    pts = sample_feasible(obj.feasible_set, samples)
     counter = OracleCounter()
     for x in pts:
         grad = evaluate(obj, x, counter)[1]
         fd = finite_diff_gradient(obj, x, 1e-5)
-        # A NaN difference (a NaN value at x +- h) is reported and fails.
-        error = _norm(fd - grad)
-        if error > worst or error != error:
-            worst = error
+        worst = _worst(worst, _norm(fd - grad))
     tol = 1e-6
-    return CheckResult(
-        name=f"gradient_consistency:{name}",
-        max_violation=worst,
-        tolerance=tol,
-        passed=worst <= tol,
-        samples=len(pts),
-    )
+    return CheckResult(f"gradient_consistency:{obj.name}", worst, tol, worst <= tol, len(pts))
 
 
-def _prox_conditioning(name):
-    obj = make_catalogue_objective(name)
-    rep = prox.check_prox_conditioning(obj, samples=10_000)
-    violation = max(rep["lower"] - rep["min_ratio"], rep["max_ratio"] - rep["upper"])
-    return CheckResult(
-        name=f"prox_conditioning:{name}",
-        max_violation=violation,
-        tolerance=rep["tolerance"],
-        passed=rep["passed"],
-        samples=rep["samples"],
-        note=f"secant bracket [{rep['min_ratio']:.5f}, {rep['max_ratio']:.5f}]"
-             f" within [{rep['lower']:.5f}, {rep['upper']:.5f}]",
-    )
+# -- the prox subproblem and the Moreau envelope -------------------------------
+#
+# These checks solve at the points the sets sample, or at a solve's own
+# output, so they build the constants of each delta once and call the trusted
+# prox._solve.
 
 
-def _moreau_smoothness(name):
-    obj = make_catalogue_objective(name)
-    rep = prox.check_envelope_smoothness(obj, samples=200)
-    return CheckResult(
-        name=f"moreau_smoothness:{name}",
-        max_violation=rep["max_secant_ratio"] - 2.0 * obj.smoothness_L,
-        tolerance=rep["tolerance"],
-        passed=rep["passed"],
-        samples=rep["samples"],
-        note=f"max envelope secant {rep['max_secant_ratio']:.5f} vs 2L",
-    )
+def prox_conditioning(obj, samples=10_000):
+    """The prox subproblem is ``L``-strongly convex and ``3L``-smooth.
+
+    For feasible secant pairs (u, v), the subproblem gradient satisfies
+    ``L ||u-v||^2 <= <grad F(u) - grad F(v), u - v> <= 3 L ||u-v||^2``
+    whenever the declared L really bounds the objective's curvature.  The
+    bracket is independent of the prox center, which cancels in differences.
+    Each end gets relative slack 1e-8; the reported tolerance is the absolute
+    slack at the upper end.
+    """
+    obj = _objective(obj)
+    L = obj.smoothness_L
+    lam = default_lambda(obj)
+    evaluator = obj.evaluator
+    lo, hi = np.inf, -np.inf
+    count = 0
+    for u, v in zip(*sample_pairs(obj.feasible_set, samples)):
+        d = u - v
+        sep2 = float(np.dot(d, d))
+        if sep2 < 1e-18:
+            continue
+        gu = evaluator(u)[1] + u / lam
+        gv = evaluator(v)[1] + v / lam
+        ratio = float(np.dot(gu - gv, d)) / sep2
+        lo = -_worst(-lo, -ratio)  # the least ratio
+        hi = _worst(hi, ratio)
+        count += 1
+    rtol = 1e-8
+    lower, upper = L, 3.0 * L
+    passed = lo >= L * (1.0 - rtol) and hi <= 3.0 * L * (1.0 + rtol)
+    return CheckResult(f"prox_conditioning:{obj.name}", _worst(lower - lo, hi - upper),
+                       3.0 * L * rtol, passed, count,
+                       f"secant bracket [{lo:.5f}, {hi:.5f}] within [{lower:.5f}, {upper:.5f}]")
 
 
-def _moreau_quasar(name, tol):
-    obj = make_catalogue_objective(name)
-    rep = prox.check_moreau_quasar(obj, grid=2000)
-    return CheckResult(
-        name=f"moreau_quasar:{name}",
-        max_violation=rep["max_violation"],
-        tolerance=tol,
-        passed=rep["max_violation"] <= tol,
-        samples=rep["samples"],
-    )
+def moreau_smoothness(obj, samples=200):
+    """The near-exact envelope gradient (delta = 1e-12) is ``2L``-Lipschitz,
+    within relative 1e-6, on seeded pairs at least 2% of the diameter apart."""
+    obj = _objective(obj)
+    consts = _ProxConstants(obj, 1e-12)
+    min_sep = 0.02 * obj.feasible_set.diameter()
+    counter = OracleCounter()
+    worst = 0.0
+    count = 0
+    for u, v in zip(*sample_pairs(obj.feasible_set, samples)):
+        sep = _norm(u - v)
+        if sep < min_sep:
+            continue
+        gu = _solve(obj, u, consts, counter).envelope_gradient
+        gv = _solve(obj, v, consts, counter).envelope_gradient
+        worst = _worst(worst, _norm(gu - gv) / sep)
+        count += 1
+    two_L = 2.0 * obj.smoothness_L
+    rtol = 1e-6
+    return CheckResult(f"moreau_smoothness:{obj.name}", worst - two_L, two_L * rtol,
+                       worst <= two_L * (1.0 + rtol), count,
+                       f"max envelope secant {worst:.5f} vs 2L")
 
 
-def _prox_descent(name):
-    obj = make_catalogue_objective(name)
+def moreau_quasar(obj, tolerance, grid=2000):
+    """The near-exact envelope (delta = 1e-12) is quasar convex with the
+    objective's gamma: ``M(x) + <grad M(x), x* - x>/gamma - M(x*) <= tolerance``."""
+    obj = _objective(obj)
+    if obj.center is None:
+        raise PreconditionError("moreau_quasar requires a known center")
+    consts = _ProxConstants(obj, 1e-12)
+    counter = OracleCounter()
+    center, gamma = obj.center, obj.quasar_gamma
+    m_star = _solve(obj, center, consts, counter).envelope_value
+    pts = sample_feasible(obj.feasible_set, grid)
+    worst = -np.inf
+    for x in pts:
+        res = _solve(obj, x, consts, counter)
+        violation = (
+            res.envelope_value
+            + float(np.dot(res.envelope_gradient, center - x)) / gamma
+            - m_star
+        )
+        worst = _worst(worst, violation)
+    worst = float(worst)
+    return CheckResult(f"moreau_quasar:{obj.name}", worst, tolerance, worst <= tolerance,
+                       len(pts))
+
+
+def prox_descent(obj, points=None):
+    """The inexact descent lemma at each of ``points`` (default: 50 sampled).
+
+    With y the delta-prox of x (delta = 1e-8), the envelope must satisfy
+    ``M~(y) - M~(x) <= -||grad M~(x)||^2 / (8 L) + delta``; the worst slack
+    (left minus right side) is reported.  Each point is validated.
+    """
+    obj = _objective(obj)
+    if points is None:
+        points = sample_feasible(obj.feasible_set, 50)
+    delta = 1e-8
     worst = -np.inf
     failures = 0
-    pts = sample_feasible(obj.feasible_set, 50)
-    for x in pts:
-        rep = prox.check_descent_lemma(obj, x)
-        worst = max(worst, rep["slack"])
-        failures += 0 if rep["passed"] else 1
-    return CheckResult(
-        name=f"prox_descent:{name}",
-        max_violation=worst,
-        tolerance=0.0,
-        passed=failures == 0,
-        samples=len(pts),
-        note=f"{failures} failures",
-    )
+    for x in points:
+        x, consts = _checked(obj, x, delta)
+        counter = OracleCounter()
+        at_x = _solve(obj, x, consts, counter)
+        # The solve at x ended on the oracle's answer at y.
+        at_y = _solve(obj, at_x.y, consts, counter, (at_x.f_at_y, at_x.grad_at_y))
+        lhs = at_y.envelope_value - at_x.envelope_value
+        rhs = -float(np.dot(at_x.envelope_gradient, at_x.envelope_gradient)) / (
+            8.0 * obj.smoothness_L
+        ) + delta
+        worst = _worst(worst, lhs - rhs)
+        failures += not lhs <= rhs
+    return CheckResult(f"prox_descent:{obj.name}", worst, 0.0, failures == 0, len(points),
+                       f"{failures} failures")
 
 
-def _prox_stopping(name):
-    obj = make_catalogue_objective(name)
-    rep = prox.check_stopping_soundness(obj, samples=50)
-    return CheckResult(
-        name=f"prox_stopping:{name}",
-        max_violation=rep["max_value_shift"] - rep["delta"],
-        tolerance=0.0,
-        passed=rep["passed"],
-        samples=rep["samples"],
-        note=f"re-solve shift {rep['max_value_shift']:.2e} vs delta {rep['delta']:.0e}",
-    )
-
-
-def _prox_gradient_error(name):
-    obj = make_catalogue_objective(name)
-    rep = prox.check_gradient_error_bound(obj, samples=100)
-    return CheckResult(
-        name=f"prox_gradient_error:{name}",
-        max_violation=rep["max_gradient_error"] - rep["bound"],
-        tolerance=0.0,
-        passed=rep["passed"],
-        samples=rep["samples"],
-        note=f"max error {rep['max_gradient_error']:.2e} vs bound {rep['bound']:.2e}",
-    )
-
-
-def _prox_iteration_budget():
+def prox_stopping(obj, samples=50):
+    """The stopping rule certifies delta-optimality: re-solving each
+    subproblem at ``delta/100`` changes the envelope value by at most
+    ``delta`` (1e-6)."""
+    obj = _objective(obj)
+    delta = 1e-6
+    coarse_consts = _ProxConstants(obj, delta)
+    fine_consts = _ProxConstants(obj, delta / 100.0)
+    counter = OracleCounter()
+    pts = sample_feasible(obj.feasible_set, samples)
     worst = 0.0
-    for name in ("quadratic", "example1"):
-        obj = make_catalogue_objective(name)
-        rep = prox.fit_iteration_constant(obj, samples=50)
-        worst = max(worst, rep["fitted_constant"])
-    return CheckResult(
-        name="prox_iteration_budget",
-        max_violation=worst - _ITERATION_CONSTANT,
-        tolerance=0.0,
-        passed=worst <= _ITERATION_CONSTANT,
-        samples=100,
-        note=f"fitted iteration constant C={worst:.2f} (iters <= C log2(L D^2/delta))",
-    )
+    for x in pts:
+        coarse = _solve(obj, x, coarse_consts, counter)
+        fine = _solve(obj, x, fine_consts, counter)
+        worst = _worst(worst, abs(coarse.envelope_value - fine.envelope_value))
+    return CheckResult(f"prox_stopping:{obj.name}", worst - delta, 0.0, worst <= delta,
+                       len(pts), f"re-solve shift {worst:.2e} vs delta {delta:.0e}")
 
 
-#: The solver runs the checks audit: catalogue objective, its params, and x0.
-_INSTANCES = {
-    "quadratic_box": ("quadratic", {}, [1.0, 1.0]),
-    "example1": ("example1", {}, [5.0]),
-    "quadratic_simplex": ("quadratic", {"set": {"kind": "simplex", "dimension": 3}}, "vertex"),
-}
+def prox_gradient_error(obj, samples=100):
+    """``||grad M~_delta(x) - grad M~_ref(x)|| <= sqrt(8 L delta)`` at delta = 1e-6,
+    against a near-exact reference prox (delta = 1e-14)."""
+    obj = _objective(obj)
+    delta = 1e-6
+    coarse_consts = _ProxConstants(obj, delta)
+    ref_consts = _ProxConstants(obj, 1e-14)
+    counter = OracleCounter()
+    bound = math.sqrt(8.0 * obj.smoothness_L * delta)
+    pts = sample_feasible(obj.feasible_set, samples)
+    worst = 0.0
+    for x in pts:
+        coarse = _solve(obj, x, coarse_consts, counter).envelope_gradient
+        ref = _solve(obj, x, ref_consts, counter).envelope_gradient
+        worst = _worst(worst, _norm(coarse - ref))
+    return CheckResult(f"prox_gradient_error:{obj.name}", worst - bound, 0.0, worst <= bound,
+                       len(pts), f"max error {worst:.2e} vs bound {bound:.2e}")
 
 
-def _instance(name):
-    objective, params, x0 = _INSTANCES[name]
-    obj = make_catalogue_objective(objective, params)
-    return obj, resolve_x0(obj.feasible_set, x0)
+def prox_iteration_budget(objectives, samples=50):
+    """Every prox solve at delta in {1e-4, 1e-8, 1e-12} stops within
+    ``C log2(L D^2 / delta)`` inner iterations, C = ``_ITERATION_CONSTANT``;
+    the observed constant is reported."""
+    worst = 0.0
+    for obj in objectives:
+        obj = _objective(obj)
+        D = obj.feasible_set.diameter()
+        L = obj.smoothness_L
+        counter = OracleCounter()
+        pts = sample_feasible(obj.feasible_set, samples)
+        for delta in (1e-4, 1e-8, 1e-12):
+            consts = _ProxConstants(obj, delta)
+            denom = math.log2(max(L * D * D / delta, 4.0))
+            for x in pts:
+                worst = _worst(worst, _solve(obj, x, consts, counter).inner_iterations / denom)
+    return CheckResult("prox_iteration_budget", worst - _ITERATION_CONSTANT, 0.0,
+                       worst <= _ITERATION_CONSTANT, samples * len(objectives),
+                       f"fitted iteration constant C={worst:.2f} (iters <= C log2(L D^2/delta))")
 
 
-def _linesearch_certificate(name):
-    rep = check_linesearch_certificates(*_instance(name), 1e-3)
-    return CheckResult(
-        name=f"linesearch_certificate:{name}",
-        max_violation=rep["max_excess"],
-        tolerance=0.0,
-        passed=rep["passed"],
-        samples=rep["calls"],
-        note=f"max loops {rep['max_loops']} <= bound {rep['loop_bound']}",
-    )
+# -- the accelerated method ----------------------------------------------------
 
 
-def _accelerated_gap(name, epsilon):
-    obj, x0 = _instance(name)
+def linesearch_certificate(instance, epsilon=1e-3):
+    """Audit every line-search call of the accelerated run on ``instance``.
+
+    Observes the run and re-evaluates the envelope at each ``x_t`` and
+    ``y_{t-1}`` with a prox ``CERTIFICATE_ACCURACY_FACTOR`` times tighter than
+    the run's delta, verifying
+
+        <grad M~(x_t), x_t - z_{t-1}> - c (M~(y_{t-1}) - M~(x_t))
+            <= sqrt(8 L D^2 delta) + (9 + 5 c) delta + 1e-9,
+
+    along with the halving budget ``ceil(log2(8 L D^2 / delta))``.
+    """
+    obj, x0 = _instance(instance)
+    iterates = []
+    trace = run_accelerated(obj, x0, epsilon, OracleCounter(), observer=iterates.append)
+    params = trace.header["params"]
+    L, D, delta = params["L"], params["D"], params["delta"]
+    fine = _ProxConstants(obj, delta / CERTIFICATE_ACCURACY_FACTOR)
+    counter = OracleCounter()
+    base_budget = math.sqrt(8.0 * L * D * D * delta)
+    loop_bound = math.ceil(math.log2(max(8.0 * L * D * D / delta, 2.0)))
+    worst_excess = -np.inf
+    max_loops = 0
+    prev_x = at_x = None
+    for it in iterates:
+        # The solve is pure, so one serves every use of the same array: the
+        # filled iterates after the fixed-point exit share one frozen x_t, and
+        # a derivative_small exit, like every filled iterate, hands
+        # x_t = y_{t-1} itself.
+        if it.x is not prev_x:
+            prev_x, at_x = it.x, _solve(obj, it.x, fine, counter)
+        at_y = at_x if it.x is it.y_prev else _solve(obj, it.y_prev, fine, counter)
+        lhs = float(np.dot(at_x.envelope_gradient, it.x - it.z_prev))
+        lhs -= it.c * (at_y.envelope_value - at_x.envelope_value)
+        budget = base_budget + (9.0 + 5.0 * it.c) * delta + 1e-9
+        worst_excess = _worst(worst_excess, lhs - budget)
+        max_loops = max(max_loops, it.loop_iterations)
+    worst_excess = float(worst_excess)
+    return CheckResult(f"linesearch_certificate:{instance}", worst_excess, 0.0,
+                       worst_excess <= 0.0 and max_loops <= loop_bound, len(iterates),
+                       f"max loops {max_loops} <= bound {loop_bound}")
+
+
+def accelerated_gap(instance, epsilon):
+    """The accelerated run reaches gap ``epsilon`` within its oracle budget,
+    every recorded gap stays under its bound and none is below ``_GAP_FLOOR``."""
+    obj, x0 = _instance(instance)
     counter = OracleCounter()
     trace = run_accelerated(obj, x0, epsilon, counter)
     params = trace.header["params"]
@@ -308,44 +497,94 @@ def _accelerated_gap(name, epsilon):
         and bool(dominated)
         and float(np.nanmin(gap)) >= _GAP_FLOOR
     )
+    return CheckResult(f"accelerated_gap:{instance}", trace.final_gap - epsilon, 0.0, bool(ok),
+                       len(trace.iteration),
+                       f"final gap {trace.final_gap:.2e} <= {epsilon:g}; "
+                       f"oracle calls {counter.calls} <= {budget:.0f}")
+
+
+# -- the baselines ---------------------------------------------------------------
+
+
+def pgd_mapping_bound(objectives, trials=1000):
+    """For seeded feasible pairs (x, y), the gradient mapping ``g`` of a PGD
+    step bounds the gradient: ``<grad f(x), x+ - y> <= <g(x), x+ - y> + MAPPING_TOL``."""
+    worst = -np.inf
+    for obj in objectives:
+        obj = _objective(obj)
+        set_ = obj.feasible_set
+        evaluator = obj.evaluator
+        eta = 1.0 / obj.smoothness_L
+        for x, yref in zip(*sample_pairs(set_, trials)):
+            grad = evaluator(x)[1]
+            x_plus = set_._project(x - eta * grad)
+            mapping = (x - x_plus) / eta
+            lhs = float(np.dot(grad, x_plus - yref))
+            rhs = float(np.dot(mapping, x_plus - yref))
+            worst = _worst(worst, lhs - rhs)
+    return CheckResult("pgd_mapping_bound", worst, MAPPING_TOL, worst <= MAPPING_TOL,
+                       trials * len(objectives))
+
+
+def pgd_descent_step(objectives, trials=1000):
+    """For seeded feasible x, a PGD step descends by the mapping norm:
+    ``f(x+) - f(x) <= -||g(x)||^2 / (2L) + MAPPING_TOL``."""
+    worst = -np.inf
+    for obj in objectives:
+        obj = _objective(obj)
+        set_ = obj.feasible_set
+        evaluator = obj.evaluator
+        L = obj.smoothness_L
+        eta = 1.0 / L
+        for x in set_.sample(np.random.default_rng(0), trials):
+            f, grad = evaluator(x)
+            x_plus = set_._project(x - eta * grad)
+            mapping = (x - x_plus) / eta
+            f_plus = evaluator(x_plus)[0]
+            worst = _worst(worst, (f_plus - f) + float(np.dot(mapping, mapping)) / (2.0 * L))
+    return CheckResult("pgd_descent_step", worst, MAPPING_TOL, worst <= MAPPING_TOL,
+                       trials * len(objectives))
+
+
+def fw_dynamics(instance, T=500):
+    """Observe ``run_frank_wolfe`` on ``instance`` for ``T`` steps: each ``x_t``
+    (t >= 1) must be feasible within ``FW_FEASIBILITY_TOL`` and equal
+    ``sum_{s<t} a_s v_s / A_t`` within ``FW_WEIGHT_TOL``, with ``a_s = 2s + 2``,
+    ``A_t = t (t+1)`` and the dense vertex ``v_s = lmo(grad f(x_s))``.
+    """
+    obj, x0 = _instance(instance)
+    set_ = obj.feasible_set
+    x_avg = 0.0  # weighted by A_0 = 0; the first update makes it v_0
+    A_prev = 0.0
+    worst_dist = 0.0
+    worst_weight = 0.0
+
+    def observe(t, x, grad):
+        nonlocal x_avg, A_prev, worst_dist, worst_weight
+        if t >= 1:
+            worst_weight = _worst(worst_weight, float(np.abs(x - x_avg).max()))
+            worst_dist = _worst(worst_dist, set_.distance(x))
+        if t < T:
+            a_t = 2.0 * t + 2.0
+            A_t = A_prev + a_t
+            assert A_t == (t + 1) * (t + 2)
+            x_avg = (A_prev * x_avg + a_t * set_._lmo(grad)) / A_t
+            A_prev = A_t
+
+    baselines.run_frank_wolfe(obj, x0, T, OracleCounter(), observe)
     return CheckResult(
-        name=f"accelerated_gap:{name}",
-        max_violation=trace.final_gap - epsilon,
-        tolerance=0.0,
-        passed=bool(ok),
-        samples=len(trace.iteration),
-        note=f"final gap {trace.final_gap:.2e} <= {epsilon:g}; "
-             f"oracle calls {counter.calls} <= {budget:.0f}",
+        "fw_dynamics",
+        _worst(worst_dist - FW_FEASIBILITY_TOL, worst_weight - FW_WEIGHT_TOL),
+        0.0,
+        worst_dist <= FW_FEASIBILITY_TOL and worst_weight <= FW_WEIGHT_TOL,
+        T,
+        "iterate feasibility and weight identity on the solver's own run",
     )
 
 
-def _pgd_mapping(name, check):
-    reports = [check(make_catalogue_objective(objective), trials=1000)
-               for objective in ("quadratic", "example1", "glm_sigmoid")]
-    return CheckResult(
-        name=name,
-        max_violation=max(rep["max_excess"] for rep in reports),
-        tolerance=reports[0]["tolerance"],
-        passed=all(rep["passed"] for rep in reports),
-        samples=sum(rep["samples"] for rep in reports),
-    )
-
-
-def _fw_dynamics():
-    rep = baselines.check_fw_feasibility_and_weights(*_instance("quadratic_simplex"), 500)
-    violation = max(rep["max_infeasibility"] - rep["tolerance"],
-                    rep["max_weight_mismatch"] - rep["weight_tolerance"])
-    return CheckResult(
-        name="fw_dynamics",
-        max_violation=violation,
-        tolerance=0.0,
-        passed=rep["passed"],
-        samples=rep["iterations"],
-        note="iterate feasibility and weight identity on the solver's own run",
-    )
-
-
-def _rate_envelope(algorithm, instance):
+def rate_envelope(algorithm, instance):
+    """A 10,000-step baseline run stays under its rate envelope, its gaps stay
+    above ``_GAP_FLOOR``, and PGD's objective never increases beyond rounding."""
     obj, x0 = _instance(instance)
     T = 10_000
     counter = OracleCounter()
@@ -374,7 +613,11 @@ def _rate_envelope(algorithm, instance):
     )
 
 
-def _oracle_accounting():
+# -- the solvers as a whole ------------------------------------------------------
+
+
+def oracle_accounting():
+    """Every solver's trace ``oracle_calls`` equals the audited evaluator calls."""
     obj = make_catalogue_objective("quadratic")
     audited = {"n": 0}
     inner = obj.evaluator
@@ -422,7 +665,8 @@ class _GammaPoisoned:
         return getattr(self._obj, item)
 
 
-def _gamma_free_baselines():
+def gamma_free_baselines():
+    """PGD, Frank-Wolfe and the gradient mapping never read ``quasar_gamma``."""
     obj = _GammaPoisoned(make_catalogue_objective("quadratic"))
     try:
         baselines.run_pgd(obj, np.array([1.0, 1.0]), 50, OracleCounter())
@@ -441,7 +685,8 @@ def _gamma_free_baselines():
     )
 
 
-def _trace_determinism():
+def trace_determinism():
+    """The same config and seed write the same trace bytes, for each algorithm."""
     simplex_quadratic = {"name": "quadratic",
                          "params": {"set": {"kind": "simplex", "dimension": 3}}}
     configs = [
@@ -468,7 +713,9 @@ def _trace_determinism():
     )
 
 
-def _scaling_fit(algorithm):
+def scaling_fit(algorithm):
+    """The log-log slope of gap against epsilon or T over a three-point sweep
+    lies in the algorithm's window."""
     if algorithm == "accelerated":
         base = {
             "algorithm": "accelerated",
@@ -509,77 +756,68 @@ def _scaling_fit(algorithm):
     )
 
 
-# -- registry ------------------------------------------------------------------
+# -- the registered checks -------------------------------------------------------
 
+_PROX_ENTRIES = ("quadratic", "example1")
+_MAPPING_ENTRIES = ("quadratic", "example1", "glm_sigmoid")
+_FIG1 = "fig1_counterexample"
 
-def _registry():
-    checks = {}
-
-    for name in CATALOGUE_NAMES:
-        if name != "fig1_counterexample":
-            checks[f"quasar_certificate:{name}"] = (
-                lambda n=name: _quasar_certificate(n)
-            )
-    checks["quasar_counterexample:fig1_counterexample"] = _quasar_counterexample
-    checks["counterexample_construction:fig1_counterexample"] = _counterexample_construction
-    for name in CATALOGUE_NAMES:  # every entry declares an L to certify
-        checks[f"smoothness:{name}"] = lambda n=name: _smoothness(n)
-        checks[f"gradient_consistency:{name}"] = lambda n=name: _gradient_consistency(n)
-    for name in ("quadratic", "example1"):
-        checks[f"prox_conditioning:{name}"] = lambda n=name: _prox_conditioning(n)
-        checks[f"moreau_smoothness:{name}"] = lambda n=name: _moreau_smoothness(n)
-        checks[f"prox_stopping:{name}"] = lambda n=name: _prox_stopping(n)
-        checks[f"prox_gradient_error:{name}"] = lambda n=name: _prox_gradient_error(n)
-    checks["moreau_quasar:example1"] = lambda: _moreau_quasar("example1", 1e-6)
-    checks["moreau_quasar:quadratic"] = lambda: _moreau_quasar("quadratic", 1e-8)
-    for name in CATALOGUE_NAMES:
-        checks[f"prox_descent:{name}"] = lambda n=name: _prox_descent(n)
-    checks["prox_iteration_budget"] = _prox_iteration_budget
-    checks["linesearch_certificate:quadratic_box"] = (
-        lambda: _linesearch_certificate("quadratic_box")
-    )
-    checks["linesearch_certificate:example1"] = (
-        lambda: _linesearch_certificate("example1")
-    )
-    for name, check in (("pgd_mapping_bound", baselines.check_mapping_inequality),
-                        ("pgd_descent_step", baselines.check_mapping_descent)):
-        checks[name] = lambda n=name, c=check: _pgd_mapping(n, c)
-    checks["fw_dynamics"] = _fw_dynamics
-    for algorithm in ("pgd", "frank_wolfe"):
-        for instance in ("example1", "quadratic_simplex"):
-            checks[f"rate_envelope:{algorithm}_{instance}"] = (
-                lambda a=algorithm, i=instance: _rate_envelope(a, i)
-            )
-    checks["accelerated_gap:quadratic_box"] = lambda: _accelerated_gap("quadratic_box", 1e-3)
-    checks["accelerated_gap:example1"] = lambda: _accelerated_gap("example1", 1e-4)
-    checks["oracle_accounting"] = _oracle_accounting
-    checks["gamma_free_baselines"] = _gamma_free_baselines
-    checks["trace_determinism"] = _trace_determinism
-    for algorithm in ("accelerated", "pgd", "frank_wolfe"):
-        checks[f"scaling_fit:{algorithm}"] = lambda a=algorithm: _scaling_fit(a)
-    return checks
+#: Every registered check in report order: its name, and the check function
+#: with the arguments ``verify`` calls it with.
+_CHECKS = dict([
+    *[(f"quasar_certificate:{n}", (quasar_certificate, n))
+      for n in CATALOGUE_NAMES if n != _FIG1],
+    (f"quasar_counterexample:{_FIG1}", (quasar_counterexample, _FIG1)),
+    (f"counterexample_construction:{_FIG1}", (counterexample_construction,)),
+    # Every entry declares an L to certify.
+    *[row for n in CATALOGUE_NAMES for row in (
+        (f"smoothness:{n}", (smoothness, n)),
+        (f"gradient_consistency:{n}", (gradient_consistency, n)))],
+    *[row for n in _PROX_ENTRIES for row in (
+        (f"prox_conditioning:{n}", (prox_conditioning, n)),
+        (f"moreau_smoothness:{n}", (moreau_smoothness, n)),
+        (f"prox_stopping:{n}", (prox_stopping, n)),
+        (f"prox_gradient_error:{n}", (prox_gradient_error, n)))],
+    ("moreau_quasar:example1", (moreau_quasar, "example1", 1e-6)),
+    ("moreau_quasar:quadratic", (moreau_quasar, "quadratic", 1e-8)),
+    *[(f"prox_descent:{n}", (prox_descent, n)) for n in CATALOGUE_NAMES],
+    ("prox_iteration_budget", (prox_iteration_budget, _PROX_ENTRIES)),
+    ("linesearch_certificate:quadratic_box", (linesearch_certificate, "quadratic_box")),
+    ("linesearch_certificate:example1", (linesearch_certificate, "example1")),
+    ("pgd_mapping_bound", (pgd_mapping_bound, _MAPPING_ENTRIES)),
+    ("pgd_descent_step", (pgd_descent_step, _MAPPING_ENTRIES)),
+    ("fw_dynamics", (fw_dynamics, "quadratic_simplex")),
+    *[(f"rate_envelope:{a}_{i}", (rate_envelope, a, i))
+      for a in ("pgd", "frank_wolfe") for i in ("example1", "quadratic_simplex")],
+    ("accelerated_gap:quadratic_box", (accelerated_gap, "quadratic_box", 1e-3)),
+    ("accelerated_gap:example1", (accelerated_gap, "example1", 1e-4)),
+    ("oracle_accounting", (oracle_accounting,)),
+    ("gamma_free_baselines", (gamma_free_baselines,)),
+    ("trace_determinism", (trace_determinism,)),
+    *[(f"scaling_fit:{a}", (scaling_fit, a)) for a in ("accelerated", "pgd", "frank_wolfe")],
+])
 
 
 def available_checks():
-    return list(_registry())
+    return list(_CHECKS)
 
 
 def verify(suite=None):
     """Run the registered checks (all, or the named subset/groups)."""
-    registry = _registry()
     if suite:
         selected = []
         for token in suite:
-            if token in registry:
+            if token in _CHECKS:
                 selected.append(token)
                 continue
-            group = [n for n in registry if n.split(":")[0] == token]
+            group = [n for n in _CHECKS if n.split(":")[0] == token]
             if not group:
                 raise ConfigError("suite", f"unknown check '{token}'")
             selected.extend(group)
     else:
-        selected = list(registry)
+        selected = list(_CHECKS)
     report = VerificationReport()
     for name in selected:
-        report.checks.append(registry[name]())
+        check, *args = _CHECKS[name]
+        report.checks.append(check(*args))
     return report

@@ -3,8 +3,8 @@
 An :class:`Objective` bundles a pure ``x -> (value, gradient)`` evaluator with
 its declared smoothness constant ``L``, quasar-convexity constant ``gamma``,
 feasible set, and (when known) the constrained minimizer and optimal value.
-Numerical certification routines (`check_quasar_convexity`,
-`check_smoothness`) validate the declared constants by sampling.
+The registered checks of :mod:`qopt.checks` certify the declared constants by
+sampling.
 
 Catalogue entries
 -----------------
@@ -35,9 +35,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericalFailureError, PreconditionError
-from .sets import (MEMBERSHIP_TOL, Box, FeasibleSet, _dot, _is_finite_point, _norm, as_point,
-                   is_int, set_from_spec)
+from .errors import InvalidArgumentError, NumericalFailureError
+from .sets import (MEMBERSHIP_TOL, Box, FeasibleSet, _dot, _is_finite_point, as_point, is_int,
+                   set_from_spec)
 
 
 class OracleCounter:
@@ -137,99 +137,6 @@ def finite_diff_gradient(obj, x, h):
         e[i] = h
         out[i] = (obj.evaluator(x + e)[0] - obj.evaluator(x - e)[0]) / (2.0 * h)
     return out
-
-
-def sample_feasible(set_, n, seed=0):
-    """Sample check points: a deterministic grid in 1-D boxes, seeded uniform draws otherwise."""
-    if isinstance(set_, Box) and set_.dimension == 1:
-        return set_.grid(n)
-    rng = np.random.default_rng(seed)
-    return set_.sample(rng, n)
-
-
-def sample_pairs(set_, n):
-    """Two seeded draws of ``n`` feasible points from one generator: the pairs of a secant check."""
-    rng = np.random.default_rng(0)
-    return set_.sample(rng, n), set_.sample(rng, n)
-
-
-def check_quasar_convexity(obj, samples, gamma=None):
-    """Measure the worst quasar-convexity violation on sampled feasible points.
-
-    The violation at ``x`` is ``f(x) + (1/gamma) * <grad f(x), x* - x> - f(x*)``;
-    nonpositive values certify the inequality on the sample.  A NaN violation
-    is reported as the worst.
-    """
-    gamma = obj.quasar_gamma if gamma is None else gamma
-    (worst,), count = _worst_quasar_violations(obj, samples, (gamma,))
-    return {"max_violation": float(worst), "samples": count}
-
-
-def _worst_quasar_violations(obj, samples, gammas):
-    """The worst quasar violation at each of ``gammas`` from one pass over the sample.
-
-    Queries the evaluator once at the center and once per sample point, and
-    returns ``(worst per gamma, number of points)``.  The first NaN violation
-    at a gamma stays its worst.
-    """
-    if obj.center is None:
-        raise PreconditionError("check_quasar_convexity requires a known center")
-    evaluator, center = obj.evaluator, obj.center
-    fstar = evaluator(center)[0]
-    pts = sample_feasible(obj.feasible_set, samples)
-    worst = [-np.inf] * len(gammas)
-    for x in pts:
-        fx, gx = evaluator(x)
-        inner = float(np.dot(gx, center - x))
-        for i, gamma in enumerate(gammas):
-            violation = fx + inner / gamma - fstar
-            if violation > worst[i] or violation != violation:
-                worst[i] = violation
-    return worst, len(pts)
-
-
-def check_smoothness(obj, samples):
-    """Measure the largest gradient secant ratio over sampled feasible pairs.
-
-    The ratio must not exceed ``obj.smoothness_L * (1 + rtol)`` for the
-    declared constant to be considered valid; the report's ``tolerance`` is
-    that absolute slack, ``obj.smoothness_L * rtol``.  A NaN ratio is reported
-    as the worst and fails the check.
-    """
-    if samples < 2:
-        raise InvalidArgumentError("check_smoothness needs at least two samples")
-    set_ = obj.feasible_set
-    evaluator = obj.evaluator
-    worst = 0.0
-    count = 0
-    if isinstance(set_, Box) and set_.dimension == 1:
-        # Consecutive grid pairs share a point: each point is queried once and
-        # its gradient carried on to the next pair.
-        pts = set_.grid(samples)
-        u = pts[0]
-        gu = evaluator(u)[1]
-        for v in pts[1:]:
-            gv = evaluator(v)[1]
-            sep = _norm(u - v)
-            if not sep < 1e-12:
-                ratio = _norm(gu - gv) / sep
-                if ratio > worst or ratio != ratio:
-                    worst = ratio
-                count += 1
-            u, gu = v, gv
-    else:
-        for u, v in zip(*sample_pairs(set_, samples)):
-            sep = _norm(u - v)
-            if sep < 1e-12:
-                continue
-            ratio = _norm(evaluator(u)[1] - evaluator(v)[1]) / sep
-            if ratio > worst or ratio != ratio:
-                worst = ratio
-            count += 1
-    rtol = 1e-6
-    limit = obj.smoothness_L * (1.0 + rtol)
-    return {"max_secant_ratio": worst, "limit": limit, "tolerance": obj.smoothness_L * rtol,
-            "passed": worst <= limit, "samples": count}
 
 
 # -- catalogue ---------------------------------------------------------------

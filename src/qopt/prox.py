@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalFailureError, PreconditionError
-from .objectives import OracleCounter, _query, evaluate, sample_feasible, sample_pairs
-from .sets import MEMBERSHIP_TOL, _dot, _norm, as_point
+from .objectives import _query, evaluate
+from .sets import MEMBERSHIP_TOL, _dot, as_point
 
 
 @dataclass
@@ -170,186 +170,3 @@ def _solve(obj, x, consts, counter, at_x=None):
         last_iterate=y,
         diagnostics={"cap": consts.cap, "delta": consts.delta, "threshold": threshold},
     )
-
-
-# -- property checks -----------------------------------------------------------
-
-
-def check_prox_conditioning(obj, samples):
-    """Verify the strong-convexity/smoothness bracket of the prox subproblem.
-
-    For feasible secant pairs (u, v), the subproblem gradient satisfies
-    ``L ||u-v||^2 <= <grad F(u) - grad F(v), u - v> <= 3 L ||u-v||^2``
-    whenever the declared L really bounds the objective's curvature.  The
-    bracket is independent of the prox center, which cancels in differences.
-    Each end gets relative slack ``rtol``; the report's ``tolerance`` is the
-    absolute slack at the upper end, ``3 L rtol``.  A NaN ratio is reported at
-    both ends and fails the check.
-    """
-    L = obj.smoothness_L
-    lam = default_lambda(obj)
-    evaluator = obj.evaluator
-    lo, hi = np.inf, -np.inf
-    count = 0
-    for u, v in zip(*sample_pairs(obj.feasible_set, samples)):
-        d = u - v
-        sep2 = float(np.dot(d, d))
-        if sep2 < 1e-18:
-            continue
-        gu = evaluator(u)[1] + u / lam
-        gv = evaluator(v)[1] + v / lam
-        ratio = float(np.dot(gu - gv, d)) / sep2
-        if ratio < lo or ratio != ratio:
-            lo = ratio
-        if ratio > hi or ratio != ratio:
-            hi = ratio
-        count += 1
-    rtol = 1e-8
-    passed = lo >= L * (1.0 - rtol) and hi <= 3.0 * L * (1.0 + rtol)
-    return {
-        "min_ratio": lo,
-        "max_ratio": hi,
-        "lower": L,
-        "upper": 3.0 * L,
-        "tolerance": 3.0 * L * rtol,
-        "passed": bool(passed),
-        "samples": count,
-    }
-
-
-# The envelope checks below solve at the points the sets sample, or at a
-# solve's own output, so they build the constants of each delta once and call
-# the trusted _solve; the public entry points keep validating.
-
-
-def check_moreau_quasar(obj, grid):
-    """Measure the worst quasar-convexity violation of the (near-exact) envelope.
-
-    Runs the prox at high accuracy as a stand-in for the exact envelope and
-    evaluates ``M(x) + (1/gamma) <grad M(x), x* - x> - M(x*)`` over sampled
-    feasible points.  A NaN violation is reported as the worst.
-    """
-    if obj.center is None:
-        raise PreconditionError("check_moreau_quasar requires a known center")
-    delta = 1e-12
-    consts = _ProxConstants(obj, delta)
-    counter = OracleCounter()
-    center, gamma = obj.center, obj.quasar_gamma
-    m_star = _solve(obj, center, consts, counter).envelope_value
-    pts = sample_feasible(obj.feasible_set, grid)
-    worst = -np.inf
-    for x in pts:
-        res = _solve(obj, x, consts, counter)
-        violation = (
-            res.envelope_value
-            + float(np.dot(res.envelope_gradient, center - x)) / gamma
-            - m_star
-        )
-        if violation > worst or violation != violation:
-            worst = violation
-    return {"max_violation": float(worst), "samples": len(pts), "delta": delta,
-            "oracle_calls": counter.calls}
-
-
-def check_descent_lemma(obj, x):
-    """Check the approximate-descent inequality of one inexact prox step.
-
-    With y the delta-prox of x, the envelope must satisfy
-    ``M~(y) - M~(x) <= -||grad M~(x)||^2 / (8 L) + delta``.
-    """
-    delta = 1e-8
-    x, consts = _checked(obj, x, delta)
-    counter = OracleCounter()
-    at_x = _solve(obj, x, consts, counter)
-    # The solve at x ended on the oracle's answer at y.
-    at_y = _solve(obj, at_x.y, consts, counter, (at_x.f_at_y, at_x.grad_at_y))
-    lhs = at_y.envelope_value - at_x.envelope_value
-    rhs = -float(np.dot(at_x.envelope_gradient, at_x.envelope_gradient)) / (
-        8.0 * obj.smoothness_L
-    ) + delta
-    return {"lhs": lhs, "rhs": rhs, "slack": lhs - rhs, "passed": bool(lhs <= rhs)}
-
-
-def check_envelope_smoothness(obj, samples):
-    """Measure secant ratios of the near-exact envelope gradient.
-
-    The envelope of the ``1/(2L)`` prox is ``2L``-smooth; ratios must stay
-    below ``2 L (1 + rtol)``, and the report's ``tolerance`` is that absolute
-    slack, ``2 L rtol``.  A NaN ratio is reported as the worst.
-    """
-    consts = _ProxConstants(obj, 1e-12)
-    min_sep = 0.02 * obj.feasible_set.diameter()
-    counter = OracleCounter()
-    worst = 0.0
-    count = 0
-    for u, v in zip(*sample_pairs(obj.feasible_set, samples)):
-        sep = _norm(u - v)
-        if sep < min_sep:
-            continue
-        gu = _solve(obj, u, consts, counter).envelope_gradient
-        gv = _solve(obj, v, consts, counter).envelope_gradient
-        ratio = _norm(gu - gv) / sep
-        if ratio > worst or ratio != ratio:
-            worst = ratio
-        count += 1
-    rtol = 1e-6
-    limit = 2.0 * obj.smoothness_L * (1.0 + rtol)
-    return {"max_secant_ratio": worst, "limit": limit, "tolerance": 2.0 * obj.smoothness_L * rtol,
-            "passed": worst <= limit, "samples": count}
-
-
-def check_stopping_soundness(obj, samples):
-    """Empirical certificate of delta-optimality of the stopping rule.
-
-    Re-solving each subproblem at ``delta/100`` must change the achieved
-    subproblem value by at most ``delta``.
-    """
-    delta = 1e-6
-    coarse_consts = _ProxConstants(obj, delta)
-    fine_consts = _ProxConstants(obj, delta / 100.0)
-    counter = OracleCounter()
-    pts = sample_feasible(obj.feasible_set, samples)
-    worst = 0.0
-    for x in pts:
-        coarse = _solve(obj, x, coarse_consts, counter)
-        fine = _solve(obj, x, fine_consts, counter)
-        worst = max(worst, abs(coarse.envelope_value - fine.envelope_value))
-    return {"max_value_shift": worst, "delta": delta, "passed": worst <= delta,
-            "samples": len(pts)}
-
-
-def check_gradient_error_bound(obj, samples):
-    """Check ``||grad M~_delta(x) - grad M~_ref(x)|| <= sqrt(8 L delta)``.
-
-    The reference gradient uses a near-exact prox (``delta = 1e-14``).
-    """
-    delta = 1e-6
-    coarse_consts = _ProxConstants(obj, delta)
-    ref_consts = _ProxConstants(obj, 1e-14)
-    counter = OracleCounter()
-    bound = math.sqrt(8.0 * obj.smoothness_L * delta)
-    pts = sample_feasible(obj.feasible_set, samples)
-    worst = 0.0
-    for x in pts:
-        coarse = _solve(obj, x, coarse_consts, counter).envelope_gradient
-        ref = _solve(obj, x, ref_consts, counter).envelope_gradient
-        worst = max(worst, _norm(coarse - ref))
-    return {"max_gradient_error": worst, "bound": bound, "passed": worst <= bound,
-            "samples": len(pts)}
-
-
-def fit_iteration_constant(obj, samples):
-    """Report the observed constant C in ``inner_iterations <= C log2(L D^2 / delta)``."""
-    deltas = (1e-4, 1e-8, 1e-12)
-    D = obj.feasible_set.diameter()
-    L = obj.smoothness_L
-    counter = OracleCounter()
-    pts = sample_feasible(obj.feasible_set, samples)
-    worst = 0.0
-    for delta in deltas:
-        consts = _ProxConstants(obj, delta)
-        denom = math.log2(max(L * D * D / delta, 4.0))
-        for x in pts:
-            res = _solve(obj, x, consts, counter)
-            worst = max(worst, res.inner_iterations / denom)
-    return {"fitted_constant": worst, "samples": samples, "deltas": list(deltas)}

@@ -24,6 +24,11 @@ FEASIBILITY_TOL = 1e-9
 #: with numpy splits a dot product across threads above 10,000 entries, and
 #: the split changes the summation order with the thread count.
 DOT_CHUNK = 10_000
+#: ``np.vdot`` without its dispatch layer: for 1-D float64 arrays with
+#: nonnegative strides, ``u.dot(v)`` bit for bit and at the same cost, but
+#: numpy does not turn the overflow flag of a finite sum of squares into a
+#: RuntimeWarning.
+_vdot = np.vdot.__wrapped__
 
 
 def is_int(value):
@@ -34,16 +39,19 @@ def is_int(value):
 def _dot(u, v):
     """``u.dot(v)`` for 1-D float64 arrays, in an order fixed by the length alone.
 
-    Up to ``DOT_CHUNK`` entries this is one ``u.dot(v)`` call, bit for bit.
-    Above that it sums the dots of consecutive ``DOT_CHUNK``-entry chunks in
-    order, so the result does not depend on the BLAS thread count.
+    Up to ``DOT_CHUNK`` entries this is one dot, bit for bit ``u.dot(v)``
+    for arrays with nonnegative strides (every array qopt builds); a reversed
+    view may differ in the last bits.  Above that it sums the dots of
+    consecutive ``DOT_CHUNK``-entry chunks in order, as Python floats, so the
+    result does not depend on the BLAS thread count.  An overflow gives
+    ``inf`` and no warning.
     """
     n = u.shape[0]
     if n <= DOT_CHUNK:
-        return u.dot(v)
-    total = u[:DOT_CHUNK].dot(v[:DOT_CHUNK])
+        return _vdot(u, v)
+    total = float(_vdot(u[:DOT_CHUNK], v[:DOT_CHUNK]))
     for i in range(DOT_CHUNK, n, DOT_CHUNK):
-        total += u[i:i + DOT_CHUNK].dot(v[i:i + DOT_CHUNK])
+        total += float(_vdot(u[i:i + DOT_CHUNK], v[i:i + DOT_CHUNK]))
     return total
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import qopt.accel
+import qopt.checks
 from qopt import (
     Box,
     ConfigError,
@@ -15,7 +16,6 @@ from qopt import (
     OracleCounter,
     PreconditionError,
     binary_line_search,
-    check_linesearch_certificates,
     compute_schedule,
     ftrl_step,
     make_catalogue_objective,
@@ -23,6 +23,7 @@ from qopt import (
     solve_prox_subproblem,
 )
 from qopt.accel import MAX_ITERATIONS, AccelIterate
+from qopt.checks import CERTIFICATE_ACCURACY_FACTOR, CheckResult, linesearch_certificate
 from qopt.prox import _ProxConstants
 from qopt.trace import Trace, trace_csv_lines
 
@@ -324,10 +325,12 @@ class TestRunAccelerated:
         with pytest.raises(PreconditionError):
             run_accelerated(quadratic, np.array([2.0, 0.0]), 1e-2, counter)
 
-    def test_certificates_on_small_run(self, quadratic):
-        rep = check_linesearch_certificates(quadratic, np.array([1.0, 1.0]), 1e-2)
-        assert rep["passed"]
-        assert rep["max_loops"] <= rep["loop_bound"]
+    def test_certificates_on_small_run(self):
+        # The quadratic_box instance is the catalogue quadratic from (1, 1).
+        result = linesearch_certificate("quadratic_box", 1e-2)
+        # Passing includes the halving budget: max loops <= bound.
+        assert result.passed
+        assert result.note.startswith("max loops 0 <= bound ")
 
     @pytest.mark.parametrize("name,x0", [("quadratic", [1.0, 1.0]), ("example1", [5.0])])
     def test_certificate_audit_solves_once_where_x_is_y_prev(self, name, x0, monkeypatch):
@@ -336,7 +339,7 @@ class TestRunAccelerated:
         trace = run_accelerated(obj, x0, 1e-3, OracleCounter(), observer=iterates.append)
         params = trace.header["params"]
         L, D, delta = params["L"], params["D"], params["delta"]
-        fine = delta / qopt.accel.CERTIFICATE_ACCURACY_FACTOR
+        fine = delta / CERTIFICATE_ACCURACY_FACTOR
         # The reference audit: two fine solves per iterate, whatever x_t is.
         worst = -np.inf
         for it in iterates:
@@ -348,15 +351,16 @@ class TestRunAccelerated:
             worst = max(worst, lhs - budget)
         loop_bound = math.ceil(math.log2(max(8.0 * L * D * D / delta, 2.0)))
         max_loops = max(it.loop_iterations for it in iterates)
-        reference = {"max_excess": float(worst), "max_loops": max_loops,
-                     "loop_bound": loop_bound, "calls": len(iterates),
-                     "passed": bool(worst <= 0.0 and max_loops <= loop_bound)}
+        instance = {"quadratic": "quadratic_box", "example1": "example1"}[name]
+        reference = CheckResult(f"linesearch_certificate:{instance}", float(worst), 0.0,
+                                bool(worst <= 0.0 and max_loops <= loop_bound), len(iterates),
+                                f"max loops {max_loops} <= bound {loop_bound}")
 
         solves = []
-        solve = qopt.accel._solve
-        monkeypatch.setattr(qopt.accel, "_solve",
+        solve = qopt.checks._solve
+        monkeypatch.setattr(qopt.checks, "_solve",
                             lambda *args: solves.append(args) or solve(*args))
-        assert check_linesearch_certificates(obj, x0, 1e-3) == reference
+        assert linesearch_certificate(instance, 1e-3) == reference
         # The audit's solves are the ones at the fine delta: one per new x_t
         # array (the filled iterates share one) and one per y_{t-1} that is
         # not x_t itself.

@@ -10,9 +10,8 @@ the run log (use ``pytest -s tests/test_acceptance.py`` to see them live).
 import time
 
 from qopt import make_catalogue_objective
-from qopt.checks import verify
-from qopt.objectives import CATALOGUE_NAMES, sample_feasible
-from qopt.prox import check_descent_lemma
+from qopt.checks import prox_descent, sample_feasible, verify
+from qopt.objectives import CATALOGUE_NAMES
 
 
 def report(criterion, passed, detail):
@@ -64,16 +63,15 @@ def test_criterion_04_envelope_quasar_convexity():
 
 
 def test_criterion_05_prox_descent():
-    failures = 0
-    total = 0
+    # The prox_descent check on 50 seed-11 points of every catalogue entry
+    # (the registered checks draw seed 0; a 1-D box samples its grid).
+    results = []
     for name in CATALOGUE_NAMES:
         obj = make_catalogue_objective(name)
-        for x in sample_feasible(obj.feasible_set, 50, seed=11):
-            total += 1
-            if not check_descent_lemma(obj, x)["passed"]:
-                failures += 1
-    report("criterion-5 prox descent inequality", failures == 0,
-           f"{failures} failures over {total} points (50 per objective)")
+        results.append(prox_descent(obj, sample_feasible(obj.feasible_set, 50, seed=11)))
+    report("criterion-5 prox descent inequality", all(r.passed for r in results),
+           "; ".join(f"{r.name}: worst {r.max_violation:.3e}, n {r.samples} ({r.note})"
+                     for r in results))
 
 
 def test_criterion_06_linesearch_certificates():

@@ -17,10 +17,12 @@ from qopt import (
     run_frank_wolfe,
     run_pgd,
 )
-from qopt.baselines import (
-    check_fw_feasibility_and_weights,
-    check_mapping_descent,
-    check_mapping_inequality,
+from qopt.checks import (
+    FW_FEASIBILITY_TOL,
+    FW_WEIGHT_TOL,
+    fw_dynamics,
+    pgd_descent_step,
+    pgd_mapping_bound,
 )
 from qopt.objectives import evaluate
 from qopt.trace import Trace, trace_csv_lines
@@ -295,7 +297,7 @@ class TestFrankWolfe:
         obj = simplex_quadratic()
         x0 = np.array([0.2, 0.3, 0.5])
         trace = run_frank_wolfe(obj, x0, 10, counter)
-        check_fw_feasibility_and_weights(obj, x0, 10)
+        fw_dynamics((obj, x0), 10)
         np.testing.assert_array_equal(x0, [0.2, 0.3, 0.5])
         assert trace.header["x0"] == [0.2, 0.3, 0.5]
 
@@ -328,9 +330,9 @@ class TestFrankWolfe:
 
     def test_feasibility_and_weight_identity(self):
         obj = simplex_quadratic()
-        rep = check_fw_feasibility_and_weights(obj, np.array([1.0, 0.0, 0.0]), 500)
-        assert rep["passed"]
-        assert rep["max_weight_mismatch"] <= 1e-12
+        result = fw_dynamics((obj, np.array([1.0, 0.0, 0.0])), 500)
+        assert result.passed
+        assert result.max_violation <= 0.0
 
     def test_weight_identity_replays_the_solver_step(self, monkeypatch):
         steps = {"n": 0}
@@ -341,8 +343,7 @@ class TestFrankWolfe:
             return step(self, x, g, keep, weight)
 
         monkeypatch.setattr(Simplex, "_step_toward_vertex", counted)
-        rep = check_fw_feasibility_and_weights(simplex_quadratic(), np.array([1.0, 0.0, 0.0]), 40)
-        assert rep["passed"]
+        assert fw_dynamics((simplex_quadratic(), np.array([1.0, 0.0, 0.0])), 40).passed
         assert steps["n"] == 40
 
     def test_weight_identity_audits_one_real_run(self, monkeypatch):
@@ -354,9 +355,9 @@ class TestFrankWolfe:
             return run(*args, **kwargs)
 
         monkeypatch.setattr(qopt.baselines, "run_frank_wolfe", counted)
-        rep = check_fw_feasibility_and_weights(simplex_quadratic(), np.array([1.0, 0.0, 0.0]), 40)
+        assert fw_dynamics((simplex_quadratic(), np.array([1.0, 0.0, 0.0])), 40).passed
         assert runs == [40]
-        assert (rep["tolerance"], rep["weight_tolerance"]) == (1e-10, 1e-12)
+        assert (FW_FEASIBILITY_TOL, FW_WEIGHT_TOL) == (1e-10, 1e-12)
 
     @pytest.mark.parametrize("name", ["quadratic_simplex", "example1"])
     def test_observer_sees_every_row(self, name, counter):
@@ -431,12 +432,12 @@ class TestMappingProperties:
     @pytest.mark.parametrize("name", ["quadratic", "example1", "glm_sigmoid"])
     def test_mapping_inequality(self, name):
         obj = make_catalogue_objective(name)
-        assert check_mapping_inequality(obj, trials=300)["passed"]
+        assert pgd_mapping_bound([obj], trials=300).passed
 
     @pytest.mark.parametrize("name", ["quadratic", "example1", "glm_sigmoid"])
     def test_mapping_descent(self, name):
         obj = make_catalogue_objective(name)
-        assert check_mapping_descent(obj, trials=300)["passed"]
+        assert pgd_descent_step([obj], trials=300).passed
 
 
 class TestGammaFreeExecution:

@@ -345,6 +345,18 @@ class TestVerifySubsets:
                          "gamma_free_baselines"])
         assert report.overall
 
+    def test_registered_names_are_the_pinned_table_rows(self):
+        # Runs no check: the names and order of tests/data/verify_stdout.txt,
+        # header and overall line aside.
+        lines = (Path(__file__).parent / "data" / "verify_stdout.txt").read_text().splitlines()
+        assert available_checks() == [line.split()[0] for line in lines[1:-1]]
+
+
+def test_every_exported_name_resolves_once():
+    assert len(set(qopt.__all__)) == len(qopt.__all__)
+    for name in qopt.__all__:
+        assert getattr(qopt, name) is not None, name
+
 
 class TestCLI:
     def write_config(self, tmp_path, config):

@@ -11,8 +11,6 @@ from qopt import (
     Objective,
     OracleCounter,
     PreconditionError,
-    check_quasar_convexity,
-    check_smoothness,
     evaluate,
     finite_diff_gradient,
     make_catalogue_objective,
@@ -21,7 +19,7 @@ from qopt import (
     run_pgd,
     solve_prox_subproblem,
 )
-from qopt.baselines import check_fw_feasibility_and_weights
+from qopt.checks import _worst_quasar_violations, fw_dynamics, quasar_certificate, smoothness
 from qopt.sets import _dot
 from qopt.trace import trace_csv_lines
 
@@ -85,15 +83,21 @@ class TestEvaluate:
             evaluate(quadratic, np.array([np.inf, 0.0]), counter)
         assert counter.calls == 0
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in dot")
     def test_finite_point_whose_squares_overflow_is_queried(self, counter):
-        # The sum of squares overflows (numpy reports it), so the check falls
+        # The sum of squares overflows, with no warning, so the check falls
         # back to the entrywise scan, which finds every entry finite.
         obj = Objective("sum", lambda x: (float(x.sum()), np.ones_like(x)), 1.0, 1.0,
                         Box([-1.0, -1.0], [1.0, 1.0]))
         f, grad = evaluate(obj, np.array([1e200, -1e200]), counter)
         assert f == 0.0 and counter.calls == 1
         np.testing.assert_array_equal(grad, [1.0, 1.0])
+
+    def test_quadratic_value_that_overflows_is_a_numerical_failure(self, quadratic, counter):
+        # Both sums of squares, the finite-point test's and the oracle's own,
+        # overflow to inf without a warning; the value inf is then rejected.
+        with pytest.raises(NumericalFailureError, match="non-finite value inf"):
+            evaluate(quadratic, np.array([1e155, 1e155]), counter)
+        assert counter.calls == 1
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     def test_non_finite_value_is_a_numerical_failure(self, value, counter):
@@ -141,18 +145,16 @@ class TestFiniteDifferences:
 
 class TestQuasarConvexityCheck:
     def test_example1_certificate(self, example1):
-        rep = check_quasar_convexity(example1, 10_000)
-        assert rep["max_violation"] <= 1e-9
-        assert rep["samples"] == 10_000
+        result = quasar_certificate(example1, 10_000)
+        assert result.max_violation <= 1e-9
+        assert result.samples == 10_000
 
     def test_quadratic_is_star_convex(self, quadratic):
-        rep = check_quasar_convexity(quadratic, 2_000)
-        assert rep["max_violation"] <= 0.0
+        assert quasar_certificate(quadratic, 2_000).max_violation <= 0.0
 
     def test_counterexample_violates_for_any_gamma(self, fig1):
-        for gamma in (0.1, 0.5, 1.0):
-            rep = check_quasar_convexity(fig1, 10_000, gamma=gamma)
-            assert rep["max_violation"] > 0.0
+        worst, _ = _worst_quasar_violations(fig1, 10_000, (0.1, 0.5, 1.0))
+        assert min(worst) > 0.0
 
     def test_counterexample_violation_at_stationary_point(self, fig1):
         # A stationary point above the minimum violates the inequality for
@@ -170,29 +172,30 @@ class TestQuasarConvexityCheck:
             feasible_set=quadratic.feasible_set,
         )
         with pytest.raises(PreconditionError):
-            check_quasar_convexity(anonymous, 10)
+            quasar_certificate(anonymous, 10)
 
 
 class TestSmoothnessCheck:
     def test_quadratic_ratio_is_one(self, quadratic):
-        rep = check_smoothness(quadratic, 500)
-        assert rep["max_secant_ratio"] == pytest.approx(1.0, abs=1e-12)
-        assert rep["passed"]
+        # The violation is the worst secant ratio minus L = 1.
+        result = smoothness(quadratic, 500)
+        assert result.max_violation == pytest.approx(0.0, abs=1e-12)
+        assert result.passed
 
     def test_affine_ratio_is_zero(self):
         obj = make_catalogue_objective("affine_plus_quadratic", {"q": 0.0})
-        rep = check_smoothness(obj, 500)
-        assert rep["max_secant_ratio"] == 0.0
+        # Every secant ratio is 0; the declared L is 1.
+        assert smoothness(obj, 500).max_violation == -1.0
 
     def test_example1_within_declared_constant(self, example1):
-        rep = check_smoothness(example1, 10_000)
-        assert rep["passed"]
+        result = smoothness(example1, 10_000)
+        assert result.passed
         # The dense scan of the second derivative peaks at about 1.88562.
-        assert rep["max_secant_ratio"] == pytest.approx(1.88562, abs=1e-3)
+        assert result.max_violation + example1.smoothness_L == pytest.approx(1.88562, abs=1e-3)
 
     def test_sample_count_validated(self, quadratic):
         with pytest.raises(InvalidArgumentError):
-            check_smoothness(quadratic, 1)
+            smoothness(quadratic, 1)
 
 
 class TestCatalogue:
@@ -299,14 +302,12 @@ class TestCatalogue:
         for name in ("quadratic", "affine_plus_quadratic", "example1",
                      "fig1_counterexample", "glm_sigmoid"):
             obj = make_catalogue_objective(name)
-            rep = check_smoothness(obj, 2_000)
-            assert rep["passed"], name
+            assert smoothness(obj, 2_000).passed, name
 
     def test_certifiable_entries_pass_quasar_check(self):
         for name in ("quadratic", "affine_plus_quadratic", "example1", "glm_sigmoid"):
             obj = make_catalogue_objective(name)
-            rep = check_quasar_convexity(obj, 4_000)
-            assert rep["max_violation"] <= 1e-9, name
+            assert quasar_certificate(obj, 4_000).max_violation <= 1e-9, name
 
 
 def read_only_oracle(obj):
@@ -372,8 +373,7 @@ class TestOracleArraysAreNeverWritten:
         obj = quadratic_on("simplex", n, False)
         x0 = obj.feasible_set.canonical_vertex()
         T = 30 if n > 3 else 200
-        assert (check_fw_feasibility_and_weights(read_only_oracle(obj), x0, T)
-                == check_fw_feasibility_and_weights(obj, x0, T))
+        assert fw_dynamics((read_only_oracle(obj), x0), T) == fw_dynamics((obj, x0), T)
 
     @pytest.mark.parametrize("solver", ["pgd", "frank_wolfe", "accelerated"])
     def test_caller_x0_is_never_written_nor_returned(self, solver):

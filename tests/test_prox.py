@@ -13,24 +13,22 @@ from qopt import (
     Objective,
     OracleCounter,
     PreconditionError,
-    check_descent_lemma,
-    check_moreau_quasar,
-    check_prox_conditioning,
     default_lambda,
     make_catalogue_objective,
     run_accelerated,
     solve_prox_subproblem,
 )
-from qopt.objectives import evaluate, sample_feasible
-from qopt.prox import (
-    ProxResult,
-    _ProxConstants,
-    _solve,
-    check_envelope_smoothness,
-    check_gradient_error_bound,
-    check_stopping_soundness,
-    iteration_cap,
+from qopt.checks import (
+    moreau_quasar,
+    moreau_smoothness,
+    prox_conditioning,
+    prox_descent,
+    prox_gradient_error,
+    prox_stopping,
+    sample_feasible,
 )
+from qopt.objectives import evaluate
+from qopt.prox import ProxResult, _ProxConstants, _solve, iteration_cap
 from qopt.trace import trace_csv_lines
 
 
@@ -224,34 +222,32 @@ class TestMoreauOps:
 
 class TestConditioning:
     def test_quadratic_secant_is_exactly_3L(self, quadratic):
-        rep = check_prox_conditioning(quadratic, samples=500)
-        assert rep["min_ratio"] == pytest.approx(3.0, abs=1e-9)
-        assert rep["max_ratio"] == pytest.approx(3.0, abs=1e-9)
-        assert rep["passed"]
+        result = prox_conditioning(quadratic, samples=500)
+        # The violation is the larger of L - min ratio and max ratio - 3L.
+        assert result.max_violation == pytest.approx(0.0, abs=1e-9)
+        assert result.note == "secant bracket [3.00000, 3.00000] within [1.00000, 3.00000]"
+        assert result.passed
 
     def test_affine_secant_is_exactly_2L(self):
         obj = make_catalogue_objective("affine_plus_quadratic", {"q": 0.0})
-        rep = check_prox_conditioning(obj, samples=500)
-        # Only the regularizer contributes: 1/lam = 2L.
-        assert rep["min_ratio"] == pytest.approx(2.0, abs=1e-12)
-        assert rep["max_ratio"] == pytest.approx(2.0, abs=1e-12)
+        result = prox_conditioning(obj, samples=500)
+        # Only the regularizer contributes: 1/lam = 2L, one L inside each end.
+        assert result.max_violation == pytest.approx(-1.0, abs=1e-12)
+        assert result.note == "secant bracket [2.00000, 2.00000] within [1.00000, 3.00000]"
 
     def test_example1_bracket(self, example1):
-        rep = check_prox_conditioning(example1, samples=10_000)
-        assert rep["passed"]
-        L = example1.smoothness_L
-        assert rep["min_ratio"] >= L * (1 - 1e-8)
-        assert rep["max_ratio"] <= 3 * L * (1 + 1e-8)
+        result = prox_conditioning(example1, samples=10_000)
+        # Passing means min ratio >= L (1 - 1e-8) and max ratio <= 3 L (1 + 1e-8).
+        assert result.passed
+        assert result.tolerance == 3 * example1.smoothness_L * 1e-8
 
 
 class TestEnvelopeProperties:
     def test_envelope_quasar_convexity(self, example1):
-        rep = check_moreau_quasar(example1, grid=400)
-        assert rep["max_violation"] <= 1e-6
+        assert moreau_quasar(example1, 1e-6, grid=400).max_violation <= 1e-6
 
     def test_envelope_quasar_quadratic(self, quadratic):
-        rep = check_moreau_quasar(quadratic, grid=400)
-        assert rep["max_violation"] <= 1e-8
+        assert moreau_quasar(quadratic, 1e-8, grid=400).max_violation <= 1e-8
 
     def test_envelope_requires_center(self, quadratic):
         anonymous = Objective(
@@ -259,35 +255,33 @@ class TestEnvelopeProperties:
             quasar_gamma=1.0, feasible_set=quadratic.feasible_set,
         )
         with pytest.raises(PreconditionError):
-            check_moreau_quasar(anonymous, grid=10)
+            moreau_quasar(anonymous, 1e-8, grid=10)
 
     def test_envelope_smoothness(self, example1):
-        rep = check_envelope_smoothness(example1, samples=60)
-        assert rep["passed"]
+        assert moreau_smoothness(example1, samples=60).passed
 
     def test_descent_inequality_at_interior_point(self, quadratic_1d):
-        rep = check_descent_lemma(quadratic_1d, np.array([0.9]))
-        assert rep["passed"]
-        assert rep["slack"] < -1e-4  # strict descent away from the solution
+        result = prox_descent(quadratic_1d, [np.array([0.9])])
+        assert result.passed
+        assert result.max_violation < -1e-4  # strict descent away from the solution
 
     def test_descent_at_center(self, quadratic_1d):
-        rep = check_descent_lemma(quadratic_1d, np.array([0.0]))
-        assert rep["passed"]
-        assert abs(rep["lhs"]) <= 1e-8
+        result = prox_descent(quadratic_1d, [np.array([0.0])])
+        assert result.passed
+        # The envelope gradient vanishes at the center, so the slack is
+        # lhs - delta, delta = 1e-8: |lhs| <= 1e-8.
+        assert abs(result.max_violation + 1e-8) <= 1e-8
 
     def test_descent_on_random_points(self, example1):
         rng = np.random.default_rng(3)
-        for _ in range(10):
-            x = np.array([rng.uniform(-5, 5)])
-            assert check_descent_lemma(example1, x)["passed"]
+        result = prox_descent(example1, [np.array([rng.uniform(-5, 5)]) for _ in range(10)])
+        assert result.passed and result.samples == 10
 
     def test_stopping_soundness(self, example1):
-        rep = check_stopping_soundness(example1, samples=20)
-        assert rep["passed"]
+        assert prox_stopping(example1, samples=20).passed
 
     def test_gradient_error_bound_property(self, example1):
-        rep = check_gradient_error_bound(example1, samples=30)
-        assert rep["passed"]
+        assert prox_gradient_error(example1, samples=30).passed
 
 
 class TestBallSetProx:

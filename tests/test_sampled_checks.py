@@ -4,8 +4,9 @@ The checks call the trusted private bodies (``prox._solve``, ``sets._norm``,
 ``FeasibleSet._project``/``_lmo``) on points the sets sampled or the solvers
 produced, and query each sample point once.  The references below are the
 earlier loop bodies, which went through the public, validating entry points
-and ``np.linalg.norm``; every report field must match them bit for bit.  A NaN
-sample must fail a check instead of being skipped by its ``max``/``min``.
+and ``np.linalg.norm``; every field of a check's :class:`CheckResult` must
+match the one derived from its reference, bit for bit.  A NaN sample must fail
+a check instead of being skipped by its ``max``/``min``.
 """
 
 import dataclasses
@@ -20,28 +21,36 @@ import qopt.prox
 from qopt import (
     Ball,
     Box,
+    CheckResult,
     OracleCounter,
     PreconditionError,
     Simplex,
-    check_descent_lemma,
-    check_linesearch_certificates,
-    check_moreau_quasar,
-    check_prox_conditioning,
-    check_quasar_convexity,
-    check_smoothness,
     default_lambda,
     evaluate,
     finite_diff_gradient,
     make_catalogue_objective,
     solve_prox_subproblem,
 )
-from qopt.baselines import MAPPING_TOL, check_mapping_descent, check_mapping_inequality
-from qopt.objectives import _worst_quasar_violations, sample_feasible, sample_pairs
-from qopt.prox import (
-    check_envelope_smoothness,
-    check_gradient_error_bound,
-    check_stopping_soundness,
-    fit_iteration_constant,
+from qopt.checks import (
+    MAPPING_TOL,
+    _worst_quasar_violations,
+    fw_dynamics,
+    gradient_consistency,
+    linesearch_certificate,
+    moreau_quasar,
+    moreau_smoothness,
+    pgd_descent_step,
+    pgd_mapping_bound,
+    prox_conditioning,
+    prox_descent,
+    prox_gradient_error,
+    prox_iteration_budget,
+    prox_stopping,
+    quasar_certificate,
+    quasar_counterexample,
+    sample_feasible,
+    sample_pairs,
+    smoothness,
 )
 
 # -- the references: the loop bodies before the checks used the trusted path --
@@ -258,7 +267,7 @@ def ref_lmo(set_, g):
 
 
 def bits(value):
-    """A report value with every float as its ``float.hex`` (NaN included)."""
+    """A value with every float as its ``float.hex`` (NaN included)."""
     if isinstance(value, dict):
         return {key: bits(v) for key, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -270,6 +279,12 @@ def bits(value):
 
 def assert_same_report(actual, expected):
     assert bits(actual) == bits(expected)
+
+
+def assert_result(result, *expected):
+    """Every field of ``result``, bit for bit: name, max_violation, tolerance,
+    passed, samples and note."""
+    assert bits(dataclasses.astuple(result)) == bits(expected)
 
 
 def audited(obj):
@@ -290,12 +305,16 @@ QUASAR_ENTRIES = ["quadratic", "affine_plus_quadratic", "example1", "glm_sigmoid
 ALL_ENTRIES = QUASAR_ENTRIES + ["fig1_counterexample"]
 PROX_ENTRIES = ["quadratic", "example1"]
 MAPPING_ENTRIES = ["quadratic", "example1", "glm_sigmoid"]
+#: The registered moreau_quasar tolerance of each entry.
+MOREAU_QUASAR_TOL = {"quadratic": 1e-8, "example1": 1e-6}
 
 
 @pytest.mark.parametrize("name", QUASAR_ENTRIES)
 def test_quasar_convexity_matches_reference(name):
     obj = make_catalogue_objective(name)
-    assert_same_report(check_quasar_convexity(obj, 10_000), ref_quasar_convexity(obj, 10_000))
+    ref = ref_quasar_convexity(obj, 10_000)
+    assert_result(quasar_certificate(obj, 10_000), f"quasar_certificate:{name}",
+                  ref["max_violation"], 1e-9, ref["max_violation"] <= 1e-9, ref["samples"], "")
 
 
 def test_counterexample_gammas_from_one_pass():
@@ -306,89 +325,122 @@ def test_counterexample_gammas_from_one_pass():
     assert count == n
     expected = [ref_quasar_convexity(obj, n, gamma)["max_violation"] for gamma in gammas]
     assert_same_report(worst, expected)
-    # The registered check reports the least of the three, over 3 n samples.
-    result = qopt.checks._quasar_counterexample()
-    assert_same_report(dataclasses.astuple(result), (
-        "quasar_counterexample:fig1_counterexample", min(expected), 0.0, min(expected) > 0.0,
-        3 * n, "passes iff every gamma in {0.1, 0.5, 1} violates"))
+    # The check reports the least of the three, over 3 n samples.
+    assert_result(quasar_counterexample(obj, n), "quasar_counterexample:fig1_counterexample",
+                  min(expected), 0.0, min(expected) > 0.0, 3 * n,
+                  "passes iff every gamma in {0.1, 0.5, 1} violates")
 
 
 @pytest.mark.parametrize("name", ALL_ENTRIES)
 def test_smoothness_matches_reference(name):
     obj, calls = audited(make_catalogue_objective(name))
     n = 10_000 if obj.dimension == 1 else 2_000
-    report = check_smoothness(obj, n)
+    result = smoothness(obj, n)
     if obj.dimension == 1:
-        # Consecutive grid pairs share a point, queried once: n calls, not 2(n - 1).
+        # Consecutive grid pairs share a point, queried once: n calls.
         assert calls[0] == n
-    assert_same_report(report, ref_smoothness(obj, n))
+    ref = ref_smoothness(obj, n)
+    L = obj.smoothness_L
+    assert_result(result, f"smoothness:{name}", ref["max_secant_ratio"] - L, ref["tolerance"],
+                  ref["passed"], ref["samples"], f"max ratio {ref['max_secant_ratio']:.6f} vs L={L}")
 
 
 def test_smoothness_grid_query_count_is_the_grid_size():
     obj, calls = audited(make_catalogue_objective("quadratic", {"dim": 1}))
     for n in (2, 3, 17):
         calls[0] = 0
-        assert check_smoothness(obj, n)["samples"] == n - 1
+        assert smoothness(obj, n).samples == n - 1
         assert calls[0] == n
 
 
 @pytest.mark.parametrize("name", PROX_ENTRIES)
 def test_prox_conditioning_matches_reference(name):
     obj = make_catalogue_objective(name)
-    assert_same_report(check_prox_conditioning(obj, 10_000), ref_prox_conditioning(obj, 10_000))
+    ref = ref_prox_conditioning(obj, 10_000)
+    lo, hi, lower, upper = ref["min_ratio"], ref["max_ratio"], ref["lower"], ref["upper"]
+    assert_result(prox_conditioning(obj, 10_000), f"prox_conditioning:{name}",
+                  max(lower - lo, hi - upper), ref["tolerance"], ref["passed"], ref["samples"],
+                  f"secant bracket [{lo:.5f}, {hi:.5f}] within [{lower:.5f}, {upper:.5f}]")
 
 
 @pytest.mark.parametrize("name", PROX_ENTRIES)
 def test_moreau_quasar_matches_reference(name):
     obj = make_catalogue_objective(name)
-    assert_same_report(check_moreau_quasar(obj, 300), ref_moreau_quasar(obj, 300))
+    ref = ref_moreau_quasar(obj, 300)
+    tol = MOREAU_QUASAR_TOL[name]
+    assert_result(moreau_quasar(obj, tol, 300), f"moreau_quasar:{name}", ref["max_violation"],
+                  tol, ref["max_violation"] <= tol, ref["samples"], "")
 
 
 @pytest.mark.parametrize("name", ALL_ENTRIES)
 def test_descent_lemma_matches_reference(name):
     obj = make_catalogue_objective(name)
-    for x in sample_feasible(obj.feasible_set, 10):
-        assert_same_report(check_descent_lemma(obj, x), ref_descent_lemma(obj, x))
+    points = sample_feasible(obj.feasible_set, 10)
+    refs = [ref_descent_lemma(obj, x) for x in points]
+    failures = sum(not ref["passed"] for ref in refs)
+    assert_result(prox_descent(obj, points), f"prox_descent:{name}",
+                  max(ref["slack"] for ref in refs), 0.0, failures == 0, 10,
+                  f"{failures} failures")
 
 
 @pytest.mark.parametrize("name", PROX_ENTRIES)
 def test_envelope_smoothness_matches_reference(name):
     obj = make_catalogue_objective(name)
-    assert_same_report(check_envelope_smoothness(obj, 100), ref_envelope_smoothness(obj, 100))
+    ref = ref_envelope_smoothness(obj, 100)
+    assert_result(moreau_smoothness(obj, 100), f"moreau_smoothness:{name}",
+                  ref["max_secant_ratio"] - 2.0 * obj.smoothness_L, ref["tolerance"],
+                  ref["passed"], ref["samples"],
+                  f"max envelope secant {ref['max_secant_ratio']:.5f} vs 2L")
 
 
 @pytest.mark.parametrize("name", PROX_ENTRIES)
 def test_stopping_soundness_matches_reference(name):
     obj = make_catalogue_objective(name)
-    assert_same_report(check_stopping_soundness(obj, 50), ref_stopping_soundness(obj, 50))
+    ref = ref_stopping_soundness(obj, 50)
+    shift, delta = ref["max_value_shift"], ref["delta"]
+    assert_result(prox_stopping(obj, 50), f"prox_stopping:{name}", shift - delta, 0.0,
+                  ref["passed"], ref["samples"], f"re-solve shift {shift:.2e} vs delta {delta:.0e}")
 
 
 @pytest.mark.parametrize("name", PROX_ENTRIES)
 def test_gradient_error_bound_matches_reference(name):
     obj = make_catalogue_objective(name)
-    assert_same_report(check_gradient_error_bound(obj, 100), ref_gradient_error_bound(obj, 100))
+    ref = ref_gradient_error_bound(obj, 100)
+    error, bound = ref["max_gradient_error"], ref["bound"]
+    assert_result(prox_gradient_error(obj, 100), f"prox_gradient_error:{name}", error - bound,
+                  0.0, ref["passed"], ref["samples"], f"max error {error:.2e} vs bound {bound:.2e}")
 
 
 @pytest.mark.parametrize("name", PROX_ENTRIES)
 def test_iteration_constant_matches_reference(name):
     obj = make_catalogue_objective(name)
-    assert_same_report(fit_iteration_constant(obj, 50), ref_iteration_constant(obj, 50))
+    fitted = ref_iteration_constant(obj, 50)["fitted_constant"]
+    assert_result(prox_iteration_budget([obj], 50), "prox_iteration_budget", fitted - 50.0, 0.0,
+                  fitted <= 50.0, 50,
+                  f"fitted iteration constant C={fitted:.2f} (iters <= C log2(L D^2/delta))")
 
 
 @pytest.mark.parametrize("name", MAPPING_ENTRIES)
 @pytest.mark.parametrize("check,reference", [
-    (check_mapping_inequality, ref_mapping_inequality),
-    (check_mapping_descent, ref_mapping_descent),
+    (pgd_mapping_bound, ref_mapping_inequality),
+    (pgd_descent_step, ref_mapping_descent),
 ], ids=["inequality", "descent"])
 def test_mapping_checks_match_reference(name, check, reference):
     obj = make_catalogue_objective(name)
-    assert_same_report(check(obj, 1000), reference(obj, 1000))
+    ref = reference(obj, 1000)
+    assert_result(check([obj], 1000), check.__name__, ref["max_excess"], ref["tolerance"],
+                  ref["passed"], ref["samples"], "")
 
 
 @pytest.mark.parametrize("name", ALL_ENTRIES)
 def test_gradient_consistency_matches_reference(name):
-    result = qopt.checks._gradient_consistency(name)
-    assert_same_report(result.max_violation, ref_gradient_consistency(make_catalogue_objective(name)))
+    worst = ref_gradient_consistency(make_catalogue_objective(name))
+    assert_result(gradient_consistency(name), f"gradient_consistency:{name}", worst, 1e-6,
+                  worst <= 1e-6, 100, "")
+
+
+#: The line-search instance of each catalogue entry and start point below.
+LINESEARCH_INSTANCES = {"quadratic": "quadratic_box", "example1": "example1"}
 
 
 @pytest.mark.parametrize("name,x0", [("quadratic", [1.0, 1.0]), ("example1", [5.0])])
@@ -401,8 +453,9 @@ def test_linesearch_audit_builds_its_constants_once(name, x0, monkeypatch):
         return constants(obj, delta)
 
     monkeypatch.setattr(qopt.accel, "_ProxConstants", counted)
-    rep = check_linesearch_certificates(make_catalogue_objective(name), np.array(x0), 1e-2)
-    assert rep["passed"]
+    monkeypatch.setattr(qopt.checks, "_ProxConstants", counted)
+    assert qopt.checks._instance(LINESEARCH_INSTANCES[name])[1].tolist() == x0
+    assert linesearch_certificate(LINESEARCH_INSTANCES[name], 1e-2).passed
     # One for the run, one for the audit's fine delta.
     assert len(built) == 2
 
@@ -445,55 +498,87 @@ def nan_quadratic():
     return nan_above_half(make_catalogue_objective("quadratic", {"dim": 1}))
 
 
+def assert_nan_fails(result):
+    assert math.isnan(result.max_violation)
+    assert result.passed is False
+
+
 def test_nan_samples_fail_quasar_convexity():
-    rep = check_quasar_convexity(nan_quadratic(), 1000)
-    assert math.isnan(rep["max_violation"])
+    assert_nan_fails(quasar_certificate(nan_quadratic(), 1000))
 
 
 def test_nan_samples_fail_smoothness():
-    rep = check_smoothness(nan_quadratic(), 1000)
-    assert math.isnan(rep["max_secant_ratio"])
-    assert rep["passed"] is False
+    assert_nan_fails(smoothness(nan_quadratic(), 1000))
 
 
 def test_nan_samples_fail_prox_conditioning():
-    rep = check_prox_conditioning(nan_quadratic(), 1000)
-    assert math.isnan(rep["min_ratio"]) and math.isnan(rep["max_ratio"])
-    assert rep["passed"] is False
+    result = prox_conditioning(nan_quadratic(), 1000)
+    assert_nan_fails(result)
+    assert result.note.startswith("secant bracket [nan, nan]")
 
 
-@pytest.mark.parametrize("check", [check_mapping_inequality, check_mapping_descent],
+@pytest.mark.parametrize("check", [pgd_mapping_bound, pgd_descent_step],
                          ids=["inequality", "descent"])
 def test_nan_samples_fail_mapping_checks(check):
-    rep = check(nan_quadratic(), 1000)
-    assert math.isnan(rep["max_excess"])
-    assert rep["passed"] is False
+    assert_nan_fails(check([nan_quadratic()], 1000))
 
 
-def test_nan_envelope_gradient_fails_envelope_smoothness(monkeypatch):
-    # A converged solve cannot return a NaN envelope gradient, so the solve
-    # is replaced by one that does above x = 0.5.
-    solve = qopt.prox._solve
+def poison_solve(monkeypatch, field, above):
+    """Make the checks' prox solve return a NaN ``field`` at every ``x[0] > above``.
+
+    A converged solve cannot return a NaN envelope, so the solve is replaced.
+    """
+    solve = qopt.checks._solve
 
     def poisoned(obj, x, *args):
         res = solve(obj, x, *args)
-        if x[0] > 0.5:
-            res = dataclasses.replace(res, envelope_gradient=np.array([math.nan]))
+        if x[0] > above:
+            res = dataclasses.replace(res, **{field: np.full_like(x, math.nan)
+                                              if field == "envelope_gradient" else math.nan})
         return res
 
-    monkeypatch.setattr(qopt.prox, "_solve", poisoned)
-    rep = check_envelope_smoothness(make_catalogue_objective("quadratic", {"dim": 1}), 200)
-    assert math.isnan(rep["max_secant_ratio"])
-    assert rep["passed"] is False
+    monkeypatch.setattr(qopt.checks, "_solve", poisoned)
 
 
-def test_nan_is_no_counterexample_violation(monkeypatch):
+def test_nan_envelope_gradient_fails_envelope_smoothness(monkeypatch):
+    poison_solve(monkeypatch, "envelope_gradient", 0.5)
+    assert_nan_fails(moreau_smoothness(make_catalogue_objective("quadratic", {"dim": 1}), 200))
+
+
+def test_nan_envelope_value_fails_prox_stopping(monkeypatch):
+    poison_solve(monkeypatch, "envelope_value", 4.0)
+    assert_nan_fails(prox_stopping("example1"))
+
+
+def test_nan_envelope_gradient_fails_prox_gradient_error(monkeypatch):
+    poison_solve(monkeypatch, "envelope_gradient", 4.0)
+    assert_nan_fails(prox_gradient_error("example1"))
+
+
+def test_nan_envelope_value_fails_linesearch_certificate(monkeypatch):
+    # Only the audit's fine solves are poisoned: the run itself is unchanged.
+    poison_solve(monkeypatch, "envelope_value", 4.0)
+    assert_nan_fails(linesearch_certificate("example1"))
+
+
+@pytest.mark.parametrize("poisoned", ["distance", "_lmo"], ids=["feasibility", "weights"])
+def test_nan_fails_fw_dynamics(poisoned, monkeypatch):
+    # A NaN distance of every iterate but the start vertex e_0 fails the
+    # feasibility test; a NaN vertex in the replay fails the weight identity
+    # (the solver's own simplex step does not call _lmo).
+    instance = (make_catalogue_objective("quadratic", {"set": {"kind": "simplex", "dimension": 3}}),
+                np.array([1.0, 0.0, 0.0]))
+    if poisoned == "distance":
+        monkeypatch.setattr(Simplex, "distance", lambda self, x: 0.0 if x[0] == 1.0 else math.nan)
+    else:
+        monkeypatch.setattr(Simplex, "_lmo", lambda self, g: np.full_like(g, math.nan))
+    assert_nan_fails(fw_dynamics(instance, 50))
+
+
+def test_nan_is_no_counterexample_violation():
     # Every finite sample still shows fig1's violations at all three gammas.
-    fig1 = nan_above_half(make_catalogue_objective("fig1_counterexample"))
-    monkeypatch.setattr(qopt.checks, "make_catalogue_objective", lambda name: fig1)
-    result = qopt.checks._quasar_counterexample()
-    assert math.isnan(result.max_violation)
-    assert result.passed is False
+    assert_nan_fails(quasar_counterexample(nan_above_half(
+        make_catalogue_objective("fig1_counterexample"))))
 
 
 @pytest.mark.parametrize("worst", [[math.nan, 0.3, 0.2], [0.3, math.nan, 0.2],
@@ -503,12 +588,10 @@ def test_nan_at_any_gamma_fails_the_counterexample(worst, monkeypatch):
     # NaN and leave the others finite.
     monkeypatch.setattr(qopt.checks, "_worst_quasar_violations",
                         lambda obj, samples, gammas: (worst, samples))
-    result = qopt.checks._quasar_counterexample()
-    assert math.isnan(result.max_violation)
-    assert result.passed is False
+    assert_nan_fails(quasar_counterexample("fig1_counterexample"))
 
 
-def test_nan_finite_difference_fails_gradient_consistency(monkeypatch):
+def test_nan_finite_difference_fails_gradient_consistency():
     # NaN only just right of one grid point, so every queried point is finite
     # and only the finite difference at that point, x + 1e-5, meets the NaN.
     quadratic = make_catalogue_objective("quadratic", {"dim": 1})
@@ -520,8 +603,4 @@ def test_nan_finite_difference_fails_gradient_consistency(monkeypatch):
             return math.nan, np.array([math.nan])
         return inner(x)
 
-    poisoned = dataclasses.replace(quadratic, evaluator=evaluator)
-    monkeypatch.setattr(qopt.checks, "make_catalogue_objective", lambda name: poisoned)
-    result = qopt.checks._gradient_consistency("quadratic")
-    assert math.isnan(result.max_violation)
-    assert result.passed is False
+    assert_nan_fails(gradient_consistency(dataclasses.replace(quadratic, evaluator=evaluator)))

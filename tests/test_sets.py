@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qopt import Ball, Box, InvalidArgumentError, NumericalFailureError, Simplex, set_from_spec
-from qopt.sets import as_point
+from qopt.sets import DOT_CHUNK, _dot, _is_finite_point, as_point
 
 
 def barycentric_grid(dim, scale, steps):
@@ -26,6 +26,31 @@ def sort_projection_reference(v, scale):
     rho = idx[u - (css - scale) / idx > 0][-1]
     tau = (css[rho - 1] - scale) / rho
     return np.maximum(v - tau, 0.0)
+
+
+class TestDot:
+    @pytest.mark.parametrize("n", [1, 2, 5, 1000, DOT_CHUNK])
+    def test_one_chunk_is_the_plain_dot(self, n, rng):
+        for scale in (1e-150, 1.0, 1e150):
+            u, v = rng.normal(size=(2, 3 * n)) * scale
+            assert float(_dot(u[:n], v[:n])).hex() == float(u[:n].dot(v[:n])).hex()
+            assert float(_dot(u[::3], v[::3])).hex() == float(u[::3].dot(v[::3])).hex()
+
+    def test_chunks_are_summed_in_order(self, rng):
+        u, v = rng.normal(size=(2, 3 * DOT_CHUNK + 7))
+        expected = 0.0
+        for i in range(0, len(u), DOT_CHUNK):
+            expected += float(u[i:i + DOT_CHUNK].dot(v[i:i + DOT_CHUNK]))
+        assert float(_dot(u, v)).hex() == expected.hex()
+
+    @pytest.mark.parametrize("n", [2, 3 * DOT_CHUNK])
+    def test_an_overflowing_sum_of_squares_is_inf_without_a_warning(self, n):
+        # Tier-1 turns a RuntimeWarning into an error.
+        x = np.full(n, 1e155)
+        assert _dot(x, x) == np.inf
+        assert _is_finite_point(x)
+        x[-1] = np.nan
+        assert not _is_finite_point(x)
 
 
 class TestProjection:
@@ -76,9 +101,8 @@ class TestProjection:
         ball = Ball([1.0, 0.0], 1.0)
         np.testing.assert_allclose(ball.project([3.0, 0.0]), [2.0, 0.0])
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in dot")
     def test_ball_projection_when_the_squared_norm_overflows(self):
-        # ||x - c||^2 overflows while x - c is finite (numpy reports it); the
+        # ||x - c||^2 overflows, with no warning, while x - c is finite; the
         # direction is kept.
         np.testing.assert_allclose(Ball([0.0, 0.0], 1.0).project([1e200, 1e200]),
                                    [np.sqrt(0.5), np.sqrt(0.5)], rtol=1e-15)
@@ -168,7 +192,6 @@ class TestLMO:
         boundary_values = 2.0 * (g[0] * np.cos(theta) + g[1] * np.sin(theta))
         assert float(g @ v) <= boundary_values.min() + 1e-8
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in dot")
     def test_ball_when_the_squared_norm_overflows(self):
         ball = Ball([0.0, 0.0], 1.0)
         for g in ([1e200, 1e200], [1.5e308, 1.5e308]):
@@ -275,7 +298,6 @@ class TestContains:
                 x = rng.normal(scale=2.0, size=2 if set_.kind != "simplex" else 3)
                 assert set_.contains(set_.project(x))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in dot")
     def test_ball_distance_when_the_squared_norm_overflows(self):
         ball = Ball([0.0, 0.0], 1.0)
         assert ball.distance([1e200, 1e200]) == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
