@@ -115,11 +115,9 @@ _INSTANCES = {
 }
 
 
-def _instance(instance):
-    """``(objective, x0)`` of an ``_INSTANCES`` name, or the given pair itself."""
-    if not isinstance(instance, str):
-        return instance
-    objective, params, x0 = _INSTANCES[instance]
+def _instance(name):
+    """``(objective, x0)`` of the ``_INSTANCES`` entry ``name``."""
+    objective, params, x0 = _INSTANCES[name]
     obj = make_catalogue_objective(objective, params)
     return obj, resolve_x0(obj.feasible_set, x0)
 
@@ -547,12 +545,13 @@ def pgd_descent_step(objectives, trials=1000):
 
 
 def fw_dynamics(instance, T=500):
-    """Observe ``run_frank_wolfe`` on ``instance`` for ``T`` steps: each ``x_t``
+    """Observe ``run_frank_wolfe`` on ``instance`` (an ``_INSTANCES`` name or an
+    ``(objective, x0)`` pair) for ``T`` steps: each ``x_t``
     (t >= 1) must be feasible within ``FW_FEASIBILITY_TOL`` and equal
     ``sum_{s<t} a_s v_s / A_t`` within ``FW_WEIGHT_TOL``, with ``a_s = 2s + 2``,
     ``A_t = t (t+1)`` and the dense vertex ``v_s = lmo(grad f(x_s))``.
     """
-    obj, x0 = _instance(instance)
+    obj, x0 = _instance(instance) if isinstance(instance, str) else instance
     set_ = obj.feasible_set
     x_avg = 0.0  # weighted by A_0 = 0; the first update makes it v_0
     A_prev = 0.0

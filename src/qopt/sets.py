@@ -24,10 +24,12 @@ FEASIBILITY_TOL = 1e-9
 #: with numpy splits a dot product across threads above 10,000 entries, and
 #: the split changes the summation order with the thread count.
 DOT_CHUNK = 10_000
-#: ``np.vdot`` without its dispatch layer: for 1-D float64 arrays with
-#: nonnegative strides, ``u.dot(v)`` bit for bit and at the same cost, but
-#: numpy does not turn the overflow flag of a finite sum of squares into a
-#: RuntimeWarning.
+#: numpy's C ``vdot``: for 1-D float64 arrays with nonnegative strides,
+#: ``u.dot(v)`` bit for bit.  The C implementation does not check the FP
+#: status flags, so the overflow of a finite sum of squares gives ``inf``
+#: without a RuntimeWarning; ``__wrapped__`` only skips the overhead of the
+#: ``np.vdot`` dispatch wrapper.  Both are numpy internals, not API:
+#: ``TestDot`` in ``tests/test_sets.py`` fails on a numpy that changes either.
 _vdot = np.vdot.__wrapped__
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import qopt.accel
+import qopt.checks
 import qopt.prox
 from qopt import (
     Box,
@@ -228,6 +229,14 @@ class TestConditioning:
         assert result.note == "secant bracket [3.00000, 3.00000] within [1.00000, 3.00000]"
         assert result.passed
 
+    def test_concave_secant_is_exactly_L(self, quadratic):
+        obj = dataclasses.replace(quadratic, evaluator=lambda x: (-0.5 * float(x @ x), -x))
+        result = prox_conditioning(obj, samples=500)
+        # Curvature -L puts every ratio at the lower end: L - min ratio ~ 0.
+        assert result.max_violation == pytest.approx(0.0, abs=1e-9)
+        assert result.note == "secant bracket [1.00000, 1.00000] within [1.00000, 3.00000]"
+        assert result.passed
+
     def test_affine_secant_is_exactly_2L(self):
         obj = make_catalogue_objective("affine_plus_quadratic", {"q": 0.0})
         result = prox_conditioning(obj, samples=500)
@@ -244,10 +253,13 @@ class TestConditioning:
 
 class TestEnvelopeProperties:
     def test_envelope_quasar_convexity(self, example1):
-        assert moreau_quasar(example1, 1e-6, grid=400).max_violation <= 1e-6
+        # At the registered tolerance, on a coarser grid.
+        tol = qopt.checks._CHECKS["moreau_quasar:example1"][2]
+        assert moreau_quasar(example1, tol, grid=400).max_violation <= tol
 
     def test_envelope_quasar_quadratic(self, quadratic):
-        assert moreau_quasar(quadratic, 1e-8, grid=400).max_violation <= 1e-8
+        tol = qopt.checks._CHECKS["moreau_quasar:quadratic"][2]
+        assert moreau_quasar(quadratic, tol, grid=400).max_violation <= tol
 
     def test_envelope_requires_center(self, quadratic):
         anonymous = Objective(

@@ -305,8 +305,6 @@ QUASAR_ENTRIES = ["quadratic", "affine_plus_quadratic", "example1", "glm_sigmoid
 ALL_ENTRIES = QUASAR_ENTRIES + ["fig1_counterexample"]
 PROX_ENTRIES = ["quadratic", "example1"]
 MAPPING_ENTRIES = ["quadratic", "example1", "glm_sigmoid"]
-#: The registered moreau_quasar tolerance of each entry.
-MOREAU_QUASAR_TOL = {"quadratic": 1e-8, "example1": 1e-6}
 
 
 @pytest.mark.parametrize("name", QUASAR_ENTRIES)
@@ -363,11 +361,25 @@ def test_prox_conditioning_matches_reference(name):
                   f"secant bracket [{lo:.5f}, {hi:.5f}] within [{lower:.5f}, {upper:.5f}]")
 
 
+def test_prox_conditioning_lower_end_matches_reference():
+    # With curvature -L every secant ratio sits at the lower end L, so the
+    # violation is L - min ratio and pins the least ratio bit for bit.
+    quadratic = make_catalogue_objective("quadratic")
+    obj = dataclasses.replace(quadratic, name="concave_quadratic",
+                              evaluator=lambda x: (-0.5 * float(np.dot(x, x)), -x))
+    ref = ref_prox_conditioning(obj, 500)
+    lo, hi = ref["min_ratio"], ref["max_ratio"]
+    assert ref["lower"] - lo > hi - ref["upper"]
+    assert_result(prox_conditioning(obj, 500), "prox_conditioning:concave_quadratic",
+                  ref["lower"] - lo, ref["tolerance"], ref["passed"], ref["samples"],
+                  f"secant bracket [{lo:.5f}, {hi:.5f}] within [1.00000, 3.00000]")
+
+
 @pytest.mark.parametrize("name", PROX_ENTRIES)
 def test_moreau_quasar_matches_reference(name):
     obj = make_catalogue_objective(name)
     ref = ref_moreau_quasar(obj, 300)
-    tol = MOREAU_QUASAR_TOL[name]
+    tol = qopt.checks._CHECKS[f"moreau_quasar:{name}"][2]
     assert_result(moreau_quasar(obj, tol, 300), f"moreau_quasar:{name}", ref["max_violation"],
                   tol, ref["max_violation"] <= tol, ref["samples"], "")
 
@@ -377,6 +389,10 @@ def test_descent_lemma_matches_reference(name):
     obj = make_catalogue_objective(name)
     points = sample_feasible(obj.feasible_set, 10)
     refs = [ref_descent_lemma(obj, x) for x in points]
+    for x, ref in zip(points, refs):
+        assert_result(prox_descent(obj, [x]), f"prox_descent:{name}", ref["slack"], 0.0,
+                      ref["passed"], 1, f"{int(not ref['passed'])} failures")
+    # Over all the points: the worst slack and the failure count.
     failures = sum(not ref["passed"] for ref in refs)
     assert_result(prox_descent(obj, points), f"prox_descent:{name}",
                   max(ref["slack"] for ref in refs), 0.0, failures == 0, 10,
