@@ -25,10 +25,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InvalidArgumentError, NumericalFailureError, PreconditionError
+from .errors import ConfigError, InvalidArgumentError, NumericalFailureError
 # perfbench/tracing.py wraps solve_prox_subproblem under this module's name too.
 from .prox import ProxResult, _ProxConstants, _solve, solve_prox_subproblem  # noqa: F401
-from .sets import MEMBERSHIP_TOL, _dot, as_point
+from .sets import _dot, as_point
 from .trace import TraceRecorder
 
 #: The most iterations an epsilon-derived schedule may ask for, accelerated or
@@ -89,20 +89,17 @@ class LineSearchResult:
 def binary_line_search(obj, y, z, c, delta, counter):
     """Find ``x = alpha y + (1 - alpha) z`` certified by the termination test.
 
-    Validates its inputs before any oracle call: ``y`` and ``z`` must be
-    feasible points of the objective's dimension (within ``MEMBERSHIP_TOL``),
-    ``c`` nonnegative, and ``_ProxConstants(obj, delta)`` checks ``delta``.
+    Validates its inputs before any oracle call: ``y`` and ``z`` pass
+    :meth:`FeasibleSet.checked_point`, ``c`` must be nonnegative, and
+    ``_ProxConstants(obj, delta)`` checks ``delta``.
     The termination slack ``epsilon_tilde(c)`` and the halving budget come
     from those constants.  The envelope oracles ``h`` and
     ``h_hat`` are realized through fresh prox solves at tolerance ``delta``;
     the prox result at the returned point is included so callers can reuse it
     as their next proximal step.
     """
-    y = as_point(y, obj.dimension)
-    z = as_point(z, obj.dimension)
-    for name, p in (("y", y), ("z", z)):
-        if not obj.feasible_set.contains(p, MEMBERSHIP_TOL):
-            raise PreconditionError(f"line-search endpoint {name} must be feasible")
+    y = obj.feasible_set.checked_point(y, "line-search endpoint y")
+    z = obj.feasible_set.checked_point(z, "line-search endpoint z")
     if not c >= 0:
         raise InvalidArgumentError("line-search constant c must be nonnegative")
     consts = _ProxConstants(obj, delta)
@@ -196,12 +193,8 @@ def run_accelerated(obj, x0, epsilon, counter, observer=None):
     ``AccelIterate(c_t, 0, y, y, z)`` per remaining ``t``, all sharing the
     frozen ``y`` and ``z`` arrays.
     """
-    if not epsilon > 0:
-        raise InvalidArgumentError("epsilon must be positive")
-    x0 = as_point(x0, obj.dimension)
     set_ = obj.feasible_set
-    if not set_.contains(x0, MEMBERSHIP_TOL):
-        raise PreconditionError("x0 must be feasible")
+    x0 = set_.checked_point(x0, "x0")
     params = compute_schedule(obj.quasar_gamma, obj.smoothness_L, set_.diameter(), epsilon)
     gamma, L, D, delta = params.gamma, params.L, params.D, params.delta
     y = x0.copy()

@@ -18,27 +18,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericalFailureError, PreconditionError
+from .errors import InvalidArgumentError, NumericalFailureError
 from .objectives import _query, evaluate
-from .sets import FEASIBILITY_TOL, _is_finite_point, as_point
+# perfbench/tracing.py counts as_point calls under this module's name too.
+from .sets import _is_finite_point, as_point  # noqa: F401
 from .trace import TraceRecorder
 
 #: The rate-envelope constant of each baseline (see the module docstring).
 RATE_CONSTANTS = {"pgd": 20.0, "frank_wolfe": 6.0}
 
 
-def _require_feasible(obj, x, name="x"):
-    x = as_point(x, obj.dimension)
-    if not obj.feasible_set.contains(x, FEASIBILITY_TOL):
-        raise PreconditionError(f"{name} must be feasible")
-    return x
-
-
 def gradient_mapping(obj, x, eta, counter):
     """Constrained gradient surrogate ``(x - proj(x - eta grad f(x))) / eta``."""
     if not eta > 0:
         raise InvalidArgumentError("step size eta must be positive")
-    x = _require_feasible(obj, x)
+    x = obj.feasible_set.checked_point(x, "x")
     _, grad = evaluate(obj, x, counter)
     return (x - obj.feasible_set.project(x - eta * grad)) / eta
 
@@ -54,7 +48,7 @@ def run_pgd(obj, x0, T, counter):
     once shown finite.  A box clip or a ball projection can turn a NaN step
     into a NaN point, which raises :class:`NumericalFailureError`.
     """
-    x = _require_feasible(obj, x0, "x0")
+    x = obj.feasible_set.checked_point(x0, "x0")
     set_ = obj.feasible_set
     eta = 1.0 / obj.smoothness_L
     with TraceRecorder("pgd", obj, {"T": T, "eta": eta}, x, counter) as rec:
@@ -95,7 +89,7 @@ def run_frank_wolfe(obj, x0, T, counter, observer=None):
     raises :class:`NumericalFailureError` on a non-finite gradient.  So the
     loop queries its later iterates through the trusted ``_query``.
     """
-    x = _require_feasible(obj, x0, "x0")
+    x = obj.feasible_set.checked_point(x0, "x0")
     set_ = obj.feasible_set
     with TraceRecorder("frank_wolfe", obj, {"T": T}, x, counter) as rec:
         f, grad = evaluate(obj, x, counter)

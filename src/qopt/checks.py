@@ -39,7 +39,7 @@ from .objectives import (
     finite_diff_gradient,
     make_catalogue_objective,
 )
-from .prox import _ProxConstants, _checked, _solve, default_lambda
+from .prox import _ProxConstants, _solve, default_lambda
 from .sets import Box, _norm
 
 #: How far a recorded gap may exceed its rate bound (baselines and accelerated).
@@ -347,16 +347,18 @@ def prox_descent(obj, points=None):
 
     With y the delta-prox of x (delta = 1e-8), the envelope must satisfy
     ``M~(y) - M~(x) <= -||grad M~(x)||^2 / (8 L) + delta``; the worst slack
-    (left minus right side) is reported.  Each point is validated.
+    (left minus right side) is reported.  Each point passes
+    :meth:`FeasibleSet.checked_point`.
     """
     obj = _objective(obj)
     if points is None:
         points = sample_feasible(obj.feasible_set, 50)
     delta = 1e-8
+    consts = _ProxConstants(obj, delta)
     worst = -np.inf
     failures = 0
     for x in points:
-        x, consts = _checked(obj, x, delta)
+        x = obj.feasible_set.checked_point(x, "prox_descent point")
         counter = OracleCounter()
         at_x = _solve(obj, x, consts, counter)
         # The solve at x ended on the oracle's answer at y.

@@ -36,8 +36,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalFailureError
-from .sets import (MEMBERSHIP_TOL, Box, FeasibleSet, _dot, _is_finite_point, as_point, is_int,
-                   set_from_spec)
+from .sets import Box, FeasibleSet, _dot, _is_finite_point, as_point, is_int, set_from_spec
 
 
 class OracleCounter:
@@ -77,7 +76,7 @@ class Objective:
             raise InvalidArgumentError("quasar_gamma must lie in (0, 1]")
         if self.center is not None:
             self.center = as_point(self.center, self.feasible_set.dimension)
-            if not self.feasible_set.contains(self.center, MEMBERSHIP_TOL):
+            if not self.feasible_set.contains(self.center):
                 raise InvalidArgumentError("declared center is not in the feasible set")
 
     @property
@@ -181,26 +180,26 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def _resolve_set(params, default):
-    spec = params.get("set")
-    if spec is None:
-        return default
-    if isinstance(spec, FeasibleSet):
-        return spec
-    return set_from_spec(spec)
-
-
 def _check_param_keys(name, params, allowed):
     extra = set(params) - set(allowed)
     if extra:
         raise InvalidArgumentError(f"objective '{name}' got unknown params {sorted(extra)}")
 
 
-def _dim_param(name, params):
+def _resolve_set(name, params):
+    """The set of an entry with ``dim`` and ``set`` params: the given set, or
+    the box ``[-1, 1]^dim``.  A ``dim`` that contradicts the given set is an error."""
     dim = params.get("dim", 2)
     if not is_int(dim):
         raise InvalidArgumentError(f"objective '{name}' param dim must be an integer, got {dim!r}")
-    return int(dim)
+    spec = params.get("set")
+    if spec is None:
+        return Box([-1.0] * dim, [1.0] * dim)
+    set_ = spec if isinstance(spec, FeasibleSet) else set_from_spec(spec)
+    if "dim" in params and dim != set_.dimension:
+        raise InvalidArgumentError(f"objective '{name}' param dim {dim} contradicts the "
+                                   f"dimension {set_.dimension} of its set")
+    return set_
 
 
 def make_catalogue_objective(name, params=None):
@@ -209,8 +208,7 @@ def make_catalogue_objective(name, params=None):
 
     if name == "quadratic":
         _check_param_keys(name, params, ("dim", "set", "shift"))
-        dim = _dim_param(name, params)
-        set_ = _resolve_set(params, Box([-1.0] * dim, [1.0] * dim))
+        set_ = _resolve_set(name, params)
         dim = set_.dimension
         shift = as_point(params.get("shift", np.zeros(dim)), dim)
         if shift.view(np.int64).any():
@@ -240,8 +238,7 @@ def make_catalogue_objective(name, params=None):
 
     if name == "affine_plus_quadratic":
         _check_param_keys(name, params, ("dim", "set", "a", "q"))
-        dim = _dim_param(name, params)
-        set_ = _resolve_set(params, Box([-1.0] * dim, [1.0] * dim))
+        set_ = _resolve_set(name, params)
         dim = set_.dimension
         a = as_point(params.get("a", np.ones(dim)), dim)
         q = float(params.get("q", 1.0))

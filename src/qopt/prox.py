@@ -25,9 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericalFailureError, PreconditionError
+from .errors import InvalidArgumentError, NumericalFailureError
 from .objectives import _query, evaluate
-from .sets import MEMBERSHIP_TOL, _dot, as_point
+# perfbench/tracing.py counts as_point calls under this module's name too.
+from .sets import _dot, as_point  # noqa: F401
 
 
 @dataclass
@@ -93,24 +94,14 @@ def solve_prox_subproblem(obj, x, delta, counter):
     """Minimize ``f(y) + ||y - x||^2/(2 lam)`` over the feasible set to accuracy delta.
 
     ``lam`` is fixed at ``1/(2L)`` (:func:`default_lambda`).  Validates its
-    inputs: ``x`` must be a feasible point of the objective's dimension
-    (within ``MEMBERSHIP_TOL``), and :class:`_ProxConstants` checks ``delta``.
-    Warm starts at ``x`` itself (feasible, within the set diameter of the
-    solution).  Raises :class:`NumericalFailureError` carrying the last
+    inputs before any oracle call: ``x`` passes
+    :meth:`FeasibleSet.checked_point`, and :class:`_ProxConstants` checks
+    ``delta``.  Warm starts at ``x`` itself (feasible, within the set diameter
+    of the solution).  Raises :class:`NumericalFailureError` carrying the last
     iterate if the iteration cap is exhausted.
     """
-    x, consts = _checked(obj, x, delta)
-    return _solve(obj, x, consts, counter)
-
-
-def _checked(obj, x, delta):
-    """The public prox inputs validated: ``x`` as a feasible 1-D float64 point,
-    and the :class:`_ProxConstants` of ``(obj, delta)``."""
-    x = as_point(x, obj.dimension)
-    consts = _ProxConstants(obj, delta)
-    if not obj.feasible_set.contains(x, MEMBERSHIP_TOL):
-        raise PreconditionError("prox query point must be feasible")
-    return x, consts
+    x = obj.feasible_set.checked_point(x, "prox query point")
+    return _solve(obj, x, _ProxConstants(obj, delta), counter)
 
 
 def _solve(obj, x, consts, counter, at_x=None):

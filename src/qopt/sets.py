@@ -13,13 +13,12 @@ import numbers
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericalFailureError
+from .errors import InvalidArgumentError, NumericalFailureError, PreconditionError
 
-#: Default tolerance of :meth:`FeasibleSet.contains`; the prox, the line
-#: search, ``run_accelerated`` and objective centers are checked against it.
+#: Default tolerance of :meth:`FeasibleSet.contains`: every caller's point a
+#: public entry takes (:meth:`FeasibleSet.checked_point`) and every objective
+#: center is checked against it.
 MEMBERSHIP_TOL = 1e-10
-#: Tolerance for the start points of the baselines and explicit config ``x0``.
-FEASIBILITY_TOL = 1e-9
 #: Longest vector :func:`_dot` hands to one BLAS call.  The OpenBLAS bundled
 #: with numpy splits a dot product across threads above 10,000 entries, and
 #: the split changes the summation order with the thread count.
@@ -148,9 +147,23 @@ class FeasibleSet:
         return _norm(self.project(x) - x)
 
     def contains(self, x, tol=MEMBERSHIP_TOL):
+        """True when ``x`` is finite and within ``tol`` of the set."""
         if tol < 0:
             raise InvalidArgumentError("membership tolerance must be nonnegative")
-        return self.distance(x) <= tol
+        x = as_point(x, self.dimension)
+        return _is_finite_point(x) and self.distance(x) <= tol
+
+    def checked_point(self, x, name):
+        """``x`` as a 1-D float64 array, once shown a finite point of the set.
+
+        The one gate of the public entry points that take a caller's point:
+        a point farther than ``MEMBERSHIP_TOL`` from the set, or not finite,
+        is a :class:`PreconditionError` naming ``name``.
+        """
+        x = as_point(x, self.dimension)
+        if not self.contains(x):
+            raise PreconditionError(f"{name} must be a finite feasible point")
+        return x
 
     # -- helpers used by the harness ----------------------------------------
     def canonical_vertex(self):
@@ -265,7 +278,7 @@ class Ball(FeasibleSet):
         x = as_point(x, self.dimension)
         scale, _, norm = _scaled_norm(x - self.center)
         # max keeps its first argument unless the second is larger, so a NaN
-        # distance stays NaN and a NaN point is no member.
+        # distance stays NaN.
         return max(scale * norm - self.radius, 0.0)
 
     def center_point(self):

@@ -57,7 +57,7 @@ def dense_pgd(obj, x0, T):
 def dense_frank_wolfe(obj, x0, T, counter, observer=None):
     """The reference loop: every row queries through the public ``evaluate``,
     which coerces and scans the iterate again."""
-    x = qopt.baselines._require_feasible(obj, x0, "x0")
+    x = obj.feasible_set.checked_point(x0, "x0")
     set_ = obj.feasible_set
     fstar = obj.optimal_value
     header = {"algorithm": "frank_wolfe", "objective": obj.name, "set": set_.to_spec(),

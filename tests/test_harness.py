@@ -422,6 +422,12 @@ class TestCLI:
         ("x_0", {"x_0": [4.0]}),
         ("Tt", {"Tt": 3}),
         ("objective", {"objective": {"name": "quadratic", "param": {"dim": 2}}}),
+        # A dim that contradicts the set; a top-level dim is the objective's dim param.
+        ("objective", {"objective": "quadratic", "dim": 3,
+                       "set": {"kind": "box", "lower": [-1, -1], "upper": [1, 1]}}),
+        ("objective", {"objective": {"name": "quadratic", "params": {
+            "dim": 5, "set": {"kind": "simplex", "dimension": 3}}}}),
+        ("dim", {"dim": 2, "objective": {"name": "quadratic", "params": {"dim": 5}}}),
     ])
     def test_malformed_value_exits_2_naming_the_field(self, field, overrides, tmp_path, capsys):
         raw = {**PGD_SIMPLEX, "x0": "vertex", **overrides,
@@ -438,6 +444,7 @@ class TestCLI:
         ("output_path", {"output_path": 5}),
         ("Tt", {"Tt": 3}),
         ("objective", {"objective": {"name": "quadratic", "param": {"dim": 2}}}),
+        ("dim", {"dim": 2, "objective": {"name": "quadratic", "params": {"dim": 5}}}),
     ])
     def test_rejected_by_load_config(self, field, overrides):
         # Rejected while the config is read, before any objective exists to query.

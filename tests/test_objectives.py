@@ -11,6 +11,7 @@ from qopt import (
     Objective,
     OracleCounter,
     PreconditionError,
+    Simplex,
     evaluate,
     finite_diff_gradient,
     make_catalogue_objective,
@@ -293,6 +294,11 @@ class TestCatalogue:
     def test_non_integer_dim_rejected(self, name, dim):
         with pytest.raises(InvalidArgumentError, match="dim"):
             make_catalogue_objective(name, {"dim": dim})
+
+    @pytest.mark.parametrize("name", ["quadratic", "affine_plus_quadratic"])
+    def test_dim_contradicting_the_set_rejected(self, name):
+        with pytest.raises(InvalidArgumentError, match="contradicts"):
+            make_catalogue_objective(name, {"dim": 5, "set": Simplex(3)})
 
     @pytest.mark.parametrize("name", ["quadratic", "affine_plus_quadratic"])
     def test_numpy_integer_dim_accepted(self, name):

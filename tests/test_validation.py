@@ -1,9 +1,12 @@
-"""Input validation happens at the public entry points, with one tolerance each.
+"""Input validation happens at the public entry points, through one gate.
 
-The baselines and explicit config ``x0`` vectors accept start points within
-``FEASIBILITY_TOL`` (1e-9) of the set; the prox, the line search and the
-accelerated method require ``MEMBERSHIP_TOL`` (1e-10).  Points produced inside
-a solver loop are not re-checked.
+Every entry that takes a caller's point (the three solvers, the prox, the
+line search and the gradient mapping) passes it through
+``FeasibleSet.checked_point``: a point must be finite and within
+``MEMBERSHIP_TOL`` (1e-10) of the set, or the entry raises
+``PreconditionError`` before any oracle call, and ``qopt run`` exits 2 naming
+``x0``.  A NaN or infinite point is no member of any set.  Points produced
+inside a solver loop are not re-checked.
 """
 
 import json
@@ -13,18 +16,38 @@ import numpy as np
 import pytest
 
 from qopt import (
+    Ball,
+    Box,
     FeasibleSet,
     InvalidArgumentError,
+    Objective,
     OracleCounter,
     PreconditionError,
+    Simplex,
     binary_line_search,
+    gradient_mapping,
+    make_catalogue_objective,
     run_accelerated,
     run_frank_wolfe,
     run_pgd,
     solve_prox_subproblem,
 )
 from qopt.cli import main
-from qopt.sets import FEASIBILITY_TOL, MEMBERSHIP_TOL
+from qopt.sets import MEMBERSHIP_TOL
+
+#: A caller's point through each public entry, as a call on ``(obj, x)``.
+CALLS = {
+    "run_pgd": lambda obj, x: run_pgd(obj, x, 3, OracleCounter()),
+    "run_frank_wolfe": lambda obj, x: run_frank_wolfe(obj, x, 3, OracleCounter()),
+    "run_accelerated": lambda obj, x: run_accelerated(obj, x, 1e-1, OracleCounter()),
+    "solve_prox_subproblem": lambda obj, x: solve_prox_subproblem(obj, x, 1e-8, OracleCounter()),
+    "gradient_mapping": lambda obj, x: gradient_mapping(obj, x, 0.5, OracleCounter()),
+    "binary_line_search y":
+        lambda obj, x: binary_line_search(obj, x, obj.center, 1.0, 1e-10, OracleCounter()),
+    "binary_line_search z":
+        lambda obj, x: binary_line_search(obj, obj.center, x, 1.0, 1e-10, OracleCounter()),
+}
+ENTRIES = tuple(CALLS) + tuple(f"qopt run {a}" for a in ("pgd", "frank_wolfe", "accelerated"))
 
 
 def rejects(entry, obj, x, tmp_path, capsys):
@@ -40,36 +63,42 @@ def rejects(entry, obj, x, tmp_path, capsys):
         if code == 2:
             assert "config field 'x0'" in capsys.readouterr().err
         return code == 2
-
-    calls = {
-        "run_pgd": lambda: run_pgd(obj, x, 3, OracleCounter()),
-        "run_frank_wolfe": lambda: run_frank_wolfe(obj, x, 3, OracleCounter()),
-        "run_accelerated": lambda: run_accelerated(obj, x, 1e-1, OracleCounter()),
-        "binary_line_search y":
-            lambda: binary_line_search(obj, x, obj.center, 1.0, 1e-10, OracleCounter()),
-        "binary_line_search z":
-            lambda: binary_line_search(obj, obj.center, x, 1.0, 1e-10, OracleCounter()),
-    }
     try:
-        calls[entry]()
+        CALLS[entry](obj, x)
     except PreconditionError:
         return True
     return False
 
 
-#: Entry points that take start points within FEASIBILITY_TOL rather than MEMBERSHIP_TOL.
-LOOSE = ("run_pgd", "run_frank_wolfe", "qopt run pgd")
-STRICT = ("run_accelerated", "binary_line_search y", "binary_line_search z",
-          "qopt run accelerated")
-
-
-@pytest.mark.parametrize("outside", [5e-10, 2e-9])
-@pytest.mark.parametrize("entry", LOOSE + STRICT)
+@pytest.mark.parametrize("outside", [5e-11, 5e-10, 2e-9, math.nan, math.inf])
+@pytest.mark.parametrize("entry", ENTRIES)
 def test_start_point_tolerance(example1, tmp_path, capsys, entry, outside):
-    assert MEMBERSHIP_TOL < 5e-10 < FEASIBILITY_TOL < 2e-9
     x = example1.feasible_set.upper + outside
-    accepted = entry in LOOSE and outside < FEASIBILITY_TOL
+    accepted = outside < MEMBERSHIP_TOL
     assert rejects(entry, example1, x, tmp_path, capsys) == (not accepted)
+
+
+SETS = {
+    "box": Box([-1.0, -1.0, -1.0], [1.0, 1.0, 1.0]),
+    "ball": Ball([0.0, 0.0, 0.0], 1.0),
+    "simplex": Simplex(3),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("kind", SETS)
+def test_a_non_finite_point_is_no_member(kind, value):
+    set_ = SETS[kind]
+    x = set_.center_point()
+    x[0] = value
+    assert not set_.contains(x)
+    assert not set_.contains(x, tol=1e300)
+    obj = make_catalogue_objective("quadratic", {"set": set_})
+    for entry in ("run_pgd", "run_accelerated", "solve_prox_subproblem"):
+        with pytest.raises(PreconditionError, match="finite feasible point"):
+            CALLS[entry](obj, x)
+    with pytest.raises(InvalidArgumentError, match="center"):
+        Objective("bad", obj.evaluator, 1.0, 1.0, set_, center=x)
 
 
 def test_accelerated_checks_membership_only_at_x0(example1, monkeypatch):
