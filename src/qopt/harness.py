@@ -104,6 +104,8 @@ def load_config(source):
     set_spec = raw.get("set")
     if set_spec is not None and not isinstance(set_spec, dict):
         raise ConfigError("set", "expected a set spec mapping")
+    if set_spec is not None and "set" in params:
+        raise ConfigError("set", "given both at the top level and in the objective params")
     if "dim" in raw:  # shorthand: top-level dim feeds the objective params
         if "dim" in params:
             raise ConfigError("dim", "given both at the top level and in the objective params")

@@ -143,7 +143,10 @@ class FeasibleSet:
 
     def distance(self, x):
         """Euclidean distance from ``x`` to the set."""
-        x = as_point(x, self.dimension)
+        return self._distance(as_point(x, self.dimension))
+
+    def _distance(self, x):
+        """Body of :meth:`distance` for a trusted 1-D float64 array of the set's dimension."""
         return _norm(self.project(x) - x)
 
     def contains(self, x, tol=MEMBERSHIP_TOL):
@@ -151,7 +154,7 @@ class FeasibleSet:
         if tol < 0:
             raise InvalidArgumentError("membership tolerance must be nonnegative")
         x = as_point(x, self.dimension)
-        return _is_finite_point(x) and self.distance(x) <= tol
+        return _is_finite_point(x) and self._distance(x) <= tol
 
     def checked_point(self, x, name):
         """``x`` as a 1-D float64 array, once shown a finite point of the set.
@@ -274,8 +277,7 @@ class Ball(FeasibleSet):
     def diameter(self):
         return 2.0 * self.radius
 
-    def distance(self, x):
-        x = as_point(x, self.dimension)
+    def _distance(self, x):
         scale, _, norm = _scaled_norm(x - self.center)
         # max keeps its first argument unless the second is larger, so a NaN
         # distance stays NaN.

@@ -445,6 +445,7 @@ class TestCLI:
         ("Tt", {"Tt": 3}),
         ("objective", {"objective": {"name": "quadratic", "param": {"dim": 2}}}),
         ("dim", {"dim": 2, "objective": {"name": "quadratic", "params": {"dim": 5}}}),
+        ("set", {"set": {"kind": "box", "lower": [-1, -1, -1], "upper": [1, 1, 1]}}),
     ])
     def test_rejected_by_load_config(self, field, overrides):
         # Rejected while the config is read, before any objective exists to query.

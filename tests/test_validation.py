@@ -73,9 +73,10 @@ def rejects(entry, obj, x, tmp_path, capsys):
 @pytest.mark.parametrize("outside", [5e-11, 5e-10, 2e-9, math.nan, math.inf])
 @pytest.mark.parametrize("entry", ENTRIES)
 def test_start_point_tolerance(example1, tmp_path, capsys, entry, outside):
+    # Fixed expectations: a looser or tighter MEMBERSHIP_TOL fails this test.
+    assert MEMBERSHIP_TOL == 1e-10
     x = example1.feasible_set.upper + outside
-    accepted = outside < MEMBERSHIP_TOL
-    assert rejects(entry, example1, x, tmp_path, capsys) == (not accepted)
+    assert rejects(entry, example1, x, tmp_path, capsys) == (outside != 5e-11)
 
 
 SETS = {
