@@ -5,19 +5,19 @@ Config format (JSON)::
     {
       "algorithm": "accelerated" | "pgd" | "frank_wolfe",
       "objective": "example1" | {"name": "quadratic", "params": {...}},
-      "set": {...},                # optional override where the objective allows it
       "x0": "vertex" | "center" | [..],
       "epsilon": 1e-3,             # required for accelerated
       "T": 1000,                   # baselines take exactly one of epsilon/T, T <= 10^7
       "seed": 0,
-      "output_path": "trace.csv",
-      "dim": 2                     # optional shorthand for the objective's dim param
+      "output_path": "trace.csv"
     }
 
-Any other key, top-level or beside ``name`` and ``params``, is a config error.
-The env var ``QOPT_SEED`` overrides ``seed``.  Identical config + seed yields
-byte-identical trace files; an accelerated run above 10,000 dimensions does so
-only at a fixed BLAS thread count (see the README).
+Any key not shown, at the top level or beside ``name`` and ``params``, is a
+config error.  An objective that takes a set or a dimension reads them from
+its ``params`` (``set``, ``dim``); ``seed`` is only recorded in the trace
+header.  Identical configs yield byte-identical trace files; an accelerated
+run above 10,000 dimensions does so only at a fixed BLAS thread count (see
+the README).
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
@@ -36,13 +35,12 @@ from .accel import MAX_ITERATIONS, iteration_count, run_accelerated
 from .baselines import RATE_CONSTANTS, attach_rate_bounds, run_frank_wolfe, run_pgd
 from .errors import ConfigError, NumericalFailureError, PreconditionError
 from .objectives import OracleCounter, make_catalogue_objective
-from .sets import as_point, is_int, set_from_spec
+from .sets import as_point, is_int
 from .trace import Trace, write_trace
 
 ALGORITHMS = ("accelerated", "pgd", "frank_wolfe")
-#: Every top-level config key; ``dim`` is shorthand for the objective's ``dim`` param.
-_CONFIG_KEYS = ("algorithm", "objective", "set", "x0", "epsilon", "T", "seed", "output_path",
-               "dim")
+#: Every top-level config key.
+_CONFIG_KEYS = ("algorithm", "objective", "x0", "epsilon", "T", "seed", "output_path")
 
 #: Rows with a smaller gap are dropped from log-log fits (log of ~0 is noise).
 GAP_FIT_FLOOR = 1e-13
@@ -53,7 +51,6 @@ class ExperimentConfig:
     algorithm: str
     objective_name: str
     objective_params: dict
-    set_spec: Optional[dict]
     x0: Union[str, list]
     epsilon: Optional[float]
     T: Optional[int]
@@ -97,19 +94,8 @@ def load_config(source):
         name, params = objective["name"], objective.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError("objective", "params must be a mapping")
-        params = dict(params)
     else:
         raise ConfigError("objective", "expected a name or {'name': ..., 'params': {...}}")
-
-    set_spec = raw.get("set")
-    if set_spec is not None and not isinstance(set_spec, dict):
-        raise ConfigError("set", "expected a set spec mapping")
-    if set_spec is not None and "set" in params:
-        raise ConfigError("set", "given both at the top level and in the objective params")
-    if "dim" in raw:  # shorthand: top-level dim feeds the objective params
-        if "dim" in params:
-            raise ConfigError("dim", "given both at the top level and in the objective params")
-        params["dim"] = raw["dim"]
 
     epsilon = raw.get("epsilon")
     T = raw.get("T")
@@ -128,12 +114,6 @@ def load_config(source):
             raise ConfigError("T", "baselines take exactly one of epsilon/T")
 
     seed = raw.get("seed", 0)
-    env_seed = os.environ.get("QOPT_SEED")
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError:
-            raise ConfigError("seed", f"QOPT_SEED must be an integer, got {env_seed!r}") from None
     if not is_int(seed):
         raise ConfigError("seed", "must be an integer")
 
@@ -148,7 +128,6 @@ def load_config(source):
         algorithm=algorithm,
         objective_name=name,
         objective_params=params,
-        set_spec=set_spec,
         x0=x0,
         epsilon=epsilon,
         T=T,
@@ -160,14 +139,8 @@ def load_config(source):
 
 def build_objective(config):
     # Malformed numbers surface as TypeError, ValueError or OverflowError.
-    params = dict(config.objective_params)
-    if config.set_spec is not None:
-        try:
-            params["set"] = set_from_spec(config.set_spec)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError("set", str(exc)) from exc
     try:
-        return make_catalogue_objective(config.objective_name, params)
+        return make_catalogue_objective(config.objective_name, config.objective_params)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError("objective", str(exc)) from exc
 
@@ -275,7 +248,7 @@ def _write(trace, path):
 
 # -- sweeps --------------------------------------------------------------------
 
-_SWEEPABLE = ("epsilon", "T", "seed")
+_SWEEPABLE = ("epsilon", "T")
 
 
 def fit_loglog(xs, ys):
@@ -294,7 +267,7 @@ def _gap_fit_points(trace):
 def sweep(config, grid, out_dir):
     """Run one experiment per grid point and fit the observed scaling laws.
 
-    ``grid`` maps sweepable config fields (epsilon, T, seed) to value lists;
+    ``grid`` maps sweepable config fields (epsilon, T) to value lists;
     the cartesian product is run.  Traces land in ``out_dir`` along with a
     ``summary.json`` holding per-run facts and per-algorithm log-log fits:
     gap-versus-iteration for the baselines, total oracle calls versus epsilon
@@ -317,8 +290,7 @@ def sweep(config, grid, out_dir):
         raise ConfigError("out_dir", f"cannot create {str(out_dir)!r}: {exc}") from exc
     keys = sorted(grid)
     runs = []
-    gap_points = []
-    calls_points = []
+    points = []
     for i, combo in enumerate(itertools.product(*(grid[k] for k in keys))):
         overrides = dict(zip(keys, combo))
         run_cfg_raw = dict(config.raw)
@@ -342,17 +314,16 @@ def sweep(config, grid, out_dir):
                 "rows": len(trace.iteration),
             }
         )
-        gap_points.extend(_gap_fit_points(trace))
         if config.algorithm == "accelerated":
-            calls_points.append((run_cfg.epsilon, trace.final_oracle_calls))
+            points.append((run_cfg.epsilon, trace.final_oracle_calls))
+        else:
+            points.extend(_gap_fit_points(trace))
 
     fits = {}
-    if config.algorithm in ("pgd", "frank_wolfe") and len(gap_points) >= 2:
-        slope, intercept = fit_loglog(*zip(*gap_points))
+    # A line through points that share one abscissa is undetermined.
+    if len({x for x, _ in points}) >= 2:
+        slope, intercept = fit_loglog(*zip(*points))
         fits[config.algorithm] = {"slope": slope, "intercept": intercept}
-    if config.algorithm == "accelerated" and len(calls_points) >= 2:
-        slope, intercept = fit_loglog(*zip(*calls_points))
-        fits["accelerated"] = {"slope": slope, "intercept": intercept}
 
     summary = {"runs": runs, "fits": fits}
     with open(out_dir / "summary.json", "w") as fh:

@@ -142,12 +142,18 @@ class FeasibleSet:
         raise NotImplementedError
 
     def distance(self, x):
-        """Euclidean distance from ``x`` to the set."""
+        """Euclidean distance from ``x`` to the set: NaN when an entry of ``x``
+        is NaN, otherwise infinite when one is infinite."""
         return self._distance(as_point(x, self.dimension))
 
     def _distance(self, x):
         """Body of :meth:`distance` for a trusted 1-D float64 array of the set's dimension."""
-        return _norm(self.project(x) - x)
+        try:
+            scale, _, norm = _scaled_norm(self.project(x) - x)
+            return scale * norm
+        except NumericalFailureError:
+            # Only a point with a NaN or infinite entry fails to project.
+            return math.nan if np.isnan(x).any() else math.inf
 
     def contains(self, x, tol=MEMBERSHIP_TOL):
         """True when ``x`` is finite and within ``tol`` of the set."""
@@ -316,7 +322,8 @@ class Simplex(FeasibleSet):
         u = np.sort(v)[::-1]
         # An infinite or overflowing entry makes inf - inf here.  The NaN it
         # leaves is never active: a -inf entry still projects and anything
-        # else raises below, so numpy's warnings about it are noise.
+        # else finds no active coordinate, so numpy's warnings about it are
+        # noise.
         with np.errstate(invalid="ignore", over="ignore"):
             css = np.cumsum(u)
             buf = css - self.scale
@@ -325,9 +332,15 @@ class Simplex(FeasibleSet):
         active = buf > 0
         last = int(active[::-1].argmax())
         if not active[-1 - last]:
+            top = v.max()
+            if math.isfinite(top):
+                # Beside entries of 1e16 and more, rounding loses ``scale``.
+                # The projection of v - top 1 is that of v, and with its
+                # largest entry at 0 the first coordinate is active.
+                with np.errstate(over="ignore"):
+                    return self._project(v - top)
             raise NumericalFailureError(
-                "simplex projection found no active coordinate; the point is not finite "
-                "or too large to project")
+                "simplex projection found no active coordinate; the point is not finite")
         rho = self.dimension - last
         tau = (css[rho - 1] - self.scale) / rho
         np.subtract(v, tau, out=buf)

@@ -220,8 +220,10 @@ class TestPGD:
         assert trace.solution.tobytes() == reference.solution.tobytes()
 
     def test_projection_failure_keeps_the_rows_so_far(self, counter):
-        obj = make_catalogue_objective("affine_plus_quadratic", {
-            "set": {"kind": "simplex", "dimension": 3}, "a": [1e300, -1e300, 0.0], "q": 0.0})
+        # Only a point with a NaN or infinite entry fails to project onto a
+        # simplex: an infinite gradient entry makes the first step one.
+        base = make_catalogue_objective("quadratic", {"set": {"kind": "simplex", "dimension": 3}})
+        obj = dataclasses.replace(base, evaluator=lambda x: (0.0, np.array([-np.inf, 0.0, 0.0])))
         with pytest.raises(NumericalFailureError, match="simplex projection") as info:
             run_pgd(obj, np.array([1.0, 0.0, 0.0]), 5, counter)
         partial = info.value.partial_trace

@@ -94,7 +94,7 @@ def bad_number(draw):
     params = raw["objective"]["params"]
     slots = [(raw, "seed"), (raw, "epsilon" if raw["algorithm"] == "accelerated" else "T")]
     if "dim" in params:
-        slots += [(params, "dim"), (raw, "dim")]
+        slots.append((params, "dim"))
     if params.get("set", {}).get("kind") == "simplex":
         slots.append((params["set"], "dimension"))
     node, key = draw(st.sampled_from(slots))

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -72,28 +74,18 @@ class TestConfigValidation:
 
     def test_set_override_rejected_for_pinned_objective(self):
         config = load_config({
-            "algorithm": "pgd", "objective": "example1", "T": 5,
-            "set": {"kind": "box", "lower": [-2], "upper": [2]},
+            "algorithm": "pgd", "T": 5, "objective": {
+                "name": "example1", "params": {"set": {"kind": "box", "lower": [-2], "upper": [2]}}},
         })
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError) as excinfo:
             build_objective(config)
+        assert excinfo.value.field == "objective"
 
     def test_infeasible_x0(self, tmp_path):
         config = load_config({**PGD_SIMPLEX, "x0": [1.0, 1.0, 1.0]})
         with pytest.raises(ConfigError) as excinfo:
             run_experiment(config, output_path=tmp_path / "t.csv")
         assert excinfo.value.field == "x0"
-
-    def test_env_seed_override(self, monkeypatch):
-        monkeypatch.setenv("QOPT_SEED", "99")
-        config = load_config(PGD_SIMPLEX)
-        assert config.seed == 99
-
-    def test_top_level_dim_shorthand(self):
-        config = load_config({"algorithm": "pgd", "objective": "quadratic",
-                              "dim": 3, "T": 5})
-        obj = build_objective(config)
-        assert obj.dimension == 3
 
     def test_epsilon_to_iterations_conversion(self):
         config = load_config({"algorithm": "pgd", "objective": "example1",
@@ -305,6 +297,12 @@ class TestSweep:
         with pytest.raises(ConfigError):
             sweep(load_config(PGD_SIMPLEX), {"step_size": [1, 2]}, tmp_path)
 
+    def test_seed_is_not_sweepable(self, tmp_path):
+        # No solver reads the seed, so its grid points would rerun one run.
+        with pytest.raises(ConfigError) as excinfo:
+            sweep(load_config(PGD_SIMPLEX), {"seed": [1, 2]}, tmp_path)
+        assert excinfo.value.field == "grid"
+
     def test_summary_structure_and_fit(self, tmp_path):
         base = load_config({"algorithm": "pgd", "objective": "example1",
                             "x0": [5.0], "T": 50, "seed": 0})
@@ -396,17 +394,17 @@ class TestCLI:
 
     @pytest.mark.parametrize("field,overrides", [
         ("objective", {"objective": {"name": "quadratic", "params": {"shift": ["a", 1]}}}),
-        ("objective", {"objective": "quadratic", "dim": "x"}),
-        ("set", {"objective": "quadratic",
-                 "set": {"kind": "ball", "center": [0.0, 0.0], "radius": "r"}}),
-        ("set", {"objective": "quadratic",
-                 "set": {"kind": "box", "lower": [0.0, 0.0], "upper": "q"}}),
+        ("objective", {"objective": {"name": "quadratic", "params": {"dim": "x"}}}),
+        ("objective", {"objective": {"name": "quadratic", "params": {
+            "set": {"kind": "ball", "center": [0.0, 0.0], "radius": "r"}}}}),
+        ("objective", {"objective": {"name": "quadratic", "params": {
+            "set": {"kind": "box", "lower": [0.0, 0.0], "upper": "q"}}}}),
         ("epsilon", {"algorithm": "accelerated", "objective": "quadratic", "T": None,
                      "epsilon": 1e-300}),
-        ("set", {"algorithm": "frank_wolfe", "objective": "quadratic",
-                 "set": {"kind": "ball", "center": [float("nan"), 0.0], "radius": 1.0}}),
-        ("set", {"objective": "quadratic",
-                 "set": {"kind": "ball", "center": [0.0, 0.0], "radius": float("inf")}}),
+        ("objective", {"algorithm": "frank_wolfe", "objective": {"name": "quadratic", "params": {
+            "set": {"kind": "ball", "center": [float("nan"), 0.0], "radius": 1.0}}}}),
+        ("objective", {"objective": {"name": "quadratic", "params": {
+            "set": {"kind": "ball", "center": [0.0, 0.0], "radius": float("inf")}}}}),
         ("objective", {"objective": {"name": "quadratic", "params": [1]}}),
         ("x0", {"x0": ["a", "b"]}),
         ("epsilon", {"algorithm": "accelerated", "objective": "quadratic", "T": None,
@@ -415,19 +413,27 @@ class TestCLI:
                      "epsilon": True}),
         ("T", {"T": True}),
         ("seed", {"seed": True}),
-        ("set", {"objective": "quadratic", "set": {"kind": "simplex", "dimension": 2.5}}),
+        ("objective", {"objective": {"name": "quadratic", "params": {
+            "set": {"kind": "simplex", "dimension": 2.5}}}}),
         ("objective", {"objective": {"name": "quadratic", "params": {"dim": 2.7}}}),
-        ("objective", {"objective": "quadratic", "dim": 2.7}),
+        ("objective", {"objective": {"name": "quadratic", "params": {"dim": True}}}),
         ("T", {"T": 10**30}),
         ("x_0", {"x_0": [4.0]}),
         ("Tt", {"Tt": 3}),
         ("objective", {"objective": {"name": "quadratic", "param": {"dim": 2}}}),
-        # A dim that contradicts the set; a top-level dim is the objective's dim param.
-        ("objective", {"objective": "quadratic", "dim": 3,
-                       "set": {"kind": "box", "lower": [-1, -1], "upper": [1, 1]}}),
+        # A dim that contradicts the set.
+        ("objective", {"objective": {"name": "quadratic", "params": {
+            "dim": 3, "set": {"kind": "box", "lower": [-1, -1], "upper": [1, 1]}}}}),
         ("objective", {"objective": {"name": "quadratic", "params": {
             "dim": 5, "set": {"kind": "simplex", "dimension": 3}}}}),
-        ("dim", {"dim": 2, "objective": {"name": "quadratic", "params": {"dim": 5}}}),
+        # Only the objective's params name its dimension and set: at the top
+        # level, a dim that agrees with the set and a well-formed set are
+        # unknown keys.
+        ("dim", {"dim": 3}),
+        ("set", {"objective": "quadratic", "set": {"kind": "box", "lower": [-1], "upper": [1]}}),
+        # A finite start point far from the simplex, where rounding loses its scale.
+        ("x0", {"x0": [1e16, 1e16, 1e16]}),
+        ("x0", {"x0": [1e200, 1e200, 1e200]}),
     ])
     def test_malformed_value_exits_2_naming_the_field(self, field, overrides, tmp_path, capsys):
         raw = {**PGD_SIMPLEX, "x0": "vertex", **overrides,
@@ -444,8 +450,9 @@ class TestCLI:
         ("output_path", {"output_path": 5}),
         ("Tt", {"Tt": 3}),
         ("objective", {"objective": {"name": "quadratic", "param": {"dim": 2}}}),
-        ("dim", {"dim": 2, "objective": {"name": "quadratic", "params": {"dim": 5}}}),
-        ("set", {"set": {"kind": "box", "lower": [-1, -1, -1], "upper": [1, 1, 1]}}),
+        ("dim", {"dim": 3}),
+        ("set", {"objective": "quadratic",
+                 "set": {"kind": "box", "lower": [-1, -1, -1], "upper": [1, 1, 1]}}),
     ])
     def test_rejected_by_load_config(self, field, overrides):
         # Rejected while the config is read, before any objective exists to query.
@@ -464,15 +471,6 @@ class TestCLI:
         assert "config field 'output_path'" in done.stderr
         assert "Traceback" not in done.stderr
         assert done.stdout == ""
-
-    @pytest.mark.parametrize("value", ["abc", "1.5", ""])
-    def test_non_integer_env_seed_exits_2(self, value, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("QOPT_SEED", value)
-        cfg = self.write_config(tmp_path, PGD_SIMPLEX)
-        assert main(["run", cfg, "--output", str(tmp_path / "o.csv")]) == 2
-        err = capsys.readouterr().err
-        assert "config field 'seed'" in err
-        assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]", b"\xff{}"],
@@ -537,13 +535,20 @@ class TestCLI:
         assert lines[-2].startswith("-1,")
         assert lines[-1].startswith("# numerical-failure")
 
-    def test_simplex_projection_failure_exits_3_with_rows_flushed(self, tmp_path, capsys):
+    def test_simplex_projection_failure_exits_3_with_rows_flushed(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # Only a point with a NaN or infinite entry fails to project onto a
+        # simplex, and no catalogue gradient on the unit simplex has an
+        # infinite entry: the wrapped oracle's makes PGD's first step one.
+        import qopt.harness as harness
+        build = harness.build_objective
+        monkeypatch.setattr(harness, "build_objective", lambda config: dataclasses.replace(
+            build(config), evaluator=lambda x: (0.0, np.array([-np.inf, 0.0, 0.0]))))
         out = tmp_path / "pgd.csv"
         cfg = self.write_config(tmp_path, {
             "algorithm": "pgd",
-            "objective": {"name": "affine_plus_quadratic",
-                          "params": {"set": {"kind": "simplex", "dimension": 3},
-                                     "a": [1e300, -1e300, 0.0], "q": 0.0}},
+            "objective": {"name": "quadratic",
+                          "params": {"set": {"kind": "simplex", "dimension": 3}}},
             "x0": "vertex", "T": 5, "output_path": str(out)})
         assert main(["run", cfg]) == 3
         assert "simplex projection" in capsys.readouterr().err
@@ -557,7 +562,7 @@ class TestCLI:
             "algorithm": "pgd",
             "objective": {"name": "quadratic",
                           "params": {"set": {"kind": "simplex", "dimension": 3},
-                                     "shift": [1e300, 1e300, 1e300]}},
+                                     "shift": [math.inf, 0.0, 0.0]}},
             "x0": "vertex", "T": 5, "output_path": str(tmp_path / "o.csv")})
         assert main(["run", cfg]) == 3
         assert "simplex projection" in capsys.readouterr().err
@@ -566,7 +571,7 @@ class TestCLI:
         raw = {"algorithm": "accelerated",
                "objective": {"name": "quadratic",
                              "params": {"set": {"kind": "simplex", "dimension": 3},
-                                        "shift": [1e300, 1e300, 1e300]}},
+                                        "shift": [math.inf, 0.0, 0.0]}},
                "x0": "vertex", "epsilon": 1e-2, "seed": 4}
         out = tmp_path / "bad.csv"
         assert main(["run", self.write_config(tmp_path, raw), "--output", str(out)]) == 3
@@ -830,6 +835,24 @@ class TestCLI:
         out_dir = tmp_path / "sweep"
         assert main(["sweep", cfg, "--grid", str(grid), "--out-dir", str(out_dir)]) == 0
         assert (out_dir / "summary.json").exists()
+
+    @pytest.mark.parametrize("config,grid", [
+        ({"algorithm": "accelerated", "x0": [5.0], "epsilon": 1e-2}, {"epsilon": [1e-2, 1e-2]}),
+        ({"algorithm": "pgd", "x0": [5.0], "T": 1}, {"T": [1, 1]}),
+    ], ids=["accelerated-epsilon", "pgd-T"])
+    def test_sweep_fits_nothing_through_one_abscissa(self, config, grid, tmp_path):
+        # Under -W error, so a RankWarning from the fit would fail the sweep too.
+        cfg = self.write_config(tmp_path, {**config, "objective": "example1"})
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps(grid))
+        out_dir = tmp_path / "sweep"
+        done = subprocess.run([sys.executable, "-W", "error", "-m", "qopt", "sweep", cfg,
+                               "--grid", str(grid_path), "--out-dir", str(out_dir)],
+                              capture_output=True, text=True, env=_module_env(), timeout=60)
+        assert (done.returncode, done.stderr) == (0, "")
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert len(summary["runs"]) == 2
+        assert summary["fits"] == {}
 
     def test_sweep_uncreatable_out_dir_exits_2(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, PGD_SIMPLEX)

@@ -1,4 +1,5 @@
-"""The config examples in README.md load and run as documented."""
+"""The config examples in README.md load and run as documented, and its
+config keys and sweepable fields are the ones the harness accepts."""
 
 import json
 import re
@@ -7,9 +8,16 @@ from pathlib import Path
 import pytest
 
 from qopt import load_config, run_experiment
+from qopt.harness import _CONFIG_KEYS, _SWEEPABLE
 
 README = Path(__file__).resolve().parents[1] / "README.md"
-CONFIG_BLOCKS = re.findall(r"^```json\n(.*?)^```", README.read_text(), re.M | re.S)
+TEXT = README.read_text()
+CONFIG_BLOCKS = re.findall(r"^```json\n(.*?)^```", TEXT, re.M | re.S)
+
+
+def _section(title):
+    """The README text under ``### title``, up to the next heading."""
+    return re.search(rf"^### {title}\n(.*?)^#", TEXT, re.M | re.S).group(1)
 
 
 def test_readme_has_config_blocks():
@@ -26,3 +34,13 @@ def test_readme_config_runs(block, tmp_path, monkeypatch):
     assert trace.failure is None
     if config.output_path is not None:
         assert (tmp_path / config.output_path).stat().st_size > 0
+
+
+def test_documented_config_keys_are_the_accepted_ones():
+    bullets = re.findall(r"^- `(\w+)`:", _section("Experiment configs"), re.M)
+    assert sorted(bullets) == sorted(_CONFIG_KEYS)
+
+
+def test_documented_sweepable_fields_are_the_accepted_ones():
+    named = re.search(r"sweepable fields \((.*?)\)", _section("Sweeps"), re.S).group(1)
+    assert sorted(re.findall(r"`(\w+)`", named)) == sorted(_SWEEPABLE)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -142,11 +143,24 @@ class TestProjection:
 
     def test_simplex_non_finite_input_is_a_numerical_failure(self):
         simplex = Simplex(3)
-        for v in ([np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0], [1e300, 1e300, 1e300]):
+        for v in ([np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0], [np.inf, -np.inf, 0.0]):
             with pytest.raises(NumericalFailureError, match="simplex projection"):
                 simplex.project(np.array(v))
         np.testing.assert_array_equal(simplex.project(np.array([-np.inf, 0.0, 0.0])),
                                       [0.0, 0.5, 0.5])
+
+    @pytest.mark.parametrize("v,expected", [
+        ([1e16, 1e16], [0.5, 0.5]),
+        ([1e300, 1e300], [0.5, 0.5]),
+        ([1e16, 1.0], [1.0, 0.0]),
+        ([1e308, -1e308], [1.0, 0.0]),
+    ])
+    def test_simplex_projects_a_far_finite_point(self, v, expected):
+        # Rounding loses the scale beside entries this large; the projection
+        # retries with the largest entry shifted to 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(Simplex(2).project(np.array(v)), expected)
 
     def test_ball_non_finite_input_is_a_numerical_failure(self):
         ball = Ball([0.0, 0.0], 1.0)
@@ -162,11 +176,13 @@ class TestProjection:
         simplex = Simplex(3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for v in ([np.inf, 0.0, 0.0], [1e308, 1e308, 0.0]):
+            for v in ([np.inf, 0.0, 0.0], [np.nan, 1e308, 0.0]):
                 with pytest.raises(NumericalFailureError, match="simplex projection"):
                     simplex.project(np.array(v))
             np.testing.assert_array_equal(simplex.project(np.array([-np.inf, 0.0, 0.0])),
                                           [0.0, 0.5, 0.5])
+            np.testing.assert_array_equal(simplex.project(np.array([1e308, 1e308, 0.0])),
+                                          [0.5, 0.5, 0.0])
 
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidArgumentError):
@@ -304,6 +320,19 @@ class TestContains:
         assert not ball.contains([1e200, 1e200])
         # Past the largest float the distance itself overflows.
         assert ball.distance([1.5e308, 1.5e308]) == np.inf
+
+    @pytest.mark.parametrize("value", [1e16, 1e200, math.nan, math.inf])
+    @pytest.mark.parametrize("set_", [Box([-1.0, -1.0], [1.0, 1.0]), Ball([0.0, 0.0], 1.0),
+                                      Simplex(2)], ids=["box", "ball", "simplex"])
+    def test_far_and_non_finite_points(self, set_, value):
+        # Every set answers the same way: no member, and the distance is the
+        # sqrt(2) value (up to the set's own offset), inf or NaN.
+        x = [value, value]
+        assert not set_.contains(x)
+        if math.isnan(value):
+            assert math.isnan(set_.distance(x))
+        else:
+            assert set_.distance(x) == pytest.approx(math.sqrt(2.0) * value, rel=1e-15)
 
     def test_nan_point_is_not_in_a_ball(self):
         ball = Ball([0.0, 0.0], 1.0)
