@@ -15,8 +15,10 @@ ratio or excess becomes the reported worst (:func:`_worst`).
 The counterexample check uses expected-failure semantics: it passes exactly
 when every gamma it tries shows a strictly positive quasar violation.
 
-Every tolerance, window and budget of a certified claim is typed here once;
-the acceptance suite runs these checks rather than restating them.
+Every tolerance, window and budget of a certified claim is typed here once,
+save the per-entry arguments of the catalogue registry (``moreau_quasar``'s
+tolerance, ``accelerated_gap``'s target), from which ``_CHECKS`` derives; the
+acceptance suite runs these checks rather than restating them.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .accel import run_accelerated
 from .errors import ConfigError, InvalidArgumentError, PreconditionError
 from .harness import load_config, resolve_x0, run_experiment, sweep
 from .objectives import (
-    CATALOGUE_NAMES,
+    CATALOGUE,
     OracleCounter,
     evaluate,
     finite_diff_gradient,
@@ -108,11 +110,8 @@ def _objective(obj):
 
 
 #: The solver runs the checks audit: catalogue objective, its params, and x0.
-_INSTANCES = {
-    "quadratic_box": ("quadratic", {}, [1.0, 1.0]),
-    "example1": ("example1", {}, [5.0]),
-    "quadratic_simplex": ("quadratic", {"set": {"kind": "simplex", "dimension": 3}}, "vertex"),
-}
+_INSTANCES = {i: (name, params, x0) for name, entry in CATALOGUE.items()
+              for i, (params, x0, _) in entry.instances.items()}
 
 
 def _instance(name):
@@ -170,10 +169,10 @@ def quasar_counterexample(obj, samples=10_000):
                        3 * count, "passes iff every gamma in {0.1, 0.5, 1} violates")
 
 
-def counterexample_construction():
-    """``fig1_counterexample`` is stationary at x = -2 with negative curvature
+def counterexample_construction(obj):
+    """The counterexample is stationary at x = -2 with negative curvature
     there, and its regularization centre agrees with -12.23 to two decimals."""
-    obj = make_catalogue_objective("fig1_counterexample")
+    obj = _objective(obj)
     x0 = obj.params["x0"]
     at_minus2 = np.array([-2.0])
     slope = obj.evaluator(at_minus2)[1][0]
@@ -187,7 +186,7 @@ def counterexample_construction():
         and curvature < 0.0
     )
     return CheckResult(
-        name="counterexample_construction:fig1_counterexample",
+        name=f"counterexample_construction:{obj.name}",
         max_violation=abs(slope),
         tolerance=tol,
         passed=bool(ok),
@@ -759,44 +758,54 @@ def scaling_fit(algorithm):
 
 # -- the registered checks -------------------------------------------------------
 
-_PROX_ENTRIES = ("quadratic", "example1")
-_MAPPING_ENTRIES = ("quadratic", "example1", "glm_sigmoid")
-_FIG1 = "fig1_counterexample"
+#: Families whose rows list one member ahead of registry order.
+_LEADS = {"moreau_quasar": "example1", "rate_envelope": "example1"}
 
-#: Every registered check in report order: its name, and the check function
-#: with the arguments ``verify`` calls it with.
-_CHECKS = dict([
-    *[(f"quasar_certificate:{n}", (quasar_certificate, n))
-      for n in CATALOGUE_NAMES if n != _FIG1],
-    (f"quasar_counterexample:{_FIG1}", (quasar_counterexample, _FIG1)),
-    (f"counterexample_construction:{_FIG1}", (counterexample_construction,)),
-    # Every entry declares an L to certify.
-    *[row for n in CATALOGUE_NAMES for row in (
-        (f"smoothness:{n}", (smoothness, n)),
-        (f"gradient_consistency:{n}", (gradient_consistency, n)))],
-    *[row for n in _PROX_ENTRIES for row in (
-        (f"prox_conditioning:{n}", (prox_conditioning, n)),
-        (f"moreau_smoothness:{n}", (moreau_smoothness, n)),
-        (f"prox_stopping:{n}", (prox_stopping, n)),
-        (f"prox_gradient_error:{n}", (prox_gradient_error, n)))],
-    ("moreau_quasar:example1", (moreau_quasar, "example1", 1e-6)),
-    ("moreau_quasar:quadratic", (moreau_quasar, "quadratic", 1e-8)),
-    *[(f"prox_descent:{n}", (prox_descent, n)) for n in CATALOGUE_NAMES],
-    ("prox_iteration_budget", (prox_iteration_budget, _PROX_ENTRIES)),
-    ("linesearch_certificate:quadratic_box", (linesearch_certificate, "quadratic_box")),
-    ("linesearch_certificate:example1", (linesearch_certificate, "example1")),
-    ("pgd_mapping_bound", (pgd_mapping_bound, _MAPPING_ENTRIES)),
-    ("pgd_descent_step", (pgd_descent_step, _MAPPING_ENTRIES)),
-    ("fw_dynamics", (fw_dynamics, "quadratic_simplex")),
-    *[(f"rate_envelope:{a}_{i}", (rate_envelope, a, i))
-      for a in ("pgd", "frank_wolfe") for i in ("example1", "quadratic_simplex")],
-    ("accelerated_gap:quadratic_box", (accelerated_gap, "quadratic_box", 1e-3)),
-    ("accelerated_gap:example1", (accelerated_gap, "example1", 1e-4)),
-    ("oracle_accounting", (oracle_accounting,)),
-    ("gamma_free_baselines", (gamma_free_baselines,)),
-    ("trace_determinism", (trace_determinism,)),
-    *[(f"scaling_fit:{a}", (scaling_fit, a)) for a in ("accelerated", "pgd", "frank_wolfe")],
-])
+
+def _members(catalogue, family):
+    """``(member, args)`` of every catalogue entry, then every solver run of one,
+    that joins ``family``: in registry order, save a ``_LEADS`` member first."""
+    joined = [(name, entry.checks) for name, entry in catalogue.items()]
+    joined += [(i, run[2]) for entry in catalogue.values() for i, run in entry.instances.items()]
+    members = [(member, checks[family]) for member, checks in joined if family in checks]
+    return sorted(members, key=lambda m: m[0] != _LEADS.get(family))
+
+
+def _check_table(catalogue):
+    """Every registered check in report order: its name, and the check function
+    with the arguments ``verify`` calls it with.  A family gives one row per
+    member and check, a member's checks side by side, or one row over all."""
+    def each(family, *checks):
+        return [(f"{check.__name__}:{member}", (check, member, *args))
+                for member, args in _members(catalogue, family) for check in checks]
+
+    def names(family):
+        return tuple(member for member, _ in _members(catalogue, family))
+
+    return dict([
+        *each("quasar_certificate", quasar_certificate),
+        *each("quasar_counterexample", quasar_counterexample, counterexample_construction),
+        *each("smoothness", smoothness, gradient_consistency),
+        *each("prox", prox_conditioning, moreau_smoothness, prox_stopping, prox_gradient_error),
+        *each("moreau_quasar", moreau_quasar),
+        *each("prox_descent", prox_descent),
+        ("prox_iteration_budget", (prox_iteration_budget, names("prox"))),
+        *each("linesearch_certificate", linesearch_certificate),
+        ("pgd_mapping_bound", (pgd_mapping_bound, names("pgd_mapping"))),
+        ("pgd_descent_step", (pgd_descent_step, names("pgd_mapping"))),
+        # One audited Frank-Wolfe run, whose row name names no member.
+        ("fw_dynamics", (fw_dynamics, "quadratic_simplex")),
+        *[(f"rate_envelope:{a}_{i}", (rate_envelope, a, i))
+          for a in ("pgd", "frank_wolfe") for i in names("rate_envelope")],
+        *each("accelerated_gap", accelerated_gap),
+        ("oracle_accounting", (oracle_accounting,)),
+        ("gamma_free_baselines", (gamma_free_baselines,)),
+        ("trace_determinism", (trace_determinism,)),
+        *[(f"scaling_fit:{a}", (scaling_fit, a)) for a in ("accelerated", "pgd", "frank_wolfe")],
+    ])
+
+
+_CHECKS = _check_table(CATALOGUE)
 
 
 def available_checks():

@@ -177,14 +177,15 @@ def _require_representable_scale(obj, multiple):
     ``multiple`` is the largest multiple of ``L D^2`` the run forms: 16 for an
     accelerated run (its bound column; the line search's budget uses
     ``8 L D^2``), and the rate constant for a baseline (its bound column, and
-    its ``T`` when that comes from ``epsilon``).  The set is named when its
-    diameter alone overflows, otherwise the objective's ``L``.
+    its ``T`` when that comes from ``epsilon``).  The message says whether
+    the set's diameter alone overflows or the objective's ``L`` does.
     """
     L, D = obj.smoothness_L, obj.feasible_set.diameter()
     if not math.isfinite(multiple * L * D * D):
-        field = "objective" if math.isfinite(multiple * D * D) else "set"
-        raise ConfigError(field, f"{multiple:g} L D^2 overflows float range (L = {L!r}, "
-                                 f"diameter D = {D!r}); rescale the problem")
+        source = "the diameter D" if not math.isfinite(multiple * D * D) else "L"
+        raise ConfigError("objective", f"{multiple:g} L D^2 overflows float range through "
+                                       f"{source} (L = {L!r}, diameter D = {D!r}); "
+                                       "rescale the problem")
 
 
 def run_experiment(config, output_path=None):

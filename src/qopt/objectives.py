@@ -6,32 +6,15 @@ feasible set, and (when known) the constrained minimizer and optimal value.
 The registered checks of :mod:`qopt.checks` certify the declared constants by
 sampling.
 
-Catalogue entries
------------------
-``quadratic``                isotropic quadratic ``0.5 * ||x - shift||^2``;
-                             with a zero shift the gradient is the query
-                             array itself.
-``affine_plus_quadratic``    ``<a, x> + 0.5 * q * ||x||^2`` (``q = 0`` gives an
-                             affine objective).
-``example1``                 the 1-D sixth-root objective
-                             ``(x^2 + 1/8)^(1/6)`` on [-5, 5]; quasar convex
-                             with ``gamma = 1/2`` around 0 but not convex.
-``fig1_counterexample``      ``example1`` plus the quadratic
-                             ``(x - x0)^2 / (2 * 50)`` with ``x0`` chosen so the
-                             derivative vanishes at ``x = -2``.  The sum has an
-                             interior local maximum, so it is not quasar convex
-                             on [-5, 5] for any gamma: certification checks on
-                             this entry must report a positive violation.
-``glm_sigmoid``              sum of squared sigmoid residuals on a tiny
-                             realizable synthetic dataset; empirically quasar
-                             convex, with gamma measured (not derived).
+``CATALOGUE`` maps each test-problem name to its :class:`CatalogueEntry`; the
+docstring of each builder defines its objective.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -140,14 +123,6 @@ def finite_diff_gradient(obj, x, h):
 
 # -- catalogue ---------------------------------------------------------------
 
-CATALOGUE_NAMES = (
-    "quadratic",
-    "affine_plus_quadratic",
-    "example1",
-    "fig1_counterexample",
-    "glm_sigmoid",
-)
-
 # Declared constants for the nonquadratic entries, frozen from dense scans of
 # the exact second derivatives (scan maxima 1.88562, 1.90562, 0.45514).
 EXAMPLE1_L = 1.8857
@@ -180,12 +155,6 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def _check_param_keys(name, params, allowed):
-    extra = set(params) - set(allowed)
-    if extra:
-        raise InvalidArgumentError(f"objective '{name}' got unknown params {sorted(extra)}")
-
-
 def _resolve_set(name, params):
     """The set of an entry with ``dim`` and ``set`` params: the given set, or
     the box ``[-1, 1]^dim``.  A ``dim`` that contradicts the given set is an error."""
@@ -202,129 +171,162 @@ def _resolve_set(name, params):
     return set_
 
 
+def _quadratic(name, params):
+    """Isotropic quadratic ``0.5 * ||x - shift||^2``; with a zero shift the
+    gradient is the query array itself."""
+    set_ = _resolve_set(name, params)
+    dim = set_.dimension
+    shift = as_point(params.get("shift", np.zeros(dim)), dim)
+    if shift.view(np.int64).any():
+        def evaluator(x, _b=shift):
+            d = x - _b
+            return 0.5 * float(_dot(d, d)), d
+    else:
+        # Every shift entry has the bits of +0.0, and x - (+0.0) has the
+        # bits of x, -0.0 included (a -0.0 shift entry keeps the
+        # subtraction: -0.0 - (-0.0) is +0.0).  So the gradient is the
+        # query point itself, which no solver writes.  It is not a
+        # read-only view: numpy's argmin copies a non-writeable array.
+        def evaluator(x):
+            return 0.5 * float(_dot(x, x)), x
+
+    center = set_.project(shift)
+    return Objective(name, evaluator, smoothness_L=1.0, quasar_gamma=1.0, feasible_set=set_,
+                     center=center, optimal_value=evaluator(center)[0],
+                     params={"dim": dim, "shift": shift.tolist()})
+
+
+def _affine_plus_quadratic(name, params):
+    """``<a, x> + 0.5 * q * ||x||^2`` (``q = 0`` gives an affine objective)."""
+    set_ = _resolve_set(name, params)
+    dim = set_.dimension
+    a = as_point(params.get("a", np.ones(dim)), dim)
+    q = float(params.get("q", 1.0))
+    if q < 0:
+        raise InvalidArgumentError("quadratic coefficient q must be nonnegative")
+
+    def evaluator(x, _a=a, _q=q):
+        return float(_dot(_a, x)) + 0.5 * _q * float(_dot(x, x)), _a + _q * x
+
+    # The constrained minimizer is the projection of the unconstrained one
+    # when q > 0; for a pure affine objective it is an LMO vertex.
+    center = set_.project(-a / q) if q > 0 else set_.lmo(a)
+    return Objective(name, evaluator, smoothness_L=q if q > 0 else 1.0, quasar_gamma=1.0,
+                     feasible_set=set_, center=center, optimal_value=evaluator(center)[0],
+                     params={"dim": dim, "a": a.tolist(), "q": q})
+
+
+def _example1(name, params):
+    """The 1-D sixth-root objective ``(x^2 + 1/8)^(1/6)`` on [-5, 5]; quasar
+    convex with ``gamma = 1/2`` around 0 but not convex."""
+    return Objective(name, _example1_evaluator, smoothness_L=EXAMPLE1_L, quasar_gamma=0.5,
+                     feasible_set=Box([-5.0], [5.0]), center=np.array([0.0]),
+                     optimal_value=0.125 ** (1.0 / 6.0))
+
+
+def _fig1_counterexample(name, params):
+    """``example1`` plus ``(x - x0)^2 / (2 * 50)`` with ``x0`` chosen so the
+    derivative vanishes at ``x = -2``.  The sum has an interior local maximum,
+    so it is not quasar convex on [-5, 5] for any gamma: certification checks
+    on this entry must report a positive violation."""
+    reg_lambda = 50.0
+    # Shift chosen so the regularized objective is stationary at x = -2,
+    # where the base objective is concave enough to create a local maximum.
+    slope_at_minus2 = _sixth_root_value_grad(-2.0)[1]
+    x0_reg = -2.0 + reg_lambda * slope_at_minus2
+
+    def evaluator(x, _x0=x0_reg, _lam=reg_lambda):
+        v = float(x[0])
+        value, grad = _sixth_root_value_grad(v)
+        value += (v - _x0) ** 2 / (2.0 * _lam)
+        grad += (v - _x0) / _lam
+        return value, np.array([grad])
+
+    center = np.array([FIG1_CENTER])
+    return Objective(name, evaluator, smoothness_L=FIG1_L,
+                     quasar_gamma=0.5,  # nominal; this entry must fail certification
+                     feasible_set=Box([-5.0], [5.0]), center=center,
+                     optimal_value=evaluator(center)[0],
+                     params={"reg_lambda": reg_lambda, "x0": float(x0_reg)})
+
+
+def _glm_sigmoid(name, params):
+    """Sum of squared sigmoid residuals on a tiny realizable synthetic dataset;
+    empirically quasar convex, with gamma measured (not derived)."""
+    targets = _sigmoid(GLM_DATA_X @ GLM_TRUE_W)
+
+    def evaluator(w, _X=GLM_DATA_X, _y=targets):
+        s = _sigmoid(_X @ w)
+        r = s - _y
+        return float(np.dot(r, r)), (2.0 * r * s * (1.0 - s)) @ _X
+
+    return Objective(name, evaluator, smoothness_L=GLM_L, quasar_gamma=GLM_GAMMA,
+                     feasible_set=Box([-2.0, -2.0], [2.0, 2.0]), center=GLM_TRUE_W.copy(),
+                     optimal_value=0.0, params={"n_points": len(GLM_DATA_X)})
+
+
+class CatalogueEntry(NamedTuple):
+    """One catalogue objective: ``build(name, params)`` returns it, ``params``
+    names the params it accepts, ``checks`` maps each family of
+    :func:`qopt.checks._check_table` it joins to its rows' extra arguments, and
+    ``instances`` maps each solver run the checks audit to ``(params, x0, checks)``."""
+
+    build: Callable
+    params: tuple
+    checks: dict
+    instances: dict = {}
+
+
+#: The catalogue in report order.  Adding an instance is adding its entry:
+#: its name, its param checks and its rows in ``qopt verify`` derive from it.
+CATALOGUE = {
+    "quadratic": CatalogueEntry(
+        _quadratic, ("dim", "set", "shift"),
+        {"quasar_certificate": (), "smoothness": (), "prox": (), "moreau_quasar": (1e-8,),
+         "prox_descent": (), "pgd_mapping": ()},
+        {"quadratic_box": ({}, [1.0, 1.0],
+                           {"linesearch_certificate": (), "accelerated_gap": (1e-3,)}),
+         "quadratic_simplex": ({"set": {"kind": "simplex", "dimension": 3}}, "vertex",
+                               {"rate_envelope": ()})}),
+    "affine_plus_quadratic": CatalogueEntry(
+        _affine_plus_quadratic, ("dim", "set", "a", "q"),
+        {"quasar_certificate": (), "smoothness": (), "prox_descent": ()}),
+    "example1": CatalogueEntry(
+        _example1, (),
+        {"quasar_certificate": (), "smoothness": (), "prox": (), "moreau_quasar": (1e-6,),
+         "prox_descent": (), "pgd_mapping": ()},
+        {"example1": ({}, [5.0], {"linesearch_certificate": (), "rate_envelope": (),
+                                  "accelerated_gap": (1e-4,)})}),
+    "fig1_counterexample": CatalogueEntry(
+        _fig1_counterexample, (),
+        {"quasar_counterexample": (), "smoothness": (), "prox_descent": ()}),
+    "glm_sigmoid": CatalogueEntry(
+        _glm_sigmoid, (),
+        {"quasar_certificate": (), "smoothness": (), "prox_descent": (), "pgd_mapping": ()}),
+}
+CATALOGUE_NAMES = tuple(CATALOGUE)
+
+
+def _has_non_finite(value):
+    """Whether a numeric param holds a NaN or an infinity; a value that is no
+    number or array of numbers is left to the entry's builder."""
+    try:
+        return not np.isfinite(np.asarray(value, dtype=float)).all()
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 def make_catalogue_objective(name, params=None):
     """Build a fully populated catalogue objective by name."""
+    entry = CATALOGUE.get(name) if isinstance(name, str) else None
+    if entry is None:
+        raise InvalidArgumentError(
+            f"unknown catalogue objective '{name}'; expected one of {CATALOGUE_NAMES}")
     params = dict(params or {})
-
-    if name == "quadratic":
-        _check_param_keys(name, params, ("dim", "set", "shift"))
-        set_ = _resolve_set(name, params)
-        dim = set_.dimension
-        shift = as_point(params.get("shift", np.zeros(dim)), dim)
-        if shift.view(np.int64).any():
-            def evaluator(x, _b=shift):
-                d = x - _b
-                return 0.5 * float(_dot(d, d)), d
-        else:
-            # Every shift entry has the bits of +0.0, and x - (+0.0) has the
-            # bits of x, -0.0 included (a -0.0 shift entry keeps the
-            # subtraction: -0.0 - (-0.0) is +0.0).  So the gradient is the
-            # query point itself, which no solver writes.  It is not a
-            # read-only view: numpy's argmin copies a non-writeable array.
-            def evaluator(x):
-                return 0.5 * float(_dot(x, x)), x
-
-        center = set_.project(shift)
-        return Objective(
-            name="quadratic",
-            evaluator=evaluator,
-            smoothness_L=1.0,
-            quasar_gamma=1.0,
-            feasible_set=set_,
-            center=center,
-            optimal_value=evaluator(center)[0],
-            params={"dim": dim, "shift": shift.tolist()},
-        )
-
-    if name == "affine_plus_quadratic":
-        _check_param_keys(name, params, ("dim", "set", "a", "q"))
-        set_ = _resolve_set(name, params)
-        dim = set_.dimension
-        a = as_point(params.get("a", np.ones(dim)), dim)
-        q = float(params.get("q", 1.0))
-        if q < 0:
-            raise InvalidArgumentError("quadratic coefficient q must be nonnegative")
-
-        def evaluator(x, _a=a, _q=q):
-            return float(_dot(_a, x)) + 0.5 * _q * float(_dot(x, x)), _a + _q * x
-
-        # The constrained minimizer is the projection of the unconstrained one
-        # when q > 0; for a pure affine objective it is an LMO vertex.
-        center = set_.project(-a / q) if q > 0 else set_.lmo(a)
-        return Objective(
-            name="affine_plus_quadratic",
-            evaluator=evaluator,
-            smoothness_L=q if q > 0 else 1.0,
-            quasar_gamma=1.0,
-            feasible_set=set_,
-            center=center,
-            optimal_value=evaluator(center)[0],
-            params={"dim": dim, "a": a.tolist(), "q": q},
-        )
-
-    if name == "example1":
-        _check_param_keys(name, params, ())
-        set_ = Box([-5.0], [5.0])
-        return Objective(
-            name="example1",
-            evaluator=_example1_evaluator,
-            smoothness_L=EXAMPLE1_L,
-            quasar_gamma=0.5,
-            feasible_set=set_,
-            center=np.array([0.0]),
-            optimal_value=0.125 ** (1.0 / 6.0),
-            params={},
-        )
-
-    if name == "fig1_counterexample":
-        _check_param_keys(name, params, ())
-        set_ = Box([-5.0], [5.0])
-        reg_lambda = 50.0
-        # Shift chosen so the regularized objective is stationary at x = -2,
-        # where the base objective is concave enough to create a local maximum.
-        slope_at_minus2 = _sixth_root_value_grad(-2.0)[1]
-        x0_reg = -2.0 + reg_lambda * slope_at_minus2
-
-        def evaluator(x, _x0=x0_reg, _lam=reg_lambda):
-            v = float(x[0])
-            value, grad = _sixth_root_value_grad(v)
-            value += (v - _x0) ** 2 / (2.0 * _lam)
-            grad += (v - _x0) / _lam
-            return value, np.array([grad])
-
-        center = np.array([FIG1_CENTER])
-        return Objective(
-            name="fig1_counterexample",
-            evaluator=evaluator,
-            smoothness_L=FIG1_L,
-            quasar_gamma=0.5,  # nominal; this entry must fail certification
-            feasible_set=set_,
-            center=center,
-            optimal_value=evaluator(center)[0],
-            params={"reg_lambda": reg_lambda, "x0": float(x0_reg)},
-        )
-
-    if name == "glm_sigmoid":
-        _check_param_keys(name, params, ())
-        set_ = Box([-2.0, -2.0], [2.0, 2.0])
-        targets = _sigmoid(GLM_DATA_X @ GLM_TRUE_W)
-
-        def evaluator(w, _X=GLM_DATA_X, _y=targets):
-            s = _sigmoid(_X @ w)
-            r = s - _y
-            return float(np.dot(r, r)), (2.0 * r * s * (1.0 - s)) @ _X
-
-        return Objective(
-            name="glm_sigmoid",
-            evaluator=evaluator,
-            smoothness_L=GLM_L,
-            quasar_gamma=GLM_GAMMA,
-            feasible_set=set_,
-            center=GLM_TRUE_W.copy(),
-            optimal_value=0.0,
-            params={"n_points": len(GLM_DATA_X)},
-        )
-
-    raise InvalidArgumentError(
-        f"unknown catalogue objective '{name}'; expected one of {CATALOGUE_NAMES}"
-    )
+    extra = set(params) - set(entry.params)
+    if extra:
+        raise InvalidArgumentError(f"objective '{name}' got unknown params {sorted(extra)}")
+    for key, value in params.items():
+        if _has_non_finite(value):
+            raise InvalidArgumentError(f"objective '{name}' param {key} must be finite")
+    return entry.build(name, params)

@@ -316,7 +316,7 @@ class Simplex(FeasibleSet):
         self.scale = float(scale)
         self._idx = np.arange(1.0, self.dimension + 1.0)
 
-    def _project(self, v):
+    def _project(self, v, retry=True):
         # Sort-based projection; terminates exactly after one sort and one scan.
         # The descending cumsum fixes tau's bits; the rest reuses one buffer.
         u = np.sort(v)[::-1]
@@ -331,18 +331,23 @@ class Simplex(FeasibleSet):
             np.subtract(u, buf, out=buf)
         active = buf > 0
         last = int(active[::-1].argmax())
-        if not active[-1 - last]:
-            top = v.max()
-            if math.isfinite(top):
-                # Beside entries of 1e16 and more, rounding loses ``scale``.
-                # The projection of v - top 1 is that of v, and with its
-                # largest entry at 0 the first coordinate is active.
-                with np.errstate(over="ignore"):
-                    return self._project(v - top)
-            raise NumericalFailureError(
-                "simplex projection found no active coordinate; the point is not finite")
         rho = self.dimension - last
         tau = (css[rho - 1] - self.scale) / rho
+        if not (active[-1 - last] and math.isfinite(tau)):
+            top = v.max()
+            if retry and math.isfinite(top):
+                # Beside entries of 1e16 and more, rounding loses ``scale``,
+                # and a cumsum that overflows makes tau infinite.  The
+                # projection of v - top 1 is that of v, and with its largest
+                # entry at 0 the first coordinate is active.  An entry below
+                # -scale then projects to 0, so raising one below -2 scale to
+                # -2 scale keeps the cumsum finite, its coordinate clearly
+                # inactive, and the projection unchanged.
+                with np.errstate(over="ignore"):
+                    return self._project(np.maximum(v - top, -2.0 * self.scale), False)
+            raise NumericalFailureError(
+                "simplex projection found no finite threshold; the point is not finite, "
+                "or 2 d scale leaves float range")
         np.subtract(v, tau, out=buf)
         return np.maximum(buf, 0.0, out=buf)
 

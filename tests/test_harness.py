@@ -434,6 +434,11 @@ class TestCLI:
         # A finite start point far from the simplex, where rounding loses its scale.
         ("x0", {"x0": [1e16, 1e16, 1e16]}),
         ("x0", {"x0": [1e200, 1e200, 1e200]}),
+        # A non-finite catalogue param, before the set or the oracle sees it.
+        ("objective", {"objective": {"name": "quadratic", "params": {"shift": [0.0, -math.inf]}}}),
+        ("objective", {"objective": {"name": "affine_plus_quadratic", "params": {"q": math.nan}}}),
+        ("objective", {"objective": {"name": "affine_plus_quadratic",
+                                     "params": {"a": [math.nan, 0.0]}}}),
     ])
     def test_malformed_value_exits_2_naming_the_field(self, field, overrides, tmp_path, capsys):
         raw = {**PGD_SIMPLEX, "x0": "vertex", **overrides,
@@ -558,27 +563,31 @@ class TestCLI:
         assert lines[-1].startswith("# numerical-failure: simplex projection")
 
     def test_unprojectable_shift_exits_3(self, tmp_path, capsys):
+        # A non-finite param is a config error before the set sees it.
         cfg = self.write_config(tmp_path, {
             "algorithm": "pgd",
             "objective": {"name": "quadratic",
                           "params": {"set": {"kind": "simplex", "dimension": 3},
                                      "shift": [math.inf, 0.0, 0.0]}},
             "x0": "vertex", "T": 5, "output_path": str(tmp_path / "o.csv")})
-        assert main(["run", cfg]) == 3
-        assert "simplex projection" in capsys.readouterr().err
+        assert main(["run", cfg]) == 2
+        assert "config field 'objective'" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_unprojectable_shift_flushes_header_only_trace(self, tmp_path, capsys):
+        # shift - center overflows although both are finite.
         raw = {"algorithm": "accelerated",
                "objective": {"name": "quadratic",
-                             "params": {"set": {"kind": "simplex", "dimension": 3},
-                                        "shift": [math.inf, 0.0, 0.0]}},
+                             "params": {"set": {"kind": "ball", "center": [-1e308, 0.0],
+                                                "radius": 1.0},
+                                        "shift": [1e308, 0.0]}},
                "x0": "vertex", "epsilon": 1e-2, "seed": 4}
         out = tmp_path / "bad.csv"
         assert main(["run", self.write_config(tmp_path, raw), "--output", str(out)]) == 3
         assert out.exists()
         parsed = read_trace(out)
         assert parsed.header == {"config": raw, "seed": 4}
-        assert "simplex projection" in parsed.failure
+        assert "ball projection" in parsed.failure
         assert parsed.rows == []
         assert out.read_text().splitlines()[1:3] == ["iter,oracle_calls,f,gap,bound",
                                                      "-1,0,nan,,"]
@@ -716,38 +725,38 @@ class TestCLI:
     # A baseline's multiple is its rate constant, which its bound column uses
     # whether T is given or comes from epsilon.  Without the check a baseline
     # given T would write inf in every bound cell and exit 0.
-    @pytest.mark.parametrize("algorithm,multiple,objective,field,budget", [
-        pytest.param(algorithm, multiple, objective, field, budget,
-                     id=source if algorithm == "accelerated" else f"{algorithm}_{source}")
+    @pytest.mark.parametrize("algorithm,multiple,objective,source,budget", [
+        pytest.param(algorithm, multiple, objective, source, budget,
+                     id=name if algorithm == "accelerated" else f"{algorithm}_{name}")
         for algorithm, multiple in (("accelerated", 16), ("pgd", 20), ("frank_wolfe", 6))
-        for source, objective, field, budget in (
+        for name, objective, source, budget in (
             ("simplex_scale",
              {"name": "quadratic",
-              "params": {"set": {"kind": "simplex", "dimension": 2, "scale": 5e153}}}, "set",
-             {"epsilon": 1e300}),
-            ("large_L", {"name": "affine_plus_quadratic", "params": {"q": 1e307}}, "objective",
+              "params": {"set": {"kind": "simplex", "dimension": 2, "scale": 5e153}}},
+             "the diameter D", {"epsilon": 1e300}),
+            ("large_L", {"name": "affine_plus_quadratic", "params": {"q": 1e307}}, "L",
              {"epsilon": 1e300}),
             ("large_L_given_T",
-             {"name": "affine_plus_quadratic", "params": {"q": 1e308, "a": [1, 1]}}, "objective",
+             {"name": "affine_plus_quadratic", "params": {"q": 1e308, "a": [1, 1]}}, "L",
              {"T": 5}),
             ("box_bounds_given_T",
              {"name": "quadratic",
               "params": {"set": {"kind": "box", "lower": [-1e154, -1e154],
-                                 "upper": [1e154, 1e154]}}}, "set", {"T": 5}),
+                                 "upper": [1e154, 1e154]}}}, "the diameter D", {"T": 5}),
             ("simplex_scale_given_T",
              {"name": "quadratic",
-              "params": {"set": {"kind": "simplex", "dimension": 3, "scale": 1e308}}}, "set",
-             {"T": 5}),
+              "params": {"set": {"kind": "simplex", "dimension": 3, "scale": 1e308}}},
+             "the diameter D", {"T": 5}),
             ("ball_large_L_given_T",
              {"name": "affine_plus_quadratic",
               "params": {"dim": 2, "a": [1e308, 0.0], "q": 1e308,
                          "set": {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0}}},
-             "objective", {"T": 5}),
+             "L", {"T": 5}),
         )
         if algorithm != "accelerated" or "T" not in budget
     ])
     def test_overflowing_scale_exits_2_naming_its_source(self, algorithm, multiple, objective,
-                                                         field, budget, tmp_path, capsys,
+                                                         source, budget, tmp_path, capsys,
                                                          monkeypatch):
         # The run's largest multiple of L D^2 overflows while L D^2 does not;
         # where T comes from epsilon, a huge epsilon keeps T = 1, so the
@@ -763,7 +772,8 @@ class TestCLI:
             warnings.simplefilter("always")
             assert main(["run", self.write_config(tmp_path, raw), "--output", str(out)]) == 2
         err = capsys.readouterr().err
-        assert f"config field '{field}'" in err and f"{multiple} L D^2 overflows" in err
+        assert "config field 'objective'" in err
+        assert f"{multiple} L D^2 overflows float range through {source} (" in err
         assert caught == [] and "Warning" not in err
         assert not out.exists()
 

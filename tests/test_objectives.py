@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import mpmath as mp
 import numpy as np
@@ -20,7 +21,9 @@ from qopt import (
     run_pgd,
     solve_prox_subproblem,
 )
+from qopt import checks
 from qopt.checks import _worst_quasar_violations, fw_dynamics, quasar_certificate, smoothness
+from qopt.objectives import CATALOGUE, CATALOGUE_NAMES
 from qopt.sets import _dot
 from qopt.trace import trace_csv_lines
 
@@ -270,6 +273,13 @@ class TestCatalogue:
         assert grad.tobytes() == d.tobytes()
         assert np.array(obj.params["shift"]).tobytes() == shift.tobytes()
 
+    def test_affine_center_projects_a_far_unconstrained_minimizer(self):
+        # -a / q = [-9e307, -9e307, 1]: the simplex projection's cumsum overflows.
+        obj = make_catalogue_objective("affine_plus_quadratic", {
+            "set": {"kind": "simplex", "dimension": 3}, "a": [9e307, 9e307, -1.0], "q": 1})
+        np.testing.assert_array_equal(obj.center, [0.0, 0.0, 1.0])
+        assert obj.optimal_value == -0.5
+
     def test_affine_center_is_lmo_vertex(self):
         obj = make_catalogue_objective("affine_plus_quadratic", {"a": [1.0, -1.0], "q": 0.0})
         np.testing.assert_array_equal(obj.center, [-1.0, 1.0])
@@ -287,6 +297,27 @@ class TestCatalogue:
     def test_unknown_params_rejected(self):
         with pytest.raises(InvalidArgumentError):
             make_catalogue_objective("example1", {"set": {"kind": "box"}})
+
+    @pytest.mark.parametrize("name", ["rosenbrock", ["quadratic"], None])
+    def test_unknown_name_names_the_catalogue(self, name):
+        with pytest.raises(InvalidArgumentError, match="expected one of"):
+            make_catalogue_objective(name)
+
+    @pytest.mark.parametrize("name", CATALOGUE_NAMES)
+    def test_params_beyond_the_entry_are_rejected(self, name):
+        with pytest.raises(InvalidArgumentError, match=r"unknown params \['typo'\]"):
+            make_catalogue_objective(name, {"typo": 1})
+
+    @pytest.mark.parametrize("name,params,param", [
+        ("affine_plus_quadratic", {"q": np.nan}, "q"),
+        ("affine_plus_quadratic", {"q": np.inf}, "q"),
+        ("affine_plus_quadratic", {"a": np.array([np.nan, 1.0])}, "a"),
+        ("quadratic", {"set": {"kind": "simplex", "dimension": 3}, "shift": [np.inf, 0, 0]},
+         "shift"),
+    ])
+    def test_non_finite_param_rejected(self, name, params, param):
+        with pytest.raises(InvalidArgumentError, match=f"param {param} must be finite"):
+            make_catalogue_objective(name, params)
 
     @pytest.mark.parametrize("name", ["quadratic", "affine_plus_quadratic"])
     @pytest.mark.parametrize("dim", [2.7, 2.0, True, "2"],
@@ -314,6 +345,71 @@ class TestCatalogue:
         for name in ("quadratic", "affine_plus_quadratic", "example1", "glm_sigmoid"):
             obj = make_catalogue_objective(name)
             assert quasar_certificate(obj, 4_000).max_violation <= 1e-9, name
+
+
+class TestCatalogueRegistry:
+    """The catalogue registry is the one place an instance is written: the
+    check table, its instances and its aggregate rows derive from it."""
+
+    #: Every check that gives one row per member of its family.
+    PER_MEMBER_CHECKS = {
+        "quasar_certificate", "quasar_counterexample", "counterexample_construction",
+        "smoothness", "gradient_consistency", "prox_conditioning", "moreau_smoothness",
+        "prox_stopping", "prox_gradient_error", "moreau_quasar", "prox_descent",
+        "linesearch_certificate", "rate_envelope", "accelerated_gap"}
+
+    def test_derived_tables_equal_the_hand_kept_ones(self):
+        assert CATALOGUE_NAMES == ("quadratic", "affine_plus_quadratic", "example1",
+                                   "fig1_counterexample", "glm_sigmoid")
+        assert checks._INSTANCES == {
+            "quadratic_box": ("quadratic", {}, [1.0, 1.0]),
+            "example1": ("example1", {}, [5.0]),
+            "quadratic_simplex": ("quadratic", {"set": {"kind": "simplex", "dimension": 3}},
+                                  "vertex"),
+        }
+        table = checks._CHECKS
+        prox_entries = ("quadratic", "example1")
+        mapping_entries = ("quadratic", "example1", "glm_sigmoid")
+        assert table["prox_iteration_budget"] == (checks.prox_iteration_budget, prox_entries)
+        assert table["pgd_mapping_bound"] == (checks.pgd_mapping_bound, mapping_entries)
+        assert table["pgd_descent_step"] == (checks.pgd_descent_step, mapping_entries)
+        assert table["moreau_quasar:example1"] == (checks.moreau_quasar, "example1", 1e-6)
+        assert table["moreau_quasar:quadratic"] == (checks.moreau_quasar, "quadratic", 1e-8)
+        assert table["accelerated_gap:quadratic_box"] == (
+            checks.accelerated_gap, "quadratic_box", 1e-3)
+        assert table["accelerated_gap:example1"] == (checks.accelerated_gap, "example1", 1e-4)
+        assert [n for n in CATALOGUE_NAMES if f"quasar_certificate:{n}" in table] == [
+            n for n in CATALOGUE_NAMES if n != "fig1_counterexample"]
+
+    def test_one_entry_joins_every_family(self):
+        # A renamed copy of example1 that joins every family, with the
+        # arguments of the first member of each.
+        families, runs = {}, {}
+        for entry in CATALOGUE.values():
+            for family, args in entry.checks.items():
+                families.setdefault(family, args)
+            for _, _, run_families in entry.instances.values():
+                for family, args in run_families.items():
+                    runs.setdefault(family, args)
+        copy = "example1_copy"
+        extended = {**CATALOGUE, copy: CATALOGUE["example1"]._replace(
+            checks=families, instances={copy: ({}, [5.0], runs)})}
+        base, table = checks._CHECKS, checks._check_table(extended)
+
+        # The registry's own rows keep their order, and only the copy's are new.
+        assert [k for k in table if not k.endswith(copy)] == list(base)
+        added = [k for k in table if k.endswith(copy)]
+        assert {k.split(":")[0] for k in added} == self.PER_MEMBER_CHECKS
+        for name in added:
+            # The copy comes last in registry order, so each of its rows closes
+            # its family's rows: the same row name with another member.
+            pattern = re.escape(name[:-len(copy)]) + "[^:]+"
+            family_rows = [k for k in table if re.fullmatch(pattern, k)]
+            assert family_rows == [k for k in base if re.fullmatch(pattern, k)] + [name]
+            assert table[name][0].__name__ == name.split(":")[0]
+            assert copy in table[name]
+        for name in ("prox_iteration_budget", "pgd_mapping_bound", "pgd_descent_step"):
+            assert table[name] == (base[name][0], base[name][1] + (copy,))
 
 
 def read_only_oracle(obj):

@@ -1,23 +1,31 @@
-"""The config examples in README.md load and run as documented, and its
-config keys and sweepable fields are the ones the harness accepts."""
+"""The config examples in README.md load and run as documented, its config
+keys and sweepable fields are the ones the harness accepts, and its catalogue
+table states the registry's names and declared constants."""
 
 import json
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from qopt import load_config, run_experiment
+from qopt import load_config, make_catalogue_objective, run_experiment
 from qopt.harness import _CONFIG_KEYS, _SWEEPABLE
+from qopt.objectives import CATALOGUE_NAMES
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 TEXT = README.read_text()
 CONFIG_BLOCKS = re.findall(r"^```json\n(.*?)^```", TEXT, re.M | re.S)
 
 
-def _section(title):
-    """The README text under ``### title``, up to the next heading."""
-    return re.search(rf"^### {title}\n(.*?)^#", TEXT, re.M | re.S).group(1)
+def _section(title, level=3):
+    """The README text under the ``title`` heading, up to the next heading."""
+    return re.search(rf"^{'#' * level} {title}\n(.*?)^#", TEXT, re.M | re.S).group(1)
+
+
+#: ``(name, constants cell)`` of each row of the catalogue table.
+CATALOGUE_ROWS = re.findall(r"^\| `(\w+)` +\|.*\| (.*) \|$",
+                            _section("Objective catalogue", level=2), re.M)
 
 
 def test_readme_has_config_blocks():
@@ -44,3 +52,16 @@ def test_documented_config_keys_are_the_accepted_ones():
 def test_documented_sweepable_fields_are_the_accepted_ones():
     named = re.search(r"sweepable fields \((.*?)\)", _section("Sweeps"), re.S).group(1)
     assert sorted(re.findall(r"`(\w+)`", named)) == sorted(_SWEEPABLE)
+
+
+def test_catalogue_table_lists_the_registry_in_order():
+    assert tuple(name for name, _ in CATALOGUE_ROWS) == CATALOGUE_NAMES
+
+
+@pytest.mark.parametrize("name,constants", CATALOGUE_ROWS,
+                         ids=[name for name, _ in CATALOGUE_ROWS])
+def test_catalogue_table_states_the_declared_constants(name, constants):
+    obj = make_catalogue_objective(name)
+    declared = {"L": obj.smoothness_L, "gamma": obj.quasar_gamma}
+    for symbol, value in re.findall(r"`(L|gamma) = ([\d./]+)`", constants):
+        assert float(Fraction(value)) == declared[symbol], (name, symbol, value)

@@ -154,13 +154,16 @@ class TestProjection:
         ([1e300, 1e300], [0.5, 0.5]),
         ([1e16, 1.0], [1.0, 0.0]),
         ([1e308, -1e308], [1.0, 0.0]),
+        # The descending cumsum overflows to -inf.
+        ([-9e307, -9e307, 5.0], [0.0, 0.0, 1.0]),
+        ([-1e308, -1e308], [0.5, 0.5]),
     ])
     def test_simplex_projects_a_far_finite_point(self, v, expected):
-        # Rounding loses the scale beside entries this large; the projection
-        # retries with the largest entry shifted to 0.
+        # Rounding loses the scale beside entries this large, or the cumsum
+        # overflows; the projection retries with the largest entry shifted to 0.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            np.testing.assert_array_equal(Simplex(2).project(np.array(v)), expected)
+            np.testing.assert_array_equal(Simplex(len(v)).project(np.array(v)), expected)
 
     def test_ball_non_finite_input_is_a_numerical_failure(self):
         ball = Ball([0.0, 0.0], 1.0)
