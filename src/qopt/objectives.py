@@ -177,7 +177,8 @@ def _quadratic(name, params):
     set_ = _resolve_set(name, params)
     dim = set_.dimension
     shift = as_point(params.get("shift", np.zeros(dim)), dim)
-    if shift.view(np.int64).any():
+    nonzero = shift.view(np.int64).any()
+    if nonzero:
         def evaluator(x, _b=shift):
             d = x - _b
             return 0.5 * float(_dot(d, d)), d
@@ -187,13 +188,14 @@ def _quadratic(name, params):
         # subtraction: -0.0 - (-0.0) is +0.0).  So the gradient is the
         # query point itself, which no solver writes.  It is not a
         # read-only view: numpy's argmin copies a non-writeable array.
+        # ``params["shift"]`` repeats one ``0.0`` object, not ``dim`` floats.
         def evaluator(x):
             return 0.5 * float(_dot(x, x)), x
 
     center = set_.project(shift)
     return Objective(name, evaluator, smoothness_L=1.0, quasar_gamma=1.0, feasible_set=set_,
                      center=center, optimal_value=evaluator(center)[0],
-                     params={"dim": dim, "shift": shift.tolist()})
+                     params={"dim": dim, "shift": shift.tolist() if nonzero else [0.0] * dim})
 
 
 def _affine_plus_quadratic(name, params):

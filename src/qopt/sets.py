@@ -304,6 +304,38 @@ class Ball(FeasibleSet):
         return {"kind": "ball", "center": self.center.tolist(), "radius": self.radius}
 
 
+def _simplex_projection(v, scale, idx):
+    """The projection of ``v`` onto ``{x >= 0 : sum(x) = scale}``, or ``None``
+    where rounding or overflow leaves no threshold to trust.
+
+    Sort-based; terminates exactly after one sort and one scan.  The
+    descending cumsum fixes tau's bits; the rest reuses one buffer.
+    ``idx`` is the float ``1..d``.
+    """
+    u = np.sort(v)[::-1]
+    # An infinite or overflowing entry makes inf - inf here.  The NaN it
+    # leaves is never active: a -inf entry still projects and anything else
+    # finds no active coordinate.  A tau that overflows is caught below, and
+    # a v - tau that does is -inf, an entry that projects to 0; so numpy's
+    # warnings about them are noise.
+    with np.errstate(invalid="ignore", over="ignore"):
+        css = np.cumsum(u)
+        buf = css - scale
+        buf /= idx
+        np.subtract(u, buf, out=buf)
+        active = buf > 0
+        last = int(active[::-1].argmax())
+        rho = len(v) - last
+        tau = (css[rho - 1] - scale) / rho
+        # A cumsum that overflows to +inf makes every later coordinate look
+        # inactive, so the first inactive one needs a cumsum below +inf.
+        if not (active[-1 - last] and math.isfinite(tau)
+                and (last == 0 or css[rho] < math.inf)):
+            return None
+        np.subtract(v, tau, out=buf)
+    return np.maximum(buf, 0.0, out=buf)
+
+
 class Simplex(FeasibleSet):
     """Scaled probability simplex ``{x >= 0 : sum(x) = scale}``."""
 
@@ -316,40 +348,28 @@ class Simplex(FeasibleSet):
         self.scale = float(scale)
         self._idx = np.arange(1.0, self.dimension + 1.0)
 
-    def _project(self, v, retry=True):
-        # Sort-based projection; terminates exactly after one sort and one scan.
-        # The descending cumsum fixes tau's bits; the rest reuses one buffer.
-        u = np.sort(v)[::-1]
-        # An infinite or overflowing entry makes inf - inf here.  The NaN it
-        # leaves is never active: a -inf entry still projects and anything
-        # else finds no active coordinate, so numpy's warnings about it are
-        # noise.
-        with np.errstate(invalid="ignore", over="ignore"):
-            css = np.cumsum(u)
-            buf = css - self.scale
-            buf /= self._idx
-            np.subtract(u, buf, out=buf)
-        active = buf > 0
-        last = int(active[::-1].argmax())
-        rho = self.dimension - last
-        tau = (css[rho - 1] - self.scale) / rho
-        if not (active[-1 - last] and math.isfinite(tau)):
+    def _project(self, v):
+        out = _simplex_projection(v, self.scale, self._idx)
+        if out is None:
             top = v.max()
-            if retry and math.isfinite(top):
-                # Beside entries of 1e16 and more, rounding loses ``scale``,
-                # and a cumsum that overflows makes tau infinite.  The
-                # projection of v - top 1 is that of v, and with its largest
-                # entry at 0 the first coordinate is active.  An entry below
-                # -scale then projects to 0, so raising one below -2 scale to
-                # -2 scale keeps the cumsum finite, its coordinate clearly
-                # inactive, and the projection unchanged.
-                with np.errstate(over="ignore"):
-                    return self._project(np.maximum(v - top, -2.0 * self.scale), False)
-            raise NumericalFailureError(
-                "simplex projection found no finite threshold; the point is not finite, "
-                "or 2 d scale leaves float range")
-        np.subtract(v, tau, out=buf)
-        return np.maximum(buf, 0.0, out=buf)
+            if not math.isfinite(top):
+                raise NumericalFailureError(
+                    "simplex projection found no finite threshold; the point is not finite")
+            # Beside entries of 1e16 and more, rounding loses ``scale``, and a
+            # cumsum that overflows makes tau infinite or hides active
+            # coordinates.  The projection of v - top 1 is that of v, and with
+            # its largest entry at 0 the first coordinate is active.  Divided
+            # by ``scale`` it is the projection onto the unit simplex, scaled
+            # down.  There an entry below -1 projects to 0, so raising one below
+            # -2 to -2 keeps its coordinate clearly inactive and the projection
+            # unchanged; with every entry in [-2, 0] the cumsum stays finite.
+            with np.errstate(over="ignore"):
+                w = v - top
+                w /= self.scale
+            np.maximum(w, -2.0, out=w)
+            out = _simplex_projection(w, 1.0, self._idx)
+            out *= self.scale
+        return out
 
     def _lmo(self, g):
         out = np.zeros(self.dimension)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from .errors import NumericalFailureError
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRow:
     iteration: int
     oracle_calls: int
@@ -138,29 +139,54 @@ def format_float(value):
 
 
 _encode = json.JSONEncoder(sort_keys=True).encode
+_decode = json.JSONDecoder().raw_decode
+_FAILURE_PREFIX = "# numerical-failure: "
 
 
 def _header_json(value, memo):
-    """``json.dumps(value, sort_keys=True)`` byte for byte, encoding each
-    all-float list once per ``memo`` (a header holds an explicit ``x0`` twice).
+    """The text of ``json.dumps(value, sort_keys=True)``, byte for byte, in pieces.
 
-    Two lists share a text only when every entry is exactly a ``float`` and
-    the float64 bits are equal: equal bits give an equal ``repr``, where
-    ``==`` would merge ``0.0`` with ``-0.0`` and ``1`` with ``1.0``.
+    A list is encoded ``_CHUNK_ROWS`` entries at a time, so no piece of it is
+    longer than one chunk's text, and ``memo`` keeps the text of each
+    all-float chunk by its float64 bits: a header holds an explicit ``x0``
+    twice, and the second copy reuses the first one's texts.  Equal bits give
+    an equal text, where ``==`` would merge ``0.0`` with ``-0.0`` and ``1``
+    with ``1.0``.
     """
     if type(value) is dict and all(type(key) is str for key in value):
-        return "{%s}" % ", ".join("%s: %s" % (_encode(key), _header_json(value[key], memo))
-                                  for key in sorted(value))
-    if type(value) is list and all(type(v) is float for v in value):
-        bits = np.array(value).tobytes()
-        text = memo.get(bits)
-        if text is None:
-            text = memo[bits] = _encode(value)
-        return text
-    return _encode(value)
+        separator = ""
+        yield "{"
+        for key in sorted(value):
+            yield "%s%s: " % (separator, _encode(key))
+            yield from _header_json(value[key], memo)
+            separator = ", "
+        yield "}"
+    elif type(value) is list:
+        yield "["
+        for lo in range(0, len(value), _CHUNK_ROWS):
+            if lo:
+                yield ", "
+            yield _chunk_json(value[lo:lo + _CHUNK_ROWS], memo)
+        yield "]"
+    else:
+        yield _encode(value)
 
 
-#: The most rows one ``%`` operation formats, which bounds the text held at once.
+def _chunk_json(chunk, memo):
+    """json's text of the list ``chunk`` without its brackets: its entries'
+    texts joined by ``", "``, as they stand in the whole list's text."""
+    if not all(type(v) is float for v in chunk):
+        return _encode(chunk)[1:-1]
+    bits = np.array(chunk).tobytes()
+    text = memo.get(bits)
+    if text is None:
+        text = memo[bits] = _encode(chunk)[1:-1]
+    return text
+
+
+#: The most rows one ``%`` operation formats or ``read_trace`` parses at once,
+#: and the most entries of a header list encoded at once: it bounds the text
+#: held at once.
 _CHUNK_ROWS = 1024
 
 
@@ -192,7 +218,9 @@ def _csv_chunks(trace):
     start of the fill.  A fill's rows share one ``,calls,f,gap,`` text, so
     only their iteration and bound cells are formatted per row.
     """
-    yield "# %s\niter,oracle_calls,f,gap,bound\n" % _header_json(trace.header, {})
+    yield "# "
+    yield from _header_json(trace.header, {})
+    yield "\niter,oracle_calls,f,gap,bound\n"
     n = len(trace.iteration)
     fill = n if trace._fill is None else trace._fill
     empty = 2 * _is_empty(trace.gap) + _is_empty(trace.bound)
@@ -220,7 +248,7 @@ def _csv_chunks(trace):
     if trace.failure is not None:
         # Failure marker row: negative iteration index, NaN objective value.
         calls = trace.final_oracle_calls if trace.failure_calls is None else trace.failure_calls
-        yield f"-1,{calls},nan,,\n# numerical-failure: {trace.failure}\n"
+        yield f"-1,{calls},nan,,\n{_FAILURE_PREFIX}{trace.failure}\n"
 
 
 def trace_csv_lines(trace):
@@ -234,24 +262,39 @@ def write_trace(trace, path):
     return path
 
 
+def _cells(texts):
+    """The floats of a gap or bound column's ``texts``; an empty text is ``None``."""
+    if "" not in texts:
+        return list(map(float, texts))
+    return [float(text) if text else None for text in texts]
+
+
 def read_trace(path):
-    """Parse a trace CSV back into a :class:`Trace` (columns and header only)."""
+    """Parse a trace CSV back into a :class:`Trace` (columns and header only).
+
+    The rows are parsed a column at a time, ``_CHUNK_ROWS`` lines at once.
+    """
     trace = Trace({})
     with open(path) as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if line.startswith("# numerical-failure: "):
-                trace.failure = line[len("# numerical-failure: "):]
-            elif line.startswith("# "):
-                trace.header = json.loads(line[2:])
-            elif line and not line.startswith("iter,"):
-                it, calls, f, gap, bound = line.split(",")
-                if int(it) < 0:
-                    trace.failure_calls = int(calls)
-                    continue
-                trace.iteration.append(int(it))
-                trace.oracle_calls.append(int(calls))
-                trace.f_value.append(float(f))
-                trace.gap.append(float(gap) if gap else None)
-                trace.bound.append(float(bound) if bound else None)
+        line = fh.readline()
+        # Decoded where it stands: no copy of a header line that may be long.
+        trace.header, end = _decode(line, 2)
+        if line[end:].strip():
+            raise json.JSONDecodeError("Extra data", line, end)
+        fh.readline()  # the column row
+        while lines := list(islice(fh, _CHUNK_ROWS)):
+            if lines[-1].startswith(_FAILURE_PREFIX):
+                trace.failure = lines.pop()[len(_FAILURE_PREFIX):].rstrip("\n")
+            if lines and lines[-1].startswith("-"):
+                # Failure marker row: negative iteration index.
+                trace.failure_calls = int(lines.pop().split(",")[1])
+            if not lines:
+                continue
+            iteration, calls, f, gap, bound = zip(
+                *[line.rstrip("\n").split(",") for line in lines], strict=True)
+            trace.iteration += map(int, iteration)
+            trace.oracle_calls += map(int, calls)
+            trace.f_value += map(float, f)
+            trace.gap += _cells(gap)
+            trace.bound += _cells(bound)
     return trace

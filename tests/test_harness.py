@@ -777,6 +777,22 @@ class TestCLI:
         assert caught == [] and "Warning" not in err
         assert not out.exists()
 
+    def test_far_shift_on_an_overflowing_simplex_exits_2(self, tmp_path, capsys):
+        # The centre projects (to 1e308 e_1) although 2 d scale leaves float
+        # range, so the overflowing diameter is what the run reports.
+        raw = {"algorithm": "frank_wolfe",
+               "objective": {"name": "quadratic",
+                             "params": {"set": {"kind": "simplex", "dimension": 3,
+                                                "scale": 1e308},
+                                        "shift": [0.0, -1e308, -1e308]}},
+               "x0": "vertex", "T": 5}
+        out = tmp_path / "o.csv"
+        assert main(["run", self.write_config(tmp_path, raw), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config field 'objective'" in err
+        assert "overflows float range through the diameter D (" in err
+        assert not out.exists()
+
     def test_verify_subcommand(self, capsys):
         assert main(["verify", "--suite", "trace_determinism"]) == 0
         out = capsys.readouterr().out

@@ -12,6 +12,7 @@ import pytest
 from qopt import load_config, make_catalogue_objective, run_experiment
 from qopt.harness import _CONFIG_KEYS, _SWEEPABLE
 from qopt.objectives import CATALOGUE_NAMES
+from qopt.trace import _CHUNK_ROWS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 TEXT = README.read_text()
@@ -19,8 +20,12 @@ CONFIG_BLOCKS = re.findall(r"^```json\n(.*?)^```", TEXT, re.M | re.S)
 
 
 def _section(title, level=3):
-    """The README text under the ``title`` heading, up to the next heading."""
-    return re.search(rf"^{'#' * level} {title}\n(.*?)^#", TEXT, re.M | re.S).group(1)
+    """The README prose under the ``title`` heading, up to the next heading.
+
+    Code blocks are left out: a line in one may start with ``#``.
+    """
+    prose = re.sub(r"^```.*?^```\n", "", TEXT, flags=re.M | re.S)
+    return re.search(rf"^{'#' * level} {title}\n(.*?)^#", prose, re.M | re.S).group(1)
 
 
 #: ``(name, constants cell)`` of each row of the catalogue table.
@@ -52,6 +57,15 @@ def test_documented_config_keys_are_the_accepted_ones():
 def test_documented_sweepable_fields_are_the_accepted_ones():
     named = re.search(r"sweepable fields \((.*?)\)", _section("Sweeps"), re.S).group(1)
     assert sorted(re.findall(r"`(\w+)`", named)) == sorted(_SWEEPABLE)
+
+
+def test_documented_chunk_size_is_the_trace_chunk():
+    # Rows are formatted, header lists encoded and rows read in chunks of
+    # trace._CHUNK_ROWS; every chunk size the section states is that one.
+    section = _section("Trace CSV format")
+    figures = re.findall(r"([\d,]+)[ -](?:rows|entries|entry|lines)\b", section)
+    assert len(figures) >= 4
+    assert {int(figure.replace(",", "")) for figure in figures} == {_CHUNK_ROWS}
 
 
 def test_catalogue_table_lists_the_registry_in_order():

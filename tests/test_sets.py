@@ -165,6 +165,21 @@ class TestProjection:
             warnings.simplefilter("error")
             np.testing.assert_array_equal(Simplex(len(v)).project(np.array(v)), expected)
 
+    def test_simplex_projects_a_far_point_where_2_d_scale_overflows(self):
+        # The retry's cumsum would overflow again at this scale: it projects
+        # onto the unit simplex and scales the result back.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            simplex = Simplex(3, 1e308)
+            np.testing.assert_array_equal(simplex.project(np.array([0.0, -1e308, -1e308])),
+                                          [1e308, 0.0, 0.0])
+            # The cumsum overflows to +inf at the second coordinate, which
+            # must not then look inactive.
+            np.testing.assert_array_equal(Simplex(2, 1e300).project(np.array([1e308, 1e308])),
+                                          [5e299, 5e299])
+            np.testing.assert_array_equal(simplex.project(np.array([1e308, 1e308, -1e308])),
+                                          [5e307, 5e307, 0.0])
+
     def test_ball_non_finite_input_is_a_numerical_failure(self):
         ball = Ball([0.0, 0.0], 1.0)
         for v in ([np.nan, 0.0], [-np.inf, 0.0], [np.inf, np.inf], [0.5, np.nan]):
@@ -186,6 +201,10 @@ class TestProjection:
                                           [0.0, 0.5, 0.5])
             np.testing.assert_array_equal(simplex.project(np.array([1e308, 1e308, 0.0])),
                                           [0.5, 0.5, 0.0])
+            # v - tau overflows for the second entry, which projects to 0.
+            top, scale = np.finfo(float).max, 2.0 ** 996
+            np.testing.assert_array_equal(Simplex(2, scale).project(np.array([top, -2.0 ** 1023])),
+                                          [scale, 0.0])
 
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidArgumentError):

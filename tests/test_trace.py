@@ -18,7 +18,7 @@ from qopt import (
     run_pgd,
     write_trace,
 )
-from qopt.trace import Trace, TraceRow, format_float, trace_csv_lines
+from qopt.trace import _CHUNK_ROWS, Trace, TraceRow, _csv_chunks, format_float, trace_csv_lines
 
 # One short run per solver on example1 from x0 = 5.
 SOLVERS = {
@@ -242,6 +242,10 @@ def test_vectorized_bounds_match_the_scalar_bound():
 
 _LONG = np.random.default_rng(7).standard_normal(30_000).tolist()
 _NAN, _INF = float("nan"), float("inf")
+# One chunk is _CHUNK_ROWS = 1,024 entries.
+_EDGES = {f"n{n}": _LONG[:n] for n in (1_023, 1_024, 1_025, 2_049)}
+_NAN_IN_SECOND_CHUNK = [*_LONG[:1_500], _NAN, *_LONG[1_501:2_049]]
+_NEGATIVE_ZERO_LAST = {"a": [*_LONG[:2_048], 0.0], "b": [*_LONG[:2_048], -0.0]}
 
 
 @pytest.mark.parametrize("header", [
@@ -260,12 +264,55 @@ _NAN, _INF = float("nan"), float("inf")
     {},
     {"config": {"x0": _LONG}, "x0": list(_LONG), "y": [*_LONG[:-1], -_LONG[-1]],
      "z": [1.0] * 29_999 + [1], "w": [1.0] * 30_000},
+    _EDGES,
+    {"x0": _NAN_IN_SECOND_CHUNK, "y": _LONG[:2_049]},
+    _NEGATIVE_ZERO_LAST,
+    {"a": [], "b": _LONG, "c": {"d": [], "e": _LONG}},
 ], ids=["ints_beside_floats", "signed_zeros", "nan_and_infinity", "bools", "np_float64",
         "nested", "non_ascii", "non_str_keys", "non_str_top_level_keys", "empty",
-        "long_equal_lists"])
+        "long_equal_lists", "chunk_edges", "nan_in_second_chunk", "negative_zero_in_last_chunk",
+        "empty_beside_long"])
 def test_header_line_is_json_dumps_sorted(header):
     line = trace_csv_lines(Trace(header))[0]
     assert line == "# " + json.dumps(header, sort_keys=True)
+
+
+def test_header_is_written_a_chunk_at_a_time():
+    # A 100,000-entry x0 is a ~2 MB text, twice in the header; no piece
+    # written may be longer than the text of one chunk of its entries.
+    x0 = np.random.default_rng(3).standard_normal(100_000).tolist()
+    header = {"config": {"x0": x0}, "params": {"shift": [0.0] * 100_000}, "x0": list(x0)}
+    pieces = list(_csv_chunks(Trace(header)))
+    longest_chunk = max(len(", ".join(map(repr, x0[lo:lo + _CHUNK_ROWS])))
+                        for lo in range(0, len(x0), _CHUNK_ROWS))
+    assert max(map(len, pieces)) <= longest_chunk
+    assert "".join(pieces) == ("# " + json.dumps(header, sort_keys=True)
+                               + "\niter,oracle_calls,f,gap,bound\n")
+
+
+def test_trace_row_has_no_instance_dict():
+    row = TraceRow(0, 1, 0.5, None, None)
+    assert not hasattr(row, "__dict__")
+    with pytest.raises(AttributeError):
+        row.extra = 1
+
+
+@pytest.mark.parametrize("n", [1, 1_022, 1_023, 1_024, 1_025, 2_048, 3_000])
+@pytest.mark.parametrize("failure", [None, "stop, at a comma"])
+def test_read_trace_round_trips_at_chunk_edges(n, failure, tmp_path):
+    # Rows are parsed _CHUNK_ROWS lines at a time: the failure marker row and
+    # the failure line may end one chunk or start the next.  The gap column
+    # is empty on every third row and the bound cell of row 0.
+    rng = np.random.default_rng(n)
+    f = rng.standard_normal(n).tolist()
+    trace = Trace({"x0": [1.0]}, list(range(n)), list(range(0, 2 * n, 2)), f,
+                  [None if i % 3 == 0 else v for i, v in enumerate(f)],
+                  [None, *rng.standard_normal(n - 1).tolist()],
+                  failure=failure, failure_calls=None if failure is None else 2 * n + 1)
+    path = write_trace(trace, tmp_path / "trace.csv")
+    parsed = read_trace(path)
+    assert parsed == trace
+    assert write_trace(parsed, tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
 
 def test_header_encoding_leaves_no_garbage_cycle():
