@@ -42,7 +42,7 @@ from .objectives import (
     make_catalogue_objective,
 )
 from .prox import _ProxConstants, _solve, default_lambda
-from .sets import Box, _norm
+from .sets import MEMBERSHIP_TOL, Box, _norm
 
 #: How far a recorded gap may exceed its rate bound (baselines and accelerated).
 _BOUND_SLACK = 1e-9
@@ -55,8 +55,7 @@ _PGD_MONOTONE_RTOL = 4e-16
 _ITERATION_CONSTANT = 50.0
 #: Slack of the gradient-mapping inequality and descent checks.
 MAPPING_TOL = 1e-10
-#: Frank-Wolfe iterate infeasibility and weight-identity tolerances.
-FW_FEASIBILITY_TOL = 1e-10
+#: Frank-Wolfe weight-identity tolerance; iterates are held to ``MEMBERSHIP_TOL``.
 FW_WEIGHT_TOL = 1e-12
 #: How many times tighter than the run's delta the line-search audit solves each prox.
 CERTIFICATE_ACCURACY_FACTOR = 1e4
@@ -548,7 +547,7 @@ def pgd_descent_step(objectives, trials=1000):
 def fw_dynamics(instance, T=500):
     """Observe ``run_frank_wolfe`` on ``instance`` (an ``_INSTANCES`` name or an
     ``(objective, x0)`` pair) for ``T`` steps: each ``x_t``
-    (t >= 1) must be feasible within ``FW_FEASIBILITY_TOL`` and equal
+    (t >= 1) must be feasible within ``MEMBERSHIP_TOL`` and equal
     ``sum_{s<t} a_s v_s / A_t`` within ``FW_WEIGHT_TOL``, with ``a_s = 2s + 2``,
     ``A_t = t (t+1)`` and the dense vertex ``v_s = lmo(grad f(x_s))``.
     """
@@ -574,9 +573,9 @@ def fw_dynamics(instance, T=500):
     baselines.run_frank_wolfe(obj, x0, T, OracleCounter(), observe)
     return CheckResult(
         "fw_dynamics",
-        _worst(worst_dist - FW_FEASIBILITY_TOL, worst_weight - FW_WEIGHT_TOL),
+        _worst(worst_dist - MEMBERSHIP_TOL, worst_weight - FW_WEIGHT_TOL),
         0.0,
-        worst_dist <= FW_FEASIBILITY_TOL and worst_weight <= FW_WEIGHT_TOL,
+        worst_dist <= MEMBERSHIP_TOL and worst_weight <= FW_WEIGHT_TOL,
         T,
         "iterate feasibility and weight identity on the solver's own run",
     )

@@ -15,9 +15,10 @@ import numpy as np
 
 from .errors import InvalidArgumentError, NumericalFailureError, PreconditionError
 
-#: Default tolerance of :meth:`FeasibleSet.contains`: every caller's point a
-#: public entry takes (:meth:`FeasibleSet.checked_point`) and every objective
-#: center is checked against it.
+#: The one membership tolerance: :meth:`FeasibleSet.contains` holds every
+#: caller's point a public entry takes (:meth:`FeasibleSet.checked_point`)
+#: and every objective center to it, and a simplex projection's sum must
+#: meet ``scale`` within ``MEMBERSHIP_TOL * scale``.
 MEMBERSHIP_TOL = 1e-10
 #: Longest vector :func:`_dot` hands to one BLAS call.  The OpenBLAS bundled
 #: with numpy splits a dot product across threads above 10,000 entries, and
@@ -155,12 +156,10 @@ class FeasibleSet:
             # Only a point with a NaN or infinite entry fails to project.
             return math.nan if np.isnan(x).any() else math.inf
 
-    def contains(self, x, tol=MEMBERSHIP_TOL):
-        """True when ``x`` is finite and within ``tol`` of the set."""
-        if tol < 0:
-            raise InvalidArgumentError("membership tolerance must be nonnegative")
+    def contains(self, x):
+        """True when ``x`` is finite and within ``MEMBERSHIP_TOL`` of the set."""
         x = as_point(x, self.dimension)
-        return _is_finite_point(x) and self._distance(x) <= tol
+        return _is_finite_point(x) and self._distance(x) <= MEMBERSHIP_TOL
 
     def checked_point(self, x, name):
         """``x`` as a 1-D float64 array, once shown a finite point of the set.
@@ -305,33 +304,24 @@ class Ball(FeasibleSet):
 
 
 def _simplex_projection(v, scale, idx):
-    """The projection of ``v`` onto ``{x >= 0 : sum(x) = scale}``, or ``None``
-    where rounding or overflow leaves no threshold to trust.
+    """``max(v - tau, 0)`` with the sort-based threshold ``tau`` of
+    ``{x >= 0 : sum(x) = scale}``: the projection of ``v`` exactly when it
+    sums to ``scale``.
 
-    Sort-based; terminates exactly after one sort and one scan.  The
-    descending cumsum fixes tau's bits; the rest reuses one buffer.
-    ``idx`` is the float ``1..d``.
+    One sort and one scan.  The descending cumsum fixes tau's bits; the rest
+    reuses one buffer.  ``idx`` is the float ``1..d``.
     """
     u = np.sort(v)[::-1]
-    # An infinite or overflowing entry makes inf - inf here.  The NaN it
-    # leaves is never active: a -inf entry still projects and anything else
-    # finds no active coordinate.  A tau that overflows is caught below, and
-    # a v - tau that does is -inf, an entry that projects to 0; so numpy's
-    # warnings about them are noise.
+    # An infinite entry makes inf - inf here, and a large one can overflow
+    # the cumsum, tau or v - tau.  The result's sum shows any of them, so
+    # numpy's warnings about them are noise.
     with np.errstate(invalid="ignore", over="ignore"):
         css = np.cumsum(u)
         buf = css - scale
         buf /= idx
         np.subtract(u, buf, out=buf)
-        active = buf > 0
-        last = int(active[::-1].argmax())
-        rho = len(v) - last
+        rho = len(v) - int((buf > 0)[::-1].argmax())
         tau = (css[rho - 1] - scale) / rho
-        # A cumsum that overflows to +inf makes every later coordinate look
-        # inactive, so the first inactive one needs a cumsum below +inf.
-        if not (active[-1 - last] and math.isfinite(tau)
-                and (last == 0 or css[rho] < math.inf)):
-            return None
         np.subtract(v, tau, out=buf)
     return np.maximum(buf, 0.0, out=buf)
 
@@ -350,25 +340,27 @@ class Simplex(FeasibleSet):
 
     def _project(self, v):
         out = _simplex_projection(v, self.scale, self._idx)
-        if out is None:
-            top = v.max()
-            if not math.isfinite(top):
-                raise NumericalFailureError(
-                    "simplex projection found no finite threshold; the point is not finite")
-            # Beside entries of 1e16 and more, rounding loses ``scale``, and a
-            # cumsum that overflows makes tau infinite or hides active
-            # coordinates.  The projection of v - top 1 is that of v, and with
-            # its largest entry at 0 the first coordinate is active.  Divided
-            # by ``scale`` it is the projection onto the unit simplex, scaled
-            # down.  There an entry below -1 projects to 0, so raising one below
-            # -2 to -2 keeps its coordinate clearly inactive and the projection
-            # unchanged; with every entry in [-2, 0] the cumsum stays finite.
-            with np.errstate(over="ignore"):
-                w = v - top
-                w /= self.scale
-            np.maximum(w, -2.0, out=w)
-            out = _simplex_projection(w, 1.0, self._idx)
-            out *= self.scale
+        # max(v - tau, 0) is the projection exactly when it sums to scale
+        # (Duchi et al., 2008), so that sum is the one trust test.  Rounding
+        # beside entries far above scale, an overflow or a NaN spoils it.
+        with np.errstate(over="ignore"):
+            if abs(out.sum() - self.scale) <= MEMBERSHIP_TOL * self.scale:
+                return out
+        top = v.max()
+        if not math.isfinite(top):
+            raise NumericalFailureError(
+                "simplex projection found no finite threshold; the point is not finite")
+        # The projection of v - top 1 is that of v, and divided by ``scale``
+        # it is the projection onto the unit simplex, scaled down.  There an
+        # entry below -1 projects to 0, so raising one below -2 to -2 keeps
+        # the projection; with every entry in [-2, 0] and the largest at 0,
+        # the cumsum stays finite and the first coordinate is active.
+        with np.errstate(over="ignore"):
+            w = v - top
+            w /= self.scale
+        np.maximum(w, -2.0, out=w)
+        out = _simplex_projection(w, 1.0, self._idx)
+        out *= self.scale
         return out
 
     def _lmo(self, g):

@@ -189,7 +189,7 @@ class TestBinaryLineSearch:
         y, z = np.array([0.2, -0.3]), np.array([1.0, 1.0])
         res = binary_line_search(quadratic, y, z, 0.5, 1e-10, counter)
         np.testing.assert_allclose(res.x, res.alpha * y + (1 - res.alpha) * z, atol=1e-15)
-        assert quadratic.feasible_set.contains(res.x, 1e-12)
+        assert quadratic.feasible_set.distance(res.x) <= 1e-12
 
     def test_infeasible_endpoints_rejected(self, quadratic, counter):
         with pytest.raises(PreconditionError):

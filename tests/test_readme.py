@@ -1,6 +1,7 @@
 """The config examples in README.md load and run as documented, its config
-keys and sweepable fields are the ones the harness accepts, and its catalogue
-table states the registry's names and declared constants."""
+keys and sweepable fields are the ones the harness accepts, its catalogue
+table states the registry's names and declared constants, and the chunk size
+and membership tolerance it states are the code's."""
 
 import json
 import re
@@ -12,6 +13,7 @@ import pytest
 from qopt import load_config, make_catalogue_objective, run_experiment
 from qopt.harness import _CONFIG_KEYS, _SWEEPABLE
 from qopt.objectives import CATALOGUE_NAMES
+from qopt.sets import MEMBERSHIP_TOL
 from qopt.trace import _CHUNK_ROWS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -66,6 +68,12 @@ def test_documented_chunk_size_is_the_trace_chunk():
     figures = re.findall(r"([\d,]+)[ -](?:rows|entries|entry|lines)\b", section)
     assert len(figures) >= 4
     assert {int(figure.replace(",", "")) for figure in figures} == {_CHUNK_ROWS}
+
+
+def test_documented_membership_tolerance_is_the_sets_one():
+    figures = re.findall(r"`MEMBERSHIP_TOL = ([^`]+)`", TEXT)
+    assert len(figures) >= 3
+    assert {float(figure) for figure in figures} == {MEMBERSHIP_TOL}
 
 
 def test_catalogue_table_lists_the_registry_in_order():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qopt import Ball, Box, InvalidArgumentError, NumericalFailureError, Simplex, set_from_spec
-from qopt.sets import DOT_CHUNK, _dot, _is_finite_point, as_point
+from qopt.sets import DOT_CHUNK, MEMBERSHIP_TOL, _dot, _is_finite_point, as_point
 
 
 def barycentric_grid(dim, scale, steps):
@@ -141,6 +141,20 @@ class TestProjection:
             expected = sort_projection_reference(v, scale)
             assert simplex.project(v).tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("dim", [1, 3, 50, 1000, 30_000])
+    def test_simplex_projection_sums_to_the_scale(self, dim, rng):
+        # Beside a constant shift far above the scale, rounding spoils the
+        # first pass's threshold; whichever pass answers, the result is on
+        # the simplex within the membership tolerance.
+        for scale in (1e-6, 0.3, 1.0, 7.0, 1e6):
+            simplex = Simplex(dim, scale)
+            for k in range(14):
+                noise = rng.normal(size=dim) * scale
+                for v in (noise + 10.0 ** k, noise - 10.0 ** k, np.full(dim, 10.0 ** k)):
+                    x = simplex.project(v)
+                    assert x.min() >= 0.0
+                    assert abs(x.sum() - scale) <= MEMBERSHIP_TOL * scale, (scale, k)
+
     def test_simplex_non_finite_input_is_a_numerical_failure(self):
         simplex = Simplex(3)
         for v in ([np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0], [np.inf, -np.inf, 0.0]):
@@ -157,10 +171,14 @@ class TestProjection:
         # The descending cumsum overflows to -inf.
         ([-9e307, -9e307, 5.0], [0.0, 0.0, 1.0]),
         ([-1e308, -1e308], [0.5, 0.5]),
+        # The first pass sums to 2 here, and to 0.9765625 beside 1000 entries of 1e12.
+        ([1.3000000000000002e16], [1.0]),
+        ([1e12] * 1000, [1e-3] * 1000),
     ])
     def test_simplex_projects_a_far_finite_point(self, v, expected):
         # Rounding loses the scale beside entries this large, or the cumsum
-        # overflows; the projection retries with the largest entry shifted to 0.
+        # overflows, and the first pass misses the sum; the projection then
+        # retries with the largest entry shifted to 0.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             np.testing.assert_array_equal(Simplex(len(v)).project(np.array(v)), expected)
@@ -205,6 +223,10 @@ class TestProjection:
             top, scale = np.finfo(float).max, 2.0 ** 996
             np.testing.assert_array_equal(Simplex(2, scale).project(np.array([top, -2.0 ** 1023])),
                                           [scale, 0.0])
+            # The first pass's two entries of 1.295e308 overflow its sum.
+            np.testing.assert_array_equal(
+                Simplex(4).project(np.array([8.9e307, 8.9e307, -1.7e308, -1.7e308])),
+                [0.5, 0.5, 0.0, 0.0])
 
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidArgumentError):
@@ -326,9 +348,9 @@ class TestDiameter:
 class TestContains:
     def test_examples(self):
         box = Box([-1, -1], [1, 1])
-        assert box.contains([0.0, 0.0], tol=0.0)
-        assert not box.contains([1 + 1e-6, 0.0], tol=1e-9)
-        assert Simplex(3).contains([1 / 3, 1 / 3, 1 / 3], tol=1e-12)
+        assert box.distance([0.0, 0.0]) == 0.0
+        assert not box.distance([1 + 1e-6, 0.0]) <= 1e-9
+        assert Simplex(3).distance([1 / 3, 1 / 3, 1 / 3]) <= 1e-12
 
     def test_consistent_with_projection(self, rng):
         for set_ in (Box([-1, -1], [1, 1]), Ball([0.5, 0.5], 1.2), Simplex(3)):
@@ -361,11 +383,7 @@ class TestContains:
         for x in ([np.nan, 0.0], [0.0, np.nan], [np.nan, np.nan]):
             assert np.isnan(ball.distance(x))
             assert not ball.contains(x)
-            assert not ball.contains(x, tol=1e300)
-
-    def test_negative_tolerance_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            Box([-1], [1]).contains([0.0], tol=-1e-3)
+            assert not ball.distance(x) <= 1e300
 
 
 class TestProjectionProperties:
@@ -403,7 +421,7 @@ class TestProjectionProperties:
     @pytest.mark.parametrize("set_", SETS, ids=lambda s: s.kind)
     def test_samples_are_feasible(self, set_, rng):
         for x in set_.sample(rng, 500):
-            assert set_.contains(x, tol=1e-9)
+            assert set_.distance(x) <= 1e-9
 
 
 class TestConstructionAndSpec:
