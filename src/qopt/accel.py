@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ConfigError, InvalidArgumentError, NumericalFailureError
 # perfbench/tracing.py wraps solve_prox_subproblem under this module's name too.
 from .prox import ProxResult, _ProxConstants, _solve, solve_prox_subproblem  # noqa: F401
-from .sets import _dot, as_point
+from .sets import _dot, as_point, is_positive_finite
 from .trace import TraceRecorder
 
 #: The most iterations an epsilon-derived schedule may ask for, accelerated or
@@ -66,8 +66,8 @@ def compute_schedule(gamma, L, D, epsilon):
     if not 0.0 < gamma <= 1.0:
         raise InvalidArgumentError("gamma must lie in (0, 1]")
     for name, v in (("L", L), ("D", D), ("epsilon", epsilon)):
-        if not v > 0:
-            raise InvalidArgumentError(f"{name} must be positive")
+        if not is_positive_finite(v):
+            raise InvalidArgumentError(f"{name} must be a positive finite number")
     T = iteration_count((4.0 / gamma) * math.sqrt(L * D * D / epsilon), epsilon)
     delta = L * D * D / (10.0 * T**6)
     if not delta > 0.0:

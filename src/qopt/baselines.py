@@ -18,20 +18,29 @@ from __future__ import annotations
 
 import numpy as np
 
+from .accel import MAX_ITERATIONS
 from .errors import InvalidArgumentError, NumericalFailureError
 from .objectives import _query, evaluate
 # perfbench/tracing.py counts as_point calls under this module's name too.
-from .sets import _is_finite_point, as_point  # noqa: F401
+from .sets import _is_finite_point, as_point, is_int, is_positive_finite  # noqa: F401
 from .trace import TraceRecorder
 
 #: The rate-envelope constant of each baseline (see the module docstring).
 RATE_CONSTANTS = {"pgd": 20.0, "frank_wolfe": 6.0}
 
 
+def _checked_start(obj, x0, T):
+    """``x0`` as :meth:`FeasibleSet.checked_point` returns it, once ``T`` is shown an
+    integer from 0 to ``MAX_ITERATIONS``: a baseline's gate, before any oracle call."""
+    if not (is_int(T) and 0 <= T <= MAX_ITERATIONS):
+        raise InvalidArgumentError(f"T must be an integer from 0 to {MAX_ITERATIONS}, got {T!r}")
+    return obj.feasible_set.checked_point(x0, "x0")
+
+
 def gradient_mapping(obj, x, eta, counter):
     """Constrained gradient surrogate ``(x - proj(x - eta grad f(x))) / eta``."""
-    if not eta > 0:
-        raise InvalidArgumentError("step size eta must be positive")
+    if not is_positive_finite(eta):
+        raise InvalidArgumentError("step size eta must be a positive finite number")
     x = obj.feasible_set.checked_point(x, "x")
     _, grad = evaluate(obj, x, counter)
     return (x - obj.feasible_set.project(x - eta * grad)) / eta
@@ -48,7 +57,7 @@ def run_pgd(obj, x0, T, counter):
     once shown finite.  A box clip or a ball projection can turn a NaN step
     into a NaN point, which raises :class:`NumericalFailureError`.
     """
-    x = obj.feasible_set.checked_point(x0, "x0")
+    x = _checked_start(obj, x0, T)
     set_ = obj.feasible_set
     eta = 1.0 / obj.smoothness_L
     with TraceRecorder("pgd", obj, {"T": T, "eta": eta}, x, counter) as rec:
@@ -89,7 +98,7 @@ def run_frank_wolfe(obj, x0, T, counter, observer=None):
     raises :class:`NumericalFailureError` on a non-finite gradient.  So the
     loop queries its later iterates through the trusted ``_query``.
     """
-    x = obj.feasible_set.checked_point(x0, "x0")
+    x = _checked_start(obj, x0, T)
     set_ = obj.feasible_set
     with TraceRecorder("frank_wolfe", obj, {"T": T}, x, counter) as rec:
         f, grad = evaluate(obj, x, counter)

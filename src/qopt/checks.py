@@ -36,6 +36,7 @@ from .errors import ConfigError, InvalidArgumentError, PreconditionError
 from .harness import load_config, resolve_x0, run_experiment, sweep
 from .objectives import (
     CATALOGUE,
+    FIG1_X0,
     OracleCounter,
     evaluate,
     finite_diff_gradient,
@@ -172,7 +173,6 @@ def counterexample_construction(obj):
     """The counterexample is stationary at x = -2 with negative curvature
     there, and its regularization centre agrees with -12.23 to two decimals."""
     obj = _objective(obj)
-    x0 = obj.params["x0"]
     at_minus2 = np.array([-2.0])
     slope = obj.evaluator(at_minus2)[1][0]
     h = 1e-4
@@ -180,7 +180,7 @@ def counterexample_construction(obj):
     curvature = (f(-2.0 + h) - 2.0 * f(-2.0) + f(-2.0 - h)) / h**2
     tol = 1e-8
     ok = (
-        abs(x0 - (-12.23)) < 0.005  # agrees to two decimals
+        abs(FIG1_X0 - (-12.23)) < 0.005  # agrees to two decimals
         and abs(slope) <= tol
         and curvature < 0.0
     )
@@ -190,7 +190,7 @@ def counterexample_construction(obj):
         tolerance=tol,
         passed=bool(ok),
         samples=3,
-        note=f"x0={x0:.4f}, second difference {curvature:.4f}",
+        note=f"x0={FIG1_X0:.4f}, second difference {curvature:.4f}",
     )
 
 
@@ -812,21 +812,16 @@ def available_checks():
 
 
 def verify(suite=None):
-    """Run the registered checks (all, or the named subset/groups)."""
-    if suite:
-        selected = []
-        for token in suite:
-            if token in _CHECKS:
-                selected.append(token)
-                continue
-            group = [n for n in _CHECKS if n.split(":")[0] == token]
-            if not group:
-                raise ConfigError("suite", f"unknown check '{token}'")
-            selected.extend(group)
-    else:
-        selected = list(_CHECKS)
+    """Run the registered checks (all, or the named subset/groups) once each, in
+    the order first selected."""
+    selected = {}
+    for token in suite or ():
+        group = [token] if token in _CHECKS else [n for n in _CHECKS if n.split(":")[0] == token]
+        if not group:
+            raise ConfigError("suite", f"unknown check '{token}'")
+        selected.update(dict.fromkeys(group))
     report = VerificationReport()
-    for name in selected:
+    for name in selected or _CHECKS:
         check, *args = _CHECKS[name]
         report.checks.append(check(*args))
     return report

@@ -13,11 +13,12 @@ Config format (JSON)::
     }
 
 Any key not shown, at the top level or beside ``name`` and ``params``, is a
-config error.  An objective that takes a set or a dimension reads them from
-its ``params`` (``set``, ``dim``); ``seed`` is only recorded in the trace
-header.  Identical configs yield byte-identical trace files; an accelerated
-run above 10,000 dimensions does so only at a fixed BLAS thread count (see
-the README).
+config error, and so is an ``epsilon`` that fails
+:func:`qopt.sets.is_positive_finite`.  An objective that takes a set or a
+dimension reads them from its ``params`` (``set``, ``dim``); ``seed`` is only
+recorded in the trace header.  Identical configs yield byte-identical trace
+files; an accelerated run above 10,000 dimensions does so only at a fixed
+BLAS thread count (see the README).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .accel import MAX_ITERATIONS, iteration_count, run_accelerated
 from .baselines import RATE_CONSTANTS, attach_rate_bounds, run_frank_wolfe, run_pgd
 from .errors import ConfigError, NumericalFailureError, PreconditionError
 from .objectives import OracleCounter, make_catalogue_objective
-from .sets import as_point, is_int
+from .sets import as_point, is_int, is_positive_finite
 from .trace import Trace, write_trace
 
 ALGORITHMS = ("accelerated", "pgd", "frank_wolfe")
@@ -99,8 +100,7 @@ def load_config(source):
 
     epsilon = raw.get("epsilon")
     T = raw.get("T")
-    if epsilon is not None and (isinstance(epsilon, bool) or not isinstance(epsilon, (int, float))
-                                or not 0 < epsilon < math.inf):
+    if epsilon is not None and not is_positive_finite(epsilon):
         raise ConfigError("epsilon", "must be a positive finite number")
     if T is not None and not (is_int(T) and 1 <= T <= MAX_ITERATIONS):
         raise ConfigError("T", f"must be a positive integer no larger than {MAX_ITERATIONS}")
@@ -167,8 +167,10 @@ def baseline_iterations(config, obj):
     L = obj.smoothness_L
     D = obj.feasible_set.diameter()
     gamma = obj.quasar_gamma
-    return iteration_count(constant * L * D * D / (gamma * gamma * config.epsilon) - 1.0,
-                           config.epsilon)
+    # A tiny epsilon can underflow gamma^2 epsilon to 0: then no T is enough.
+    denominator = gamma * gamma * config.epsilon
+    estimate = constant * L * D * D / denominator - 1.0 if denominator else math.inf
+    return iteration_count(estimate, config.epsilon)
 
 
 def _require_representable_scale(obj, multiple):
@@ -189,14 +191,12 @@ def _require_representable_scale(obj, multiple):
 
 
 def run_experiment(config, output_path=None):
-    """Run one configured experiment; write its trace CSV when a path is known.
+    """Run one loaded experiment config; write its trace CSV when a path is known.
 
     Returns the trace.  On numerical failure the partial trace is flushed with
     a failure marker row and the error is re-raised for the caller to map to
     an exit code.
     """
-    if not isinstance(config, ExperimentConfig):
-        config = load_config(config)
     counter = OracleCounter()
     path = output_path or config.output_path
 
@@ -217,8 +217,6 @@ def run_experiment(config, output_path=None):
                 trace = run(obj, x0, baseline_iterations(config, obj), counter)
     except PreconditionError as exc:
         raise ConfigError("x0", str(exc)) from exc
-    except OverflowError as exc:  # a schedule constant derived from epsilon left float range
-        raise ConfigError("epsilon", f"too small: {exc}") from exc
     except NumericalFailureError as exc:
         partial = getattr(exc, "partial_trace", None)
         if partial is None:
@@ -252,21 +250,8 @@ def _write(trace, path):
 _SWEEPABLE = ("epsilon", "T")
 
 
-def fit_loglog(xs, ys):
-    """Least-squares slope/intercept of log10(y) against log10(x)."""
-    lx = np.log10(np.asarray(xs, dtype=float))
-    ly = np.log10(np.asarray(ys, dtype=float))
-    slope, intercept = np.polyfit(lx, ly, 1)
-    return float(slope), float(intercept)
-
-
-def _gap_fit_points(trace):
-    return [(t, gap) for t, gap in zip(trace.iteration, trace.gap)
-            if t >= 1 and gap is not None and gap > GAP_FIT_FLOOR]
-
-
 def sweep(config, grid, out_dir):
-    """Run one experiment per grid point and fit the observed scaling laws.
+    """Run one experiment per grid point of a loaded config and fit the scaling laws.
 
     ``grid`` maps sweepable config fields (epsilon, T) to value lists;
     the cartesian product is run.  Traces land in ``out_dir`` along with a
@@ -274,8 +259,6 @@ def sweep(config, grid, out_dir):
     gap-versus-iteration for the baselines, total oracle calls versus epsilon
     for the accelerated method.
     """
-    if not isinstance(config, ExperimentConfig):
-        config = load_config(config)
     if not isinstance(grid, dict) or not grid:
         raise ConfigError("grid", "must be a nonempty mapping of parameter lists")
     for key, values in grid.items():
@@ -318,13 +301,15 @@ def sweep(config, grid, out_dir):
         if config.algorithm == "accelerated":
             points.append((run_cfg.epsilon, trace.final_oracle_calls))
         else:
-            points.extend(_gap_fit_points(trace))
+            points.extend((t, gap) for t, gap in zip(trace.iteration, trace.gap)
+                          if t >= 1 and gap is not None and gap > GAP_FIT_FLOOR)
 
     fits = {}
     # A line through points that share one abscissa is undetermined.
     if len({x for x, _ in points}) >= 2:
-        slope, intercept = fit_loglog(*zip(*points))
-        fits[config.algorithm] = {"slope": slope, "intercept": intercept}
+        # Least squares of log10(y) against log10(x).
+        slope, intercept = np.polyfit(*np.log10(np.array(points, dtype=float)).T, 1)
+        fits[config.algorithm] = {"slope": float(slope), "intercept": float(intercept)}
 
     summary = {"runs": runs, "fits": fits}
     with open(out_dir / "summary.json", "w") as fh:

@@ -13,13 +13,14 @@ docstring of each builder defines its objective.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalFailureError
-from .sets import Box, FeasibleSet, _dot, _is_finite_point, as_point, is_int, set_from_spec
+from .sets import (Box, FeasibleSet, _dot, _is_finite_point, as_point, is_int, is_positive_finite,
+                   set_from_spec)
 
 
 class OracleCounter:
@@ -50,11 +51,10 @@ class Objective:
     feasible_set: FeasibleSet
     center: Optional[np.ndarray] = None
     optimal_value: Optional[float] = None
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.smoothness_L > 0:
-            raise InvalidArgumentError("smoothness_L must be positive")
+        if not is_positive_finite(self.smoothness_L):
+            raise InvalidArgumentError("smoothness_L must be a positive finite number")
         if not 0.0 < self.quasar_gamma <= 1.0:
             raise InvalidArgumentError("quasar_gamma must lie in (0, 1]")
         if self.center is not None:
@@ -110,8 +110,8 @@ def finite_diff_gradient(obj, x, h):
 
     Uses value queries only and does not touch any counter.
     """
-    if not h > 0:
-        raise InvalidArgumentError("finite-difference step h must be positive")
+    if not is_positive_finite(h):
+        raise InvalidArgumentError("finite-difference step h must be a positive finite number")
     x = as_point(x, obj.dimension)
     out = np.empty(obj.dimension)
     for i in range(obj.dimension):
@@ -146,6 +146,12 @@ def _sixth_root_value_grad(v):
     return u ** (1.0 / 6.0), (v / 3.0) * u ** (-5.0 / 6.0)
 
 
+#: ``fig1_counterexample``'s regularizer ``(x - FIG1_X0)^2 / (2 FIG1_LAMBDA)``: its centre
+#: makes the sum stationary at x = -2, where ``example1`` is concave enough for a local maximum.
+FIG1_LAMBDA = 50.0
+FIG1_X0 = -2.0 + FIG1_LAMBDA * _sixth_root_value_grad(-2.0)[1]
+
+
 def _example1_evaluator(x):
     value, grad = _sixth_root_value_grad(float(x[0]))
     return value, np.array([grad])
@@ -177,8 +183,7 @@ def _quadratic(name, params):
     set_ = _resolve_set(name, params)
     dim = set_.dimension
     shift = as_point(params.get("shift", np.zeros(dim)), dim)
-    nonzero = shift.view(np.int64).any()
-    if nonzero:
+    if shift.view(np.int64).any():
         def evaluator(x, _b=shift):
             d = x - _b
             return 0.5 * float(_dot(d, d)), d
@@ -188,14 +193,12 @@ def _quadratic(name, params):
         # subtraction: -0.0 - (-0.0) is +0.0).  So the gradient is the
         # query point itself, which no solver writes.  It is not a
         # read-only view: numpy's argmin copies a non-writeable array.
-        # ``params["shift"]`` repeats one ``0.0`` object, not ``dim`` floats.
         def evaluator(x):
             return 0.5 * float(_dot(x, x)), x
 
     center = set_.project(shift)
     return Objective(name, evaluator, smoothness_L=1.0, quasar_gamma=1.0, feasible_set=set_,
-                     center=center, optimal_value=evaluator(center)[0],
-                     params={"dim": dim, "shift": shift.tolist() if nonzero else [0.0] * dim})
+                     center=center, optimal_value=evaluator(center)[0])
 
 
 def _affine_plus_quadratic(name, params):
@@ -214,8 +217,7 @@ def _affine_plus_quadratic(name, params):
     # when q > 0; for a pure affine objective it is an LMO vertex.
     center = set_.project(-a / q) if q > 0 else set_.lmo(a)
     return Objective(name, evaluator, smoothness_L=q if q > 0 else 1.0, quasar_gamma=1.0,
-                     feasible_set=set_, center=center, optimal_value=evaluator(center)[0],
-                     params={"dim": dim, "a": a.tolist(), "q": q})
+                     feasible_set=set_, center=center, optimal_value=evaluator(center)[0])
 
 
 def _example1(name, params):
@@ -227,17 +229,12 @@ def _example1(name, params):
 
 
 def _fig1_counterexample(name, params):
-    """``example1`` plus ``(x - x0)^2 / (2 * 50)`` with ``x0`` chosen so the
-    derivative vanishes at ``x = -2``.  The sum has an interior local maximum,
-    so it is not quasar convex on [-5, 5] for any gamma: certification checks
-    on this entry must report a positive violation."""
-    reg_lambda = 50.0
-    # Shift chosen so the regularized objective is stationary at x = -2,
-    # where the base objective is concave enough to create a local maximum.
-    slope_at_minus2 = _sixth_root_value_grad(-2.0)[1]
-    x0_reg = -2.0 + reg_lambda * slope_at_minus2
+    """``example1`` plus ``(x - x0)^2 / (2 * 50)`` with ``x0 = FIG1_X0`` chosen
+    so the derivative vanishes at ``x = -2``.  The sum has an interior local
+    maximum, so it is not quasar convex on [-5, 5] for any gamma:
+    certification checks on this entry must report a positive violation."""
 
-    def evaluator(x, _x0=x0_reg, _lam=reg_lambda):
+    def evaluator(x, _x0=FIG1_X0, _lam=FIG1_LAMBDA):
         v = float(x[0])
         value, grad = _sixth_root_value_grad(v)
         value += (v - _x0) ** 2 / (2.0 * _lam)
@@ -248,8 +245,7 @@ def _fig1_counterexample(name, params):
     return Objective(name, evaluator, smoothness_L=FIG1_L,
                      quasar_gamma=0.5,  # nominal; this entry must fail certification
                      feasible_set=Box([-5.0], [5.0]), center=center,
-                     optimal_value=evaluator(center)[0],
-                     params={"reg_lambda": reg_lambda, "x0": float(x0_reg)})
+                     optimal_value=evaluator(center)[0])
 
 
 def _glm_sigmoid(name, params):
@@ -264,7 +260,7 @@ def _glm_sigmoid(name, params):
 
     return Objective(name, evaluator, smoothness_L=GLM_L, quasar_gamma=GLM_GAMMA,
                      feasible_set=Box([-2.0, -2.0], [2.0, 2.0]), center=GLM_TRUE_W.copy(),
-                     optimal_value=0.0, params={"n_points": len(GLM_DATA_X)})
+                     optimal_value=0.0)
 
 
 class CatalogueEntry(NamedTuple):

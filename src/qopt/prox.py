@@ -16,6 +16,9 @@ would only be sufficient at interior solutions.
 The envelope value ``f(y) + ||y - x||^2/(2 lam)`` computed at the returned
 point overestimates the true envelope by at most ``delta``, and the envelope
 gradient ``(x - y)/lam`` is within ``sqrt(8 L delta)`` of the true one.
+
+Every public entry that takes ``delta`` checks it with
+:func:`qopt.sets.is_positive_finite`, in :class:`_ProxConstants`.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 from .errors import InvalidArgumentError, NumericalFailureError
 from .objectives import _query, evaluate
 # perfbench/tracing.py counts as_point calls under this module's name too.
-from .sets import _dot, as_point  # noqa: F401
+from .sets import _dot, as_point, is_positive_finite  # noqa: F401
 
 
 @dataclass
@@ -63,17 +66,16 @@ class _ProxConstants:
     ``delta2 = sqrt(8 L delta) * D``, so the termination slack is
     ``epsilon_tilde(c)``, and ``loop_cap`` is the halving budget.  Built once
     per accelerated run, or once per public call.  Rejects a ``delta`` that is
-    not positive and finite, or so small that ``8 L D^2 / delta`` overflows.
+    not a positive finite number, or so small that ``8 L D^2 / delta`` overflows.
     """
 
     __slots__ = ("delta", "lam", "step", "threshold", "cap", "delta2", "loop_cap")
 
     def __init__(self, obj, delta):
+        if not is_positive_finite(delta):
+            raise InvalidArgumentError("tolerance delta must be a positive finite number")
         L = obj.smoothness_L
         D = obj.feasible_set.diameter()
-        if not 0.0 < delta < math.inf:
-            raise InvalidArgumentError("tolerance delta must be positive and finite, "
-                                       f"got {delta!r}")
         ratio = 8.0 * L * D * D / delta
         if not ratio < math.inf:
             raise InvalidArgumentError(f"8 L D^2 / delta overflows for delta {delta!r}, "

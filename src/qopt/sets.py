@@ -4,6 +4,9 @@ Each set supports Euclidean projection, linear minimization (LMO), exact
 diameter, membership testing, and in-set sampling.  Instances are immutable
 after construction and safe to share across concurrent runs; all operations
 are pure.
+
+:func:`is_positive_finite` is the one test of every positive scalar a caller
+passes the package, here a ball's radius and a simplex's scale.
 """
 
 from __future__ import annotations
@@ -36,6 +39,16 @@ _vdot = np.vdot.__wrapped__
 def is_int(value):
     """True for a Python or numpy integer; a bool or an integral float is not one."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_positive_finite(value):
+    """True for a real number, not a bool, in ``(0, inf)`` as a float; an integer
+    too large for a float is not finite.  It only tests: the caller keeps ``value``."""
+    try:
+        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and 0.0 < float(value) < math.inf)
+    except OverflowError:
+        return False
 
 
 def _dot(u, v):
@@ -247,8 +260,8 @@ class Ball(FeasibleSet):
         center = as_point(center)
         if not np.isfinite(center).all():
             raise InvalidArgumentError("ball center must be finite")
-        if not 0 < radius < np.inf:
-            raise InvalidArgumentError("ball radius must be positive and finite")
+        if not is_positive_finite(radius):
+            raise InvalidArgumentError("ball radius must be a positive finite number")
         super().__init__(center.shape[0])
         self.center = center
         self.radius = float(radius)
@@ -333,8 +346,8 @@ class Simplex(FeasibleSet):
 
     def __init__(self, dimension, scale=1.0):
         super().__init__(dimension)
-        if not 0 < scale < np.inf:
-            raise InvalidArgumentError("simplex scale must be positive and finite")
+        if not is_positive_finite(scale):
+            raise InvalidArgumentError("simplex scale must be a positive finite number")
         self.scale = float(scale)
         self._idx = np.arange(1.0, self.dimension + 1.0)
 

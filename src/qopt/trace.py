@@ -133,11 +133,6 @@ class TraceRecorder:
             exc.partial_trace = self.trace(failure=str(exc), failure_calls=self._counter.calls)
 
 
-def format_float(value):
-    """17-significant-digit decimal form: enough to round-trip any float64."""
-    return "%.17g" % value
-
-
 _encode = json.JSONEncoder(sort_keys=True).encode
 _decode = json.JSONDecoder().raw_decode
 _FAILURE_PREFIX = "# numerical-failure: "
@@ -228,7 +223,7 @@ def _csv_chunks(trace):
     edges = sorted({0, fill, n, *edges.tolist()})
     for start, stop in zip(edges, edges[1:]):
         gap_empty, bound_empty = empty[start] >= 2, empty[start] % 2 == 1
-        # "%.17g" is format_float's form.
+        # "%.17g": 17 significant digits round-trip any float64.
         if start < fill:
             row_format = "%d,%d,%.17g," + ("," if gap_empty else "%.17g,")
             columns = [trace.iteration, trace.oracle_calls, trace.f_value]

@@ -24,7 +24,7 @@ from qopt import (
 )
 from qopt.accel import MAX_ITERATIONS, AccelIterate
 from qopt.checks import CERTIFICATE_ACCURACY_FACTOR, CheckResult, linesearch_certificate
-from qopt.prox import _ProxConstants
+from qopt.prox import ProxResult, _ProxConstants
 from qopt.trace import Trace, trace_csv_lines
 
 
@@ -117,6 +117,13 @@ class TestSchedule:
         for bad in [(-0.1, 1, 1, 1), (1.5, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0)]:
             with pytest.raises(InvalidArgumentError):
                 compute_schedule(*bad)
+        # L, D and epsilon each pass the one positive-scalar gate.
+        for i, name in enumerate(("L", "D", "epsilon"), start=1):
+            for value in (math.inf, math.nan, 0, -1, True, 10**400):
+                args = [1.0, 1.0, 1.0, 1e-2]
+                args[i] = value
+                with pytest.raises(InvalidArgumentError, match=rf"^{name} must be a positive"):
+                    compute_schedule(*args)
 
     def test_unreachable_epsilon_names_epsilon(self, quadratic, counter):
         # 4 sqrt(8 / eps) outer iterations: ~1.13e51 at eps = 1e-100.
@@ -281,6 +288,28 @@ class TestBisectionBody:
         i = min(max(int(round(res.alpha * 2000)), 1), 1999)
         g_prime = (g[i + 1] - g[i - 1]) / (2 * 5e-4)
         assert res.alpha * g_prime <= search.epsilon_tilde(0.0) + 5e-3  # grid slack
+
+    def test_an_improving_midpoint_halves_toward_z(self, example1, counter, monkeypatch):
+        # A scripted envelope along x = alpha y + (1 - alpha) z = [alpha]: the
+        # slope at y is positive, h(z) > h1 + delta, and at alpha = 1/2 the value
+        # is below h1 - delta while alpha hhat_alpha exceeds the termination
+        # slack, so the search sets hi = 1/2 and stops at alpha = 1/4.
+        y, z, c, delta = np.array([1.0]), np.array([0.0]), 1.0, 1e-10
+        script = {1.0: (0.0, 1.0), 0.0: (1.0, 0.0), 0.5: (-1.0, 10.0), 0.25: (-1.0, 0.0)}
+
+        def scripted(obj, x, consts, counter, at_x=None):
+            h, slope = script[float(x[0])]
+            return ProxResult(x, h, np.array([slope]), 1, 0.0, h, np.array([slope]))
+
+        monkeypatch.setattr(qopt.accel, "_solve", scripted)
+        res = binary_line_search(example1, y, z, c, delta, counter)
+        assert (res.alpha, res.loop_iterations, res.exit) == (0.25, 1, "bisection")
+        h1, slack = script[1.0][0], _ProxConstants(example1, delta).epsilon_tilde(c)
+        h_alpha, hhat_alpha = script[0.25]
+        assert res.alpha * hhat_alpha <= c * (h1 - h_alpha) + slack
+        # The midpoint improved by more than delta but missed the test.
+        h_half, hhat_half = script[0.5]
+        assert h_half < h1 - delta and 0.5 * hhat_half > c * (h1 - h_half) + slack
 
 
 class TestRunAccelerated:

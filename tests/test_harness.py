@@ -343,6 +343,21 @@ class TestVerifySubsets:
                          "gamma_free_baselines"])
         assert report.overall
 
+    def test_each_selected_check_runs_once_in_first_selected_order(self, monkeypatch, capsys):
+        runs = []
+        checks = dict(qopt.checks._CHECKS)
+        for name, (check, *args) in checks.items():
+            checks[name] = (lambda *a, _c=check: runs.append(a) or _c(*a), *args)
+        monkeypatch.setattr(qopt.checks, "_CHECKS", checks)
+        report = verify(["oracle_accounting", "counterexample_construction",
+                         "oracle_accounting", "counterexample_construction:fig1_counterexample"])
+        assert [c.name for c in report.checks] == [
+            "oracle_accounting", "counterexample_construction:fig1_counterexample"]
+        assert len(runs) == 2
+        assert main(["verify", "--suite", "oracle_accounting,oracle_accounting"]) == 0
+        assert [line.split()[0] for line in capsys.readouterr().out.splitlines()] == [
+            "check", "oracle_accounting", "overall:"]
+
     def test_registered_names_are_the_pinned_table_rows(self):
         # Runs no check: the names and order of tests/data/verify_stdout.txt,
         # header and overall line aside.
@@ -708,7 +723,9 @@ class TestCLI:
          "objective": {"name": "quadratic",
                        "params": {"set": {"kind": "simplex", "dimension": 2, "scale": 1e-150}}},
          "x0": "vertex", "epsilon": 1e-310},
-    ], ids=["accelerated", "pgd", "accelerated_delta_underflow"])
+        # gamma^2 epsilon = 0.25 * 5e-324 underflows to 0.
+        {"algorithm": "frank_wolfe", "objective": "example1", "x0": "vertex", "epsilon": 5e-324},
+    ], ids=["accelerated", "pgd", "accelerated_delta_underflow", "baseline_rate_underflow"])
     def test_unreachable_epsilon_exits_2_before_any_oracle_call(self, raw, tmp_path, capsys,
                                                                  monkeypatch):
         def no_query(*args):

@@ -23,7 +23,7 @@ from qopt import (
 )
 from qopt import checks
 from qopt.checks import _worst_quasar_violations, fw_dynamics, quasar_certificate, smoothness
-from qopt.objectives import CATALOGUE, CATALOGUE_NAMES
+from qopt.objectives import CATALOGUE, CATALOGUE_NAMES, FIG1_X0
 from qopt.sets import _dot
 from qopt.trace import trace_csv_lines
 
@@ -215,7 +215,7 @@ class TestCatalogue:
     def test_counterexample_construction(self, fig1):
         # Shift computed from the base objective's slope at -2; the regularized
         # objective is stationary there with negative curvature.
-        assert fig1.params["x0"] == pytest.approx(-12.23, abs=0.005)
+        assert FIG1_X0 == pytest.approx(-12.23, abs=0.005)
         slope = fig1.evaluator(np.array([-2.0]))[1][0]
         assert abs(slope) <= 1e-8
         f = lambda v: fig1.evaluator(np.array([v]))[0]
@@ -271,7 +271,6 @@ class TestCatalogue:
         assert np.float64(value).tobytes() == np.float64(expected).tobytes()
         assert grad.dtype == np.float64 and grad.shape == (dim,)
         assert grad.tobytes() == d.tobytes()
-        assert np.array(obj.params["shift"]).tobytes() == shift.tobytes()
 
     def test_affine_center_projects_a_far_unconstrained_minimizer(self):
         # -a / q = [-9e307, -9e307, 1]: the simplex projection's cumsum overflows.

@@ -18,7 +18,7 @@ from qopt import (
     run_pgd,
     write_trace,
 )
-from qopt.trace import _CHUNK_ROWS, Trace, TraceRow, _csv_chunks, format_float, trace_csv_lines
+from qopt.trace import _CHUNK_ROWS, Trace, TraceRow, _csv_chunks, trace_csv_lines
 
 # One short run per solver on example1 from x0 = 5.
 SOLVERS = {
@@ -139,9 +139,9 @@ def test_csv_rows_match_a_per_row_reference():
     ]
 
     def cell(value):
-        return "" if value is None else format_float(value)
+        return "" if value is None else "%.17g" % value
 
-    expected = [f"{r.iteration},{r.oracle_calls},{format_float(r.f_value)},{cell(r.gap)},"
+    expected = [f"{r.iteration},{r.oracle_calls},{cell(r.f_value)},{cell(r.gap)},"
                 f"{cell(r.bound)}" for r in rows]
     trace = Trace({}, *map(list, zip(*map(dataclasses.astuple, rows))), failure="stop",
                   failure_calls=6)

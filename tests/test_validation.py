@@ -7,6 +7,11 @@ line search and the gradient mapping) passes it through
 ``PreconditionError`` before any oracle call, and ``qopt run`` exits 2 naming
 ``x0``.  A NaN or infinite point is no member of any set.  Points produced
 inside a solver loop are not re-checked.
+
+Every positive scalar a public entry takes passes ``sets.is_positive_finite``
+likewise: a bool, a NaN, an infinity, a nonpositive number or an integer too
+large for a float is an ``InvalidArgumentError`` naming the argument (a
+``ConfigError`` naming ``epsilon`` in a config), before any oracle call.
 """
 
 import json
@@ -18,6 +23,7 @@ import pytest
 from qopt import (
     Ball,
     Box,
+    ConfigError,
     FeasibleSet,
     InvalidArgumentError,
     Objective,
@@ -25,15 +31,19 @@ from qopt import (
     PreconditionError,
     Simplex,
     binary_line_search,
+    compute_schedule,
+    finite_diff_gradient,
     gradient_mapping,
+    load_config,
     make_catalogue_objective,
     run_accelerated,
     run_frank_wolfe,
     run_pgd,
     solve_prox_subproblem,
 )
+from qopt.accel import MAX_ITERATIONS
 from qopt.cli import main
-from qopt.sets import MEMBERSHIP_TOL
+from qopt.sets import MEMBERSHIP_TOL, is_positive_finite
 
 #: A caller's point through each public entry, as a call on ``(obj, x)``.
 CALLS = {
@@ -134,3 +144,91 @@ def test_extreme_delta_rejected_before_any_oracle_call(quadratic, entry, delta):
         else:
             binary_line_search(quadratic, y, z, 1.0, delta, counter)
     assert counter.calls == 0
+
+
+#: Each positive scalar a public entry takes, as a call on ``(value, obj, x,
+#: counter)``, and the argument name its error gives.  ``obj`` is an objective
+#: on the box ``[-1, 1]^2`` that records every evaluator call, ``x`` a point of it.
+SCALARS = {
+    "load_config epsilon": (lambda v, obj, x, c: load_config(
+        {"algorithm": "accelerated", "objective": "quadratic", "epsilon": v}), "epsilon"),
+    "compute_schedule L": (lambda v, obj, x, c: compute_schedule(1.0, v, 1.0, 1e-2), "L"),
+    "compute_schedule D": (lambda v, obj, x, c: compute_schedule(1.0, 1.0, v, 1e-2), "D"),
+    "compute_schedule epsilon":
+        (lambda v, obj, x, c: compute_schedule(1.0, 1.0, 1.0, v), "epsilon"),
+    "run_accelerated epsilon": (lambda v, obj, x, c: run_accelerated(obj, x, v, c), "epsilon"),
+    "Objective smoothness_L": (lambda v, obj, x, c: Objective(
+        "bad", obj.evaluator, v, 1.0, obj.feasible_set), "smoothness_L"),
+    "solve_prox_subproblem delta":
+        (lambda v, obj, x, c: solve_prox_subproblem(obj, x, v, c), "delta"),
+    "binary_line_search delta":
+        (lambda v, obj, x, c: binary_line_search(obj, x, -x, 1.0, v, c), "delta"),
+    "Ball radius": (lambda v, obj, x, c: Ball([0.0], v), "radius"),
+    "Simplex scale": (lambda v, obj, x, c: Simplex(2, v), "scale"),
+    "gradient_mapping eta": (lambda v, obj, x, c: gradient_mapping(obj, x, v, c), "eta"),
+    "finite_diff_gradient h": (lambda v, obj, x, c: finite_diff_gradient(obj, x, v), "h"),
+}
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan, 0, -1, True, 10**400],
+                         ids=["inf", "nan", "0", "-1", "True", "10**400"])
+@pytest.mark.parametrize("entry", SCALARS)
+def test_a_positive_scalar_passes_one_gate(entry, value):
+    call, name = SCALARS[entry]
+    quadratic = make_catalogue_objective("quadratic")
+    queries = []
+
+    def recorded(x):
+        queries.append(x)
+        return quadratic.evaluator(x)
+
+    obj = Objective("recorded", recorded, 1.0, 1.0, quadratic.feasible_set)
+    counter = OracleCounter()
+    if entry == "load_config epsilon":
+        with pytest.raises(ConfigError, match="must be a positive finite number") as excinfo:
+            call(value, obj, np.array([0.5, 0.5]), counter)
+        assert excinfo.value.field == "epsilon"
+    else:
+        with pytest.raises(InvalidArgumentError,
+                           match=rf"\b{name} must be a positive finite number"):
+            call(value, obj, np.array([0.5, 0.5]), counter)
+    assert counter.calls == 0 and queries == []
+
+
+@pytest.mark.parametrize("value,expected", [
+    (1, True), (10**300, True), (5e-324, True), (1.7976931348623157e308, True),
+    (np.float64(0.5), True), (np.int64(3), True), (np.float32(2.0), True),
+    (0.0, False), (-0.0, False), (-1e-300, False), (math.inf, False), (math.nan, False),
+    (10**400, False), (-(10**400), False), (True, False), (np.bool_(True), False),
+    ("1", False), (None, False), (np.array(1.0), False), ([1.0], False), (1 + 0j, False),
+])
+def test_is_positive_finite(value, expected):
+    assert is_positive_finite(value) is expected
+
+
+def test_a_401_digit_epsilon_is_a_config_error(tmp_path, capsys):
+    # It passes "0 < epsilon < inf", then overflowed when the schedule divided by it.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"algorithm": "accelerated", "objective": "quadratic",
+                                "epsilon": 10**400}))
+    assert main(["run", str(path), "--output", str(tmp_path / "trace.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "config field 'epsilon': must be a positive finite number" in err
+    assert not (tmp_path / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("T", [-1, 2.5, 3.0, True, MAX_ITERATIONS + 1, "3", None])
+@pytest.mark.parametrize("run", [run_pgd, run_frank_wolfe])
+def test_baseline_iteration_count_is_checked_first(quadratic, run, T):
+    counter = OracleCounter()
+    with pytest.raises(InvalidArgumentError, match=r"^T must be an integer from 0 to"):
+        run(quadratic, np.array([0.5, 0.5]), T, counter)
+    assert counter.calls == 0
+
+
+@pytest.mark.parametrize("run", [run_pgd, run_frank_wolfe])
+def test_zero_baseline_iterations_record_the_start(quadratic, run):
+    counter = OracleCounter()
+    trace = run(quadratic, np.array([0.5, 0.5]), np.int64(0), counter)
+    assert trace.iteration == [0]
+    assert trace.final_oracle_calls == counter.calls == 1
