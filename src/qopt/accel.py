@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ConfigError, InvalidArgumentError, NumericalFailureError
 # perfbench/tracing.py wraps solve_prox_subproblem under this module's name too.
 from .prox import ProxResult, _ProxConstants, _solve, solve_prox_subproblem  # noqa: F401
-from .sets import _dot, as_point, is_positive_finite
+from .sets import _dot, _real, as_point, is_positive_finite, is_quasar_gamma
 from .trace import TraceRecorder
 
 #: The most iterations an epsilon-derived schedule may ask for, accelerated or
@@ -63,8 +63,8 @@ def iteration_count(estimate, epsilon):
 
 def compute_schedule(gamma, L, D, epsilon):
     """Resolve the outer iteration count, inner tolerance, and weights."""
-    if not 0.0 < gamma <= 1.0:
-        raise InvalidArgumentError("gamma must lie in (0, 1]")
+    if not is_quasar_gamma(gamma):
+        raise InvalidArgumentError("gamma must be a real number in (0, 1]")
     for name, v in (("L", L), ("D", D), ("epsilon", epsilon)):
         if not is_positive_finite(v):
             raise InvalidArgumentError(f"{name} must be a positive finite number")
@@ -90,19 +90,22 @@ def binary_line_search(obj, y, z, c, delta, counter):
     """Find ``x = alpha y + (1 - alpha) z`` certified by the termination test.
 
     Validates its inputs before any oracle call: ``y`` and ``z`` pass
-    :meth:`FeasibleSet.checked_point`, ``c`` must be nonnegative, and
-    ``_ProxConstants(obj, delta)`` checks ``delta``.
-    The termination slack ``epsilon_tilde(c)`` and the halving budget come
-    from those constants.  The envelope oracles ``h`` and
-    ``h_hat`` are realized through fresh prox solves at tolerance ``delta``;
-    the prox result at the returned point is included so callers can reuse it
-    as their next proximal step.
+    :meth:`FeasibleSet.checked_point`, ``c`` must be a real number, not a
+    bool, in ``[0, inf)``, and ``_ProxConstants(obj, delta)`` checks
+    ``delta``.  The termination slack ``epsilon_tilde(c)``, which must be
+    finite, and the halving budget come from those constants.  The envelope
+    oracles ``h`` and ``h_hat`` are realized through fresh prox solves at
+    tolerance ``delta``; the prox result at the returned point is included so
+    callers can reuse it as their next proximal step.
     """
     y = obj.feasible_set.checked_point(y, "line-search endpoint y")
     z = obj.feasible_set.checked_point(z, "line-search endpoint z")
-    if not c >= 0:
-        raise InvalidArgumentError("line-search constant c must be nonnegative")
+    if not 0.0 <= _real(c) < math.inf:
+        raise InvalidArgumentError("line-search constant c must be a finite number >= 0")
     consts = _ProxConstants(obj, delta)
+    if not consts.epsilon_tilde(c) < math.inf:
+        raise InvalidArgumentError(f"line-search constant c {c!r} overflows the slack "
+                                   "(9 + 5 c) delta")
     return LineSearchResult(*_line_search(
         obj, y, z, c, counter, _solve(obj, y, consts, counter), consts))
 

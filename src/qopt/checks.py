@@ -12,6 +12,14 @@ a catalogue name, built when the check runs; sample counts default to the
 registered ones.  A NaN sample fails every check: the first NaN violation,
 ratio or excess becomes the reported worst (:func:`_worst`).
 
+The envelope checks are the objective checks run on another oracle: the
+Moreau envelope of a gamma-quasar-convex, L-smooth f is gamma-quasar convex
+and 2L-smooth, and :func:`_envelope` gives ``x -> (M~(x), grad M~(x))``.  So
+one quasar loop, one secant loop, one re-solve loop and one PGD-step sampler
+(:func:`_worst_quasar_violations`, :func:`_worst_secant`,
+:func:`_worst_resolve`, :func:`_pgd_steps`) each serve every check that
+states their inequality.
+
 The counterexample check uses expected-failure semantics: it passes exactly
 when every gamma it tries shows a strictly positive quasar violation.
 
@@ -104,6 +112,18 @@ def _worst(worst, value):
     return value if value > worst or value != value else worst
 
 
+def _envelope(obj, delta):
+    """The envelope oracle ``x -> (M~(x), grad M~(x))`` of ``obj`` at tolerance
+    ``delta``: one ``_ProxConstants`` and one counter serve every
+    ``prox._solve`` it makes, at trusted feasible points."""
+    consts, counter = _ProxConstants(obj, delta), OracleCounter()
+
+    def envelope(x):
+        res = _solve(obj, x, consts, counter)
+        return res.envelope_value, res.envelope_gradient
+    return envelope
+
+
 def _objective(obj):
     """The objective a check certifies: ``obj`` itself, or the catalogue entry it names."""
     return make_catalogue_objective(obj) if isinstance(obj, str) else obj
@@ -124,32 +144,49 @@ def _instance(name):
 # -- declared constants of the catalogue ---------------------------------------
 
 
-def _worst_quasar_violations(obj, samples, gammas):
+def _worst_quasar_violations(obj, oracle, samples, gammas):
     """The worst quasar violation ``f(x) + <grad f(x), x* - x>/gamma - f(x*)`` at
-    each of ``gammas`` from one pass over ``samples`` feasible points.
+    each of ``gammas`` from one pass over ``samples`` feasible points, where
+    ``oracle`` (``obj.evaluator`` or an :func:`_envelope`) gives ``(f, grad f)``.
 
-    Queries the evaluator once at the center and once per sample point, and
-    returns ``(worst per gamma, number of points)``.
+    Queries ``oracle`` once at the center and once per sample point, and
+    returns ``(worst per gamma as floats, number of points)``.
     """
     if obj.center is None:
         raise PreconditionError("a quasar check requires a known center")
-    evaluator, center = obj.evaluator, obj.center
-    fstar = evaluator(center)[0]
+    center = obj.center
+    fstar = oracle(center)[0]
     pts = sample_feasible(obj.feasible_set, samples)
     worst = [-np.inf] * len(gammas)
     for x in pts:
-        fx, gx = evaluator(x)
+        fx, gx = oracle(x)
         inner = float(np.dot(gx, center - x))
         for i, gamma in enumerate(gammas):
             worst[i] = _worst(worst[i], fx + inner / gamma - fstar)
-    return worst, len(pts)
+    return [float(w) for w in worst], len(pts)
+
+
+def _worst_secant(oracle, pairs, min_sep):
+    """The worst gradient secant ratio ``||grad(u) - grad(v)|| / ||u - v||`` of
+    ``oracle`` over the ``pairs`` at least ``min_sep`` apart, and their number.
+    A pair that starts at the array the previous pair ended at reuses its gradient."""
+    worst, count = 0.0, 0
+    last = g_last = None
+    for u, v in pairs:
+        sep = _norm(u - v)
+        if sep < min_sep:
+            continue
+        gu = g_last if u is last else oracle(u)[1]
+        last, g_last = v, oracle(v)[1]
+        worst = _worst(worst, _norm(gu - g_last) / sep)
+        count += 1
+    return worst, count
 
 
 def quasar_certificate(obj, samples=10_000):
     """The declared gamma holds: the worst quasar violation is at most 1e-9."""
     obj = _objective(obj)
-    (worst,), count = _worst_quasar_violations(obj, samples, (obj.quasar_gamma,))
-    worst = float(worst)
+    (worst,), count = _worst_quasar_violations(obj, obj.evaluator, samples, (obj.quasar_gamma,))
     tol = 1e-9
     return CheckResult(f"quasar_certificate:{obj.name}", worst, tol, worst <= tol, count)
 
@@ -161,11 +198,11 @@ def quasar_counterexample(obj, samples=10_000):
     violation: it is reported, and fails the check.
     """
     obj = _objective(obj)
-    worst, count = _worst_quasar_violations(obj, samples, (0.1, 0.5, 1.0))
+    worst, count = _worst_quasar_violations(obj, obj.evaluator, samples, (0.1, 0.5, 1.0))
     least = worst[0]
     for violation in worst[1:]:
         least = -_worst(-least, -violation)
-    return CheckResult(f"quasar_counterexample:{obj.name}", float(least), 0.0, least > 0.0,
+    return CheckResult(f"quasar_counterexample:{obj.name}", least, 0.0, least > 0.0,
                        3 * count, "passes iff every gamma in {0.1, 0.5, 1} violates")
 
 
@@ -208,27 +245,12 @@ def smoothness(obj, samples=None):
         samples = 10_000 if obj.dimension == 1 else 2_000
     if samples < 2:
         raise InvalidArgumentError("the smoothness check needs at least two samples")
-    evaluator = obj.evaluator
-    worst = 0.0
-    count = 0
     if isinstance(set_, Box) and set_.dimension == 1:
-        pts = set_.grid(samples)
-        u = pts[0]
-        gu = evaluator(u)[1]
-        for v in pts[1:]:
-            gv = evaluator(v)[1]
-            sep = _norm(u - v)
-            if not sep < 1e-12:
-                worst = _worst(worst, _norm(gu - gv) / sep)
-                count += 1
-            u, gu = v, gv
+        grid = list(set_.grid(samples))
+        pairs = zip(grid, grid[1:])
     else:
-        for u, v in zip(*sample_pairs(set_, samples)):
-            sep = _norm(u - v)
-            if sep < 1e-12:
-                continue
-            worst = _worst(worst, _norm(evaluator(u)[1] - evaluator(v)[1]) / sep)
-            count += 1
+        pairs = zip(*sample_pairs(set_, samples))
+    worst, count = _worst_secant(obj.evaluator, pairs, 1e-12)
     L = obj.smoothness_L
     rtol = 1e-6
     return CheckResult(f"smoothness:{obj.name}", worst - L, L * rtol, worst <= L * (1.0 + rtol),
@@ -295,19 +317,9 @@ def moreau_smoothness(obj, samples=200):
     """The near-exact envelope gradient (delta = 1e-12) is ``2L``-Lipschitz,
     within relative 1e-6, on seeded pairs at least 2% of the diameter apart."""
     obj = _objective(obj)
-    consts = _ProxConstants(obj, 1e-12)
-    min_sep = 0.02 * obj.feasible_set.diameter()
-    counter = OracleCounter()
-    worst = 0.0
-    count = 0
-    for u, v in zip(*sample_pairs(obj.feasible_set, samples)):
-        sep = _norm(u - v)
-        if sep < min_sep:
-            continue
-        gu = _solve(obj, u, consts, counter).envelope_gradient
-        gv = _solve(obj, v, consts, counter).envelope_gradient
-        worst = _worst(worst, _norm(gu - gv) / sep)
-        count += 1
+    set_ = obj.feasible_set
+    worst, count = _worst_secant(_envelope(obj, 1e-12), zip(*sample_pairs(set_, samples)),
+                                 0.02 * set_.diameter())
     two_L = 2.0 * obj.smoothness_L
     rtol = 1e-6
     return CheckResult(f"moreau_smoothness:{obj.name}", worst - two_L, two_L * rtol,
@@ -319,25 +331,9 @@ def moreau_quasar(obj, tolerance, grid=2000):
     """The near-exact envelope (delta = 1e-12) is quasar convex with the
     objective's gamma: ``M(x) + <grad M(x), x* - x>/gamma - M(x*) <= tolerance``."""
     obj = _objective(obj)
-    if obj.center is None:
-        raise PreconditionError("moreau_quasar requires a known center")
-    consts = _ProxConstants(obj, 1e-12)
-    counter = OracleCounter()
-    center, gamma = obj.center, obj.quasar_gamma
-    m_star = _solve(obj, center, consts, counter).envelope_value
-    pts = sample_feasible(obj.feasible_set, grid)
-    worst = -np.inf
-    for x in pts:
-        res = _solve(obj, x, consts, counter)
-        violation = (
-            res.envelope_value
-            + float(np.dot(res.envelope_gradient, center - x)) / gamma
-            - m_star
-        )
-        worst = _worst(worst, violation)
-    worst = float(worst)
-    return CheckResult(f"moreau_quasar:{obj.name}", worst, tolerance, worst <= tolerance,
-                       len(pts))
+    (worst,), count = _worst_quasar_violations(obj, _envelope(obj, 1e-12), grid,
+                                               (obj.quasar_gamma,))
+    return CheckResult(f"moreau_quasar:{obj.name}", worst, tolerance, worst <= tolerance, count)
 
 
 def prox_descent(obj, points=None):
@@ -371,23 +367,28 @@ def prox_descent(obj, points=None):
                        f"{failures} failures")
 
 
+def _worst_resolve(obj, samples, coarse, fine, measure):
+    """The worst ``measure(at_coarse, at_fine)`` over ``samples`` feasible points,
+    each solved by the :func:`_envelope` at ``coarse`` and then at ``fine``,
+    and the number of points."""
+    coarse, fine = _envelope(obj, coarse), _envelope(obj, fine)
+    pts = sample_feasible(obj.feasible_set, samples)
+    worst = 0.0
+    for x in pts:
+        worst = _worst(worst, measure(coarse(x), fine(x)))
+    return worst, len(pts)
+
+
 def prox_stopping(obj, samples=50):
     """The stopping rule certifies delta-optimality: re-solving each
     subproblem at ``delta/100`` changes the envelope value by at most
     ``delta`` (1e-6)."""
     obj = _objective(obj)
     delta = 1e-6
-    coarse_consts = _ProxConstants(obj, delta)
-    fine_consts = _ProxConstants(obj, delta / 100.0)
-    counter = OracleCounter()
-    pts = sample_feasible(obj.feasible_set, samples)
-    worst = 0.0
-    for x in pts:
-        coarse = _solve(obj, x, coarse_consts, counter)
-        fine = _solve(obj, x, fine_consts, counter)
-        worst = _worst(worst, abs(coarse.envelope_value - fine.envelope_value))
+    worst, count = _worst_resolve(obj, samples, delta, delta / 100.0,
+                                  lambda coarse, fine: abs(coarse[0] - fine[0]))
     return CheckResult(f"prox_stopping:{obj.name}", worst - delta, 0.0, worst <= delta,
-                       len(pts), f"re-solve shift {worst:.2e} vs delta {delta:.0e}")
+                       count, f"re-solve shift {worst:.2e} vs delta {delta:.0e}")
 
 
 def prox_gradient_error(obj, samples=100):
@@ -395,18 +396,11 @@ def prox_gradient_error(obj, samples=100):
     against a near-exact reference prox (delta = 1e-14)."""
     obj = _objective(obj)
     delta = 1e-6
-    coarse_consts = _ProxConstants(obj, delta)
-    ref_consts = _ProxConstants(obj, 1e-14)
-    counter = OracleCounter()
     bound = math.sqrt(8.0 * obj.smoothness_L * delta)
-    pts = sample_feasible(obj.feasible_set, samples)
-    worst = 0.0
-    for x in pts:
-        coarse = _solve(obj, x, coarse_consts, counter).envelope_gradient
-        ref = _solve(obj, x, ref_consts, counter).envelope_gradient
-        worst = _worst(worst, _norm(coarse - ref))
+    worst, count = _worst_resolve(obj, samples, delta, 1e-14,
+                                  lambda coarse, ref: _norm(coarse[1] - ref[1]))
     return CheckResult(f"prox_gradient_error:{obj.name}", worst - bound, 0.0, worst <= bound,
-                       len(pts), f"max error {worst:.2e} vs bound {bound:.2e}")
+                       count, f"max error {worst:.2e} vs bound {bound:.2e}")
 
 
 def prox_iteration_budget(objectives, samples=50):
@@ -450,23 +444,22 @@ def linesearch_certificate(instance, epsilon=1e-3):
     trace = run_accelerated(obj, x0, epsilon, OracleCounter(), observer=iterates.append)
     params = trace.header["params"]
     L, D, delta = params["L"], params["D"], params["delta"]
-    fine = _ProxConstants(obj, delta / CERTIFICATE_ACCURACY_FACTOR)
-    counter = OracleCounter()
+    fine = _envelope(obj, delta / CERTIFICATE_ACCURACY_FACTOR)
     base_budget = math.sqrt(8.0 * L * D * D * delta)
     loop_bound = math.ceil(math.log2(max(8.0 * L * D * D / delta, 2.0)))
     worst_excess = -np.inf
     max_loops = 0
-    prev_x = at_x = None
+    prev_x = None
     for it in iterates:
         # The solve is pure, so one serves every use of the same array: the
         # filled iterates after the fixed-point exit share one frozen x_t, and
         # a derivative_small exit, like every filled iterate, hands
         # x_t = y_{t-1} itself.
         if it.x is not prev_x:
-            prev_x, at_x = it.x, _solve(obj, it.x, fine, counter)
-        at_y = at_x if it.x is it.y_prev else _solve(obj, it.y_prev, fine, counter)
-        lhs = float(np.dot(at_x.envelope_gradient, it.x - it.z_prev))
-        lhs -= it.c * (at_y.envelope_value - at_x.envelope_value)
+            prev_x, (m_x, g_x) = it.x, fine(it.x)
+        m_y = m_x if it.x is it.y_prev else fine(it.y_prev)[0]
+        lhs = float(np.dot(g_x, it.x - it.z_prev))
+        lhs -= it.c * (m_y - m_x)
         budget = base_budget + (9.0 + 5.0 * it.c) * delta + 1e-9
         worst_excess = _worst(worst_excess, lhs - budget)
         max_loops = max(max_loops, it.loop_iterations)
@@ -504,22 +497,29 @@ def accelerated_gap(instance, epsilon):
 # -- the baselines ---------------------------------------------------------------
 
 
+def _pgd_steps(objectives, trials):
+    """One PGD step ``x+ = P(x - grad f(x) / L)`` from each of ``trials`` seeded
+    feasible x per objective, paired with the seeded feasible y of
+    :func:`sample_pairs`: yields ``(obj, y, f(x), grad f(x), x+, g(x))``, with
+    ``g(x) = L (x - x+)`` the gradient mapping."""
+    for obj in objectives:
+        obj = _objective(obj)
+        set_ = obj.feasible_set
+        eta = 1.0 / obj.smoothness_L
+        for x, y in zip(*sample_pairs(set_, trials)):
+            f, grad = obj.evaluator(x)
+            x_plus = set_._project(x - eta * grad)
+            yield obj, y, f, grad, x_plus, (x - x_plus) / eta
+
+
 def pgd_mapping_bound(objectives, trials=1000):
     """For seeded feasible pairs (x, y), the gradient mapping ``g`` of a PGD
     step bounds the gradient: ``<grad f(x), x+ - y> <= <g(x), x+ - y> + MAPPING_TOL``."""
     worst = -np.inf
-    for obj in objectives:
-        obj = _objective(obj)
-        set_ = obj.feasible_set
-        evaluator = obj.evaluator
-        eta = 1.0 / obj.smoothness_L
-        for x, yref in zip(*sample_pairs(set_, trials)):
-            grad = evaluator(x)[1]
-            x_plus = set_._project(x - eta * grad)
-            mapping = (x - x_plus) / eta
-            lhs = float(np.dot(grad, x_plus - yref))
-            rhs = float(np.dot(mapping, x_plus - yref))
-            worst = _worst(worst, lhs - rhs)
+    for _, y, _, grad, x_plus, mapping in _pgd_steps(objectives, trials):
+        lhs = float(np.dot(grad, x_plus - y))
+        rhs = float(np.dot(mapping, x_plus - y))
+        worst = _worst(worst, lhs - rhs)
     return CheckResult("pgd_mapping_bound", worst, MAPPING_TOL, worst <= MAPPING_TOL,
                        trials * len(objectives))
 
@@ -528,18 +528,9 @@ def pgd_descent_step(objectives, trials=1000):
     """For seeded feasible x, a PGD step descends by the mapping norm:
     ``f(x+) - f(x) <= -||g(x)||^2 / (2L) + MAPPING_TOL``."""
     worst = -np.inf
-    for obj in objectives:
-        obj = _objective(obj)
-        set_ = obj.feasible_set
-        evaluator = obj.evaluator
-        L = obj.smoothness_L
-        eta = 1.0 / L
-        for x in set_.sample(np.random.default_rng(0), trials):
-            f, grad = evaluator(x)
-            x_plus = set_._project(x - eta * grad)
-            mapping = (x - x_plus) / eta
-            f_plus = evaluator(x_plus)[0]
-            worst = _worst(worst, (f_plus - f) + float(np.dot(mapping, mapping)) / (2.0 * L))
+    for obj, _, f, _, x_plus, mapping in _pgd_steps(objectives, trials):
+        descent = obj.evaluator(x_plus)[0] - f
+        worst = _worst(worst, descent + float(np.dot(mapping, mapping)) / (2.0 * obj.smoothness_L))
     return CheckResult("pgd_descent_step", worst, MAPPING_TOL, worst <= MAPPING_TOL,
                        trials * len(objectives))
 
@@ -712,34 +703,36 @@ def trace_determinism():
     )
 
 
+#: Each ``scaling_fit`` algorithm's three-point sweep, in report order: its
+#: base run (seed 0), the grid of the swept field, and the window the log-log
+#: slope of gap against that field must lie in.
+_SCALING_SWEEPS = {
+    "accelerated": (
+        {"objective": {"name": "quadratic", "params": {"dim": 5}}, "x0": [1.0] * 5,
+         "epsilon": 1e-2},
+        {"epsilon": [1e-2, 1e-3, 1e-4]},
+        (-0.75, -0.45),
+    ),
+    "pgd": (
+        {"objective": "example1", "x0": [5.0], "T": 100},
+        {"T": [100, 1000, 10_000]},
+        (-1.3, -0.8),
+    ),
+    "frank_wolfe": (
+        {"objective": {"name": "quadratic",
+                       "params": {"set": {"kind": "simplex", "dimension": 30_000}}},
+         "x0": "vertex", "T": 100},
+        {"T": [100, 1000, 10_000]},
+        (-1.3, -0.8),
+    ),
+}
+
+
 def scaling_fit(algorithm):
-    """The log-log slope of gap against epsilon or T over a three-point sweep
-    lies in the algorithm's window."""
-    if algorithm == "accelerated":
-        base = {
-            "algorithm": "accelerated",
-            "objective": {"name": "quadratic", "params": {"dim": 5}},
-            "x0": [1.0] * 5,
-            "epsilon": 1e-2,
-            "seed": 0,
-        }
-        grid = {"epsilon": [1e-2, 1e-3, 1e-4]}
-        window = (-0.75, -0.45)
-    elif algorithm == "pgd":
-        base = {"algorithm": "pgd", "objective": "example1", "x0": [5.0], "T": 100, "seed": 0}
-        grid = {"T": [100, 1000, 10_000]}
-        window = (-1.3, -0.8)
-    else:
-        base = {
-            "algorithm": "frank_wolfe",
-            "objective": {"name": "quadratic",
-                          "params": {"set": {"kind": "simplex", "dimension": 30_000}}},
-            "x0": "vertex",
-            "T": 100,
-            "seed": 0,
-        }
-        grid = {"T": [100, 1000, 10_000]}
-        window = (-1.3, -0.8)
+    """The log-log slope of gap against epsilon or T over the algorithm's
+    sweep in ``_SCALING_SWEEPS`` lies in its window."""
+    run, grid, window = _SCALING_SWEEPS[algorithm]
+    base = {"algorithm": algorithm, **run, "seed": 0}
     with tempfile.TemporaryDirectory() as tmp:
         summary = sweep(load_config(base), grid, tmp)
     slope = summary["fits"][algorithm]["slope"]
@@ -800,7 +793,7 @@ def _check_table(catalogue):
         ("oracle_accounting", (oracle_accounting,)),
         ("gamma_free_baselines", (gamma_free_baselines,)),
         ("trace_determinism", (trace_determinism,)),
-        *[(f"scaling_fit:{a}", (scaling_fit, a)) for a in ("accelerated", "pgd", "frank_wolfe")],
+        *[(f"scaling_fit:{a}", (scaling_fit, a)) for a in _SCALING_SWEEPS],
     ])
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, NumericalFailureError
 from .sets import (Box, FeasibleSet, _dot, _is_finite_point, as_point, is_int, is_positive_finite,
-                   set_from_spec)
+                   is_quasar_gamma, set_from_spec)
 
 
 class OracleCounter:
@@ -55,8 +55,8 @@ class Objective:
     def __post_init__(self):
         if not is_positive_finite(self.smoothness_L):
             raise InvalidArgumentError("smoothness_L must be a positive finite number")
-        if not 0.0 < self.quasar_gamma <= 1.0:
-            raise InvalidArgumentError("quasar_gamma must lie in (0, 1]")
+        if not is_quasar_gamma(self.quasar_gamma):
+            raise InvalidArgumentError("quasar_gamma must be a real number in (0, 1]")
         if self.center is not None:
             self.center = as_point(self.center, self.feasible_set.dimension)
             if not self.feasible_set.contains(self.center):

@@ -6,7 +6,8 @@ after construction and safe to share across concurrent runs; all operations
 are pure.
 
 :func:`is_positive_finite` is the one test of every positive scalar a caller
-passes the package, here a ball's radius and a simplex's scale.
+passes the package, here a ball's radius and a simplex's scale, and
+:func:`is_quasar_gamma` the one test of a gamma in ``(0, 1]``.
 """
 
 from __future__ import annotations
@@ -41,14 +42,27 @@ def is_int(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _real(value):
+    """``float(value)`` for a real number that is not a bool, else NaN; an
+    integer too large for a float is an infinity of its sign."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def is_positive_finite(value):
     """True for a real number, not a bool, in ``(0, inf)`` as a float; an integer
     too large for a float is not finite.  It only tests: the caller keeps ``value``."""
-    try:
-        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-                and 0.0 < float(value) < math.inf)
-    except OverflowError:
-        return False
+    return 0.0 < _real(value) < math.inf
+
+
+def is_quasar_gamma(value):
+    """True for a real number, not a bool, in ``(0, 1]`` as a float: a
+    quasar-convexity constant gamma.  It only tests, as :func:`is_positive_finite`."""
+    return 0.0 < _real(value) <= 1.0
 
 
 def _dot(u, v):

@@ -157,7 +157,7 @@ class TestQuasarConvexityCheck:
         assert quasar_certificate(quadratic, 2_000).max_violation <= 0.0
 
     def test_counterexample_violates_for_any_gamma(self, fig1):
-        worst, _ = _worst_quasar_violations(fig1, 10_000, (0.1, 0.5, 1.0))
+        worst, _ = _worst_quasar_violations(fig1, fig1.evaluator, 10_000, (0.1, 0.5, 1.0))
         assert min(worst) > 0.0
 
     def test_counterexample_violation_at_stationary_point(self, fig1):

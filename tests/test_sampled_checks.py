@@ -318,7 +318,7 @@ def test_quasar_convexity_matches_reference(name):
 def test_counterexample_gammas_from_one_pass():
     obj, calls = audited(make_catalogue_objective("fig1_counterexample"))
     n, gammas = 10_000, (0.1, 0.5, 1.0)
-    worst, count = _worst_quasar_violations(obj, n, gammas)
+    worst, count = _worst_quasar_violations(obj, obj.evaluator, n, gammas)
     assert calls[0] == n + 1
     assert count == n
     expected = [ref_quasar_convexity(obj, n, gamma)["max_violation"] for gamma in gammas]
@@ -459,8 +459,8 @@ def test_gradient_consistency_matches_reference(name):
 LINESEARCH_INSTANCES = {"quadratic": "quadratic_box", "example1": "example1"}
 
 
-@pytest.mark.parametrize("name,x0", [("quadratic", [1.0, 1.0]), ("example1", [5.0])])
-def test_linesearch_audit_builds_its_constants_once(name, x0, monkeypatch):
+def constants_built(monkeypatch):
+    """The list of the delta of every ``_ProxConstants`` the solver and the checks build."""
     built = []
     constants = qopt.prox._ProxConstants
 
@@ -470,10 +470,30 @@ def test_linesearch_audit_builds_its_constants_once(name, x0, monkeypatch):
 
     monkeypatch.setattr(qopt.accel, "_ProxConstants", counted)
     monkeypatch.setattr(qopt.checks, "_ProxConstants", counted)
+    return built
+
+
+@pytest.mark.parametrize("name,x0", [("quadratic", [1.0, 1.0]), ("example1", [5.0])])
+def test_linesearch_audit_builds_its_constants_once(name, x0, monkeypatch):
+    built = constants_built(monkeypatch)
     assert qopt.checks._instance(LINESEARCH_INSTANCES[name])[1].tolist() == x0
     assert linesearch_certificate(LINESEARCH_INSTANCES[name], 1e-2).passed
     # One for the run, one for the audit's fine delta.
     assert len(built) == 2
+
+
+@pytest.mark.parametrize("check,deltas", [
+    (lambda name: moreau_quasar(name, 1e-6, 40), [1e-12]),
+    (lambda name: moreau_smoothness(name, 40), [1e-12]),
+    (lambda name: prox_stopping(name, 20), [1e-6, 1e-6 / 100.0]),
+    (lambda name: prox_gradient_error(name, 20), [1e-6, 1e-14]),
+], ids=["moreau_quasar", "moreau_smoothness", "prox_stopping", "prox_gradient_error"])
+@pytest.mark.parametrize("name", PROX_ENTRIES)
+def test_envelope_checks_build_one_constants_per_delta(name, check, deltas, monkeypatch):
+    # Every solve of a check at one delta shares its constants.
+    built = constants_built(monkeypatch)
+    check(name)
+    assert built == deltas
 
 
 # -- the trusted LMO -----------------------------------------------------------
@@ -603,7 +623,7 @@ def test_nan_at_any_gamma_fails_the_counterexample(worst, monkeypatch):
     # An infinite value with a huge gradient can make one gamma's violation
     # NaN and leave the others finite.
     monkeypatch.setattr(qopt.checks, "_worst_quasar_violations",
-                        lambda obj, samples, gammas: (worst, samples))
+                        lambda obj, oracle, samples, gammas: (worst, samples))
     assert_nan_fails(quasar_counterexample("fig1_counterexample"))
 
 

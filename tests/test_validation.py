@@ -12,8 +12,13 @@ Every positive scalar a public entry takes passes ``sets.is_positive_finite``
 likewise: a bool, a NaN, an infinity, a nonpositive number or an integer too
 large for a float is an ``InvalidArgumentError`` naming the argument (a
 ``ConfigError`` naming ``epsilon`` in a config), before any oracle call.
+A quasar-convexity gamma passes ``sets.is_quasar_gamma``, a real number in
+``(0, 1]``, and the line search's ``c`` must be a real number in ``[0, inf)``
+whose slack ``(9 + 5 c) delta`` stays finite; a bool is neither.
 """
 
+import dataclasses
+import hashlib
 import json
 import math
 
@@ -43,7 +48,8 @@ from qopt import (
 )
 from qopt.accel import MAX_ITERATIONS
 from qopt.cli import main
-from qopt.sets import MEMBERSHIP_TOL, is_positive_finite
+from qopt.sets import MEMBERSHIP_TOL, is_positive_finite, is_quasar_gamma
+from qopt.trace import write_trace
 
 #: A caller's point through each public entry, as a call on ``(obj, x)``.
 CALLS = {
@@ -204,6 +210,65 @@ def test_a_positive_scalar_passes_one_gate(entry, value):
 ])
 def test_is_positive_finite(value, expected):
     assert is_positive_finite(value) is expected
+
+
+#: Each entry that takes a quasar-convexity gamma, as a call on ``(value, obj)``.
+GAMMAS = {
+    "compute_schedule": lambda v, obj: compute_schedule(v, 1.0, 1.0, 1e-2),
+    "Objective": lambda v, obj: Objective("bad", obj.evaluator, 1.0, v, obj.feasible_set),
+}
+
+
+@pytest.mark.parametrize("value", [True, "0.5", math.nan, math.inf, 0, 1.5, 10**400],
+                         ids=["True", "str", "nan", "inf", "0", "1.5", "10**400"])
+@pytest.mark.parametrize("entry", GAMMAS)
+def test_gamma_passes_one_gate(quadratic, entry, value):
+    # True ran as 1 and "0.5" raised a raw TypeError.
+    with pytest.raises(InvalidArgumentError, match=r"gamma must be a real number in \(0, 1\]"):
+        GAMMAS[entry](value, quadratic)
+
+
+@pytest.mark.parametrize("value,expected", [
+    (1, True), (1.0, True), (0.5, True), (5e-324, True), (np.float64(0.25), True),
+    (np.int64(1), True), (0, False), (-0.5, False), (1.0000000000000002, False),
+    (math.nan, False), (math.inf, False), (10**400, False), (-(10**400), False),
+    (True, False), (np.bool_(True), False), ("0.5", False), (None, False),
+])
+def test_is_quasar_gamma(value, expected):
+    assert is_quasar_gamma(value) is expected
+
+
+def test_an_integer_gamma_keeps_its_trace_bytes(quadratic, tmp_path):
+    # Pinned before gamma had its own predicate: the header records the 1 as given.
+    trace = run_accelerated(dataclasses.replace(quadratic, quasar_gamma=1), np.array([1.0, 1.0]),
+                            1e-2, OracleCounter())
+    path = tmp_path / "trace.csv"
+    write_trace(trace, path)
+    assert b'"gamma": 1,' in path.read_bytes()
+    assert (hashlib.sha256(path.read_bytes()).hexdigest()
+            == "44cc126f5875951ba6ff6d086dadc3a5aeddd3b5c1e12662cf83d94d2160548b")
+
+
+@pytest.mark.parametrize("c", [math.inf, math.nan, True, -1, 10**400, 1e308],
+                         ids=["inf", "nan", "True", "-1", "10**400", "1e308"])
+def test_line_search_constant_is_checked_first(quadratic, c):
+    # c = inf returned alpha = 1 with the segment never tested, True ran as 1,
+    # 10**400 raised a raw OverflowError in the slack, and 1e308 made it inf.
+    counter = OracleCounter()
+    with pytest.raises(InvalidArgumentError, match=r"^line-search constant c\b"):
+        binary_line_search(quadratic, np.array([0.2, -0.3]), np.array([1.0, 1.0]), c, 1e-10,
+                           counter)
+    assert counter.calls == 0
+
+
+def test_line_search_accepts_a_zero_constant(quadratic):
+    y, z = np.array([0.2, -0.3]), np.array([1.0, 1.0])
+    counters = [OracleCounter(), OracleCounter()]
+    exact, as_float = (binary_line_search(quadratic, y, z, c, 1e-10, counter)
+                       for c, counter in zip((0, 0.0), counters))
+    assert exact.exit == as_float.exit and exact.alpha == as_float.alpha
+    assert exact.x.tobytes() == as_float.x.tobytes()
+    assert counters[0].calls == counters[1].calls > 0
 
 
 def test_a_401_digit_epsilon_is_a_config_error(tmp_path, capsys):
