@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,13 +62,20 @@ def iteration_count(estimate, epsilon):
     return max(1, math.ceil(estimate))
 
 
-def compute_schedule(gamma, L, D, epsilon):
-    """Resolve the outer iteration count, inner tolerance, and weights."""
+def _check_constants(gamma, **positive):
+    """Raise :class:`InvalidArgumentError` naming the first argument that fails
+    its gate: ``gamma`` :func:`is_quasar_gamma`, each of ``positive``
+    :func:`is_positive_finite`."""
     if not is_quasar_gamma(gamma):
         raise InvalidArgumentError("gamma must be a real number in (0, 1]")
-    for name, v in (("L", L), ("D", D), ("epsilon", epsilon)):
+    for name, v in positive.items():
         if not is_positive_finite(v):
             raise InvalidArgumentError(f"{name} must be a positive finite number")
+
+
+def compute_schedule(gamma, L, D, epsilon):
+    """Resolve the outer iteration count, inner tolerance, and weights."""
+    _check_constants(gamma, L=L, D=D, epsilon=epsilon)
     T = iteration_count((4.0 / gamma) * math.sqrt(L * D * D / epsilon), epsilon)
     delta = L * D * D / (10.0 * T**6)
     if not delta > 0.0:
@@ -169,53 +177,81 @@ def ftrl_step(set_, x0, accumulated):
     return set_._project(x0 - accumulated)
 
 
-@dataclass
-class AccelIterate:
-    """One outer iteration's line-search inputs and outcome, handed to an observer."""
+class _Iteration(NamedTuple):
+    """Outer iteration ``t``: the line search's ``c_t``, halvings, ``x_t`` and
+    endpoints ``y_{t-1}``, ``z_{t-1}``, and the prox at ``y_t`` (``None`` when frozen)."""
 
     c: float
     loop_iterations: int
     x: np.ndarray
     y_prev: np.ndarray
     z_prev: np.ndarray
+    prox: ProxResult | None
 
 
-def run_accelerated(obj, x0, epsilon, counter, observer=None):
+def _iterations(obj, x0, params, consts, prox_y, counter):
+    """Yield the outer iterations ``t = 1..T`` as :class:`_Iteration` records,
+    from the trusted ``x0`` with schedule ``params``, every solve on ``consts``
+    and ``prox_y`` the prox at ``x0``.  No record's array is written again.
+
+    Once a prox lands bit for bit where it started, with no oracle query, every
+    later iteration repeats it exactly: it is frozen, and its record
+    ``(c_s, 0, y, y, z, None)`` shares the frozen arrays, with no solve and no query.
+    """
+    gamma, L, T = params.gamma, params.L, params.T
+    y, z = x0.copy(), x0.copy()
+    accumulated = np.zeros_like(x0)
+    project = obj.feasible_set._project
+    # The weights a_t = gamma^2 t / (8 L) and A_{t-1} = gamma^2 (t-1) t / (16 L)
+    # and the coupling c_t = gamma A_{t-1} / a_t have their one source here, for
+    # the loop and the frozen tail alike; changing the order of an operation
+    # changes the bits of every trace.
+    gamma_sq, a_denom, A_denom = gamma**2, 8.0 * L, 16.0 * L
+    frozen = False
+    for t in range(1, T + 1):
+        a_t = gamma_sq * t / a_denom
+        c = gamma_sq * (t - 1) * t / A_denom * gamma / a_t
+        if frozen:
+            # The line search would return y: x_s = y_{s-1} = y.
+            yield _Iteration(c, 0, y, y, z, None)
+            continue
+        _, x_t, loops, prox_x, _ = _line_search(obj, y, z, c, counter, prox_y, consts)
+        y_new = prox_x.y
+        accumulated += (a_t / gamma) * prox_x.envelope_gradient
+        # The FTRL step (ftrl_step) on trusted arrays.
+        z_new = project(x0 - accumulated)
+        # The prox at y_new instruments f(y-hat_t), is reused as the next
+        # line search's endpoint oracle, and at t = T is the returned
+        # solution.  y_new is prox_x.y, so prox_x already holds the
+        # oracle's answer there.
+        prox_y = _solve(obj, y_new, consts, counter, (prox_x.f_at_y, prox_x.grad_at_y))
+        yield _Iteration(c, loops, x_t, y, z, prox_y)
+        y, z = y_new, z_new
+        # A prox whose first step lands bit for bit on its centre y_new made
+        # no query, and its envelope gradient is exactly +0.0.  Every later
+        # iteration then repeats: the line search exits at alpha = 1
+        # (hhat1 = 0), accumulated and so z_new keep their bits, and the next
+        # prox is this one again, from the same point and the same oracle
+        # answer.  Only t and c change.
+        frozen = prox_y.inner_iterations == 1 and prox_y.y.tobytes() == y.tobytes()
+
+
+def run_accelerated(obj, x0, epsilon, counter):
     """Run the accelerated method to target accuracy ``epsilon``.
 
     Returns a :class:`Trace` whose rows record, at every outer iteration, the
     objective value of the current candidate solution (the delta-prox of
     ``y_t``) together with the certified-gap envelope ``16 L D^2 / (gamma t)^2``.
-    The trace ``solution`` is the final candidate.  A given ``observer`` is
-    called once per outer iteration with that iteration's :class:`AccelIterate`.
-
-    Once a prox lands bit for bit where it started, with no oracle query, every
-    later iteration repeats it exactly.  The loop then ends, appending the
-    remaining rows in one step: each repeats that row's ``f``, ``gap`` and
-    ``oracle_calls`` with its own bound.  A given observer still gets one
-    ``AccelIterate(c_t, 0, y, y, z)`` per remaining ``t``, all sharing the
-    frozen ``y`` and ``z`` arrays.
+    The trace ``solution`` is the final candidate.  At the first frozen
+    iteration (:func:`_iterations`) the run ends, appending the remaining rows
+    in one step: each repeats the last row's ``f``, ``gap`` and
+    ``oracle_calls`` with its own bound.
     """
     set_ = obj.feasible_set
     x0 = set_.checked_point(x0, "x0")
     params = compute_schedule(obj.quasar_gamma, obj.smoothness_L, set_.diameter(), epsilon)
-    gamma, L, D, delta = params.gamma, params.L, params.D, params.delta
-    y = x0.copy()
-    z = x0.copy()
-    accumulated = np.zeros_like(x0)
-    consts = _ProxConstants(obj, delta)
-    project = set_._project
-    # The weights a_t = gamma^2 t / (8 L) and A_{t-1} = gamma^2 (t-1) t / (16 L),
-    # the coupling c_t = gamma A_{t-1} / a_t and the bound 16 L D^2 / (gamma t)^2
-    # have their one source here, for the loop and the frozen tail alike;
-    # changing the order of an operation changes the bits of every trace.
-    gamma_sq, a_denom, A_denom = gamma**2, 8.0 * L, 16.0 * L
-    bound_num, gamma_gamma = 16.0 * L * D * D, gamma * gamma
-
-    def weights(t):
-        """The weight a_t and the coupling c_t of outer iteration t."""
-        a_t = gamma_sq * t / a_denom
-        return a_t, gamma_sq * (t - 1) * t / A_denom * gamma / a_t
+    consts = _ProxConstants(obj, params.delta)
+    bound_num, gamma_gamma = 16.0 * params.L * params.D * params.D, params.gamma * params.gamma
 
     def bounds(t):
         """The bound of each iteration in the float array ``t``.  The array
@@ -224,37 +260,12 @@ def run_accelerated(obj, x0, epsilon, counter, observer=None):
         return bound_num / (gamma_gamma * t * t)
 
     with TraceRecorder("accelerated", obj, asdict(params), x0, counter, bounds) as rec:
-        prox_y = _solve(obj, y, consts, counter)
+        prox_y = _solve(obj, x0, consts, counter)
         rec.record(prox_y.f_at_y)
-        T = params.T
-        for t in range(1, T + 1):
-            a_t, c = weights(t)
-            _, x_t, loops, prox_x, _ = _line_search(obj, y, z, c, counter, prox_y, consts)
-            y_new = prox_x.y
-            accumulated += (a_t / gamma) * prox_x.envelope_gradient
-            # The FTRL step (ftrl_step) on trusted arrays.
-            z_new = project(x0 - accumulated)
-            # The prox at y_new instruments f(y-hat_t), is reused as the next
-            # line search's endpoint oracle, and at t = T is the returned
-            # solution.  y_new is prox_x.y, so prox_x already holds the
-            # oracle's answer there.
-            prox_y = _solve(obj, y_new, consts, counter, (prox_x.f_at_y, prox_x.grad_at_y))
-            rec.record(prox_y.f_at_y)
-            if observer is not None:
-                observer(AccelIterate(c, loops, x_t, y, z))
-            y, z = y_new, z_new
-            # A prox whose first step lands bit for bit on its centre y_new
-            # made no query, and its envelope gradient is exactly +0.0.  Every
-            # later iteration then repeats: the line search exits at alpha = 1
-            # (hhat1 = 0), accumulated and so z_new keep their bits, and the
-            # next prox is this one again, from the same point and the same
-            # oracle answer.  Only t, c and the bound change, so the rest of
-            # the run is filled in one step.
-            if prox_y.inner_iterations == 1 and prox_y.y.tobytes() == y.tobytes():
-                rec.fill(T)
-                if observer is not None:
-                    for s in range(t + 1, T + 1):
-                        # The line search would return y: x_s = y_{s-1} = y.
-                        observer(AccelIterate(weights(s)[1], 0, y, y, z))
+        for it in _iterations(obj, x0, params, consts, prox_y, counter):
+            if it.prox is None:
+                rec.fill(params.T)
                 break
+            prox_y = it.prox
+            rec.record(prox_y.f_at_y)
     return rec.trace(prox_y.y)

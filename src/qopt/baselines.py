@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .accel import MAX_ITERATIONS
+from .accel import MAX_ITERATIONS, _check_constants
 from .errors import InvalidArgumentError, NumericalFailureError
 from .objectives import _query, evaluate
 # perfbench/tracing.py counts as_point calls under this module's name too.
@@ -81,34 +81,34 @@ def run_pgd(obj, x0, T, counter):
     return rec.trace(x if T > 0 else x.copy())
 
 
-def run_frank_wolfe(obj, x0, T, counter, observer=None):
-    """T Frank-Wolfe steps with the open-loop schedule ``x <- t/(t+2) x + 2/(t+2) v``.
+def _frank_wolfe(obj, x, T, counter):
+    """Yield ``(t, x_t, f(x_t), grad f(x_t))`` for t = 0..T from the trusted ``x``.
 
-    Each step builds the next iterate as a new array, and no array handed to
-    the oracle or returned by it is written again.  A given ``observer`` is
-    called as ``observer(t, x, grad)`` right after the oracle query of each
-    trace row, t = 0..T, and may keep ``x`` and ``grad`` without copying them;
-    it must not write them.  ``grad`` may be ``x`` itself (the zero-shift
-    ``quadratic`` returns its query point), and ``x`` at t = 0 may be the
-    caller's ``x0``.
-
-    Only ``x0`` is validated, and only its query goes through
-    :func:`evaluate`.  Each step mixes the iterate with a vertex, and every
-    vertex is finite: a simplex or box vertex always is, and the ball LMO
-    raises :class:`NumericalFailureError` on a non-finite gradient.  So the
-    loop queries its later iterates through the trusted ``_query``.
+    No array handed to the oracle or returned by it is written again, so a
+    reader may keep ``x_t`` and the gradient, which may be ``x_t`` itself (the
+    zero-shift ``quadratic`` returns its query point), but must not write them.
+    Only ``x`` goes through :func:`evaluate`: each step mixes the iterate with
+    a vertex, and every vertex is finite (the ball LMO raises
+    :class:`NumericalFailureError` on a non-finite gradient), so later
+    iterates go to the trusted ``_query``.
     """
-    x = _checked_start(obj, x0, T)
     set_ = obj.feasible_set
+    f, grad = evaluate(obj, x, counter)
+    yield 0, x, f, grad
+    for t in range(T):
+        x = set_._step_toward_vertex(x, grad, t / (t + 2), 2.0 / (t + 2))
+        f, grad = _query(obj, x, counter)
+        yield t + 1, x, f, grad
+
+
+def run_frank_wolfe(obj, x0, T, counter):
+    """T Frank-Wolfe steps with the open-loop schedule ``x <- t/(t+2) x + 2/(t+2) v``
+    (:func:`_frank_wolfe`), recording f at every iterate.  Only ``x0`` is
+    validated."""
+    x = _checked_start(obj, x0, T)
     with TraceRecorder("frank_wolfe", obj, {"T": T}, x, counter) as rec:
-        f, grad = evaluate(obj, x, counter)
-        for t in range(T + 1):
+        for _, x, f, _ in _frank_wolfe(obj, x, T, counter):
             rec.record(f)
-            if observer is not None:
-                observer(t, x, grad)
-            if t < T:
-                x = set_._step_toward_vertex(x, grad, t / (t + 2), 2.0 / (t + 2))
-                f, grad = _query(obj, x, counter)
     # With no step taken, x is still the caller's x0: the solution is a copy.
     return rec.trace(x if T > 0 else x.copy())
 
@@ -117,8 +117,10 @@ def attach_rate_bounds(trace, L, gamma, D):
     """Fill the bound column of a baseline trace with its rate envelope.
 
     This is the only place gamma is consumed for the baselines; the solvers
-    themselves are gamma-free.
+    themselves are gamma-free.  ``gamma`` must be in ``(0, 1]`` and ``L`` and
+    ``D`` positive finite numbers, checked before the trace is touched.
     """
+    _check_constants(gamma, L=L, D=D)
     algorithm = trace.header.get("algorithm")
     if algorithm not in RATE_CONSTANTS:
         raise InvalidArgumentError(f"no rate envelope for algorithm '{algorithm}'")

@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines
-from .accel import run_accelerated
+from .accel import _iterations, compute_schedule, run_accelerated
 from .errors import ConfigError, InvalidArgumentError, PreconditionError
 from .harness import load_config, resolve_x0, run_experiment, sweep
 from .objectives import (
@@ -430,9 +430,9 @@ def prox_iteration_budget(objectives, samples=50):
 def linesearch_certificate(instance, epsilon=1e-3):
     """Audit every line-search call of the accelerated run on ``instance``.
 
-    Observes the run and re-evaluates the envelope at each ``x_t`` and
-    ``y_{t-1}`` with a prox ``CERTIFICATE_ACCURACY_FACTOR`` times tighter than
-    the run's delta, verifying
+    Reads the run's iterations (``accel._iterations``) and re-evaluates the
+    envelope at each ``x_t`` and ``y_{t-1}`` with a prox
+    ``CERTIFICATE_ACCURACY_FACTOR`` times tighter than the run's delta, verifying
 
         <grad M~(x_t), x_t - z_{t-1}> - c (M~(y_{t-1}) - M~(x_t))
             <= sqrt(8 L D^2 delta) + (9 + 5 c) delta + 1e-9,
@@ -440,21 +440,20 @@ def linesearch_certificate(instance, epsilon=1e-3):
     along with the halving budget ``ceil(log2(8 L D^2 / delta))``.
     """
     obj, x0 = _instance(instance)
-    iterates = []
-    trace = run_accelerated(obj, x0, epsilon, OracleCounter(), observer=iterates.append)
-    params = trace.header["params"]
-    L, D, delta = params["L"], params["D"], params["delta"]
+    params = compute_schedule(obj.quasar_gamma, obj.smoothness_L,
+                              obj.feasible_set.diameter(), epsilon)
+    L, D, delta = params.L, params.D, params.delta
+    consts, counter = _ProxConstants(obj, delta), OracleCounter()
     fine = _envelope(obj, delta / CERTIFICATE_ACCURACY_FACTOR)
     base_budget = math.sqrt(8.0 * L * D * D * delta)
     loop_bound = math.ceil(math.log2(max(8.0 * L * D * D / delta, 2.0)))
     worst_excess = -np.inf
     max_loops = 0
     prev_x = None
-    for it in iterates:
+    for it in _iterations(obj, x0, params, consts, _solve(obj, x0, consts, counter), counter):
         # The solve is pure, so one serves every use of the same array: the
-        # filled iterates after the fixed-point exit share one frozen x_t, and
-        # a derivative_small exit, like every filled iterate, hands
-        # x_t = y_{t-1} itself.
+        # frozen tail's iterations share one x_t, and a derivative_small
+        # exit, like every frozen iteration, hands x_t = y_{t-1} itself.
         if it.x is not prev_x:
             prev_x, (m_x, g_x) = it.x, fine(it.x)
         m_y = m_x if it.x is it.y_prev else fine(it.y_prev)[0]
@@ -465,7 +464,7 @@ def linesearch_certificate(instance, epsilon=1e-3):
         max_loops = max(max_loops, it.loop_iterations)
     worst_excess = float(worst_excess)
     return CheckResult(f"linesearch_certificate:{instance}", worst_excess, 0.0,
-                       worst_excess <= 0.0 and max_loops <= loop_bound, len(iterates),
+                       worst_excess <= 0.0 and max_loops <= loop_bound, params.T,
                        f"max loops {max_loops} <= bound {loop_bound}")
 
 
@@ -536,21 +535,21 @@ def pgd_descent_step(objectives, trials=1000):
 
 
 def fw_dynamics(instance, T=500):
-    """Observe ``run_frank_wolfe`` on ``instance`` (an ``_INSTANCES`` name or an
-    ``(objective, x0)`` pair) for ``T`` steps: each ``x_t``
-    (t >= 1) must be feasible within ``MEMBERSHIP_TOL`` and equal
-    ``sum_{s<t} a_s v_s / A_t`` within ``FW_WEIGHT_TOL``, with ``a_s = 2s + 2``,
-    ``A_t = t (t+1)`` and the dense vertex ``v_s = lmo(grad f(x_s))``.
+    """Read the Frank-Wolfe iterations (``baselines._frank_wolfe``) on
+    ``instance`` (an ``_INSTANCES`` name or an ``(objective, x0)`` pair) for
+    ``T`` steps: each ``x_t`` (t >= 1) must be feasible within
+    ``MEMBERSHIP_TOL`` and equal ``sum_{s<t} a_s v_s / A_t`` within
+    ``FW_WEIGHT_TOL``, with ``a_s = 2s + 2``, ``A_t = t (t+1)`` and the dense
+    vertex ``v_s = lmo(grad f(x_s))``.
     """
     obj, x0 = _instance(instance) if isinstance(instance, str) else instance
     set_ = obj.feasible_set
+    x0 = baselines._checked_start(obj, x0, T)
     x_avg = 0.0  # weighted by A_0 = 0; the first update makes it v_0
     A_prev = 0.0
     worst_dist = 0.0
     worst_weight = 0.0
-
-    def observe(t, x, grad):
-        nonlocal x_avg, A_prev, worst_dist, worst_weight
+    for t, x, _, grad in baselines._frank_wolfe(obj, x0, T, OracleCounter()):
         if t >= 1:
             worst_weight = _worst(worst_weight, float(np.abs(x - x_avg).max()))
             worst_dist = _worst(worst_dist, set_.distance(x))
@@ -560,8 +559,6 @@ def fw_dynamics(instance, T=500):
             assert A_t == (t + 1) * (t + 2)
             x_avg = (A_prev * x_avg + a_t * set_._lmo(grad)) / A_t
             A_prev = A_t
-
-    baselines.run_frank_wolfe(obj, x0, T, OracleCounter(), observe)
     return CheckResult(
         "fw_dynamics",
         _worst(worst_dist - MEMBERSHIP_TOL, worst_weight - FW_WEIGHT_TOL),

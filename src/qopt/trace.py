@@ -246,11 +246,6 @@ def _csv_chunks(trace):
         yield f"-1,{calls},nan,,\n{_FAILURE_PREFIX}{trace.failure}\n"
 
 
-def trace_csv_lines(trace):
-    """The lines of the trace CSV that :func:`write_trace` writes."""
-    return "".join(_csv_chunks(trace)).split("\n")[:-1]
-
-
 def write_trace(trace, path):
     with open(path, "w", newline="\n") as fh:
         fh.writelines(_csv_chunks(trace))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from qopt import OracleCounter, make_catalogue_objective
+from qopt.trace import _csv_chunks
 
 _HYPOTHESIS_HOME = pytest.StashKey[tempfile.TemporaryDirectory]()
 
@@ -20,6 +21,11 @@ def pytest_configure(config):
 def pytest_unconfigure(config):
     set_hypothesis_home_dir(None)
     config.stash[_HYPOTHESIS_HOME].cleanup()
+
+
+def trace_csv_lines(trace):
+    """The lines of the trace CSV that ``write_trace`` writes."""
+    return "".join(_csv_chunks(trace)).split("\n")[:-1]
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import sys
 
@@ -22,21 +23,36 @@ from qopt import (
     run_accelerated,
     solve_prox_subproblem,
 )
-from qopt.accel import MAX_ITERATIONS, AccelIterate
+from qopt.accel import MAX_ITERATIONS
 from qopt.checks import CERTIFICATE_ACCURACY_FACTOR, CheckResult, linesearch_certificate
 from qopt.prox import ProxResult, _ProxConstants
-from qopt.trace import Trace, trace_csv_lines
+from qopt.trace import Trace
+
+from conftest import trace_csv_lines
+
+
+def accel_iterations(obj, x0, epsilon, counter=None):
+    """The schedule of the accelerated run on ``obj`` from ``x0`` at ``epsilon``,
+    and its loop ``qopt.accel._iterations``, started as ``run_accelerated``
+    starts it."""
+    x0 = np.array(x0, dtype=float)
+    counter = OracleCounter() if counter is None else counter
+    params = compute_schedule(obj.quasar_gamma, obj.smoothness_L, obj.feasible_set.diameter(),
+                              epsilon)
+    consts = _ProxConstants(obj, params.delta)
+    prox_y = qopt.accel._solve(obj, x0, consts, counter)
+    return params, qopt.accel._iterations(obj, x0, params, consts, prox_y, counter)
 
 
 def run_recording_weights(obj, x0, epsilon, monkeypatch):
-    """Run the accelerated method and read back the weight ``a_t`` it used.
+    """Read the accelerated loop to its end and read back the weight ``a_t`` it used.
 
     The FTRL argument is ``x0 - sum_s (a_s / gamma) grad M~(x_s)``, so each
     weight is recovered from the change of that argument between iterations
     and the envelope gradient the line search ended with.  Only iterations
     whose change is at least 1e-6 of ``|x0|`` are returned, where the rounding
     of ``x0 - (x0 - sum)`` leaves the recovered weight accurate to ~1e-10.
-    Returns the trace, the observed iterates and ``{t: a_t}``.
+    Returns the schedule, the iteration records and ``{t: a_t}``.
     """
     grads, args = [], []
     line_search = qopt.accel._line_search
@@ -50,16 +66,16 @@ def run_recording_weights(obj, x0, epsilon, monkeypatch):
 
     def recording_project(v):
         # The prox solver projects through the same set; keep the FTRL step only.
-        if sys._getframe(1).f_code is run_accelerated.__code__:
+        if sys._getframe(1).f_code is qopt.accel._iterations.__code__:
             args.append(v.copy())
         return project(v)
 
     monkeypatch.setattr(qopt.accel, "_line_search", recording_search)
     monkeypatch.setattr(obj.feasible_set, "_project", recording_project)
-    iterates = []
-    trace = run_accelerated(obj, x0, epsilon, OracleCounter(), observer=iterates.append)
-    gamma = trace.header["params"]["gamma"]
-    assert len(grads) == len(args) == len(iterates) == trace.header["params"]["T"]
+    params, records = accel_iterations(obj, x0, epsilon)
+    iterates = list(records)
+    gamma = params.gamma
+    assert len(grads) == len(args) == len(iterates) == params.T
     weights, previous = {}, np.zeros_like(x0)
     floor = 1e-6 * max(1.0, float(np.max(np.abs(x0))))
     for t, (g, arg) in enumerate(zip(grads, args), start=1):
@@ -68,7 +84,7 @@ def run_recording_weights(obj, x0, epsilon, monkeypatch):
         if abs(step[i]) >= floor:
             weights[t] = gamma * step[i] / g[i]
         previous = x0 - arg
-    return trace, iterates, weights
+    return params, iterates, weights
 
 
 class TestSchedule:
@@ -85,25 +101,23 @@ class TestSchedule:
     def test_first_weights(self, quadratic, monkeypatch):
         # gamma = L = 1: a_1 = gamma^2 / (8 L) and A_1 = a_1 are both 1/8; A_1 is
         # read from the coupling c_2 = gamma A_1 / a_2.
-        trace, iterates, weights = run_recording_weights(
+        params, iterates, weights = run_recording_weights(
             quadratic, np.array([1.0, 1.0]), 1e-2, monkeypatch)
-        params = trace.header["params"]
-        assert params["gamma"] == 1.0 and params["L"] == 1.0
+        assert params.gamma == 1.0 and params.L == 1.0
         assert weights[1] == pytest.approx(0.125, rel=1e-12)
-        A_1 = iterates[1].c * weights[2] / params["gamma"]
+        A_1 = iterates[1].c * weights[2] / params.gamma
         assert A_1 == pytest.approx(0.125, rel=1e-12)
 
     def test_weight_recurrence_and_coupling(self, example1, monkeypatch):
         # A_{t-1} = c_t a_t / gamma from the run's coupling constants; the
         # weights must satisfy A_t - A_{t-1} = a_t, A_0 = 0 and the coupling
         # condition A_t / (8 L) >= a_t^2 / (2 gamma^2) of the analysis.
-        trace, iterates, weights = run_recording_weights(
+        params, iterates, weights = run_recording_weights(
             example1, np.array([5.0]), 1e-2, monkeypatch)
-        params = trace.header["params"]
-        gamma, L = params["gamma"], params["L"]
+        gamma, L = params.gamma, params.L
         assert iterates[0].c == 0.0
         checked = 0
-        for t in range(1, params["T"]):
+        for t in range(1, params.T):
             if t not in weights or t + 1 not in weights:
                 continue
             A_prev = iterates[t - 1].c * weights[t] / gamma
@@ -326,15 +340,13 @@ class TestRunAccelerated:
         assert np.all(np.diff(calls) > 0)
 
     def test_start_at_center(self, quadratic, counter):
-        params = compute_schedule(1.0, 1.0, quadratic.feasible_set.diameter(), 1e-2)
-        iterates = []
-        trace = run_accelerated(quadratic, quadratic.center, 1e-2, counter,
-                                observer=iterates.append)
+        trace = run_accelerated(quadratic, quadratic.center, 1e-2, counter)
         assert trace.final_gap <= 1e-2
         # Every envelope gradient stays within the delta-prox error bound.
+        params, records = accel_iterations(quadratic, quadratic.center, 1e-2)
         bound = math.sqrt(8.0 * quadratic.smoothness_L * params.delta)
         probe = OracleCounter()
-        for it in iterates[:20]:
+        for it in itertools.islice(records, 20):
             res = solve_prox_subproblem(quadratic, it.x, params.delta, probe)
             assert np.linalg.norm(res.envelope_gradient) <= bound
 
@@ -363,11 +375,10 @@ class TestRunAccelerated:
 
     @pytest.mark.parametrize("name,x0", [("quadratic", [1.0, 1.0]), ("example1", [5.0])])
     def test_certificate_audit_solves_once_where_x_is_y_prev(self, name, x0, monkeypatch):
-        obj, x0 = make_catalogue_objective(name), np.array(x0)
-        iterates = []
-        trace = run_accelerated(obj, x0, 1e-3, OracleCounter(), observer=iterates.append)
-        params = trace.header["params"]
-        L, D, delta = params["L"], params["D"], params["delta"]
+        obj = make_catalogue_objective(name)
+        params, records = accel_iterations(obj, x0, 1e-3)
+        iterates = list(records)
+        L, D, delta = params.L, params.D, params.delta
         fine = delta / CERTIFICATE_ACCURACY_FACTOR
         # The reference audit: two fine solves per iterate, whatever x_t is.
         worst = -np.inf
@@ -402,11 +413,13 @@ class TestRunAccelerated:
         assert len(solves) == new_x + moved
 
     def test_observer_called_once_per_outer_iteration(self, example1, counter):
-        seen = []
-        trace = run_accelerated(example1, np.array([5.0]), 1e-2, counter, observer=seen.append)
-        assert len(seen) == trace.header["params"]["T"] == len(trace.rows) - 1
-        assert all(isinstance(it, AccelIterate) for it in seen)
-        # The observer adds no oracle query.
+        # A reader of the loop gets one record per outer iteration, and
+        # reading them all queries no more than run_accelerated does.
+        params, records = accel_iterations(example1, [5.0], 1e-2, counter)
+        seen = list(records)
+        trace = run_accelerated(example1, np.array([5.0]), 1e-2, OracleCounter())
+        assert len(seen) == params.T == len(trace.rows) - 1
+        assert all(isinstance(it, qopt.accel._Iteration) for it in seen)
         assert trace.final_oracle_calls == counter.calls
 
     def test_glm_converges(self, glm, counter):
@@ -442,12 +455,13 @@ class TestRunAccelerated:
             return line_search(obj, y, z, c, counter, prox_at_y, consts)
 
         monkeypatch.setattr(qopt.accel, "_line_search", recording)
-        iterates = []
-        trace = run_accelerated(example1, np.array([5.0]), 1e-2, OracleCounter(),
-                                observer=iterates.append)
+        _, records = accel_iterations(example1, [5.0], 1e-2)
+        coupling = [it.c for it in records]
+        recorded.clear()
+        trace = run_accelerated(example1, np.array([5.0]), 1e-2, OracleCounter())
         params = trace.header["params"]
-        assert len(recorded) == len(iterates) == params["T"]
-        assert [c for c, _ in recorded] == [it.c for it in iterates]
+        assert len(recorded) == len(coupling) == params["T"]
+        assert [c for c, _ in recorded] == coupling
         used = recorded[0][1]
         assert all(consts is used for _, consts in recorded)
         built = _ProxConstants(example1, params["delta"])
@@ -457,11 +471,10 @@ class TestRunAccelerated:
     def test_coupling_constant_follows_the_weights(self, example1):
         # c_t = gamma A_{t-1} / a_t with a_t = gamma^2 t / (8 L) and
         # A_t = gamma^2 t (t+1) / (16 L) is gamma (t-1) / 2 up to rounding.
-        iterates = []
-        trace = run_accelerated(example1, np.array([5.0]), 1e-3, OracleCounter(),
-                                observer=iterates.append)
-        gamma = trace.header["params"]["gamma"]
-        assert len(iterates) == trace.header["params"]["T"] > 1
+        params, records = accel_iterations(example1, [5.0], 1e-3)
+        iterates = list(records)
+        gamma = params.gamma
+        assert len(iterates) == params.T > 1
         assert iterates[0].c == 0.0
         for t, it in enumerate(iterates, start=1):
             assert it.c == pytest.approx(gamma * (t - 1) / 2.0, rel=1e-14)
@@ -514,11 +527,12 @@ class TestRunAccelerated:
         assert partial.failure_calls == 5
 
 
-def dense_accelerated(obj, x0, epsilon, counter, observer=None):
+def dense_accelerated(obj, x0, epsilon, counter, seen=None):
     """The reference loop: every outer iteration searches, steps FTRL and solves a prox.
 
     The loop of ``run_accelerated`` without its fixed-point exit, on the same
-    private bodies and with the same float expressions.
+    private bodies and with the same float expressions.  A given ``seen``
+    gets the :func:`record_bytes` of each iteration.
     """
     x0 = np.asarray(x0, dtype=float)
     set_ = obj.feasible_set
@@ -546,18 +560,15 @@ def dense_accelerated(obj, x0, epsilon, counter, observer=None):
         f = prox_y.f_at_y
         rows.append((t, counter.calls, f, None if fstar is None else f - fstar,
                      16.0 * L * D * D / (gamma * gamma * t * t)))
-        if observer is not None:
-            observer(AccelIterate(c, loops, x_t, y, z))
+        if seen is not None:
+            seen.append(record_bytes(qopt.accel._Iteration(c, loops, x_t, y, z, prox_y)))
         y, z = y_new, z_new
     return Trace(header, *map(list, zip(*rows)), solution=prox_y.y)
 
 
-def recording(records):
-    """An observer that keeps each iterate's ``c``, loop count and point bytes."""
-    def observe(it):
-        records.append((it.c, it.loop_iterations, it.x.tobytes(), it.y_prev.tobytes(),
-                        it.z_prev.tobytes()))
-    return observe
+def record_bytes(it):
+    """An iteration record's ``c``, loop count and point bytes."""
+    return (it.c, it.loop_iterations, it.x.tobytes(), it.y_prev.tobytes(), it.z_prev.tobytes())
 
 
 def round_trip_objective():
@@ -595,7 +606,7 @@ class TestFixedPointExit:
         obj = make_catalogue_objective(objective, params)
         x0 = np.array(x0)
         expected, dense_counter = [], OracleCounter()
-        reference = dense_accelerated(obj, x0, 1e-4, dense_counter, recording(expected))
+        reference = dense_accelerated(obj, x0, 1e-4, dense_counter, expected)
 
         searched = []
         line_search = qopt.accel._line_search
@@ -605,31 +616,69 @@ class TestFixedPointExit:
             return line_search(*args)
 
         monkeypatch.setattr(qopt.accel, "_line_search", counting)
-        seen, counter = [], OracleCounter()
-        trace = run_accelerated(obj, x0, 1e-4, counter, recording(seen))
+        counter = OracleCounter()
+        trace = run_accelerated(obj, x0, 1e-4, counter)
         T = trace.header["params"]["T"]
         assert trace_csv_lines(trace) == trace_csv_lines(reference)
         assert trace.solution.tobytes() == reference.solution.tobytes()
         assert counter.calls == dense_counter.calls == trace.final_oracle_calls
         assert len(searched) == searches <= T
-        # One observer call per outer iteration, each equal to the dense loop's
-        # (c, loop_iterations and the bytes of x, y_prev and z_prev).
+        # The loop read to its end yields one record per outer iteration, each
+        # equal to the dense loop's (c, loop_iterations and the bytes of x,
+        # y_prev and z_prev).
+        _, records = accel_iterations(obj, x0, 1e-4)
+        seen = list(map(record_bytes, records))
         assert len(seen) == T
         assert seen == expected
         assert all(loops == 0 for _, loops, *_ in seen[searches:])
 
     @pytest.mark.parametrize("name", FIXED_POINT_RUNS)
     def test_observer_changes_no_byte(self, name):
-        # The frozen tail is written in one step, and replayed to an observer
-        # only when one is given.
+        # A second reader of the loop sees what run_accelerated records: the
+        # prox of each searched iteration holds its row's f, and the frozen
+        # tail, read to its end, adds no oracle call.
         objective, params, x0, searches = FIXED_POINT_RUNS[name]
         obj = make_catalogue_objective(objective, params)
-        seen = []
-        observed = run_accelerated(obj, np.array(x0), 1e-4, OracleCounter(), seen.append)
-        plain = run_accelerated(obj, np.array(x0), 1e-4, OracleCounter())
-        assert trace_csv_lines(plain) == trace_csv_lines(observed)
-        assert plain.solution.tobytes() == observed.solution.tobytes()
-        assert len(seen) == plain.header["params"]["T"] >= searches
+        trace = run_accelerated(obj, np.array(x0), 1e-4, OracleCounter())
+        counter = OracleCounter()
+        schedule, records = accel_iterations(obj, x0, 1e-4, counter)
+        records = list(records)
+        assert len(records) == schedule.T == len(trace.rows) - 1
+        assert all(it.prox is not None for it in records[:searches])
+        assert all(it.prox is None for it in records[searches:])
+        f = np.array([it.prox.f_at_y for it in records[:searches]])
+        assert f.tobytes() == trace.column("f_value")[1:searches + 1].tobytes()
+        assert counter.calls == trace.final_oracle_calls
+
+    def test_frozen_tail_makes_no_query(self, example1, monkeypatch):
+        # example1 from 5 reaches the bit-exact fixed point at eps 1e-3.
+        counter = OracleCounter()
+        params, records = accel_iterations(example1, [5.0], 1e-3, counter)
+        searched = []
+        for it in records:
+            if it.prox is None:
+                break
+            searched.append(it)
+        calls = counter.calls
+        tail = [it, *records]
+        assert counter.calls == calls
+        assert len(searched) + len(tail) == params.T
+        assert all(it.prox is None for it in tail)
+        frozen = tail[0].x
+        assert all(it.x is frozen and it.y_prev is frozen for it in tail)
+        # run_accelerated stops at the first frozen record and fills the rest.
+        pulled = []
+        iterations = qopt.accel._iterations
+
+        def counted(*args):
+            for it in iterations(*args):
+                pulled.append(it)
+                yield it
+
+        monkeypatch.setattr(qopt.accel, "_iterations", counted)
+        trace = run_accelerated(example1, np.array([5.0]), 1e-3, OracleCounter())
+        assert len(pulled) == len(searched) + 1 and pulled[-1].prox is None
+        assert len(trace.rows) == params.T + 1 and trace._fill == len(searched) + 1
 
     def test_no_exit_while_the_prox_at_the_fixed_point_queries(self):
         # y, z and the envelope gradient (+0.0) repeat from t = 1, but each

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -25,7 +27,9 @@ from qopt.checks import (
 )
 from qopt.objectives import evaluate
 from qopt.sets import MEMBERSHIP_TOL
-from qopt.trace import Trace, trace_csv_lines
+from qopt.trace import Trace
+
+from conftest import trace_csv_lines
 
 
 def simplex_quadratic():
@@ -54,9 +58,10 @@ def dense_pgd(obj, x0, T):
     return Trace({}, *map(list, zip(*rows)), solution=x), fixed_at or T + 1
 
 
-def dense_frank_wolfe(obj, x0, T, counter, observer=None):
+def dense_frank_wolfe(obj, x0, T, counter, seen=None):
     """The reference loop: every row queries through the public ``evaluate``,
-    which coerces and scans the iterate again."""
+    which coerces and scans the iterate again.  A given ``seen`` gets the
+    :func:`iteration_bytes` of each row."""
     x = obj.feasible_set.checked_point(x0, "x0")
     set_ = obj.feasible_set
     fstar = obj.optimal_value
@@ -66,11 +71,16 @@ def dense_frank_wolfe(obj, x0, T, counter, observer=None):
     for t in range(T + 1):
         f, grad = evaluate(obj, x, counter)
         rows.append((t, counter.calls, f, None if fstar is None else f - fstar, None))
-        if observer is not None:
-            observer(t, x, grad)
+        if seen is not None:
+            seen.append(iteration_bytes(t, x, f, grad))
         if t < T:
             x = set_._step_toward_vertex(x, grad, t / (t + 2), 2.0 / (t + 2))
     return Trace(header, *map(list, zip(*rows)), solution=x)
+
+
+def iteration_bytes(t, x, f, grad):
+    """A Frank-Wolfe iteration's ``t``, ``f`` and the bytes of its point and gradient."""
+    return t, f, x.tobytes(), grad.tobytes()
 
 
 def finite_queries_only(obj):
@@ -360,29 +370,30 @@ class TestFrankWolfe:
 
     def test_weight_identity_audits_one_real_run(self, monkeypatch):
         runs = []
-        run = qopt.baselines.run_frank_wolfe
+        run = qopt.baselines._frank_wolfe
 
-        def counted(*args, **kwargs):
+        def counted(*args):
             runs.append(args[2])
-            return run(*args, **kwargs)
+            return run(*args)
 
-        monkeypatch.setattr(qopt.baselines, "run_frank_wolfe", counted)
+        monkeypatch.setattr(qopt.baselines, "_frank_wolfe", counted)
         assert fw_dynamics((simplex_quadratic(), np.array([1.0, 0.0, 0.0])), 40).passed
         assert runs == [40]
         assert (MEMBERSHIP_TOL, FW_WEIGHT_TOL) == (1e-10, 1e-12)
 
     @pytest.mark.parametrize("name", ["quadratic_simplex", "example1"])
     def test_observer_sees_every_row(self, name, counter):
+        # A reader of the loop gets every row's iterate, value and gradient,
+        # and reading them all queries as often as run_frank_wolfe does.
         obj = simplex_quadratic() if name == "quadratic_simplex" else make_catalogue_objective(name)
         x0 = obj.feasible_set.canonical_vertex()
         seen = []
-
-        def observe(t, x, grad):
-            f, g = obj.evaluator(x)
+        for t, x, f, grad in qopt.baselines._frank_wolfe(obj, x0, 30, counter):
+            value, g = obj.evaluator(x)
             seen.append((t, f))
+            assert value == f
             np.testing.assert_array_equal(g, grad)
-
-        trace = run_frank_wolfe(obj, x0, 30, counter, observe)
+        trace = run_frank_wolfe(obj, x0, 30, OracleCounter())
         assert [t for t, _ in seen] == list(range(31))
         assert np.array([f for _, f in seen]).tobytes() == trace.column("f_value").tobytes()
         assert trace.final_oracle_calls == counter.calls == 31
@@ -391,19 +402,17 @@ class TestFrankWolfe:
     @pytest.mark.parametrize("kind", ["simplex", "box", "ball"])
     def test_trusted_loop_matches_the_validating_loop(self, kind, n):
         # The loop queries its own iterate without evaluate's coercion and
-        # scan: every byte, observer argument and oracle count stays the same.
+        # scan: every byte, iteration and oracle count stays the same.
         obj, x0 = fw_instance(kind, n)
         T = 30 if n > 3 else 60
-
-        def recording(seen):
-            return lambda t, x, grad: seen.append((t, x.tobytes(), grad.tobytes()))
-
         expected, dense_counter = [], OracleCounter()
-        reference = dense_frank_wolfe(obj, x0, T, dense_counter, recording(expected))
-        seen, counter = [], OracleCounter()
-        trace = run_frank_wolfe(finite_queries_only(obj), x0, T, counter, recording(seen))
+        reference = dense_frank_wolfe(obj, x0, T, dense_counter, expected)
+        counter = OracleCounter()
+        trace = run_frank_wolfe(finite_queries_only(obj), x0, T, counter)
         assert trace_csv_lines(trace) == trace_csv_lines(reference)
         assert trace.solution.tobytes() == reference.solution.tobytes()
+        seen = [iteration_bytes(*it) for it in qopt.baselines._frank_wolfe(
+            finite_queries_only(obj), x0, T, OracleCounter())]
         assert seen == expected
         assert counter.calls == dense_counter.calls == trace.final_oracle_calls == T + 1
         assert np.signbit(trace.header["x0"][-1])
@@ -432,6 +441,22 @@ class TestRateBounds:
         t = 5
         expected = 20.0 * example1.smoothness_L * 100.0 / ((t + 1) * 0.25)
         assert trace.rows[t].bound == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("name,L,gamma,D", [
+        ("gamma", 1.0, 0, 1.0), ("gamma", 1.0, True, 1.0), ("gamma", 1.0, math.nan, 1.0),
+        ("gamma", 1.0, "0.5", 1.0), ("L", 0, 0.5, 1.0), ("L", math.inf, 0.5, 1.0),
+        ("D", 1.0, 0.5, 0.0), ("D", 1.0, 0.5, math.nan),
+    ], ids=["gamma0", "gammaTrue", "gammaNaN", "gammaStr", "L0", "Linf", "D0", "DNaN"])
+    def test_rejected_constants_leave_the_trace(self, example1, name, L, gamma, D):
+        # gamma = 0 wrote inf bounds with a RuntimeWarning, True ran as 1,
+        # nan, L = 0 and L = inf wrote NaN, 0 and inf bounds, and "0.5"
+        # raised a raw TypeError.
+        trace = run_pgd(example1, np.array([5.0]), 5, OracleCounter())
+        bound, header = list(trace.bound), copy.deepcopy(trace.header)
+        with pytest.raises(InvalidArgumentError, match=rf"^{name} must be"):
+            attach_rate_bounds(trace, L, gamma, D)
+        assert trace.bound == bound
+        assert trace.header == header
 
     def test_unknown_algorithm_rejected(self, example1, counter):
         trace = run_pgd(example1, np.array([5.0]), 5, counter)

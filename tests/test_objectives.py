@@ -25,7 +25,8 @@ from qopt import checks
 from qopt.checks import _worst_quasar_violations, fw_dynamics, quasar_certificate, smoothness
 from qopt.objectives import CATALOGUE, CATALOGUE_NAMES, FIG1_X0
 from qopt.sets import _dot
-from qopt.trace import trace_csv_lines
+
+from conftest import trace_csv_lines
 
 mp.mp.dps = 40
 

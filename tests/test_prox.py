@@ -30,7 +30,8 @@ from qopt.checks import (
 )
 from qopt.objectives import evaluate
 from qopt.prox import ProxResult, _ProxConstants, _solve, iteration_cap
-from qopt.trace import trace_csv_lines
+
+from conftest import trace_csv_lines
 
 
 def clamped_quadratic_envelope(x):

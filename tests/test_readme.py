@@ -3,6 +3,7 @@ keys and sweepable fields are the ones the harness accepts, its catalogue
 table states the registry's names and declared constants, and the chunk size
 and membership tolerance it states are the code's."""
 
+import inspect
 import json
 import re
 from fractions import Fraction
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import qopt
 from qopt import load_config, make_catalogue_objective, run_experiment
 from qopt.harness import _CONFIG_KEYS, _SWEEPABLE
 from qopt.objectives import CATALOGUE_NAMES
@@ -18,6 +20,7 @@ from qopt.trace import _CHUNK_ROWS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 TEXT = README.read_text()
+PYPROJECT = README.with_name("pyproject.toml").read_text()
 CONFIG_BLOCKS = re.findall(r"^```json\n(.*?)^```", TEXT, re.M | re.S)
 
 
@@ -74,6 +77,20 @@ def test_documented_membership_tolerance_is_the_sets_one():
     figures = re.findall(r"`MEMBERSHIP_TOL = ([^`]+)`", TEXT)
     assert len(figures) >= 3
     assert {float(figure) for figure in figures} == {MEMBERSHIP_TOL}
+
+
+def test_documented_python_is_the_required_one():
+    required = re.search(r'^requires-python = ">=([\d.]+)"$', PYPROJECT, re.M).group(1)
+    assert re.findall(r"Python ≥ ([\d.]+)", TEXT) == [required]
+
+
+def test_documented_solver_loops_are_generators():
+    # The checks read the loops the README names, not a callback.
+    loops = re.findall(r"`(accel|baselines)\.(_\w+)`", TEXT)
+    assert {name for _, name in loops} >= {"_iterations", "_frank_wolfe"}
+    for module, name in loops:
+        assert inspect.isgeneratorfunction(getattr(getattr(qopt, module), name))
+    assert "`observer`" not in TEXT and "AccelIterate" not in TEXT
 
 
 def test_catalogue_table_lists_the_registry_in_order():

@@ -18,7 +18,9 @@ from qopt import (
     run_pgd,
     write_trace,
 )
-from qopt.trace import _CHUNK_ROWS, Trace, TraceRow, _csv_chunks, trace_csv_lines
+from qopt.trace import _CHUNK_ROWS, Trace, TraceRow, _csv_chunks
+
+from conftest import trace_csv_lines
 
 # One short run per solver on example1 from x0 = 5.
 SOLVERS = {

@@ -35,6 +35,7 @@ from qopt import (
     OracleCounter,
     PreconditionError,
     Simplex,
+    attach_rate_bounds,
     binary_line_search,
     compute_schedule,
     finite_diff_gradient,
@@ -49,7 +50,7 @@ from qopt import (
 from qopt.accel import MAX_ITERATIONS
 from qopt.cli import main
 from qopt.sets import MEMBERSHIP_TOL, is_positive_finite, is_quasar_gamma
-from qopt.trace import write_trace
+from qopt.trace import Trace, write_trace
 
 #: A caller's point through each public entry, as a call on ``(obj, x)``.
 CALLS = {
@@ -152,6 +153,11 @@ def test_extreme_delta_rejected_before_any_oracle_call(quadratic, entry, delta):
     assert counter.calls == 0
 
 
+def pgd_trace():
+    """A two-row PGD trace, as a baseline run returns it before its bounds."""
+    return Trace({"algorithm": "pgd"}, [0, 1], [1, 2], [1.0, 0.5], [None, None], [None, None])
+
+
 #: Each positive scalar a public entry takes, as a call on ``(value, obj, x,
 #: counter)``, and the argument name its error gives.  ``obj`` is an objective
 #: on the box ``[-1, 1]^2`` that records every evaluator call, ``x`` a point of it.
@@ -173,6 +179,10 @@ SCALARS = {
     "Simplex scale": (lambda v, obj, x, c: Simplex(2, v), "scale"),
     "gradient_mapping eta": (lambda v, obj, x, c: gradient_mapping(obj, x, v, c), "eta"),
     "finite_diff_gradient h": (lambda v, obj, x, c: finite_diff_gradient(obj, x, v), "h"),
+    "attach_rate_bounds L":
+        (lambda v, obj, x, c: attach_rate_bounds(pgd_trace(), v, 1.0, 1.0), "L"),
+    "attach_rate_bounds D":
+        (lambda v, obj, x, c: attach_rate_bounds(pgd_trace(), 1.0, 1.0, v), "D"),
 }
 
 
@@ -216,6 +226,7 @@ def test_is_positive_finite(value, expected):
 GAMMAS = {
     "compute_schedule": lambda v, obj: compute_schedule(v, 1.0, 1.0, 1e-2),
     "Objective": lambda v, obj: Objective("bad", obj.evaluator, 1.0, v, obj.feasible_set),
+    "attach_rate_bounds": lambda v, obj: attach_rate_bounds(pgd_trace(), 1.0, v, 1.0),
 }
 
 
