@@ -195,8 +195,9 @@ def _iterations(obj, x0, params, consts, prox_y, counter):
     and ``prox_y`` the prox at ``x0``.  No record's array is written again.
 
     Once a prox lands bit for bit where it started, with no oracle query, every
-    later iteration repeats it exactly: it is frozen, and its record
-    ``(c_s, 0, y, y, z, None)`` shares the frozen arrays, with no solve and no query.
+    later iteration repeats it exactly: it is frozen.  The loop then yields the
+    first frozen iteration's record ``(c_s, 0, y, y, z, None)``, which shares
+    the frozen arrays, with no solve and no query, and returns.
     """
     gamma, L, T = params.gamma, params.L, params.T
     y, z = x0.copy(), x0.copy()
@@ -204,17 +205,17 @@ def _iterations(obj, x0, params, consts, prox_y, counter):
     project = obj.feasible_set._project
     # The weights a_t = gamma^2 t / (8 L) and A_{t-1} = gamma^2 (t-1) t / (16 L)
     # and the coupling c_t = gamma A_{t-1} / a_t have their one source here, for
-    # the loop and the frozen tail alike; changing the order of an operation
-    # changes the bits of every trace.
+    # the searched and the frozen record alike; changing the order of an
+    # operation changes the bits of every trace.
     gamma_sq, a_denom, A_denom = gamma**2, 8.0 * L, 16.0 * L
     frozen = False
     for t in range(1, T + 1):
         a_t = gamma_sq * t / a_denom
         c = gamma_sq * (t - 1) * t / A_denom * gamma / a_t
         if frozen:
-            # The line search would return y: x_s = y_{s-1} = y.
+            # The line search would return y: x_t = y_{t-1} = y.
             yield _Iteration(c, 0, y, y, z, None)
-            continue
+            return
         _, x_t, loops, prox_x, _ = _line_search(obj, y, z, c, counter, prox_y, consts)
         y_new = prox_x.y
         accumulated += (a_t / gamma) * prox_x.envelope_gradient
@@ -243,8 +244,8 @@ def run_accelerated(obj, x0, epsilon, counter):
     objective value of the current candidate solution (the delta-prox of
     ``y_t``) together with the certified-gap envelope ``16 L D^2 / (gamma t)^2``.
     The trace ``solution`` is the final candidate.  At the first frozen
-    iteration (:func:`_iterations`) the run ends, appending the remaining rows
-    in one step: each repeats the last row's ``f``, ``gap`` and
+    iteration (:func:`_iterations`) the run ends, and the recorder appends the
+    remaining rows: each repeats the last row's ``f``, ``gap`` and
     ``oracle_calls`` with its own bound.
     """
     set_ = obj.feasible_set
@@ -263,8 +264,7 @@ def run_accelerated(obj, x0, epsilon, counter):
         prox_y = _solve(obj, x0, consts, counter)
         rec.record(prox_y.f_at_y)
         for it in _iterations(obj, x0, params, consts, prox_y, counter):
-            if it.prox is None:
-                rec.fill(params.T)
+            if it.prox is None:  # the frozen record, the loop's last
                 break
             prox_y = it.prox
             rec.record(prox_y.f_at_y)

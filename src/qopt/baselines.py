@@ -46,39 +46,33 @@ def gradient_mapping(obj, x, eta, counter):
     return (x - obj.feasible_set.project(x - eta * grad)) / eta
 
 
-def run_pgd(obj, x0, T, counter):
-    """T steps of ``x <- proj(x - grad f(x) / L)``; records f at every iterate.
+def _pgd(obj, x, T, counter):
+    """Yield ``(t, x_t, f(x_t), grad f(x_t))`` of ``x <- proj(x - grad f(x) / L)``
+    for t = 0..T from the trusted ``x``, as :func:`_frank_wolfe` does, and
+    return at a step that lands bit for bit where it started: the oracle and
+    the projection are pure, so it would repeat forever.
 
-    A step that lands bit for bit where it started would repeat forever: the
-    oracle and the projection are pure.  The run then stops querying and
-    fills rows ``t+1 .. T`` with that row's values and call count.
-
-    Only ``x0`` goes through :func:`evaluate`; later iterates go to ``_query``
+    Only ``x`` goes through :func:`evaluate`; later iterates go to ``_query``
     once shown finite.  A box clip or a ball projection can turn a NaN step
     into a NaN point, which raises :class:`NumericalFailureError`.
     """
-    x = _checked_start(obj, x0, T)
     set_ = obj.feasible_set
     eta = 1.0 / obj.smoothness_L
-    with TraceRecorder("pgd", obj, {"T": T, "eta": eta}, x, counter) as rec:
-        f, grad = evaluate(obj, x, counter)
-        for t in range(T):
-            rec.record(f)
-            # x - eta * grad is a fresh float64 array of the set's dimension.
-            x_next = set_._project(x - eta * grad)
-            # Bits, not ==: a sign flip of a zero or a sub-ulp move still queries.
-            if np.array_equal(x_next.view(np.int64), x.view(np.int64)):
-                rec.fill(T)
-                return rec.trace(x_next)
-            if not _is_finite_point(x_next):
-                raise NumericalFailureError(
-                    f"PGD step on objective '{obj.name}' left the finite points "
-                    f"(is its gradient finite?)", last_iterate=x)
-            x = x_next
-            f, grad = _query(obj, x, counter)
-        rec.record(f)
-    # With no step taken, x is still the caller's x0: the solution is a copy.
-    return rec.trace(x if T > 0 else x.copy())
+    f, grad = evaluate(obj, x, counter)
+    yield 0, x, f, grad
+    for t in range(T):
+        # x - eta * grad is a fresh float64 array of the set's dimension.
+        x_next = set_._project(x - eta * grad)
+        # Bits, not ==: a sign flip of a zero or a sub-ulp move still queries.
+        if np.array_equal(x_next.view(np.int64), x.view(np.int64)):
+            return
+        if not _is_finite_point(x_next):
+            raise NumericalFailureError(
+                f"PGD step on objective '{obj.name}' left the finite points "
+                f"(is its gradient finite?)", last_iterate=x)
+        x = x_next
+        f, grad = _query(obj, x, counter)
+        yield t + 1, x, f, grad
 
 
 def _frank_wolfe(obj, x, T, counter):
@@ -101,16 +95,29 @@ def _frank_wolfe(obj, x, T, counter):
         yield t + 1, x, f, grad
 
 
+def _run(algorithm, loop, obj, x0, T, counter, params):
+    """Record f at every iteration ``loop`` yields from the checked ``x0``; the
+    recorder repeats the last row up to ``T`` when the loop ends early."""
+    x = _checked_start(obj, x0, T)
+    with TraceRecorder(algorithm, obj, params, x, counter) as rec:
+        for t, x, f, _ in loop(obj, x, T, counter):
+            rec.record(f)
+    # With no step taken, x is still the caller's x0: the solution is a copy.
+    return rec.trace(x if t > 0 else x.copy())
+
+
+def run_pgd(obj, x0, T, counter):
+    """T steps of ``x <- proj(x - grad f(x) / L)`` (:func:`_pgd`), recording f
+    at every iterate.  A run that reaches a fixed point makes no further query,
+    and its rows up to ``T`` repeat that row's values and call count."""
+    return _run("pgd", _pgd, obj, x0, T, counter, {"T": T, "eta": 1.0 / obj.smoothness_L})
+
+
 def run_frank_wolfe(obj, x0, T, counter):
     """T Frank-Wolfe steps with the open-loop schedule ``x <- t/(t+2) x + 2/(t+2) v``
     (:func:`_frank_wolfe`), recording f at every iterate.  Only ``x0`` is
     validated."""
-    x = _checked_start(obj, x0, T)
-    with TraceRecorder("frank_wolfe", obj, {"T": T}, x, counter) as rec:
-        for _, x, f, _ in _frank_wolfe(obj, x, T, counter):
-            rec.record(f)
-    # With no step taken, x is still the caller's x0: the solution is a copy.
-    return rec.trace(x if T > 0 else x.copy())
+    return _run("frank_wolfe", _frank_wolfe, obj, x0, T, counter, {"T": T})
 
 
 def attach_rate_bounds(trace, L, gamma, D):

@@ -437,7 +437,9 @@ def linesearch_certificate(instance, epsilon=1e-3):
         <grad M~(x_t), x_t - z_{t-1}> - c (M~(y_{t-1}) - M~(x_t))
             <= sqrt(8 L D^2 delta) + (9 + 5 c) delta + 1e-9,
 
-    along with the halving budget ``ceil(log2(8 L D^2 / delta))``.
+    along with the halving budget ``ceil(log2(8 L D^2 / delta))``.  The loop's
+    last, frozen record certifies all ``T``: later iterations repeat its
+    arrays, so its left side, and their larger ``c`` only raises the budget.
     """
     obj, x0 = _instance(instance)
     params = compute_schedule(obj.quasar_gamma, obj.smoothness_L,
@@ -449,13 +451,10 @@ def linesearch_certificate(instance, epsilon=1e-3):
     loop_bound = math.ceil(math.log2(max(8.0 * L * D * D / delta, 2.0)))
     worst_excess = -np.inf
     max_loops = 0
-    prev_x = None
     for it in _iterations(obj, x0, params, consts, _solve(obj, x0, consts, counter), counter):
-        # The solve is pure, so one serves every use of the same array: the
-        # frozen tail's iterations share one x_t, and a derivative_small
-        # exit, like every frozen iteration, hands x_t = y_{t-1} itself.
-        if it.x is not prev_x:
-            prev_x, (m_x, g_x) = it.x, fine(it.x)
+        m_x, g_x = fine(it.x)
+        # The solve is pure, so one serves both uses of one array: a
+        # derivative_small exit, like the frozen iteration, hands x_t = y_{t-1}.
         m_y = m_x if it.x is it.y_prev else fine(it.y_prev)[0]
         lhs = float(np.dot(g_x, it.x - it.z_prev))
         lhs -= it.c * (m_y - m_x)

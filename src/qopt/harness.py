@@ -23,7 +23,6 @@ BLAS thread count (see the README).
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -251,46 +250,38 @@ _SWEEPABLE = ("epsilon", "T")
 
 
 def sweep(config, grid, out_dir):
-    """Run one experiment per grid point of a loaded config and fit the scaling laws.
+    """Run one experiment per swept value of a loaded config and fit the scaling laws.
 
-    ``grid`` maps sweepable config fields (epsilon, T) to value lists;
-    the cartesian product is run.  Traces land in ``out_dir`` along with a
-    ``summary.json`` holding per-run facts and per-algorithm log-log fits:
-    gap-versus-iteration for the baselines, total oracle calls versus epsilon
-    for the accelerated method.
+    ``grid`` maps one field to a nonempty value list: ``epsilon``, or ``T``
+    for a baseline, since a run takes only one of them.  Each run is the
+    config without its ``epsilon``, ``T`` and ``output_path``, plus the swept
+    value.  Traces land in ``out_dir`` along with a ``summary.json`` holding
+    per-run facts and per-algorithm log-log fits: gap-versus-iteration for the
+    baselines, total oracle calls versus epsilon for the accelerated method.
     """
-    if not isinstance(grid, dict) or not grid:
-        raise ConfigError("grid", "must be a nonempty mapping of parameter lists")
-    for key, values in grid.items():
-        if key not in _SWEEPABLE:
-            raise ConfigError("grid", f"unknown sweep parameter '{key}'")
-        if not isinstance(values, (list, tuple)) or not values:
-            raise ConfigError("grid", f"parameter '{key}' needs a nonempty list")
+    if not isinstance(grid, dict) or len(grid) != 1:
+        raise ConfigError("grid", f"must map one of {_SWEEPABLE} to a list of values")
+    (key, values), = grid.items()
+    if key not in _SWEEPABLE or (key, config.algorithm) == ("T", "accelerated"):
+        raise ConfigError("grid", f"cannot sweep '{key}': sweep epsilon, or T for a baseline")
+    if not isinstance(values, (list, tuple)) or not values:
+        raise ConfigError("grid", f"parameter '{key}' needs a nonempty list")
 
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError("out_dir", f"cannot create {str(out_dir)!r}: {exc}") from exc
-    keys = sorted(grid)
+    base = {k: v for k, v in config.raw.items() if k not in ("epsilon", "T", "output_path")}
     runs = []
     points = []
-    for i, combo in enumerate(itertools.product(*(grid[k] for k in keys))):
-        overrides = dict(zip(keys, combo))
-        run_cfg_raw = dict(config.raw)
-        # epsilon and T are mutually exclusive; sweeping one drops the other.
-        if "epsilon" in overrides:
-            run_cfg_raw.pop("T", None)
-        if "T" in overrides:
-            run_cfg_raw.pop("epsilon", None)
-        run_cfg_raw.update(overrides)
-        run_cfg_raw.pop("output_path", None)
-        run_cfg = load_config(run_cfg_raw)
+    for i, value in enumerate(values):
+        run_cfg = load_config({**base, key: value})
         path = out_dir / f"run_{i:03d}.csv"
         trace = run_experiment(run_cfg, output_path=path)
         runs.append(
             {
-                "params": overrides,
+                "params": {key: value},
                 "path": str(path),
                 "algorithm": config.algorithm,
                 "final_gap": trace.final_gap,

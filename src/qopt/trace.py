@@ -74,19 +74,18 @@ class Trace:
 class TraceRecorder:
     """The one source of every solver's trace header, gaps and columns.
 
-    Solvers :meth:`record` each computed row and :meth:`fill` the rest of a
-    run at a fixed point.  A given ``bound`` maps the iterations ``1..n-1``,
-    as a float array, to their bound cells; row 0 has none.  As a context
-    manager the recorder attaches the rows to a
-    :class:`NumericalFailureError` as ``partial_trace``, with the calls
-    ``counter`` holds at the failure.
+    Solvers :meth:`record` each computed row; a run that ends at a fixed
+    point before the ``T`` of its ``params`` gets the rest from :meth:`trace`.
+    A given ``bound`` maps the iterations ``1..n-1``, as a float array, to
+    their bound cells; row 0 has none.  As a context manager the recorder
+    attaches the rows to a :class:`NumericalFailureError` as
+    ``partial_trace``, with the calls ``counter`` holds at the failure.
     """
 
     def __init__(self, algorithm, obj, params, x0, counter, bound=None):
         self.header = {"algorithm": algorithm, "objective": obj.name,
                        "set": obj.feasible_set.to_spec(), "params": params, "x0": x0.tolist()}
         self._calls, self._f, self._gap = [], [], []
-        self._fill = None
         self._bound = bound
         self._fstar = obj.optimal_value
         self._counter = counter
@@ -108,22 +107,22 @@ class TraceRecorder:
         self._f.append(f)
         self._gap.append(gap)
 
-    def fill(self, T):
-        """Append the rows up to iteration ``T``, each repeating the last row's values."""
-        n = len(self._calls)
-        self._fill = n
-        repeats = T + 1 - n
-        self._calls += [self._calls[-1]] * repeats
-        self._f += [self._f[-1]] * repeats
-        self._gap += [self._gap[-1]] * repeats
-
     def trace(self, solution=None, failure=None, failure_calls=None):
+        """The run's :class:`Trace`.  A successful run that ended at a fixed
+        point before iteration ``T`` gets the rows up to ``T``, each repeating
+        the last row's values; a failure trace holds the recorded rows alone."""
+        fill, T = len(self._calls), self.header["params"]["T"]
+        if failure is None and fill <= T:
+            for column in (self._calls, self._f, self._gap):
+                column += [column[-1]] * (T + 1 - fill)
+        else:
+            fill = None
         n = len(self._calls)
         bound = [None] * n
         if self._bound is not None and n > 1:
             bound[1:] = self._bound(np.arange(1.0, n)).tolist()
         return Trace(self.header, list(range(n)), self._calls, self._f, self._gap, bound,
-                     solution, failure, failure_calls, self._fill)
+                     solution, failure, failure_calls, fill)
 
     def __enter__(self):
         return self

@@ -378,22 +378,18 @@ class TestRunAccelerated:
         obj = make_catalogue_objective(name)
         params, records = accel_iterations(obj, x0, 1e-3)
         iterates = list(records)
+        # The reference audit: every one of the T iterations of the dense
+        # loop, two fine solves each, whatever x_t is.
+        dense = []
+        dense_accelerated(obj, x0, 1e-3, OracleCounter(), dense)
+        assert len(dense) == params.T
+        worst = max(certificate_excess(obj, params, it) for it in dense)
         L, D, delta = params.L, params.D, params.delta
-        fine = delta / CERTIFICATE_ACCURACY_FACTOR
-        # The reference audit: two fine solves per iterate, whatever x_t is.
-        worst = -np.inf
-        for it in iterates:
-            at_x = solve_prox_subproblem(obj, it.x, fine, OracleCounter())
-            at_y = solve_prox_subproblem(obj, it.y_prev, fine, OracleCounter())
-            lhs = float(np.dot(at_x.envelope_gradient, it.x - it.z_prev))
-            lhs -= it.c * (at_y.envelope_value - at_x.envelope_value)
-            budget = math.sqrt(8.0 * L * D * D * delta) + (9.0 + 5.0 * it.c) * delta + 1e-9
-            worst = max(worst, lhs - budget)
         loop_bound = math.ceil(math.log2(max(8.0 * L * D * D / delta, 2.0)))
-        max_loops = max(it.loop_iterations for it in iterates)
+        max_loops = max(it.loop_iterations for it in dense)
         instance = {"quadratic": "quadratic_box", "example1": "example1"}[name]
         reference = CheckResult(f"linesearch_certificate:{instance}", float(worst), 0.0,
-                                bool(worst <= 0.0 and max_loops <= loop_bound), len(iterates),
+                                bool(worst <= 0.0 and max_loops <= loop_bound), params.T,
                                 f"max loops {max_loops} <= bound {loop_bound}")
 
         solves = []
@@ -401,16 +397,15 @@ class TestRunAccelerated:
         monkeypatch.setattr(qopt.checks, "_solve",
                             lambda *args: solves.append(args) or solve(*args))
         assert linesearch_certificate(instance, 1e-3) == reference
-        # The audit's solves are the ones at the fine delta: one per new x_t
-        # array (the filled iterates share one) and one per y_{t-1} that is
-        # not x_t itself.
+        # The audit's solves are the ones at the fine delta: one per x_t the
+        # loop yields and one per y_{t-1} that is not x_t itself.
+        fine = delta / CERTIFICATE_ACCURACY_FACTOR
         solves = [args for args in solves if args[2].delta == fine]
-        new_x = 1 + sum(it.x is not prev.x for prev, it in zip(iterates, iterates[1:]))
         moved = sum(it.x is not it.y_prev for it in iterates)
         assert moved < len(iterates)
-        if name == "example1":  # reaches the fixed-point exit, so iterates share an x_t
-            assert new_x < len(iterates)
-        assert len(solves) == new_x + moved
+        if name == "example1":  # reaches the fixed-point exit, so the loop ends early
+            assert len(iterates) < params.T
+        assert len(solves) == len(iterates) + moved
 
     def test_observer_called_once_per_outer_iteration(self, example1, counter):
         # A reader of the loop gets one record per outer iteration, and
@@ -471,10 +466,11 @@ class TestRunAccelerated:
     def test_coupling_constant_follows_the_weights(self, example1):
         # c_t = gamma A_{t-1} / a_t with a_t = gamma^2 t / (8 L) and
         # A_t = gamma^2 t (t+1) / (16 L) is gamma (t-1) / 2 up to rounding.
+        # The run freezes, so its last record is the frozen one.
         params, records = accel_iterations(example1, [5.0], 1e-3)
         iterates = list(records)
         gamma = params.gamma
-        assert len(iterates) == params.T > 1
+        assert 1 < len(iterates) < params.T and iterates[-1].prox is None
         assert iterates[0].c == 0.0
         for t, it in enumerate(iterates, start=1):
             assert it.c == pytest.approx(gamma * (t - 1) / 2.0, rel=1e-14)
@@ -532,7 +528,7 @@ def dense_accelerated(obj, x0, epsilon, counter, seen=None):
 
     The loop of ``run_accelerated`` without its fixed-point exit, on the same
     private bodies and with the same float expressions.  A given ``seen``
-    gets the :func:`record_bytes` of each iteration.
+    gets each iteration's :class:`qopt.accel._Iteration` record.
     """
     x0 = np.asarray(x0, dtype=float)
     set_ = obj.feasible_set
@@ -561,7 +557,7 @@ def dense_accelerated(obj, x0, epsilon, counter, seen=None):
         rows.append((t, counter.calls, f, None if fstar is None else f - fstar,
                      16.0 * L * D * D / (gamma * gamma * t * t)))
         if seen is not None:
-            seen.append(record_bytes(qopt.accel._Iteration(c, loops, x_t, y, z, prox_y)))
+            seen.append(qopt.accel._Iteration(c, loops, x_t, y, z, prox_y))
         y, z = y_new, z_new
     return Trace(header, *map(list, zip(*rows)), solution=prox_y.y)
 
@@ -569,6 +565,18 @@ def dense_accelerated(obj, x0, epsilon, counter, seen=None):
 def record_bytes(it):
     """An iteration record's ``c``, loop count and point bytes."""
     return (it.c, it.loop_iterations, it.x.tobytes(), it.y_prev.tobytes(), it.z_prev.tobytes())
+
+
+def certificate_excess(obj, params, it):
+    """How far iteration ``it`` exceeds the budget of ``linesearch_certificate``,
+    with two public prox solves at its fine tolerance."""
+    L, D, delta = params.L, params.D, params.delta
+    fine = delta / CERTIFICATE_ACCURACY_FACTOR
+    at_x = solve_prox_subproblem(obj, it.x, fine, OracleCounter())
+    at_y = solve_prox_subproblem(obj, it.y_prev, fine, OracleCounter())
+    lhs = float(np.dot(at_x.envelope_gradient, it.x - it.z_prev))
+    lhs -= it.c * (at_y.envelope_value - at_x.envelope_value)
+    return lhs - (math.sqrt(8.0 * L * D * D * delta) + (9.0 + 5.0 * it.c) * delta + 1e-9)
 
 
 def round_trip_objective():
@@ -623,27 +631,38 @@ class TestFixedPointExit:
         assert trace.solution.tobytes() == reference.solution.tobytes()
         assert counter.calls == dense_counter.calls == trace.final_oracle_calls
         assert len(searched) == searches <= T
-        # The loop read to its end yields one record per outer iteration, each
-        # equal to the dense loop's (c, loop_iterations and the bytes of x,
-        # y_prev and z_prev).
-        _, records = accel_iterations(obj, x0, 1e-4)
+        # The loop read to its end yields one record per outer iteration up to
+        # the first frozen one, each equal to the dense loop's (c,
+        # loop_iterations and the bytes of x, y_prev and z_prev).
+        schedule, records = accel_iterations(obj, x0, 1e-4)
         seen = list(map(record_bytes, records))
-        assert len(seen) == T
-        assert seen == expected
-        assert all(loops == 0 for _, loops, *_ in seen[searches:])
+        assert len(seen) == min(searches + 1, T)
+        assert seen == list(map(record_bytes, expected[:searches + 1]))
+        if searches == T:
+            return
+        # Every later dense iteration repeats the frozen one's x = y_prev and
+        # z_prev bytes, with no halving, so its left side of the certificate;
+        # its larger c only raises the budget (9 + 5c) delta.
+        frozen, *later = expected[searches:]
+        assert frozen.x.tobytes() == frozen.y_prev.tobytes()
+        assert all(record_bytes(it)[1:] == seen[-1][1:] for it in later)
+        assert all(a.c < b.c for a, b in zip(expected[searches:], later))
+        assert (certificate_excess(obj, schedule, later[-1])
+                <= certificate_excess(obj, schedule, frozen))
 
     @pytest.mark.parametrize("name", FIXED_POINT_RUNS)
     def test_observer_changes_no_byte(self, name):
         # A second reader of the loop sees what run_accelerated records: the
         # prox of each searched iteration holds its row's f, and the frozen
-        # tail, read to its end, adds no oracle call.
+        # record, the loop's last, adds no oracle call.
         objective, params, x0, searches = FIXED_POINT_RUNS[name]
         obj = make_catalogue_objective(objective, params)
         trace = run_accelerated(obj, np.array(x0), 1e-4, OracleCounter())
         counter = OracleCounter()
         schedule, records = accel_iterations(obj, x0, 1e-4, counter)
         records = list(records)
-        assert len(records) == schedule.T == len(trace.rows) - 1
+        assert len(records) == min(searches + 1, schedule.T)
+        assert len(trace.rows) == schedule.T + 1
         assert all(it.prox is not None for it in records[:searches])
         assert all(it.prox is None for it in records[searches:])
         f = np.array([it.prox.f_at_y for it in records[:searches]])
@@ -652,6 +671,7 @@ class TestFixedPointExit:
 
     def test_frozen_tail_makes_no_query(self, example1, monkeypatch):
         # example1 from 5 reaches the bit-exact fixed point at eps 1e-3.
+        # Pulling the frozen record makes no query, and the loop ends there.
         counter = OracleCounter()
         params, records = accel_iterations(example1, [5.0], 1e-3, counter)
         searched = []
@@ -659,14 +679,12 @@ class TestFixedPointExit:
             if it.prox is None:
                 break
             searched.append(it)
-        calls = counter.calls
-        tail = [it, *records]
+            calls = counter.calls
         assert counter.calls == calls
-        assert len(searched) + len(tail) == params.T
-        assert all(it.prox is None for it in tail)
-        frozen = tail[0].x
-        assert all(it.x is frozen and it.y_prev is frozen for it in tail)
-        # run_accelerated stops at the first frozen record and fills the rest.
+        assert list(records) == [] and counter.calls == calls
+        assert len(searched) + 1 < params.T
+        assert it.loop_iterations == 0 and it.x is it.y_prev
+        # run_accelerated stops at the frozen record; the recorder fills the rest.
         pulled = []
         iterations = qopt.accel._iterations
 

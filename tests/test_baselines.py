@@ -276,6 +276,45 @@ class TestPGD:
         with pytest.raises(PreconditionError):
             run_pgd(example1, np.array([9.0]), 5, counter)
 
+    @pytest.mark.parametrize("name", ["quadratic_simplex", "example1"])
+    def test_reader_sees_every_computed_row(self, name, counter):
+        # A reader of the loop gets each computed row's iterate, value and
+        # gradient; run_pgd records the same f and repeats the last one up to T.
+        obj = simplex_quadratic() if name == "quadratic_simplex" else make_catalogue_objective(name)
+        x0 = obj.feasible_set.canonical_vertex()
+        seen = []
+        for t, x, f, grad in qopt.baselines._pgd(obj, x0, 200, counter):
+            value, g = obj.evaluator(x)
+            seen.append((t, f))
+            assert value == f
+            np.testing.assert_array_equal(g, grad)
+        trace = run_pgd(obj, x0, 200, OracleCounter())
+        n = len(seen)
+        assert [t for t, _ in seen] == list(range(n)) and n < 201
+        f = trace.column("f_value")
+        assert np.array([f for _, f in seen]).tobytes() == f[:n].tobytes()
+        assert np.all(f[n:] == f[n - 1]) and len(f) == 201
+        assert trace.final_oracle_calls == counter.calls == n
+
+    def test_loop_makes_no_query_after_its_fixed_point(self, example1, counter):
+        # example1 from 5 stops moving at t = 128: the step from there lands
+        # on its own bits, and the loop returns without querying it.
+        records = list(qopt.baselines._pgd(example1, np.array([5.0]), 200, counter))
+        assert len(records) == counter.calls == 129
+        _, x, _, grad = records[-1]
+        step = example1.feasible_set.project(x - grad / example1.smoothness_L)
+        assert step.tobytes() == x.tobytes()
+
+    def test_run_fixed_at_its_first_step_returns_a_copy(self, counter):
+        # The simplex quadratic is stationary at the centre: no step is taken,
+        # yet the solution is not the caller's array.
+        obj = simplex_quadratic()
+        x0 = obj.center.copy()
+        trace = run_pgd(obj, x0, 10, counter)
+        assert counter.calls == 1 and len(trace.rows) == 11
+        assert trace.solution is not x0
+        assert trace.solution.tobytes() == x0.tobytes()
+
 
 class TestFrankWolfe:
     def test_two_step_hand_trace(self, counter):

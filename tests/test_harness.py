@@ -315,6 +315,18 @@ class TestSweep:
         saved = json.loads((tmp_path / "summary.json").read_text())
         assert saved["fits"]["pgd"]["slope"] == summary["fits"]["pgd"]["slope"]
 
+    def test_swept_value_replaces_the_configs_budget(self, tmp_path):
+        # A baseline config that names epsilon and an output path sweeps T:
+        # each run takes the swept T alone and writes into the sweep's directory.
+        raw = {k: v for k, v in PGD_SIMPLEX.items() if k != "T"}
+        base = load_config({**raw, "epsilon": 10.0, "output_path": str(tmp_path / "ignored.csv")})
+        summary = sweep(base, {"T": [2, 4]}, tmp_path / "sweep")
+        assert [run["params"] for run in summary["runs"]] == [{"T": 2}, {"T": 4}]
+        assert [run["rows"] for run in summary["runs"]] == [3, 5]
+        assert sorted(p.name for p in (tmp_path / "sweep").iterdir()) == [
+            "run_000.csv", "run_001.csv", "summary.json"]
+        assert not (tmp_path / "ignored.csv").exists()
+
     def test_accelerated_calls_fit(self, tmp_path):
         base = load_config({"algorithm": "accelerated", "objective": "quadratic",
                             "x0": [1.0, 1.0], "epsilon": 1.0, "seed": 0})
@@ -454,6 +466,11 @@ class TestCLI:
         ("objective", {"objective": {"name": "affine_plus_quadratic", "params": {"q": math.nan}}}),
         ("objective", {"objective": {"name": "affine_plus_quadratic",
                                      "params": {"a": [math.nan, 0.0]}}}),
+        ("objective", {"objective": {"name": "affine_plus_quadratic", "params": {"q": -1}}}),
+        # The accelerated method derives T from epsilon.
+        ("T", {"algorithm": "accelerated", "epsilon": 1e-2}),
+        ("x0", {"x0": 5}),
+        ("x0", {"x0": "middle"}),
     ])
     def test_malformed_value_exits_2_naming_the_field(self, field, overrides, tmp_path, capsys):
         raw = {**PGD_SIMPLEX, "x0": "vertex", **overrides,
@@ -907,6 +924,23 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "config field 'out_dir'" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("config,grid", [
+        (PGD_SIMPLEX, {"T": [1, 2], "epsilon": [0.1]}),
+        ({"algorithm": "accelerated", "objective": "example1", "x0": [5.0], "epsilon": 1e-2},
+         {"T": [10, 20]}),
+        (PGD_SIMPLEX, {"T": []}),
+    ], ids=["two-fields", "accelerated-T", "empty-list"])
+    def test_sweep_bad_grid_exits_2_before_its_out_dir(self, config, grid, tmp_path, capsys):
+        # A run takes epsilon or T, never both, so a sweep varies one field.
+        cfg = self.write_config(tmp_path, config)
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps(grid))
+        out_dir = tmp_path / "sweep"
+        assert main(["sweep", cfg, "--grid", str(grid_path), "--out-dir", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert "config field 'grid'" in err and "Traceback" not in err
+        assert not out_dir.exists()
 
     def test_sweep_bad_grid_path(self, tmp_path):
         cfg = self.write_config(tmp_path, PGD_SIMPLEX)

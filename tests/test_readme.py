@@ -87,7 +87,7 @@ def test_documented_python_is_the_required_one():
 def test_documented_solver_loops_are_generators():
     # The checks read the loops the README names, not a callback.
     loops = re.findall(r"`(accel|baselines)\.(_\w+)`", TEXT)
-    assert {name for _, name in loops} >= {"_iterations", "_frank_wolfe"}
+    assert {name for _, name in loops} >= {"_iterations", "_frank_wolfe", "_pgd"}
     for module, name in loops:
         assert inspect.isgeneratorfunction(getattr(getattr(qopt, module), name))
     assert "`observer`" not in TEXT and "AccelIterate" not in TEXT

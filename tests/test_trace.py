@@ -328,3 +328,14 @@ def test_header_encoding_leaves_no_garbage_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_header_line_with_trailing_text_is_rejected(tmp_path):
+    # The header comment holds one JSON object and nothing after it.
+    path = write_trace(Trace({"x0": [1.0]}, [0], [1], [0.5], [None], [None]),
+                       tmp_path / "trace.csv")
+    lines = path.read_text().split("\n")
+    lines[0] += " trailing"
+    path.write_text("\n".join(lines))
+    with pytest.raises(json.JSONDecodeError, match="Extra data"):
+        read_trace(path)
