@@ -30,7 +30,7 @@ from .errors import ConfigError, InvalidArgumentError, NumericalFailureError
 # perfbench/tracing.py wraps solve_prox_subproblem under this module's name too.
 from .prox import ProxResult, _ProxConstants, _solve, solve_prox_subproblem  # noqa: F401
 from .sets import _dot, _real, as_point, is_positive_finite, is_quasar_gamma
-from .trace import TraceRecorder
+from .trace import record_run
 
 #: The most iterations an epsilon-derived schedule may ask for, accelerated or
 #: baseline; the catalogue's longest schedule has about 1.1e4.
@@ -62,20 +62,26 @@ def iteration_count(estimate, epsilon):
     return max(1, math.ceil(estimate))
 
 
-def _check_constants(gamma, **positive):
+def _check_constants(gamma, multiple, **positive):
     """Raise :class:`InvalidArgumentError` naming the first argument that fails
-    its gate: ``gamma`` :func:`is_quasar_gamma`, each of ``positive``
-    :func:`is_positive_finite`."""
+    its gate: ``gamma`` :func:`is_quasar_gamma`, each of ``positive``, which
+    holds ``L`` and ``D``, :func:`is_positive_finite`; then ``L`` and ``D``
+    when ``multiple L D^2``, the largest multiple the caller forms, overflows."""
     if not is_quasar_gamma(gamma):
         raise InvalidArgumentError("gamma must be a real number in (0, 1]")
     for name, v in positive.items():
         if not is_positive_finite(v):
             raise InvalidArgumentError(f"{name} must be a positive finite number")
+    L, D = positive["L"], positive["D"]
+    if not math.isfinite(multiple * L * D * D):
+        raise InvalidArgumentError(f"L and D must keep {multiple:g} L D^2 finite, "
+                                   f"got L = {L!r}, D = {D!r}")
 
 
 def compute_schedule(gamma, L, D, epsilon):
     """Resolve the outer iteration count, inner tolerance, and weights."""
-    _check_constants(gamma, L=L, D=D, epsilon=epsilon)
+    # 16 L D^2 is the bound column's numerator.
+    _check_constants(gamma, 16.0, L=L, D=D, epsilon=epsilon)
     T = iteration_count((4.0 / gamma) * math.sqrt(L * D * D / epsilon), epsilon)
     delta = L * D * D / (10.0 * T**6)
     if not delta > 0.0:
@@ -178,26 +184,32 @@ def ftrl_step(set_, x0, accumulated):
 
 
 class _Iteration(NamedTuple):
-    """Outer iteration ``t``: the line search's ``c_t``, halvings, ``x_t`` and
-    endpoints ``y_{t-1}``, ``z_{t-1}``, and the prox at ``y_t`` (``None`` when frozen)."""
+    """Outer iteration ``t``: the candidate ``y_hat_t`` (the prox at ``y_t``),
+    ``f`` and ``grad f`` there, then the line search's ``c_t``, halvings,
+    ``x_t`` and endpoints ``y_{t-1}``, ``z_{t-1}``.  Row 0 holds the prox at
+    ``x0``, with ``c`` and the halvings 0 and every point ``x0``."""
 
+    t: int
+    y_hat: np.ndarray
+    f: float
+    grad: np.ndarray
     c: float
     loop_iterations: int
     x: np.ndarray
     y_prev: np.ndarray
     z_prev: np.ndarray
-    prox: ProxResult | None
 
 
-def _iterations(obj, x0, params, consts, prox_y, counter):
-    """Yield the outer iterations ``t = 1..T`` as :class:`_Iteration` records,
-    from the trusted ``x0`` with schedule ``params``, every solve on ``consts``
-    and ``prox_y`` the prox at ``x0``.  No record's array is written again.
+def _iterations(obj, x0, params, consts, counter):
+    """Yield the outer iterations ``t = 0..T`` as :class:`_Iteration` records,
+    from the trusted ``x0`` with schedule ``params`` and every solve on
+    ``consts``.  No record's array is written again.
 
     Once a prox lands bit for bit where it started, with no oracle query, every
     later iteration repeats it exactly: it is frozen.  The loop then yields the
-    first frozen iteration's record ``(c_s, 0, y, y, z, None)``, which shares
-    the frozen arrays, with no solve and no query, and returns.
+    first frozen iteration's record, which repeats the last prox's candidate
+    and shares the frozen arrays as ``(c_s, 0, y, y, z)``, with no solve and no
+    query, and returns.
     """
     gamma, L, T = params.gamma, params.L, params.T
     y, z = x0.copy(), x0.copy()
@@ -208,13 +220,15 @@ def _iterations(obj, x0, params, consts, prox_y, counter):
     # the searched and the frozen record alike; changing the order of an
     # operation changes the bits of every trace.
     gamma_sq, a_denom, A_denom = gamma**2, 8.0 * L, 16.0 * L
+    prox_y = _solve(obj, x0, consts, counter)
+    yield _Iteration(0, prox_y.y, prox_y.f_at_y, prox_y.grad_at_y, 0.0, 0, x0, x0, x0)
     frozen = False
     for t in range(1, T + 1):
         a_t = gamma_sq * t / a_denom
         c = gamma_sq * (t - 1) * t / A_denom * gamma / a_t
         if frozen:
             # The line search would return y: x_t = y_{t-1} = y.
-            yield _Iteration(c, 0, y, y, z, None)
+            yield _Iteration(t, prox_y.y, prox_y.f_at_y, prox_y.grad_at_y, c, 0, y, y, z)
             return
         _, x_t, loops, prox_x, _ = _line_search(obj, y, z, c, counter, prox_y, consts)
         y_new = prox_x.y
@@ -226,7 +240,7 @@ def _iterations(obj, x0, params, consts, prox_y, counter):
         # solution.  y_new is prox_x.y, so prox_x already holds the
         # oracle's answer there.
         prox_y = _solve(obj, y_new, consts, counter, (prox_x.f_at_y, prox_x.grad_at_y))
-        yield _Iteration(c, loops, x_t, y, z, prox_y)
+        yield _Iteration(t, prox_y.y, prox_y.f_at_y, prox_y.grad_at_y, c, loops, x_t, y, z)
         y, z = y_new, z_new
         # A prox whose first step lands bit for bit on its centre y_new made
         # no query, and its envelope gradient is exactly +0.0.  Every later
@@ -244,9 +258,9 @@ def run_accelerated(obj, x0, epsilon, counter):
     objective value of the current candidate solution (the delta-prox of
     ``y_t``) together with the certified-gap envelope ``16 L D^2 / (gamma t)^2``.
     The trace ``solution`` is the final candidate.  At the first frozen
-    iteration (:func:`_iterations`) the run ends, and the recorder appends the
-    remaining rows: each repeats the last row's ``f``, ``gap`` and
-    ``oracle_calls`` with its own bound.
+    iteration (:func:`_iterations`) the run ends, and :func:`record_run`
+    appends the remaining rows: each repeats the frozen row's ``f``, ``gap``
+    and ``oracle_calls`` with its own bound.
     """
     set_ = obj.feasible_set
     x0 = set_.checked_point(x0, "x0")
@@ -260,12 +274,5 @@ def run_accelerated(obj, x0, epsilon, counter):
         2^53 converts to float exactly, so every bit matches a per-row bound."""
         return bound_num / (gamma_gamma * t * t)
 
-    with TraceRecorder("accelerated", obj, asdict(params), x0, counter, bounds) as rec:
-        prox_y = _solve(obj, x0, consts, counter)
-        rec.record(prox_y.f_at_y)
-        for it in _iterations(obj, x0, params, consts, prox_y, counter):
-            if it.prox is None:  # the frozen record, the loop's last
-                break
-            prox_y = it.prox
-            rec.record(prox_y.f_at_y)
-    return rec.trace(prox_y.y)
+    return record_run("accelerated", obj, asdict(params), x0, counter,
+                      _iterations(obj, x0, params, consts, counter), bounds)

@@ -23,7 +23,7 @@ from .errors import InvalidArgumentError, NumericalFailureError
 from .objectives import _query, evaluate
 # perfbench/tracing.py counts as_point calls under this module's name too.
 from .sets import _is_finite_point, as_point, is_int, is_positive_finite  # noqa: F401
-from .trace import TraceRecorder
+from .trace import record_run
 
 #: The rate-envelope constant of each baseline (see the module docstring).
 RATE_CONSTANTS = {"pgd": 20.0, "frank_wolfe": 6.0}
@@ -95,43 +95,37 @@ def _frank_wolfe(obj, x, T, counter):
         yield t + 1, x, f, grad
 
 
-def _run(algorithm, loop, obj, x0, T, counter, params):
-    """Record f at every iteration ``loop`` yields from the checked ``x0``; the
-    recorder repeats the last row up to ``T`` when the loop ends early."""
-    x = _checked_start(obj, x0, T)
-    with TraceRecorder(algorithm, obj, params, x, counter) as rec:
-        for t, x, f, _ in loop(obj, x, T, counter):
-            rec.record(f)
-    # With no step taken, x is still the caller's x0: the solution is a copy.
-    return rec.trace(x if t > 0 else x.copy())
-
-
 def run_pgd(obj, x0, T, counter):
     """T steps of ``x <- proj(x - grad f(x) / L)`` (:func:`_pgd`), recording f
     at every iterate.  A run that reaches a fixed point makes no further query,
     and its rows up to ``T`` repeat that row's values and call count."""
-    return _run("pgd", _pgd, obj, x0, T, counter, {"T": T, "eta": 1.0 / obj.smoothness_L})
+    x0 = _checked_start(obj, x0, T)
+    return record_run("pgd", obj, {"T": T, "eta": 1.0 / obj.smoothness_L}, x0, counter,
+                      _pgd(obj, x0, T, counter))
 
 
 def run_frank_wolfe(obj, x0, T, counter):
     """T Frank-Wolfe steps with the open-loop schedule ``x <- t/(t+2) x + 2/(t+2) v``
     (:func:`_frank_wolfe`), recording f at every iterate.  Only ``x0`` is
     validated."""
-    return _run("frank_wolfe", _frank_wolfe, obj, x0, T, counter, {"T": T})
+    x0 = _checked_start(obj, x0, T)
+    return record_run("frank_wolfe", obj, {"T": T}, x0, counter,
+                      _frank_wolfe(obj, x0, T, counter))
 
 
 def attach_rate_bounds(trace, L, gamma, D):
     """Fill the bound column of a baseline trace with its rate envelope.
 
     This is the only place gamma is consumed for the baselines; the solvers
-    themselves are gamma-free.  ``gamma`` must be in ``(0, 1]`` and ``L`` and
-    ``D`` positive finite numbers, checked before the trace is touched.
+    themselves are gamma-free.  ``gamma`` must be in ``(0, 1]``, ``L`` and
+    ``D`` positive finite numbers and ``constant L D^2`` finite, checked
+    before the trace is touched.
     """
-    _check_constants(gamma, L=L, D=D)
     algorithm = trace.header.get("algorithm")
     if algorithm not in RATE_CONSTANTS:
         raise InvalidArgumentError(f"no rate envelope for algorithm '{algorithm}'")
     constant = RATE_CONSTANTS[algorithm]
+    _check_constants(gamma, constant, L=L, D=D)
     iteration = np.asarray(trace.iteration, dtype=np.int64)
     # One array expression, in the scalar form's order: every bit matches.
     bound = (constant * L * D * D / ((iteration + 1) * gamma * gamma)).tolist()

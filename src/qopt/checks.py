@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 import tempfile
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -430,8 +431,8 @@ def prox_iteration_budget(objectives, samples=50):
 def linesearch_certificate(instance, epsilon=1e-3):
     """Audit every line-search call of the accelerated run on ``instance``.
 
-    Reads the run's iterations (``accel._iterations``) and re-evaluates the
-    envelope at each ``x_t`` and ``y_{t-1}`` with a prox
+    Reads the run's iterations (``accel._iterations``) from t = 1 and
+    re-evaluates the envelope at each ``x_t`` and ``y_{t-1}`` with a prox
     ``CERTIFICATE_ACCURACY_FACTOR`` times tighter than the run's delta, verifying
 
         <grad M~(x_t), x_t - z_{t-1}> - c (M~(y_{t-1}) - M~(x_t))
@@ -451,7 +452,7 @@ def linesearch_certificate(instance, epsilon=1e-3):
     loop_bound = math.ceil(math.log2(max(8.0 * L * D * D / delta, 2.0)))
     worst_excess = -np.inf
     max_loops = 0
-    for it in _iterations(obj, x0, params, consts, _solve(obj, x0, consts, counter), counter):
+    for it in islice(_iterations(obj, x0, params, consts, counter), 1, None):
         m_x, g_x = fine(it.x)
         # The solve is pure, so one serves both uses of one array: a
         # derivative_small exit, like the frozen iteration, hands x_t = y_{t-1}.

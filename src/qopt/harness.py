@@ -117,7 +117,7 @@ def load_config(source):
         raise ConfigError("seed", "must be an integer")
 
     x0 = raw.get("x0", "vertex")
-    if not (isinstance(x0, (list, str))):
+    if not (isinstance(x0, list) or isinstance(x0, str) and x0 in ("vertex", "center")):
         raise ConfigError("x0", "expected 'vertex', 'center', or an explicit vector")
     output_path = raw.get("output_path")
     if output_path is not None and not isinstance(output_path, str):
@@ -146,12 +146,10 @@ def build_objective(config):
 
 def resolve_x0(set_, spec):
     """The start point a config names; the solver's gate checks an explicit one."""
-    if isinstance(spec, str):
-        if spec == "vertex":
-            return set_.canonical_vertex()
-        if spec == "center":
-            return set_.center_point()
-        raise ConfigError("x0", f"unknown rule '{spec}'")
+    if spec == "vertex":
+        return set_.canonical_vertex()
+    if spec == "center":
+        return set_.center_point()
     try:
         return as_point(spec, set_.dimension)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -267,16 +265,17 @@ def sweep(config, grid, out_dir):
     if not isinstance(values, (list, tuple)) or not values:
         raise ConfigError("grid", f"parameter '{key}' needs a nonempty list")
 
+    # Every run's config is checked before anything is written.
+    base = {k: v for k, v in config.raw.items() if k not in ("epsilon", "T", "output_path")}
+    run_cfgs = [load_config({**base, key: value}) for value in values]
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError("out_dir", f"cannot create {str(out_dir)!r}: {exc}") from exc
-    base = {k: v for k, v in config.raw.items() if k not in ("epsilon", "T", "output_path")}
     runs = []
     points = []
-    for i, value in enumerate(values):
-        run_cfg = load_config({**base, key: value})
+    for i, (value, run_cfg) in enumerate(zip(values, run_cfgs)):
         path = out_dir / f"run_{i:03d}.csv"
         trace = run_experiment(run_cfg, output_path=path)
         runs.append(

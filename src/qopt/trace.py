@@ -71,65 +71,59 @@ class Trace:
         return np.array(getattr(self, name), dtype=float)
 
 
-class TraceRecorder:
-    """The one source of every solver's trace header, gaps and columns.
+def record_run(algorithm, obj, params, x0, counter, rows, bound=None):
+    """The :class:`Trace` of one solver run: the only code that records one.
 
-    Solvers :meth:`record` each computed row; a run that ends at a fixed
-    point before the ``T`` of its ``params`` gets the rest from :meth:`trace`.
-    A given ``bound`` maps the iterations ``1..n-1``, as a float array, to
-    their bound cells; row 0 has none.  As a context manager the recorder
-    attaches the rows to a :class:`NumericalFailureError` as
+    ``rows`` is the solver's loop, a generator of rows that begin
+    ``(t, x_t, f(x_t), grad f(x_t))`` for t = 0, 1, ...  Each row records the
+    calls ``counter`` holds, ``f`` and its gap ``f - f*`` (``None`` without a
+    declared ``f*``); a non-finite gap raises :class:`NumericalFailureError`
+    before the row is recorded.  A given ``bound`` maps the iterations
+    ``1..n-1``, as a float array, to their bound cells; row 0 has none.
+
+    A run whose loop ended at a fixed point before the ``T`` of ``params``
+    gets the rows up to ``T``, each repeating the last row's values.  The
+    solution is the last row's ``x``, a copy when the run never left t = 0.
+    A :class:`NumericalFailureError` gets the rows so far as its
     ``partial_trace``, with the calls ``counter`` holds at the failure.
     """
-
-    def __init__(self, algorithm, obj, params, x0, counter, bound=None):
-        self.header = {"algorithm": algorithm, "objective": obj.name,
-                       "set": obj.feasible_set.to_spec(), "params": params, "x0": x0.tolist()}
-        self._calls, self._f, self._gap = [], [], []
-        self._bound = bound
-        self._fstar = obj.optimal_value
-        self._counter = counter
-
-    def record(self, f):
-        """Append the next row: the counter's calls, ``f`` and its gap ``f - f*``.
-
-        The gap is ``None`` without a declared ``f*``.  A non-finite gap is a
-        failure, raised before the row is appended.
-        """
-        gap = None
-        if self._fstar is not None:
-            gap = f - self._fstar
-            if not -math.inf < gap < math.inf:
-                raise NumericalFailureError(
-                    f"gap f - f* of objective '{self.header['objective']}' "
-                    f"is not finite: f = {f!r}, f* = {self._fstar!r}")
-        self._calls.append(self._counter.calls)
-        self._f.append(f)
-        self._gap.append(gap)
-
-    def trace(self, solution=None, failure=None, failure_calls=None):
-        """The run's :class:`Trace`.  A successful run that ended at a fixed
-        point before iteration ``T`` gets the rows up to ``T``, each repeating
-        the last row's values; a failure trace holds the recorded rows alone."""
-        fill, T = len(self._calls), self.header["params"]["T"]
-        if failure is None and fill <= T:
-            for column in (self._calls, self._f, self._gap):
+    header = {"algorithm": algorithm, "objective": obj.name,
+              "set": obj.feasible_set.to_spec(), "params": params, "x0": x0.tolist()}
+    fstar = obj.optimal_value
+    trace = Trace(header)
+    calls, f_values, gaps = trace.oracle_calls, trace.f_value, trace.gap
+    try:
+        for t, x, f, *_ in rows:
+            gap = None
+            if fstar is not None:
+                gap = f - fstar
+                if not -math.inf < gap < math.inf:
+                    raise NumericalFailureError(
+                        f"gap f - f* of objective '{obj.name}' "
+                        f"is not finite: f = {f!r}, f* = {fstar!r}")
+            calls.append(counter.calls)
+            f_values.append(f)
+            gaps.append(gap)
+    except NumericalFailureError as exc:
+        trace.failure, trace.failure_calls = str(exc), counter.calls
+        exc.partial_trace = trace
+        raise
+    else:
+        fill, T = len(calls), params["T"]
+        if fill <= T:
+            for column in (calls, f_values, gaps):
                 column += [column[-1]] * (T + 1 - fill)
-        else:
-            fill = None
-        n = len(self._calls)
-        bound = [None] * n
-        if self._bound is not None and n > 1:
-            bound[1:] = self._bound(np.arange(1.0, n)).tolist()
-        return Trace(self.header, list(range(n)), self._calls, self._f, self._gap, bound,
-                     solution, failure, failure_calls, fill)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if isinstance(exc, NumericalFailureError):
-            exc.partial_trace = self.trace(failure=str(exc), failure_calls=self._counter.calls)
+            trace._fill = fill
+        trace.solution = x if t > 0 else x.copy()
+    finally:
+        # A finished trace and a failure trace alike get one iteration and
+        # one bound cell per row.
+        n = len(calls)
+        trace.iteration = list(range(n))
+        trace.bound = [None] * n
+        if bound is not None and n > 1:
+            trace.bound[1:] = bound(np.arange(1.0, n)).tolist()
+    return trace
 
 
 _encode = json.JSONEncoder(sort_keys=True).encode

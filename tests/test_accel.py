@@ -40,8 +40,7 @@ def accel_iterations(obj, x0, epsilon, counter=None):
     params = compute_schedule(obj.quasar_gamma, obj.smoothness_L, obj.feasible_set.diameter(),
                               epsilon)
     consts = _ProxConstants(obj, params.delta)
-    prox_y = qopt.accel._solve(obj, x0, consts, counter)
-    return params, qopt.accel._iterations(obj, x0, params, consts, prox_y, counter)
+    return params, qopt.accel._iterations(obj, x0, params, consts, counter)
 
 
 def run_recording_weights(obj, x0, epsilon, monkeypatch):
@@ -52,7 +51,8 @@ def run_recording_weights(obj, x0, epsilon, monkeypatch):
     and the envelope gradient the line search ended with.  Only iterations
     whose change is at least 1e-6 of ``|x0|`` are returned, where the rounding
     of ``x0 - (x0 - sum)`` leaves the recovered weight accurate to ~1e-10.
-    Returns the schedule, the iteration records and ``{t: a_t}``.
+    Returns the schedule, the iteration records (``t = 0..T``, record ``t`` at
+    index ``t``) and ``{t: a_t}``.
     """
     grads, args = [], []
     line_search = qopt.accel._line_search
@@ -75,7 +75,8 @@ def run_recording_weights(obj, x0, epsilon, monkeypatch):
     params, records = accel_iterations(obj, x0, epsilon)
     iterates = list(records)
     gamma = params.gamma
-    assert len(grads) == len(args) == len(iterates) == params.T
+    assert len(grads) == len(args) == params.T
+    assert [it.t for it in iterates] == list(range(params.T + 1))
     weights, previous = {}, np.zeros_like(x0)
     floor = 1e-6 * max(1.0, float(np.max(np.abs(x0))))
     for t, (g, arg) in enumerate(zip(grads, args), start=1):
@@ -105,7 +106,7 @@ class TestSchedule:
             quadratic, np.array([1.0, 1.0]), 1e-2, monkeypatch)
         assert params.gamma == 1.0 and params.L == 1.0
         assert weights[1] == pytest.approx(0.125, rel=1e-12)
-        A_1 = iterates[1].c * weights[2] / params.gamma
+        A_1 = iterates[2].c * weights[2] / params.gamma
         assert A_1 == pytest.approx(0.125, rel=1e-12)
 
     def test_weight_recurrence_and_coupling(self, example1, monkeypatch):
@@ -115,13 +116,13 @@ class TestSchedule:
         params, iterates, weights = run_recording_weights(
             example1, np.array([5.0]), 1e-2, monkeypatch)
         gamma, L = params.gamma, params.L
-        assert iterates[0].c == 0.0
+        assert iterates[1].c == 0.0
         checked = 0
         for t in range(1, params.T):
             if t not in weights or t + 1 not in weights:
                 continue
-            A_prev = iterates[t - 1].c * weights[t] / gamma
-            A_t = iterates[t].c * weights[t + 1] / gamma
+            A_prev = iterates[t].c * weights[t] / gamma
+            A_t = iterates[t + 1].c * weights[t + 1] / gamma
             assert A_t - A_prev == pytest.approx(weights[t], rel=1e-8)
             assert A_t / (8 * L) >= weights[t] ** 2 / (2 * gamma**2) * (1 - 1e-8)
             checked += 1
@@ -138,6 +139,17 @@ class TestSchedule:
                 args[i] = value
                 with pytest.raises(InvalidArgumentError, match=rf"^{name} must be a positive"):
                     compute_schedule(*args)
+
+    def test_overflowing_scale_names_L_and_D(self, counter):
+        # 16 L D^2 overflows: the schedule names L and D, not a too small
+        # epsilon, and the run stops before any oracle call.
+        with pytest.raises(InvalidArgumentError, match=r"^L and D must keep 16 L D\^2 finite"):
+            compute_schedule(1.0, 1.0, 1e200, 1e-3)
+        obj = make_catalogue_objective("quadratic", {
+            "dim": 2, "set": {"kind": "simplex", "dimension": 2, "scale": 5e153}})
+        with pytest.raises(InvalidArgumentError, match=r"^L and D must keep 16 L D\^2 finite"):
+            run_accelerated(obj, obj.feasible_set.canonical_vertex(), 1e-3, counter)
+        assert counter.calls == 0
 
     def test_unreachable_epsilon_names_epsilon(self, quadratic, counter):
         # 4 sqrt(8 / eps) outer iterations: ~1.13e51 at eps = 1e-100.
@@ -346,7 +358,7 @@ class TestRunAccelerated:
         params, records = accel_iterations(quadratic, quadratic.center, 1e-2)
         bound = math.sqrt(8.0 * quadratic.smoothness_L * params.delta)
         probe = OracleCounter()
-        for it in itertools.islice(records, 20):
+        for it in itertools.islice(records, 1, 21):
             res = solve_prox_subproblem(quadratic, it.x, params.delta, probe)
             assert np.linalg.norm(res.envelope_gradient) <= bound
 
@@ -377,11 +389,13 @@ class TestRunAccelerated:
     def test_certificate_audit_solves_once_where_x_is_y_prev(self, name, x0, monkeypatch):
         obj = make_catalogue_objective(name)
         params, records = accel_iterations(obj, x0, 1e-3)
-        iterates = list(records)
+        # The audit reads the records from t = 1: t = 0 runs no line search.
+        iterates = list(records)[1:]
         # The reference audit: every one of the T iterations of the dense
         # loop, two fine solves each, whatever x_t is.
         dense = []
         dense_accelerated(obj, x0, 1e-3, OracleCounter(), dense)
+        dense = dense[1:]
         assert len(dense) == params.T
         worst = max(certificate_excess(obj, params, it) for it in dense)
         L, D, delta = params.L, params.D, params.delta
@@ -408,12 +422,13 @@ class TestRunAccelerated:
         assert len(solves) == len(iterates) + moved
 
     def test_observer_called_once_per_outer_iteration(self, example1, counter):
-        # A reader of the loop gets one record per outer iteration, and
-        # reading them all queries no more than run_accelerated does.
+        # A reader of the loop gets one record per row of the trace, t = 0
+        # included, and reading them all queries no more than run_accelerated does.
         params, records = accel_iterations(example1, [5.0], 1e-2, counter)
         seen = list(records)
         trace = run_accelerated(example1, np.array([5.0]), 1e-2, OracleCounter())
-        assert len(seen) == params.T == len(trace.rows) - 1
+        assert len(seen) == params.T + 1 == len(trace.rows)
+        assert [it.t for it in seen] == trace.iteration
         assert all(isinstance(it, qopt.accel._Iteration) for it in seen)
         assert trace.final_oracle_calls == counter.calls
 
@@ -451,7 +466,7 @@ class TestRunAccelerated:
 
         monkeypatch.setattr(qopt.accel, "_line_search", recording)
         _, records = accel_iterations(example1, [5.0], 1e-2)
-        coupling = [it.c for it in records]
+        coupling = [it.c for it in itertools.islice(records, 1, None)]
         recorded.clear()
         trace = run_accelerated(example1, np.array([5.0]), 1e-2, OracleCounter())
         params = trace.header["params"]
@@ -466,14 +481,18 @@ class TestRunAccelerated:
     def test_coupling_constant_follows_the_weights(self, example1):
         # c_t = gamma A_{t-1} / a_t with a_t = gamma^2 t / (8 L) and
         # A_t = gamma^2 t (t+1) / (16 L) is gamma (t-1) / 2 up to rounding.
-        # The run freezes, so its last record is the frozen one.
+        # The run freezes, so its last record is the frozen one: it repeats
+        # the last prox, with x_t = y_{t-1}.
         params, records = accel_iterations(example1, [5.0], 1e-3)
         iterates = list(records)
         gamma = params.gamma
-        assert 1 < len(iterates) < params.T and iterates[-1].prox is None
-        assert iterates[0].c == 0.0
-        for t, it in enumerate(iterates, start=1):
-            assert it.c == pytest.approx(gamma * (t - 1) / 2.0, rel=1e-14)
+        assert 2 < len(iterates) <= params.T
+        assert iterates[-1].y_hat is iterates[-2].y_hat and iterates[-1].x is iterates[-1].y_prev
+        assert iterates[0].c == iterates[1].c == 0.0
+        for t, it in enumerate(iterates):
+            assert it.t == t
+            if t:
+                assert it.c == pytest.approx(gamma * (t - 1) / 2.0, rel=1e-14)
 
     @pytest.mark.parametrize("name,x0,eps", [
         ("example1", [5.0], 1e-2), ("quadratic", [1.0, 1.0], 1e-2), ("example1", [5.0], 1e-4),
@@ -528,7 +547,7 @@ def dense_accelerated(obj, x0, epsilon, counter, seen=None):
 
     The loop of ``run_accelerated`` without its fixed-point exit, on the same
     private bodies and with the same float expressions.  A given ``seen``
-    gets each iteration's :class:`qopt.accel._Iteration` record.
+    gets the :class:`qopt.accel._Iteration` record of each ``t = 0..T``.
     """
     x0 = np.asarray(x0, dtype=float)
     set_ = obj.feasible_set
@@ -543,6 +562,8 @@ def dense_accelerated(obj, x0, epsilon, counter, seen=None):
     prox_y = qopt.accel._solve(obj, y, consts, counter)
     f = prox_y.f_at_y
     rows = [(0, counter.calls, f, None if fstar is None else f - fstar, None)]
+    if seen is not None:
+        seen.append(qopt.accel._Iteration(0, prox_y.y, f, prox_y.grad_at_y, 0.0, 0, x0, x0, x0))
     for t in range(1, params.T + 1):
         a_t = gamma**2 * t / (8.0 * L)
         c = gamma**2 * (t - 1) * t / (16.0 * L) * gamma / a_t
@@ -557,14 +578,15 @@ def dense_accelerated(obj, x0, epsilon, counter, seen=None):
         rows.append((t, counter.calls, f, None if fstar is None else f - fstar,
                      16.0 * L * D * D / (gamma * gamma * t * t)))
         if seen is not None:
-            seen.append(qopt.accel._Iteration(c, loops, x_t, y, z, prox_y))
+            seen.append(qopt.accel._Iteration(t, prox_y.y, f, prox_y.grad_at_y, c, loops,
+                                              x_t, y, z))
         y, z = y_new, z_new
     return Trace(header, *map(list, zip(*rows)), solution=prox_y.y)
 
 
 def record_bytes(it):
-    """An iteration record's ``c``, loop count and point bytes."""
-    return (it.c, it.loop_iterations, it.x.tobytes(), it.y_prev.tobytes(), it.z_prev.tobytes())
+    """An iteration record's fields, each array as its bytes."""
+    return tuple(v.tobytes() if isinstance(v, np.ndarray) else v for v in it)
 
 
 def certificate_excess(obj, params, it):
@@ -631,60 +653,61 @@ class TestFixedPointExit:
         assert trace.solution.tobytes() == reference.solution.tobytes()
         assert counter.calls == dense_counter.calls == trace.final_oracle_calls
         assert len(searched) == searches <= T
-        # The loop read to its end yields one record per outer iteration up to
-        # the first frozen one, each equal to the dense loop's (c,
-        # loop_iterations and the bytes of x, y_prev and z_prev).
+        # The loop read to its end yields one record per outer iteration from
+        # t = 0 up to the first frozen one, each equal to the dense loop's, its
+        # floats and the bytes of its arrays alike.
         schedule, records = accel_iterations(obj, x0, 1e-4)
         seen = list(map(record_bytes, records))
-        assert len(seen) == min(searches + 1, T)
-        assert seen == list(map(record_bytes, expected[:searches + 1]))
+        assert len(seen) == min(searches + 2, T + 1)
+        assert seen == list(map(record_bytes, expected[:searches + 2]))
         if searches == T:
             return
-        # Every later dense iteration repeats the frozen one's x = y_prev and
-        # z_prev bytes, with no halving, so its left side of the certificate;
-        # its larger c only raises the budget (9 + 5c) delta.
-        frozen, *later = expected[searches:]
+        # Every later dense iteration repeats the frozen one's prox, x = y_prev
+        # and z_prev bytes, with no halving, so its left side of the
+        # certificate; its larger c only raises the budget (9 + 5c) delta.
+        frozen, *later = expected[searches + 1:]
         assert frozen.x.tobytes() == frozen.y_prev.tobytes()
-        assert all(record_bytes(it)[1:] == seen[-1][1:] for it in later)
-        assert all(a.c < b.c for a, b in zip(expected[searches:], later))
+        assert all(record_bytes(it._replace(t=frozen.t, c=frozen.c)) == seen[-1] for it in later)
+        assert all(a.c < b.c for a, b in zip(expected[searches + 1:], later))
         assert (certificate_excess(obj, schedule, later[-1])
                 <= certificate_excess(obj, schedule, frozen))
 
     @pytest.mark.parametrize("name", FIXED_POINT_RUNS)
     def test_observer_changes_no_byte(self, name):
-        # A second reader of the loop sees what run_accelerated records: the
-        # prox of each searched iteration holds its row's f, and the frozen
-        # record, the loop's last, adds no oracle call.
+        # A second reader of the loop sees what run_accelerated records: each
+        # record holds its row's f, and the frozen record, the loop's last,
+        # repeats the last searched one's prox and adds no oracle call.
         objective, params, x0, searches = FIXED_POINT_RUNS[name]
         obj = make_catalogue_objective(objective, params)
         trace = run_accelerated(obj, np.array(x0), 1e-4, OracleCounter())
         counter = OracleCounter()
         schedule, records = accel_iterations(obj, x0, 1e-4, counter)
         records = list(records)
-        assert len(records) == min(searches + 1, schedule.T)
+        assert len(records) == min(searches + 2, schedule.T + 1)
         assert len(trace.rows) == schedule.T + 1
-        assert all(it.prox is not None for it in records[:searches])
-        assert all(it.prox is None for it in records[searches:])
-        f = np.array([it.prox.f_at_y for it in records[:searches]])
-        assert f.tobytes() == trace.column("f_value")[1:searches + 1].tobytes()
+        assert [it.t for it in records] == trace.iteration[:len(records)]
+        for it in records[searches + 1:]:
+            assert it.y_hat is records[searches].y_hat
+            assert it.loop_iterations == 0 and it.x is it.y_prev
+        f = np.array([it.f for it in records])
+        assert f.tobytes() == trace.column("f_value")[:len(records)].tobytes()
         assert counter.calls == trace.final_oracle_calls
 
     def test_frozen_tail_makes_no_query(self, example1, monkeypatch):
         # example1 from 5 reaches the bit-exact fixed point at eps 1e-3.
-        # Pulling the frozen record makes no query, and the loop ends there.
+        # Pulling the frozen record, the last, makes no query, and the loop
+        # ends there.
         counter = OracleCounter()
         params, records = accel_iterations(example1, [5.0], 1e-3, counter)
-        searched = []
+        calls = []
         for it in records:
-            if it.prox is None:
-                break
-            searched.append(it)
-            calls = counter.calls
-        assert counter.calls == calls
-        assert list(records) == [] and counter.calls == calls
-        assert len(searched) + 1 < params.T
-        assert it.loop_iterations == 0 and it.x is it.y_prev
-        # run_accelerated stops at the frozen record; the recorder fills the rest.
+            calls.append(counter.calls)
+        assert calls[-1] == calls[-2] == counter.calls
+        assert list(records) == [] and counter.calls == calls[-1]
+        assert len(calls) <= params.T
+        assert it.loop_iterations == 0 and it.x is it.y_prev and it.t == len(calls) - 1
+        # run_accelerated records the frozen record as its first repeated row,
+        # and record_run fills the rest.
         pulled = []
         iterations = qopt.accel._iterations
 
@@ -695,8 +718,8 @@ class TestFixedPointExit:
 
         monkeypatch.setattr(qopt.accel, "_iterations", counted)
         trace = run_accelerated(example1, np.array([5.0]), 1e-3, OracleCounter())
-        assert len(pulled) == len(searched) + 1 and pulled[-1].prox is None
-        assert len(trace.rows) == params.T + 1 and trace._fill == len(searched) + 1
+        assert len(pulled) == len(calls) and pulled[-1].x is pulled[-1].y_prev
+        assert len(trace.rows) == params.T + 1 and trace._fill == len(pulled)
 
     def test_no_exit_while_the_prox_at_the_fixed_point_queries(self):
         # y, z and the envelope gradient (+0.0) repeat from t = 1, but each
@@ -707,3 +730,38 @@ class TestFixedPointExit:
         assert trace_csv_lines(trace) == trace_csv_lines(reference)
         calls = trace.column("oracle_calls")
         assert np.all(np.diff(calls) == 3)
+
+
+@pytest.mark.parametrize("loop,name,x0", [
+    ("accelerated", "example1", [5.0]),
+    ("pgd", "quadratic", [1.0, 1.0]),
+    ("frank_wolfe", "example1", [5.0]),
+])
+def test_every_solver_loop_yields_one_row_shape(loop, name, x0):
+    # Every loop yields rows (t, x_t, f(x_t), grad f(x_t), ...) from t = 0,
+    # which record_run turns into a trace.  example1 at eps 1e-3 freezes and
+    # PGD on the quadratic lands on its minimizer, so both loops end before T.
+    obj = make_catalogue_objective(name)
+    x0 = np.array(x0)
+    counter = OracleCounter()
+    if loop == "accelerated":
+        params, rows = accel_iterations(obj, x0, 1e-3, counter)
+        T = params.T
+    else:
+        T = 20
+        rows = getattr(qopt.baselines, f"_{loop}")(obj, x0, T, counter)
+    seen, calls = [], []
+    for row in rows:
+        seen.append(row)
+        calls.append(counter.calls)
+    assert (len(seen) < T + 1) == (loop != "frank_wolfe")
+    assert [row[0] for row in seen] == list(range(len(seen)))
+    for _, x, f, grad, *_ in seen:
+        value, gradient = obj.evaluator(x)
+        assert (f, grad.tobytes()) == (value, np.asarray(gradient, dtype=float).tobytes())
+    # Ending the loop adds no call, and a row that adds none repeats the
+    # point of the row before it, as the frozen accelerated record does.
+    assert counter.calls == calls[-1]
+    repeated = [i for i in range(1, len(seen)) if calls[i] == calls[i - 1]]
+    assert all(seen[i][1].tobytes() == seen[i - 1][1].tobytes() for i in repeated)
+    assert (repeated != []) == (loop == "accelerated")

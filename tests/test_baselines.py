@@ -25,6 +25,7 @@ from qopt.checks import (
     pgd_descent_step,
     pgd_mapping_bound,
 )
+from qopt.baselines import RATE_CONSTANTS
 from qopt.objectives import evaluate
 from qopt.sets import MEMBERSHIP_TOL
 from qopt.trace import Trace
@@ -494,6 +495,19 @@ class TestRateBounds:
         bound, header = list(trace.bound), copy.deepcopy(trace.header)
         with pytest.raises(InvalidArgumentError, match=rf"^{name} must be"):
             attach_rate_bounds(trace, L, gamma, D)
+        assert trace.bound == bound
+        assert trace.header == header
+
+    @pytest.mark.parametrize("algorithm", ["pgd", "frank_wolfe"])
+    def test_overflowing_scale_names_L_and_D(self, example1, algorithm):
+        # constant L D^2 overflows: no bound cell becomes inf.
+        run = run_pgd if algorithm == "pgd" else run_frank_wolfe
+        trace = run(example1, np.array([5.0]), 3, OracleCounter())
+        bound, header = list(trace.bound), copy.deepcopy(trace.header)
+        constant = RATE_CONSTANTS[algorithm]
+        with pytest.raises(InvalidArgumentError,
+                           match=rf"^L and D must keep {constant:g} L D\^2 finite"):
+            attach_rate_bounds(trace, 1.0, 1.0, 1e200)
         assert trace.bound == bound
         assert trace.header == header
 

@@ -470,7 +470,6 @@ class TestCLI:
         # The accelerated method derives T from epsilon.
         ("T", {"algorithm": "accelerated", "epsilon": 1e-2}),
         ("x0", {"x0": 5}),
-        ("x0", {"x0": "middle"}),
     ])
     def test_malformed_value_exits_2_naming_the_field(self, field, overrides, tmp_path, capsys):
         raw = {**PGD_SIMPLEX, "x0": "vertex", **overrides,
@@ -490,6 +489,7 @@ class TestCLI:
         ("dim", {"dim": 3}),
         ("set", {"objective": "quadratic",
                  "set": {"kind": "box", "lower": [-1, -1, -1], "upper": [1, 1, 1]}}),
+        ("x0", {"x0": "middle"}),
     ])
     def test_rejected_by_load_config(self, field, overrides):
         # Rejected while the config is read, before any objective exists to query.
@@ -940,6 +940,22 @@ class TestCLI:
         assert main(["sweep", cfg, "--grid", str(grid_path), "--out-dir", str(out_dir)]) == 2
         err = capsys.readouterr().err
         assert "config field 'grid'" in err and "Traceback" not in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("config,grid,field", [
+        (PGD_SIMPLEX, {"T": [5, 0]}, "T"),
+        ({**PGD_SIMPLEX, "x0": "middle"}, {"T": [5]}, "x0"),
+    ], ids=["second-run-T", "x0-rule"])
+    def test_sweep_bad_run_exits_2_before_its_out_dir(self, config, grid, field, tmp_path,
+                                                      capsys):
+        # Every run's config is checked before the out dir or a trace is written.
+        cfg = self.write_config(tmp_path, config)
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps(grid))
+        out_dir = tmp_path / "sweep"
+        assert main(["sweep", cfg, "--grid", str(grid_path), "--out-dir", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert f"config field '{field}'" in err and "Traceback" not in err
         assert not out_dir.exists()
 
     def test_sweep_bad_grid_path(self, tmp_path):
