@@ -65,17 +65,20 @@ def iteration_count(estimate, epsilon):
 def _check_constants(gamma, multiple, **positive):
     """Raise :class:`InvalidArgumentError` naming the first argument that fails
     its gate: ``gamma`` :func:`is_quasar_gamma`, each of ``positive``, which
-    holds ``L`` and ``D``, :func:`is_positive_finite`; then ``L`` and ``D``
-    when ``multiple L D^2``, the largest multiple the caller forms, overflows."""
+    holds ``L`` and ``D``, :func:`is_positive_finite` (an infinite ``D`` aside);
+    then its source, the diameter ``D`` or ``L``, when ``multiple L D^2``, the
+    largest multiple the caller forms, overflows."""
     if not is_quasar_gamma(gamma):
         raise InvalidArgumentError("gamma must be a real number in (0, 1]")
+    L, d = positive["L"], _real(positive["D"])  # an integer too large for a float is inf
     for name, v in positive.items():
-        if not is_positive_finite(v):
+        if not (is_positive_finite(v) or name == "D" and d == math.inf):
             raise InvalidArgumentError(f"{name} must be a positive finite number")
-    L, D = positive["L"], positive["D"]
-    if not math.isfinite(multiple * L * D * D):
-        raise InvalidArgumentError(f"L and D must keep {multiple:g} L D^2 finite, "
-                                   f"got L = {L!r}, D = {D!r}")
+    if not math.isfinite(multiple * L * d * d):
+        source = "the diameter D" if not math.isfinite(multiple * d * d) else "L"
+        raise InvalidArgumentError(f"{multiple:g} L D^2 overflows float range through "
+                                   f"{source} (L = {L!r}, diameter D = {d!r}); "
+                                   "rescale the problem")
 
 
 def compute_schedule(gamma, L, D, epsilon):

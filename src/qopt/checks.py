@@ -80,6 +80,11 @@ class CheckResult:
     samples: int
     note: str = ""
 
+    def __post_init__(self):
+        # A check that measured no sample has shown nothing, so it fails.
+        if self.samples == 0:
+            self.passed = False
+
 
 @dataclass
 class VerificationReport:

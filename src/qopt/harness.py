@@ -16,9 +16,11 @@ Any key not shown, at the top level or beside ``name`` and ``params``, is a
 config error, and so is an ``epsilon`` that fails
 :func:`qopt.sets.is_positive_finite`.  An objective that takes a set or a
 dimension reads them from its ``params`` (``set``, ``dim``); ``seed`` is only
-recorded in the trace header.  Identical configs yield byte-identical trace
-files; an accelerated run above 10,000 dimensions does so only at a fixed
-BLAS thread count (see the README).
+recorded in the trace header, beside the config, for a finished and a failed
+run alike.  A run whose constants fail the solvers' gate, such as an
+overflowing ``L D^2`` scale, is a config error naming ``objective``.
+Identical configs yield byte-identical trace files; an accelerated run above
+10,000 dimensions does so only at a fixed BLAS thread count (see the README).
 """
 
 from __future__ import annotations
@@ -31,9 +33,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .accel import MAX_ITERATIONS, iteration_count, run_accelerated
+from .accel import MAX_ITERATIONS, _check_constants, iteration_count, run_accelerated
 from .baselines import RATE_CONSTANTS, attach_rate_bounds, run_frank_wolfe, run_pgd
-from .errors import ConfigError, NumericalFailureError, PreconditionError
+from .errors import ConfigError, InvalidArgumentError, NumericalFailureError, PreconditionError
 from .objectives import OracleCounter, make_catalogue_objective
 from .sets import as_point, is_int, is_positive_finite
 from .trace import Trace, write_trace
@@ -157,34 +159,17 @@ def resolve_x0(set_, spec):
 
 
 def baseline_iterations(config, obj):
-    """Resolve T for a baseline: given directly, or converted from epsilon."""
+    """Resolve T for a baseline, given or from epsilon, once the constants pass
+    the gate of the bound column's ``constant L D^2``."""
+    constant = RATE_CONSTANTS[config.algorithm]
+    L, D, gamma = obj.smoothness_L, obj.feasible_set.diameter(), obj.quasar_gamma
+    _check_constants(gamma, constant, L=L, D=D)
     if config.T is not None:
         return config.T
-    constant = RATE_CONSTANTS[config.algorithm]
-    L = obj.smoothness_L
-    D = obj.feasible_set.diameter()
-    gamma = obj.quasar_gamma
     # A tiny epsilon can underflow gamma^2 epsilon to 0: then no T is enough.
     denominator = gamma * gamma * config.epsilon
     estimate = constant * L * D * D / denominator - 1.0 if denominator else math.inf
     return iteration_count(estimate, config.epsilon)
-
-
-def _require_representable_scale(obj, multiple):
-    """Reject an objective whose ``multiple * L D^2`` leaves float range, before any oracle call.
-
-    ``multiple`` is the largest multiple of ``L D^2`` the run forms: 16 for an
-    accelerated run (its bound column; the line search's budget uses
-    ``8 L D^2``), and the rate constant for a baseline (its bound column, and
-    its ``T`` when that comes from ``epsilon``).  The message says whether
-    the set's diameter alone overflows or the objective's ``L`` does.
-    """
-    L, D = obj.smoothness_L, obj.feasible_set.diameter()
-    if not math.isfinite(multiple * L * D * D):
-        source = "the diameter D" if not math.isfinite(multiple * D * D) else "L"
-        raise ConfigError("objective", f"{multiple:g} L D^2 overflows float range through "
-                                       f"{source} (L = {L!r}, diameter D = {D!r}); "
-                                       "rescale the problem")
 
 
 def run_experiment(config, output_path=None):
@@ -195,8 +180,6 @@ def run_experiment(config, output_path=None):
     an exit code.
     """
     counter = OracleCounter()
-    path = output_path or config.output_path
-
     try:
         # ``evaluate`` turns an overflowing oracle value into exit 3, so numpy's
         # own overflow warnings are silenced, once per run.
@@ -206,40 +189,37 @@ def run_experiment(config, output_path=None):
             obj = build_objective(config)
             x0 = resolve_x0(obj.feasible_set, config.x0)
             if config.algorithm == "accelerated":
-                _require_representable_scale(obj, 16.0)
                 trace = run_accelerated(obj, x0, config.epsilon, counter)
             else:
-                _require_representable_scale(obj, RATE_CONSTANTS[config.algorithm])
                 run = run_pgd if config.algorithm == "pgd" else run_frank_wolfe
                 trace = run(obj, x0, baseline_iterations(config, obj), counter)
+                attach_rate_bounds(trace, obj.smoothness_L, obj.quasar_gamma,
+                                   obj.feasible_set.diameter())
     except PreconditionError as exc:
         raise ConfigError("x0", str(exc)) from exc
+    except InvalidArgumentError as exc:
+        # Only the gates of the run's constants raise one unmapped.
+        raise ConfigError("objective", str(exc)) from exc
     except NumericalFailureError as exc:
-        partial = getattr(exc, "partial_trace", None)
-        if partial is None:
-            partial = Trace(header={}, failure=str(exc))
-        if path is not None:
-            partial.header["config"] = config.raw
-            partial.header["seed"] = config.seed
-            _write(partial, path)
+        _write(getattr(exc, "partial_trace", None) or Trace(header={}, failure=str(exc)),
+               config, output_path)
         raise
+    assert trace.final_oracle_calls == counter.calls  # no hidden evaluations
+    return _write(trace, config, output_path)
 
-    if config.algorithm in ("pgd", "frank_wolfe"):
-        attach_rate_bounds(trace, obj.smoothness_L, obj.quasar_gamma,
-                           obj.feasible_set.diameter())
+
+def _write(trace, config, path):
+    """Stamp ``config`` and ``seed`` into the header of ``trace`` and write it to
+    ``path``, or to the config's ``output_path``, when either is set; return it."""
     trace.header["config"] = config.raw
     trace.header["seed"] = config.seed
-    assert trace.final_oracle_calls == counter.calls  # no hidden evaluations
+    path = path or config.output_path
     if path is not None:
-        _write(trace, path)
+        try:
+            write_trace(trace, path)
+        except OSError as exc:
+            raise ConfigError("output_path", f"cannot write {str(path)!r}: {exc}") from exc
     return trace
-
-
-def _write(trace, path):
-    try:
-        write_trace(trace, path)
-    except OSError as exc:
-        raise ConfigError("output_path", f"cannot write {str(path)!r}: {exc}") from exc
 
 
 # -- sweeps --------------------------------------------------------------------

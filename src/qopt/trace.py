@@ -126,7 +126,14 @@ def record_run(algorithm, obj, params, x0, counter, rows, bound=None):
     return trace
 
 
-_encode = json.JSONEncoder(sort_keys=True).encode
+def _number(value):
+    """The header encoder's fallback: a numpy scalar as the number it holds."""
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+_encode = json.JSONEncoder(sort_keys=True, default=_number).encode
 _decode = json.JSONDecoder().raw_decode
 _FAILURE_PREFIX = "# numerical-failure: "
 

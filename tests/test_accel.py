@@ -132,22 +132,33 @@ class TestSchedule:
         for bad in [(-0.1, 1, 1, 1), (1.5, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0)]:
             with pytest.raises(InvalidArgumentError):
                 compute_schedule(*bad)
-        # L, D and epsilon each pass the one positive-scalar gate.
+        # L, D and epsilon each pass the one positive-scalar gate, except that
+        # an infinite D, the diameter of a set whose extent overflows, is an
+        # overflow of 16 L D^2 through D.
         for i, name in enumerate(("L", "D", "epsilon"), start=1):
             for value in (math.inf, math.nan, 0, -1, True, 10**400):
                 args = [1.0, 1.0, 1.0, 1e-2]
                 args[i] = value
-                with pytest.raises(InvalidArgumentError, match=rf"^{name} must be a positive"):
+                message = (r"^16 L D\^2 overflows float range through the diameter D \("
+                           if name == "D" and value in (math.inf, 10**400)
+                           else rf"^{name} must be a positive")
+                with pytest.raises(InvalidArgumentError, match=message):
                     compute_schedule(*args)
 
     def test_overflowing_scale_names_L_and_D(self, counter):
-        # 16 L D^2 overflows: the schedule names L and D, not a too small
-        # epsilon, and the run stops before any oracle call.
-        with pytest.raises(InvalidArgumentError, match=r"^L and D must keep 16 L D\^2 finite"):
+        # 16 L D^2 overflows: the schedule names its source, the diameter D or
+        # L, not a too small epsilon, and the run stops before any oracle call.
+        with pytest.raises(InvalidArgumentError,
+                           match=r"^16 L D\^2 overflows float range through the diameter D "
+                                 r"\(L = 1\.0, diameter D = 1e\+200\); rescale the problem$"):
             compute_schedule(1.0, 1.0, 1e200, 1e-3)
+        with pytest.raises(InvalidArgumentError,
+                           match=r"^16 L D\^2 overflows float range through L \(L = 1e\+307, "):
+            compute_schedule(1.0, 1e307, 2.0, 1e-3)
         obj = make_catalogue_objective("quadratic", {
             "dim": 2, "set": {"kind": "simplex", "dimension": 2, "scale": 5e153}})
-        with pytest.raises(InvalidArgumentError, match=r"^L and D must keep 16 L D\^2 finite"):
+        with pytest.raises(InvalidArgumentError,
+                           match=r"^16 L D\^2 overflows float range through the diameter D \("):
             run_accelerated(obj, obj.feasible_set.canonical_vertex(), 1e-3, counter)
         assert counter.calls == 0
 

@@ -506,7 +506,8 @@ class TestRateBounds:
         bound, header = list(trace.bound), copy.deepcopy(trace.header)
         constant = RATE_CONSTANTS[algorithm]
         with pytest.raises(InvalidArgumentError,
-                           match=rf"^L and D must keep {constant:g} L D\^2 finite"):
+                           match=rf"^{constant:g} L D\^2 overflows float range through "
+                                 r"the diameter D \(L = 1\.0, diameter D = 1e\+200\)"):
             attach_rate_bounds(trace, 1.0, 1.0, 1e200)
         assert trace.bound == bound
         assert trace.header == header

@@ -14,8 +14,11 @@ import pytest
 import qopt
 from qopt import (
     ConfigError,
+    InvalidArgumentError,
     NumericalFailureError,
+    attach_rate_bounds,
     available_checks,
+    compute_schedule,
     load_config,
     run_experiment,
     sweep,
@@ -154,6 +157,60 @@ class TestRunExperiment:
                                    output_path=tmp_path / f"{rule}.csv")
             assert trace.rows[0].f_value == pytest.approx(
                 0.5 * float(np.dot(expected, expected)), abs=1e-15)
+
+    def test_failure_trace_without_a_path_carries_config_and_seed(self, monkeypatch):
+        # A finished trace and a failure's partial trace get one header stamp,
+        # whether or not they are written.
+        import qopt.harness as harness
+
+        def exploding(obj, x0, epsilon, counter):
+            exc = NumericalFailureError("synthetic blow-up")
+            exc.partial_trace = Trace({"algorithm": "accelerated"}, failure="synthetic blow-up")
+            raise exc
+
+        monkeypatch.setattr(harness, "run_accelerated", exploding)
+        raw = {"algorithm": "accelerated", "objective": "quadratic", "x0": [1.0, 1.0],
+               "epsilon": 1e-2, "seed": 4}
+        with pytest.raises(NumericalFailureError) as excinfo:
+            run_experiment(load_config(raw))
+        assert excinfo.value.partial_trace.header == {
+            "algorithm": "accelerated", "config": raw, "seed": 4}
+
+    @pytest.mark.parametrize("algorithm,budget", [("accelerated", {"epsilon": 1e-3}),
+                                                  ("pgd", {"T": 5}), ("frank_wolfe", {"T": 5})])
+    def test_an_overflowing_scale_is_the_solvers_gate_message(self, algorithm, budget):
+        # The run reports the API's own message under the objective field.
+        raw = {"algorithm": algorithm, "objective": OVERFLOWING_SIMPLEX, **budget}
+        obj = build_objective(load_config(raw))
+        L, gamma, D = obj.smoothness_L, obj.quasar_gamma, obj.feasible_set.diameter()
+        with pytest.raises(InvalidArgumentError) as api:
+            if algorithm == "accelerated":
+                compute_schedule(gamma, L, D, budget["epsilon"])
+            else:
+                attach_rate_bounds(Trace({"algorithm": algorithm}), L, gamma, D)
+        with pytest.raises(ConfigError) as run:
+            run_experiment(load_config(raw))
+        assert run.value.field == "objective"
+        assert str(run.value) == f"config field 'objective': {api.value}"
+
+    @pytest.mark.parametrize("algorithm,budget,field", [
+        ("accelerated", {"epsilon": 1e-3}, "x0"),
+        ("pgd", {"T": 5}, "objective"),
+        ("frank_wolfe", {"T": 5}, "objective"),
+    ])
+    def test_an_infeasible_x0_beside_an_overflowing_scale(self, algorithm, budget, field):
+        # The accelerated run checks x0 before its schedule's gate; a baseline
+        # resolves T, and so passes its gate, before it checks x0.
+        raw = {"algorithm": algorithm, "objective": OVERFLOWING_SIMPLEX, "x0": [-1.0, 0.0],
+               **budget}
+        with pytest.raises(ConfigError) as excinfo:
+            run_experiment(load_config(raw))
+        assert excinfo.value.field == field
+
+
+#: A simplex whose 16 L D^2, 20 L D^2 and 6 L D^2 overflow while L D^2 does not.
+OVERFLOWING_SIMPLEX = {"name": "quadratic",
+                       "params": {"set": {"kind": "simplex", "dimension": 2, "scale": 5e153}}}
 
 
 SIMPLEX50 = {"name": "quadratic", "params": {"set": {"kind": "simplex", "dimension": 50}}}

@@ -16,12 +16,14 @@ import numpy as np
 import pytest
 
 import qopt.accel
+import qopt.baselines
 import qopt.checks
 import qopt.prox
 from qopt import (
     Ball,
     Box,
     CheckResult,
+    Objective,
     OracleCounter,
     PreconditionError,
     Simplex,
@@ -35,6 +37,7 @@ from qopt.checks import (
     MAPPING_TOL,
     _worst_quasar_violations,
     fw_dynamics,
+    gamma_free_baselines,
     gradient_consistency,
     linesearch_certificate,
     moreau_quasar,
@@ -640,3 +643,52 @@ def test_nan_finite_difference_fails_gradient_consistency():
         return inner(x)
 
     assert_nan_fails(gradient_consistency(dataclasses.replace(quadratic, evaluator=evaluator)))
+
+
+# -- a check that measured no sample ---------------------------------------------
+
+
+def steep_on(upper):
+    """``f = 100 x^2`` declared 1-smooth on ``[0, upper]``: a wrong L that only a
+    measured secant pair could show."""
+    return Objective("steep", lambda x: (float(100.0 * x.dot(x)), 200.0 * x), 1.0, 1.0,
+                     Box([0.0], [upper]), center=np.array([0.0]), optimal_value=0.0)
+
+
+def assert_no_sample_fails(result):
+    assert result.samples == 0
+    assert result.passed is False
+
+
+def test_prox_conditioning_with_every_pair_below_its_cutoff_fails():
+    # Every pair is closer than 1e-9, so no secant is measured.
+    result = prox_conditioning(steep_on(1e-10), 100)
+    assert_no_sample_fails(result)
+    assert result.note.startswith("secant bracket [inf, -inf]")
+
+
+def test_smoothness_with_every_pair_below_its_cutoff_fails():
+    # The grid's three points are 5e-14 apart, below the 1e-12 cutoff.
+    result = smoothness(steep_on(1e-13), samples=3)
+    assert_no_sample_fails(result)
+    assert result.note == "max ratio 0.000000 vs L=1.0"
+
+
+def test_quasar_certificate_of_no_sample_fails():
+    assert_no_sample_fails(quasar_certificate(make_catalogue_objective("quadratic"), samples=0))
+
+
+def test_a_check_result_without_samples_fails_whatever_it_is_given():
+    assert CheckResult("c", 0.0, 0.0, True, 0).passed is False
+    assert CheckResult("c", 0.0, 0.0, True, 1).passed is True
+
+
+def test_gamma_free_baselines_fails_when_a_solver_reads_gamma(monkeypatch):
+    def reading_gamma(obj, x0, T, counter):
+        return obj.quasar_gamma
+
+    monkeypatch.setattr(qopt.baselines, "run_pgd", reading_gamma)
+    result = gamma_free_baselines()
+    assert result.passed is False
+    assert result.max_violation == 1.0
+    assert result.note == "baseline solver read quasar_gamma"

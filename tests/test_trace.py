@@ -339,3 +339,27 @@ def test_header_line_with_trailing_text_is_rejected(tmp_path):
     path.write_text("\n".join(lines))
     with pytest.raises(json.JSONDecodeError, match="Extra data"):
         read_trace(path)
+
+
+def test_a_numpy_integer_T_writes_the_bytes_of_the_int(tmp_path):
+    # is_int accepts a numpy integer T; the header writes the number it holds.
+    example1 = make_catalogue_objective("example1")
+    paths = [write_trace(run_pgd(example1, [5.0], T, OracleCounter()), tmp_path / f"{i}.csv")
+             for i, T in enumerate((5, np.int64(5)))]
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+@pytest.mark.parametrize("solver", ["pgd", "accelerated"])
+def test_a_float32_L_writes_a_trace_that_round_trips(solver, tmp_path):
+    # L = np.float32(2.0) passes the gates and reaches the header as eta, or
+    # as L, lam and delta.
+    quadratic = make_catalogue_objective("quadratic")
+    obj = dataclasses.replace(quadratic, smoothness_L=np.float32(2.0))
+    counter = OracleCounter()
+    trace = (run_pgd(obj, [1.0, 1.0], 5, counter) if solver == "pgd"
+             else run_accelerated(obj, [1.0, 1.0], 1e-2, counter))
+    path = write_trace(trace, tmp_path / "trace.csv")
+    parsed = read_trace(path)
+    assert parsed.header["params"] == {k: v.item() if isinstance(v, np.generic) else v
+                                       for k, v in trace.header["params"].items()}
+    assert write_trace(parsed, tmp_path / "again.csv").read_bytes() == path.read_bytes()

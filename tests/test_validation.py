@@ -205,8 +205,11 @@ def test_a_positive_scalar_passes_one_gate(entry, value):
             call(value, obj, np.array([0.5, 0.5]), counter)
         assert excinfo.value.field == "epsilon"
     else:
-        with pytest.raises(InvalidArgumentError,
-                           match=rf"\b{name} must be a positive finite number"):
+        # An infinite diameter is an overflow of the multiple of L D^2 through D.
+        message = (r"L D\^2 overflows float range through the diameter D \("
+                   if name == "D" and value in (math.inf, 10**400)
+                   else rf"\b{name} must be a positive finite number")
+        with pytest.raises(InvalidArgumentError, match=message):
             call(value, obj, np.array([0.5, 0.5]), counter)
     assert counter.calls == 0 and queries == []
 
