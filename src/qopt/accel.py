@@ -203,25 +203,24 @@ class _Iteration(NamedTuple):
     z_prev: np.ndarray
 
 
-def _iterations(obj, x0, params, consts, counter):
+def _iterations(obj, x0, params, counter):
     """Yield the outer iterations ``t = 0..T`` as :class:`_Iteration` records,
-    from the trusted ``x0`` with schedule ``params`` and every solve on
-    ``consts``.  No record's array is written again.
+    from the trusted ``x0`` with schedule ``params`` and every solve on the
+    ``_ProxConstants`` of ``(obj, params.delta)``, built here.  No record's
+    array is written again.
 
-    Once a prox lands bit for bit where it started, with no oracle query, every
-    later iteration repeats it exactly: it is frozen.  The loop then yields the
-    first frozen iteration's record, which repeats the last prox's candidate
-    and shares the frozen arrays as ``(c_s, 0, y, y, z)``, with no solve and no
-    query, and returns.
+    Once a prox lands bit for bit where it started, with no oracle query, the
+    next iteration is frozen: it makes no query, and every later one repeats
+    it but for ``t`` and ``c``.  The loop yields it and returns.
     """
     gamma, L, T = params.gamma, params.L, params.T
+    consts = _ProxConstants(obj, params.delta)
     y, z = x0.copy(), x0.copy()
     accumulated = np.zeros_like(x0)
     project = obj.feasible_set._project
     # The weights a_t = gamma^2 t / (8 L) and A_{t-1} = gamma^2 (t-1) t / (16 L)
-    # and the coupling c_t = gamma A_{t-1} / a_t have their one source here, for
-    # the searched and the frozen record alike; changing the order of an
-    # operation changes the bits of every trace.
+    # and the coupling c_t = gamma A_{t-1} / a_t have their one source here;
+    # changing the order of an operation changes the bits of every trace.
     gamma_sq, a_denom, A_denom = gamma**2, 8.0 * L, 16.0 * L
     prox_y = _solve(obj, x0, consts, counter)
     yield _Iteration(0, prox_y.y, prox_y.f_at_y, prox_y.grad_at_y, 0.0, 0, x0, x0, x0)
@@ -229,10 +228,6 @@ def _iterations(obj, x0, params, consts, counter):
     for t in range(1, T + 1):
         a_t = gamma_sq * t / a_denom
         c = gamma_sq * (t - 1) * t / A_denom * gamma / a_t
-        if frozen:
-            # The line search would return y: x_t = y_{t-1} = y.
-            yield _Iteration(t, prox_y.y, prox_y.f_at_y, prox_y.grad_at_y, c, 0, y, y, z)
-            return
         _, x_t, loops, prox_x, _ = _line_search(obj, y, z, c, counter, prox_y, consts)
         y_new = prox_x.y
         accumulated += (a_t / gamma) * prox_x.envelope_gradient
@@ -244,13 +239,14 @@ def _iterations(obj, x0, params, consts, counter):
         # oracle's answer there.
         prox_y = _solve(obj, y_new, consts, counter, (prox_x.f_at_y, prox_x.grad_at_y))
         yield _Iteration(t, prox_y.y, prox_y.f_at_y, prox_y.grad_at_y, c, loops, x_t, y, z)
+        if frozen:
+            return
         y, z = y_new, z_new
-        # A prox whose first step lands bit for bit on its centre y_new made
-        # no query, and its envelope gradient is exactly +0.0.  Every later
-        # iteration then repeats: the line search exits at alpha = 1
-        # (hhat1 = 0), accumulated and so z_new keep their bits, and the next
-        # prox is this one again, from the same point and the same oracle
-        # answer.  Only t and c change.
+        # A prox whose first step lands bit for bit on its centre made no
+        # query, and its envelope gradient is +0.0.  The next search then
+        # exits at alpha = 1 with no solve, the FTRL step adds +0.0 to a sum
+        # that never holds -0.0, so z keeps its bits, and the prox repeats:
+        # the loop returns after that iteration.
         frozen = prox_y.inner_iterations == 1 and prox_y.y.tobytes() == y.tobytes()
 
 
@@ -260,7 +256,7 @@ def run_accelerated(obj, x0, epsilon, counter):
     Returns a :class:`Trace` whose rows record, at every outer iteration, the
     objective value of the current candidate solution (the delta-prox of
     ``y_t``) together with the certified-gap envelope ``16 L D^2 / (gamma t)^2``.
-    The trace ``solution`` is the final candidate.  At the first frozen
+    The trace ``solution`` is the final candidate.  After the first frozen
     iteration (:func:`_iterations`) the run ends, and :func:`record_run`
     appends the remaining rows: each repeats the frozen row's ``f``, ``gap``
     and ``oracle_calls`` with its own bound.
@@ -268,7 +264,6 @@ def run_accelerated(obj, x0, epsilon, counter):
     set_ = obj.feasible_set
     x0 = set_.checked_point(x0, "x0")
     params = compute_schedule(obj.quasar_gamma, obj.smoothness_L, set_.diameter(), epsilon)
-    consts = _ProxConstants(obj, params.delta)
     bound_num, gamma_gamma = 16.0 * params.L * params.D * params.D, params.gamma * params.gamma
 
     def bounds(t):
@@ -278,4 +273,4 @@ def run_accelerated(obj, x0, epsilon, counter):
         return bound_num / (gamma_gamma * t * t)
 
     return record_run("accelerated", obj, asdict(params), x0, counter,
-                      _iterations(obj, x0, params, consts, counter), bounds)
+                      _iterations(obj, x0, params, counter), bounds)

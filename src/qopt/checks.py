@@ -147,6 +147,17 @@ def _instance(name):
     return obj, resolve_x0(obj.feasible_set, x0)
 
 
+def _run(name, algorithm, **budget):
+    """Run ``algorithm`` with ``budget``, its ``epsilon`` or ``T``, on the
+    ``_INSTANCES`` entry ``name`` as ``qopt run`` does.  Returns the trace, its
+    largest ``gap - bound`` from row 1 on, and its least gap."""
+    objective, params, x0 = _INSTANCES[name]
+    trace = run_experiment(load_config({"algorithm": algorithm, "x0": x0, **budget,
+                                        "objective": {"name": objective, "params": params}}))
+    gap, bound = trace.column("gap"), trace.column("bound")
+    return trace, float(np.max(gap[1:] - bound[1:])), float(np.min(gap))
+
+
 # -- declared constants of the catalogue ---------------------------------------
 
 
@@ -443,21 +454,21 @@ def linesearch_certificate(instance, epsilon=1e-3):
         <grad M~(x_t), x_t - z_{t-1}> - c (M~(y_{t-1}) - M~(x_t))
             <= sqrt(8 L D^2 delta) + (9 + 5 c) delta + 1e-9,
 
-    along with the halving budget ``ceil(log2(8 L D^2 / delta))``.  The loop's
-    last, frozen record certifies all ``T``: later iterations repeat its
-    arrays, so its left side, and their larger ``c`` only raises the budget.
+    along with the halving budget ``ceil(log2(8 L D^2 / delta))``.  A loop
+    that freezes ends at its first frozen record, which certifies all ``T``:
+    later iterations repeat its arrays, so its left side, and their larger
+    ``c`` only raises the budget.
     """
     obj, x0 = _instance(instance)
     params = compute_schedule(obj.quasar_gamma, obj.smoothness_L,
                               obj.feasible_set.diameter(), epsilon)
     L, D, delta = params.L, params.D, params.delta
-    consts, counter = _ProxConstants(obj, delta), OracleCounter()
     fine = _envelope(obj, delta / CERTIFICATE_ACCURACY_FACTOR)
     base_budget = math.sqrt(8.0 * L * D * D * delta)
     loop_bound = math.ceil(math.log2(max(8.0 * L * D * D / delta, 2.0)))
     worst_excess = -np.inf
     max_loops = 0
-    for it in islice(_iterations(obj, x0, params, consts, counter), 1, None):
+    for it in islice(_iterations(obj, x0, params, OracleCounter()), 1, None):
         m_x, g_x = fine(it.x)
         # The solve is pure, so one serves both uses of one array: a
         # derivative_small exit, like the frozen iteration, hands x_t = y_{t-1}.
@@ -474,28 +485,18 @@ def linesearch_certificate(instance, epsilon=1e-3):
 
 
 def accelerated_gap(instance, epsilon):
-    """The accelerated run reaches gap ``epsilon`` within its oracle budget,
+    """The accelerated :func:`_run` reaches gap ``epsilon`` within its oracle budget,
     every recorded gap stays under its bound and none is below ``_GAP_FLOOR``."""
-    obj, x0 = _instance(instance)
-    counter = OracleCounter()
-    trace = run_accelerated(obj, x0, epsilon, counter)
+    trace, excess, least_gap = _run(instance, "accelerated", epsilon=epsilon)
     params = trace.header["params"]
     budget = (_ITERATION_CONSTANT * params["T"]
               * math.log2(params["L"] * params["D"] ** 2 / params["delta"]))
-    gap = trace.column("gap")
-    bound = trace.column("bound")
-    with np.errstate(invalid="ignore"):
-        dominated = np.all(gap[1:] <= bound[1:] + _BOUND_SLACK)
-    ok = (
-        trace.final_gap <= epsilon
-        and counter.calls <= budget
-        and bool(dominated)
-        and float(np.nanmin(gap)) >= _GAP_FLOOR
-    )
+    ok = (trace.final_gap <= epsilon and trace.final_oracle_calls <= budget
+          and excess <= _BOUND_SLACK and least_gap >= _GAP_FLOOR)
     return CheckResult(f"accelerated_gap:{instance}", trace.final_gap - epsilon, 0.0, bool(ok),
                        len(trace.iteration),
                        f"final gap {trace.final_gap:.2e} <= {epsilon:g}; "
-                       f"oracle calls {counter.calls} <= {budget:.0f}")
+                       f"oracle calls {trace.final_oracle_calls} <= {budget:.0f}")
 
 
 # -- the baselines ---------------------------------------------------------------
@@ -575,19 +576,10 @@ def fw_dynamics(instance, T=500):
 
 
 def rate_envelope(algorithm, instance):
-    """A 10,000-step baseline run stays under its rate envelope, its gaps stay
-    above ``_GAP_FLOOR``, and PGD's objective never increases beyond rounding."""
-    obj, x0 = _instance(instance)
+    """A 10,000-step baseline :func:`_run` stays under its rate envelope, its gaps
+    stay above ``_GAP_FLOOR``, and PGD's objective never increases beyond rounding."""
     T = 10_000
-    counter = OracleCounter()
-    runner = baselines.run_pgd if algorithm == "pgd" else baselines.run_frank_wolfe
-    trace = runner(obj, x0, T, counter)
-    baselines.attach_rate_bounds(trace, obj.smoothness_L, obj.quasar_gamma,
-                                 obj.feasible_set.diameter())
-    gap = trace.column("gap")
-    bound = trace.column("bound")
-    worst = float(np.max(gap[1:] - bound[1:]))
-    negative_gap = float(np.min(gap))
+    trace, worst, negative_gap = _run(instance, algorithm, T=T)
     monotone_excess = 0.0
     if algorithm == "pgd":
         f = trace.column("f_value")

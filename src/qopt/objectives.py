@@ -19,8 +19,8 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalFailureError
-from .sets import (Box, FeasibleSet, _dot, _is_finite_point, as_point, is_int, is_positive_finite,
-                   is_quasar_gamma, set_from_spec)
+from .sets import (Box, FeasibleSet, _dot, _is_finite_point, _real, as_point, is_int,
+                   is_positive_finite, is_quasar_gamma, set_from_spec)
 
 
 class OracleCounter:
@@ -41,7 +41,8 @@ class Objective:
 
     ``smoothness_L`` and ``quasar_gamma`` are declarations to be certified by
     sampling, not guarantees.  ``center`` is a known constrained minimizer
-    (when available) and ``optimal_value`` its objective value.
+    (when available) and ``optimal_value`` its objective value, ``None`` or a
+    finite real number that is not a bool.
     """
 
     name: str
@@ -61,6 +62,8 @@ class Objective:
             self.center = as_point(self.center, self.feasible_set.dimension)
             if not self.feasible_set.contains(self.center):
                 raise InvalidArgumentError("declared center is not in the feasible set")
+        if self.optimal_value is not None and not math.isfinite(_real(self.optimal_value)):
+            raise InvalidArgumentError("optimal_value must be None or a finite real number")
 
     @property
     def dimension(self):
@@ -141,6 +144,14 @@ GLM_DATA_X = np.array([[1.0, 0.5], [-0.5, 1.0], [1.0, -1.0], [0.5, 0.0]])
 GLM_TRUE_W = np.array([1.0, -0.5])
 
 
+def _fstar(evaluator, center):
+    """``f(center)``, the declared ``f*``; ``None`` where it is not finite: no
+    gap could use it, and a ``quadratic`` then overflows everywhere, which the
+    run's first query reports."""
+    value = evaluator(center)[0]
+    return value if math.isfinite(value) else None
+
+
 def _sixth_root_value_grad(v):
     u = v * v + 0.125
     return u ** (1.0 / 6.0), (v / 3.0) * u ** (-5.0 / 6.0)
@@ -198,7 +209,7 @@ def _quadratic(name, params):
 
     center = set_.project(shift)
     return Objective(name, evaluator, smoothness_L=1.0, quasar_gamma=1.0, feasible_set=set_,
-                     center=center, optimal_value=evaluator(center)[0])
+                     center=center, optimal_value=_fstar(evaluator, center))
 
 
 def _affine_plus_quadratic(name, params):
@@ -217,7 +228,7 @@ def _affine_plus_quadratic(name, params):
     # when q > 0; for a pure affine objective it is an LMO vertex.
     center = set_.project(-a / q) if q > 0 else set_.lmo(a)
     return Objective(name, evaluator, smoothness_L=q if q > 0 else 1.0, quasar_gamma=1.0,
-                     feasible_set=set_, center=center, optimal_value=evaluator(center)[0])
+                     feasible_set=set_, center=center, optimal_value=_fstar(evaluator, center))
 
 
 def _example1(name, params):

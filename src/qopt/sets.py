@@ -247,7 +247,8 @@ class Box(FeasibleSet):
         return np.where(g < 0, self.upper, self.lower)
 
     def diameter(self):
-        return _norm(self.upper - self.lower)
+        with np.errstate(over="ignore"):  # bounds near the float limit give inf
+            return _norm(self.upper - self.lower)
 
     def center_point(self):
         return 0.5 * (self.lower + self.upper)
@@ -410,7 +411,7 @@ class Simplex(FeasibleSet):
 
     def diameter(self):
         # Largest pairwise distance between vertices scale * e_i.
-        return float(self.scale * np.sqrt(2.0))
+        return self.scale * math.sqrt(2.0)
 
     def center_point(self):
         return np.full(self.dimension, self.scale / self.dimension)

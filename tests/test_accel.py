@@ -39,8 +39,7 @@ def accel_iterations(obj, x0, epsilon, counter=None):
     counter = OracleCounter() if counter is None else counter
     params = compute_schedule(obj.quasar_gamma, obj.smoothness_L, obj.feasible_set.diameter(),
                               epsilon)
-    consts = _ProxConstants(obj, params.delta)
-    return params, qopt.accel._iterations(obj, x0, params, consts, counter)
+    return params, qopt.accel._iterations(obj, x0, params, counter)
 
 
 def run_recording_weights(obj, x0, epsilon, monkeypatch):
@@ -493,12 +492,13 @@ class TestRunAccelerated:
         # c_t = gamma A_{t-1} / a_t with a_t = gamma^2 t / (8 L) and
         # A_t = gamma^2 t (t+1) / (16 L) is gamma (t-1) / 2 up to rounding.
         # The run freezes, so its last record is the frozen one: it repeats
-        # the last prox, with x_t = y_{t-1}.
+        # the bytes of the last prox, with x_t = y_{t-1}.
         params, records = accel_iterations(example1, [5.0], 1e-3)
         iterates = list(records)
         gamma = params.gamma
         assert 2 < len(iterates) <= params.T
-        assert iterates[-1].y_hat is iterates[-2].y_hat and iterates[-1].x is iterates[-1].y_prev
+        assert iterates[-1].y_hat.tobytes() == iterates[-2].y_hat.tobytes()
+        assert iterates[-1].x is iterates[-1].y_prev
         assert iterates[0].c == iterates[1].c == 0.0
         for t, it in enumerate(iterates):
             assert it.t == t
@@ -628,7 +628,8 @@ def round_trip_objective():
                      quasar_gamma=1.0, feasible_set=Box([0.0], [1.0]))
 
 
-# name: (catalogue entry, params, x0, line searches run at eps 1e-4)
+# name: (catalogue entry, params, x0, the last iteration before the loop freezes at eps 1e-4,
+# which is T for a loop that never freezes)
 FIXED_POINT_RUNS = {
     "example1-from-5": ("example1", {}, [5.0], 1861),
     "example1-from-neg3.3": ("example1", {}, [-3.3], 1845),
@@ -663,7 +664,8 @@ class TestFixedPointExit:
         assert trace_csv_lines(trace) == trace_csv_lines(reference)
         assert trace.solution.tobytes() == reference.solution.tobytes()
         assert counter.calls == dense_counter.calls == trace.final_oracle_calls
-        assert len(searched) == searches <= T
+        # One search per record after t = 0, the frozen one's included.
+        assert len(searched) == min(searches + 1, T)
         # The loop read to its end yields one record per outer iteration from
         # t = 0 up to the first frozen one, each equal to the dense loop's, its
         # floats and the bytes of its arrays alike.
@@ -684,10 +686,10 @@ class TestFixedPointExit:
                 <= certificate_excess(obj, schedule, frozen))
 
     @pytest.mark.parametrize("name", FIXED_POINT_RUNS)
-    def test_observer_changes_no_byte(self, name):
+    def test_loop_records_are_the_trace_rows(self, name):
         # A second reader of the loop sees what run_accelerated records: each
         # record holds its row's f, and the frozen record, the loop's last,
-        # repeats the last searched one's prox and adds no oracle call.
+        # repeats the bytes of the prox before it and adds no oracle call.
         objective, params, x0, searches = FIXED_POINT_RUNS[name]
         obj = make_catalogue_objective(objective, params)
         trace = run_accelerated(obj, np.array(x0), 1e-4, OracleCounter())
@@ -698,7 +700,7 @@ class TestFixedPointExit:
         assert len(trace.rows) == schedule.T + 1
         assert [it.t for it in records] == trace.iteration[:len(records)]
         for it in records[searches + 1:]:
-            assert it.y_hat is records[searches].y_hat
+            assert it.y_hat.tobytes() == records[searches].y_hat.tobytes()
             assert it.loop_iterations == 0 and it.x is it.y_prev
         f = np.array([it.f for it in records])
         assert f.tobytes() == trace.column("f_value")[:len(records)].tobytes()
@@ -731,6 +733,31 @@ class TestFixedPointExit:
         trace = run_accelerated(example1, np.array([5.0]), 1e-3, OracleCounter())
         assert len(pulled) == len(calls) and pulled[-1].x is pulled[-1].y_prev
         assert len(trace.rows) == params.T + 1 and trace._fill == len(pulled)
+
+    def test_the_frozen_record_runs_the_ordinary_body(self, example1, monkeypatch):
+        # The frozen iteration searches, steps and solves like every other:
+        # its search exits at alpha = 1 with no solve, and its prox stops at
+        # its first step with no query, on a new array with the bits of the
+        # candidate before it.
+        searches, solves = [], []
+        line_search, solve = qopt.accel._line_search, qopt.accel._solve
+        monkeypatch.setattr(qopt.accel, "_line_search",
+                            lambda *args: searches.append(line_search(*args)) or searches[-1])
+        monkeypatch.setattr(qopt.accel, "_solve",
+                            lambda *args: solves.append(solve(*args)) or solves[-1])
+        counter = OracleCounter()
+        params, records = accel_iterations(example1, [5.0], 1e-3, counter)
+        seen = []
+        for it in records:
+            seen.append((it, counter.calls, len(solves)))
+        (before, calls, solved), (frozen, frozen_calls, frozen_solved) = seen[-2:]
+        assert len(searches) == len(seen) - 1 < params.T
+        alpha, x, loops, _, exit_ = searches[-1]
+        assert (alpha, loops, exit_) == (1.0, 0, "derivative_small") and x is frozen.y_prev
+        assert frozen_calls == calls and frozen_solved == solved + 1
+        assert frozen.y_hat is solves[-1].y and solves[-1].inner_iterations == 1
+        assert frozen.y_hat is not before.y_hat
+        assert frozen.y_hat.tobytes() == before.y_hat.tobytes()
 
     def test_no_exit_while_the_prox_at_the_fixed_point_queries(self):
         # y, z and the envelope gradient (+0.0) repeat from t = 1, but each

@@ -252,6 +252,21 @@ class TestCatalogue:
         np.testing.assert_allclose(obj.center, [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
         assert obj.smoothness_L == 1.0 and obj.quasar_gamma == 1.0
 
+    @pytest.mark.parametrize("name,params", [
+        ("quadratic", {"shift": [1e300, 1e300]}),
+        ("quadratic", {"set": {"kind": "simplex", "dimension": 3, "scale": 1e150},
+                       "shift": [-1e300, 0.0, 0.0]}),
+        ("affine_plus_quadratic", {"a": [1e308, 1e308], "q": 0.0,
+                                   "set": {"kind": "box", "lower": [-1e10, -1e10],
+                                           "upper": [1e10, 1e10]}}),
+    ], ids=["quadratic_shift", "quadratic_simplex", "affine"])
+    def test_an_overflowing_optimal_value_is_not_declared(self, name, params):
+        # f at the declared center is not finite, so the entry declares no f*,
+        # which the Objective gate would reject; its center stays declared.
+        obj = make_catalogue_objective(name, params)
+        assert not np.isfinite(obj.evaluator(obj.center)[0])
+        assert obj.optimal_value is None and obj.center is not None
+
     @pytest.mark.parametrize("dim", [5, 30_000])
     @pytest.mark.parametrize("shift_kind", ["zeros", "negative_zero_entry", "nonzero"])
     def test_quadratic_matches_the_array_shift_reference(self, dim, shift_kind):

@@ -30,12 +30,14 @@ from qopt import (
     default_lambda,
     evaluate,
     finite_diff_gradient,
+    load_config,
     make_catalogue_objective,
     solve_prox_subproblem,
 )
 from qopt.checks import (
     MAPPING_TOL,
     _worst_quasar_violations,
+    accelerated_gap,
     fw_dynamics,
     gamma_free_baselines,
     gradient_consistency,
@@ -51,10 +53,13 @@ from qopt.checks import (
     prox_stopping,
     quasar_certificate,
     quasar_counterexample,
+    rate_envelope,
     sample_feasible,
     sample_pairs,
     smoothness,
 )
+
+from conftest import trace_csv_lines
 
 # -- the references: the loop bodies before the checks used the trusted path --
 
@@ -483,6 +488,31 @@ def test_linesearch_audit_builds_its_constants_once(name, x0, monkeypatch):
     assert linesearch_certificate(LINESEARCH_INSTANCES[name], 1e-2).passed
     # One for the run, one for the audit's fine delta.
     assert len(built) == 2
+
+
+@pytest.mark.parametrize("check,args,config", [
+    (accelerated_gap, ("quadratic_box", 1e-3),
+     {"algorithm": "accelerated", "x0": [1.0, 1.0], "epsilon": 1e-3,
+      "objective": {"name": "quadratic", "params": {}}}),
+    (rate_envelope, ("frank_wolfe", "quadratic_simplex"),
+     {"algorithm": "frank_wolfe", "x0": "vertex", "T": 10_000,
+      "objective": {"name": "quadratic", "params": {"set": {"kind": "simplex", "dimension": 3}}}}),
+], ids=["accelerated_gap", "rate_envelope"])
+def test_end_to_end_checks_run_the_config_of_qopt_run(check, args, config, monkeypatch):
+    # The check's one run is run_experiment on its instance's config, so it
+    # reads the trace that `qopt run` writes for that config.
+    runs = []
+    run_experiment = qopt.checks.run_experiment
+
+    def recorded(loaded):
+        runs.append((loaded.raw, run_experiment(loaded)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(qopt.checks, "run_experiment", recorded)
+    assert check(*args).passed
+    [(raw, trace)] = runs
+    assert raw == config
+    assert trace_csv_lines(trace) == trace_csv_lines(run_experiment(load_config(config)))
 
 
 @pytest.mark.parametrize("check,deltas", [

@@ -252,6 +252,65 @@ def test_is_quasar_gamma(value, expected):
     assert is_quasar_gamma(value) is expected
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "0", True, np.bool_(False),
+                                   10**400, np.array(0.0)],
+                         ids=["nan", "inf", "-inf", "str", "True", "np.bool_", "10**400",
+                              "0-d array"])
+def test_optimal_value_passes_one_gate(quadratic, value):
+    # nan and inf built an objective on which run_pgd raised "gap f - f* is
+    # not finite" after its first query, "0" raised a raw TypeError at the
+    # first gap, and True ran as 1.
+    queries = []
+
+    def recorded(x):
+        queries.append(x)
+        return quadratic.evaluator(x)
+
+    with pytest.raises(InvalidArgumentError, match="optimal_value must be None or a finite real"):
+        Objective("bad", recorded, 1.0, 1.0, quadratic.feasible_set, optimal_value=value)
+    with pytest.raises(InvalidArgumentError, match="optimal_value must be None or a finite real"):
+        dataclasses.replace(quadratic, optimal_value=value)
+    assert queries == []
+
+
+@pytest.mark.parametrize("value", [None, 0, -1.5, 1e308, np.float64(0.25), np.int64(-3)])
+def test_a_finite_optimal_value_is_kept_as_given(quadratic, value):
+    obj = Objective("ok", quadratic.evaluator, 1.0, 1.0, quadratic.feasible_set,
+                    optimal_value=value)
+    assert obj.optimal_value is value
+
+
+#: A set of each kind whose diameter overflows to inf: box bounds and a
+#: simplex scale whose difference and product leave float range, and a radius
+#: whose double does.
+OVERFLOWING_SETS = {
+    "box": Box([-1e308], [1e308]),
+    "ball": Ball([0.0], 1e308),
+    "simplex": Simplex(3, 1.5e308),
+}
+
+
+@pytest.mark.parametrize("kind", OVERFLOWING_SETS)
+def test_an_overflowing_diameter_is_named_without_a_numpy_warning(kind):
+    # A RuntimeWarning is an error here: the box's upper - lower and the
+    # simplex's scale * np.sqrt(2.0) raised numpy's overflow warning instead
+    # of the named error.
+    set_ = OVERFLOWING_SETS[kind]
+    assert set_.diameter() == math.inf
+    obj = make_catalogue_objective("quadratic", {"set": set_})
+    x0 = set_.canonical_vertex()
+    counter = OracleCounter()
+    through_D = (r"16 L D\^2 overflows float range through the diameter D "
+                 r"\(L = 1.0, diameter D = inf\)")
+    with pytest.raises(InvalidArgumentError, match=through_D):
+        run_accelerated(obj, x0, 1e-2, counter)
+    with pytest.raises(InvalidArgumentError, match=through_D.replace("16", "20")):
+        attach_rate_bounds(pgd_trace(), 1.0, 1.0, set_.diameter())
+    with pytest.raises(InvalidArgumentError, match=r"8 L D\^2 / delta overflows for delta 0.01"):
+        solve_prox_subproblem(obj, x0, 1e-2, counter)
+    assert counter.calls == 0
+
+
 def test_an_integer_gamma_keeps_its_trace_bytes(quadratic, tmp_path):
     # Pinned before gamma had its own predicate: the header records the 1 as given.
     trace = run_accelerated(dataclasses.replace(quadratic, quasar_gamma=1), np.array([1.0, 1.0]),
