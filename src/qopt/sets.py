@@ -156,15 +156,9 @@ class FeasibleSet:
         """Frank-Wolfe step on trusted arrays: ``keep x + weight lmo(g)`` as a new array.
 
         ``x`` and ``g`` are only read, so ``g`` may be ``x`` itself, as the
-        zero-shift ``quadratic`` hands back.  The result has the bits of
-        ``keep * x + weight * lmo(g)``; only the temporaries differ.
+        zero-shift ``quadratic`` hands back.
         """
-        y = keep * x
-        # The LMO's vertex is a new array: scale it in place, not into a copy.
-        v = self._lmo(g)
-        v *= weight
-        y += v
-        return y
+        return keep * x + weight * self._lmo(g)
 
     def diameter(self):
         raise NotImplementedError
@@ -251,10 +245,16 @@ class Box(FeasibleSet):
             return _norm(self.upper - self.lower)
 
     def center_point(self):
-        return 0.5 * (self.lower + self.upper)
+        # Halved first: the sum of bounds of one sign can overflow.
+        return 0.5 * self.lower + 0.5 * self.upper
 
     def sample(self, rng, n=1):
-        return rng.uniform(self.lower, self.upper, size=(n, self.dimension))
+        with np.errstate(over="ignore"):
+            if np.isfinite(self.upper - self.lower).all():
+                return rng.uniform(self.lower, self.upper, size=(n, self.dimension))
+        # A width above the float range: draw in the box halved, then double,
+        # which is exact for normal floats.
+        return 2.0 * rng.uniform(0.5 * self.lower, 0.5 * self.upper, size=(n, self.dimension))
 
     def grid(self, n):
         """Uniform 1-D grid including both endpoints; only defined for d = 1."""
@@ -336,8 +336,8 @@ def _simplex_projection(v, scale, idx):
     ``{x >= 0 : sum(x) = scale}``: the projection of ``v`` exactly when it
     sums to ``scale``.
 
-    One sort and one scan.  The descending cumsum fixes tau's bits; the rest
-    reuses one buffer.  ``idx`` is the float ``1..d``.
+    One sort and one scan; the descending cumsum fixes tau's bits.  ``idx``
+    is the float ``1..d``.
     """
     u = np.sort(v)[::-1]
     # An infinite entry makes inf - inf here, and a large one can overflow
@@ -345,13 +345,9 @@ def _simplex_projection(v, scale, idx):
     # numpy's warnings about them are noise.
     with np.errstate(invalid="ignore", over="ignore"):
         css = np.cumsum(u)
-        buf = css - scale
-        buf /= idx
-        np.subtract(u, buf, out=buf)
-        rho = len(v) - int((buf > 0)[::-1].argmax())
+        rho = len(v) - int((u - (css - scale) / idx > 0)[::-1].argmax())
         tau = (css[rho - 1] - scale) / rho
-        np.subtract(v, tau, out=buf)
-    return np.maximum(buf, 0.0, out=buf)
+        return np.maximum(v - tau, 0.0)
 
 
 class Simplex(FeasibleSet):
@@ -384,12 +380,8 @@ class Simplex(FeasibleSet):
         # the projection; with every entry in [-2, 0] and the largest at 0,
         # the cumsum stays finite and the first coordinate is active.
         with np.errstate(over="ignore"):
-            w = v - top
-            w /= self.scale
-        np.maximum(w, -2.0, out=w)
-        out = _simplex_projection(w, 1.0, self._idx)
-        out *= self.scale
-        return out
+            w = np.maximum((v - top) / self.scale, -2.0)
+        return self.scale * _simplex_projection(w, 1.0, self._idx)
 
     def _lmo(self, g):
         out = np.zeros(self.dimension)

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, repeat
 from typing import Optional
 
 import numpy as np
@@ -48,9 +49,10 @@ class Trace:
     #: Oracle calls a failed run made, which its failure marker row reports;
     #: ``None`` stands for the last row's count.
     failure_calls: Optional[int] = None
-    #: The first row of a fixed-point fill, from which on every row holds the
-    #: same ``oracle_calls``, ``f_value`` and ``gap`` objects, so the writer
-    #: formats their text once; ``None`` for no fill.
+    #: The first row of the fixed-point fill ``record_run`` appends, from which
+    #: on every row holds the same ``oracle_calls``, ``f_value`` and ``gap``
+    #: objects; ``None`` for no fill.  The writer checks that the rows still
+    #: hold them, then formats their text once.
     _fill: Optional[int] = field(default=None, repr=False, compare=False)
 
     @property
@@ -186,12 +188,8 @@ _CHUNK_ROWS = 1024
 
 
 def _is_empty(cells):
-    """A bool array: which of ``cells`` are empty (``None``)."""
-    empty = cells.count(None)
-    if empty == 0 or empty == len(cells):
-        return np.full(len(cells), empty > 0)
-    if cells[:empty].count(None) == empty:  # leading empty cells, as in row 0
-        return np.arange(len(cells)) < empty
+    """A bool array: which of ``cells`` are empty (``None``), by one
+    elementwise test whatever the pattern of empty cells."""
     return np.equal(np.array(cells, dtype=object), None)
 
 
@@ -211,13 +209,20 @@ def _csv_chunks(trace):
 
     A segment is a run of rows with the same empty cells, on one side of the
     start of the fill.  A fill's rows share one ``,calls,f,gap,`` text, so
-    only their iteration and bound cells are formatted per row.
+    only their iteration and bound cells are formatted per row; a fill whose
+    rows were edited is formatted as the other rows are.
     """
     yield "# "
     yield from _header_json(trace.header, {})
     yield "\niter,oracle_calls,f,gap,bound\n"
     n = len(trace.iteration)
-    fill = n if trace._fill is None else trace._fill
+    fill = trace._fill
+    # An edited trace is written as the rows it holds: the shortcut needs
+    # every row from the fill on to hold the fill row's objects.
+    if fill is None or not 0 <= fill < n or not all(
+            all(map(operator.is_, column[fill:], repeat(column[fill])))
+            for column in (trace.oracle_calls, trace.f_value, trace.gap)):
+        fill = n
     empty = 2 * _is_empty(trace.gap) + _is_empty(trace.bound)
     edges = np.flatnonzero(empty[1:] != empty[:-1]) + 1
     edges = sorted({0, fill, n, *edges.tolist()})
@@ -254,8 +259,6 @@ def write_trace(trace, path):
 
 def _cells(texts):
     """The floats of a gap or bound column's ``texts``; an empty text is ``None``."""
-    if "" not in texts:
-        return list(map(float, texts))
     return [float(text) if text else None for text in texts]
 
 

@@ -431,7 +431,7 @@ class TestRunAccelerated:
             assert len(iterates) < params.T
         assert len(solves) == len(iterates) + moved
 
-    def test_observer_called_once_per_outer_iteration(self, example1, counter):
+    def test_loop_yields_one_record_per_trace_row(self, example1, counter):
         # A reader of the loop gets one record per row of the trace, t = 0
         # included, and reading them all queries no more than run_accelerated does.
         params, records = accel_iterations(example1, [5.0], 1e-2, counter)

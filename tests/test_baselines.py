@@ -422,7 +422,7 @@ class TestFrankWolfe:
         assert (MEMBERSHIP_TOL, FW_WEIGHT_TOL) == (1e-10, 1e-12)
 
     @pytest.mark.parametrize("name", ["quadratic_simplex", "example1"])
-    def test_observer_sees_every_row(self, name, counter):
+    def test_loop_yields_every_row(self, name, counter):
         # A reader of the loop gets every row's iterate, value and gradient,
         # and reading them all queries as often as run_frank_wolfe does.
         obj = simplex_quadratic() if name == "quadratic_simplex" else make_catalogue_objective(name)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -343,6 +344,35 @@ class TestDiameter:
         # Schedule constants built from D then overflow to inf in plain float
         # arithmetic, without a numpy warning.
         assert type(set_.diameter()) is float
+
+
+class TestBoxNearTheFloatLimit:
+    def test_center_of_bounds_of_one_sign_is_the_rounded_midpoint(self):
+        # lower + upper overflows, but the midpoint is a float.  Tier-1 turns
+        # numpy's overflow warning into an error.
+        lower, upper = [1e308, -1.7e308, 5.0], [1.7e308, -1e308, 7.0]
+        midpoints = [float((Fraction(a) + Fraction(b)) / 2) for a, b in zip(lower, upper)]
+        assert Box(lower, upper).center_point().tolist() == midpoints
+
+    def test_center_has_the_bits_of_the_half_sum(self, rng):
+        lower = rng.normal(scale=1e3, size=1000)
+        upper = lower + rng.exponential(scale=1e3, size=1000)
+        assert Box(lower, upper).center_point().tobytes() == (0.5 * (lower + upper)).tobytes()
+
+    def test_sample_of_a_box_wider_than_the_float_range(self, rng):
+        box = Box([-1.7e308, 0.0], [1.7e308, 1.0])
+        points = box.sample(rng, 1000)
+        assert np.isfinite(points).all()
+        assert ((box.lower <= points) & (points <= box.upper)).all()
+        assert (points[:, 0] < -1e307).any() and (points[:, 0] > 1e307).any()
+
+    def test_sample_of_a_finite_width_is_the_uniform_draw(self):
+        # The same bits and the same random stream as before the overflow rule.
+        box = Box([-8e307, -3.0], [8e307, 2.0])
+        rng, reference = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(2):
+            assert (box.sample(rng, 50).tobytes()
+                    == reference.uniform(box.lower, box.upper, size=(50, 2)).tobytes())
 
 
 class TestContains:

@@ -1,9 +1,12 @@
+import copy
 import dataclasses
 import gc
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qopt import (
     Box,
@@ -218,6 +221,101 @@ def test_partial_traces_match_the_per_row_reference(solver):
         assert trace_csv_lines(partial)[-2:] == [f"-1,{k - 1},nan,,",
                                                  f"# numerical-failure: synthetic failure at "
                                                  f"query {k}"]
+
+
+COLUMNS = ("iteration", "oracle_calls", "f_value", "gap", "bound")
+
+
+def last_row(trace):
+    trace.f_value[-1] = 0.5
+    trace.oracle_calls[-1] = 7
+
+
+def row_after_the_fill_start(trace):
+    trace.f_value[trace._fill + 1] = 9.0
+
+
+def replaced_f_column(trace):
+    return dataclasses.replace(trace, f_value=[*trace.f_value[:-1], -0.0])
+
+
+def replaced_columns_cut_before_the_fill(trace):
+    n = trace._fill // 2
+    return dataclasses.replace(trace, **{c: getattr(trace, c)[:n] for c in COLUMNS})
+
+
+# Fills edited after record_run marked them: in place, or through
+# dataclasses.replace, which copies the fill mark with the other fields.
+EDITS = {
+    "accelerated_last_row": ("accelerated_example1_fill", last_row),
+    "pgd_row_after_the_fill_start": ("pgd_fig1_fill", row_after_the_fill_start),
+    "accelerated_replaced_f_column": ("accelerated_glm_fill_no_fstar", replaced_f_column),
+    "pgd_replaced_columns_cut_before_the_fill": ("pgd_fig1_fill_bounds",
+                                                 replaced_columns_cut_before_the_fill),
+}
+
+
+@pytest.mark.parametrize("case", EDITS)
+def test_an_edited_fill_writes_the_rows_it_holds(case):
+    name, edit = EDITS[case]
+    trace = copy.deepcopy(REFERENCE_TRACES[name]())
+    assert trace._fill is not None
+    trace = edit(trace) or trace
+    lines = trace_csv_lines(trace)
+    assert lines == reference_csv_lines(trace)
+    if case == "accelerated_last_row":
+        assert lines[-1].startswith("10986,7,0.5,")
+
+
+# Shared objects, so that rows repeat a cell's object as a fill does.
+_FLOATS = st.sampled_from([0.0, -0.0, 0.1, 1e308, -5e-324, float("nan"), float("-inf")])
+
+
+@st.composite
+def written_traces(draw):
+    """Traces with gap and bound cells empty nowhere, everywhere, in a leading
+    run or anywhere; with a fill mark that holds, one that is stale, or none;
+    with and without a failure marker."""
+    n = draw(st.integers(1, 24))
+
+    def cells():
+        values = draw(st.lists(_FLOATS | st.floats(), min_size=n, max_size=n))
+        pattern = draw(st.sampled_from(["none", "all", "leading", "mixed"]))
+        if pattern == "leading":
+            k = draw(st.integers(0, n))
+            return [None] * k + values[k:]
+        if pattern == "mixed":
+            empty = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+            return [None if e else v for e, v in zip(empty, values)]
+        return [None] * n if pattern == "all" else values
+
+    calls = draw(st.lists(st.integers(0, 2**40), min_size=n, max_size=n))
+    columns = [calls, draw(st.lists(_FLOATS | st.floats(), min_size=n, max_size=n)), cells()]
+    fill = draw(st.sampled_from([None, "valid", "stale"])) if n > 1 else None
+    if fill is not None:
+        start = draw(st.integers(1, n - 1))
+        for column in columns:
+            column[start:] = [column[start - 1]] * (n - start)
+        if fill == "stale":
+            column = draw(st.sampled_from(columns))
+            row = draw(st.integers(start, n - 1))
+            value = column[row]
+            column[row] = draw(st.sampled_from([
+                None if value is None else type(value)(repr(value)),  # equal, a new object
+                draw(st.integers(0, 2**40) if column is calls else _FLOATS | st.floats())]))
+        fill = start
+    failure = draw(st.sampled_from([None, "stop", "stop, at a comma"]))
+    return Trace({"x0": [1.0]}, list(range(n)), *columns, cells(), failure=failure,
+                 failure_calls=draw(st.none() | st.integers(0, 2**40)), _fill=fill)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(written_traces())
+def test_writer_matches_the_per_row_reference(tmp_path_factory, trace):
+    assert trace_csv_lines(trace) == reference_csv_lines(trace)
+    path = write_trace(trace, tmp_path_factory.getbasetemp() / "property.csv")
+    text = path.read_bytes()
+    assert write_trace(read_trace(path), path).read_bytes() == text
 
 
 @pytest.mark.parametrize("name", REFERENCE_TRACES)
