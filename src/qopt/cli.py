@@ -38,7 +38,7 @@ def _cmd_verify(args):
         for name in available_checks():
             print(name)
         return EXIT_OK
-    suite = [s.strip() for s in args.suite.split(",")] if args.suite else None
+    suite = None if args.suite is None else [s.strip() for s in args.suite.split(",")]
     report = verify(suite)
     width = max(len(c.name) for c in report.checks)
     print(f"{'check':<{width}}  {'worst':>12}  {'tol':>9}  {'n':>6}  status")

@@ -16,6 +16,10 @@ class ConfigError(ValueError):
         super().__init__(f"config field '{field}': {message}")
         self.field = field
 
+    def __reduce__(self):
+        message = self.args[0][len(f"config field '{self.field}': "):]
+        return type(self), (self.field, message), self.__dict__
+
 
 class NumericalFailureError(RuntimeError):
     """An iterative routine exhausted its iteration budget.

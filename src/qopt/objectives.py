@@ -217,9 +217,9 @@ def _affine_plus_quadratic(name, params):
     set_ = _resolve_set(name, params)
     dim = set_.dimension
     a = as_point(params.get("a", np.ones(dim)), dim)
-    q = float(params.get("q", 1.0))
-    if q < 0:
-        raise InvalidArgumentError("quadratic coefficient q must be nonnegative")
+    q = _real(params.get("q", 1.0))
+    if not 0.0 <= q < math.inf:
+        raise InvalidArgumentError("quadratic coefficient q must be a nonnegative finite number")
 
     def evaluator(x, _a=a, _q=q):
         return float(_dot(_a, x)) + 0.5 * _q * float(_dot(x, x)), _a + _q * x

@@ -114,8 +114,17 @@ def _scaled_norm(v):
     return 1.0, v, norm
 
 
+#: Entry types ``np.asarray(x, dtype=float)`` converts but :func:`as_point` refuses.
+_NOT_NUMBERS = frozenset({bool, np.bool_, str, np.str_, bytes, np.bytes_})
+
+
 def as_point(x, dim=None):
-    """Coerce ``x`` to a 1-D float64 array, optionally checking its dimension."""
+    """Coerce ``x``, with no bool or string entry or dtype (NaN and infinities
+    pass), to a 1-D float64 array, optionally checking its dimension."""
+    kind = x.dtype.kind if isinstance(x, np.ndarray) else "O"
+    if kind in "bSU" or (kind == "O" and isinstance(x, (list, tuple, np.ndarray))
+                         and not _NOT_NUMBERS.isdisjoint(map(type, x))):
+        raise InvalidArgumentError("a point's entries must be numbers, not bools or strings")
     p = np.asarray(x, dtype=float)
     if p.ndim != 1:
         raise InvalidArgumentError(f"expected a 1-D point, got shape {p.shape}")

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import compress, count, islice, repeat
+from operator import is_not
 from typing import Optional
 
 import numpy as np
@@ -35,7 +35,8 @@ class Trace:
 
     The columns are named like the fields of :class:`TraceRow`; an empty
     ``gap`` or ``bound`` cell is ``None``.  ``rows`` builds the rows as
-    :class:`TraceRow` objects from the columns on each access.
+    :class:`TraceRow` objects from the columns on each access.  The columns
+    may be edited, in place or through ``dataclasses.replace``.
     """
 
     header: dict
@@ -49,11 +50,6 @@ class Trace:
     #: Oracle calls a failed run made, which its failure marker row reports;
     #: ``None`` stands for the last row's count.
     failure_calls: Optional[int] = None
-    #: The first row of the fixed-point fill ``record_run`` appends, from which
-    #: on every row holds the same ``oracle_calls``, ``f_value`` and ``gap``
-    #: objects; ``None`` for no fill.  The writer checks that the rows still
-    #: hold them, then formats their text once.
-    _fill: Optional[int] = field(default=None, repr=False, compare=False)
 
     @property
     def rows(self):
@@ -84,7 +80,7 @@ def record_run(algorithm, obj, params, x0, counter, rows, bound=None):
     ``1..n-1``, as a float array, to their bound cells; row 0 has none.
 
     A run whose loop ended at a fixed point before the ``T`` of ``params``
-    gets the rows up to ``T``, each repeating the last row's values.  The
+    gets the rows up to ``T``, each repeating the last row's objects.  The
     solution is the last row's ``x``, a copy when the run never left t = 0.
     A :class:`NumericalFailureError` gets the rows so far as its
     ``partial_trace``, with the calls ``counter`` holds at the failure.
@@ -111,11 +107,8 @@ def record_run(algorithm, obj, params, x0, counter, rows, bound=None):
         exc.partial_trace = trace
         raise
     else:
-        fill, T = len(calls), params["T"]
-        if fill <= T:
-            for column in (calls, f_values, gaps):
-                column += [column[-1]] * (T + 1 - fill)
-            trace._fill = fill
+        for column in (calls, f_values, gaps):
+            column += [column[-1]] * (params["T"] + 1 - len(column))
         trace.solution = x if t > 0 else x.copy()
     finally:
         # A finished trace and a failure trace alike get one iteration and
@@ -204,46 +197,39 @@ def _formatted(row_format, columns, start, stop):
         yield row_format * (hi - lo) % tuple(cells)
 
 
+def _tail_start(column):
+    """The first index from which on every entry of the non-empty ``column`` is
+    its last entry's object, by one identity scan from the end in C."""
+    n = len(column)
+    return n - next(compress(count(), map(is_not, reversed(column), repeat(column[-1]))), n)
+
+
 def _csv_chunks(trace):
     """The CSV text of ``trace``, a segment of rows at a time.
 
     A segment is a run of rows with the same empty cells, on one side of the
-    start of the fill.  A fill's rows share one ``,calls,f,gap,`` text, so
-    only their iteration and bound cells are formatted per row; a fill whose
-    rows were edited is formatted as the other rows are.
+    start of the fill: the rows from which on ``oracle_calls``, ``f_value``
+    and ``gap`` hold their last entry's objects, read from the rows on each
+    write.  The fill's rows share one ``,calls,f,gap,`` text, so only their
+    iteration and bound cells are formatted per row.
     """
     yield "# "
     yield from _header_json(trace.header, {})
     yield "\niter,oracle_calls,f,gap,bound\n"
     n = len(trace.iteration)
-    fill = trace._fill
-    # An edited trace is written as the rows it holds: the shortcut needs
-    # every row from the fill on to hold the fill row's objects.
-    if fill is None or not 0 <= fill < n or not all(
-            all(map(operator.is_, column[fill:], repeat(column[fill])))
-            for column in (trace.oracle_calls, trace.f_value, trace.gap)):
-        fill = n
+    fill = max(map(_tail_start, (trace.oracle_calls, trace.f_value, trace.gap))) if n else 0
     empty = 2 * _is_empty(trace.gap) + _is_empty(trace.bound)
     edges = np.flatnonzero(empty[1:] != empty[:-1]) + 1
     edges = sorted({0, fill, n, *edges.tolist()})
     for start, stop in zip(edges, edges[1:]):
         gap_empty, bound_empty = empty[start] >= 2, empty[start] % 2 == 1
         # "%.17g": 17 significant digits round-trip any float64.
-        if start < fill:
-            row_format = "%d,%d,%.17g," + ("," if gap_empty else "%.17g,")
-            columns = [trace.iteration, trace.oracle_calls, trace.f_value]
-            if not gap_empty:
-                columns.append(trace.gap)
-        else:
-            calls, f, gap = trace.oracle_calls[start], trace.f_value[start], trace.gap[start]
-            row_format = "%d" + (",%d,%.17g,," % (calls, f) if gap_empty
-                                 else ",%d,%.17g,%.17g," % (calls, f, gap))
-            columns = [trace.iteration]
-        if bound_empty:
-            row_format += "\n"
-        else:
-            row_format += "%.17g\n"
-            columns.append(trace.bound)
+        middle = ",%d,%.17g," + ("," if gap_empty else "%.17g,")
+        middle_columns = [trace.oracle_calls, trace.f_value] + ([] if gap_empty else [trace.gap])
+        if start >= fill:  # the fill's rows share one ",calls,f,gap," text
+            middle, middle_columns = middle % tuple(c[start] for c in middle_columns), []
+        row_format = "%d" + middle + ("\n" if bound_empty else "%.17g\n")
+        columns = [trace.iteration, *middle_columns] + ([] if bound_empty else [trace.bound])
         yield from _formatted(row_format, columns, start, stop)
     if trace.failure is not None:
         # Failure marker row: negative iteration index, NaN objective value.

@@ -732,7 +732,10 @@ class TestFixedPointExit:
         monkeypatch.setattr(qopt.accel, "_iterations", counted)
         trace = run_accelerated(example1, np.array([5.0]), 1e-3, OracleCounter())
         assert len(pulled) == len(calls) and pulled[-1].x is pulled[-1].y_prev
-        assert len(trace.rows) == params.T + 1 and trace._fill == len(pulled)
+        assert len(trace.rows) == params.T + 1
+        s = len(pulled) - 1
+        for column in (trace.oracle_calls, trace.f_value, trace.gap):
+            assert all(cell is column[s] for cell in column[s:])
 
     def test_the_frozen_record_runs_the_ordinary_body(self, example1, monkeypatch):
         # The frozen iteration searches, steps and solves like every other:

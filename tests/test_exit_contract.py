@@ -3,19 +3,24 @@
 ``qopt run`` must end in 0 (a trace that round-trips through ``read_trace``),
 2 (a config error) or 3 (a trace with the failure marker), and raise nothing:
 exit 1 is reserved for failed verification checks.  A number that is
-non-finite, boolean or, where an integer is due, non-integral ends in 2.
+non-finite, boolean, a string or, where an integer is due, non-integral ends
+in 2, naming its field; so does such an entry of a vector.
 """
 
+import contextlib
+import io
 import json
 import math
 import os
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qopt.cli import main
 from qopt.harness import ALGORITHMS
+from qopt.sets import set_from_spec
 from qopt.trace import read_trace, write_trace
 
 # Deterministic, no example database on disk, no per-example deadline.
@@ -88,21 +93,73 @@ def malformed(draw):
 
 @st.composite
 def bad_number(draw):
-    """A well-formed config with ``epsilon``, ``T``, ``seed``, ``dim`` or ``dimension``
-    made non-finite, boolean or, for the integer fields, non-integral."""
+    """A well-formed config with one numeric leaf made non-finite, boolean, a
+    numeric string or, for the integer fields, non-integral; with the field
+    its config error must name.  The leaves are ``epsilon``, ``T``, ``seed``,
+    ``dim``, ``dimension``, ``q``, ``radius``, ``scale`` and every entry of
+    an explicit ``x0`` (a point of the set), ``shift``, ``a`` and the set's
+    vectors."""
     raw = draw(well_formed())
     params = raw["objective"]["params"]
-    slots = [(raw, "seed"), (raw, "epsilon" if raw["algorithm"] == "accelerated" else "T")]
-    if "dim" in params:
-        slots.append((params, "dim"))
-    if params.get("set", {}).get("kind") == "simplex":
-        slots.append((params["set"], "dimension"))
-    node, key = draw(st.sampled_from(slots))
-    values = st.one_of(NON_FINITE, st.booleans())
-    if key != "epsilon":
+    if params:
+        # An explicit x0, a point of the set: its given one, or the default
+        # box [-1, 1]^dim.
+        spec = params.get("set", {"kind": "box", "lower": [-1.0] * params["dim"],
+                                  "upper": [1.0] * params["dim"]})
+        raw["x0"] = set_from_spec(spec).center_point().tolist()
+    # Each leaf's (node, key) slots: one for a number, one per entry for a vector.
+    set_ = params.get("set", {})
+    leaves = {key: [(raw, key)] for key in ("seed", "epsilon", "T") if key in raw}
+    leaves.update({key: [(params, key)] for key in ("dim", "q") if key in params})
+    leaves.update({key: [(set_, key)] for key in ("dimension", "radius", "scale") if key in set_})
+    vectors = {key: params[key] for key in ("shift", "a") if key in params}
+    vectors.update({key: set_[key] for key in ("lower", "upper", "center") if key in set_})
+    if isinstance(raw["x0"], list):
+        vectors["x0"] = raw["x0"]
+    leaves.update({key: [(v, i) for i in range(len(v))] for key, v in vectors.items()})
+    node, key = draw(st.sampled_from(leaves[draw(st.sampled_from(sorted(leaves)))]))
+    # A numeric string that reads as the value it replaces.
+    values = st.one_of(NON_FINITE, st.booleans(), st.just(repr(node[key])))
+    if key in ("T", "seed", "dim", "dimension"):
         values = st.one_of(values, NON_INTEGRAL)
     node[key] = draw(values)
-    return raw
+    if node is raw["x0"]:
+        return raw, "x0"
+    return raw, key if node is raw else "objective"
+
+
+def _probe(params, x0="vertex", name="quadratic"):
+    return {"algorithm": "pgd", "T": 5, "x0": x0,
+            "objective": {"name": name, "params": {"dim": 2, **params}}}
+
+
+_BOX = {"kind": "box", "lower": [-1.0, -1.0], "upper": [1.0, 1.0]}
+# A string or a bool where a number is due: a vector's entry, q, radius or scale.
+PROBES = {
+    "x0_strings": (_probe({}, x0=["1", "0"]), "x0"),
+    "x0_bools": (_probe({}, x0=[True, False]), "x0"),
+    "shift_strings": (_probe({"shift": ["0.5", "0.5"]}), "objective"),
+    "shift_bools": (_probe({"shift": [True, False]}), "objective"),
+    "a_strings": (_probe({"a": ["1", "1"]}, name="affine_plus_quadratic"), "objective"),
+    "box_strings": (_probe({"set": {"kind": "box", "lower": ["-1", "-1"], "upper": ["1", "1"]}}),
+                    "objective"),
+    "ball_center_bools": (_probe({"set": {"kind": "ball", "center": [True, False],
+                                          "radius": 1.0}}), "objective"),
+    "ball_radius_string": (_probe({"set": {"kind": "ball", "center": [0.0, 0.0],
+                                           "radius": "1"}}), "objective"),
+    "simplex_scale_bool": (_probe({"set": {"kind": "simplex", "dimension": 2, "scale": True}}),
+                           "objective"),
+    "q_string": (_probe({"q": "1"}, name="affine_plus_quadratic"), "objective"),
+    "q_bool": (_probe({"q": True}, name="affine_plus_quadratic"), "objective"),
+    "box_x0_string": (_probe({"set": _BOX}, x0=[0.0, "0"]), "x0"),
+}
+
+
+@pytest.mark.parametrize("probe", PROBES)
+def test_a_string_or_bool_number_exits_2_naming_its_field(probe, capsys):
+    raw, field = PROBES[probe]
+    assert run_cli(raw) == 2
+    assert capsys.readouterr().err.startswith(f"config error: config field '{field}': ")
 
 
 def run_cli(raw):
@@ -135,7 +192,12 @@ def test_malformed_config_exits_0_2_or_3(raw):
     assert run_cli(raw) in (0, 2, 3)
 
 
-@CONTRACT
+# More examples than the other properties: one draw picks one of many leaves.
+@settings(CONTRACT, max_examples=200)
 @given(bad_number())
-def test_non_finite_boolean_or_fractional_number_exits_2(raw):
-    assert run_cli(raw) == 2
+def test_non_finite_boolean_or_fractional_number_exits_2(case):
+    raw, field = case
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert run_cli(raw) == 2
+    assert err.getvalue().startswith(f"config error: config field '{field}': ")

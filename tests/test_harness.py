@@ -900,6 +900,13 @@ class TestCLI:
     def test_verify_unknown_suite(self, capsys):
         assert main(["verify", "--suite", "bogus"]) == 2
 
+    @pytest.mark.parametrize("suite", ["", " ", ","])
+    def test_verify_empty_suite_is_a_config_error(self, capsys, suite):
+        assert main(["verify", "--suite", suite]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "config error: config field 'suite': unknown check ''\n"
+        assert captured.out == ""
+
     def test_verify_list(self, capsys):
         assert main(["verify", "--list"]) == 0
         assert "accelerated_gap:example1" in capsys.readouterr().out

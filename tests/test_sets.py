@@ -517,3 +517,22 @@ class TestConstructionAndSpec:
             as_point([[1.0, 2.0]])
         with pytest.raises(InvalidArgumentError):
             as_point([1.0], dim=2)
+
+    @pytest.mark.parametrize("x", [
+        ["1", "0"], [1.0, True], [np.True_, 0.0], (0.5, "0.5"), [np.str_("1")], [b"1"],
+        np.array([True, False]), np.array(["1", "0"]), np.array([b"1"]),
+        np.array([1.0, "1"], dtype=object),
+    ], ids=["strings", "bool_beside_float", "numpy_bool", "tuple_string", "numpy_str",
+            "bytes", "bool_dtype", "str_dtype", "bytes_dtype", "object_array_string"])
+    def test_as_point_rejects_bool_and_string_entries(self, x):
+        with pytest.raises(InvalidArgumentError, match="entries must be numbers"):
+            as_point(x)
+
+    @pytest.mark.parametrize("x", [
+        [math.nan, math.inf], [-math.inf, 0], [np.float64(0.5), Fraction(1, 2), np.int8(3)],
+        np.array([1, 2], dtype=np.uint8), np.array([0.5, math.nan], dtype=object),
+    ], ids=["non_finite", "int_beside_inf", "numpy_and_fraction", "uint8_dtype", "object_array"])
+    def test_as_point_keeps_numbers(self, x):
+        p = as_point(x)
+        assert p.dtype == np.float64
+        assert p.tobytes() == np.array([float(v) for v in x]).tobytes()

@@ -21,7 +21,7 @@ from qopt import (
     run_pgd,
     write_trace,
 )
-from qopt.trace import _CHUNK_ROWS, Trace, TraceRow, _csv_chunks
+from qopt.trace import _CHUNK_ROWS, Trace, TraceRow, _csv_chunks, _tail_start
 
 from conftest import trace_csv_lines
 
@@ -202,11 +202,14 @@ def test_solver_traces_match_the_per_row_reference(name, tmp_path):
     path = write_trace(trace, tmp_path / "trace.csv")
     text = "\n".join(expected) + "\n"
     assert path.read_bytes() == text.encode()
-    # A trace read back carries no fill mark, so its filled rows go through
-    # the other segments' formats: the bytes must not change.
+    # Neither of these shares the run's cell objects: read_trace parses every
+    # cell anew, and the replaced f column holds new floats with the same bits.
     parsed = read_trace(path)
     assert parsed.rows == trace.rows
     assert write_trace(parsed, tmp_path / "again.csv").read_bytes() == text.encode()
+    replaced = dataclasses.replace(trace, f_value=trace.column("f_value").tolist())
+    assert replaced.f_value[-1] is not trace.f_value[-1]
+    assert trace_csv_lines(replaced) == reference_csv_lines(replaced) == expected
 
 
 @pytest.mark.parametrize("solver", SOLVERS)
@@ -226,13 +229,23 @@ def test_partial_traces_match_the_per_row_reference(solver):
 COLUMNS = ("iteration", "oracle_calls", "f_value", "gap", "bound")
 
 
+def fill_start(trace):
+    """The first row from which on ``oracle_calls``, ``f_value`` and ``gap``
+    hold their last entry's objects, found a row at a time."""
+    columns = (trace.oracle_calls, trace.f_value, trace.gap)
+    start = len(trace.iteration) - 1
+    while start > 0 and all(column[start - 1] is column[-1] for column in columns):
+        start -= 1
+    return start
+
+
 def last_row(trace):
     trace.f_value[-1] = 0.5
     trace.oracle_calls[-1] = 7
 
 
 def row_after_the_fill_start(trace):
-    trace.f_value[trace._fill + 1] = 9.0
+    trace.f_value[fill_start(trace) + 1] = 9.0
 
 
 def replaced_f_column(trace):
@@ -240,12 +253,11 @@ def replaced_f_column(trace):
 
 
 def replaced_columns_cut_before_the_fill(trace):
-    n = trace._fill // 2
+    n = fill_start(trace) // 2
     return dataclasses.replace(trace, **{c: getattr(trace, c)[:n] for c in COLUMNS})
 
 
-# Fills edited after record_run marked them: in place, or through
-# dataclasses.replace, which copies the fill mark with the other fields.
+# Fills edited after the run: in place, or through dataclasses.replace.
 EDITS = {
     "accelerated_last_row": ("accelerated_example1_fill", last_row),
     "pgd_row_after_the_fill_start": ("pgd_fig1_fill", row_after_the_fill_start),
@@ -259,7 +271,7 @@ EDITS = {
 def test_an_edited_fill_writes_the_rows_it_holds(case):
     name, edit = EDITS[case]
     trace = copy.deepcopy(REFERENCE_TRACES[name]())
-    assert trace._fill is not None
+    assert fill_start(trace) < len(trace.iteration) - 1
     trace = edit(trace) or trace
     lines = trace_csv_lines(trace)
     assert lines == reference_csv_lines(trace)
@@ -271,11 +283,19 @@ def test_an_edited_fill_writes_the_rows_it_holds(case):
 _FLOATS = st.sampled_from([0.0, -0.0, 0.1, 1e308, -5e-324, float("nan"), float("-inf")])
 
 
+def _copy(value):
+    """``value`` as a new object of the same type and bits (``None`` stays ``None``;
+    an int below 257 is cached and stays the same object)."""
+    return None if value is None else type(value)(repr(value))
+
+
 @st.composite
 def written_traces(draw):
     """Traces with gap and bound cells empty nowhere, everywhere, in a leading
-    run or anywhere; with a fill mark that holds, one that is stale, or none;
-    with and without a failure marker."""
+    run or anywhere; with a tail of rows that repeat one row's ``oracle_calls``,
+    ``f_value`` and ``gap`` objects over the whole trace or part of it, with
+    one of its entries replaced, a tail of equal values in distinct objects,
+    or no tail; with and without a failure marker."""
     n = draw(st.integers(1, 24))
 
     def cells():
@@ -291,27 +311,29 @@ def written_traces(draw):
 
     calls = draw(st.lists(st.integers(0, 2**40), min_size=n, max_size=n))
     columns = [calls, draw(st.lists(_FLOATS | st.floats(), min_size=n, max_size=n)), cells()]
-    fill = draw(st.sampled_from([None, "valid", "stale"])) if n > 1 else None
-    if fill is not None:
-        start = draw(st.integers(1, n - 1))
+    tail = draw(st.sampled_from(["none", "whole", "partial", "edited", "copies"]))
+    if tail != "none":
+        start = 0 if tail == "whole" else draw(st.integers(0, n - 1))
         for column in columns:
-            column[start:] = [column[start - 1]] * (n - start)
-        if fill == "stale":
+            value = column[start]
+            column[start:] = ([_copy(value) for _ in range(start, n)] if tail == "copies"
+                              else [value] * (n - start))
+        if tail == "edited":
             column = draw(st.sampled_from(columns))
             row = draw(st.integers(start, n - 1))
-            value = column[row]
             column[row] = draw(st.sampled_from([
-                None if value is None else type(value)(repr(value)),  # equal, a new object
+                _copy(column[row]),  # equal, a new object
                 draw(st.integers(0, 2**40) if column is calls else _FLOATS | st.floats())]))
-        fill = start
     failure = draw(st.sampled_from([None, "stop", "stop, at a comma"]))
     return Trace({"x0": [1.0]}, list(range(n)), *columns, cells(), failure=failure,
-                 failure_calls=draw(st.none() | st.integers(0, 2**40)), _fill=fill)
+                 failure_calls=draw(st.none() | st.integers(0, 2**40)))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(written_traces())
 def test_writer_matches_the_per_row_reference(tmp_path_factory, trace):
+    columns = (trace.oracle_calls, trace.f_value, trace.gap)
+    assert max(map(_tail_start, columns)) == fill_start(trace)
     assert trace_csv_lines(trace) == reference_csv_lines(trace)
     path = write_trace(trace, tmp_path_factory.getbasetemp() / "property.csv")
     text = path.read_bytes()

@@ -17,10 +17,12 @@ A quasar-convexity gamma passes ``sets.is_quasar_gamma``, a real number in
 whose slack ``(9 + 5 c) delta`` stays finite; a bool is neither.
 """
 
+import copy
 import dataclasses
 import hashlib
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from qopt import (
     ConfigError,
     FeasibleSet,
     InvalidArgumentError,
+    NumericalFailureError,
     Objective,
     OracleCounter,
     PreconditionError,
@@ -370,3 +373,38 @@ def test_zero_baseline_iterations_record_the_start(quadratic, run):
     trace = run(quadratic, np.array([0.5, 0.5]), np.int64(0), counter)
     assert trace.iteration == [0]
     assert trace.final_oracle_calls == counter.calls == 1
+
+
+def _numerical_failure():
+    exc = NumericalFailureError("stop", last_iterate=np.array([0.5, -0.0]),
+                                diagnostics={"iterations": 3})
+    exc.partial_trace = Trace({"x0": [1.0]}, [0], [1], [0.5], [None], [None],
+                              failure="stop", failure_calls=1)
+    return exc
+
+
+ERRORS = {
+    "config": lambda: ConfigError("x0", "expected a vector: 'a, b'"),
+    "invalid_argument": lambda: InvalidArgumentError("dimension mismatch"),
+    "precondition": lambda: PreconditionError("x0 is outside the set"),
+    "numerical_failure": _numerical_failure,
+}
+
+
+@pytest.mark.parametrize("copier", [lambda e: pickle.loads(pickle.dumps(e)), copy.copy],
+                         ids=["pickle", "copy"])
+@pytest.mark.parametrize("name", ERRORS)
+def test_errors_round_trip_with_their_attributes(name, copier):
+    # A worker process's error reaches its pool pickled; one that cannot be
+    # rebuilt from its pickle kills the pool's result handler.
+    exc = ERRORS[name]()
+    clone = copier(exc)
+    assert type(clone) is type(exc) and clone.args == exc.args and str(clone) == str(exc)
+    assert vars(clone).keys() == vars(exc).keys()
+    if name == "config":
+        assert clone.field == "x0"
+        assert str(clone) == "config field 'x0': expected a vector: 'a, b'"
+    if name == "numerical_failure":
+        assert clone.last_iterate.tobytes() == exc.last_iterate.tobytes()
+        assert clone.diagnostics == {"iterations": 3}
+        assert clone.partial_trace == exc.partial_trace
