@@ -3,9 +3,9 @@
 Each check is one function that runs one verifiable statement about the
 implementation at its fixed tolerances and returns a :class:`CheckResult`
 with the measured worst violation.  ``verify`` runs the checks of the ordered
-table ``_CHECKS`` and aggregates them into a :class:`VerificationReport`; the
-CLI renders the report as a table and sets the exit code from
-``report.overall``.
+table ``_CHECKS``, in one contiguous block per usable CPU, and aggregates them
+in order into a :class:`VerificationReport`; the CLI renders the report as a
+table and sets the exit code from ``report.overall``.
 
 A check that certifies one objective takes it as an :class:`Objective` or as
 a catalogue name, built when the check runs; sample counts default to the
@@ -32,6 +32,8 @@ acceptance suite runs these checks rather than restating them.
 from __future__ import annotations
 
 import math
+import os
+import pickle
 import tempfile
 from dataclasses import dataclass, field
 from itertools import islice
@@ -798,17 +800,108 @@ def available_checks():
     return list(_CHECKS)
 
 
+class _BlockTraceback(Exception):
+    """The formatted traceback of an exception raised in a forked verify block."""
+
+
+def _usable_cpus():
+    """The CPUs this process may run on; 1 where it cannot fork or cannot tell."""
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+def _run_block(names):
+    """``(True, results)`` of the named checks in order, or ``(False, exception)``
+    for the first one that raises."""
+    try:
+        return True, [check(*args) for check, *args in map(_CHECKS.get, names)]
+    except Exception as exc:
+        return False, exc
+
+
+def _fork_block(names):
+    """Fork a child that runs :func:`_run_block` on ``names`` and pickles its
+    outcome, with a failure's formatted traceback, into a pipe; returns the
+    child's pid and the pipe's read end."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)
+        return pid, open(read_fd, "rb")
+    try:
+        os.close(read_fd)
+        ok, value = _run_block(names)
+        if not ok:
+            import traceback  # only a failing child formats one
+
+            value = value, "".join(traceback.format_exception(value))
+        with open(write_fd, "wb") as pipe:
+            pipe.write(pickle.dumps((ok, value)))
+    finally:
+        # The child ends here: it never unwinds into the caller's frames, and
+        # the stdio buffers it inherited are not flushed a second time.
+        os._exit(0)
+
+
 def verify(suite=None):
     """Run the registered checks (all, or the named subset/groups) once each, in
-    the order first selected."""
+    the order first selected.
+
+    The names are split, in that order, into one contiguous block per usable
+    CPU.  Each block but the last runs in a forked child; this process runs
+    the last one, then reads the children's results in block order.  The
+    report is their concatenation, the same whatever the split; when checks
+    raise, the exception of the earliest one is raised.
+    """
     selected = {}
     for token in suite or ():
         group = [token] if token in _CHECKS else [n for n in _CHECKS if n.split(":")[0] == token]
         if not group:
             raise ConfigError("suite", f"unknown check '{token}'")
         selected.update(dict.fromkeys(group))
-    report = VerificationReport()
-    for name in selected or _CHECKS:
-        check, *args = _CHECKS[name]
-        report.checks.append(check(*args))
-    return report
+    names = list(selected or _CHECKS)
+    n = min(_usable_cpus(), len(names))
+    size, extra = divmod(len(names), n)
+    bounds = [k * size + min(k, extra) for k in range(n + 1)]
+    blocks = [names[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    children = []  # (block, pid, read end of its pipe) of each child not yet reaped
+    try:
+        for block in blocks[:-1]:
+            children.append((block, *_fork_block(block)))
+        last = _run_block(blocks[-1])
+        report = VerificationReport()
+        while children:
+            block, pid, pipe = children[0]
+            # Read to the end before reaping: a child whose result outgrows
+            # the pipe's buffer waits in its write until the pipe is drained.
+            with pipe:
+                data = pipe.read()
+            os.waitpid(pid, 0)
+            del children[0]
+            if not data:
+                raise RuntimeError(f"the verify block from {block[0]} to {block[-1]} "
+                                   "ended without a result")
+            ok, value = pickle.loads(data)
+            if not ok:
+                exc, text = value
+                raise exc from _BlockTraceback(text)
+            report.checks += value
+        ok, value = last
+        if not ok:
+            raise value
+        report.checks += value
+        return report
+    finally:
+        if children:
+            import signal  # only an error path kills a child
+
+            for _, pid, pipe in children:
+                os.kill(pid, signal.SIGKILL)
+                pipe.close()
+                os.waitpid(pid, 0)

@@ -19,8 +19,8 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalFailureError
-from .sets import (Box, FeasibleSet, _dot, _is_finite_point, _real, as_point, is_int,
-                   is_positive_finite, is_quasar_gamma, set_from_spec)
+from .sets import (Ball, Box, FeasibleSet, Simplex, _dot, _is_finite_point, _real, as_point,
+                   is_int, is_positive_finite, is_quasar_gamma, set_from_spec)
 
 
 class OracleCounter:
@@ -212,6 +212,26 @@ def _quadratic(name, params):
                      center=center, optimal_value=_fstar(evaluator, center))
 
 
+def _projected_minimizer(set_, a, q):
+    """The projection of ``-a / q`` onto ``set_``, also where ``-a / q`` overflows.
+
+    A box clips an infinite entry to its bound.  A simplex projection does not
+    change when a constant is added to every entry, so the simplex projects
+    ``(min(a) - a) / q`` raised to ``-2 scale``: its largest entry is 0, and
+    every entry below ``-scale`` projects to 0.  A point beyond float range
+    lies outside a ball, and its projection there is the boundary point in
+    the direction ``-a - q center``: the LMO vertex of ``a + q center``, halved
+    so that the sum cannot overflow.
+    """
+    with np.errstate(over="ignore"):
+        v = -a / q
+        if isinstance(set_, Simplex) and not np.isfinite(v).all():
+            v = np.maximum((a.min() - a) / q, -2.0 * set_.scale)
+    if isinstance(set_, Ball) and not np.isfinite(v).all():
+        return set_.lmo(0.5 * a + (0.5 * q) * set_.center)
+    return set_.project(v)
+
+
 def _affine_plus_quadratic(name, params):
     """``<a, x> + 0.5 * q * ||x||^2`` (``q = 0`` gives an affine objective)."""
     set_ = _resolve_set(name, params)
@@ -226,8 +246,11 @@ def _affine_plus_quadratic(name, params):
 
     # The constrained minimizer is the projection of the unconstrained one
     # when q > 0; for a pure affine objective it is an LMO vertex.
-    center = set_.project(-a / q) if q > 0 else set_.lmo(a)
-    return Objective(name, evaluator, smoothness_L=q if q > 0 else 1.0, quasar_gamma=1.0,
+    center = _projected_minimizer(set_, a, q) if q > 0 else set_.lmo(a)
+    # An L-smooth objective is L'-smooth for every L' >= L, so the affine case,
+    # and a q so small that PGD's step 1 / q overflows, declare L = 1.
+    L = q if q > 0 and 1.0 / q < math.inf else 1.0
+    return Objective(name, evaluator, smoothness_L=L, quasar_gamma=1.0,
                      feasible_set=set_, center=center, optimal_value=_fstar(evaluator, center))
 
 

@@ -180,6 +180,18 @@ def run_cli(raw):
         return code
 
 
+# At q = 5e-324 both -a / q and PGD's step 1 / q overflow.
+@pytest.mark.parametrize("set_spec", [{"kind": "simplex", "dimension": 2, "scale": 1.0},
+                                      {"kind": "ball", "center": [0, 0], "radius": 1}])
+@pytest.mark.parametrize("q", [5e-324, 1e-300])
+def test_a_tiny_q_exits_0_with_a_finite_gap(set_spec, q, tmp_path):
+    config, output = tmp_path / "config.json", tmp_path / "trace.csv"
+    config.write_text(json.dumps({"algorithm": "pgd", "T": 5, "objective": {
+        "name": "affine_plus_quadratic", "params": {"dim": 2, "q": q, "set": set_spec}}}))
+    assert main(["run", str(config), "--output", str(output)]) == 0
+    assert math.isfinite(read_trace(output).final_gap)
+
+
 @CONTRACT
 @given(well_formed())
 def test_well_formed_config_exits_0(raw):

@@ -1,8 +1,10 @@
+import contextlib
 import dataclasses
 import hashlib
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import warnings
@@ -391,6 +393,20 @@ class TestSweep:
         assert summary["fits"]["accelerated"]["slope"] < 0
 
 
+#: Five fast checks, in table order: one block, or blocks across two or three CPUs.
+SPLIT_SUITE = ("counterexample_construction:fig1_counterexample", "gradient_consistency:quadratic",
+               "prox_stopping:quadratic", "oracle_accounting", "gamma_free_baselines")
+
+
+FORKS = pytest.mark.skipif(not hasattr(os, "fork"), reason="verify forks only where os.fork exists")
+
+
+def _log_line(path, *fields):
+    """Append one line to ``path``; appends from forked children are kept too."""
+    with path.open("a") as fh:
+        fh.write(" ".join(map(str, fields)) + "\n")
+
+
 class TestVerifySubsets:
     def test_group_selection(self):
         report = verify(["quasar_certificate"])
@@ -412,20 +428,107 @@ class TestVerifySubsets:
                          "gamma_free_baselines"])
         assert report.overall
 
-    def test_each_selected_check_runs_once_in_first_selected_order(self, monkeypatch, capsys):
-        runs = []
+    def test_each_selected_check_runs_once_in_first_selected_order(self, monkeypatch, capsys,
+                                                                     tmp_path):
+        # Each run appends a line to a file, so a run in a forked block counts too.
+        log = tmp_path / "runs.txt"
         checks = dict(qopt.checks._CHECKS)
         for name, (check, *args) in checks.items():
-            checks[name] = (lambda *a, _c=check: runs.append(a) or _c(*a), *args)
+            checks[name] = (lambda *a, _c=check: _log_line(log, a) or _c(*a), *args)
         monkeypatch.setattr(qopt.checks, "_CHECKS", checks)
         report = verify(["oracle_accounting", "counterexample_construction",
                          "oracle_accounting", "counterexample_construction:fig1_counterexample"])
         assert [c.name for c in report.checks] == [
             "oracle_accounting", "counterexample_construction:fig1_counterexample"]
+        runs = log.read_text().splitlines()
         assert len(runs) == 2
         assert main(["verify", "--suite", "oracle_accounting,oracle_accounting"]) == 0
         assert [line.split()[0] for line in capsys.readouterr().out.splitlines()] == [
             "check", "oracle_accounting", "overall:"]
+
+    @FORKS
+    def test_table_does_not_depend_on_the_block_split(self, monkeypatch, capsys, tmp_path):
+        suite = ",".join(SPLIT_SUITE)
+        log = tmp_path / "runs.txt"
+        checks = dict(qopt.checks._CHECKS)
+        for name, (check, *args) in checks.items():
+            checks[name] = (lambda *a, _n=name, _c=check: _log_line(log, _n, os.getpid())
+                            or _c(*a), *args)
+        monkeypatch.setattr(qopt.checks, "_CHECKS", checks)
+        tables = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(qopt.checks, "_usable_cpus", lambda cpus=cpus: cpus)
+            assert main(["verify", "--suite", suite]) == 0
+            tables.append(capsys.readouterr().out)
+        assert tables[0] == tables[1] == tables[2]
+        assert [line.split()[0] for line in tables[0].splitlines()] == [
+            "check", *SPLIT_SUITE, "overall:"]
+        # Blocks of 3 and 2 checks at two CPUs, of 2, 2 and 1 at three; this
+        # process runs the last block, a child each of the others.
+        pids = [dict(line.split() for line in log.read_text().splitlines()[k:k + 5])
+                for k in (0, 5, 10)]
+        me = str(os.getpid())
+        assert set(pids[0].values()) == {me}
+        assert [pids[1][n] == me for n in SPLIT_SUITE] == [False] * 3 + [True] * 2
+        assert [pids[2][n] == me for n in SPLIT_SUITE] == [False] * 4 + [True]
+        assert len({pids[2][n] for n in SPLIT_SUITE}) == 3
+
+    @FORKS
+    def test_the_earliest_exception_is_raised_and_every_child_reaped(self):
+        # In a subprocess with a timeout, so a deadlock fails the test.  The
+        # first block's failure carries 800 kB, more than a pipe holds; the
+        # second block sleeps, so only a kill ends it in time; the last block,
+        # run by the caller, raises too.
+        probe = (
+            "import os, time\n"
+            "import numpy as np\n"
+            "import qopt.checks\n"
+            "from qopt import NumericalFailureError, verify\n"
+            "from qopt.cli import main\n"
+            "def first(): raise NumericalFailureError('first', last_iterate=np.zeros(100_000))\n"
+            "def last(): raise NumericalFailureError('last')\n"
+            "qopt.checks._CHECKS = {'a': (first,), 'b': (time.sleep, 120), 'c': (last,)}\n"
+            "qopt.checks._usable_cpus = lambda: 3\n"
+            "try:\n"
+            "    verify(['a', 'b', 'c'])\n"
+            "except NumericalFailureError as exc:\n"
+            "    assert str(exc) == 'first' and exc.last_iterate.shape == (100_000,)\n"
+            "    assert type(exc.__cause__).__name__ == '_BlockTraceback'\n"
+            "    assert 'in first' in str(exc.__cause__), exc.__cause__\n"
+            "else:\n"
+            "    raise AssertionError('verify returned')\n"
+            "assert main(['verify', '--suite', 'a,b,c']) == 3\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "except ChildProcessError:\n"
+            "    print('no child left')\n"
+        )
+        # Its own session, so a failing verify's stray children die with it.
+        with subprocess.Popen([sys.executable, "-W", "error", "-c", probe], stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True, env=_module_env(),
+                              start_new_session=True) as proc:
+            try:
+                out, err = proc.communicate(timeout=60)
+            finally:
+                with contextlib.suppress(ProcessLookupError):
+                    os.killpg(proc.pid, signal.SIGKILL)
+        assert (proc.returncode, out) == (0, "no child left\n"), err
+        assert err == "numerical failure: first\n"
+
+    @FORKS
+    def test_a_forked_verify_prints_each_line_once(self):
+        # stdout is a pipe, so the first line is still in this process's
+        # buffer when the child forks: a child that flushed it would print it twice.
+        probe = ("import sys, qopt.checks\n"
+                 "from qopt.cli import main\n"
+                 "print('first line')\n"
+                 "qopt.checks._usable_cpus = lambda: 2\n"
+                 f"sys.exit(main(['verify', '--suite', {','.join(SPLIT_SUITE[:2])!r}]))\n")
+        done = subprocess.run([sys.executable, "-W", "error", "-c", probe], capture_output=True,
+                              text=True, env=_module_env(), timeout=60)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert [line.split()[0] for line in done.stdout.splitlines()] == [
+            "first", "check", *SPLIT_SUITE[:2], "overall:"]
 
     def test_registered_names_are_the_pinned_table_rows(self):
         # Runs no check: the names and order of tests/data/verify_stdout.txt,
@@ -771,13 +874,13 @@ class TestCLI:
                                                   ("pgd", {"T": 3}), ("frank_wolfe", {"T": 3})],
                              ids=["accelerated", "pgd", "frank_wolfe"])
     def test_unprojectable_ball_center_exits_3(self, algorithm, budget, tmp_path, capsys):
-        # -a / q = (-inf, 0): its projection onto the ball would be a NaN
-        # center, so building the objective fails and a header-only trace is
-        # flushed.
+        # shift - center = (2.7e308, 0) leaves float range, so the ball
+        # cannot project the shift: building the objective fails and a
+        # header-only trace is flushed.
         raw = {"algorithm": algorithm,
-               "objective": {"name": "affine_plus_quadratic",
-                             "params": {"dim": 2, "a": [1e308, 0.0], "q": 1e-300,
-                                        "set": {"kind": "ball", "center": [0.0, 0.0],
+               "objective": {"name": "quadratic",
+                             "params": {"dim": 2, "shift": [1.7e308, 0.0],
+                                        "set": {"kind": "ball", "center": [-1e308, 0.0],
                                                 "radius": 1.0}}},
                "x0": [1.0, 0.0], **budget}
         out = tmp_path / "o.csv"

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 
 import mpmath as mp
@@ -294,6 +295,37 @@ class TestCatalogue:
             "set": {"kind": "simplex", "dimension": 3}, "a": [9e307, 9e307, -1.0], "q": 1})
         np.testing.assert_array_equal(obj.center, [0.0, 0.0, 1.0])
         assert obj.optimal_value == -0.5
+
+    @pytest.mark.parametrize("set_spec,a,q,center", [
+        ({"kind": "simplex", "dimension": 2}, [1.0, 1.0], 5e-324, [0.5, 0.5]),
+        ({"kind": "simplex", "dimension": 3, "scale": 2.0}, [1.0, 2.0, -1e-300], 5e-324,
+         [0.0, 0.0, 2.0]),
+        ({"kind": "simplex", "dimension": 2}, [-1e308, 1e308], 1e-300, [1.0, 0.0]),
+        ({"kind": "ball", "center": [0.0, 0.0], "radius": 1.0}, [3.0, 4.0], 5e-324,
+         [-0.6, -0.8]),
+        ({"kind": "ball", "center": [1.0, 0.0], "radius": 2.0}, [0.0, -1e308], 1e-300,
+         [1.0, 2.0]),
+        ({"kind": "box", "lower": [-1.0, -1.0], "upper": [1.0, 1.0]}, [1.0, -1.0], 5e-324,
+         [-1.0, 1.0]),
+    ])
+    def test_affine_center_where_the_unconstrained_minimizer_overflows(self, set_spec, a, q,
+                                                                      center):
+        # Under pytest's error::RuntimeWarning, so no overflow may warn either.
+        obj = make_catalogue_objective("affine_plus_quadratic", {"set": set_spec, "a": a, "q": q})
+        np.testing.assert_allclose(obj.center, center, rtol=1e-15)
+        assert obj.smoothness_L == (q if 1.0 / q < math.inf else 1.0)
+
+    def test_affine_center_keeps_the_projection_of_a_finite_minimizer(self):
+        rng = np.random.default_rng(7)
+        for spec in ({"kind": "simplex", "dimension": 4, "scale": 3.0},
+                     {"kind": "ball", "center": [0.5, -1.0, 2.0, 0.0], "radius": 1.5}):
+            for _ in range(50):
+                # |a / q| up to 1e303: far outside the set, never past float range.
+                a = rng.standard_normal(4) * 10.0 ** rng.uniform(-3, 3)
+                q = 10.0 ** -rng.uniform(0, 300)
+                obj = make_catalogue_objective("affine_plus_quadratic",
+                                               {"set": spec, "a": a, "q": q})
+                assert obj.center.tobytes() == obj.feasible_set.project(-a / q).tobytes()
 
     def test_affine_center_is_lmo_vertex(self):
         obj = make_catalogue_objective("affine_plus_quadratic", {"a": [1.0, -1.0], "q": 0.0})
