@@ -26,7 +26,9 @@ when every gamma it tries shows a strictly positive quasar violation.
 Every tolerance, window and budget of a certified claim is typed here once,
 save the per-entry arguments of the catalogue registry (``moreau_quasar``'s
 tolerance, ``accelerated_gap``'s target), from which ``_CHECKS`` derives; the
-acceptance suite runs these checks rather than restating them.
+acceptance suite runs these checks rather than restating them.  Every solver
+run a check audits is a registry instance (``_INSTANCES``), loaded by
+:func:`_config`.
 """
 
 from __future__ import annotations
@@ -67,6 +69,10 @@ _PGD_MONOTONE_RTOL = 4e-16
 _ITERATION_CONSTANT = 50.0
 #: Slack of the gradient-mapping inequality and descent checks.
 MAPPING_TOL = 1e-10
+#: Prox tolerance of the near-exact envelope, whose claims are those of the exact one.
+NEAR_EXACT_DELTA = 1e-12
+#: Prox tolerance at which the inexact prox's re-solve and gradient-error bounds are measured.
+INEXACT_DELTA = 1e-6
 #: Frank-Wolfe weight-identity tolerance; iterates are held to ``MEMBERSHIP_TOL``.
 FW_WEIGHT_TOL = 1e-12
 #: How many times tighter than the run's delta the line-search audit solves each prox.
@@ -149,13 +155,20 @@ def _instance(name):
     return obj, resolve_x0(obj.feasible_set, x0)
 
 
+def _config(name, algorithm, **fields):
+    """The loaded config of ``algorithm`` on the ``_INSTANCES`` entry ``name``
+    with ``fields``, its ``epsilon`` or ``T`` and any ``seed``: every solver
+    run a check audits is one."""
+    objective, params, x0 = _INSTANCES[name]
+    return load_config({"algorithm": algorithm, "x0": x0, **fields,
+                        "objective": {"name": objective, "params": params}})
+
+
 def _run(name, algorithm, **budget):
     """Run ``algorithm`` with ``budget``, its ``epsilon`` or ``T``, on the
     ``_INSTANCES`` entry ``name`` as ``qopt run`` does.  Returns the trace, its
     largest ``gap - bound`` from row 1 on, and its least gap."""
-    objective, params, x0 = _INSTANCES[name]
-    trace = run_experiment(load_config({"algorithm": algorithm, "x0": x0, **budget,
-                                        "objective": {"name": objective, "params": params}}))
+    trace = run_experiment(_config(name, algorithm, **budget))
     gap, bound = trace.column("gap"), trace.column("bound")
     return trace, float(np.max(gap[1:] - bound[1:])), float(np.min(gap))
 
@@ -333,12 +346,13 @@ def prox_conditioning(obj, samples=10_000):
 
 
 def moreau_smoothness(obj, samples=200):
-    """The near-exact envelope gradient (delta = 1e-12) is ``2L``-Lipschitz,
-    within relative 1e-6, on seeded pairs at least 2% of the diameter apart."""
+    """The near-exact envelope gradient (delta = ``NEAR_EXACT_DELTA``) is
+    ``2L``-Lipschitz, within relative 1e-6, on seeded pairs at least 2% of the
+    diameter apart."""
     obj = _objective(obj)
     set_ = obj.feasible_set
-    worst, count = _worst_secant(_envelope(obj, 1e-12), zip(*sample_pairs(set_, samples)),
-                                 0.02 * set_.diameter())
+    worst, count = _worst_secant(_envelope(obj, NEAR_EXACT_DELTA),
+                                 zip(*sample_pairs(set_, samples)), 0.02 * set_.diameter())
     two_L = 2.0 * obj.smoothness_L
     rtol = 1e-6
     return CheckResult(f"moreau_smoothness:{obj.name}", worst - two_L, two_L * rtol,
@@ -347,10 +361,10 @@ def moreau_smoothness(obj, samples=200):
 
 
 def moreau_quasar(obj, tolerance, grid=2000):
-    """The near-exact envelope (delta = 1e-12) is quasar convex with the
-    objective's gamma: ``M(x) + <grad M(x), x* - x>/gamma - M(x*) <= tolerance``."""
+    """The near-exact envelope (delta = ``NEAR_EXACT_DELTA``) is quasar convex with
+    the objective's gamma: ``M(x) + <grad M(x), x* - x>/gamma - M(x*) <= tolerance``."""
     obj = _objective(obj)
-    (worst,), count = _worst_quasar_violations(obj, _envelope(obj, 1e-12), grid,
+    (worst,), count = _worst_quasar_violations(obj, _envelope(obj, NEAR_EXACT_DELTA), grid,
                                                (obj.quasar_gamma,))
     return CheckResult(f"moreau_quasar:{obj.name}", worst, tolerance, worst <= tolerance, count)
 
@@ -401,9 +415,9 @@ def _worst_resolve(obj, samples, coarse, fine, measure):
 def prox_stopping(obj, samples=50):
     """The stopping rule certifies delta-optimality: re-solving each
     subproblem at ``delta/100`` changes the envelope value by at most
-    ``delta`` (1e-6)."""
+    ``delta`` (``INEXACT_DELTA``)."""
     obj = _objective(obj)
-    delta = 1e-6
+    delta = INEXACT_DELTA
     worst, count = _worst_resolve(obj, samples, delta, delta / 100.0,
                                   lambda coarse, fine: abs(coarse[0] - fine[0]))
     return CheckResult(f"prox_stopping:{obj.name}", worst - delta, 0.0, worst <= delta,
@@ -411,10 +425,10 @@ def prox_stopping(obj, samples=50):
 
 
 def prox_gradient_error(obj, samples=100):
-    """``||grad M~_delta(x) - grad M~_ref(x)|| <= sqrt(8 L delta)`` at delta = 1e-6,
-    against a near-exact reference prox (delta = 1e-14)."""
+    """``||grad M~_delta(x) - grad M~_ref(x)|| <= sqrt(8 L delta)`` at delta =
+    ``INEXACT_DELTA``, against a near-exact reference prox (delta = 1e-14)."""
     obj = _objective(obj)
-    delta = 1e-6
+    delta = INEXACT_DELTA
     bound = math.sqrt(8.0 * obj.smoothness_L * delta)
     worst, count = _worst_resolve(obj, samples, delta, 1e-14,
                                   lambda coarse, ref: _norm(coarse[1] - ref[1]))
@@ -603,8 +617,9 @@ def rate_envelope(algorithm, instance):
 
 
 def oracle_accounting():
-    """Every solver's trace ``oracle_calls`` equals the audited evaluator calls."""
-    obj = make_catalogue_objective("quadratic")
+    """Every solver's trace ``oracle_calls`` equals the audited evaluator calls,
+    each solver run from the ``quadratic_box`` instance's start."""
+    obj, x0 = _instance("quadratic_box")
     audited = {"n": 0}
     inner = obj.evaluator
 
@@ -615,18 +630,18 @@ def oracle_accounting():
     obj.evaluator = wrapped
     mismatches = []
     counter = OracleCounter()
-    trace = baselines.run_pgd(obj, np.array([1.0, 1.0]), 50, counter)
+    trace = baselines.run_pgd(obj, x0, 50, counter)
     mismatches.append(abs(trace.final_oracle_calls - audited["n"]))
     mismatches.append(abs(counter.calls - audited["n"]))
 
     audited["n"] = 0
     counter = OracleCounter()
-    trace = baselines.run_frank_wolfe(obj, np.array([1.0, 1.0]), 50, counter)
+    trace = baselines.run_frank_wolfe(obj, x0, 50, counter)
     mismatches.append(abs(trace.final_oracle_calls - audited["n"]))
 
     audited["n"] = 0
     counter = OracleCounter()
-    trace = run_accelerated(obj, np.array([1.0, 1.0]), 1e-1, counter)
+    trace = run_accelerated(obj, x0, 1e-1, counter)
     mismatches.append(abs(trace.final_oracle_calls - audited["n"]))
     worst = max(mismatches)
     return CheckResult(
@@ -652,12 +667,14 @@ class _GammaPoisoned:
 
 
 def gamma_free_baselines():
-    """PGD, Frank-Wolfe and the gradient mapping never read ``quasar_gamma``."""
-    obj = _GammaPoisoned(make_catalogue_objective("quadratic"))
+    """PGD, Frank-Wolfe and the gradient mapping never read ``quasar_gamma``:
+    each is run, or taken, at the ``quadratic_box`` instance's start."""
+    obj, x0 = _instance("quadratic_box")
+    obj = _GammaPoisoned(obj)
     try:
-        baselines.run_pgd(obj, np.array([1.0, 1.0]), 50, OracleCounter())
-        baselines.run_frank_wolfe(obj, np.array([1.0, 1.0]), 50, OracleCounter())
-        baselines.gradient_mapping(obj, np.array([0.5, 0.5]), 1.0, OracleCounter())
+        baselines.run_pgd(obj, x0, 50, OracleCounter())
+        baselines.run_frank_wolfe(obj, x0, 50, OracleCounter())
+        baselines.gradient_mapping(obj, x0, 1.0, OracleCounter())
         passed, note = True, "solvers completed without touching gamma"
     except AssertionError as exc:
         passed, note = False, str(exc)
@@ -672,22 +689,18 @@ def gamma_free_baselines():
 
 
 def trace_determinism():
-    """The same config and seed write the same trace bytes, for each algorithm."""
-    simplex_quadratic = {"name": "quadratic",
-                         "params": {"set": {"kind": "simplex", "dimension": 3}}}
-    configs = [
-        {"algorithm": "pgd", "objective": simplex_quadratic, "x0": "vertex", "T": 50, "seed": 7},
-        {"algorithm": "frank_wolfe", "objective": simplex_quadratic, "x0": "vertex", "T": 200,
-         "seed": 5},
-        {"algorithm": "accelerated", "objective": "quadratic", "x0": [1.0, 1.0], "epsilon": 1e-2,
-         "seed": 5},
-    ]
+    """The same config and seed write the same trace bytes, for each algorithm
+    on an ``_INSTANCES`` entry: each run's config is loaded twice, and each
+    copy writes one trace."""
+    configs = (lambda: _config("quadratic_simplex", "pgd", T=50, seed=7),
+               lambda: _config("quadratic_simplex", "frank_wolfe", T=200, seed=5),
+               lambda: _config("quadratic_box", "accelerated", epsilon=1e-2, seed=5))
     same = True
     with tempfile.TemporaryDirectory() as tmp:
         for i, config in enumerate(configs):
             p1, p2 = f"{tmp}/{i}_a.csv", f"{tmp}/{i}_b.csv"
-            run_experiment(load_config(config), output_path=p1)
-            run_experiment(load_config(config), output_path=p2)
+            run_experiment(config(), output_path=p1)
+            run_experiment(config(), output_path=p2)
             same &= Path(p1).read_bytes() == Path(p2).read_bytes()
     return CheckResult(
         name="trace_determinism",
@@ -699,38 +712,25 @@ def trace_determinism():
     )
 
 
-#: Each ``scaling_fit`` algorithm's three-point sweep, in report order: its
-#: base run (seed 0), the grid of the swept field, and the window the log-log
-#: slope of gap against that field must lie in.
+#: Each ``scaling_fit`` algorithm's three-point sweep, in report order: the
+#: ``_INSTANCES`` entry of its base run, the grid of the swept field, and the
+#: window its fitted log-log slope must lie in.
 _SCALING_SWEEPS = {
-    "accelerated": (
-        {"objective": {"name": "quadratic", "params": {"dim": 5}}, "x0": [1.0] * 5,
-         "epsilon": 1e-2},
-        {"epsilon": [1e-2, 1e-3, 1e-4]},
-        (-0.75, -0.45),
-    ),
-    "pgd": (
-        {"objective": "example1", "x0": [5.0], "T": 100},
-        {"T": [100, 1000, 10_000]},
-        (-1.3, -0.8),
-    ),
-    "frank_wolfe": (
-        {"objective": {"name": "quadratic",
-                       "params": {"set": {"kind": "simplex", "dimension": 30_000}}},
-         "x0": "vertex", "T": 100},
-        {"T": [100, 1000, 10_000]},
-        (-1.3, -0.8),
-    ),
+    "accelerated": ("quadratic_box5", {"epsilon": [1e-2, 1e-3, 1e-4]}, (-0.75, -0.45)),
+    "pgd": ("example1", {"T": [100, 1000, 10_000]}, (-1.3, -0.8)),
+    "frank_wolfe": ("quadratic_simplex30000", {"T": [100, 1000, 10_000]}, (-1.3, -0.8)),
 }
 
 
 def scaling_fit(algorithm):
-    """The log-log slope of gap against epsilon or T over the algorithm's
-    sweep in ``_SCALING_SWEEPS`` lies in its window."""
-    run, grid, window = _SCALING_SWEEPS[algorithm]
-    base = {"algorithm": algorithm, **run, "seed": 0}
+    """The log-log slope ``harness.sweep`` fits to the algorithm's sweep in
+    ``_SCALING_SWEEPS``, based on its instance at the grid's first value and
+    seed 0, lies in its window: total oracle calls against epsilon for the
+    accelerated method, gap against each row's iteration t for a baseline."""
+    instance, grid, window = _SCALING_SWEEPS[algorithm]
+    (key, values), = grid.items()
     with tempfile.TemporaryDirectory() as tmp:
-        summary = sweep(load_config(base), grid, tmp)
+        summary = sweep(_config(instance, algorithm, **{key: values[0]}, seed=0), grid, tmp)
     slope = summary["fits"][algorithm]["slope"]
     lo, hi = window
     violation = max(lo - slope, slope - hi)

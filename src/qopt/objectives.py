@@ -301,7 +301,8 @@ class CatalogueEntry(NamedTuple):
     """One catalogue objective: ``build(name, params)`` returns it, ``params``
     names the params it accepts, ``checks`` maps each family of
     :func:`qopt.checks._check_table` it joins to its rows' extra arguments, and
-    ``instances`` maps each solver run the checks audit to ``(params, x0, checks)``."""
+    ``instances`` maps each solver run the checks audit, a family member or a
+    run a single check names, to ``(params, x0, checks)``."""
 
     build: Callable
     params: tuple
@@ -319,7 +320,11 @@ CATALOGUE = {
         {"quadratic_box": ({}, [1.0, 1.0],
                            {"linesearch_certificate": (), "accelerated_gap": (1e-3,)}),
          "quadratic_simplex": ({"set": {"kind": "simplex", "dimension": 3}}, "vertex",
-                               {"rate_envelope": ()})}),
+                               {"rate_envelope": ()}),
+         # The base runs of two scaling_fit sweeps; they join no family.
+         "quadratic_box5": ({"dim": 5}, [1.0] * 5, {}),
+         "quadratic_simplex30000": ({"set": {"kind": "simplex", "dimension": 30_000}}, "vertex",
+                                    {})}),
     "affine_plus_quadratic": CatalogueEntry(
         _affine_plus_quadratic, ("dim", "set", "a", "q"),
         {"quasar_certificate": (), "smoothness": (), "prox_descent": ()}),

@@ -401,6 +401,28 @@ SPLIT_SUITE = ("counterexample_construction:fig1_counterexample", "gradient_cons
 FORKS = pytest.mark.skipif(not hasattr(os, "fork"), reason="verify forks only where os.fork exists")
 
 
+def _run_probe(probe):
+    """``(exit code, stdout, stderr)`` of ``python -W error -c probe``, in its
+    own session with a timeout, so a deadlock fails the test and a failing
+    verify's stray children die with the session."""
+    with subprocess.Popen([sys.executable, "-W", "error", "-c", probe], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True, env=_module_env(),
+                          start_new_session=True) as proc:
+        try:
+            out, err = proc.communicate(timeout=60)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+    return proc.returncode, out, err
+
+
+#: The end of a probe: it prints ``no child left`` when it has no child to reap.
+NO_CHILD_LEFT = ("try:\n"
+                 "    os.waitpid(-1, os.WNOHANG)\n"
+                 "except ChildProcessError:\n"
+                 "    print('no child left')\n")
+
+
 def _log_line(path, *fields):
     """Append one line to ``path``; appends from forked children are kept too."""
     with path.open("a") as fh:
@@ -475,10 +497,9 @@ class TestVerifySubsets:
 
     @FORKS
     def test_the_earliest_exception_is_raised_and_every_child_reaped(self):
-        # In a subprocess with a timeout, so a deadlock fails the test.  The
-        # first block's failure carries 800 kB, more than a pipe holds; the
-        # second block sleeps, so only a kill ends it in time; the last block,
-        # run by the caller, raises too.
+        # The first block's failure carries 800 kB, more than a pipe holds;
+        # the second block sleeps, so only a kill ends it in time; the last
+        # block, run by the caller, raises too.
         probe = (
             "import os, time\n"
             "import numpy as np\n"
@@ -498,22 +519,62 @@ class TestVerifySubsets:
             "else:\n"
             "    raise AssertionError('verify returned')\n"
             "assert main(['verify', '--suite', 'a,b,c']) == 3\n"
-            "try:\n"
-            "    os.waitpid(-1, os.WNOHANG)\n"
-            "except ChildProcessError:\n"
-            "    print('no child left')\n"
+            + NO_CHILD_LEFT
         )
-        # Its own session, so a failing verify's stray children die with it.
-        with subprocess.Popen([sys.executable, "-W", "error", "-c", probe], stdout=subprocess.PIPE,
-                              stderr=subprocess.PIPE, text=True, env=_module_env(),
-                              start_new_session=True) as proc:
-            try:
-                out, err = proc.communicate(timeout=60)
-            finally:
-                with contextlib.suppress(ProcessLookupError):
-                    os.killpg(proc.pid, signal.SIGKILL)
-        assert (proc.returncode, out) == (0, "no child left\n"), err
+        returncode, out, err = _run_probe(probe)
+        assert (returncode, out) == (0, "no child left\n"), err
         assert err == "numerical failure: first\n"
+
+    @FORKS
+    def test_a_block_that_ends_without_a_result_is_named(self):
+        # The child of the first block, checks a and b, exits in b without
+        # writing to its pipe.
+        probe = (
+            "import os\n"
+            "import qopt.checks\n"
+            "from qopt import verify\n"
+            "qopt.checks._CHECKS = {'a': (int,), 'b': (os._exit, 0), 'c': (int,)}\n"
+            "qopt.checks._usable_cpus = lambda: 2\n"
+            "try:\n"
+            "    verify(['a', 'b', 'c'])\n"
+            "except RuntimeError as exc:\n"
+            "    assert str(exc) == 'the verify block from a to b ended without a result', exc\n"
+            "else:\n"
+            "    raise AssertionError('verify returned')\n"
+            + NO_CHILD_LEFT
+        )
+        assert _run_probe(probe) == (0, "no child left\n", "")
+
+    @FORKS
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open fds in /proc")
+    def test_a_failed_fork_kills_the_forked_blocks_and_closes_every_pipe(self):
+        # At three CPUs the second fork fails: the first child, which sleeps,
+        # is killed and reaped, and no end of either pipe stays open.
+        probe = (
+            "import errno, os, time\n"
+            "import qopt.checks\n"
+            "from qopt import verify\n"
+            "qopt.checks._CHECKS = {'a': (time.sleep, 120), 'b': (int,), 'c': (int,)}\n"
+            "qopt.checks._usable_cpus = lambda: 3\n"
+            "fork, forks = os.fork, []\n"
+            "def second_fork_fails():\n"
+            "    if forks:\n"
+            "        raise OSError(errno.EAGAIN, 'fork refused')\n"
+            "    forks.append(None)\n"
+            "    return fork()\n"
+            "os.fork = second_fork_fails\n"
+            "fds = sorted(os.listdir('/proc/self/fd'))\n"
+            "try:\n"
+            "    verify(['a', 'b', 'c'])\n"
+            "except OSError as exc:\n"
+            "    assert exc.errno == errno.EAGAIN, exc\n"
+            "else:\n"
+            "    raise AssertionError('verify returned')\n"
+            "assert len(forks) == 1\n"
+            "assert sorted(os.listdir('/proc/self/fd')) == fds\n"
+            + NO_CHILD_LEFT
+        )
+        assert _run_probe(probe) == (0, "no child left\n", "")
 
     @FORKS
     def test_a_forked_verify_prints_each_line_once(self):

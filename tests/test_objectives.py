@@ -6,6 +6,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import qopt.baselines
+import qopt.harness
 from qopt import (
     Box,
     InvalidArgumentError,
@@ -413,6 +415,9 @@ class TestCatalogueRegistry:
             "example1": ("example1", {}, [5.0]),
             "quadratic_simplex": ("quadratic", {"set": {"kind": "simplex", "dimension": 3}},
                                   "vertex"),
+            "quadratic_box5": ("quadratic", {"dim": 5}, [1.0] * 5),
+            "quadratic_simplex30000": (
+                "quadratic", {"set": {"kind": "simplex", "dimension": 30_000}}, "vertex"),
         }
         table = checks._CHECKS
         prox_entries = ("quadratic", "example1")
@@ -427,6 +432,40 @@ class TestCatalogueRegistry:
         assert table["accelerated_gap:example1"] == (checks.accelerated_gap, "example1", 1e-4)
         assert [n for n in CATALOGUE_NAMES if f"quasar_certificate:{n}" in table] == [
             n for n in CATALOGUE_NAMES if n != "fig1_counterexample"]
+
+    def test_every_audited_run_starts_at_its_instances_start(self, monkeypatch):
+        # Other feasible starts for three instances: every run the checks
+        # make, recorded at the runners themselves, starts there.
+        starts = {"quadratic_box": [0.25, 0.75], "quadratic_simplex": [0.2, 0.3, 0.5],
+                  "example1": [-3.0]}
+        for name, x0 in starts.items():
+            objective, params, _ = checks._INSTANCES[name]
+            monkeypatch.setitem(checks._INSTANCES, name, (objective, params, x0))
+        calls = []
+        for module in (qopt.baselines, qopt.harness, checks):
+            for runner in ("run_pgd", "run_frank_wolfe", "run_accelerated", "gradient_mapping"):
+                if hasattr(module, runner):
+                    def recorded(obj, x, *args, _runner=runner, _inner=getattr(module, runner)):
+                        calls.append((_runner, np.asarray(x).tolist()))
+                        return _inner(obj, x, *args)
+                    monkeypatch.setattr(module, runner, recorded)
+
+        def runs(check, *args):
+            calls.clear()
+            check(*args)
+            return list(calls)
+
+        box, simplex = starts["quadratic_box"], starts["quadratic_simplex"]
+        assert runs(checks.oracle_accounting) == [
+            ("run_pgd", box), ("run_frank_wolfe", box), ("run_accelerated", box)]
+        assert runs(checks.gamma_free_baselines) == [
+            ("run_pgd", box), ("run_frank_wolfe", box), ("gradient_mapping", box)]
+        assert runs(checks.trace_determinism) == [
+            ("run_pgd", simplex)] * 2 + [("run_frank_wolfe", simplex)] * 2 + [
+            ("run_accelerated", box)] * 2
+        assert runs(checks.scaling_fit, "pgd") == [("run_pgd", starts["example1"])] * 3
+        for instance, _, _ in checks._SCALING_SWEEPS.values():
+            assert instance in checks._INSTANCES
 
     def test_one_entry_joins_every_family(self):
         # A renamed copy of example1 that joins every family, with the

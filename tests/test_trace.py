@@ -412,6 +412,16 @@ def test_header_is_written_a_chunk_at_a_time():
                                + "\niter,oracle_calls,f,gap,bound\n")
 
 
+@pytest.mark.parametrize("value", [{1.0}, object(), {"nested": [1.0, b"bytes"]}],
+                         ids=["set", "object", "bytes_in_a_list"])
+def test_a_header_value_json_cannot_encode_raises_jsons_type_error(value):
+    with pytest.raises(TypeError) as dumped:
+        json.dumps({"x": value}, sort_keys=True)
+    with pytest.raises(TypeError) as written:
+        list(_csv_chunks(Trace({"x": value})))
+    assert str(written.value) == str(dumped.value)
+
+
 def test_trace_row_has_no_instance_dict():
     row = TraceRow(0, 1, 0.5, None, None)
     assert not hasattr(row, "__dict__")
