@@ -800,10 +800,6 @@ def available_checks():
     return list(_CHECKS)
 
 
-class _BlockTraceback(Exception):
-    """The formatted traceback of an exception raised in a forked verify block."""
-
-
 def _usable_cpus():
     """The CPUs this process may run on; 1 where it cannot fork or cannot tell."""
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
@@ -812,18 +808,18 @@ def _usable_cpus():
 
 
 def _run_block(names):
-    """``(True, results)`` of the named checks in order, or ``(False, exception)``
-    for the first one that raises."""
+    """The results of the named checks in order, or the exception of the first
+    one that raises."""
     try:
-        return True, [check(*args) for check, *args in map(_CHECKS.get, names)]
+        return [check(*args) for check, *args in map(_CHECKS.get, names)]
     except Exception as exc:
-        return False, exc
+        return exc
 
 
 def _fork_block(names):
     """Fork a child that runs :func:`_run_block` on ``names`` and pickles its
-    outcome, with a failure's formatted traceback, into a pipe; returns the
-    child's pid and the pipe's read end."""
+    outcome into a pipe, an exception with its formatted traceback added as a
+    note; returns the child's pid and the pipe's read end."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -836,13 +832,13 @@ def _fork_block(names):
         return pid, open(read_fd, "rb")
     try:
         os.close(read_fd)
-        ok, value = _run_block(names)
-        if not ok:
+        result = _run_block(names)
+        if isinstance(result, Exception):
             import traceback  # only a failing child formats one
 
-            value = value, "".join(traceback.format_exception(value))
+            result.add_note("".join(traceback.format_exception(result)))
         with open(write_fd, "wb") as pipe:
-            pipe.write(pickle.dumps((ok, value)))
+            pipe.write(pickle.dumps(result))
     finally:
         # The child ends here: it never unwinds into the caller's frames, and
         # the stdio buffers it inherited are not flushed a second time.
@@ -857,7 +853,8 @@ def verify(suite=None):
     CPU.  Each block but the last runs in a forked child; this process runs
     the last one, then reads the children's results in block order.  The
     report is their concatenation, the same whatever the split; when checks
-    raise, the exception of the earliest one is raised.
+    raise, the exception of the earliest one is raised, with the formatted
+    traceback of a child's as a note.
     """
     selected = {}
     for token in suite or ():
@@ -887,15 +884,13 @@ def verify(suite=None):
             if not data:
                 raise RuntimeError(f"the verify block from {block[0]} to {block[-1]} "
                                    "ended without a result")
-            ok, value = pickle.loads(data)
-            if not ok:
-                exc, text = value
-                raise exc from _BlockTraceback(text)
-            report.checks += value
-        ok, value = last
-        if not ok:
-            raise value
-        report.checks += value
+            result = pickle.loads(data)
+            if isinstance(result, Exception):
+                raise result
+            report.checks += result
+        if isinstance(last, Exception):
+            raise last
+        report.checks += last
         return report
     finally:
         if children:

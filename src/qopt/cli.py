@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 verification check failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .checks import available_checks, verify
@@ -51,13 +50,7 @@ def _cmd_verify(args):
 
 
 def _cmd_sweep(args):
-    config = load_config(args.config)
-    try:
-        with open(args.grid) as fh:
-            grid = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError("grid", str(exc)) from exc
-    summary = sweep(config, grid, args.out_dir)
+    summary = sweep(load_config(args.config), args.grid, args.out_dir)
     print(f"wrote {len(summary['runs'])} traces to {args.out_dir}")
     for algorithm, fit in summary["fits"].items():
         print(f"fit[{algorithm}]: slope={fit['slope']:.4f} intercept={fit['intercept']:.4f}")

@@ -22,10 +22,10 @@ class ConfigError(ValueError):
 
 
 class NumericalFailureError(RuntimeError):
-    """An iterative routine exhausted its iteration budget.
-
-    Carries the last iterate and solver diagnostics so callers can flush a
-    partial trace before aborting.
+    """Raised for a non-finite oracle value, PGD or prox step, point to project,
+    LMO direction or gap, and for a prox solve or line search past its
+    iteration or halving budget.  A failure inside a run carries the rows
+    recorded so far as ``exc.partial_trace``, which ``run_experiment`` flushes.
     """
 
     def __init__(self, message, last_iterate=None, diagnostics=None):

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
@@ -61,18 +63,22 @@ class ExperimentConfig:
     raw: dict
 
 
+def _read_json(path, field):
+    """The JSON value in the file at ``path``; a file that cannot be read, or
+    is not UTF-8 JSON, is a config error naming ``field``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
+        raise ConfigError(field, f"cannot read {str(path)!r}: {exc}") from exc
+
+
 def load_config(source):
-    """Parse and validate a config from a mapping or the path of a JSON file."""
-    if isinstance(source, (str, Path)):
-        try:
-            with open(source) as fh:
-                raw = json.load(fh)
-        except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
-            raise ConfigError("config", f"cannot read {str(source)!r}: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError("config", f"{str(source)!r} must hold a JSON object")
-    else:
-        raw = dict(source)
+    """Parse and validate a config from a mapping or a JSON file's ``str`` or ``PathLike`` path."""
+    raw = _read_json(source, "config") if isinstance(source, (str, os.PathLike)) else source
+    if not isinstance(raw, Mapping):
+        raise ConfigError("config", f"expected a JSON object, not {type(raw).__name__}")
+    raw = dict(raw)
 
     # A misspelt key would otherwise run silently with the default it meant to replace.
     for key in raw:
@@ -230,13 +236,16 @@ _SWEEPABLE = ("epsilon", "T")
 def sweep(config, grid, out_dir):
     """Run one experiment per swept value of a loaded config and fit the scaling laws.
 
-    ``grid`` maps one field to a nonempty value list: ``epsilon``, or ``T``
-    for a baseline, since a run takes only one of them.  Each run is the
+    ``grid``, a mapping or the path of a JSON file holding one, maps one
+    field to a nonempty value list: ``epsilon``, or ``T`` for a baseline,
+    since a run takes only one of them.  Each run is the
     config without its ``epsilon``, ``T`` and ``output_path``, plus the swept
     value.  Traces land in ``out_dir`` along with a ``summary.json`` holding
     per-run facts and per-algorithm log-log fits: gap-versus-iteration for the
     baselines, total oracle calls versus epsilon for the accelerated method.
     """
+    if isinstance(grid, (str, os.PathLike)):
+        grid = _read_json(grid, "grid")
     if not isinstance(grid, dict) or len(grid) != 1:
         raise ConfigError("grid", f"must map one of {_SWEEPABLE} to a list of values")
     (key, values), = grid.items()
@@ -282,6 +291,10 @@ def sweep(config, grid, out_dir):
         fits[config.algorithm] = {"slope": float(slope), "intercept": float(intercept)}
 
     summary = {"runs": runs, "fits": fits}
-    with open(out_dir / "summary.json", "w") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
+    path = out_dir / "summary.json"
+    try:
+        with open(path, "w") as fh:
+            json.dump(summary, fh, sort_keys=True, indent=2)
+    except OSError as exc:
+        raise ConfigError("out_dir", f"cannot write {str(path)!r}: {exc}") from exc
     return summary

@@ -183,7 +183,7 @@ class FeasibleSet:
             scale, _, norm = _scaled_norm(self.project(x) - x)
             return scale * norm
         except NumericalFailureError:
-            # Only a point with a NaN or infinite entry fails to project.
+            # Only a point, or offset from a ball's center, that is not finite fails.
             return math.nan if np.isnan(x).any() else math.inf
 
     def contains(self, x):
@@ -319,12 +319,6 @@ class Ball(FeasibleSet):
     def diameter(self):
         return 2.0 * self.radius
 
-    def _distance(self, x):
-        scale, _, norm = _scaled_norm(x - self.center)
-        # max keeps its first argument unless the second is larger, so a NaN
-        # distance stays NaN.
-        return max(scale * norm - self.radius, 0.0)
-
     def center_point(self):
         return self.center.copy()
 
@@ -340,21 +334,22 @@ class Ball(FeasibleSet):
         return {"kind": "ball", "center": self.center.tolist(), "radius": self.radius}
 
 
-def _simplex_projection(v, scale, idx):
+def _simplex_projection(v, scale):
     """``max(v - tau, 0)`` with the sort-based threshold ``tau`` of
     ``{x >= 0 : sum(x) = scale}``: the projection of ``v`` exactly when it
     sums to ``scale``.
 
-    One sort and one scan; the descending cumsum fixes tau's bits.  ``idx``
-    is the float ``1..d``.
+    One sort and one scan over the float ranks ``1..d``; the descending
+    cumsum fixes tau's bits.
     """
+    d = len(v)
     u = np.sort(v)[::-1]
     # An infinite entry makes inf - inf here, and a large one can overflow
     # the cumsum, tau or v - tau.  The result's sum shows any of them, so
     # numpy's warnings about them are noise.
     with np.errstate(invalid="ignore", over="ignore"):
         css = np.cumsum(u)
-        rho = len(v) - int((u - (css - scale) / idx > 0)[::-1].argmax())
+        rho = d - int((u - (css - scale) / np.arange(1.0, d + 1.0) > 0)[::-1].argmax())
         tau = (css[rho - 1] - scale) / rho
         return np.maximum(v - tau, 0.0)
 
@@ -369,10 +364,9 @@ class Simplex(FeasibleSet):
         if not is_positive_finite(scale):
             raise InvalidArgumentError("simplex scale must be a positive finite number")
         self.scale = float(scale)
-        self._idx = np.arange(1.0, self.dimension + 1.0)
 
     def _project(self, v):
-        out = _simplex_projection(v, self.scale, self._idx)
+        out = _simplex_projection(v, self.scale)
         # max(v - tau, 0) is the projection exactly when it sums to scale
         # (Duchi et al., 2008), so that sum is the one trust test.  Rounding
         # beside entries far above scale, an overflow or a NaN spoils it.
@@ -390,7 +384,7 @@ class Simplex(FeasibleSet):
         # the cumsum stays finite and the first coordinate is active.
         with np.errstate(over="ignore"):
             w = np.maximum((v - top) / self.scale, -2.0)
-        return self.scale * _simplex_projection(w, 1.0, self._idx)
+        return self.scale * _simplex_projection(w, 1.0)
 
     def _lmo(self, g):
         out = np.zeros(self.dimension)

@@ -71,6 +71,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             load_config({"algorithm": "accelerated", "objective": "example1", "epsilon": -1.0})
 
+    @pytest.mark.parametrize("source", [None, [1, 2], 5, ("algorithm", "pgd")],
+                             ids=["none", "list", "int", "tuple"])
+    def test_a_source_neither_a_path_nor_a_mapping_names_config(self, source):
+        with pytest.raises(ConfigError) as excinfo:
+            load_config(source)
+        assert excinfo.value.field == "config"
+
+    def test_any_path_like_source_is_read(self, tmp_path):
+        class Where:  # an os.PathLike that is not a pathlib.Path
+            def __fspath__(self):
+                return str(tmp_path / "config.json")
+
+        (tmp_path / "config.json").write_text(json.dumps(PGD_SIMPLEX))
+        assert load_config(Where()).raw == PGD_SIMPLEX
+
     def test_unknown_objective_reported(self):
         config = load_config({"algorithm": "pgd", "objective": "mystery", "T": 5})
         with pytest.raises(ConfigError) as excinfo:
@@ -386,6 +401,13 @@ class TestSweep:
             "run_000.csv", "run_001.csv", "summary.json"]
         assert not (tmp_path / "ignored.csv").exists()
 
+    def test_grid_path_is_read(self, tmp_path):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"T": [2, 4]}))
+        for path in (grid, str(grid)):
+            summary = sweep(load_config(PGD_SIMPLEX), path, tmp_path / "sweep")
+            assert [run["params"] for run in summary["runs"]] == [{"T": 2}, {"T": 4}]
+
     def test_accelerated_calls_fit(self, tmp_path):
         base = load_config({"algorithm": "accelerated", "objective": "quadratic",
                             "x0": [1.0, 1.0], "epsilon": 1.0, "seed": 0})
@@ -514,8 +536,7 @@ class TestVerifySubsets:
             "    verify(['a', 'b', 'c'])\n"
             "except NumericalFailureError as exc:\n"
             "    assert str(exc) == 'first' and exc.last_iterate.shape == (100_000,)\n"
-            "    assert type(exc.__cause__).__name__ == '_BlockTraceback'\n"
-            "    assert 'in first' in str(exc.__cause__), exc.__cause__\n"
+            "    assert 'in first' in exc.__notes__[0], exc.__notes__\n"
             "else:\n"
             "    raise AssertionError('verify returned')\n"
             "assert main(['verify', '--suite', 'a,b,c']) == 3\n"
@@ -524,6 +545,33 @@ class TestVerifySubsets:
         returncode, out, err = _run_probe(probe)
         assert (returncode, out) == (0, "no child left\n"), err
         assert err == "numerical failure: first\n"
+
+    @FORKS
+    def test_a_config_error_in_a_forked_block_exits_2_naming_its_field(self):
+        # The first block, run by a child, raises; its pickled exception keeps
+        # its field and gains the child's traceback as its one note.
+        probe = (
+            "import os\n"
+            "import qopt.checks\n"
+            "from qopt import ConfigError, verify\n"
+            "from qopt.cli import main\n"
+            "def bad(): raise ConfigError('suite', 'raised in a child')\n"
+            "qopt.checks._CHECKS = {'a': (bad,), 'b': (int,)}\n"
+            "qopt.checks._usable_cpus = lambda: 2\n"
+            "try:\n"
+            "    verify(['a', 'b'])\n"
+            "except ConfigError as exc:\n"
+            "    assert exc.field == 'suite', exc.field\n"
+            "    [note] = exc.__notes__\n"
+            "    assert note.startswith('Traceback') and 'in bad' in note, note\n"
+            "else:\n"
+            "    raise AssertionError('verify returned')\n"
+            "assert main(['verify', '--suite', 'a,b']) == 2\n"
+            + NO_CHILD_LEFT
+        )
+        returncode, out, err = _run_probe(probe)
+        assert (returncode, out) == (0, "no child left\n"), err
+        assert err == "config error: config field 'suite': raised in a child\n"
 
     @FORKS
     def test_a_block_that_ends_without_a_result_is_named(self):
@@ -730,11 +778,13 @@ class TestCLI:
         assert "Traceback" not in done.stderr
         assert done.stdout == ""
 
-    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("command", ["run", "sweep", "sweep-grid"])
     @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]", b"\xff{}"],
                              ids=["missing", "malformed", "not-an-object", "not-utf8"])
     def test_unreadable_config_file_exits_2(self, command, content, tmp_path, capsys):
-        path = tmp_path / "config.json"
+        # Under sweep-grid the config is well formed and the grid file is not.
+        field = "grid" if command == "sweep-grid" else "config"
+        path = tmp_path / f"{field}.json"
         if isinstance(content, bytes):
             path.write_bytes(content)
         elif content is not None:
@@ -742,13 +792,17 @@ class TestCLI:
         if command == "run":
             argv = ["run", str(path), "--output", str(tmp_path / "o.csv")]
         else:
-            grid = tmp_path / "grid.json"
-            grid.write_text(json.dumps({"T": [1]}))
-            argv = ["sweep", str(path), "--grid", str(grid), "--out-dir", str(tmp_path / "s")]
+            cfg, grid = tmp_path / "config.json", tmp_path / "grid.json"
+            if field == "grid":
+                cfg.write_text(json.dumps(PGD_SIMPLEX))
+            else:
+                grid.write_text(json.dumps({"T": [1]}))
+            argv = ["sweep", str(cfg), "--grid", str(grid), "--out-dir", str(tmp_path / "s")]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert "config field 'config'" in err
+        assert f"config field '{field}'" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "s").exists()
 
     @pytest.mark.parametrize("output", ["missing/o.csv", "."], ids=["no-such-directory",
                                                                    "a-directory"])
@@ -1172,6 +1226,17 @@ class TestCLI:
         err = capsys.readouterr().err
         assert f"config field '{field}'" in err and "Traceback" not in err
         assert not out_dir.exists()
+
+    def test_sweep_unwritable_summary_exits_2(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, PGD_SIMPLEX)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"T": [1]}))
+        out_dir = tmp_path / "sweep"
+        (out_dir / "summary.json").mkdir(parents=True)
+        assert main(["sweep", cfg, "--grid", str(grid), "--out-dir", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert "config field 'out_dir'" in err and "summary.json" in err
+        assert "Traceback" not in err
 
     def test_sweep_bad_grid_path(self, tmp_path):
         cfg = self.write_config(tmp_path, PGD_SIMPLEX)

@@ -408,6 +408,36 @@ class TestContains:
         else:
             assert set_.distance(x) == pytest.approx(math.sqrt(2.0) * value, rel=1e-15)
 
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_ball_distance_is_the_radial_excess(self, dim, rng):
+        # A ball measures distance through its projection, as every set does;
+        # that agrees with max(||x - c|| - r, 0), and so does membership,
+        # inside, within 1e-9 of the sphere, outside and at 1e200.
+        eps = np.finfo(float).eps
+        for _ in range(50):
+            center = rng.normal(scale=3.0, size=dim)
+            radius = rng.uniform(0.5, 3.0)
+            ball = Ball(center, radius)
+            u = rng.normal(size=dim)
+            u /= np.linalg.norm(u)
+            for length in (radius * rng.uniform(0.0, 0.999),
+                           radius + rng.uniform(-1e-9, 1e-9),
+                           radius * (1.0 + rng.uniform(0.01, 10.0)),
+                           1e200):
+                x = center + length * u
+                reference = max(math.hypot(*(x - center)) - radius, 0.0)
+                tol = 4 * eps * (math.hypot(*x) + math.hypot(*center) + radius)
+                assert abs(ball.distance(x) - reference) <= tol, (x, center, radius)
+                if abs(reference - MEMBERSHIP_TOL) > tol:
+                    assert ball.contains(x) == (reference <= MEMBERSHIP_TOL)
+                for bad, expected in ((math.nan, math.nan), (math.inf, math.inf),
+                                      (-math.inf, math.inf)):
+                    y = x.copy()
+                    y[-1] = bad
+                    distance = ball.distance(y)
+                    assert distance == expected or math.isnan(expected) and math.isnan(distance)
+                    assert not ball.contains(y)
+
     def test_nan_point_is_not_in_a_ball(self):
         ball = Ball([0.0, 0.0], 1.0)
         for x in ([np.nan, 0.0], [0.0, np.nan], [np.nan, np.nan]):
